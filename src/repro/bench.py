@@ -6,10 +6,13 @@ Run individual experiments or everything::
     python -m repro.bench figure5a    # Figure 5(a): insertion costs
     python -m repro.bench figure5b    # Figure 5(b): deletion costs
     python -m repro.bench fkshortcut  # §7 prose: customer/part updates
-    python -m repro.bench ablations   # A1–A3 design-choice ablations
-    python -m repro.bench obs         # telemetry overhead off vs on
-    python -m repro.bench plancache   # compiled vs interpreted plans
+    python -m repro.bench ablations   # A1–A4 design-choice ablations
+    python -m repro.bench scaling     # incremental vs recompute at growing SF
     python -m repro.bench all
+
+Runtime numbers (durability, serving, sharding, telemetry overhead, plan
+cache) are not measured here: ``perf/run.py`` is the one runtime
+benchmark (see docs/PERFORMANCE.md).
 
 Pass ``--trace PATH`` to run the experiments with telemetry enabled:
 maintenance passes emit spans to a JSON-lines file, the per-phase
@@ -28,35 +31,37 @@ deletes — is the reproduced result and is what EXPERIMENTS.md records.
 from __future__ import annotations
 
 import argparse
-import json
-import random
-import statistics
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Q, eq
 from .baselines import (
     GriffinKumarMaintainer,
     RecomputeMaintainer,
     core_view_definition,
 )
-from .engine import Database
 from .obs import Telemetry
 from .core import (
     MaintenanceOptions,
     MaterializedView,
     SECONDARY_COMBINED,
     SECONDARY_FROM_BASE,
-    ViewDefinition,
     ViewMaintainer,
 )
-from .tpch import TPCHGenerator, cached_instance, oj_view, v2, v3
-from .warehouse import Warehouse
+from .tpch import cached_instance, v3
 
 DEFAULT_SCALE = 0.01
 DEFAULT_BATCH_SCALE = 0.01
 PAPER_BATCHES = (60, 600, 6_000, 60_000)
+EXPERIMENTS = (
+    "table1",
+    "figure5a",
+    "figure5b",
+    "fkshortcut",
+    "ablations",
+    "scaling",
+    "all",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -457,1284 +462,6 @@ def run_ablations(
 
 
 # ---------------------------------------------------------------------------
-# E6 — telemetry overhead: the disabled path must stay (nearly) free
-# ---------------------------------------------------------------------------
-def run_obs_overhead(
-    scale: float = DEFAULT_SCALE,
-    batch: int = 600,
-    rounds: int = 9,
-    seed: int = 20070415,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Measure one maintenance pass with telemetry off (the default
-    no-op singleton) and across the v2 instrumentation variants —
-    fully on (spans + metrics + flight recorder + SLO), recorder
-    disabled, and aggressive span sampling — *rounds* times each on
-    identical state.  The medians are the baseline ``BENCH_obs.json``
-    records: future PRs re-run this and the CI gate
-    (``tools/bench_gate.py obs``) fails if any instrumented variant
-    exceeds ``1.15x`` the uninstrumented median."""
-    bench = Workbench(scale, seed)
-    defn = v3()
-    insert_batch = bench.generator.lineitem_insert_batch(batch, seed=77)
-
-    def one_pass(telemetry: Optional[Telemetry]) -> float:
-        db, view = bench.fresh_state(defn)
-        maintainer = ViewMaintainer(db, view, telemetry=telemetry)
-        return timed(
-            lambda: maintainer.insert("lineitem", list(insert_batch))
-        )
-
-    # v2 variants, all against the same off baseline
-    variant_specs = [
-        ("on", "everything (recorder @200Hz + SLO)", lambda: Telemetry()),
-        (
-            "recorder_off",
-            "metrics + SLO, flight recorder disabled",
-            lambda: Telemetry(recorder_spans=0, recorder_events=0),
-        ),
-        (
-            "sampled_50hz",
-            "aggressive span sampling (target 50Hz)",
-            lambda: Telemetry(sample_target_hz=50.0),
-        ),
-    ]
-    # interleave the rounds — off, on, ..., off, on, ... — so clock
-    # drift on a shared runner hits every variant equally instead of
-    # landing wholesale on whichever was measured last
-    instances = [None] + [factory() for _, _, factory in variant_specs]
-    samples: List[List[float]] = [[] for _ in instances]
-    for round_no in range(rounds + 1):
-        for position, telemetry in enumerate(instances):
-            elapsed = one_pass(telemetry)
-            if round_no:  # round 0 is an unmeasured cache warmup
-                samples[position].append(elapsed)
-
-    off = samples[0]  # the Telemetry.disabled() default
-    off_median = statistics.median(off)
-    off_min = min(off)
-
-    variants: Dict[str, Dict[str, object]] = {}
-    for position, (name, _label, _factory) in enumerate(variant_specs, 1):
-        seconds = samples[position]
-        median = statistics.median(seconds)
-        variants[name] = {
-            "seconds": seconds,
-            "median_seconds": median,
-            "over_off_ratio": median / off_median if off_median else None,
-            # best-of-N is what the CI gate compares: medians of a
-            # handful of ~10ms passes are scheduler-noise-dominated,
-            # minima isolate the instrumentation cost itself
-            "min_seconds": min(seconds),
-            "over_off_min_ratio": min(seconds) / off_min
-            if off_min
-            else None,
-        }
-
-    on_median = variants["on"]["median_seconds"]
-    result: Dict[str, object] = {
-        "scale": scale,
-        "batch": batch,
-        "rounds": rounds,
-        "telemetry_off_seconds": off,
-        "telemetry_on_seconds": variants["on"]["seconds"],
-        "telemetry_off_median_seconds": off_median,
-        "telemetry_off_min_seconds": off_min,
-        "telemetry_on_median_seconds": on_median,
-        "on_over_off_ratio": on_median / off_median if off_median else None,
-        "variants": variants,
-    }
-    if not quiet:
-        rows = [("telemetry off (default)", f"{off_median:.4f}", "1.000")]
-        for name, label, _factory in variant_specs:
-            entry = variants[name]
-            rows.append(
-                (
-                    label,
-                    f"{entry['median_seconds']:.4f}",
-                    f"{entry['over_off_ratio']:.3f}",
-                )
-            )
-        print_table(
-            f"Telemetry overhead (SF={scale}, insert {batch} lineitems, "
-            f"median of {rounds})",
-            ["Mode", "Median s", "vs off"],
-            rows,
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# E7 — plan cache: compiled vs interpreted maintenance latency
-# ---------------------------------------------------------------------------
-def _plancache_state(n_item: int, seed: int):
-    """A two-table database where the maintenance join probes a NON-key
-    column: ``category ⟕ item ON c_ref = i_grp``.  The V3 joins all land
-    on key columns (always hash-covered), so this view is what separates
-    the compiled path — persistent-index probe on ``item.i_grp`` — from
-    the interpreter, which re-hashes all of ``item`` on every update."""
-    rng = random.Random(seed)
-    n_groups = max(10, n_item // 20)
-    db = Database()
-    db.create_table(
-        "category", ["c_key", "c_ref", "c_label"], key=["c_key"]
-    )
-    db.create_table("item", ["i_key", "i_grp", "i_pad"], key=["i_key"])
-    db.insert(
-        "category",
-        [(k, rng.randrange(n_groups), f"c{k}") for k in range(n_groups)],
-    )
-    db.insert(
-        "item",
-        [
-            (k, rng.randrange(n_groups), rng.randrange(1_000_000))
-            for k in range(n_item)
-        ],
-    )
-    expr = (
-        Q.table("category")
-        .left_outer_join("item", on=eq("category.c_ref", "item.i_grp"))
-        .build()
-    )
-    return db, ViewDefinition("cat_items", expr), rng
-
-
-def run_plancache(
-    scale: float = DEFAULT_SCALE,
-    seed: int = 20070415,
-    rounds: int = 30,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Single-row maintenance latency vs base-table size, compiled
-    (plan cache + auto-index, the defaults) against interpreted
-    (``use_plan_cache=False, auto_index=False``).
-
-    The compiled curve should stay near-flat — after the first update the
-    plan is a cache hit and its join probes the auto-provisioned
-    ``item(i_grp)`` index — while the interpreted curve grows linearly
-    with ``|item|``.  ``BENCH_plancache.json`` records both series; CI
-    fails if compiled ever falls behind interpreted by > 10%.
-    """
-    sizes = [
-        max(50, int(n * scale / DEFAULT_SCALE))
-        for n in (2_000, 8_000, 32_000, 128_000)
-    ]
-    series: List[Dict[str, object]] = []
-    for n_item in sizes:
-        db0, defn, rng = _plancache_state(n_item, seed)
-        n_groups = max(10, n_item // 20)
-
-        def measure(options: Optional[MaintenanceOptions], telemetry=None):
-            db = db0.copy()
-            view = MaterializedView.materialize(defn, db)
-            maintainer = ViewMaintainer(
-                db, view, options=options, telemetry=telemetry
-            )
-            next_key = n_groups + 1_000_000
-            # warmup: absorbs plan compilation + index provisioning
-            maintainer.insert(
-                "category", [(next_key, rng.randrange(n_groups), "w")]
-            )
-            times = []
-            for i in range(rounds):
-                row = (
-                    next_key + 1 + i,
-                    rng.randrange(n_groups),
-                    f"r{i}",
-                )
-                times.append(
-                    timed(lambda: maintainer.insert("category", [row]))
-                )
-            return statistics.median(times), maintainer
-
-        compiled_telemetry = Telemetry()
-        compiled_median, compiled_m = measure(None, compiled_telemetry)
-        interpreted_median, _ = measure(
-            MaintenanceOptions(use_plan_cache=False, auto_index=False)
-        )
-        if n_item == sizes[0]:
-            compiled_m.check_consistency()  # oracle: compiled == recompute
-        cache = compiled_m.plan_cache
-        series.append(
-            {
-                "n_item": n_item,
-                "compiled_median_seconds": compiled_median,
-                "interpreted_median_seconds": interpreted_median,
-                "speedup": (
-                    interpreted_median / compiled_median
-                    if compiled_median
-                    else None
-                ),
-                "plan_cache_hits": cache.hits,
-                "plan_cache_misses": cache.misses,
-                "plan_cache_hit_rate": round(cache.hit_rate, 4),
-                "plan_cache_entries": len(cache),
-            }
-        )
-    record: Dict[str, object] = {
-        "experiment": "plancache",
-        "scale": scale,
-        "rounds": rounds,
-        "view": "category LEFT OUTER JOIN item ON c_ref = i_grp "
-        "(non-key probe column)",
-        "series": series,
-    }
-    largest = series[-1]
-    record["speedup_at_largest_scale"] = largest["speedup"]
-    if not quiet:
-        print_table(
-            "Plan cache: single-row insert maintenance, median of "
-            f"{rounds} (SF multiplier {scale / DEFAULT_SCALE:g})",
-            ["|item|", "Compiled ms", "Interpreted ms", "Speedup", "Hit rate"],
-            [
-                (
-                    s["n_item"],
-                    f"{s['compiled_median_seconds'] * 1000:.3f}",
-                    f"{s['interpreted_median_seconds'] * 1000:.3f}",
-                    f"{s['speedup']:.1f}x",
-                    f"{s['plan_cache_hit_rate']:.2f}",
-                )
-                for s in series
-            ],
-        )
-    return record
-
-
-# ---------------------------------------------------------------------------
-# E8 — concurrent fan-out: speedup vs worker count on a 16-view warehouse
-# ---------------------------------------------------------------------------
-CONCURRENT_WORKERS = (0, 1, 2, 4, 8)
-CONCURRENT_VIEWS = 16
-
-
-class _StalledMaintainer:
-    """Delegating wrapper that prefixes each maintenance pass with a
-    fixed sleep, modelling the per-view synchronous commit to a durable
-    store (network round-trip + remote fsync) that a real warehouse
-    pays.  ``time.sleep`` releases the GIL, so this is the component of
-    per-view cost that threads genuinely overlap."""
-
-    def __init__(self, inner, stall_seconds: float):
-        self.inner = inner
-        self.stall_seconds = stall_seconds
-
-    @property
-    def view(self):
-        return self.inner.view
-
-    @property
-    def definition(self):
-        return self.inner.definition
-
-    def maintain(self, *args, **kwargs):
-        time.sleep(self.stall_seconds)
-        return self.inner.maintain(*args, **kwargs)
-
-    def check_consistency(self):
-        return self.inner.check_consistency()
-
-
-def _renamed(definition: ViewDefinition, name: str) -> ViewDefinition:
-    from .algebra.expr import Project
-
-    expr = definition.join_expr
-    if definition._output is not None:
-        expr = Project(expr, definition._output)
-    return ViewDefinition(name, expr)
-
-
-def _concurrent_definitions() -> List[ViewDefinition]:
-    """16 distinct lineitem-centred views: 8 V3 date-window variants,
-    4 V2 predicate variants, 4 copies of Example 1's OJ view."""
-    from .algebra.predicates import Comparison
-
-    defs: List[ViewDefinition] = []
-    for i in range(8):
-        lo = f"1994-{i + 1:02d}-01"
-        hi = f"1994-{min(12, i + 6):02d}-28"
-        defs.append(_renamed(v3(lo, hi), f"v3_win{i}"))
-    for i, floor in enumerate((0.0, 1_000.0, 2_500.0, 5_000.0)):
-        defs.append(
-            _renamed(
-                v2(Comparison("customer.c_acctbal", ">=", floor)),
-                f"v2_bal{i}",
-            )
-        )
-    for i in range(4):
-        defs.append(_renamed(oj_view(), f"oj_copy{i}"))
-    assert len(defs) == CONCURRENT_VIEWS
-    return defs
-
-
-def _concurrent_state(scale: float, seed: int):
-    """Build the TPC-H instance and materialize all 16 views once;
-    each measurement clones them instead of re-materializing."""
-    generator, db = cached_instance(scale, seed)
-    definitions = _concurrent_definitions()
-    views = {
-        d.name: MaterializedView.materialize(d, db) for d in definitions
-    }
-    return generator, db, definitions, views
-
-
-def _concurrent_warehouse(base_db, views, workers: int, stall: float):
-    db = base_db.copy()
-    wh = Warehouse(db, workers=workers)
-    for name, view in views.items():
-        maintainer = ViewMaintainer(db, view.clone())
-        if stall > 0:
-            maintainer = _StalledMaintainer(maintainer, stall)
-        wh._maintainers[name] = maintainer
-        wh.scheduler.register(name)
-    return wh
-
-
-def run_concurrent(
-    scale: float = 0.002,
-    seed: int = 20070415,
-    batches: int = 4,
-    batch_rows: int = 24,
-    stall_ms: float = 5.0,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Fan-out wall time vs worker count on a 16-view TPC-H warehouse.
-
-    Two series per worker count:
-
-    * ``cpu_bound`` — plain maintenance.  Honest about CPython: the GIL
-      serializes the compute, so threads buy ~nothing here.
-    * ``io_stalled`` — each view's pass also pays a fixed *stall_ms*
-      sleep standing in for the per-view synchronous durable-store
-      commit of a production deployment.  Sleeps release the GIL, so
-      this is where the thread pool's overlap shows; the CI gate
-      (``speedup_at_4_workers`` ≥ 2) keys on this series.
-
-    Writes ``BENCH_concurrent.json`` via ``--json``.
-    """
-    generator, base_db, definitions, views = _concurrent_state(scale, seed)
-    # identical batch sequence for every configuration
-    change_batches = [
-        generator.lineitem_insert_batch(batch_rows, seed=100 + i)
-        for i in range(batches + 1)  # +1 warmup
-    ]
-    stall = stall_ms / 1000.0
-    series: Dict[str, List[Dict[str, object]]] = {}
-    baselines: Dict[str, float] = {}
-    for label, series_stall in (("cpu_bound", 0.0), ("io_stalled", stall)):
-        rows: List[Dict[str, object]] = []
-        for workers in CONCURRENT_WORKERS:
-            wh = _concurrent_warehouse(
-                base_db, views, workers, series_stall
-            )
-            try:
-                # warmup batch: plan compilation + index provisioning
-                wh.apply_async("lineitem", "insert", change_batches[0])
-                wh.flush()
-
-                def drive():
-                    for batch in change_batches[1:]:
-                        wh.apply_async("lineitem", "insert", batch)
-                    wh.flush()
-
-                seconds = timed(drive)
-                if label == "io_stalled" and workers == 4:
-                    # oracle: parallel fan-out equals full recompute
-                    for name in ("v3_win0", "v2_bal0", "oj_copy0"):
-                        wh._maintainers[name].check_consistency()
-            finally:
-                wh.scheduler.shutdown()
-            if workers == 0:
-                baselines[label] = seconds
-            rows.append(
-                {
-                    "workers": workers,
-                    "seconds": seconds,
-                    "speedup": (
-                        baselines[label] / seconds if seconds else None
-                    ),
-                }
-            )
-        series[label] = rows
-    record: Dict[str, object] = {
-        "experiment": "concurrent",
-        "scale": scale,
-        "views": CONCURRENT_VIEWS,
-        "batches": batches,
-        "batch_rows": batch_rows,
-        "stall_ms": stall_ms,
-        "series": series,
-    }
-    by_workers = {
-        row["workers"]: row["speedup"] for row in series["io_stalled"]
-    }
-    cpu_by_workers = {
-        row["workers"]: row["speedup"] for row in series["cpu_bound"]
-    }
-    record["speedup_at_4_workers"] = by_workers.get(4)
-    record["cpu_speedup_at_4_workers"] = cpu_by_workers.get(4)
-    if not quiet:
-        print_table(
-            f"Concurrent fan-out: {CONCURRENT_VIEWS} views, "
-            f"{batches} batches x {batch_rows} lineitem rows, "
-            f"{stall_ms:g}ms durable-commit stall",
-            ["Workers", "CPU-bound s", "CPU x", "IO-stalled s", "IO x"],
-            [
-                (
-                    cpu["workers"],
-                    f"{cpu['seconds']:.3f}",
-                    f"{cpu['speedup']:.2f}x",
-                    f"{io['seconds']:.3f}",
-                    f"{io['speedup']:.2f}x",
-                )
-                for cpu, io in zip(
-                    series["cpu_bound"], series["io_stalled"]
-                )
-            ],
-        )
-    return record
-
-
-# ---------------------------------------------------------------------------
-# E9 — checkpointing: bounded recovery and flat WAL footprint
-# ---------------------------------------------------------------------------
-def _checkpoint_state():
-    db = Database()
-    db.create_table("orders", ["o_orderkey", "o_custkey"], key=["o_orderkey"])
-    db.create_table(
-        "lineitem",
-        ["l_orderkey", "l_linenumber", "l_qty"],
-        key=["l_orderkey", "l_linenumber"],
-    )
-    db.add_foreign_key("lineitem", ["l_orderkey"], "orders", ["o_orderkey"])
-    expr = (
-        Q.table("orders")
-        .left_outer_join(
-            "lineitem", on=eq("lineitem.l_orderkey", "orders.o_orderkey")
-        )
-        .build()
-    )
-    return db, ViewDefinition("order_lines", expr)
-
-
-def run_checkpoint(
-    total: int = 10_000,
-    intervals: Sequence[Optional[int]] = (256, 1024, None),
-    segment_bytes: int = 32 * 1024,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Restart cost and WAL footprint with and without checkpointing.
-
-    Drives *total* single-row changes through a WAL-backed warehouse
-    while WAL acknowledgements are suppressed (the ``wal.ack``
-    failpoint, ``action="skip"``), emulating a crash that loses every
-    in-flight fan-out: each run then restarts from a genesis database
-    and times :meth:`Warehouse.recover`.
-
-    * ``interval=None`` — the legacy contract: no checkpoint exists,
-      so recovery replays the entire logged history.
-    * ``interval=N`` — auto-checkpoint every N changes: recovery
-      restores the newest checkpoint and replays only the suffix past
-      its LSN, so ``replayed`` ≤ N regardless of *total* — and each
-      checkpoint compacts the WAL behind itself, so the on-disk
-      footprint stays flat instead of growing with history.
-
-    ``BENCH_checkpoint.json`` records both claims (``replayed``,
-    ``recovery_seconds``, ``wal_bytes_peak``/``final``) via ``--json``.
-    """
-    import os
-    import shutil
-    import tempfile
-
-    from .runtime import FAILPOINTS
-
-    rows: List[Dict[str, object]] = []
-    for interval in intervals:
-        workdir = tempfile.mkdtemp(prefix="repro-bench-ckpt-")
-        wal_path = os.path.join(workdir, "wal")
-        ckpt_dir = os.path.join(workdir, "checkpoints")
-        try:
-            db, defn = _checkpoint_state()
-            kwargs: Dict[str, object] = {}
-            if interval is not None:
-                kwargs = {
-                    "checkpoint_dir": ckpt_dir,
-                    "checkpoint_interval": interval,
-                }
-            wh = Warehouse(
-                db, wal_path=wal_path, segment_bytes=segment_bytes, **kwargs
-            )
-            wh.create_view(defn.name, defn)
-            wal_peak = 0
-            with FAILPOINTS.armed("wal.ack", action="skip", times=None):
-                for i in range(total):
-                    wh.insert("orders", [(i, i % 89)])
-                    if i % 200 == 0:
-                        wal_peak = max(wal_peak, wh.wal.disk_bytes())
-            wal_peak = max(wal_peak, wh.wal.disk_bytes())
-            wal_final = wh.wal.disk_bytes()
-            segments = wh.wal.segment_count
-            checkpoints = (
-                len(wh.checkpoints.checkpoint_paths())
-                if wh.checkpoints is not None
-                else 0
-            )
-            wh.scheduler.shutdown()
-            wh.wal.close()
-
-            # crash-restart: genesis database, durable state on disk
-            db2, defn2 = _checkpoint_state()
-            wh2 = Warehouse(
-                db2,
-                wal_path=wal_path,
-                segment_bytes=segment_bytes,
-                **kwargs,
-            )
-            wh2.create_view(defn2.name, defn2)
-            recovery_seconds = timed(wh2.recover)
-            info = wh2.last_recovery or {}
-            assert len(db2.tables["orders"].rows) == total
-            wh2.check_consistency()
-            wh2.close()
-            rows.append(
-                {
-                    "interval": interval,
-                    "replayed": info.get("replayed"),
-                    "recovery_seconds": recovery_seconds,
-                    "checkpoint_used": info.get("checkpoint_lsn")
-                    is not None,
-                    "checkpoints_written": checkpoints,
-                    "wal_bytes_peak": wal_peak,
-                    "wal_bytes_final": wal_final,
-                    "wal_segments_final": segments,
-                }
-            )
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    baseline = next(
-        (r for r in rows if r["interval"] is None), rows[-1]
-    )
-    record: Dict[str, object] = {
-        "experiment": "checkpoint",
-        "total_changes": total,
-        "segment_bytes": segment_bytes,
-        "rows": rows,
-        # the two headline claims, asserted flat for CI comparison
-        "replay_bounded_by_interval": all(
-            r["replayed"] <= r["interval"]
-            for r in rows
-            if r["interval"] is not None
-        ),
-        "footprint_flat_under_compaction": all(
-            r["wal_bytes_peak"] < baseline["wal_bytes_final"] / 2
-            for r in rows
-            if r["interval"] is not None
-        ),
-    }
-    if not quiet:
-        print_table(
-            f"Checkpointed recovery: {total} logged changes, acks "
-            f"suppressed (crash), {segment_bytes}B segments",
-            [
-                "Interval",
-                "Replayed",
-                "Recovery s",
-                "Ckpts",
-                "WAL peak B",
-                "WAL final B",
-            ],
-            [
-                (
-                    r["interval"] if r["interval"] is not None else "none",
-                    r["replayed"],
-                    f"{r['recovery_seconds']:.3f}",
-                    r["checkpoints_written"],
-                    r["wal_bytes_peak"],
-                    r["wal_bytes_final"],
-                )
-                for r in rows
-            ],
-        )
-    return record
-
-
-# ---------------------------------------------------------------------------
-# E10 — online serving: open-loop read/write traffic, snapshot reads
-# ---------------------------------------------------------------------------
-SERVING_SATURATION_RATES = (1_000.0, 3_000.0, 9_000.0, 27_000.0)
-
-
-def _zipf_sampler(n: int, s: float, rng: random.Random) -> Callable[[], int]:
-    """Rank-``i`` draws with probability ∝ 1/(i+1)**s (CDF inversion),
-    the standard skewed-popularity model for key-value read traffic."""
-    import bisect
-
-    weights = [1.0 / (i + 1) ** s for i in range(n)]
-    total = sum(weights)
-    cdf: List[float] = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    return lambda: min(n - 1, bisect.bisect_left(cdf, rng.random()))
-
-
-def _poisson_schedule(
-    rate: float, duration: float, rng: random.Random
-) -> List[float]:
-    """Arrival offsets (seconds from phase start) of a Poisson process."""
-    if rate <= 0:
-        return []
-    t = 0.0
-    out: List[float] = []
-    while True:
-        t += rng.expovariate(rate)
-        if t >= duration:
-            return out
-        out.append(t)
-
-
-def _pctl_ms(sorted_seconds: List[float], q: float) -> Optional[float]:
-    if not sorted_seconds:
-        return None
-    idx = min(len(sorted_seconds) - 1, int(q * len(sorted_seconds)))
-    return sorted_seconds[idx] * 1000.0
-
-
-def _serving_phase(
-    wh: Warehouse,
-    generator: TPCHGenerator,
-    probe_view: str,
-    keys: List[Tuple],
-    key_cols: Tuple[str, ...],
-    read_rate: float,
-    write_rate: float,
-    duration: float,
-    zipf: Callable[[], int],
-    rng: random.Random,
-    seed_base: int,
-    batch_rows: int,
-) -> Dict[str, object]:
-    """One open-loop traffic phase against a live warehouse.
-
-    Reads and writes both arrive on Poisson schedules computed up front;
-    every latency is measured from the *scheduled* arrival time, not the
-    moment the driver got around to issuing it, so queueing inside the
-    driver counts against the system (no coordinated omission).  Write
-    completion is observed via the change ticket's done-callback — the
-    writer thread never waits on a fan-out, keeping the load open-loop.
-    """
-    import threading
-
-    from .errors import BackpressureError
-
-    read_sched = _poisson_schedule(read_rate, duration, rng)
-    write_sched = _poisson_schedule(write_rate, duration, rng)
-    # pre-generate the batches: row generation must not bill the system
-    batches = [
-        generator.lineitem_insert_batch(batch_rows, seed=seed_base + i)
-        for i in range(len(write_sched))
-    ]
-    write_lat: List[float] = []  # appended from the dispatcher thread
-    shed = [0]
-    seq_before = wh.snapshots.last_seq
-    base = time.perf_counter() + 0.005
-
-    def write_loop() -> None:
-        for arrival, batch in zip(write_sched, batches):
-            target = base + arrival
-            delay = target - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                ticket = wh.apply_async("lineitem", "insert", batch)
-            except BackpressureError:
-                shed[0] += 1
-                continue
-            ticket.add_done_callback(
-                lambda _r, t=target: write_lat.append(
-                    time.perf_counter() - t
-                )
-            )
-
-    writer = (
-        threading.Thread(target=write_loop, daemon=True)
-        if write_sched
-        else None
-    )
-    if writer is not None:
-        writer.start()
-    read_lat: List[float] = []
-    read_lag: List[float] = []  # how late each read was *issued*
-    hits = 0
-    for arrival in read_sched:
-        target = base + arrival
-        delay = target - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        read_lag.append(max(0.0, time.perf_counter() - target))
-        key = keys[zipf()]
-        rows = wh.query(probe_view, **dict(zip(key_cols, key)))
-        read_lat.append(time.perf_counter() - target)
-        if rows:
-            hits += 1
-    elapsed = time.perf_counter() - base
-    if writer is not None:
-        writer.join()
-    wh.flush()  # drain so write completions (and the phase) are settled
-    read_lat.sort()
-    read_lag.sort()
-    write_lat.sort()
-    return {
-        "offered_read_rate": read_rate,
-        "write_rate": write_rate,
-        "reads": len(read_lat),
-        "achieved_read_rate": (
-            len(read_lat) / elapsed if elapsed > 0 else None
-        ),
-        "read_hit_fraction": (
-            hits / len(read_lat) if read_lat else None
-        ),
-        "read_p50_ms": _pctl_ms(read_lat, 0.50),
-        "read_p99_ms": _pctl_ms(read_lat, 0.99),
-        "read_max_ms": read_lat[-1] * 1000.0 if read_lat else None,
-        "issue_lag_p99_ms": _pctl_ms(read_lag, 0.99),
-        "writes": len(write_lat),
-        "write_p50_ms": _pctl_ms(write_lat, 0.50),
-        "write_p99_ms": _pctl_ms(write_lat, 0.99),
-        "shed": shed[0],
-        "snapshots_published": wh.snapshots.last_seq - seq_before,
-    }
-
-
-def run_serving(
-    scale: float = 0.002,
-    seed: int = 20070415,
-    read_rate: float = 300.0,
-    duration: float = 2.0,
-    write_rates: Sequence[float] = (1.0, 3.0),
-    batch_rows: int = 6,
-    zipf_s: float = 1.1,
-    workers: int = 2,
-    stall_ms: float = 0.0,
-    switch_interval: float = 0.0001,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Open-loop mixed read/write traffic against the 16-view warehouse.
-
-    The serving claim under test: snapshot reads are decoupled from
-    maintenance, so adding a live write stream must not blow up the read
-    tail.  Three measurements:
-
-    * **read-only baseline** — Poisson reads at *read_rate* with
-      Zipf(*zipf_s*)-skewed view-key point lookups, no writes.
-    * **mix sweep** — the same read traffic with lineitem insert batches
-      arriving at each rate in *write_rates*; the headline
-      ``mixed_over_readonly_p99_ratio`` is the worst mixed read p99 over
-      the baseline p99 (CI gates it at ≤ 5, see ``tools/bench_gate.py``).
-    * **saturation climb** — read rate tripling steps (writes held at
-      ``write_rates[0]``) until the driver falls >10% behind the offered
-      rate or issues reads >2ms late at p99: the knee of the latency
-      curve.
-
-    Latencies are measured from scheduled arrival times (coordinated-
-    omission-free).  *stall_ms* optionally adds the ``concurrent``
-    experiment's per-view durable-commit stall to each maintenance
-    pass.  *switch_interval* lowers the CPython GIL switch interval for
-    the run (restored after): maintenance passes are long bytecode
-    stretches, and a serving process that cohosts readers with them
-    wants frequent handoffs — the same tuning a production asyncio tier
-    would apply.  Writes ride ``apply_async``; admission-control
-    rejections count as ``shed``.  The write rates default low because a
-    lineitem batch fans out to all 16 views: at SF 0.002 one batch costs
-    ~100ms of maintenance compute, so a few batches per second already
-    keeps maintenance occupancy in the tens of percent.
-
-    Writes ``BENCH_serving.json`` via ``--json``.
-    """
-    generator, base_db, definitions, views = _concurrent_state(scale, seed)
-    wh = _concurrent_warehouse(base_db, views, workers, stall_ms / 1000.0)
-    wh._publish()  # registration bypassed create_view: publish view zero
-    previous_interval = sys.getswitchinterval()
-    if switch_interval:
-        sys.setswitchinterval(switch_interval)
-    try:
-        probe_view = "oj_copy0"
-        slice_ = wh.snapshot().views[probe_view]
-        key_cols = slice_.key_cols
-        # insertion order is deterministic for a fixed seed; keys may
-        # contain None (null-extended sides), so no sorting
-        keys = list(slice_.rows_by_key)
-        rng = random.Random(seed ^ 0x5E41)
-        zipf = _zipf_sampler(len(keys), zipf_s, rng)
-        # warmup: plan compilation, index provisioning, snapshot capture
-        wh.apply_async(
-            "lineitem",
-            "insert",
-            generator.lineitem_insert_batch(batch_rows, seed=999),
-        )
-        wh.flush()
-        for _ in range(200):
-            wh.query(probe_view, **dict(zip(key_cols, keys[zipf()])))
-
-        phases: List[Dict[str, object]] = []
-        for i, write_rate in enumerate([0.0] + list(write_rates)):
-            phase = _serving_phase(
-                wh,
-                generator,
-                probe_view,
-                keys,
-                key_cols,
-                read_rate,
-                write_rate,
-                duration,
-                zipf,
-                rng,
-                seed_base=1_000 + 10_000 * i,
-                batch_rows=batch_rows,
-            )
-            phase["label"] = (
-                "readonly" if write_rate == 0 else f"mixed@{write_rate:g}"
-            )
-            phases.append(phase)
-        # oracle: the served views still equal a full recompute
-        for name in ("v3_win0", "oj_copy0"):
-            wh._maintainers[name].check_consistency()
-
-        saturation_series: List[Dict[str, object]] = []
-        saturation_rate: Optional[float] = None
-        for j, rate in enumerate(SERVING_SATURATION_RATES):
-            phase = _serving_phase(
-                wh,
-                generator,
-                probe_view,
-                keys,
-                key_cols,
-                rate,
-                write_rates[0] if write_rates else 0.0,
-                duration * 0.5,
-                zipf,
-                rng,
-                seed_base=500_000 + 10_000 * j,
-                batch_rows=batch_rows,
-            )
-            saturation_series.append(phase)
-            achieved = phase["achieved_read_rate"] or 0.0
-            lag_p99 = phase["issue_lag_p99_ms"] or 0.0
-            if achieved < 0.9 * rate or lag_p99 > 2.0:
-                saturation_rate = rate
-                break
-        serving_stats = wh.serving_stats()
-    finally:
-        sys.setswitchinterval(previous_interval)
-        wh.close()
-
-    readonly = phases[0]
-    mixed = phases[1:]
-    ratio: Optional[float] = None
-    if mixed and readonly["read_p99_ms"]:
-        ratio = max(
-            p["read_p99_ms"] / readonly["read_p99_ms"] for p in mixed
-        )
-    record: Dict[str, object] = {
-        "experiment": "serving",
-        "scale": scale,
-        "views": CONCURRENT_VIEWS,
-        "workers": workers,
-        "probe_view": probe_view,
-        "zipf_s": zipf_s,
-        "batch_rows": batch_rows,
-        "stall_ms": stall_ms,
-        "offered_read_rate": read_rate,
-        "duration_seconds": duration,
-        "switch_interval": switch_interval,
-        "phases": phases,
-        "saturation": {
-            "series": saturation_series,
-            "write_rate": write_rates[0] if write_rates else 0.0,
-            "saturation_read_rate": saturation_rate,
-            "max_tested_read_rate": SERVING_SATURATION_RATES[
-                len(saturation_series) - 1
-            ],
-        },
-        "serving_stats": serving_stats,
-        "readonly_read_p99_ms": readonly["read_p99_ms"],
-        "mixed_read_p99_ms_worst": (
-            max(p["read_p99_ms"] for p in mixed) if mixed else None
-        ),
-        "mixed_over_readonly_p99_ratio": ratio,
-    }
-    if not quiet:
-        print_table(
-            f"Serving: {CONCURRENT_VIEWS} views, Zipf({zipf_s:g}) point "
-            f"reads at {read_rate:g}/s, open-loop Poisson arrivals",
-            [
-                "Phase",
-                "Writes/s",
-                "Reads",
-                "Achieved/s",
-                "p50 ms",
-                "p99 ms",
-                "Write p99 ms",
-                "Shed",
-            ],
-            [
-                (
-                    p["label"],
-                    f"{p['write_rate']:g}",
-                    p["reads"],
-                    f"{p['achieved_read_rate']:.0f}",
-                    f"{p['read_p50_ms']:.3f}",
-                    f"{p['read_p99_ms']:.3f}",
-                    (
-                        f"{p['write_p99_ms']:.1f}"
-                        if p["write_p99_ms"] is not None
-                        else "-"
-                    ),
-                    p["shed"],
-                )
-                for p in phases
-            ],
-        )
-        print_table(
-            "Saturation climb (writes at "
-            f"{write_rates[0] if write_rates else 0:g}/s)",
-            ["Offered/s", "Achieved/s", "p50 ms", "p99 ms"],
-            [
-                (
-                    f"{p['offered_read_rate']:g}",
-                    f"{p['achieved_read_rate']:.0f}",
-                    f"{p['read_p50_ms']:.3f}",
-                    f"{p['read_p99_ms']:.3f}",
-                )
-                for p in saturation_series
-            ],
-        )
-        if ratio is not None:
-            knee = (
-                format(saturation_rate, "g")
-                if saturation_rate
-                else ">" + format(
-                    record["saturation"]["max_tested_read_rate"], "g"
-                )
-            )
-            print(
-                f"\nmixed/readonly read p99 ratio: {ratio:.2f}x  "
-                f"(saturation at {knee} reads/s)"
-            )
-    return record
-
-
-# ---------------------------------------------------------------------------
-# E12 — sharding: process-parallel maintenance across partitions
-# ---------------------------------------------------------------------------
-SHARDED_SHARD_COUNTS = (1, 2, 4)
-
-
-def run_sharded(
-    scale: float = 0.002,
-    seed: int = 20070415,
-    batches: int = 3,
-    batch_rows: int = 96,
-    stall_ms: float = 10.0,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Maintenance wall time vs shard count on the 16-view TPC-H
-    warehouse, with lineitem hash-partitioned and every worker a real
-    OS process (:mod:`repro.sharded`, spawn backend).
-
-    Two series per shard count, mirroring ``run_concurrent``:
-
-    * ``cpu_bound`` — plain maintenance.  Unlike the thread-pool
-      experiment, processes sidestep the GIL, so on a machine with
-      >= 4 cores this is where sharding's parallelism shows; the CI
-      gate (``speedup_at_4_shards`` >= 2.5) keys on this series when
-      enough cores exist.
-    * ``io_stalled`` — each view's pass also pays a fixed *stall_ms*
-      sleep standing in for a per-view synchronous durable-store
-      commit.  Every shard replays every batch against all 16 views, so
-      the per-shard stall work is *constant* in the shard count and
-      wall-vs-1-shard cannot improve; what sharding buys is that N
-      processes retire N× the stall-seconds in the same wall time.  The
-      record therefore reports ``io_overlap_at_4_shards`` = aggregate
-      stall-seconds retired / wall-seconds (computed from the exact
-      router hit counts), which exceeds 1 only if the shard processes
-      genuinely run concurrently — the gate's fallback signal on
-      starved CI runners.
-
-    Every configuration replays the identical batch sequence; at 4
-    shards the merged views are checked against a full recompute over
-    the merged database (the merge-barrier oracle).  Writes
-    ``BENCH_sharded.json`` via ``--json``.
-    """
-    import os as _os
-
-    generator, base_db = cached_instance(scale, seed)
-    definitions = _concurrent_definitions()
-    change_batches = [
-        generator.lineitem_insert_batch(batch_rows, seed=100 + i)
-        for i in range(batches + 1)  # +1 warmup
-    ]
-    stall = stall_ms / 1000.0
-    series: Dict[str, List[Dict[str, object]]] = {}
-    baselines: Dict[str, float] = {}
-    overlap_at_4: Optional[float] = None
-    for label, series_stall in (("cpu_bound", 0.0), ("io_stalled", stall)):
-        rows: List[Dict[str, object]] = []
-        for shards in SHARDED_SHARD_COUNTS:
-            wh = Warehouse(
-                base_db.copy(),
-                shards=shards,
-                shard_backend="process",
-                workers=0,
-                stall_seconds=series_stall,
-            )
-            try:
-                for defn in definitions:
-                    wh.create_view(defn.name, defn)
-                # warmup batch: plan compilation + index provisioning
-                wh.apply_async(
-                    "lineitem", "insert", change_batches[0]
-                ).wait()
-                wh.flush()
-
-                def drive():
-                    for batch in change_batches[1:]:
-                        wh.apply_async("lineitem", "insert", batch)
-                    wh.flush()
-
-                seconds = timed(drive)
-                if label == "io_stalled" and shards == 4:
-                    # exact stall work: one 16-view pass per (batch,
-                    # shard) pair the router actually produced
-                    change_events = sum(
-                        len(wh.router.split_rows("lineitem", batch))
-                        for batch in change_batches[1:]
-                    )
-                    stall_work = change_events * CONCURRENT_VIEWS * stall
-                    overlap_at_4 = (
-                        stall_work / seconds if seconds else None
-                    )
-                    # oracle: merged fragments equal a full recompute
-                    merged_db = wh.merged_database()
-                    merged = wh.merged_views()
-                    for defn in definitions[:3]:
-                        expected = frozenset(
-                            defn.evaluate(merged_db).rows
-                        )
-                        got = frozenset(map(tuple, merged[defn.name]))
-                        if got != expected:
-                            raise RuntimeError(
-                                f"merge barrier diverged on "
-                                f"{defn.name!r} at 4 shards"
-                            )
-            finally:
-                wh.close()
-            if shards == 1:
-                baselines[label] = seconds
-            rows.append(
-                {
-                    "shards": shards,
-                    "seconds": seconds,
-                    "speedup": (
-                        baselines[label] / seconds if seconds else None
-                    ),
-                }
-            )
-        series[label] = rows
-    record: Dict[str, object] = {
-        "experiment": "sharded",
-        "scale": scale,
-        "views": CONCURRENT_VIEWS,
-        "batches": batches,
-        "batch_rows": batch_rows,
-        "stall_ms": stall_ms,
-        "cpus": _os.cpu_count(),
-        "series": series,
-    }
-    cpu_by = {r["shards"]: r["speedup"] for r in series["cpu_bound"]}
-    io_by = {r["shards"]: r["speedup"] for r in series["io_stalled"]}
-    record["speedup_at_4_shards"] = cpu_by.get(4)
-    record["io_speedup_at_4_shards"] = io_by.get(4)
-    record["io_overlap_at_4_shards"] = overlap_at_4
-    if not quiet:
-        print_table(
-            f"Sharded fan-out: {CONCURRENT_VIEWS} views, "
-            f"{batches} batches x {batch_rows} lineitem rows, "
-            f"{stall_ms:g}ms durable-commit stall, "
-            f"{record['cpus']} cpu(s)",
-            ["Shards", "CPU-bound s", "CPU x", "IO-stalled s", "IO x"],
-            [
-                (
-                    cpu["shards"],
-                    f"{cpu['seconds']:.3f}",
-                    f"{cpu['speedup']:.2f}x",
-                    f"{io['seconds']:.3f}",
-                    f"{io['speedup']:.2f}x",
-                )
-                for cpu, io in zip(
-                    series["cpu_bound"], series["io_stalled"]
-                )
-            ],
-        )
-        if overlap_at_4 is not None:
-            print(
-                f"\nprocess overlap at 4 shards: {overlap_at_4:.2f}x "
-                "stall-seconds retired per wall-second"
-            )
-    return record
-
-
-def run_chaos(
-    scale: float = 0.002,
-    seed: int = 20070415,
-    shards: int = 2,
-    batches: int = 12,
-    batch_rows: int = 48,
-    kill_every: int = 4,
-    quiet: bool = False,
-) -> Dict[str, object]:
-    """Availability and recovery time under repeated worker SIGKILLs.
-
-    A process-backed sharded warehouse (WAL + checkpoints in a temp
-    lineage) ingests *batches* lineitem batches; every *kill_every*
-    batches one worker process is SIGKILLed mid-stream, alternating the
-    victim shard.  Three claims, recorded in ``BENCH_chaos.json``:
-
-    * **No hangs** — every facade call returns within its deadline: a
-      call into a killed shard fails with a typed
-      ``ShardUnavailableError`` instead of blocking on a reply that can
-      never arrive.  ``max_op_seconds`` records the worst case.
-    * **Availability** — the fraction of batch operations that
-      succeeded end-to-end.  Batches between kills retry nothing; the
-      supervisor has already swapped a recovered worker in, so only the
-      operations overlapping a kill window fail.
-    * **Bounded recovery** — after each kill the supervisor
-      reincarnates the shard from its WAL/checkpoint lineage;
-      ``recovery_seconds`` records each settle time (kill to all-up)
-      and the final state passes ``check_consistency`` (merged views ==
-      recompute over the merged database).
-    """
-    import tempfile as _tempfile
-
-    from .errors import ReproError
-
-    generator, base_db = cached_instance(scale, seed)
-    definitions = _concurrent_definitions()[:4]
-    change_batches = [
-        generator.lineitem_insert_batch(batch_rows, seed=300 + i)
-        for i in range(batches)
-    ]
-    ops_total = 0
-    ops_ok = 0
-    max_op_seconds = 0.0
-    kills = 0
-    recovery_seconds: List[float] = []
-    consistent = False
-    with _tempfile.TemporaryDirectory(prefix="repro-bench-chaos-") as tmp:
-        wh = Warehouse(
-            base_db.copy(),
-            shards=shards,
-            shard_backend="process",
-            workers=0,
-            wal_path=f"{tmp}/wal",
-            checkpoint_dir=f"{tmp}/ckpt",
-            checkpoint_interval=3,
-            call_deadline_seconds=5.0,
-            probe_timeout_seconds=1.0,
-            restart_budget=batches + shards,
-            restart_window_seconds=600.0,
-        )
-        try:
-            for defn in definitions:
-                wh.create_view(defn.name, defn)
-            for index, batch in enumerate(change_batches):
-                if index and index % kill_every == 0:
-                    victim = (index // kill_every - 1) % shards
-                    handle = wh._handles[victim]
-                    if handle.backend == "process" and handle.is_alive():
-                        killed_at = time.perf_counter()
-                        handle.process.kill()
-                        kills += 1
-                ops_total += 1
-                started = time.perf_counter()
-                try:
-                    wh.apply_async("lineitem", "insert", batch).wait()
-                    wh.flush()
-                    ops_ok += 1
-                except ReproError:
-                    pass  # typed failure — the op, not the tier, is lost
-                max_op_seconds = max(
-                    max_op_seconds, time.perf_counter() - started
-                )
-                if kills and len(recovery_seconds) < kills:
-                    # settle: the supervisor swaps a recovered worker in
-                    wh.supervisor.wait_quiesced(60.0)
-                    deadline = time.perf_counter() + 60.0
-                    while time.perf_counter() < deadline:
-                        states = wh.supervisor.status()
-                        if all(
-                            s["state"] == "up" for s in states.values()
-                        ):
-                            break
-                        time.sleep(0.05)
-                    recovery_seconds.append(
-                        time.perf_counter() - killed_at
-                    )
-            wh.supervisor.wait_quiesced(60.0)
-            try:
-                wh.flush()
-            except ReproError:
-                pass
-            wh.check_consistency()
-            consistent = True
-        finally:
-            wh.close()
-    record: Dict[str, object] = {
-        "experiment": "chaos",
-        "scale": scale,
-        "shards": shards,
-        "batches": batches,
-        "batch_rows": batch_rows,
-        "kill_every": kill_every,
-        "kills": kills,
-        "ops_total": ops_total,
-        "ops_ok": ops_ok,
-        "availability": (ops_ok / ops_total) if ops_total else None,
-        "max_op_seconds": max_op_seconds,
-        "recovery_seconds": recovery_seconds,
-        "max_recovery_seconds": (
-            max(recovery_seconds) if recovery_seconds else None
-        ),
-        "consistent_after_recovery": consistent,
-    }
-    if not quiet:
-        print_table(
-            f"Chaos: {kills} SIGKILLs across {shards} process shards, "
-            f"{batches} batches x {batch_rows} rows",
-            ["Ops", "OK", "Availability", "Max op s", "Max recovery s"],
-            [
-                (
-                    ops_total,
-                    ops_ok,
-                    f"{record['availability']:.2f}",
-                    f"{max_op_seconds:.2f}",
-                    (
-                        f"{record['max_recovery_seconds']:.2f}"
-                        if recovery_seconds
-                        else "-"
-                    ),
-                )
-            ],
-        )
-        print(
-            "\nconsistency after recovery: "
-            + ("ok" if consistent else "FAILED")
-        )
-    return record
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 def write_csv(path: str, rows: List[Dict[str, float]]) -> None:
@@ -1758,25 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench", description=__doc__
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "table1",
-            "figure5a",
-            "figure5b",
-            "fkshortcut",
-            "ablations",
-            "scaling",
-            "obs",
-            "plancache",
-            "concurrent",
-            "checkpoint",
-            "serving",
-            "sharded",
-            "chaos",
-            "all",
-        ],
-    )
+    parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     parser.add_argument(
         "--batch-scale", type=float, default=DEFAULT_BATCH_SCALE
@@ -1803,12 +512,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--metrics",
         metavar="PATH",
         help="with --trace: also dump the Prometheus registry to PATH",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="for the obs/plancache experiments: write the result record "
-        "(BENCH_obs.json / BENCH_plancache.json) to PATH",
     )
     args = parser.parse_args(argv)
 
@@ -1847,61 +550,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows = run_scaling(seed=args.seed)
         if args.csv:
             write_csv(_csv_path(args.csv, "scaling"), rows)
-    if chosen in ("obs", "all"):
-        record = run_obs_overhead(args.scale, seed=args.seed)
-        if args.json and chosen == "obs":
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    if chosen in ("plancache", "all"):
-        record = run_plancache(args.scale, seed=args.seed)
-        if args.json and chosen == "plancache":
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    if chosen in ("concurrent", "all"):
-        # the 16-view build dominates at the shared default SF; use a
-        # smaller instance unless the caller explicitly sized it
-        concurrent_scale = (
-            args.scale if args.scale != DEFAULT_SCALE else 0.002
-        )
-        record = run_concurrent(concurrent_scale, seed=args.seed)
-        if args.json and chosen == "concurrent":
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    if chosen in ("checkpoint", "all"):
-        record = run_checkpoint()
-        if args.json and chosen == "checkpoint":
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    if chosen in ("serving", "all"):
-        # same sizing rule as `concurrent`: the 16-view build dominates
-        # at the shared default SF
-        serving_scale = args.scale if args.scale != DEFAULT_SCALE else 0.002
-        record = run_serving(serving_scale, seed=args.seed)
-        if args.json and chosen == "serving":
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    if chosen in ("sharded", "all"):
-        sharded_scale = args.scale if args.scale != DEFAULT_SCALE else 0.002
-        record = run_sharded(sharded_scale, seed=args.seed)
-        if args.json and chosen == "sharded":
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    if chosen == "chaos":
-        # deliberately not part of `all`: the experiment kills its own
-        # workers, which makes a poor neighbour for timing runs
-        chaos_scale = args.scale if args.scale != DEFAULT_SCALE else 0.002
-        record = run_chaos(chaos_scale, seed=args.seed)
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-
     if telemetry is not None:
         print()
         print("Measured costs (telemetry):")

@@ -142,6 +142,14 @@ class AggregatedView:
         """Advance the mutation clock after a content change."""
         self.version = next_version()
 
+    def rebuild(self) -> None:
+        """Recompute the group state from the current base tables, in
+        place (aggregates are derived: restore and repair re-fold them
+        instead of persisting them)."""
+        self.groups = {}
+        self._populate()
+        self.bump_version()
+
     # ------------------------------------------------------------------
     def _populate(self) -> None:
         base = evaluate(self.definition.join_expr, self.db)

@@ -381,14 +381,6 @@ class MaintenanceScheduler:
         """Synchronous convenience: submit, then wait for the result."""
         return self.submit(prepare, table, operation, on_complete).wait()
 
-    def run_inline(
-        self, prepare: PrepareFn, table: str, operation: str
-    ) -> FanOutResult:
-        """Execute a change on the *caller's* thread, bypassing the queue
-        (used by transactions, whose statements already run serially on
-        the caller thread).  The caller must have drained the queue."""
-        return self._execute(prepare, table, operation)
-
     def _dispatch_loop(self) -> None:
         while True:
             item = self._queue.get()

@@ -95,7 +95,6 @@ class ShardServer:
         self._txn_id: Optional[str] = None
         self._pinned: Dict[int, object] = {}
         self._boundary = None  # db snapshot at the last durable boundary
-        self._stall = init.get("stall_seconds") or 0.0
         self.wh = self._build_warehouse(
             wire.build_database(init["schema"], init.get("rows") or {})
         )
@@ -121,29 +120,7 @@ class ShardServer:
             from .scheduler import RetryPolicy
 
             kwargs["retry"] = RetryPolicy(**init["retry"])
-        wh = self._Warehouse(db, **kwargs)
-        if self._stall:
-            self._stall_views(wh, self._stall)
-        return wh
-
-    @classmethod
-    def _stall_views(cls, wh, stall: float) -> None:
-        for maintainer in wh._maintainers.values():
-            cls._stall_maintainer(maintainer, stall)
-
-    @staticmethod
-    def _stall_maintainer(maintainer, stall: float) -> None:
-        """Benchmark aid: prefix every maintenance pass with a sleep, the
-        same io-stall model :mod:`repro.bench` uses for thread fan-out."""
-        import time as _time
-
-        original = maintainer.maintain
-
-        def stalled(*args, _original=original, **kwargs):
-            _time.sleep(stall)
-            return _original(*args, **kwargs)
-
-        maintainer.maintain = stalled
+        return self._Warehouse(db, **kwargs)
 
     def _create_view(self, blob: Dict) -> None:
         definition = self._wire.decode_view(self.wh.db, blob["view"])
@@ -152,10 +129,6 @@ class ShardServer:
             definition,
             options=self._wire.decode_options(blob.get("options")),
         )
-        if self._stall:
-            self._stall_maintainer(
-                self.wh._maintainers[definition.name], self._stall
-            )
         if blob not in self._views:
             self._views.append(blob)
 

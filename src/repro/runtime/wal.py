@@ -55,17 +55,15 @@ record by record against its CRCs:
   Opening never raises for disk rot — the caller
   (:meth:`Warehouse.recover`) degrades to per-view recompute instead.
 
-Legacy logs — a v1 WAL (a single checksum-less JSON-lines file at
-*path*) is transparently migrated on open: its records are re-written
-as segment 1 with CRCs and the file is replaced by the segment
-directory.  See ``docs/DURABILITY.md`` for the recovery contract.
+*path* must be a directory (or not exist yet); a regular file there
+raises :class:`~repro.errors.WalError`.  See ``docs/DURABILITY.md`` for
+the recovery contract.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import threading
 import time
 import zlib
@@ -191,7 +189,6 @@ class WriteAheadLog:
         self.torn_tail_dropped = False
         self.corruption_detected = False
         self.quarantined_segments: List[str] = []
-        self.migrated_from_v1 = False
         self.compacted_through = 0
         # segment sequence -> highest change LSN it holds (0 if none)
         self._segment_max_lsn: Dict[int, int] = {}
@@ -204,9 +201,11 @@ class WriteAheadLog:
     # open / load
     # ------------------------------------------------------------------
     def _open_directory(self) -> None:
-        self._recover_interrupted_migration()
         if os.path.isfile(self.path):
-            self._migrate_v1()
+            raise WalError(
+                f"WAL path {self.path!r} is a regular file; expected a "
+                "segment directory"
+            )
         os.makedirs(os.path.join(self.path, _CORRUPT_DIR), exist_ok=True)
         seqs = sorted(
             seq
@@ -323,66 +322,6 @@ class WriteAheadLog:
             self.compacted_through = max(
                 self.compacted_through, record["through"]
             )
-
-    # ------------------------------------------------------------------
-    # v1 migration
-    # ------------------------------------------------------------------
-    def _recover_interrupted_migration(self) -> None:
-        """Heal the two crash windows of :meth:`_migrate_v1`."""
-        backup = self.path + ".v1-old"
-        staging = self.path + ".migrating"
-        if os.path.exists(backup):
-            if os.path.isdir(self.path):
-                os.remove(backup)  # migration finished; drop the backup
-            else:
-                os.replace(backup, self.path)  # redo from the start
-        if os.path.isdir(staging):
-            shutil.rmtree(staging)
-
-    def _migrate_v1(self) -> None:
-        """Upgrade a legacy single-file checksum-less log in place."""
-        records = self._read_v1_records()
-        staging = self.path + ".migrating"
-        os.makedirs(staging)
-        seg_path = os.path.join(staging, _segment_name(1))
-        with open(seg_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(
-                    _frame(json.dumps(record, separators=(",", ":")))
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        backup = self.path + ".v1-old"
-        os.replace(self.path, backup)
-        os.replace(staging, self.path)
-        os.remove(backup)
-        self.migrated_from_v1 = True
-
-    def _read_v1_records(self) -> List[Dict]:
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
-        records: List[Dict] = []
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            line = raw[offset:] if newline < 0 else raw[offset:newline]
-            end = len(raw) if newline < 0 else newline + 1
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if record.get("kind") not in ("change", "ack"):
-                    raise ValueError(record.get("kind"))
-            except (ValueError, KeyError, UnicodeDecodeError):
-                if end >= len(raw):
-                    # torn v1 tail: drop it, like the v1 loader did
-                    self.torn_tail_dropped = True
-                    break
-                raise WalError(
-                    f"corrupt v1 WAL record at byte {offset} of "
-                    f"{self.path!r}; cannot migrate"
-                )
-            records.append(record)
-            offset = end
-        return records
 
     # ------------------------------------------------------------------
     # recovery-time reading

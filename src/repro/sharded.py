@@ -229,9 +229,6 @@ class ShardedWarehouse(Warehouse):
     workers / retry / segment_bytes / checkpoint_interval /
     snapshot_retain:
         Forwarded to every per-shard warehouse.
-    stall_seconds:
-        Benchmark aid: prefix each worker-side maintenance pass with a
-        sleep (models an I/O-bound maintenance workload).
     call_deadline_seconds:
         Per-call reply deadline (default 30).  A reply that misses it
         raises :class:`~repro.errors.ShardUnavailableError` and tips
@@ -265,7 +262,6 @@ class ShardedWarehouse(Warehouse):
         checkpoint_dir: Optional[str] = None,
         checkpoint_interval: Optional[int] = None,
         snapshot_retain: int = 8,
-        stall_seconds: float = 0.0,
         call_deadline_seconds: float = 30.0,
         heartbeat_interval_seconds: Optional[float] = None,
         probe_timeout_seconds: float = 5.0,
@@ -340,7 +336,6 @@ class ShardedWarehouse(Warehouse):
                     "rows": rows,
                     "workers": workers,
                     "snapshot_retain": snapshot_retain,
-                    "stall_seconds": stall_seconds,
                 }
                 if wal_path:
                     init["wal_dir"] = f"{wal_path}/shard-{shard}"

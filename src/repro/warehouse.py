@@ -46,7 +46,12 @@ from .core.secondary import DELETE, INSERT
 from .core.view import MaterializedView, ViewDefinition
 from .engine.catalog import Database
 from .engine.table import Row, Table
-from .errors import CatalogError, FanOutError, MaintenanceError
+from .errors import (
+    CatalogError,
+    FanOutError,
+    MaintenanceError,
+    ShardingError,
+)
 from .obs import ObsServer, Telemetry
 from .runtime import (
     DEFAULT_SEGMENT_BYTES,
@@ -134,9 +139,10 @@ class Warehouse:
         # flavour (repro.sharded.ShardedWarehouse): __new__ returns the
         # subclass instance, so Python dispatches __init__ to it with
         # these same arguments.
-        if cls is Warehouse and (
-            kwargs.get("shards") or kwargs.get("sharding")
-        ):
+        shards = kwargs.get("shards")
+        if shards is not None and shards < 1:
+            raise ShardingError(f"shards must be >= 1, got {shards!r}")
+        if cls is Warehouse and (shards or kwargs.get("sharding")):
             from .sharded import ShardedWarehouse
 
             return super().__new__(ShardedWarehouse)
@@ -612,10 +618,7 @@ class Warehouse:
                 saved = m.view.clone()
 
                 def restore():
-                    fresh = saved.clone()
-                    m.view._rows = fresh._rows
-                    m.view._subkey_indexes = fresh._subkey_indexes
-                    m.view.bump_version()
+                    m.view.reset_to(saved.clone())
 
                 return restore
 
@@ -849,33 +852,17 @@ class Warehouse:
         self.db.foreign_keys = fresh.foreign_keys
         self.db.index_epoch += 1
         for name, maintainer in self._maintainers.items():
-            rows = data.views.get(name)
-            view = maintainer.view
-            if rows is None:
+            captured = data.views.get(name)
+            if captured is None:
                 # view not captured (created after the checkpoint was
                 # written) — rebuild it from the restored tables
-                rebuilt = MaterializedView.materialize(
+                captured = MaterializedView.materialize(
                     maintainer.definition, self.db
                 )
-                view._rows = rebuilt._rows
-                view._subkey_indexes = rebuilt._subkey_indexes
-                view.bump_version()
-                continue
-            view._rows = {
-                view.key_of(tuple(r)): tuple(r) for r in rows
-            }
-            view._subkey_indexes = {}
-            view.bump_version()
-        for name, aggregated in self._aggregates.items():
+            maintainer.view.reset_to(captured)
+        for aggregated in self._aggregates.values():
             # aggregated group state is derived — rebuild from tables
-            rebuilt = AggregatedView(
-                aggregated.definition,
-                aggregated.group_by,
-                aggregated.aggregates,
-                self.db,
-            )
-            aggregated.groups = rebuilt.groups
-            aggregated.bump_version()
+            aggregated.rebuild()
 
     def repair_view(self, name: str) -> None:
         """Rebuild a (typically quarantined) view from the current base
@@ -883,22 +870,11 @@ class Warehouse:
         self.scheduler.drain()
         if name in self._maintainers:
             maintainer = self._maintainers[name]
-            fresh = MaterializedView.materialize(
-                maintainer.definition, self.db
+            maintainer.view.reset_to(
+                MaterializedView.materialize(maintainer.definition, self.db)
             )
-            maintainer.view._rows = fresh._rows
-            maintainer.view._subkey_indexes = fresh._subkey_indexes
-            maintainer.view.bump_version()
         elif name in self._aggregates:
-            aggregated = self._aggregates[name]
-            rebuilt = AggregatedView(
-                aggregated.definition,
-                aggregated.group_by,
-                aggregated.aggregates,
-                self.db,
-            )
-            aggregated.groups = rebuilt.groups
-            aggregated.bump_version()
+            self._aggregates[name].rebuild()
         else:
             raise CatalogError(f"no view named {name!r}")
         self.scheduler.reinstate(name)
@@ -1174,10 +1150,7 @@ class Transaction:
         wh.db.tables = self._db_snapshot.tables
         wh.db.foreign_keys = self._db_snapshot.foreign_keys
         for name, snapshot in self._view_snapshots.items():
-            maintainer = wh._maintainers[name]
-            maintainer.view._rows = snapshot._rows
-            maintainer.view._subkey_indexes = snapshot._subkey_indexes
-            maintainer.view.bump_version()
+            wh._maintainers[name].view.reset_to(snapshot)
         for name, groups in self._agg_snapshots.items():
             wh._aggregates[name].groups = groups
             wh._aggregates[name].bump_version()

@@ -1,9 +1,12 @@
 """Smoke tests for the benchmark harness functions at tiny scale — the
 experiment code itself must stay runnable and structurally correct."""
 
+import pytest
 
 from repro.bench import (
+    EXPERIMENTS,
     Workbench,
+    main,
     run_ablations,
     run_figure5,
     run_fkshortcut,
@@ -96,6 +99,24 @@ class TestWorkbench:
         db1.insert("customer", [(10**7, "x", 0, "BUILDING", 0.0)])
         assert len(db2.table("customer")) != len(db1.table("customer"))
         assert len(view1) == len(view2)
+
+
+class TestCli:
+    def test_experiment_choices_are_exactly_the_paper_ones(self):
+        # runtime numbers come from perf/run.py; a runtime experiment
+        # must not creep back into this CLI unnoticed
+        assert set(EXPERIMENTS) == {
+            "table1",
+            "figure5a",
+            "figure5b",
+            "fkshortcut",
+            "ablations",
+            "scaling",
+            "all",
+        }
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serving"])
+        assert excinfo.value.code == 2  # argparse: invalid choice
 
 
 class TestCsvExport:

@@ -340,8 +340,14 @@ def test_shard_count_must_match_spec():
         Warehouse(db, shards=3, sharding=spec, shard_backend="thread")
 
 
+@pytest.mark.parametrize("shards", [0, -1])
+def test_shard_count_below_one_is_a_typed_error(shards):
+    with pytest.raises(ShardingError, match="shards must be >= 1"):
+        Warehouse(build_db(), shards=shards)
+
+
 def test_process_backend_smoke():
-    # spawned OS processes: the production backend the bench gate times
+    # spawned OS processes: the production backend
     db = build_db(orders=4)
     wh = Warehouse(db.copy(), shards=2, shard_backend="process")
     try:

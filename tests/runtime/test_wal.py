@@ -1,8 +1,9 @@
 """WriteAheadLog unit tests: LSNs, acks, group commit, segmentation,
-compaction, corruption quarantine, and v1 migration."""
+compaction, and corruption quarantine."""
 
 import json
 import os
+import re
 import zlib
 
 import pytest
@@ -300,69 +301,9 @@ class TestCrashTolerance:
         assert wal.last_lsn == 0
         wal.close()
 
-
-class TestV1Migration:
-    @staticmethod
-    def _write_v1(path, records):
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-
-    def test_v1_file_is_migrated_to_segments(self, wal_path):
-        self._write_v1(
-            wal_path,
-            [
-                {
-                    "kind": "change", "lsn": 1, "table": "orders",
-                    "op": "insert", "rows": [[1, 10]],
-                    "fk_allowed": True,
-                },
-                {
-                    "kind": "change", "lsn": 2, "table": "orders",
-                    "op": "insert", "rows": [[2, 20]],
-                    "fk_allowed": True,
-                },
-                {"kind": "ack", "lsn": 1},
-            ],
-        )
-        wal = WriteAheadLog(wal_path)
-        assert wal.migrated_from_v1
-        assert os.path.isdir(wal_path)  # the file became a directory
-        assert wal.last_lsn == 2
-        assert wal.is_acked(1)
-        assert [e.lsn for e in wal.pending()] == [2]
-        # the migrated segment is CRC-framed v2
-        raw = open(wal.segment_paths()[0], "rb").read()
-        assert raw.splitlines()[0][8:9] == b" "
-        wal.close()
-        # reopening the migrated directory is a plain v2 open
-        reopened = WriteAheadLog(wal_path)
-        assert not reopened.migrated_from_v1
-        assert [e.lsn for e in reopened.pending()] == [2]
-        reopened.close()
-
-    def test_v1_torn_tail_is_dropped_during_migration(self, wal_path):
-        self._write_v1(
-            wal_path,
-            [
-                {
-                    "kind": "change", "lsn": 1, "table": "orders",
-                    "op": "insert", "rows": [[1, 10]],
-                    "fk_allowed": True,
-                },
-            ],
-        )
-        with open(wal_path, "ab") as handle:
-            handle.write(b'{"kind":"change","lsn":2,"table":"or')
-        wal = WriteAheadLog(wal_path)
-        assert wal.migrated_from_v1
-        assert wal.torn_tail_dropped
-        assert [e.lsn for e in wal.pending()] == [1]
-        wal.close()
-
-    def test_corrupt_v1_record_refuses_to_migrate(self, wal_path):
+    def test_regular_file_at_wal_path_is_a_typed_error(self, wal_path):
         with open(wal_path, "w") as handle:
-            handle.write('{"kind":"chan\n')
-            handle.write(json.dumps({"kind": "ack", "lsn": 1}) + "\n")
-        with pytest.raises(WalError, match="corrupt v1 WAL record"):
+            handle.write('{"kind":"ack","lsn":1}\n')
+        with pytest.raises(WalError, match=re.escape(repr(wal_path))):
             WriteAheadLog(wal_path)
+        assert os.path.isfile(wal_path)  # left untouched

@@ -30,8 +30,8 @@ import sys
 import time
 from typing import List
 
-# CI scales: benchmark smoke (0.001), evaluation/serving/sharded
-# (0.002), benchmark conftest default (0.004)
+# CI scales: benchmark smoke (0.001), evaluation (0.002), benchmark
+# conftest default (0.004)
 DEFAULT_SCALES = (0.001, 0.002, 0.004)
 DEFAULT_SEED = 20070415
 

@@ -31,6 +31,7 @@ from ..engine.catalog import Database
 from ..engine.schema import Schema
 from ..engine.table import Row, Table, next_version
 from ..errors import MaintenanceError, UnsupportedViewError
+from ..obs import Telemetry
 from .maintain import (
     MaintenanceOptions,
     MaintenanceReport,
@@ -93,6 +94,14 @@ class _Group:
         self.sums = [0] * n_aggs
         self.counts = [0] * n_aggs
 
+    def copy(self) -> "_Group":
+        twin = _Group.__new__(_Group)
+        twin.row_count = self.row_count
+        twin.notnull = dict(self.notnull)
+        twin.sums = list(self.sums)
+        twin.counts = list(self.counts)
+        return twin
+
 
 class AggregatedView:
     """A materialized GROUP BY over an SPOJ view, maintained incrementally."""
@@ -103,12 +112,14 @@ class AggregatedView:
         group_by: Sequence[str],
         aggregates: Sequence[Aggregate],
         db: Database,
+        telemetry: Optional[Telemetry] = None,
     ):
         definition.validate(db)
         self.definition = definition
         self.group_by = tuple(group_by)
         self.aggregates = tuple(aggregates)
         self.db = db
+        self.telemetry = telemetry or Telemetry.disabled()
         self.options = MaintenanceOptions(
             secondary_strategy=SECONDARY_FROM_BASE
         )
@@ -148,6 +159,16 @@ class AggregatedView:
         instead of persisting them)."""
         self.groups = {}
         self._populate()
+        self.bump_version()
+
+    def save(self) -> Dict[Row, _Group]:
+        """An independent copy of the group state (see
+        :meth:`ViewMaintainer.save` — the same protocol)."""
+        return {key: group.copy() for key, group in self.groups.items()}
+
+    def restore(self, saved: Dict[Row, _Group]) -> None:
+        """Put a :meth:`save` back in place; *saved* stays reusable."""
+        self.groups = {key: group.copy() for key, group in saved.items()}
         self.bump_version()
 
     # ------------------------------------------------------------------
@@ -272,7 +293,21 @@ class AggregatedView:
         self, table: str, delta: Table, operation: str, fk_allowed: bool = True
     ) -> MaintenanceReport:
         """Aggregate-and-merge maintenance: compute ΔV^D / ΔV^I for the
-        underlying SPOJ view and fold them with the appropriate signs."""
+        underlying SPOJ view and fold them with the appropriate signs.
+        Success and failure are metered like a plain view's."""
+        try:
+            report = self._maintain(table, delta, operation, fk_allowed)
+        except Exception:
+            self.telemetry.record_failure(
+                self.definition.name, table, operation
+            )
+            raise
+        self.telemetry.record_maintenance(report)
+        return report
+
+    def _maintain(
+        self, table: str, delta: Table, operation: str, fk_allowed: bool
+    ) -> MaintenanceReport:
         report = MaintenanceReport(
             view=self.definition.name,
             table=table,

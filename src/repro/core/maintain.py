@@ -617,3 +617,26 @@ class ViewMaintainer:
                 f"{len(wanted - actual)} missing (e.g. {missing}), "
                 f"{len(actual - wanted)} extra (e.g. {extra})"
             )
+
+    # ------------------------------------------------------------------
+    # state protocol (shared with AggregatedView): how the warehouse
+    # brackets retries and transactions, restores checkpoints and
+    # repairs quarantined views without knowing which kind it holds
+    # ------------------------------------------------------------------
+    def rows(self) -> List[Row]:
+        return self.view.rows()
+
+    def save(self) -> MaterializedView:
+        """An independent copy of the current contents."""
+        return self.view.clone()
+
+    def restore(self, saved: MaterializedView) -> None:
+        """Put a :meth:`save` back in place; *saved* stays reusable (a
+        retry loop restores the same save before every attempt)."""
+        self.view.reset_to(saved.clone())
+
+    def rebuild(self) -> None:
+        """Recompute the view from the current base tables, in place."""
+        self.view.reset_to(
+            MaterializedView.materialize(self.definition, self.db)
+        )

@@ -130,6 +130,16 @@ class CaseResult:
     mismatches: List[Mismatch] = field(default_factory=list)
     configs_run: List[str] = field(default_factory=list)
 
+    def add(
+        self,
+        config: str,
+        step: str,
+        kind: str,
+        detail: str,
+        view: Optional[str] = None,
+    ) -> None:
+        self.mismatches.append(Mismatch(config, step, kind, view, detail))
+
     @property
     def ok(self) -> bool:
         return not self.mismatches
@@ -365,11 +375,35 @@ def apply_op(wh: Warehouse, op: Dict) -> str:
         return type(exc).__name__
 
 
-def _table_state(wh: Warehouse) -> Dict[str, frozenset]:
-    return {
-        name: frozenset(table.rows)
-        for name, table in wh.db.tables.items()
-    }
+def _table_state(wh: Warehouse, db=None) -> Dict[str, frozenset]:
+    """Settled base-table contents, through the facade (so the same
+    call reads a local warehouse's tables or a sharded one's merged
+    partitions)."""
+    db = wh.merged_database() if db is None else db
+    return {name: frozenset(table.rows) for name, table in db.tables.items()}
+
+
+def _diverged(state: Dict[str, frozenset], expected: Dict) -> List[str]:
+    """The tables whose contents differ between two table states."""
+    return sorted(n for n in state if state[n] != expected.get(n))
+
+
+def _check_outcome(
+    result: "CaseResult", config: str, step: str, op: Dict, got: str, want: str
+) -> None:
+    if got != want:
+        result.add(
+            config, step, "outcome",
+            f"{got!r} != reference {want!r} for {op['kind']} on "
+            f"{op.get('table', '(txn)')!r}",
+        )
+
+
+def _drop_process(wh: Warehouse) -> None:
+    """The end of a simulated crash (or of a check): no flush, no acks —
+    stop the threads and let go of the log files."""
+    wh.scheduler.shutdown()
+    wh.wal.close()
 
 
 class _Reference:
@@ -390,12 +424,20 @@ class _Reference:
 # ---------------------------------------------------------------------------
 # consistency helpers (shared with the test suite)
 # ---------------------------------------------------------------------------
-def view_divergence(wh: Warehouse, name: str) -> Optional[str]:
+def view_divergence(
+    wh: Warehouse, name: str, recompute_db=None
+) -> Optional[str]:
     """How the maintained view differs from a full recompute (``None``
-    when identical) — the per-view recompute oracle."""
-    maintainer = wh.maintainer(name)
-    expected = frozenset(maintainer.definition.evaluate(wh.db).rows)
-    actual = frozenset(maintainer.view.rows())
+    when identical) — the per-view recompute oracle.  Both sides are
+    read through the facade, so *wh* may be local or sharded (merged
+    view vs recompute over the merged database)."""
+    if recompute_db is None:
+        recompute_db = wh.merged_database()
+    expected = wh.definition(name).evaluate(recompute_db).rows
+    return _row_diff(frozenset(expected), frozenset(wh.view_rows(name)))
+
+
+def _row_diff(expected: frozenset, actual: frozenset) -> Optional[str]:
     if actual == expected:
         return None
     missing = sorted(expected - actual)[:3]
@@ -405,17 +447,19 @@ def view_divergence(wh: Warehouse, name: str) -> Optional[str]:
         f"{len(actual - expected)} extra (e.g. {extra})"
     )
 
+
 def consistency_mismatches(
     wh: Warehouse, config: str = "warehouse", step: str = "check"
 ) -> List[Mismatch]:
     """Recompute-oracle check of every non-quarantined view (the helper
     the repair/quarantine tests assert with)."""
-    wh.scheduler.drain()
+    quarantined = wh.quarantined_views
+    recompute_db = wh.merged_database()
     found: List[Mismatch] = []
     for name in wh.view_names:
-        if wh.scheduler.is_quarantined(name):
+        if name in quarantined:
             continue
-        diff = view_divergence(wh, name)
+        diff = view_divergence(wh, name, recompute_db)
         if diff is not None:
             found.append(
                 Mismatch(config, step, "view-divergence", name, diff)
@@ -437,22 +481,15 @@ def run_case(
     final_views: Dict[str, Dict[str, frozenset]] = {}
     for config in configs:
         result.configs_run.append(config.name)
-        if config.chaos:
-            runner = _run_chaos_config
-        elif config.shards:
-            runner = _run_sharded_config
-        else:
-            runner = _run_config
+        runner = _run_chaos_config if config.chaos else _run_config
         try:
             views = runner(scenario, config, reference, result)
             if views is not None:
                 final_views[config.name] = views
         except Exception as exc:  # harness bug or unexpected blow-up
-            result.mismatches.append(
-                Mismatch(
-                    config.name, "run", "harness-error", None,
-                    f"{type(exc).__name__}: {exc}",
-                )
+            result.add(
+                config.name, "run", "harness-error",
+                f"{type(exc).__name__}: {exc}",
             )
         extra_checks = [
             (config.crash_check, _run_crash_check),
@@ -466,11 +503,9 @@ def run_case(
             try:
                 check(scenario, config, reference, result)
             except Exception as exc:
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "harness-error", None,
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                result.add(
+                    config.name, "recovery", "harness-error",
+                    f"{type(exc).__name__}: {exc}",
                 )
     _cross_config_check(final_views, result)
     return result
@@ -482,6 +517,10 @@ def _warehouse_kwargs(
     checkpoint_dir: Optional[str] = None,
 ) -> Dict:
     kwargs: Dict = {"workers": config.workers, "retry": config.retry}
+    if config.shards:
+        # thread-backend workers: deterministic, and they share this
+        # process's FAILPOINTS, so fault-injection configs compose
+        kwargs.update(shards=config.shards, shard_backend="thread")
     if wal_path:
         kwargs["wal_path"] = wal_path
     if checkpoint_dir:
@@ -491,9 +530,13 @@ def _warehouse_kwargs(
     return kwargs
 
 
-def _create_views(wh: Warehouse, scenario: Scenario, config: OracleConfig):
+def _open(db, scenario: Scenario, config: OracleConfig, **kwargs) -> Warehouse:
+    """A warehouse over *db* with the scenario's views registered under
+    the config's maintenance options."""
+    wh = Warehouse(db, **kwargs)
     for defn in scenario.view_definitions(wh.db):
         wh.create_view(defn.name, defn, options=config.options())
+    return wh
 
 
 def _check_step(
@@ -503,40 +546,45 @@ def _check_step(
     expected_state: Dict[str, frozenset],
     result: CaseResult,
 ) -> None:
-    wh.scheduler.drain()
-    state = _table_state(wh)
+    """After every op, through the facade's settled-state readers:
+
+    * the base tables must equal the reference replay's state
+      (``db-divergence``; for a sharded config the union of the
+      per-shard partitions vs the *unsharded* reference —
+      ``shard-vs-unsharded``);
+    * no view may have been quarantined (``quarantine``);
+    * every view must equal a recompute over those base tables
+      (``view-divergence``; sharded: the merged view vs a recompute over
+      the merged database, the merge-barrier oracle —
+      ``shard-vs-recompute``).
+    """
+    table_kind, view_kind = (
+        ("shard-vs-unsharded", "shard-vs-recompute")
+        if config.shards
+        else ("db-divergence", "view-divergence")
+    )
+    recompute_db = wh.merged_database()
+    state = _table_state(wh, recompute_db)
     if state != expected_state:
-        diverged = sorted(
-            name
-            for name in state
-            if state[name] != expected_state.get(name)
-        )
-        result.mismatches.append(
-            Mismatch(
-                config.name, step, "db-divergence", None,
-                f"base table(s) {diverged} differ from the reference replay",
-            )
+        result.add(
+            config.name, step, table_kind,
+            f"base table(s) {_diverged(state, expected_state)} differ "
+            "from the (unsharded) reference replay",
         )
     quarantined = wh.quarantined_views
     if quarantined:
-        reasons = {
-            name: wh.scheduler.state(name).quarantine_reason
-            for name in quarantined
-        }
-        result.mismatches.append(
-            Mismatch(
-                config.name, step, "quarantine", ",".join(quarantined),
-                f"view(s) quarantined during a clean run: {reasons}",
-            )
+        result.add(
+            config.name, step, "quarantine",
+            "view(s) quarantined during a clean run (reasons are in "
+            "the flight recorder / shard_stats())",
+            view=",".join(quarantined),
         )
     for name in wh.view_names:
         if name in quarantined:
             continue
-        diff = view_divergence(wh, name)
+        diff = view_divergence(wh, name, recompute_db)
         if diff is not None:
-            result.mismatches.append(
-                Mismatch(config.name, step, "view-divergence", name, diff)
-            )
+            result.add(config.name, step, view_kind, diff, view=name)
 
 
 def _check_snapshot(
@@ -557,12 +605,10 @@ def _check_snapshot(
     """
     snapshot = wh.snapshot()
     if not snapshot.valid:
-        result.mismatches.append(
-            Mismatch(
-                config.name, step, "snapshot-divergence", None,
-                f"latest snapshot invalid ({snapshot.invalid_reason}) "
-                "outside recovery",
-            )
+        result.add(
+            config.name, step, "snapshot-divergence",
+            f"latest snapshot invalid ({snapshot.invalid_reason}) "
+            "outside recovery",
         )
         return
     snap_state = {
@@ -570,37 +616,57 @@ def _check_snapshot(
         for name, slice_ in snapshot.tables.items()
     }
     if snap_state != expected_state:
-        diverged = sorted(
-            name
-            for name in snap_state
-            if snap_state[name] != expected_state.get(name)
-        )
-        result.mismatches.append(
-            Mismatch(
-                config.name, step, "snapshot-divergence", None,
-                f"snapshot base table(s) {diverged} (lsn "
-                f"{snapshot.lsn}) differ from the reference replay",
-            )
+        result.add(
+            config.name, step, "snapshot-divergence",
+            "snapshot base table(s) "
+            f"{_diverged(snap_state, expected_state)} (lsn "
+            f"{snapshot.lsn}) differ from the reference replay",
         )
     recompute_db = snapshot.build_database()
     for name in snapshot.view_names:
         if name in snapshot.stale_views:
             continue
-        definition = wh.maintainer(name).definition
-        expected = frozenset(definition.evaluate(recompute_db).rows)
-        actual = frozenset(snapshot.view_rows(name))
-        if actual != expected:
-            missing = sorted(expected - actual)[:3]
-            extra = sorted(actual - expected)[:3]
-            result.mismatches.append(
-                Mismatch(
-                    config.name, step, "snapshot-divergence", name,
-                    f"snapshot view differs from recompute at lsn "
-                    f"{snapshot.lsn}: {len(expected - actual)} missing "
-                    f"(e.g. {missing}), {len(actual - expected)} extra "
-                    f"(e.g. {extra})",
-                )
+        diff = _row_diff(
+            frozenset(wh.definition(name).evaluate(recompute_db).rows),
+            frozenset(snapshot.view_rows(name)),
+        )
+        if diff is not None:
+            result.add(
+                config.name, step, "snapshot-divergence",
+                f"snapshot view differs from recompute at lsn "
+                f"{snapshot.lsn}: {diff}",
+                view=name,
             )
+
+
+def _restart(wh: Warehouse, config: OracleConfig, make):
+    """A ``crash`` op under WAL: restart at a durability boundary —
+    flush (acks on disk), drop the process, reopen over the same
+    directories and recover.  With checkpoints this resets the database
+    to the last checkpoint and rolls it forward through the suffix.  A
+    sharded warehouse restarts its workers in place, each over its own
+    WAL/checkpoint lineage."""
+    if config.shards:
+        wh.crash_restart()
+        return wh
+    wh.flush()
+    _drop_process(wh)
+    fresh = make(wh.db)
+    fresh.recover()
+    return fresh
+
+
+def _pending_wal(wh: Warehouse, config: OracleConfig) -> str:
+    """What the WAL(s) still hold unacknowledged ("" when nothing)."""
+    if config.shards:
+        pending = {
+            shard: info["wal_pending"]
+            for shard, info in wh.shard_stats()["shards"].items()
+            if info["wal_pending"]
+        }
+        return f"per shard: {pending}" if pending else ""
+    lsns = [entry.lsn for entry in wh.wal.pending()]
+    return f"{len(lsns)} entr(ies), lsns {lsns[:5]}" if lsns else ""
 
 
 def _run_config(
@@ -609,6 +675,9 @@ def _run_config(
     reference: _Reference,
     result: CaseResult,
 ) -> Optional[Dict[str, frozenset]]:
+    """Replay the scenario through one warehouse — local or sharded, the
+    loop only speaks the shared facade — checking every step."""
+    before = len(result.mismatches)
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
         wal_path = (
             os.path.join(tmp, f"{config.name}.wal") if config.wal else None
@@ -620,13 +689,13 @@ def _run_config(
         )
 
         def make_warehouse(db):
-            return Warehouse(
-                db, **_warehouse_kwargs(config, wal_path, checkpoint_dir)
+            return _open(
+                db, scenario, config,
+                **_warehouse_kwargs(config, wal_path, checkpoint_dir),
             )
 
         wh = make_warehouse(scenario.build_database())
         try:
-            _create_views(wh, scenario, config)
             if config.inject_transient:
                 # every maintenance task fails its *first* attempt; the
                 # retry loop must absorb all of them without quarantine
@@ -637,35 +706,11 @@ def _run_config(
             for i, op in enumerate(scenario.ops):
                 step = f"op[{i}]"
                 if op["kind"] == "crash" and config.wal:
-                    # restart at a durability boundary: flush (acks on
-                    # disk), drop the process, reopen over the same
-                    # directories and recover — with checkpoints this
-                    # resets the database to the last checkpoint and
-                    # rolls it forward through the suffix
-                    wh.flush()
-                    wh.scheduler.shutdown()
-                    wh.wal.close()
-                    db = wh.db
-                    wh = make_warehouse(db)
-                    _create_views(wh, scenario, config)
-                    wh.recover()
-                    _check_step(
-                        wh, config, step, reference.states[i], result
-                    )
-                    if config.snapshot_reads:
-                        _check_snapshot(
-                            wh, config, step, reference.states[i], result
-                        )
-                    continue
-                outcome = apply_op(wh, op)
-                if outcome != reference.outcomes[i]:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, step, "outcome", None,
-                            f"{outcome!r} != reference "
-                            f"{reference.outcomes[i]!r} for {op['kind']} "
-                            f"on {op.get('table', '(txn)')!r}",
-                        )
+                    wh = _restart(wh, config, make_warehouse)
+                else:
+                    _check_outcome(
+                        result, config.name, step, op,
+                        apply_op(wh, op), reference.outcomes[i],
                     )
                 _check_step(wh, config, step, reference.states[i], result)
                 if config.snapshot_reads:
@@ -681,197 +726,43 @@ def _run_config(
                 try:
                     wh.flush()
                 except ReproError as exc:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, "flush", "quarantine", None,
-                            "flush surfaced a maintenance failure: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                    result.add(
+                        config.name, "flush", "quarantine",
+                        "flush surfaced a maintenance failure: "
+                        f"{type(exc).__name__}: {exc}",
                     )
-                pending = wh.wal.pending()
+                pending = _pending_wal(wh, config)
                 if pending:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, "flush", "durability", None,
-                            f"{len(pending)} WAL entr(ies) still pending "
-                            "after flush (lsns "
-                            f"{[e.lsn for e in pending][:5]})",
-                        )
+                    result.add(
+                        config.name, "flush", "durability",
+                        f"WAL still pending after flush ({pending})",
                     )
             return {
-                name: frozenset(wh.maintainer(name).view.rows())
+                name: frozenset(wh.view_rows(name))
                 for name in wh.view_names
             }
         finally:
             if config.inject_transient:
                 FAILPOINTS.disarm("scheduler.task")
-            wh.scheduler.shutdown()
-            if wh.wal is not None:
-                wh.wal.close()
-
-
-def _check_sharded_step(
-    wh,
-    config: OracleConfig,
-    step: str,
-    expected_state: Dict[str, frozenset],
-    result: CaseResult,
-) -> None:
-    """The sharded twin of :func:`_check_step`, over merged state:
-
-    * ``shard-vs-unsharded`` — the union of per-shard base-table
-      partitions must equal the (unsharded) reference replay's state;
-    * ``shard-vs-recompute`` — every merged view must equal a recompute
-      over the merged database (the merge-barrier correctness oracle).
-    """
-    state = {
-        name: frozenset(map(tuple, rows))
-        for name, rows in wh.merged_table_state().items()
-    }
-    if state != expected_state:
-        diverged = sorted(
-            name
-            for name in state
-            if state[name] != expected_state.get(name)
-        )
-        result.mismatches.append(
-            Mismatch(
-                config.name, step, "shard-vs-unsharded", None,
-                f"merged base table(s) {diverged} differ from the "
-                "unsharded reference replay",
-            )
-        )
-    quarantined = wh.quarantined_views
-    if quarantined:
-        result.mismatches.append(
-            Mismatch(
-                config.name, step, "quarantine", ",".join(quarantined),
-                "view(s) quarantined inside shard worker(s) during a "
-                "clean run",
-            )
-        )
-    merged_db = wh.merged_database()
-    for name, rows in wh.merged_views().items():
-        if name in quarantined:
-            continue
-        expected = frozenset(wh._definitions[name].evaluate(merged_db).rows)
-        actual = frozenset(map(tuple, rows))
-        if actual != expected:
-            missing = sorted(expected - actual)[:3]
-            extra = sorted(actual - expected)[:3]
-            result.mismatches.append(
-                Mismatch(
-                    config.name, step, "shard-vs-recompute", name,
-                    f"merged view differs from recompute over the merged "
-                    f"database: {len(expected - actual)} missing "
-                    f"(e.g. {missing}), {len(actual - expected)} extra "
-                    f"(e.g. {extra})",
-                )
-            )
-
-
-def _run_sharded_config(
-    scenario: Scenario,
-    config: OracleConfig,
-    reference: _Reference,
-    result: CaseResult,
-) -> Optional[Dict[str, frozenset]]:
-    """Replay the scenario through a :class:`~repro.sharded.ShardedWarehouse`
-    (thread-backend workers: deterministic, and they share this process's
-    :data:`FAILPOINTS`, so fault-injection configs compose).  A ``crash``
-    op under WAL restarts every shard over its own WAL/checkpoint
-    lineage.  Failure artifacts export the whole per-shard WAL tree."""
-    before = len(result.mismatches)
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-shard-") as tmp:
-        wal_root = (
-            os.path.join(tmp, f"{config.name}.wal") if config.wal else None
-        )
-        checkpoint_root = (
-            os.path.join(tmp, "checkpoints")
-            if config.checkpoint_every
-            else None
-        )
-        kwargs: Dict = {
-            "shards": config.shards,
-            "shard_backend": "thread",
-            "workers": config.workers,
-            "retry": config.retry,
-        }
-        if wal_root:
-            kwargs["wal_path"] = wal_root
-        if checkpoint_root:
-            kwargs["checkpoint_dir"] = checkpoint_root
-        if config.segment_bytes:
-            kwargs["segment_bytes"] = config.segment_bytes
-        wh = Warehouse(scenario.build_database(), **kwargs)
-        try:
-            _create_views(wh, scenario, config)
-            since_checkpoint = 0
-            for i, op in enumerate(scenario.ops):
-                step = f"op[{i}]"
-                if op["kind"] == "crash" and config.wal:
-                    wh.crash_restart()
-                    _check_sharded_step(
-                        wh, config, step, reference.states[i], result
-                    )
-                    continue
-                outcome = apply_op(wh, op)
-                if outcome != reference.outcomes[i]:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, step, "outcome", None,
-                            f"{outcome!r} != reference "
-                            f"{reference.outcomes[i]!r} for {op['kind']} "
-                            f"on {op.get('table', '(txn)')!r}",
-                        )
-                    )
-                _check_sharded_step(
-                    wh, config, step, reference.states[i], result
-                )
-                if config.checkpoint_every and op["kind"] != "crash":
-                    since_checkpoint += 1
-                    if since_checkpoint >= config.checkpoint_every:
-                        wh.checkpoint()
-                        since_checkpoint = 0
-            if config.wal:
-                try:
-                    wh.flush()
-                except ReproError as exc:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, "flush", "quarantine", None,
-                            "flush surfaced a maintenance failure: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                shard_stats = wh.shard_stats()["shards"]
-                pending = {
-                    shard: info["wal_pending"]
-                    for shard, info in shard_stats.items()
-                    if info["wal_pending"]
-                }
-                if pending:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, "flush", "durability", None,
-                            f"shard WAL entr(ies) still pending after "
-                            f"flush: {pending}",
-                        )
-                    )
-            return {
-                name: frozenset(map(tuple, rows))
-                for name, rows in wh.merged_views().items()
-            }
-        finally:
-            if len(result.mismatches) > before and wal_root:
-                _export_artifacts(config.name, wal_root)
+            if len(result.mismatches) > before and wal_path:
+                _export_artifacts(config.name, wal_path)
             wh.close()
 
 
 # ---------------------------------------------------------------------------
 # chaos: partial failure under the differential oracle
 # ---------------------------------------------------------------------------
-_CHAOS_FAULTS = ("shard.worker.kill", "shard.worker.stall", "shard.pipe.drop")
+_CHAOS_STALL = 1.3  # stall long enough to blow both deadlines
+# failpoint -> how it is armed: die before the command runs, sleep
+# through the deadlines, or run the command but lose its reply
+_CHAOS_FAULTS = {
+    "shard.worker.kill": {"action": "raise"},
+    "shard.worker.stall": {
+        "action": "call",
+        "callback": lambda **_ctx: time.sleep(_CHAOS_STALL),
+    },
+    "shard.pipe.drop": {"action": "skip"},
+}
 _COORDINATOR_FAILPOINTS = (
     "txn.coordinator.prepared",
     "txn.coordinator.decided",
@@ -879,7 +770,6 @@ _COORDINATOR_FAILPOINTS = (
 )
 _CHAOS_DEADLINE = 0.6  # facade per-call deadline during chaos replay
 _CHAOS_PROBE = 0.3  # supervisor liveness-probe timeout
-_CHAOS_STALL = 1.3  # stall long enough to blow both deadlines
 _CHAOS_INJECTIONS = 3  # faults per scenario (fewer if the stream is short)
 _CHAOS_SETTLE = 30.0  # max seconds to wait for reincarnation
 
@@ -923,20 +813,22 @@ def _run_chaos_config(
 
 
 def _make_chaos_warehouse(scenario: Scenario, config: OracleConfig, tmp):
-    kwargs: Dict = {
-        "shards": config.shards,
-        "shard_backend": "thread",
-        "wal_path": os.path.join(tmp, "wal"),
-        "call_deadline_seconds": _CHAOS_DEADLINE,
-        "probe_timeout_seconds": _CHAOS_PROBE,
-        "restart_budget": 50,  # havoc is intentional; don't quarantine
-        "restart_window_seconds": 60.0,
-    }
-    if config.checkpoint_every:
-        kwargs["checkpoint_dir"] = os.path.join(tmp, "checkpoints")
-    wh = Warehouse(scenario.build_database(), **kwargs)
-    _create_views(wh, scenario, config)
-    return wh
+    return _open(
+        scenario.build_database(),
+        scenario,
+        config,
+        call_deadline_seconds=_CHAOS_DEADLINE,
+        probe_timeout_seconds=_CHAOS_PROBE,
+        restart_budget=50,  # havoc is intentional; don't quarantine
+        restart_window_seconds=60.0,
+        **_warehouse_kwargs(
+            config,
+            os.path.join(tmp, "wal"),
+            os.path.join(tmp, "checkpoints")
+            if config.checkpoint_every
+            else None,
+        ),
+    )
 
 
 def _run_chaos_shard(
@@ -960,7 +852,7 @@ def _run_chaos_shard(
     chosen = sorted(rng.sample(eligible, count)) if count else []
     plan = {
         index: (
-            _CHAOS_FAULTS[n % len(_CHAOS_FAULTS)],
+            list(_CHAOS_FAULTS)[n % len(_CHAOS_FAULTS)],
             rng.randrange(config.shards),
         )
         for n, index in enumerate(chosen)
@@ -974,27 +866,9 @@ def _run_chaos_shard(
                 fault = plan.get(i)
                 if fault is not None:
                     name, shard = fault
-                    if name == "shard.worker.stall":
-                        FAILPOINTS.arm(
-                            name,
-                            action="call",
-                            times=1,
-                            callback=lambda **_ctx: time.sleep(
-                                _CHAOS_STALL
-                            ),
-                            shard=shard,
-                        )
-                    else:
-                        FAILPOINTS.arm(
-                            name,
-                            action=(
-                                "skip"
-                                if name == "shard.pipe.drop"
-                                else "raise"
-                            ),
-                            times=1,
-                            shard=shard,
-                        )
+                    FAILPOINTS.arm(
+                        name, times=1, shard=shard, **_CHAOS_FAULTS[name]
+                    )
                 fired_before = (
                     FAILPOINTS.fired(fault[0]) if fault else 0
                 )
@@ -1015,24 +889,18 @@ def _run_chaos_shard(
                     # deadline plus scheduling slack, never block on the
                     # dead worker's 30s default
                     if elapsed > _CHAOS_STALL + 5.0:
-                        result.mismatches.append(
-                            Mismatch(
-                                config.name, step, "chaos-divergence",
-                                None,
-                                f"op blocked {elapsed:.1f}s on faulted "
-                                f"shard {fault[1]} ({fault[0]}) instead "
-                                "of failing within the deadline",
-                            )
+                        result.add(
+                            config.name, step, "chaos-divergence",
+                            f"op blocked {elapsed:.1f}s on faulted "
+                            f"shard {fault[1]} ({fault[0]}) instead "
+                            "of failing within the deadline",
                         )
                     if not _wait_all_up(wh):
-                        result.mismatches.append(
-                            Mismatch(
-                                config.name, step, "chaos-divergence",
-                                None,
-                                f"shard {fault[1]} never reincarnated "
-                                f"after {fault[0]}: "
-                                f"{wh.supervisor.status()}",
-                            )
+                        result.add(
+                            config.name, step, "chaos-divergence",
+                            f"shard {fault[1]} never reincarnated "
+                            f"after {fault[0]}: "
+                            f"{wh.supervisor.status()}",
                         )
                         return
                     continue
@@ -1046,12 +914,10 @@ def _run_chaos_shard(
                         since_checkpoint = 0
             # settle, then hold the survivors to the consistency oracle
             if not _wait_all_up(wh):
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "final", "chaos-divergence", None,
-                        "shards still down after the stream: "
-                        f"{wh.supervisor.status()}",
-                    )
+                result.add(
+                    config.name, "final", "chaos-divergence",
+                    "shards still down after the stream: "
+                    f"{wh.supervisor.status()}",
                 )
                 return
             try:
@@ -1061,12 +927,10 @@ def _run_chaos_shard(
             try:
                 wh.check_consistency()
             except ReproError as exc:
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "final", "chaos-divergence", None,
-                        "post-havoc state inconsistent: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                result.add(
+                    config.name, "final", "chaos-divergence",
+                    "post-havoc state inconsistent: "
+                    f"{type(exc).__name__}: {exc}",
                 )
         finally:
             for fp_name in _CHAOS_FAULTS:
@@ -1145,69 +1009,71 @@ def _run_chaos_2pc(
                         # must abort in the reference replay too
                         ref_outcome = apply_op(ref, op)
                         if (outcome == "commit") != (ref_outcome == "ok"):
-                            result.mismatches.append(
-                                Mismatch(
-                                    config.name, step, "outcome", None,
-                                    f"2PC resolved {outcome!r} but the "
-                                    "reference replay said "
-                                    f"{ref_outcome!r}",
-                                )
+                            result.add(
+                                config.name, step, "outcome",
+                                f"2PC resolved {outcome!r} but the "
+                                "reference replay said "
+                                f"{ref_outcome!r}",
                             )
                 else:
-                    outcome = apply_op(wh, op)
-                    ref_outcome = apply_op(ref, op)
-                    if outcome != ref_outcome:
-                        result.mismatches.append(
-                            Mismatch(
-                                config.name, step, "outcome", None,
-                                f"{outcome!r} != reference "
-                                f"{ref_outcome!r} for {op['kind']}",
-                            )
-                        )
-                state = {
-                    name: frozenset(map(tuple, rows))
-                    for name, rows in wh.merged_table_state().items()
-                }
+                    _check_outcome(
+                        result, config.name, step, op,
+                        apply_op(wh, op), apply_op(ref, op),
+                    )
+                state = _table_state(wh)
                 expected = _table_state(ref)
                 if state != expected:
-                    diverged = sorted(
-                        n
-                        for n in state
-                        if state[n] != expected.get(n)
-                    )
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, step, "chaos-divergence", None,
-                            f"merged base table(s) {diverged} differ "
-                            "from the decision-log reference replay",
-                        )
+                    result.add(
+                        config.name, step, "chaos-divergence",
+                        f"merged base table(s) "
+                        f"{_diverged(state, expected)} differ "
+                        "from the decision-log reference replay",
                     )
                     return
             pending = wh.txnlog.pending()
             if pending:
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "final", "durability", None,
-                        f"{len(pending)} coordinator decision(s) still "
-                        "pending after every transaction resolved: "
-                        f"{[r.txn_id for r in pending]}",
-                    )
+                result.add(
+                    config.name, "final", "durability",
+                    f"{len(pending)} coordinator decision(s) still "
+                    "pending after every transaction resolved: "
+                    f"{[r.txn_id for r in pending]}",
                 )
             try:
                 wh.check_consistency()
             except ReproError as exc:
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "final", "chaos-divergence", None,
-                        "post-2PC state inconsistent: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                result.add(
+                    config.name, "final", "chaos-divergence",
+                    "post-2PC state inconsistent: "
+                    f"{type(exc).__name__}: {exc}",
                 )
         finally:
             for fp_name in _COORDINATOR_FAILPOINTS:
                 FAILPOINTS.disarm(fp_name)
             ref.close()
             wh.close()
+
+
+def _check_recovered(
+    restarted: Warehouse,
+    config: OracleConfig,
+    reference: _Reference,
+    result: CaseResult,
+    when: str,
+) -> None:
+    """What every staged crash must recover to: base tables equal to
+    the reference replay's final state, every view equal to its
+    recompute."""
+    state = _table_state(restarted)
+    if state != reference.final_state:
+        result.add(
+            config.name, "recovery", "db-divergence",
+            f"{when}, recovered base table(s) "
+            f"{_diverged(state, reference.final_state)} differ from "
+            "the reference replay",
+        )
+    result.mismatches.extend(
+        consistency_mismatches(restarted, config.name, "recovery")
+    )
 
 
 def _run_crash_check(
@@ -1230,11 +1096,8 @@ def _run_crash_check(
             if config.checkpoint_every
             else None
         )
-        wh = Warehouse(
-            scenario.build_database(),
-            **_warehouse_kwargs(config, wal_path, checkpoint_dir),
-        )
-        _create_views(wh, scenario, config)
+        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
+        wh = _open(scenario.build_database(), scenario, config, **kwargs)
         for op in ops[:crash_at]:
             apply_op(wh, op)
         if checkpoint_dir:
@@ -1247,63 +1110,29 @@ def _run_crash_check(
                 apply_op(wh, op)
             wh.scheduler.drain()
             wh.wal.sync()
-            # simulated crash: no flush, no acks, just drop the process
-            wh.scheduler.shutdown()
-            wh.wal.close()
+            _drop_process(wh)
 
-        restarted = Warehouse(
-            snapshot,
-            **_warehouse_kwargs(config, wal_path, checkpoint_dir),
-        )
+        restarted = _open(snapshot, scenario, config, **kwargs)
         try:
-            _create_views(restarted, scenario, config)
             recovered = restarted.recover()
             for fan_out in recovered:
                 if fan_out.error is not None or fan_out.failures:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, "recovery", "view-divergence",
-                            ",".join(sorted(fan_out.failures)) or None,
-                            "recovery fan-out failed: "
-                            f"{fan_out.error or fan_out.failures}",
-                        )
+                    result.add(
+                        config.name, "recovery", "view-divergence",
+                        "recovery fan-out failed: "
+                        f"{fan_out.error or fan_out.failures}",
+                        view=",".join(sorted(fan_out.failures)) or None,
                     )
             if restarted.wal.pending():
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "durability", None,
-                        "recovery left WAL entries pending",
-                    )
+                result.add(
+                    config.name, "recovery", "durability",
+                    "recovery left WAL entries pending",
                 )
-            state = _table_state(restarted)
-            if state != reference.final_state:
-                diverged = sorted(
-                    n
-                    for n in state
-                    if state[n] != reference.final_state.get(n)
-                )
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "db-divergence", None,
-                        f"recovered base table(s) {diverged} differ from "
-                        "the reference replay",
-                    )
-                )
-            for name in restarted.view_names:
-                if restarted.scheduler.is_quarantined(name):
-                    continue
-                diff = view_divergence(restarted, name)
-                if diff is not None:
-                    result.mismatches.append(
-                        Mismatch(
-                            config.name, "recovery", "view-divergence",
-                            name, diff,
-                        )
-                    )
+            _check_recovered(
+                restarted, config, reference, result, "after a lost-ack crash"
+            )
         finally:
-            restarted.scheduler.shutdown()
-            if restarted.wal is not None:
-                restarted.wal.close()
+            _drop_process(restarted)
 
 
 def _replayable_ops(scenario: Scenario) -> List[Dict]:
@@ -1330,11 +1159,8 @@ def _run_crash_checkpoint_check(
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") as tmp:
         wal_path = os.path.join(tmp, "wal")
         checkpoint_dir = os.path.join(tmp, "checkpoints")
-        wh = Warehouse(
-            scenario.build_database(),
-            **_warehouse_kwargs(config, wal_path, checkpoint_dir),
-        )
-        _create_views(wh, scenario, config)
+        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
+        wh = _open(scenario.build_database(), scenario, config, **kwargs)
         for op in ops[:half]:
             apply_op(wh, op)
         wh.checkpoint()  # checkpoint A: published, WAL compacted
@@ -1347,51 +1173,30 @@ def _run_crash_checkpoint_check(
             except InjectedFault:
                 crashed = True
         if not crashed:
-            result.mismatches.append(
-                Mismatch(
-                    config.name, "recovery", "harness-error", None,
-                    "checkpoint.write failpoint never fired",
-                )
+            result.add(
+                config.name, "recovery", "harness-error",
+                "checkpoint.write failpoint never fired",
             )
-        wh.scheduler.shutdown()
-        wh.wal.close()
+        _drop_process(wh)
 
-        restarted = Warehouse(
-            scenario.build_database(),
-            **_warehouse_kwargs(config, wal_path, checkpoint_dir),
+        restarted = _open(
+            scenario.build_database(), scenario, config, **kwargs
         )
         try:
-            _create_views(restarted, scenario, config)
             restarted.recover()
             info = restarted.last_recovery or {}
             if crashed and info.get("checkpoint_lsn") is None:
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "durability", None,
-                        "no checkpoint restored although one was "
-                        "published before the crashed write",
-                    )
+                result.add(
+                    config.name, "recovery", "durability",
+                    "no checkpoint restored although one was "
+                    "published before the crashed write",
                 )
-            state = _table_state(restarted)
-            if state != reference.final_state:
-                diverged = sorted(
-                    n
-                    for n in state
-                    if state[n] != reference.final_state.get(n)
-                )
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "db-divergence", None,
-                        "after a crash mid-checkpoint, recovered base "
-                        f"table(s) {diverged} differ from the reference",
-                    )
-                )
-            result.mismatches.extend(
-                consistency_mismatches(restarted, config.name, "recovery")
+            _check_recovered(
+                restarted, config, reference, result,
+                "after a crash mid-checkpoint",
             )
         finally:
-            restarted.scheduler.shutdown()
-            restarted.wal.close()
+            _drop_process(restarted)
 
 
 def _run_crash_compaction_check(
@@ -1411,8 +1216,7 @@ def _run_crash_compaction_check(
         checkpoint_dir = os.path.join(tmp, "checkpoints")
         kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
         kwargs.setdefault("segment_bytes", 128)
-        wh = Warehouse(scenario.build_database(), **kwargs)
-        _create_views(wh, scenario, config)
+        wh = _open(scenario.build_database(), scenario, config, **kwargs)
         for op in ops:
             apply_op(wh, op)
         with FAILPOINTS.armed("wal.compact.unlink", action="raise"):
@@ -1420,33 +1224,19 @@ def _run_crash_compaction_check(
                 wh.checkpoint()
             except InjectedFault:
                 pass  # marker durable, some covered segments left behind
-        wh.scheduler.shutdown()
-        wh.wal.close()
+        _drop_process(wh)
 
-        restarted = Warehouse(scenario.build_database(), **kwargs)
+        restarted = _open(
+            scenario.build_database(), scenario, config, **kwargs
+        )
         try:
-            _create_views(restarted, scenario, config)
             restarted.recover()
-            state = _table_state(restarted)
-            if state != reference.final_state:
-                diverged = sorted(
-                    n
-                    for n in state
-                    if state[n] != reference.final_state.get(n)
-                )
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "db-divergence", None,
-                        "after a crash mid-compaction, recovered base "
-                        f"table(s) {diverged} differ from the reference",
-                    )
-                )
-            result.mismatches.extend(
-                consistency_mismatches(restarted, config.name, "recovery")
+            _check_recovered(
+                restarted, config, reference, result,
+                "after a crash mid-compaction",
             )
         finally:
-            restarted.scheduler.shutdown()
-            restarted.wal.close()
+            _drop_process(restarted)
 
 
 def _corrupt_wal(
@@ -1529,48 +1319,42 @@ def _run_corruption_check(
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-corrupt-") as tmp:
         wal_path = os.path.join(tmp, "wal")
         kwargs = _warehouse_kwargs(config, wal_path)
-        wh = Warehouse(scenario.build_database(), **kwargs)
-        _create_views(wh, scenario, config)
+        wh = _open(scenario.build_database(), scenario, config, **kwargs)
         # drop every ack so the whole stream is replayable, then crash
         with FAILPOINTS.armed("wal.ack", action="skip", times=None):
             for op in ops:
                 apply_op(wh, op)
             wh.scheduler.drain()
             wh.wal.sync()
-            wh.scheduler.shutdown()
-            wh.wal.close()
+            _drop_process(wh)
         damage = _corrupt_wal(wal_path, config.corruption, rng)
         if damage is None:
             return
         before = len(result.mismatches)
-        restarted = Warehouse(scenario.build_database(), **kwargs)
+        restarted = _open(
+            scenario.build_database(), scenario, config, **kwargs
+        )
         try:
-            _create_views(restarted, scenario, config)
             try:
                 restarted.recover()
             except Exception as exc:
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "corruption", None,
-                        f"recover() raised on a corrupted log ({damage}):"
-                        f" {type(exc).__name__}: {exc}",
-                    )
+                result.add(
+                    config.name, "recovery", "corruption",
+                    f"recover() raised on a corrupted log ({damage}):"
+                    f" {type(exc).__name__}: {exc}",
                 )
                 return
             wal = restarted.wal
             if not (wal.corruption_detected or wal.torn_tail_dropped):
-                result.mismatches.append(
-                    Mismatch(
-                        config.name, "recovery", "harness-error", None,
-                        f"injected damage went undetected ({damage})",
-                    )
+                result.add(
+                    config.name, "recovery", "harness-error",
+                    f"injected damage went undetected ({damage})",
                 )
             result.mismatches.extend(
                 consistency_mismatches(restarted, config.name, "recovery")
             )
         finally:
-            restarted.scheduler.shutdown()
-            restarted.wal.close()
+            _drop_process(restarted)
             if len(result.mismatches) > before:
                 _export_artifacts(config.name, wal_path)
 
@@ -1588,11 +1372,10 @@ def _cross_config_check(
         for view_name, rows in views.items():
             want = baseline.get(view_name)
             if want is not None and rows != want:
-                result.mismatches.append(
-                    Mismatch(
-                        name, "final", "cross-config", view_name,
-                        f"final contents differ from {baseline_name!r} "
-                        f"({len(rows ^ want)} row(s) in the symmetric "
-                        "difference)",
-                    )
+                result.add(
+                    name, "final", "cross-config",
+                    f"final contents differ from {baseline_name!r} "
+                    f"({len(rows ^ want)} row(s) in the symmetric "
+                    "difference)",
+                    view=view_name,
                 )

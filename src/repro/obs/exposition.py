@@ -26,6 +26,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
+from ..errors import ShardingError
+
 __all__ = [
     "render_openmetrics",
     "validate_openmetrics",
@@ -342,7 +344,8 @@ class ObsServer:
         if callable(serving_stats):
             try:
                 payload["serving"] = serving_stats()
-            except Exception:  # never let the read path break the scrape
+            except ShardingError:
+                # a sharded warehouse's snapshot stores are per shard
                 pass
         return payload
 

@@ -47,10 +47,12 @@ how long each admitted change sat in the queue before its fan-out
 started.
 
 With ``workers=0`` (the default) everything runs inline on the caller's
-thread in deterministic registration order — the legacy serial path
-(admission control does not apply: nothing ever queues).  With
-``retry=None`` the scheduler is a passthrough: one attempt, no
-quarantine, exactly the pre-runtime ``Warehouse`` semantics.
+thread in deterministic registration order (admission control does not
+apply: nothing ever queues).  With ``retry=None`` each view gets a
+single attempt and no pre-change snapshot is taken, so a view that
+fails is quarantined as it stands — possibly half-updated, which is why
+quarantined views are excluded from reads and consistency checks until
+``repair_view`` rebuilds them.
 """
 
 from __future__ import annotations
@@ -108,9 +110,8 @@ class RetryPolicy:
         return min(self.max_delay_seconds, raw)
 
 
-#: Legacy semantics: one attempt, no backoff (quarantine stays off too —
-#: see MaintenanceScheduler.__init__).
-PASSTHROUGH = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
+#: The policy when none is given: one attempt, no backoff.
+SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
 
 
 @dataclass
@@ -121,8 +122,8 @@ class Task:
     ``snapshot``, when provided and retries are enabled, is called once
     before the first attempt and returns a ``restore()`` callable that
     puts the view back to its pre-change state (invoked before every
-    retry and after the final failure, so a quarantined view is stale
-    but never half-updated).
+    retry and after the final failure, so a view quarantined under a
+    retry policy is stale but never half-updated).
     """
 
     name: str
@@ -222,19 +223,11 @@ class MaintenanceScheduler:
         workers: int = 0,
         retry: Optional[RetryPolicy] = None,
         telemetry: Optional[Telemetry] = None,
-        quarantine: Optional[bool] = None,
         max_queue_depth: Optional[int] = None,
         overflow: str = "block",
     ):
         self.workers = max(0, int(workers))
-        # No explicit policy: single attempt.  Quarantine defaults on
-        # exactly when the caller opted into the runtime contract (a
-        # policy or a worker pool); a bare serial scheduler behaves like
-        # the pre-runtime Warehouse.
-        self.retry = retry if retry is not None else PASSTHROUGH
-        if quarantine is None:
-            quarantine = retry is not None or self.workers > 0
-        self.quarantine_enabled = quarantine
+        self.retry = retry if retry is not None else SINGLE_ATTEMPT
         if overflow not in ("block", "shed"):
             raise ValueError(
                 f"unknown overflow policy {overflow!r} "
@@ -429,7 +422,7 @@ class MaintenanceScheduler:
                 runnable.append(task)
         if self._pool is None or len(runnable) <= 1:
             # inline on this thread; no fan_out span, so each view's
-            # "maintain" span stays a root (the legacy trace shape)
+            # "maintain" span stays a root
             for task in runnable:
                 self._finish(task, self._run_task(task), result)
             return result
@@ -451,6 +444,8 @@ class MaintenanceScheduler:
                         timeout=self.retry.timeout_seconds
                     )
                 except FutureTimeoutError:
+                    # quarantined like any failure; the attempt may
+                    # still be running, so it is never re-run
                     outcome = (
                         None,
                         MaintenanceError(
@@ -458,13 +453,12 @@ class MaintenanceScheduler:
                             f"{self.retry.timeout_seconds}s "
                             f"({operation} on {table!r})"
                         ),
-                        True,  # force quarantine: attempt may still run
                     )
                 self._finish(task, outcome, result)
         return result
 
     def _run_task(self, task: Task):
-        """The per-view retry loop; returns ``(report, error, force)``."""
+        """The per-view retry loop; returns ``(report, error)``."""
         policy = self.retry
         restore: Optional[Callable[[], None]] = None
         if task.snapshot is not None and policy.max_attempts > 1:
@@ -477,7 +471,7 @@ class MaintenanceScheduler:
                 FAILPOINTS.hit(
                     "scheduler.task", view=task.name, attempt=attempt
                 )
-                return task.run(), None, False
+                return task.run(), None
             except Exception as exc:
                 last = exc
                 with self._lock:
@@ -491,22 +485,20 @@ class MaintenanceScheduler:
                         state.retries += 1
                     self.telemetry.record_retry(task.name, attempt=attempt)
                     time.sleep(policy.delay(attempt))
-        return None, last, False
+        return None, last
 
     def _finish(self, task: Task, outcome, result: FanOutResult) -> None:
-        report, error, force_quarantine = outcome
+        report, error = outcome
         if error is None:
             result.reports[task.name] = report
             return
         result.failures[task.name] = error
-        if self.quarantine_enabled or force_quarantine:
-            attempts = self.retry.max_attempts
-            self._quarantine(
-                task.name,
-                f"{result.operation} on {result.table!r} failed after "
-                f"{attempts} attempt(s): {error!r}",
-            )
-            result.quarantined.append(task.name)
+        self._quarantine(
+            task.name,
+            f"{result.operation} on {result.table!r} failed after "
+            f"{self.retry.max_attempts} attempt(s): {error!r}",
+        )
+        result.quarantined.append(task.name)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -32,8 +32,8 @@ Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
     checkpoint / recover {from_origin}   txn_begin {txn_id} / txn_stmt /
     snapshot_pin / snapshot_release        txn_commit / txn_rollback /
     query {view, equalities, seq}          txn_resolve {commits}
-    dump / stats / check                 mark_boundary / crash_hard /
-    repair_view {view}                     restart
+    dump / stats / check                 crash_hard / restart
+    repair_view {view}
     ping                                 close
 
 Partial-failure plumbing (see ``docs/SHARDING.md``, "Partial failure
@@ -94,7 +94,6 @@ class ShardServer:
         self._txn = None
         self._txn_id: Optional[str] = None
         self._pinned: Dict[int, object] = {}
-        self._boundary = None  # db snapshot at the last durable boundary
         self.wh = self._build_warehouse(
             wire.build_database(init["schema"], init.get("rows") or {})
         )
@@ -193,10 +192,7 @@ class ShardServer:
             ]
             reports = self.wh.delete_by_key(table, decoded)
             return {
-                "reports": {
-                    name: self._wire.encode_report(r)
-                    for name, r in reports.items()
-                },
+                "reports": self._encode_reports(reports),
                 "deleted": self._wire.encode_rows(doomed),
             }
         reports = self.wh._change(
@@ -206,11 +202,12 @@ class ShardServer:
             fk_allowed=fk_allowed,
             check=check,
         )
+        return {"reports": self._encode_reports(reports)}
+
+    def _encode_reports(self, reports: Dict) -> Dict[str, Dict]:
         return {
-            "reports": {
-                name: self._wire.encode_report(r)
-                for name, r in reports.items()
-            }
+            name: self._wire.encode_report(report)
+            for name, report in reports.items()
         }
 
     def cmd_flush(self):
@@ -237,10 +234,8 @@ class ShardServer:
     def cmd_txn_stmt(self, kind: str, table: str, rows: List):
         txn = self._require_txn()
         decoded = self._wire.decode_rows(rows)
-        if kind == "insert":
-            txn.insert(table, decoded)
-        else:
-            txn.delete(table, decoded)
+        apply = txn.insert if kind == "insert" else txn.delete
+        return {"reports": self._encode_reports(apply(table, decoded))}
 
     def cmd_txn_prepare(self):
         """Phase one of the cross-shard commit: run this shard's
@@ -301,15 +296,10 @@ class ShardServer:
         self.wh.recover(from_origin=from_origin)
         return {"summary": self.wh.last_recovery}
 
-    def cmd_mark_boundary(self):
-        """Remember the current (flushed) state as the durable boundary a
-        simulated hard crash will fall back to."""
-        self._boundary = self.wh.db.copy()
-
     def cmd_crash_hard(self):
         """Die without acknowledging: drop in-memory state, reopen over
-        the same WAL/checkpoint directories from the last marked
-        boundary, and recover.  Mirrors the oracle's crash contract."""
+        the same WAL/checkpoint directories from the initial partition
+        rows, and recover.  Mirrors the oracle's crash contract."""
         # an open transaction is volatile state: it dies with the crash
         # (never roll it back — its undo path touches the pre-crash
         # warehouse, whose WAL handle is about to close)
@@ -322,11 +312,9 @@ class ShardServer:
         wh.scheduler.shutdown()
         if wh.wal is not None:
             wh.wal.close()
-        base = self._boundary
-        if base is None:
-            base = self._wire.build_database(
-                self._init["schema"], self._init.get("rows") or {}
-            )
+        base = self._wire.build_database(
+            self._init["schema"], self._init.get("rows") or {}
+        )
         self._pinned.clear()
         self.wh = self._build_warehouse(base)
         for blob in list(self._views):
@@ -622,11 +610,13 @@ class ProcessShardHandle(_HandleBase):
 
     backend = "process"
 
-    def __init__(self, shard_id: int, init: Dict, start_method: str = "spawn"):
+    def __init__(self, shard_id: int, init: Dict):
         import multiprocessing
 
         super().__init__(shard_id)
-        ctx = multiprocessing.get_context(start_method)
+        # spawn: the child inherits no interpreter state (locks, the
+        # parent's warehouse); everything it needs crosses the pipe
+        ctx = multiprocessing.get_context("spawn")
         self._conn, child = ctx.Pipe()
         self.process = ctx.Process(
             target=_shard_worker_main,
@@ -829,11 +819,9 @@ class ThreadShardHandle(_HandleBase):
         )
 
 
-def make_handle(
-    backend: str, shard_id: int, init: Dict, start_method: str = "spawn"
-):
+def make_handle(backend: str, shard_id: int, init: Dict):
     if backend == "process":
-        return ProcessShardHandle(shard_id, init, start_method=start_method)
+        return ProcessShardHandle(shard_id, init)
     if backend == "thread":
         return ThreadShardHandle(shard_id, init)
     raise ShardingError(

@@ -376,9 +376,7 @@ class ShardSupervisor:
         old = wh._handles[shard]
         old.terminate()
         init = wh._shard_init(shard)
-        replacement = make_handle(
-            wh.backend, shard, init, start_method=wh._start_method
-        )
+        replacement = make_handle(wh.backend, shard, init)
         summary = None
         degraded = False
         try:

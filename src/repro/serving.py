@@ -54,12 +54,15 @@ __all__ = ["AsyncWarehouse"]
 
 
 class AsyncWarehouse:
-    """Asyncio adapter for one :class:`~repro.warehouse.Warehouse`.
+    """Asyncio adapter for one :class:`~repro.warehouse.Warehouse` —
+    local or sharded; both hand out the same change tickets.
 
     All coroutines must be awaited on the loop the adapter is first used
     on.  The adapter owns no threads of its own: blocking calls ride the
-    loop's default executor, and change completion is delivered by the
-    scheduler's dispatcher thread through ``call_soon_threadsafe``.
+    loop's default executor, and change completion is delivered through
+    ``call_soon_threadsafe`` by whichever thread completes the ticket —
+    the scheduler's dispatcher thread locally; for a sharded warehouse,
+    which has no dispatcher, a short-lived waiter per awaited change.
     """
 
     def __init__(self, warehouse: Warehouse):

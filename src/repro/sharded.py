@@ -19,7 +19,10 @@ Construction is transparent through the base class::
 
 ``Warehouse(db, shards=N)`` returns a ``ShardedWarehouse``; the sharding
 rules themselves (routing soundness, co-partitioning, the
-witness/residue merge) live in :mod:`repro.runtime.sharding`.
+witness/residue merge) live in :mod:`repro.runtime.sharding`.  The
+change surface (``insert`` ... ``flush``) is the base class's; this
+module is the *transport* behind it — routing, the wire, compensation,
+2PC and merged reads (``docs/ARCHITECTURE.md``, "Facade contract").
 
 Semantics and caveats
 ---------------------
@@ -40,8 +43,8 @@ Semantics and caveats
   query whose equality filters pin every routing column of some
   partitioned table in the view is answered by that single owning shard.
 * **``.db`` is a schema template.**  The parent never maintains base
-  rows; read merged state via :meth:`table_rows`, :meth:`merged_views`
-  or :meth:`merged_database`.
+  rows; read merged state via :meth:`table_rows`, :meth:`view_rows`,
+  :meth:`merged_views` or :meth:`merged_database`.
 * **Cold-start recovery** needs a checkpoint lineage: workers are seeded
   with the constructor database's partitions, and :meth:`recover`
   restores each shard's newest checkpoint before replaying its WAL
@@ -55,6 +58,7 @@ Semantics and caveats
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 import uuid
 from collections import Counter
@@ -75,7 +79,7 @@ from .errors import (
 )
 from .obs import Telemetry
 from .planner import wire
-from .runtime import RetryPolicy
+from .runtime import ChangeTicket, FanOutResult, RetryPolicy
 from .runtime.failpoints import FAILPOINTS
 from .runtime.sharding import (
     ShardingSpec,
@@ -87,7 +91,7 @@ from .runtime.sharding import (
 from .runtime.shardproc import make_handle, raise_shard_error
 from .runtime.supervisor import ShardSupervisor
 from .runtime.txnlog import TxnDecisionLog
-from .warehouse import Reports, Warehouse
+from .warehouse import DELETE_BY_KEY, Reports, Warehouse
 
 __all__ = ["ShardedWarehouse", "ShardedSnapshot", "ShardedTransaction"]
 
@@ -96,56 +100,42 @@ __all__ = ["ShardedWarehouse", "ShardedSnapshot", "ShardedTransaction"]
 REBALANCE_SKEW_THRESHOLD = 2.0
 
 
-class ShardedChangeTicket:
-    """Handle for one routed change; resolves at :meth:`wait` (which the
-    flush barrier calls for every outstanding ticket, in order)."""
+class _ShardedTicket(ChangeTicket):
+    """One routed change.  The coordinator has no dispatcher thread, so
+    the ticket resolves on the first :meth:`wait` (the flush barrier
+    waits every outstanding ticket, in order): shard replies are merged
+    into one :class:`~repro.runtime.FanOutResult`, or a partial failure
+    is compensated and lands in ``result.error``."""
 
     def __init__(self, warehouse, table, operation, parts, replies):
+        super().__init__(table, operation)
         self._warehouse = warehouse
-        self.table = table
-        self.operation = operation
         self._parts = parts  # {shard: rows} as routed
         self._replies = replies  # {shard: _Reply}
-        self._reports: Optional[Reports] = None
-        self._error: Optional[ReproError] = None
-        self._done = False
+        self._resolving = threading.Lock()
 
-    def wait(self, timeout: Optional[float] = None) -> Reports:
-        if not self._done:
-            responses = {
-                shard: self._warehouse._wait_for(shard, reply, timeout)
-                for shard, reply in self._replies.items()
-            }
-            self._done = True
-            failures = {
-                s: resp for s, resp in responses.items() if not resp["ok"]
-            }
-            if failures:
-                succeeded = {
-                    s: self._parts[s] for s in responses if s not in failures
-                }
-                self._warehouse._compensate(
-                    self.table,
-                    self.operation,
-                    succeeded,
-                    unavailable=[
-                        s
-                        for s, resp in failures.items()
-                        if resp.get("error") == "ShardUnavailableError"
-                    ],
+    def wait(self, timeout: Optional[float] = None) -> FanOutResult:
+        with self._resolving:
+            if not self.done():
+                self._complete(
+                    self._warehouse._resolve(
+                        self.table,
+                        self.operation,
+                        self._parts,
+                        self._replies,
+                        timeout,
+                    )
                 )
-                try:
-                    raise_shard_error(failures[min(failures)])
-                except ReproError as exc:
-                    self._error = exc
-            else:
-                self._reports = self._warehouse._merge_report_blobs(
-                    [responses[s]["reports"] for s in sorted(responses)]
-                )
-        if self._error is not None:
-            raise self._error
-        assert self._reports is not None
-        return self._reports
+        return super().wait()
+
+    def add_done_callback(self, fn) -> None:
+        super().add_done_callback(fn)
+        if not self.done():
+            # nobody may ever wait() on this ticket (the asyncio front
+            # end does not): a short-lived waiter resolves it
+            threading.Thread(
+                target=self.wait, name="repro-shard-ticket", daemon=True
+            ).start()
 
 
 class ShardedSnapshot:
@@ -202,6 +192,16 @@ class ShardedSnapshot:
         return False
 
 
+def _worker_side(message: str):
+    """A :class:`Warehouse` member with no coordinator-side meaning:
+    the object it names lives inside the shard workers."""
+
+    def unsupported(self, *args, **kwargs):
+        raise ShardingError(message)
+
+    return unsupported
+
+
 class ShardedWarehouse(Warehouse):
     """N partitioned warehouses behind the :class:`Warehouse` facade.
 
@@ -244,6 +244,10 @@ class ShardedWarehouse(Warehouse):
         between calls.
     """
 
+    # ``.db`` is a schema template: tables, WAL, scheduler and snapshot
+    # store all live in the shard workers ``__init__`` spawns
+    _in_process = False
+
     def __init__(
         self,
         db: Database,
@@ -254,7 +258,6 @@ class ShardedWarehouse(Warehouse):
         routing: Optional[Dict[str, Sequence[str]]] = None,
         ranges: Optional[Sequence] = None,
         shard_backend: str = "process",
-        start_method: str = "spawn",
         wal_path: Optional[str] = None,
         workers: int = 0,
         retry: Optional[RetryPolicy] = None,
@@ -268,8 +271,7 @@ class ShardedWarehouse(Warehouse):
         restart_budget: int = 5,
         restart_window_seconds: float = 60.0,
     ):
-        # deliberately no super().__init__: the parent holds no tables,
-        # no WAL and no scheduler — only routing state and worker pipes
+        super().__init__(db, telemetry)  # the facade's own state
         if sharding is not None:
             self.spec = sharding
             self.spec.validate(db)
@@ -285,19 +287,14 @@ class ShardedWarehouse(Warehouse):
                 f"shards={shards} disagrees with the sharding spec's "
                 f"{self.spec.shards}"
             )
-        self.db = db  # schema template; rows are NOT maintained here
         self.router = ShardRouter(self.spec, db)
         self.shards = self.spec.shards
         self.backend = shard_backend
-        self.telemetry = telemetry or Telemetry.disabled()
         self._definitions: Dict[str, ViewDefinition] = {}
         self._plans: Dict[str, ViewShardPlan] = {}
         self._outputs: Dict[str, List[str]] = {}
         self._options: Dict[str, Optional[Dict]] = {}
-        self._pending: List[ShardedChangeTicket] = []
         self._closed = False
-        self.last_recovery: Optional[Dict] = None
-        self._start_method = start_method
         self.call_deadline = call_deadline_seconds
         self._txn_counter = itertools.count(1)
         # coordinator 2PC decisions: durable next to the WAL lineage so
@@ -306,11 +303,6 @@ class ShardedWarehouse(Warehouse):
         self.txnlog = TxnDecisionLog(
             f"{wal_path}/txnlog" if wal_path else None
         )
-        # inherited observability helpers iterate these; keep them empty
-        self._maintainers = {}
-        self._aggregates = {}
-        self.wal = None
-        self.obs_server = None
 
         schema = wire.encode_schema(db)
         replicated_rows = {
@@ -348,11 +340,7 @@ class ShardedWarehouse(Warehouse):
                 if retry is not None:
                     init["retry"] = asdict(retry)
                 self._inits.append(init)
-                self._handles.append(
-                    make_handle(
-                        shard_backend, shard, init, start_method=start_method
-                    )
-                )
+                self._handles.append(make_handle(shard_backend, shard, init))
         except Exception:
             # terminate (not close) the workers that did spawn: close()
             # waits out a graceful round-trip per shard, and the caller
@@ -468,12 +456,19 @@ class ShardedWarehouse(Warehouse):
             raise_shard_error(response)
         return responses
 
-    def _route(self, table: str, rows: List[Row]) -> Dict[int, List[Row]]:
+    def _route(
+        self, table: str, rows: List[Row], keys: bool = False
+    ) -> Dict[int, List[Row]]:
+        """``{shard: rows}`` for one statement (*keys*: the rows are
+        unique-key values — routing ⊆ key, so the owner is determined
+        without the full row).  Replicated tables go everywhere."""
         if not rows:
             return {}
-        if self.spec.is_partitioned(table):
-            return self.router.split_rows(table, rows)
-        return {shard: rows for shard in range(self.shards)}
+        if not self.spec.is_partitioned(table):
+            return {shard: rows for shard in range(self.shards)}
+        if keys:
+            return self.router.split_keys(table, rows)
+        return self.router.split_rows(table, rows)
 
     def _merge_report_blobs(self, blob_maps: List[Dict]) -> Reports:
         """Recombine per-shard report dicts: row counts add, term lists
@@ -596,30 +591,50 @@ class ShardedWarehouse(Warehouse):
         self._outputs[name] = list(definition.output_columns(self.db))
         self._options[name] = opt_blob
 
-    def create_aggregated_view(self, *args, **kwargs):
-        raise ShardingError(
-            "aggregated views are not supported in sharded mode yet; "
-            "create them on a per-shard warehouse or unsharded"
-        )
-
-    def drop_view(self, name: str) -> None:
-        raise ShardingError("drop_view is not supported in sharded mode")
-
     @property
     def view_names(self) -> List[str]:
         return sorted(self._definitions)
 
-    def view(self, name: str):
-        raise ShardingError(
-            "a sharded warehouse has no single materialized view object; "
-            "use query()/merged_views() to read merged contents"
-        )
+    def definition(self, name: str) -> ViewDefinition:
+        self._plan_of(name)  # CatalogError for an unknown view
+        return self._definitions[name]
 
-    def maintainer(self, name: str):
-        raise ShardingError(
-            "view maintainers live inside shard workers; use "
-            "shard_stats() or query() from the parent"
+    # what the local transport keeps in-process has no coordinator-side
+    # counterpart: typed errors that name the sharded way to get there
+    create_aggregated_view = _worker_side(
+        "aggregated views are not supported in sharded mode yet; "
+        "create them on a per-shard warehouse or unsharded"
+    )
+    drop_view = _worker_side("drop_view is not supported in sharded mode")
+    view = aggregated_view = _worker_side(
+        "a sharded warehouse has no single materialized view object; "
+        "use query()/view_rows() to read merged contents"
+    )
+    maintainer = _worker_side(
+        "view maintainers live inside shard workers; use "
+        "shard_stats() or query() from the parent"
+    )
+    serving_stats = _worker_side(
+        "snapshot stores live inside shard workers; use shard_stats()"
+    )
+    scheduler = property(
+        _worker_side(
+            "every shard worker runs its own scheduler; use "
+            "quarantined_views / shard_stats() / repair_view()"
         )
+    )
+    snapshots = property(
+        _worker_side(
+            "every shard worker owns its snapshot store; use "
+            "snapshot() / query() for pinned cross-shard reads"
+        )
+    )
+    wal = checkpoints = property(
+        _worker_side(
+            "WAL and checkpoint lineages are per shard "
+            "(<root>/shard-<i>); use shard_stats() / last_recovery"
+        )
+    )
 
     @property
     def quarantined_views(self) -> List[str]:
@@ -631,32 +646,21 @@ class ShardedWarehouse(Warehouse):
         return sorted(quarantined)
 
     # ------------------------------------------------------------------
-    # changes
+    # the change transport (the base class owns insert ... flush)
     # ------------------------------------------------------------------
-    def _change(
+    def _submit(
         self,
         table: str,
         operation: str,
         rows: List[Row],
-        fk_allowed: bool,
+        fk_allowed: bool = True,
         check: bool = True,
-    ) -> Reports:
-        started = time.perf_counter()
-        ticket = self._submit_change(table, operation, rows, fk_allowed, check)
-        reports = ticket.wait()
-        self.telemetry.record_phase("apply", time.perf_counter() - started)
-        return reports
-
-    def _submit_change(
-        self,
-        table: str,
-        operation: str,
-        rows: List[Row],
-        fk_allowed: bool,
-        check: bool = True,
-    ) -> ShardedChangeTicket:
+    ) -> ChangeTicket:
+        """Route one statement to its owning shard(s) and return the
+        ticket that merges their replies (see :class:`_ShardedTicket`)."""
         self._require_open()
-        parts = self._route(table, rows)
+        by_key = operation == DELETE_BY_KEY
+        parts = self._route(table, rows, keys=by_key)
         replies = {}
         for shard in sorted(parts):
             replies[shard] = self._handles[shard].submit(
@@ -668,53 +672,51 @@ class ShardedWarehouse(Warehouse):
                 check=check,
             )
             self.telemetry.record_shard_change(shard, table)
-        return ShardedChangeTicket(self, table, operation, parts, replies)
-
-    def insert(self, table: str, rows: Iterable[Row]) -> Reports:
-        return self._change(
-            table, INSERT, [tuple(r) for r in rows], fk_allowed=True
+        return _ShardedTicket(
+            self, table, DELETE if by_key else operation, parts, replies
         )
 
-    def delete(self, table: str, rows: Iterable[Row]) -> Reports:
-        return self._change(
-            table, DELETE, [tuple(r) for r in rows], fk_allowed=True
-        )
-
-    def delete_by_key(self, table: str, keys: Iterable[Row]) -> Reports:
-        self._require_open()
-        wanted = [tuple(k) for k in keys]
-        if not wanted:
-            return {}
-        if self.spec.is_partitioned(table):
-            parts = self.router.split_keys(table, wanted)
-        else:
-            parts = {shard: wanted for shard in range(self.shards)}
-        # worker-side delete_by_key resolves keys to rows; route by key
-        # (routing ⊆ key, so the owner is determined without the rows)
-        responses = {}
-        replies = {
-            shard: self._handles[shard].submit(
-                "change",
-                table=table,
-                operation="delete_by_key",
-                rows=wire.encode_rows(parts[shard]),
-            )
-            for shard in sorted(parts)
+    def _resolve(
+        self,
+        table: str,
+        operation: str,
+        parts: Dict[int, List[Row]],
+        replies: Dict,
+        timeout: Optional[float],
+    ) -> FanOutResult:
+        """Wait one statement's shard replies out.  All ok: the merged
+        per-view reports.  Any failure: the shards where it did apply
+        are compensated and the first failing shard's typed error lands
+        in ``result.error`` — all-or-nothing, like a constraint failure
+        on the local transport."""
+        responses = {
+            shard: self._wait_for(shard, reply, timeout)
+            for shard, reply in replies.items()
         }
-        failures = {}
-        deleted: Dict[int, List[Row]] = {}
-        for shard, reply in replies.items():
-            resp = self._wait_for(shard, reply)
-            if resp["ok"]:
-                responses[shard] = resp
-                deleted[shard] = wire.decode_rows(resp.get("deleted") or [])
-            else:
-                failures[shard] = resp
-        if failures:
+        result = FanOutResult(table, operation)
+        failures = {
+            s: resp for s, resp in responses.items() if not resp["ok"]
+        }
+        if not failures:
+            result.reports = self._merge_report_blobs(
+                [responses[s]["reports"] for s in sorted(responses)]
+            )
+            return result
+        # a worker answering delete_by_key says which rows the keys hit
+        applied = {
+            s: (
+                wire.decode_rows(resp["deleted"])
+                if "deleted" in resp
+                else parts[s]
+            )
+            for s, resp in responses.items()
+            if s not in failures
+        }
+        try:
             self._compensate(
                 table,
-                DELETE,
-                deleted,
+                operation,
+                applied,
                 unavailable=[
                     s
                     for s, resp in failures.items()
@@ -722,63 +724,23 @@ class ShardedWarehouse(Warehouse):
                 ],
             )
             raise_shard_error(failures[min(failures)])
-        return self._merge_report_blobs(
-            [responses[s]["reports"] for s in sorted(responses)]
-        )
+        except ReproError as exc:
+            result.error = exc
+        return result
 
-    def update(
-        self,
-        table: str,
-        old_rows: Iterable[Row],
-        new_rows: Iterable[Row],
-    ) -> List[Reports]:
-        delete_reports = self._change(
-            table, DELETE, [tuple(r) for r in old_rows],
-            fk_allowed=False, check=False,
-        )
-        insert_reports = self._change(
-            table, INSERT, [tuple(r) for r in new_rows],
-            fk_allowed=False, check=False,
-        )
-        return [delete_reports, insert_reports]
-
-    def apply_async(
-        self,
-        table: str,
-        operation: str,
-        rows: Iterable[Row],
-        fk_allowed: bool = True,
-    ) -> ShardedChangeTicket:
-        if operation not in (INSERT, DELETE):
-            raise MaintenanceError(
-                f"unknown operation {operation!r} (expected "
-                f"{INSERT!r} or {DELETE!r})"
-            )
-        ticket = self._submit_change(
-            table, operation, [tuple(r) for r in rows], fk_allowed
-        )
-        self._pending.append(ticket)
-        return ticket
-
-    def flush(self) -> List:
-        """The merge barrier: wait for every routed change on every
-        shard, compensate and surface failures, then fsync each shard's
-        WAL.  After flush, per-shard snapshots recombine consistently."""
+    def _settle(self) -> None:
+        """The merge barrier: every shard drains its queue and fsyncs
+        its WAL.  After it, per-shard snapshots recombine consistently."""
         self._require_open()
-        started = time.perf_counter()
-        pending, self._pending = self._pending, []
-        first_error: Optional[ReproError] = None
-        for ticket in pending:
-            try:
-                ticket.wait()
-            except ReproError as exc:
-                if first_error is None:
-                    first_error = exc
         self._broadcast("flush")
-        self.telemetry.record_phase("flush", time.perf_counter() - started)
-        if first_error is not None:
-            raise first_error
-        return []
+
+    def _shutdown(self) -> None:
+        self._closed = True
+        for handle in self._handles:
+            handle.close()
+
+    def _refresh_view_sizes(self) -> None:
+        """View sizes are per shard; :meth:`shard_stats` meters them."""
 
     # ------------------------------------------------------------------
     # transactions
@@ -797,12 +759,14 @@ class ShardedWarehouse(Warehouse):
             raise CatalogError(f"no view named {view!r}") from None
 
     def _fastpath_shard(self, view: str, equalities: Dict) -> Optional[int]:
-        """The single owning shard, when the equality filters pin every
-        routing column of some partitioned table in *view* (non-null
-        values only: residue rows cannot match such a filter)."""
+        """The single shard that can answer alone: any one (shard 0) for
+        a replicated-only view, else the owning shard when the equality
+        filters pin every routing column of some partitioned table in
+        *view* (non-null values only: residue rows cannot match such a
+        filter)."""
         plan = self._plan_of(view)
         if plan.replicated_only:
-            return None
+            return 0
         output = self._outputs[view]
         normalized = {}
         for name, value in equalities.items():
@@ -833,50 +797,32 @@ class ShardedWarehouse(Warehouse):
         limit: Optional[int],
         seqs: Optional[Dict[int, int]] = None,
     ) -> List[Row]:
-        plan = self._plan_of(view)
         shard = self._fastpath_shard(view, equalities)
+        targets = range(self.shards) if shard is None else [shard]
+        replies = {
+            target: self._handles[target].submit(
+                "query",
+                view=view,
+                equalities=dict(equalities),
+                seq=None if seqs is None else seqs[target],
+            )
+            for target in targets
+        }
+        fragments = [
+            wire.decode_rows(
+                raise_shard_error(self._wait_for(target, reply))["rows"]
+            )
+            for target, reply in replies.items()
+        ]
         if shard is not None:
-            resp = self._call(
-                "query",
-                shard,
-                view=view,
-                equalities=dict(equalities),
-                seq=None if seqs is None else seqs[shard],
-            )
-            rows = wire.decode_rows(resp["rows"])
-            self.telemetry.record_shard_query(True)
-        elif plan.replicated_only:
-            resp = self._call(
-                "query",
-                0,
-                view=view,
-                equalities=dict(equalities),
-                seq=None if seqs is None else seqs[0],
-            )
-            rows = wire.decode_rows(resp["rows"])
-            self.telemetry.record_shard_query(True)
+            (rows,) = fragments
         else:
-            replies = {
-                handle.shard_id: handle.submit(
-                    "query",
-                    view=view,
-                    equalities=dict(equalities),
-                    seq=None if seqs is None else seqs[handle.shard_id],
-                )
-                for handle in self._handles
-            }
-            fragments = []
-            for shard_id in sorted(replies):
-                resp = raise_shard_error(
-                    self._wait_for(shard_id, replies[shard_id])
-                )
-                fragments.append(wire.decode_rows(resp["rows"]))
             merge_started = time.perf_counter()
-            rows = merge_view_rows(plan, fragments)
+            rows = merge_view_rows(self._plan_of(view), fragments)
             self.telemetry.record_shard_merge(
                 time.perf_counter() - merge_started
             )
-            self.telemetry.record_shard_query(False)
+        self.telemetry.record_shard_query(shard is not None)
         if predicate is not None:
             columns = self._outputs[view]
             rows = [
@@ -908,69 +854,59 @@ class ShardedWarehouse(Warehouse):
         """Pin one snapshot per shard (their latest published epochs).
         Pin right after :meth:`flush` for global consistency."""
         self._require_open()
-        pins = {
-            shard: response
-            for shard, response in self._broadcast("snapshot_pin").items()
-        }
-        return ShardedSnapshot(self, pins)
+        return ShardedSnapshot(self, self._broadcast("snapshot_pin"))
 
     # ------------------------------------------------------------------
-    # merged state (tests, oracle, consistency checks)
+    # merged state (settled reads: every worker drains before it dumps)
     # ------------------------------------------------------------------
     def _dump_all(self) -> Dict[int, Dict]:
+        self._require_open()
         return self._broadcast("dump")
+
+    def _table_rows(self, table: str, dumps: Dict[int, Dict]) -> List[Row]:
+        """Partitions concatenated; a replicated table from shard 0."""
+        if table not in self.db.tables:
+            raise CatalogError(f"no table named {table!r}")
+        shards = sorted(dumps) if self.spec.is_partitioned(table) else [0]
+        return [
+            row
+            for shard in shards
+            for row in wire.decode_rows(dumps[shard]["tables"][table])
+        ]
+
+    def _view_rows(self, name: str, dumps: Dict[int, Dict]) -> List[Row]:
+        plan = self._plan_of(name)
+        fragments = [
+            wire.decode_rows(dumps[shard]["views"][name])
+            for shard in sorted(dumps)
+        ]
+        started = time.perf_counter()
+        rows = merge_view_rows(plan, fragments)
+        self.telemetry.record_shard_merge(time.perf_counter() - started)
+        return rows
 
     def table_rows(self, table: str) -> List[Row]:
         """Merged rows of one base table across all shards."""
-        self._require_open()
-        if table not in self.db.tables:
-            raise CatalogError(f"no table named {table!r}")
-        if not self.spec.is_partitioned(table):
-            resp = self._call("dump", 0)
-            return wire.decode_rows(resp["tables"][table])
-        rows: List[Row] = []
-        for shard, resp in sorted(self._dump_all().items()):
-            rows.extend(wire.decode_rows(resp["tables"][table]))
-        return rows
+        return self._table_rows(table, self._dump_all())
+
+    def view_rows(self, name: str) -> List[Row]:
+        """One view's merged global contents."""
+        return self._view_rows(name, self._dump_all())
 
     def merged_table_state(self) -> Dict[str, List[Row]]:
         """All base tables, merged (replicated tables from shard 0)."""
         dumps = self._dump_all()
-        out: Dict[str, List[Row]] = {}
-        for table in self.db.tables:
-            if self.spec.is_partitioned(table):
-                merged: List[Row] = []
-                for shard in sorted(dumps):
-                    merged.extend(
-                        wire.decode_rows(dumps[shard]["tables"][table])
-                    )
-                out[table] = merged
-            else:
-                out[table] = wire.decode_rows(dumps[0]["tables"][table])
-        return out
+        return {t: self._table_rows(t, dumps) for t in self.db.tables}
 
     def merged_views(self) -> Dict[str, List[Row]]:
         """Every view's merged global contents."""
         dumps = self._dump_all()
-        started = time.perf_counter()
-        out = {}
-        for name in self.view_names:
-            fragments = [
-                wire.decode_rows(dumps[shard]["views"][name])
-                for shard in sorted(dumps)
-            ]
-            out[name] = merge_view_rows(self._plans[name], fragments)
-        self.telemetry.record_shard_merge(time.perf_counter() - started)
-        return out
+        return {n: self._view_rows(n, dumps) for n in self.view_names}
 
     def merged_database(self) -> Database:
         """A standalone database holding the merged base tables."""
         return wire.build_database(
-            wire.encode_schema(self.db),
-            {
-                name: wire.encode_rows(rows)
-                for name, rows in self.merged_table_state().items()
-            },
+            wire.encode_schema(self.db), self.merged_table_state()
         )
 
     # ------------------------------------------------------------------
@@ -994,11 +930,7 @@ class ShardedWarehouse(Warehouse):
         transaction everywhere; no decision means presumed abort."""
         self._require_open()
         resolved = self._resolve_indoubt()
-        summaries = {
-            shard: response["summary"]
-            for shard, response in self._broadcast("recover").items()
-        }
-        self._aggregate_recovery(summaries, resolved=resolved)
+        self._aggregate_recovery(self._broadcast("recover"), resolved)
         return []
 
     def _resolve_indoubt(self) -> List[Dict]:
@@ -1027,11 +959,14 @@ class ShardedWarehouse(Warehouse):
         return resolved
 
     def _aggregate_recovery(
-        self,
-        summaries: Dict[int, Dict],
-        resolved: Optional[List[Dict]] = None,
+        self, responses: Dict[int, Dict], resolved: List[Dict]
     ) -> None:
-        shard_summaries = {s: summaries[s] or {} for s in summaries}
+        """Fold every shard's recovery summary (the reply to ``recover``
+        / ``restart`` / ``crash_hard``) into :attr:`last_recovery`."""
+        shard_summaries = {
+            shard: response["summary"] or {}
+            for shard, response in responses.items()
+        }
         quarantined = {
             s: list(info.get("quarantined_segments") or [])
             for s, info in shard_summaries.items()
@@ -1059,7 +994,7 @@ class ShardedWarehouse(Warehouse):
                     )
                 )
             ),
-            "resolved_transactions": resolved or [],
+            "resolved_transactions": resolved,
             "degraded": bool(quarantined) or corruption,
         }
         self.telemetry.record_recovery(self.last_recovery)
@@ -1070,35 +1005,23 @@ class ShardedWarehouse(Warehouse):
         self._broadcast("repair_view", view=name)
 
     # crash simulation (fuzz oracle hooks) ------------------------------
-    def mark_durability_boundary(self) -> None:
-        """Remember each shard's current state as what a simulated hard
-        crash falls back to.  Call at a flush boundary."""
-        self._broadcast("mark_boundary")
-
     def crash_hard(self) -> None:
         """Simulate a crash that loses unacknowledged work on every
-        shard, then recover each from its WAL + checkpoints."""
-        self._pending = []
-        summaries = {
-            shard: response["summary"]
-            for shard, response in self._broadcast("crash_hard").items()
-        }
+        shard (each falls back to its initial partition rows), then
+        recover each from its WAL + checkpoints."""
+        self._pending_tickets = []
+        responses = self._broadcast("crash_hard")
         # a hard crash also takes the coordinator: open worker txns died
         # with their shards, so resolution is a no-op sweep that retires
         # stale decision records
-        resolved = self._resolve_indoubt()
-        self._aggregate_recovery(summaries, resolved=resolved)
+        self._aggregate_recovery(responses, self._resolve_indoubt())
 
     def crash_restart(self) -> None:
         """Orderly stop + reopen of every shard over its own WAL and
         checkpoint directories (the replay loop's ``crash`` op)."""
         self.flush()
-        summaries = {
-            shard: response["summary"]
-            for shard, response in self._broadcast("restart").items()
-        }
-        resolved = self._resolve_indoubt()
-        self._aggregate_recovery(summaries, resolved=resolved)
+        responses = self._broadcast("restart")
+        self._aggregate_recovery(responses, self._resolve_indoubt())
 
     # ------------------------------------------------------------------
     # health
@@ -1174,15 +1097,13 @@ class ShardedWarehouse(Warehouse):
         """Three layers: every shard's views equal its local recompute;
         replicated tables are byte-identical on every shard; and every
         merged view equals a recompute over the merged database."""
-        self._require_open()
         self._broadcast("check")
         dumps = self._dump_all()
-        for table in self.db.tables:
+        tables = {t: self._table_rows(t, dumps) for t in self.db.tables}
+        for table, rows in tables.items():
             if self.spec.is_partitioned(table):
                 continue
-            reference = frozenset(
-                wire.decode_rows(dumps[0]["tables"][table])
-            )
+            reference = frozenset(rows)
             for shard in sorted(dumps):
                 got = frozenset(wire.decode_rows(dumps[shard]["tables"][table]))
                 if got != reference:
@@ -1190,33 +1111,15 @@ class ShardedWarehouse(Warehouse):
                         f"replicated table {table!r} diverged on shard "
                         f"{shard}: {len(got ^ reference)} row(s) differ"
                     )
-        merged_db = wire.build_database(
-            wire.encode_schema(self.db),
-            {
-                name: (
-                    [
-                        row
-                        for shard in sorted(dumps)
-                        for row in dumps[shard]["tables"][name]
-                    ]
-                    if self.spec.is_partitioned(name)
-                    else dumps[0]["tables"][name]
-                )
-                for name in self.db.tables
-            },
-        )
+        merged_db = wire.build_database(wire.encode_schema(self.db), tables)
         for name, definition in sorted(self._definitions.items()):
-            fragments = [
-                wire.decode_rows(dumps[shard]["views"][name])
-                for shard in sorted(dumps)
-            ]
-            merged = merge_view_rows(self._plans[name], fragments)
+            merged = self._view_rows(name, dumps)
             expected = MaterializedView.materialize(
                 definition, merged_db
             ).rows()
             # multiset compare: rows carry SQL NULLs, so sorting would
             # die on None < int
-            if Counter(map(tuple, merged)) != Counter(map(tuple, expected)):
+            if Counter(merged) != Counter(map(tuple, expected)):
                 raise MaintenanceError(
                     f"sharded view {name!r} diverged from its recompute "
                     f"over the merged database: {len(merged)} merged "
@@ -1228,17 +1131,11 @@ class ShardedWarehouse(Warehouse):
         if self._closed:
             return
         # stop supervision first so shutdown can't race a reincarnation
-        supervisor = getattr(self, "supervisor", None)
-        if supervisor is not None:
-            supervisor.stop()
+        self.supervisor.stop()
         try:
-            self.flush()
+            super().close()
         except ReproError:
             pass  # a dead or dying shard must not wedge shutdown
-        finally:
-            self._closed = True
-            for handle in self._handles:
-                handle.close()
 
 
 class ShardedTransaction:
@@ -1296,7 +1193,9 @@ class ShardedTransaction:
         if not self._active:
             raise CatalogError("transaction is no longer active")
 
-    def _statement(self, kind: str, table: str, rows: Iterable[Row]) -> None:
+    def _statement(
+        self, kind: str, table: str, rows: Iterable[Row]
+    ) -> Reports:
         self._require_active()
         wh = self.warehouse
         materialized = [tuple(r) for r in rows]
@@ -1318,26 +1217,23 @@ class ShardedTransaction:
             # a failed statement leaves the transaction active; __exit__
             # (or the caller) rolls every shard back together
             raise_shard_error(responses[shard])
+        return wh._merge_report_blobs(
+            [responses[shard]["reports"] for shard in sorted(responses)]
+        )
 
-    def insert(self, table: str, rows: Iterable[Row]) -> None:
-        self._statement("insert", table, rows)
+    def insert(self, table: str, rows: Iterable[Row]) -> Reports:
+        return self._statement("insert", table, rows)
 
-    def delete(self, table: str, rows: Iterable[Row]) -> None:
-        self._statement("delete", table, rows)
+    def delete(self, table: str, rows: Iterable[Row]) -> Reports:
+        return self._statement("delete", table, rows)
 
     # ------------------------------------------------------------------
     def _commit(self) -> None:
         self._require_active()
         wh = self.warehouse
-        # phase 1: every shard validates its deferred FKs, nobody commits
-        replies = [
-            (h.shard_id, h.submit("txn_prepare")) for h in wh._handles
-        ]
-        responses = {
-            shard: wh._wait_for(shard, reply) for shard, reply in replies
-        }
-        for shard in sorted(responses):
-            raise_shard_error(responses[shard])  # -> __exit__ rolls back
+        # phase 1: every shard validates its deferred FKs, nobody
+        # commits; a failure raises -> __exit__ rolls everyone back
+        wh._broadcast("txn_prepare")
         FAILPOINTS.hit("txn.coordinator.prepared", txn=self.txn_id)
         # the decision point: one durable record flips the transaction
         # from presumed-abort to must-commit.  Nothing may roll back

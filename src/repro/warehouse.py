@@ -28,15 +28,21 @@ Runtime options (see :mod:`repro.runtime` and ``docs/DURABILITY.md``)::
     wh.checkpoint()   # snapshot state, compact the WAL behind it
 
 The serial, undurable path is simply the default (``workers=0``, no WAL,
-no retry) and behaves exactly like the pre-runtime warehouse.
+one attempt per view).
+
+``Warehouse(db, shards=N)`` builds the sharded flavour
+(:mod:`repro.sharded`), which shares the change surface defined here and
+swaps only the *transport* behind it: ``_submit`` (one change -> a
+:class:`ChangeTicket`), ``_settle`` (the flush barrier), ``_shutdown``
+and the settled-state readers.  ``docs/ARCHITECTURE.md`` ("Facade
+contract") has the method-by-method table.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Union
-
-from typing import Callable
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from .algebra.expr import RelExpr
 from .core.aggregate import Aggregate, AggregatedView
@@ -69,6 +75,19 @@ from .runtime import (
 
 Reports = Dict[str, MaintenanceReport]
 
+#: ``_submit`` operation for a delete given as keys; it is logged and
+#: maintained as a plain ``DELETE`` of the rows the keys resolve to
+DELETE_BY_KEY = "delete_by_key"
+
+# Plain and aggregated views sit in one registry and answer the same
+# calls: maintain / save / restore / rebuild / rows / check_consistency.
+Maintained = Union[ViewMaintainer, AggregatedView]
+
+
+def _savepoint(target: Maintained) -> Callable[[], None]:
+    """``Task.snapshot`` for *target*: save now, restore on demand."""
+    return partial(target.restore, target.save())
+
 
 class Warehouse:
     """A database plus a registry of incrementally maintained views.
@@ -86,16 +105,17 @@ class Warehouse:
         this write-ahead log *before* any view is maintained, and
         :meth:`recover` can replay unacknowledged changes after a crash.
     workers:
-        Size of the fan-out thread pool.  ``0`` (default) keeps the
-        legacy serial path: changes apply inline on the caller's thread.
-        With ``workers > 0`` changes are serialized through a dispatcher
-        thread and each change's views are maintained in parallel.
+        Size of the fan-out thread pool.  ``0`` (default): changes apply
+        inline on the caller's thread.  With ``workers > 0`` changes are
+        serialized through a dispatcher thread and each change's views
+        are maintained in parallel.
     retry:
-        A :class:`~repro.runtime.RetryPolicy`.  ``None`` (default) keeps
-        legacy semantics — one attempt per view, no quarantine.  With a
-        policy (or ``workers > 0``) a persistently failing view is
-        quarantined: marked stale, excluded from fan-out, surfaced on
-        the dashboard, repaired with :meth:`repair_view`.
+        A :class:`~repro.runtime.RetryPolicy`.  ``None`` (default) means
+        one attempt per view.  Either way a view whose attempts are
+        exhausted is quarantined: marked stale, excluded from fan-out,
+        surfaced on the dashboard, repaired with :meth:`repair_view`
+        (the synchronous caller still gets the
+        :class:`~repro.errors.FanOutError`).
     fsync_batch:
         WAL group-commit size (records per fsync); see
         :class:`~repro.runtime.WriteAheadLog`.
@@ -134,6 +154,11 @@ class Warehouse:
         older than the checkpoint LSN.  See ``docs/SERVING.md``.
     """
 
+    #: whether tables, WAL, scheduler and snapshot store live in this
+    #: process (the local transport) — False on the sharded subclass,
+    #: whose workers own them
+    _in_process = True
+
     def __new__(cls, *args, **kwargs):
         # Warehouse(db, shards=N) transparently constructs the sharded
         # flavour (repro.sharded.ShardedWarehouse): __new__ returns the
@@ -166,10 +191,18 @@ class Warehouse:
         obs_http_host: str = "127.0.0.1",
         snapshot_retain: int = 8,
     ):
+        # the facade's own state, whatever the transport
         self.db = db
         self.telemetry = telemetry or Telemetry.disabled()
-        self._maintainers: Dict[str, ViewMaintainer] = {}
-        self._aggregates: Dict[str, AggregatedView] = {}
+        self.last_recovery: Optional[Dict] = None
+        self.checkpoint_interval: Optional[int] = None
+        self._pending_tickets: List[ChangeTicket] = []
+        self.obs_server: Optional[ObsServer] = None
+        if not self._in_process:
+            return  # the subclass builds its own transport
+        # the local transport: view registry, WAL, checkpoints, scheduler
+        # and snapshot store, all in this process
+        self._views: Dict[str, Maintained] = {}
         self.wal: Optional[WriteAheadLog] = (
             WriteAheadLog(
                 wal_path,
@@ -185,18 +218,14 @@ class Warehouse:
             if checkpoint_dir
             else None
         )
-        self.checkpoint_interval: Optional[int] = (
-            max(1, int(checkpoint_interval))
-            if checkpoint_interval
-            else None
-        )
-        if self.checkpoint_interval is not None and self.checkpoints is None:
-            raise MaintenanceError(
-                "checkpoint_interval requires a checkpoint_dir"
-            )
+        if checkpoint_interval:
+            if self.checkpoints is None:
+                raise MaintenanceError(
+                    "checkpoint_interval requires a checkpoint_dir"
+                )
+            self.checkpoint_interval = max(1, int(checkpoint_interval))
         self._changes_since_checkpoint = 0
         self._checkpointing = False
-        self.last_recovery: Optional[Dict] = None
         self.scheduler = MaintenanceScheduler(
             workers=workers,
             retry=retry,
@@ -204,27 +233,24 @@ class Warehouse:
             max_queue_depth=max_queue_depth,
             overflow=overflow,
         )
-        self._pending_tickets: List[ChangeTicket] = []
         self.snapshots = SnapshotStore(retain=snapshot_retain)
         self._recovering = False
         self._publish_errors = 0
         # the store is never empty: readers can always get *a* snapshot
         self._publish()
-        self.obs_server: Optional[ObsServer] = None
         if obs_http_port is not None:
             self.serve_obs(host=obs_http_host, port=obs_http_port)
 
     # ------------------------------------------------------------------
     # view DDL
     # ------------------------------------------------------------------
-    def create_view(
+    def _register(
         self,
         name: str,
         view: Union[RelExpr, ViewDefinition],
-        options: Optional[MaintenanceOptions] = None,
-    ) -> MaterializedView:
-        """Define, materialize and register an SPOJ view."""
-        if name in self._maintainers or name in self._aggregates:
+        build: Callable[[ViewDefinition], Maintained],
+    ) -> Maintained:
+        if name in self._views:
             raise CatalogError(f"view {name!r} already exists")
         self.scheduler.drain()  # materialize against a settled database
         definition = (
@@ -232,16 +258,34 @@ class Warehouse:
             if isinstance(view, ViewDefinition)
             else ViewDefinition(name, view)
         )
-        materialized = MaterializedView.materialize(definition, self.db)
-        self._maintainers[name] = ViewMaintainer(
-            self.db, materialized, options, telemetry=self.telemetry
-        )
+        target = self._views[name] = build(definition)
         self.scheduler.register(name)
+        return target
+
+    def create_view(
+        self,
+        name: str,
+        view: Union[RelExpr, ViewDefinition],
+        options: Optional[MaintenanceOptions] = None,
+    ) -> MaterializedView:
+        """Define, materialize and register an SPOJ view."""
+        maintainer = self._register(
+            name,
+            view,
+            lambda definition: ViewMaintainer(
+                self.db,
+                MaterializedView.materialize(definition, self.db),
+                options,
+                telemetry=self.telemetry,
+            ),
+        )
         # telemetry series are keyed by the *definition* name (that is what
         # the maintainer stamps on spans and metrics)
-        self.telemetry.record_view_size(definition.name, len(materialized))
+        self.telemetry.record_view_size(
+            maintainer.definition.name, len(maintainer.view)
+        )
         self._publish()  # queue is drained: a consistent point
-        return materialized
+        return maintainer.view
 
     def create_aggregated_view(
         self,
@@ -251,56 +295,76 @@ class Warehouse:
         aggregates: Sequence[Aggregate],
     ) -> AggregatedView:
         """Define and register a Section 3.3 aggregated view."""
-        if name in self._maintainers or name in self._aggregates:
-            raise CatalogError(f"view {name!r} already exists")
-        self.scheduler.drain()
-        definition = (
-            view
-            if isinstance(view, ViewDefinition)
-            else ViewDefinition(name, view)
+        aggregated = self._register(
+            name,
+            view,
+            lambda definition: AggregatedView(
+                definition, group_by, aggregates, self.db, self.telemetry
+            ),
         )
-        aggregated = AggregatedView(definition, group_by, aggregates, self.db)
-        self._aggregates[name] = aggregated
-        self.scheduler.register(name)
         self._publish()
         return aggregated
 
     def drop_view(self, name: str) -> None:
         self.scheduler.drain()
-        if self._maintainers.pop(name, None) is not None:
-            self.scheduler.forget(name)
-            self._publish()
-            return
-        if self._aggregates.pop(name, None) is not None:
-            self.scheduler.forget(name)
-            self._publish()
-            return
-        raise CatalogError(f"no view named {name!r}")
+        if self._views.pop(name, None) is None:
+            raise CatalogError(f"no view named {name!r}")
+        self.scheduler.forget(name)
+        self._publish()
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     @property
     def view_names(self) -> List[str]:
-        return sorted(self._maintainers) + sorted(self._aggregates)
+        """Plain views first, then aggregated ones, each sorted."""
+        return sorted(
+            self._views,
+            key=lambda n: (isinstance(self._views[n], AggregatedView), n),
+        )
+
+    def _registered(
+        self, name: str, aggregated: Optional[bool] = None
+    ) -> Maintained:
+        """The registry entry for *name*; *aggregated* narrows the
+        lookup to one kind of view."""
+        target = self._views.get(name)
+        if target is None or aggregated not in (
+            None,
+            isinstance(target, AggregatedView),
+        ):
+            kind = {None: "", True: "aggregated ", False: "plain "}[aggregated]
+            raise CatalogError(f"no {kind}view named {name!r}")
+        return target
 
     def view(self, name: str) -> MaterializedView:
-        try:
-            return self._maintainers[name].view
-        except KeyError:
-            raise CatalogError(f"no plain view named {name!r}") from None
+        return self._registered(name, aggregated=False).view
 
     def aggregated_view(self, name: str) -> AggregatedView:
-        try:
-            return self._aggregates[name]
-        except KeyError:
-            raise CatalogError(f"no aggregated view named {name!r}") from None
+        return self._registered(name, aggregated=True)
 
     def maintainer(self, name: str) -> ViewMaintainer:
-        try:
-            return self._maintainers[name]
-        except KeyError:
-            raise CatalogError(f"no plain view named {name!r}") from None
+        return self._registered(name, aggregated=False)
+
+    def definition(self, name: str) -> ViewDefinition:
+        return self._registered(name).definition
+
+    def view_rows(self, name: str) -> List[Row]:
+        """Settled contents of one view (plain or aggregated)."""
+        self.scheduler.drain()
+        return self._registered(name).rows()
+
+    def table_rows(self, table: str) -> List[Row]:
+        """Settled rows of one base table."""
+        self.scheduler.drain()
+        return list(self.db.table(table).rows)
+
+    def merged_database(self) -> Database:
+        """The settled base tables as one database: here simply
+        ``self.db`` (a sharded warehouse merges its partitions into a
+        standalone copy)."""
+        self.scheduler.drain()
+        return self.db
 
     @property
     def quarantined_views(self) -> List[str]:
@@ -371,32 +435,16 @@ class Warehouse:
         }
 
     # ------------------------------------------------------------------
-    # DML with fan-out
+    # DML with fan-out — written once, against the transport seam
     # ------------------------------------------------------------------
     def insert(self, table: str, rows: Iterable[Row]) -> Reports:
-        return self._change(
-            table, INSERT, [tuple(r) for r in rows], fk_allowed=True
-        )
+        return self._change(table, INSERT, rows)
 
     def delete(self, table: str, rows: Iterable[Row]) -> Reports:
-        return self._change(
-            table, DELETE, [tuple(r) for r in rows], fk_allowed=True
-        )
+        return self._change(table, DELETE, rows)
 
     def delete_by_key(self, table: str, keys: Iterable[Row]) -> Reports:
-        wanted = [tuple(k) for k in keys]
-
-        def db_apply() -> Table:
-            return self.db.delete_by_key(table, wanted)
-
-        started = time.perf_counter()
-        ticket = self._submit(table, DELETE, db_apply, fk_allowed=True)
-        reports = self._finalize(ticket.wait())
-        self.telemetry.record_phase(
-            "apply", time.perf_counter() - started
-        )
-        self._maybe_checkpoint()
-        return reports
+        return self._change(table, DELETE_BY_KEY, keys)
 
     def update(
         self,
@@ -406,21 +454,14 @@ class Warehouse:
     ) -> List[Reports]:
         """UPDATE as delete + insert across every view, with foreign-key
         shortcuts disabled (the paper's Section 6 caveat 1)."""
-        delete_reports = self._change(
-            table,
-            DELETE,
-            [tuple(r) for r in old_rows],
-            fk_allowed=False,
-            check=False,
-        )
-        insert_reports = self._change(
-            table,
-            INSERT,
-            [tuple(r) for r in new_rows],
-            fk_allowed=False,
-            check=False,
-        )
-        return [delete_reports, insert_reports]
+        return [
+            self._change(
+                table, DELETE, old_rows, fk_allowed=False, check=False
+            ),
+            self._change(
+                table, INSERT, new_rows, fk_allowed=False, check=False
+            ),
+        ]
 
     def apply_async(
         self,
@@ -447,14 +488,9 @@ class Warehouse:
                 f"unknown operation {operation!r} (expected "
                 f"{INSERT!r} or {DELETE!r})"
             )
-        materialized = [tuple(r) for r in rows]
-
-        def db_apply() -> Table:
-            if operation == INSERT:
-                return self.db.insert(table, materialized)
-            return self.db.delete(table, materialized)
-
-        ticket = self._submit(table, operation, db_apply, fk_allowed)
+        ticket = self._submit(
+            table, operation, [tuple(r) for r in rows], fk_allowed
+        )
         self._pending_tickets.append(ticket)
         return ticket
 
@@ -471,9 +507,7 @@ class Warehouse:
         started = time.perf_counter()
         tickets, self._pending_tickets = self._pending_tickets, []
         results = [ticket.wait() for ticket in tickets]
-        self.scheduler.drain()
-        if self.wal is not None:
-            self.wal.sync()
+        self._settle()
         self.telemetry.record_phase(
             "flush", time.perf_counter() - started
         )
@@ -495,24 +529,19 @@ class Warehouse:
         self._maybe_checkpoint()
         return results
 
-    # ------------------------------------------------------------------
-    # change plumbing
-    # ------------------------------------------------------------------
     def _change(
         self,
         table: str,
         operation: str,
-        rows: List[Row],
-        fk_allowed: bool,
+        rows: Iterable[Row],
+        fk_allowed: bool = True,
         check: bool = True,
     ) -> Reports:
-        def db_apply() -> Table:
-            if operation == INSERT:
-                return self.db.insert(table, rows, check=check)
-            return self.db.delete(table, rows, check=check)
-
+        """One synchronous change: submit, wait, raise what failed."""
         started = time.perf_counter()
-        ticket = self._submit(table, operation, db_apply, fk_allowed)
+        ticket = self._submit(
+            table, operation, [tuple(r) for r in rows], fk_allowed, check
+        )
         reports = self._finalize(ticket.wait())
         self.telemetry.record_phase(
             "apply", time.perf_counter() - started
@@ -520,8 +549,33 @@ class Warehouse:
         self._maybe_checkpoint()
         return reports
 
+    def _finalize(self, result: FanOutResult) -> Reports:
+        """Raise a completed change's failure; else return its reports."""
+        if result.error is not None:
+            raise result.error
+        if result.failures:
+            failed = ", ".join(sorted(result.failures))
+            raise FanOutError(
+                f"maintenance failed for view(s) {failed} "
+                f"({result.operation} on {result.table!r}); the remaining "
+                f"{len(result.reports)} view(s) were maintained",
+                reports=result.reports,
+                failures=result.failures,
+                quarantined=result.quarantined,
+            ) from next(iter(result.failures.values()))
+        return result.reports
+
+    # ------------------------------------------------------------------
+    # the local transport
+    # ------------------------------------------------------------------
     def _submit(
-        self, table: str, operation: str, db_apply, fk_allowed: bool
+        self,
+        table: str,
+        operation: str,
+        rows: List[Row],
+        fk_allowed: bool = True,
+        check: bool = True,
+        replay_lsn: Optional[int] = None,
     ) -> ChangeTicket:
         """Queue (prepare → fan out → ack) for one base-table change.
 
@@ -529,22 +583,87 @@ class Warehouse:
         ``workers=0``): it mutates the base table, then WAL-logs the
         exact delta **before any view is touched** — write-ahead of the
         recoverable work, which here is the multi-view maintenance.
+
+        :meth:`recover` re-submits logged history with *replay_lsn* set:
+        the entry is already in the log, so nothing is appended.  When
+        the log lost records (``wal.corruption_detected``) a replayed
+        insert first evicts rows holding its keys — it is newer than
+        anything the gap could have removed, so it wins — and per-entry
+        maintenance is skipped, since every view is recomputed afterwards.
         """
+        logged = DELETE if operation == DELETE_BY_KEY else operation
+        degraded = replay_lsn is not None and self.wal.corruption_detected
 
         def prepare():
-            delta = db_apply()
-            lsn = None
-            if self.wal is not None:
-                lsn = self.wal.append(
-                    table, operation, delta.rows, fk_allowed
-                )
-            return self._tasks(table, delta, operation, fk_allowed), lsn
+            if operation == DELETE_BY_KEY:
+                delta = self.db.delete_by_key(table, rows)
+            elif operation == DELETE:
+                delta = self.db.delete(table, rows, check=check)
+            else:
+                if degraded:
+                    self._evict_key_conflicts(table, rows)
+                delta = self.db.insert(table, rows, check=check)
+            lsn = replay_lsn
+            if lsn is None and self.wal is not None:
+                lsn = self.wal.append(table, logged, delta.rows, fk_allowed)
+            if degraded:
+                return [], lsn
+            return self._tasks(table, delta, logged, fk_allowed), lsn
 
         ticket = self.scheduler.submit(
-            prepare, table, operation, on_complete=self._ack
+            prepare, table, logged, on_complete=self._ack
         )
         self._changes_since_checkpoint += 1
         return ticket
+
+    def _evict_key_conflicts(self, table: str, rows: List[Row]) -> None:
+        target = self.db.tables.get(table)
+        if target is None or target.key is None:
+            return
+        incoming = {target.key_of(tuple(r)) for r in rows}
+        stale = [r for r in target.rows if target.key_of(r) in incoming]
+        if stale:
+            self.db.delete(table, stale, check=False)
+
+    def _tasks(
+        self, table: str, delta: Table, operation: str, fk_allowed: bool
+    ) -> List[Task]:
+        """One scheduler task per registered view, in registration order.
+
+        Savepoints make retries safe: ``maintain`` is not idempotent (a
+        failure can leave the primary delta applied but not the
+        secondary), so before re-attempting — and after the final
+        failure — the view is restored to its pre-change state.  Every
+        view records its own telemetry (spans, error counter) on both
+        success and failure.
+        """
+        return [
+            Task(
+                name,
+                partial(
+                    target.maintain,
+                    table,
+                    delta,
+                    operation,
+                    fk_allowed=fk_allowed,
+                ),
+                partial(_savepoint, target),
+            )
+            for name, target in self._views.items()
+        ]
+
+    def _maintain_now(
+        self, table: str, delta: Table, operation: str
+    ) -> Reports:
+        """Fan an already-applied, unlogged delta out through the
+        scheduler and wait (transaction statements: their WAL journal
+        and snapshot publish happen at commit, not per statement)."""
+        ticket = self.scheduler.submit(
+            lambda: (self._tasks(table, delta, operation, True), None),
+            table,
+            operation,
+        )
+        return self._finalize(ticket.wait())
 
     def _ack(self, result: FanOutResult) -> None:
         """Completion hook (dispatcher thread): the change reached every
@@ -553,16 +672,12 @@ class Warehouse:
 
         This is also the MVCC publish point: the fan-out is complete and
         the next change's prepare has not started (the dispatcher is
-        serial), so the current state is a consistent epoch.  A failure
-        that did *not* end in quarantine left some view half-updated
-        (legacy no-quarantine mode); those epochs are not published —
-        readers keep the last good snapshot."""
+        serial), so the current state is a consistent epoch.  A view
+        that failed is quarantined by now, and the snapshot store reuses
+        its last good capture."""
         if self.wal is not None and result.lsn is not None:
             self.wal.ack(result.lsn)
-        if result.error is None and (
-            not result.failures
-            or set(result.failures) <= set(result.quarantined)
-        ):
+        if result.error is None:
             self._publish(lsn=result.lsn)
 
     def _publish(self, lsn: Optional[int] = None) -> Optional[Snapshot]:
@@ -575,10 +690,17 @@ class Warehouse:
         try:
             if lsn is None and self.wal is not None:
                 lsn = self.wal.last_lsn  # 0 before any append
+            plain: Dict[str, MaterializedView] = {}
+            aggregated: Dict[str, AggregatedView] = {}
+            for name, target in self._views.items():
+                if isinstance(target, AggregatedView):
+                    aggregated[name] = target
+                else:
+                    plain[name] = target.view
             snapshot = self.snapshots.publish(
                 self.db.tables,
-                {n: m.view for n, m in self._maintainers.items()},
-                self._aggregates,
+                plain,
+                aggregated,
                 stale=self.scheduler.quarantined,
                 lsn=lsn,
             )
@@ -594,83 +716,16 @@ class Warehouse:
         )
         return snapshot
 
-    def _tasks(
-        self, table: str, delta: Table, operation: str, fk_allowed: bool
-    ) -> List[Task]:
-        """One scheduler task per registered view, in registration order.
+    def _settle(self) -> None:
+        """The flush barrier: queue empty, WAL acknowledgements on disk."""
+        self.scheduler.drain()
+        if self.wal is not None:
+            self.wal.sync()
 
-        Snapshots make retries safe: ``maintain`` is not idempotent (a
-        failure can leave the primary delta applied but not the
-        secondary), so before re-attempting — and after the final
-        failure — the view is restored to its pre-change state.
-        """
-        tasks: List[Task] = []
-        for name, maintainer in self._maintainers.items():
-
-            def run(m=maintainer):
-                # the maintainer records its own telemetry (spans,
-                # error counter) on both success and failure
-                return m.maintain(
-                    table, delta, operation, fk_allowed=fk_allowed
-                )
-
-            def snapshot(m=maintainer):
-                saved = m.view.clone()
-
-                def restore():
-                    m.view.reset_to(saved.clone())
-
-                return restore
-
-            tasks.append(Task(name, run, snapshot))
-        for name, aggregated in self._aggregates.items():
-
-            def run(a=aggregated, view_name=name):
-                try:
-                    report = a.maintain(
-                        table, delta, operation, fk_allowed=fk_allowed
-                    )
-                except Exception:
-                    self.telemetry.record_failure(
-                        view_name, table, operation
-                    )
-                    raise
-                self.telemetry.record_maintenance(report)
-                return report
-
-            def snapshot(a=aggregated):
-                saved = {
-                    key: _clone_group(group)
-                    for key, group in a.groups.items()
-                }
-
-                def restore():
-                    a.groups = {
-                        key: _clone_group(group)
-                        for key, group in saved.items()
-                    }
-                    a.bump_version()
-
-                return restore
-
-            tasks.append(Task(name, run, snapshot))
-        return tasks
-
-    def _finalize(self, result: FanOutResult) -> Reports:
-        """Raise the legacy errors out of a completed change."""
-        if result.error is not None:
-            raise result.error
-        if result.failures:
-            failed = ", ".join(sorted(result.failures))
-            raise FanOutError(
-                f"maintenance failed for view(s) {failed} "
-                f"({result.operation} on {result.table!r}); the remaining "
-                f"{len(result.reports)} view(s) were maintained",
-                reports=result.reports,
-                failures=result.failures,
-                quarantined=result.quarantined,
-            ) from next(iter(result.failures.values()))
-        return result.reports
+    def _shutdown(self) -> None:
+        self.scheduler.shutdown()
+        if self.wal is not None:
+            self.wal.close()
 
     # ------------------------------------------------------------------
     # checkpoint, recovery & repair
@@ -691,9 +746,11 @@ class Warehouse:
         self._checkpointing = True
         try:
             self.flush()
+            # aggregated group state is derived: restore rebuilds it
             views = {
-                name: list(maintainer.view.rows())
-                for name, maintainer in self._maintainers.items()
+                name: target.rows()
+                for name, target in self._views.items()
+                if not isinstance(target, AggregatedView)
             }
             lsn = self.wal.last_lsn if self.wal is not None else 0
             path = self.checkpoints.write(self.db, views, lsn=lsn)
@@ -731,10 +788,10 @@ class Warehouse:
         cold-start contract shard reincarnation uses when the worker
         was rebuilt from its initial partition rows and no checkpoint
         exists (the acked prefix's effects live only in the WAL then).
-        Each replayed entry is
-        re-applied to the database (``check=False`` — it already passed
-        integrity checks when first logged), fanned out, and durably
-        re-acknowledged.
+        Each replayed entry goes back through :meth:`_submit`
+        (``check=False`` — it already passed integrity checks when
+        first logged): re-applied to the database, fanned out, and
+        durably re-acknowledged.
 
         Corruption never aborts recovery: segments that fail CRC
         verification were quarantined by the WAL on open, so after the
@@ -769,57 +826,29 @@ class Warehouse:
             entries = self.wal.entries_after(0)
         else:
             # no snapshot: base tables are assumed restored to the acked
-            # prefix (the legacy contract) — replay only the unacked tail
+            # prefix — replay only the unacked tail
             entries = self.wal.pending()
         # A quarantined segment means records are *missing* from the
         # middle of history: the surviving suffix may conflict with the
         # restored state (e.g. an insert whose key a lost delete should
-        # have freed).  Degraded replay reconciles key conflicts — the
-        # replayed record is newer than anything the gap could have
-        # removed, so it wins — and skips per-entry view maintenance,
-        # since every view is recomputed wholesale afterwards.
-        degraded = self.wal.corruption_detected
-        results: List[FanOutResult] = []
-        for entry in entries:
-
-            def db_apply(e=entry) -> Table:
-                if e.operation == INSERT:
-                    if degraded:
-                        table = self.db.tables.get(e.table)
-                        if table is not None and table.key is not None:
-                            incoming = {
-                                table.key_of(tuple(r)) for r in e.rows
-                            }
-                            stale = [
-                                row
-                                for row in table.rows
-                                if table.key_of(row) in incoming
-                            ]
-                            if stale:
-                                self.db.delete(e.table, stale, check=False)
-                    return self.db.insert(e.table, e.rows, check=False)
-                return self.db.delete(e.table, e.rows, check=False)
-
-            def prepare(e=entry, db_apply=db_apply):
-                delta = db_apply()
-                if degraded:
-                    return [], e.lsn
-                return (
-                    self._tasks(e.table, delta, e.operation, e.fk_allowed),
-                    e.lsn,
-                )
-
-            ticket = self.scheduler.submit(
-                prepare, entry.table, entry.operation, on_complete=self._ack
-            )
-            results.append(ticket.wait())
+        # have freed) — _submit reconciles that per entry.
+        results = [
+            self._submit(
+                entry.table,
+                entry.operation,
+                entry.rows,
+                entry.fk_allowed,
+                check=False,
+                replay_lsn=entry.lsn,
+            ).wait()
+            for entry in entries
+        ]
         self.wal.sync()
         recomputed: List[str] = []
         if self.wal.corruption_detected:
             # records were lost somewhere in the log: the replayed
             # suffix alone cannot be trusted to have reproduced every
             # view, so degrade to per-view recompute from base tables
-            self.scheduler.drain()
             for name in self.view_names:
                 self.repair_view(name)
                 recomputed.append(name)
@@ -851,32 +880,20 @@ class Warehouse:
         self.db.tables = fresh.tables
         self.db.foreign_keys = fresh.foreign_keys
         self.db.index_epoch += 1
-        for name, maintainer in self._maintainers.items():
+        for name, target in self._views.items():
             captured = data.views.get(name)
             if captured is None:
-                # view not captured (created after the checkpoint was
-                # written) — rebuild it from the restored tables
-                captured = MaterializedView.materialize(
-                    maintainer.definition, self.db
-                )
-            maintainer.view.reset_to(captured)
-        for aggregated in self._aggregates.values():
-            # aggregated group state is derived — rebuild from tables
-            aggregated.rebuild()
+                # not in the checkpoint (aggregated, or created after it
+                # was written) — rebuild from the restored tables
+                target.rebuild()
+            else:
+                target.view.reset_to(captured)
 
     def repair_view(self, name: str) -> None:
         """Rebuild a (typically quarantined) view from the current base
         tables and reinstate it into the fan-out."""
         self.scheduler.drain()
-        if name in self._maintainers:
-            maintainer = self._maintainers[name]
-            maintainer.view.reset_to(
-                MaterializedView.materialize(maintainer.definition, self.db)
-            )
-        elif name in self._aggregates:
-            self._aggregates[name].rebuild()
-        else:
-            raise CatalogError(f"no view named {name!r}")
+        self._registered(name).rebuild()
         self.scheduler.reinstate(name)
         self._publish()  # the repaired view is fresh again
 
@@ -893,13 +910,12 @@ class Warehouse:
         return self.obs_server
 
     def close(self) -> None:
-        """Drain queued changes, stop the scheduler, close the WAL."""
+        """Flush queued changes, shut the transport down, stop the
+        introspection endpoint."""
         try:
             self.flush()
         finally:
-            self.scheduler.shutdown()
-            if self.wal is not None:
-                self.wal.close()
+            self._shutdown()
             if self.obs_server is not None:
                 self.obs_server.stop()
                 self.obs_server = None
@@ -912,78 +928,23 @@ class Warehouse:
         return False
 
     # ------------------------------------------------------------------
-    # serial fan-out (transactions)
-    # ------------------------------------------------------------------
-    def _fan_out(
-        self, table: str, delta: Table, operation: str, fk_allowed: bool
-    ) -> Reports:
-        """Maintain every registered view for one base-table update,
-        inline on the calling thread (transactions use this — their
-        snapshot/rollback bracket replaces retry and quarantine).
-
-        A failing view does not starve the others: every view is
-        attempted, the failure is recorded in telemetry (error counter
-        plus a failed span, both emitted by the maintainer), and a
-        :class:`~repro.errors.FanOutError` carrying the partial
-        ``reports`` and per-view ``failures`` is raised afterwards.
-        """
-        reports: Reports = {}
-        failures: Dict[str, Exception] = {}
-        for name, maintainer in self._maintainers.items():
-            if self.scheduler.is_quarantined(name):
-                continue
-            try:
-                reports[name] = maintainer.maintain(
-                    table, delta, operation, fk_allowed=fk_allowed
-                )
-            except Exception as exc:
-                # the maintainer already recorded the failure (error span
-                # + error counter) before re-raising
-                failures[name] = exc
-        for name, aggregated in self._aggregates.items():
-            if self.scheduler.is_quarantined(name):
-                continue
-            try:
-                reports[name] = aggregated.maintain(
-                    table, delta, operation, fk_allowed=fk_allowed
-                )
-                self.telemetry.record_maintenance(reports[name])
-            except Exception as exc:
-                failures[name] = exc
-                self.telemetry.record_failure(name, table, operation)
-        if failures:
-            failed = ", ".join(sorted(failures))
-            raise FanOutError(
-                f"maintenance failed for view(s) {failed} "
-                f"({operation} on {table!r}); the remaining "
-                f"{len(reports)} view(s) were maintained",
-                reports=reports,
-                failures=failures,
-            ) from next(iter(failures.values()))
-        return reports
-
-    # ------------------------------------------------------------------
     # batching
     # ------------------------------------------------------------------
     def batch(self) -> "UpdateBatch":
         """An :class:`~repro.core.batch.UpdateBatch` netting updates for
         every registered view (see that module for the semantics).  Each
-        netted per-table pass flows through the warehouse's WAL and
-        scheduler like any other change."""
+        netted per-table pass flows through :meth:`_change` like any
+        other change."""
         from .core.batch import UpdateBatch
 
-        return UpdateBatch(
-            self.db,
-            list(self._maintainers.values()) + list(self._aggregates.values()),
-            apply=self._apply_net_delta,
-        )
+        return UpdateBatch(self.db, (), apply=self._apply_net_delta)
 
     def _apply_net_delta(self, net: NetDelta) -> List[MaintenanceReport]:
         check = net.operation == INSERT  # flush() deletes skip presence checks
         reports = self._change(
             net.table,
             net.operation,
-            list(net.rows),
+            net.rows,
             fk_allowed=net.fk_allowed,
             check=check,
         )
@@ -1026,24 +987,20 @@ class Warehouse:
         return self.telemetry.openmetrics_text()
 
     def _refresh_view_sizes(self) -> None:
-        for maintainer in self._maintainers.values():
-            self.telemetry.record_view_size(
-                maintainer.definition.name, len(maintainer.view)
-            )
+        for target in self._views.values():
+            if not isinstance(target, AggregatedView):
+                self.telemetry.record_view_size(
+                    target.definition.name, len(target.view)
+                )
 
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
         """Every registered non-quarantined view must equal its
         recompute (quarantined views are stale by contract)."""
         self.scheduler.drain()
-        for name, maintainer in self._maintainers.items():
-            if self.scheduler.is_quarantined(name):
-                continue
-            maintainer.check_consistency()
-        for name, aggregated in self._aggregates.items():
-            if self.scheduler.is_quarantined(name):
-                continue
-            aggregated.check_consistency()
+        for name, target in self._views.items():
+            if not self.scheduler.is_quarantined(name):
+                target.check_consistency()
 
 
 class Transaction:
@@ -1052,42 +1009,38 @@ class Transaction:
     Implementation: statements apply eagerly (so each maintenance pass
     sees exactly the base-table state the paper's formulas assume), with
     deferrable foreign keys left unchecked until commit.  Rollback
-    restores snapshots taken at entry — database tables and materialized
-    views alike.
+    restores saves taken at entry — database tables and every registered
+    view alike — and reinstates views a failing statement quarantined
+    (they are back at their pre-transaction contents).
 
-    Statements run inline on the calling thread (the scheduler queue is
-    drained at entry, so no concurrent change can interleave with the
-    snapshot/rollback bracket).  On commit, the statements are appended
-    to the WAL and immediately acknowledged: their maintenance already
-    happened, so they are recorded for the durable history but never
-    replayed.  A crash mid-transaction therefore loses the whole
-    transaction — exactly the atomicity contract.
+    Statements fan out through the scheduler like any change, and the
+    caller waits for each (the queue is drained at entry, so no
+    concurrent change can interleave with the save/rollback bracket).
+    On commit, the statements are appended to the WAL and immediately
+    acknowledged: their maintenance already happened, so they are
+    recorded for the durable history but never replayed.  A crash
+    mid-transaction therefore loses the whole transaction — exactly the
+    atomicity contract.
     """
 
     def __init__(self, warehouse: Warehouse):
         self.warehouse = warehouse
         self._db_snapshot: Optional[Database] = None
-        self._view_snapshots: Dict[str, object] = {}
-        self._agg_snapshots: Dict[str, Dict] = {}
+        self._saved: Dict[str, object] = {}
+        self._quarantined_at_entry: frozenset = frozenset()
         self._deferred: List[tuple] = []
         self._statements: List[tuple] = []
         self._active = False
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Transaction":
-        self.warehouse.scheduler.drain()
-        self._db_snapshot = self.warehouse.db.copy()
-        self._view_snapshots = {
-            name: maintainer.view.clone()
-            for name, maintainer in self.warehouse._maintainers.items()
+        wh = self.warehouse
+        wh.scheduler.drain()
+        self._db_snapshot = wh.db.copy()
+        self._saved = {
+            name: target.save() for name, target in wh._views.items()
         }
-        self._agg_snapshots = {
-            name: {
-                key: _clone_group(group)
-                for key, group in aggregated.groups.items()
-            }
-            for name, aggregated in self.warehouse._aggregates.items()
-        }
+        self._quarantined_at_entry = frozenset(wh.quarantined_views)
         self._active = True
         return self
 
@@ -1111,13 +1064,13 @@ class Transaction:
         )
         self._deferred.append((table, materialized))
         self._statements.append((table, INSERT, tuple(delta.rows)))
-        return self.warehouse._fan_out(table, delta, INSERT, fk_allowed=True)
+        return self.warehouse._maintain_now(table, delta, INSERT)
 
     def delete(self, table: str, rows: Iterable[Row]) -> Reports:
         self._require_active()
         delta = self.warehouse.db.delete(table, rows)
         self._statements.append((table, DELETE, tuple(delta.rows)))
-        return self.warehouse._fan_out(table, delta, DELETE, fk_allowed=True)
+        return self.warehouse._maintain_now(table, delta, DELETE)
 
     def _require_active(self) -> None:
         if not self._active:
@@ -1136,8 +1089,7 @@ class Transaction:
             wal.sync()
         self._active = False
         self._db_snapshot = None
-        self._view_snapshots = {}
-        self._agg_snapshots = {}
+        self._saved = {}
         # commit is a consistent point; intermediate statement states
         # were never published (readers cannot see uncommitted data)
         self.warehouse._publish()
@@ -1149,21 +1101,10 @@ class Transaction:
         # their Database reference
         wh.db.tables = self._db_snapshot.tables
         wh.db.foreign_keys = self._db_snapshot.foreign_keys
-        for name, snapshot in self._view_snapshots.items():
-            wh._maintainers[name].view.reset_to(snapshot)
-        for name, groups in self._agg_snapshots.items():
-            wh._aggregates[name].groups = groups
-            wh._aggregates[name].bump_version()
+        for name, saved in self._saved.items():
+            wh._views[name].restore(saved)
+        for name in wh.quarantined_views:
+            if name not in self._quarantined_at_entry:
+                wh.scheduler.reinstate(name)
         self._active = False
         wh._publish()  # rollback restored the pre-transaction epoch
-
-
-def _clone_group(group):
-    from .core.aggregate import _Group
-
-    twin = _Group.__new__(_Group)
-    twin.row_count = group.row_count
-    twin.notnull = dict(group.notnull)
-    twin.sums = list(group.sums)
-    twin.counts = list(group.counts)
-    return twin

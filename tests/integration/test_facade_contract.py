@@ -1,0 +1,243 @@
+"""One facade, two transports: the same script against a local
+warehouse, a 1-shard and a 2-shard sharded one must produce the same
+result types, report keys, error types and final contents.
+
+``Warehouse`` owns the change surface (insert / delete / delete_by_key /
+update / apply_async / flush / batch / close); ``ShardedWarehouse`` only
+swaps the transport behind it (docs/ARCHITECTURE.md, "Facade contract").
+Each script returns a *trace* — plain data describing what every call
+returned or raised — and the sharded traces must equal the local one.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import pytest
+
+from repro import AsyncWarehouse
+from repro.core.maintain import MaintenanceReport
+from repro.errors import ConstraintError
+from repro.runtime import ChangeTicket, FanOutResult
+from repro.warehouse import Warehouse
+
+from ..runtime.test_sharded_warehouse import build_db, order_lines_defn
+
+FLAVOURS = {
+    "local": {},
+    "1-shard": {"shards": 1, "shard_backend": "thread"},
+    "2-shards": {"shards": 2, "shard_backend": "thread"},
+}
+VIEW = "order_lines"
+
+
+def make(flavour: str) -> Warehouse:
+    wh = Warehouse(build_db(deferrable=True), **FLAVOURS[flavour])
+    wh.create_view(VIEW, order_lines_defn())
+    return wh
+
+
+def shape(value):
+    """A flavour-independent description of a facade return value."""
+    if isinstance(value, MaintenanceReport):
+        return ("report", value.view, value.table, value.operation)
+    if isinstance(value, FanOutResult):
+        return (
+            "fan-out",
+            value.table,
+            value.operation,
+            value.ok,
+            sorted(value.reports),
+            type(value.error).__name__,
+        )
+    if isinstance(value, dict):
+        return {key: shape(item) for key, item in sorted(value.items())}
+    if isinstance(value, list):
+        return [shape(item) for item in value]
+    raise AssertionError(f"unexpected facade return value {value!r}")
+
+
+def raised(call, *args):
+    with pytest.raises(Exception) as excinfo:
+        call(*args)
+    return type(excinfo.value).__name__
+
+
+def contents(wh):
+    return {
+        "view": frozenset(wh.view_rows(VIEW)),
+        "tables": {
+            t: frozenset(wh.table_rows(t)) for t in sorted(wh.db.tables)
+        },
+        "definition": wh.definition(VIEW).name,
+        "view_names": wh.view_names,
+        "quarantined": wh.quarantined_views,
+    }
+
+
+def surface_script(wh):
+    """Every public change/read entry point once, failures included."""
+    trace = []
+    note = lambda label, value: trace.append((label, value))  # noqa: E731
+
+    note("insert", shape(wh.insert("orders", [(100, 1), (101, 2)])))
+    note(
+        "insert-lines",
+        shape(wh.insert("lineitem", [(100, 0, 5), (101, 0, 7), (101, 1, 8)])),
+    )
+    note("delete", shape(wh.delete("lineitem", [(0, 0, 0)])))
+    note(
+        "delete_by_key",
+        shape(wh.delete_by_key("lineitem", [(1, 0), (2, 1)])),
+    )
+    note("delete_by_key-none", len(wh.delete_by_key("lineitem", [(777, 7)])))
+    note("update", shape(wh.update("orders", [(100, 1)], [(100, 2)])))
+
+    # queued changes resolve to FanOutResults, one per ticket, at flush
+    tickets = [
+        wh.apply_async("lineitem", "insert", [(okey, 9, okey)])
+        for okey in range(4)
+    ]
+    assert all(isinstance(t, ChangeTicket) for t in tickets)
+    note("flush", shape(wh.flush()))
+    note("ticket.wait", shape(tickets[0].wait()))
+    note("flush-empty", shape(wh.flush()))
+
+    batch = wh.batch()
+    batch.insert("orders", [(200, 1)])
+    batch.insert("lineitem", [(200, 0, 1), (200, 1, 2)])
+    batch.delete("lineitem", [(200, 1, 2)])  # nets away inside the batch
+    batch.delete("lineitem", [(3, 0, 30)])
+    note("batch", shape(batch.flush()))
+
+    with wh.transaction() as txn:
+        # the line precedes its order: the FK is deferred to commit
+        lines = txn.insert("lineitem", [(300, 0, 1), (301, 0, 2)])
+        note("txn.insert", shape(lines))
+        orders = txn.insert("orders", [(300, 1), (301, 1)])
+        note("txn.insert-orders", shape(orders))
+        note("txn.delete", shape(txn.delete("lineitem", [(4, 0, 40)])))
+    before = contents(wh)
+
+    def rolled_back():
+        with wh.transaction() as txn:
+            txn.insert("orders", [(400, 1)])
+            txn.insert("lineitem", [(400, 0, 1), (401, 0, 1)])
+            raise RuntimeError("abort mid-transaction")
+
+    def deferred_fk_violation():
+        with wh.transaction() as txn:
+            txn.insert("orders", [(600, 1)])
+            txn.insert("lineitem", [(600, 0, 1), (999, 0, 1)])  # no order 999
+
+    note("txn-rollback", raised(rolled_back))
+    note("txn-deferred-fk", raised(deferred_fk_violation))
+    assert contents(wh) == before
+
+    # a constraint failure: raised synchronously, carried in result.error
+    # when queued, re-raised by flush — and all-or-nothing either way
+    duplicate = [(100, 0, 5), (5, 8, 58)]  # first row exists; second is new
+    note("dup-sync", raised(wh.insert, "lineitem", duplicate))
+    ticket = wh.apply_async("lineitem", "insert", duplicate)
+    note("dup-ticket", shape(ticket.wait()))
+    note("dup-flush", raised(wh.flush))
+    note("unknown-op", raised(wh.apply_async, "lineitem", "upsert", []))
+    assert contents(wh) == before
+
+    async def front_end():
+        awh = AsyncWarehouse(wh)
+        ok = await awh.insert("lineitem", [(2, 7, 27), (3, 7, 37)])
+        bad = await awh.insert("lineitem", duplicate)
+        assert isinstance(bad.error, ConstraintError)
+        with pytest.raises(ConstraintError):  # `bad` is still pending
+            await awh.flush()
+        flushed = await awh.flush()
+        probe = await awh.query(VIEW, **{"orders.o_orderkey": 2})
+        return shape(ok), shape(bad), shape(flushed), frozenset(probe)
+
+    note("async", asyncio.run(front_end()))
+
+    note("query", frozenset(wh.query(VIEW)))
+    note(
+        "query-key",
+        wh.query(
+            VIEW, **{"lineitem.l_orderkey": 101, "lineitem.l_linenumber": 1}
+        ),
+    )
+    note(
+        "query-predicate",
+        frozenset(
+            wh.query(VIEW, predicate=lambda r: r["lineitem.l_qty"] is None)
+        ),
+    )
+    wh.check_consistency()
+    note("final", contents(wh))
+    return trace
+
+
+def mixed_changes_script(wh):
+    """Inserts and deletes across both tables, emptying one order."""
+    ops = [
+        ("insert", "orders", [(100, 1), (101, 2)]),
+        ("insert", "lineitem", [(100, 0, 5), (101, 0, 7), (101, 1, 8)]),
+        ("delete", "lineitem", [(0, 0, 0)]),
+        ("delete", "lineitem", [(5, 0, 50), (5, 1, 51)]),
+        ("delete", "orders", [(5, 2)]),
+    ]
+    trace = [
+        shape(getattr(wh, kind)(table, rows)) for kind, table, rows in ops
+    ]
+    wh.check_consistency()
+    trace.append(contents(wh))
+    return trace
+
+
+SCRIPTS = {"surface": surface_script, "mixed-changes": mixed_changes_script}
+
+
+def run(flavour: str, script: str):
+    with make(flavour) as wh:
+        return SCRIPTS[script](wh)
+
+
+@pytest.fixture(scope="module")
+def local_traces():
+    return {script: run("local", script) for script in SCRIPTS}
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_same_script_same_trace(flavour, script, local_traces):
+    trace = run(flavour, script)
+    assert trace == local_traces[script]
+
+
+def test_surface_trace_is_what_the_contract_says(local_traces):
+    """Pin the absolute shapes once (the parametrized test only says
+    'equal to local')."""
+    trace = dict(local_traces["surface"])
+    report = ("report", VIEW, "orders", "insert")
+    assert trace["insert"] == {VIEW: report}
+    assert trace["update"] == [
+        {VIEW: ("report", VIEW, "orders", "delete")},
+        {VIEW: report},
+    ]
+    assert trace["flush"] == [
+        ("fan-out", "lineitem", "insert", True, [VIEW], "NoneType")
+    ] * 4
+    assert trace["flush-empty"] == []
+    assert trace["txn.insert"] == {
+        VIEW: ("report", VIEW, "lineitem", "insert")
+    }
+    assert trace["txn-rollback"] == "RuntimeError"
+    assert trace["txn-deferred-fk"] == "ConstraintError"
+    assert trace["dup-sync"] == trace["dup-flush"] == "ConstraintError"
+    assert trace["dup-ticket"] == (
+        "fan-out", "lineitem", "insert", False, [], "ConstraintError"
+    )
+    assert trace["unknown-op"] == "MaintenanceError"
+    ok, bad, flushed, probe = trace["async"]
+    assert ok[3] and ok[4] == [VIEW]
+    assert bad == trace["dup-ticket"]
+    assert flushed == [] and len(probe) == 3
+    assert trace["final"]["quarantined"] == []

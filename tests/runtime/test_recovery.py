@@ -130,9 +130,9 @@ def test_recovery_skips_quarantined_views(tmp_path):
     assert results[0].quarantined == ["ol_b"]
     assert wh2.wal.pending() == []  # acked anyway: repair, don't replay
     # the healthy view recovered fully
-    wh2._maintainers["ol_a"].check_consistency()
+    wh2.maintainer("ol_a").check_consistency()
     # and repair brings the quarantined one back
-    wh2._maintainers["ol_b"].remaining_failures = 0
+    wh2.maintainer("ol_b").remaining_failures = 0
     wh2.repair_view("ol_b")
     wh2.check_consistency()
     wh2.close()

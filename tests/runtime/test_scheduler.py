@@ -48,13 +48,9 @@ class _FlakyMaintainer:
         self.remaining_failures = fail_times
         self.attempts = 0
 
-    @property
-    def view(self):
-        return self.inner.view
-
-    @property
-    def definition(self):
-        return self.inner.definition
+    def __getattr__(self, attr):
+        # view / definition / save / restore / rebuild / rows / ...
+        return getattr(self.inner, attr)
 
     def maintain(self, *args, **kwargs):
         self.attempts += 1
@@ -63,15 +59,10 @@ class _FlakyMaintainer:
             raise MaintenanceError("transient storage hiccup")
         return self.inner.maintain(*args, **kwargs)
 
-    def check_consistency(self):
-        return self.inner.check_consistency()
-
 
 def make_flaky(wh, name, fail_times):
-    wh._maintainers[name] = _FlakyMaintainer(
-        wh._maintainers[name], fail_times
-    )
-    return wh._maintainers[name]
+    wh._views[name] = _FlakyMaintainer(wh._views[name], fail_times)
+    return wh._views[name]
 
 
 @pytest.fixture
@@ -220,19 +211,31 @@ class TestSchedulerCore:
             release.set()
             scheduler.shutdown()
 
-    def test_serial_scheduler_keeps_legacy_single_attempt(self):
+    def test_serial_scheduler_single_attempt_quarantines(self):
         calls = []
+        saves = []
 
         def failing():
             calls.append(1)
             raise MaintenanceError("boom")
 
+        def snapshot():
+            saves.append(1)
+            return lambda: None
+
         scheduler = MaintenanceScheduler()  # workers=0, retry=None
         result = scheduler.apply(
-            lambda: ([Task("v", failing)], None), "t", "insert"
+            lambda: ([Task("v", failing, snapshot)], None), "t", "insert"
         )
         assert len(calls) == 1  # no retry
-        assert result.quarantined == []  # no quarantine
+        assert saves == []  # and no pre-change save to pay for
+        assert result.quarantined == ["v"]  # exhausted -> always quarantined
+        assert scheduler.is_quarantined("v")
+        skipped = scheduler.apply(
+            lambda: ([Task("v", failing)], None), "t", "insert"
+        )
+        assert skipped.skipped == ["v"] and len(calls) == 1
+        scheduler.reinstate("v")
         assert not scheduler.is_quarantined("v")
         scheduler.shutdown()
 

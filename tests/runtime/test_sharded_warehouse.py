@@ -1,5 +1,6 @@
 """The sharded warehouse facade: routing edge cases, transactions,
-recovery with damaged shard WALs, and shard-vs-unsharded equivalence.
+recovery with damaged shard WALs.  (Shard-vs-unsharded equivalence of
+the shared change surface: tests/integration/test_facade_contract.py.)
 
 Thread-backend workers everywhere except the one process-backend smoke
 test: they run the identical ``ShardServer`` code, round-trip every
@@ -94,26 +95,6 @@ def test_warehouse_shards_kwarg_dispatches_to_sharded_subclass():
         assert not isinstance(plain, ShardedWarehouse)
     finally:
         plain.close()
-
-
-def test_sharded_matches_unsharded_through_mixed_changes():
-    db = build_db()
-    ops = [
-        ("insert", "orders", [(100, 1), (101, 2)]),
-        ("insert", "lineitem", [(100, 0, 5), (101, 0, 7), (101, 1, 8)]),
-        ("delete", "lineitem", [(0, 0, 0)]),
-        ("delete", "lineitem", [(5, 0, 50), (5, 1, 51)]),
-        ("delete", "orders", [(5, 2)]),
-    ]
-    wh = make_sharded(db.copy(), shards=3)
-    try:
-        for kind, table, rows in ops:
-            getattr(wh, kind)(table, rows)
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
-        assert merged == reference_views(db, ops)
-        wh.check_consistency()
-    finally:
-        wh.close()
 
 
 def test_empty_shard_participates_in_merge_and_accepts_late_rows():
@@ -325,9 +306,72 @@ def test_unsupported_surfaces_raise_sharding_error():
     try:
         with pytest.raises(ShardingError):
             wh.maintainer("order_lines")
+        with pytest.raises(ShardingError, match="shard_stats"):
+            wh.serving_stats()
+        # what the local transport keeps in-process is typed, not an
+        # AttributeError, on the coordinator
+        for attribute in ("scheduler", "snapshots", "wal", "checkpoints"):
+            with pytest.raises(ShardingError):
+                getattr(wh, attribute)
         with pytest.raises(CatalogError):
             wh.table_rows("nope")
+        with pytest.raises(CatalogError):
+            wh.view_rows("nope")
+        with pytest.raises(CatalogError):
+            wh.definition("nope")
     finally:
+        wh.close()
+
+
+def test_ticket_resolves_once_under_concurrent_waiters_and_callbacks():
+    # the coordinator has no dispatcher thread: a ticket is resolved by
+    # whoever waits first — flush, an explicit wait(), or the waiter a
+    # done-callback starts.  However they race, every ticket resolves
+    # once, every callback fires once, and all see the same result.
+    import sys
+    import threading
+
+    wh = make_sharded(shards=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        seen = []
+        lock = threading.Lock()
+
+        def record(result):
+            with lock:
+                seen.append(result)
+
+        tickets = []
+        for okey in range(6):  # orders 0..5 exist; two shards per change
+            ticket = wh.apply_async(
+                "lineitem",
+                "insert",
+                [(okey, 50 + okey, 1), ((okey + 1) % 6, 60 + okey, 1)],
+            )
+            ticket.add_done_callback(record)
+            ticket.add_done_callback(record)
+            tickets.append(ticket)
+        waiters = [
+            threading.Thread(target=ticket.wait)
+            for ticket in tickets
+            for _ in range(3)
+        ]
+        for thread in waiters:
+            thread.start()
+        results = wh.flush()
+        for thread in waiters:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in waiters)
+        assert [r.ok for r in results] == [True] * 6
+        assert all(t.wait() is r for t, r in zip(tickets, results))
+        # a callback registered after completion runs inline
+        tickets[0].add_done_callback(record)
+        assert len(seen) == 13
+        assert {id(r) for r in seen} == {id(r) for r in results}
+        wh.check_consistency()
+    finally:
+        sys.setswitchinterval(interval)
         wh.close()
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..errors import CatalogError, ConstraintError
+from ..errors import CatalogError, ConstraintError, SchemaError
 from .constraints import ForeignKey, UniqueKey
+from .index import HashIndex, find_index, projector
 from .schema import Schema, qualify
 from .table import Row, Table
 
@@ -62,8 +63,6 @@ class Database:
         # Primary-key index: every base table gets one (the paper's
         # tables all carry clustered key indexes).  It accelerates key
         # lookups in joins and makes DML integrity checks O(|delta|).
-        from .index import HashIndex
-
         table.indexes.append(HashIndex(table, qualified_key))
         self.index_epoch += 1
         return table
@@ -72,8 +71,6 @@ class Database:
         """Create (or return) a hash index on *table* over *columns*
         (bare names).  Indexes are kept current by insert/delete and are
         used automatically by equi-joins probing this table."""
-        from .index import HashIndex, find_index
-
         with self._ddl_lock:
             base = self.table(table)
             qualified = [qualify(table, c) for c in columns]
@@ -169,49 +166,52 @@ class Database:
         """
         table = self.table(name)
         new_rows = [tuple(row) for row in rows]
-        delta = Table(
-            name, table.schema, new_rows, key=table.key, not_null=table.not_null
-        )
         if check:
-            delta.validate()
-            self._check_key_conflicts(table, delta)
+            self._check_new_rows(table, new_rows)
             self._check_outgoing_fks(
                 name, new_rows, skip_deferrable=defer_deferrable
             )
         start = len(table.rows)
         table.rows.extend(new_rows)
         for index in table.indexes:
-            for offset, row in enumerate(new_rows):
-                index.add(row, start + offset)
+            index.extend(new_rows, start)
         if new_rows:
             table.bump_version()
-        return delta
+        return self._delta(table, new_rows)
 
     def delete(self, name: str, rows: Iterable[Row], check: bool = True) -> Table:
         """Delete exact *rows* from table *name*; returns the deleted rows
-        as a delta table.  Raises if a row is absent or if the deletion
-        would strand referencing rows (no cascading deletes here)."""
+        as a delta table.  Raises — before anything changes — if a row is
+        absent or repeated, or if the deletion would strand referencing
+        rows (no cascading deletes here).  With ``check=False`` such rows
+        are skipped instead, and the delta holds only what was removed.
+
+        Costs one primary-key probe per row plus one bucket edit per
+        index (:meth:`Table.swap_remove`), whatever the table's size.
+        """
         table = self.table(name)
-        doomed = [tuple(row) for row in rows]
-        delta = Table(
-            name, table.schema, doomed, key=table.key, not_null=table.not_null
-        )
-        doomed_set = set(doomed)
+        key_index = table.indexes[0]  # create_table registers it first
+        key_of, probe = key_index.project, key_index.buckets.get
+        held, width = table.rows, len(table.schema)
+        found: Dict[int, Row] = {}  # position -> row, in input order
+        for row in map(tuple, rows):
+            hits = probe(key_of(row), ()) if len(row) == width else ()
+            for position in hits:  # one, unless unchecked inserts broke the key
+                if held[position] == row and position not in found:
+                    found[position] = row
+                    break
+            else:
+                if check:
+                    held_once = any(held[p] == row for p in hits)
+                    raise ConstraintError(
+                        f"cannot delete {'repeated' if held_once else 'absent'} "
+                        f"row {row!r} from {name!r}"
+                    )
+        delta = self._delta(table, list(found.values()))
         if check:
-            present = set(table.rows)
-            missing = doomed_set - present
-            if missing:
-                raise ConstraintError(
-                    f"cannot delete {len(missing)} absent row(s) from {name!r}"
-                )
             self._check_incoming_fks(name, delta)
-        # Deleting compacts the row list, shifting positions of every row
-        # behind a deleted one; rebuilding the indexes is O(n) like the
-        # compaction itself, so asymptotics are unchanged.
-        table.rows = [row for row in table.rows if row not in doomed_set]
-        for index in table.indexes:
-            index.rebuild()
-        if doomed:
+        table.swap_remove(found)
+        if found:
             table.bump_version()
         return delta
 
@@ -219,44 +219,52 @@ class Database:
         self, name: str, keys: Iterable[Row], check: bool = True
     ) -> Table:
         """Delete rows of *name* whose unique key is in *keys*."""
-        table = self.table(name)
-        positions = table.key_positions()
-        wanted = set(tuple(k) for k in keys)
-        doomed = [
-            row
-            for row in table.rows
-            if tuple(row[p] for p in positions) in wanted
+        return self.delete(name, self.rows_by_key(name, keys), check=check)
+
+    def rows_by_key(self, name: str, keys: Iterable[Row]) -> List[Row]:
+        """Rows of *name* whose unique key is in *keys*, in key order —
+        one primary-key probe each; keys nothing holds are skipped."""
+        lookup = self.table(name).indexes[0].lookup
+        return [
+            row for key in dict.fromkeys(map(tuple, keys)) for row in lookup(key)
         ]
-        return self.delete(name, doomed, check=check)
+
+    @staticmethod
+    def _delta(table: Table, rows: List[Row]) -> Table:
+        return Table(
+            table.name, table.schema, rows, key=table.key, not_null=table.not_null
+        )
 
     # ------------------------------------------------------------------
     # integrity checks
     # ------------------------------------------------------------------
-    def _check_key_conflicts(self, table: Table, delta: Table) -> None:
-        from .index import find_index
-
-        positions = table.key_positions()
-        indexed = find_index(table, table.key or ())
-        if indexed is not None:
-            index, permutation = indexed
-            seen = set()
-            for row in delta.rows:
-                key = tuple(row[p] for p in positions)
-                probe = tuple(key[p] for p in permutation)
-                if index.lookup(probe) or key in seen:
-                    raise ConstraintError(
-                        f"duplicate key {key!r} inserted into {table.name!r}"
-                    )
-                seen.add(key)
-            return
-        existing = {tuple(r[p] for p in positions) for r in table.rows}
-        for row in delta.rows:
-            key = tuple(row[p] for p in positions)
-            if key in existing:
+    def _check_new_rows(self, table: Table, new_rows: List[Row]) -> None:
+        """Arity, NOT NULL columns and key uniqueness — against the table
+        and within the batch — of rows about to be inserted."""
+        schema = table.schema
+        width = len(schema)
+        required = schema.positions(sorted(table.not_null))
+        any_null = projector(required)
+        key_index = table.indexes[0]
+        key_of, taken = key_index.project, key_index.buckets
+        seen = set()
+        for row in new_rows:
+            if len(row) != width:
+                raise SchemaError(
+                    f"row arity {len(row)} does not match schema width "
+                    f"{width} in table {table.name!r}"
+                )
+            if None in any_null(row):
+                column = next(schema.columns[p] for p in required if row[p] is None)
+                raise ConstraintError(
+                    f"NULL in NOT NULL column {column!r} of {table.name!r}"
+                )
+            key = key_of(row)
+            if key in taken or key in seen:
                 raise ConstraintError(
                     f"duplicate key {key!r} inserted into {table.name!r}"
                 )
-            existing.add(key)
+            seen.add(key)
 
     def check_deferred_fks(self, name: str, rows: List[Row]) -> None:
         """Commit-time check of DEFERRABLE foreign keys for rows that were
@@ -270,53 +278,36 @@ class Database:
         skip_deferrable: bool = False,
         only_deferrable: bool = False,
     ) -> None:
-        from .index import find_index
-
         table = self.table(name)
         for fk in self.foreign_keys_from(name):
             if skip_deferrable and fk.deferrable:
                 continue
             if only_deferrable and not fk.deferrable:
                 continue
-            target = self.table(fk.target)
-            indexed = find_index(target, fk.target_columns)
-            if indexed is not None:
-                index, permutation = indexed
-
-                def known(ref, index=index, permutation=permutation):
-                    return bool(
-                        index.lookup(tuple(ref[p] for p in permutation))
-                    )
-
-            else:
-                tgt_positions = target.schema.positions(fk.target_columns)
-                valid = {
-                    tuple(r[p] for p in tgt_positions) for r in target.rows
-                }
-
-                def known(ref, valid=valid):
-                    return ref in valid
-
-            src_positions = table.schema.positions(fk.source_columns)
+            # a foreign key targets the unique key, which is always indexed
+            index, permutation = find_index(
+                self.table(fk.target), fk.target_columns
+            )
+            source = table.schema.positions(fk.source_columns)
+            ref_of = projector([source[p] for p in permutation])
+            known = index.buckets
             for row in new_rows:
-                ref = tuple(row[p] for p in src_positions)
-                if any(v is None for v in ref):
+                ref = ref_of(row)
+                if None in ref:
                     if fk.source_not_null:
                         raise ConstraintError(
                             f"NULL foreign key {fk.source_columns} in {name!r}"
                         )
-                    continue
-                if not known(ref):
+                elif ref not in known:
                     raise ConstraintError(
                         f"foreign key violation: {name}{fk.source_columns} = "
-                        f"{ref!r} has no match in {fk.target!r}"
+                        f"{tuple(row[p] for p in source)!r} has no match in "
+                        f"{fk.target!r}"
                     )
 
     def _check_incoming_fks(self, name: str, delta: Table) -> None:
-        from .index import find_index
-
         table = self.table(name)
-        doomed_keys = {table.key_of(row) for row in delta.rows}
+        doomed_keys = set(map(table.indexes[0].project, delta.rows))
         for fk in self.foreign_keys_to(name):
             if tuple(fk.target_columns) != tuple(table.key or ()):
                 continue
@@ -324,14 +315,13 @@ class Database:
             indexed = find_index(source, fk.source_columns)
             if indexed is not None:
                 index, permutation = indexed
-                for key in doomed_keys:
-                    probe = tuple(key[p] for p in permutation)
-                    if index.lookup(probe):
-                        raise ConstraintError(
-                            f"cannot delete from {name!r}: row still "
-                            f"referenced by {fk.source!r} via "
-                            f"{fk.source_columns}"
-                        )
+                probe_of = projector(permutation)
+                if any(probe_of(key) in index.buckets for key in doomed_keys):
+                    raise ConstraintError(
+                        f"cannot delete from {name!r}: row still "
+                        f"referenced by {fk.source!r} via "
+                        f"{fk.source_columns}"
+                    )
                 continue
             src_positions = source.schema.positions(fk.source_columns)
             for row in source.rows:

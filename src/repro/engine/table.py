@@ -155,9 +155,25 @@ class Table:
                     )
                 seen.add(key)
 
+    def swap_remove(self, positions: Iterable[int]) -> None:
+        """Remove the rows at the (distinct) *positions* from the same
+        ``rows`` list, each by moving the current last row into the hole:
+        positions stay dense in ``[0, len)`` and every index is edited,
+        never rebuilt — but row order is no longer insertion order.
+        Highest position first, so the row that moves is never doomed."""
+        rows = self.rows
+        for position in sorted(positions, reverse=True):
+            row = rows[position]
+            last_row = rows.pop()
+            last = len(rows)
+            for index in self.indexes:
+                index.swap_remove(position, row, last, last_row)
+            if position != last:
+                rows[position] = last_row
+
     def copy(self) -> "Table":
-        """Return an independent copy (rows are immutable tuples, shared);
-        indexes are re-created on the clone."""
+        """Return an independent copy (rows are immutable tuples, shared)
+        carrying a copy of every index."""
         clone = Table(
             self.name,
             self.schema,
@@ -165,10 +181,7 @@ class Table:
             key=self.key,
             not_null=self.not_null,
         )
-        from .index import HashIndex
-
-        for index in self.indexes:
-            clone.indexes.append(HashIndex(clone, index.columns))
+        clone.indexes = [index.copy_for(clone) for index in self.indexes]
         return clone
 
     # ------------------------------------------------------------------

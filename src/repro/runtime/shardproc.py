@@ -179,17 +179,7 @@ class ShardServer:
         if operation == "delete_by_key":
             # resolve the doomed rows first: the parent needs them to
             # compensate sibling shards if one of them fails
-            table_obj = self.wh.db.tables[table]
-            key_cols = tuple(table_obj.key or ())
-            positions = [
-                table_obj.schema.index_of(c) for c in key_cols
-            ]
-            wanted = set(decoded)
-            doomed = [
-                row
-                for row in table_obj.rows
-                if tuple(row[p] for p in positions) in wanted
-            ]
+            doomed = self.wh.db.rows_by_key(table, decoded)
             reports = self.wh.delete_by_key(table, decoded)
             return {
                 "reports": self._encode_reports(reports),

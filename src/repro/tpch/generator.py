@@ -285,15 +285,29 @@ class TPCHGenerator:
 # ---------------------------------------------------------------------------
 # fixture cache
 # ---------------------------------------------------------------------------
+#: Sources a cached fixture depends on, relative to this package: the
+#: generator itself and the engine classes whose instances (``Database``,
+#: ``Table``, ``HashIndex``, ...) the pickle holds in their current layout.
+_FIXTURE_SOURCES = (
+    "generator.py",
+    "schema.py",
+    "../engine/table.py",
+    "../engine/index.py",
+    "../engine/catalog.py",
+    "../engine/schema.py",
+    "../engine/constraints.py",
+)
+
+
 def _source_digest() -> str:
-    """Digest of the generator sources: a change to any of them must
+    """Digest of :data:`_FIXTURE_SOURCES`: a change to any of them must
     invalidate cached fixtures."""
     import hashlib
     import os
 
     digest = hashlib.sha256()
     here = os.path.dirname(__file__)
-    for name in ("generator.py", "schema.py"):
+    for name in _FIXTURE_SOURCES:
         with open(os.path.join(here, name), "rb") as handle:
             digest.update(handle.read())
     return digest.hexdigest()[:12]
@@ -311,8 +325,8 @@ def cached_instance(
     when neither is set this is exactly a fresh build.  CI warms the
     directory with ``tools/warm_fixtures.py`` and restores it through
     ``actions/cache``, so matrix cells skip the (dominant) data
-    generation cost.  Entries embed a digest of the generator sources —
-    editing the generator invalidates them — and the generator is
+    generation cost.  Entries embed a digest of the generator and pickled
+    engine sources — editing either invalidates them — and the generator is
     pickled *with* its post-build PRNG state, so refresh batches drawn
     from a cached instance match a fresh one exactly.
     """

@@ -620,10 +620,8 @@ class Warehouse:
         target = self.db.tables.get(table)
         if target is None or target.key is None:
             return
-        incoming = {target.key_of(tuple(r)) for r in rows}
-        stale = [r for r in target.rows if target.key_of(r) in incoming]
-        if stale:
-            self.db.delete(table, stale, check=False)
+        incoming = [target.key_of(tuple(r)) for r in rows]
+        self.db.delete_by_key(table, incoming, check=False)
 
     def _tasks(
         self, table: str, delta: Table, operation: str, fk_allowed: bool

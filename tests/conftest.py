@@ -5,6 +5,7 @@
 * ``example1_db`` / ``oj_view_defn`` — Example 1's
   ``part ⟗ (orders ⟕ lineitem)`` with both foreign keys declared.
 * ``tiny_tpch`` — a small deterministic TPC-H instance.
+* ``no_index_rebuild`` — fails the test if a live index is rebuilt.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro.algebra import Q, eq
 from repro.core import ViewDefinition
-from repro.engine import Database
+from repro.engine import Database, HashIndex
 from repro.tpch import TPCHGenerator
 
 
@@ -119,3 +120,20 @@ def tiny_tpch_gen() -> TPCHGenerator:
 def tiny_tpch(tiny_tpch_gen) -> Database:
     # A fresh copy per test: the generator's database is mutated by DML.
     return TPCHGenerator(scale_factor=0.001, seed=42).build()
+
+
+# ---------------------------------------------------------------------------
+# storage contract
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def no_index_rebuild(monkeypatch):
+    """Base-table writes edit indexes in place: with this fixture, any
+    ``HashIndex.rebuild`` other than the constructor's fails the test."""
+    build = HashIndex.rebuild
+
+    def rebuild(index):
+        if hasattr(index, "buckets"):  # unset only inside __init__
+            pytest.fail(f"{index!r} was rebuilt on a write path")
+        build(index)
+
+    monkeypatch.setattr(HashIndex, "rebuild", rebuild)

@@ -1,11 +1,13 @@
 """Tests for persistent hash indexes (repro.engine.index)."""
 
+import random
+
 import pytest
 
 from repro.engine import Database, Schema, Table
 from repro.engine import operators as ops
 from repro.engine.index import HashIndex, find_index
-from repro.errors import SchemaError
+from repro.errors import ConstraintError, SchemaError
 
 
 @pytest.fixture
@@ -55,7 +57,7 @@ class TestHashIndex:
         with pytest.raises(SchemaError):
             HashIndex(db.table("t"), [])
 
-    def test_copy_rebuilds_indexes(self, db):
+    def test_copy_carries_independent_indexes(self, db, no_index_rebuild):
         db.create_index("t", ["a"])
         clone = db.copy()
         clone.insert("t", [(9, 10, "q")])
@@ -63,6 +65,98 @@ class TestHashIndex:
         cloned = find_index(clone.table("t"), ["t.a"])[0]
         assert len(original.lookup((10,))) == 2
         assert len(cloned.lookup((10,))) == 3
+
+
+def assert_indexes_exact(table):
+    """Every index of *table* equals one built from scratch, bucket for
+    bucket (as sets), and its bookkeeping agrees with its buckets."""
+    for index in table.indexes:
+        fresh = HashIndex(table, index.columns)
+        assert {k: set(b) for k, b in index.buckets.items()} == {
+            k: set(b) for k, b in fresh.buckets.items()
+        }
+        entries = [p for bucket in index.buckets.values() for p in bucket]
+        assert len(index) == len(entries) == len(set(entries))
+        assert len(index.slots) == len(table)
+        for bucket in index.buckets.values():
+            assert [index.slots[p] for p in bucket] == list(range(len(bucket)))
+    # the primary-key index holds every row: positions stay dense
+    assert sorted(
+        p for bucket in table.indexes[0].buckets.values() for p in bucket
+    ) == list(range(len(table)))
+
+
+class TestIncrementalMaintenance:
+    """Writes edit the indexes in place (swap-remove storage): after any
+    interleaving they equal a fresh build, and nothing is ever rebuilt."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_interleaving_matches_fresh_build(self, seed, no_index_rebuild):
+        rng = random.Random(seed)
+        db = Database()
+        # composite key, a nullable indexed column, a skewed 3-value one
+        db.create_table("t", ["a", "b", "n", "s"], key=["a", "b"])
+        db.create_index("t", ["n"])
+        db.create_index("t", ["s"])
+        table = db.table("t")
+        row_list = table.rows
+        live = {}
+        for _ in range(250):
+            op = rng.choice(("insert", "insert", "delete", "delete_by_key"))
+            if op == "insert" or not live:
+                keys = {(rng.randrange(12), rng.randrange(12)) for _ in range(12)}
+                batch = {
+                    k: k + (rng.choice((None, 0, 1, 2)), rng.choice("xxxxxxyyz"))
+                    for k in keys - live.keys()
+                }
+                delta = db.insert("t", batch.values())
+                live.update(batch)
+                assert delta.rows == list(batch.values())
+            else:
+                keys = rng.sample(sorted(live), rng.randint(1, min(12, len(live))))
+                doomed = [live.pop(k) for k in keys]
+                if op == "delete":
+                    delta = db.delete("t", doomed)
+                else:
+                    delta = db.delete_by_key("t", keys + [(99, 99), keys[0]])
+                assert delta.rows == doomed
+            assert table.rows is row_list
+            assert len(table) == len(live)
+            assert set(table.rows) == set(live.values())
+            assert_indexes_exact(table)
+
+    def test_large_batch_against_low_cardinality_index(self, no_index_rebuild):
+        db = Database()
+        db.create_table("t", ["k", "s"], key=["k"])
+        index = db.create_index("t", ["s"])
+        rows = [(i, i % 3) for i in range(3000)]
+        db.insert("t", rows)
+        db.delete("t", rows[::2])
+        assert len(index) == 1500
+        assert {r[0] for r in index.lookup((1,))} == {
+            i for i in range(1, 3000, 2) if i % 3 == 1
+        }
+
+    def test_delete_repeated_row_rejected_before_any_change(self, db):
+        table = db.table("t")
+        before, version = list(table.rows), table.version
+        with pytest.raises(ConstraintError, match=r"repeated row \(1, 10, 'x'\)"):
+            db.delete("t", [(2, 10, "y"), (1, 10, "x"), (1, 10, "x")])
+        assert table.rows == before and table.version == version
+
+    def test_delete_finds_a_row_behind_a_duplicated_key(self, db):
+        db.insert("t", [(1, 11, "dup")], check=False)  # key 1 held twice
+        assert db.delete("t", [(1, 11, "dup")]).rows == [(1, 11, "dup")]
+        assert (1, 10, "x") in db.table("t").rows
+        assert_indexes_exact(db.table("t"))
+
+    def test_unchecked_delete_returns_only_removed_rows(self, db):
+        delta = db.delete(
+            "t", [(1, 10, "x"), (7, 7, "absent"), (1, 10, "x"), (2, 99, "y")],
+            check=False,
+        )
+        assert delta.rows == [(1, 10, "x")]
+        assert set(db.table("t").rows) == {(2, 10, "y"), (3, None, "z")}
 
 
 class TestFindIndex:

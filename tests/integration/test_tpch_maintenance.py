@@ -13,6 +13,7 @@ from repro.core import (
     SECONDARY_FROM_BASE,
     ViewMaintainer,
 )
+from repro.errors import ConstraintError
 from repro.tpch import TPCHGenerator, oj_view, v2, v3
 
 
@@ -72,6 +73,21 @@ class TestV3RefreshStream:
         m.insert("lineitem", stream.lineitem_insert_batch(50, seed=10))
         m.check_consistency()
         m.delete("lineitem", stream.lineitem_delete_batch(db, 50, seed=11))
+        m.check_consistency()
+
+
+    def test_repeated_row_in_one_delete_is_rejected_up_front(self, gen):
+        """It used to pass the check, leave the base table changed and
+        then fail inside the view with an inconsistent delta."""
+        db, m = make(gen, v3())
+        row = db.table("lineitem").rows[0]
+        before = len(db.table("lineitem"))
+        with pytest.raises(ConstraintError, match="repeated"):
+            m.delete("lineitem", [row, row])
+        assert len(db.table("lineitem")) == before
+        m.check_consistency()
+        m.update("lineitem", [row, row], [])  # unchecked: netted to one
+        assert len(db.table("lineitem")) == before - 1
         m.check_consistency()
 
 

@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) for the engine's algebraic laws:
-the Section 2.1 identities the whole maintenance derivation rests on."""
+the Section 2.1 identities the whole maintenance derivation rests on —
+and for the storage contract the catalog's DML keeps underneath them."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import Database
 from repro.engine import operators as ops
 from repro.engine.schema import Schema
 from repro.engine.table import Table
+
+from ..engine.test_index import assert_indexes_exact
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +169,42 @@ def test_outer_union_counts(rows_l, rows_r):
     out = ops.outer_union(left, right)
     assert len(out.rows) == len(left.rows) + len(right.rows)
     assert len(out.schema) == 6
+
+
+# ---------------------------------------------------------------------------
+# base-table DML: swap-remove storage, incrementally maintained indexes
+# ---------------------------------------------------------------------------
+def dml_steps():
+    small = st.integers(min_value=0, max_value=3)
+    row = st.tuples(small, small, value(), st.sampled_from("xxxy"))
+    op = st.sampled_from(("insert", "delete", "delete_by_key"))
+    return st.lists(st.tuples(op, st.lists(row, max_size=6)), max_size=12)
+
+
+@given(dml_steps())
+@settings(max_examples=150, deadline=None)
+def test_dml_interleavings_keep_indexes_exact(steps):
+    db = Database()
+    db.create_table("t", ["a", "b", "n", "s"], key=["a", "b"])
+    db.create_index("t", ["n"])
+    db.create_index("t", ["s"])
+    table = db.table("t")
+    row_list = table.rows
+    live = {}
+    for op, rows in steps:
+        rows = {row[:2]: row for row in rows}  # one candidate per key
+        if op == "insert":
+            fresh = {k: row for k, row in rows.items() if k not in live}
+            assert db.insert("t", fresh.values()).rows == list(fresh.values())
+            live.update(fresh)
+        elif op == "delete":  # unchecked: absent rows are skipped
+            hit = [row for k, row in rows.items() if live.get(k) == row]
+            assert db.delete("t", rows.values(), check=False).rows == hit
+            for row in hit:
+                del live[row[:2]]
+        else:
+            hit = [live.pop(k) for k in rows if k in live]
+            assert db.delete_by_key("t", rows).rows == hit
+        assert table.rows is row_list
+        assert sorted(table.rows, key=repr) == sorted(live.values(), key=repr)
+        assert_indexes_exact(table)

@@ -136,3 +136,54 @@ def test_recovery_skips_quarantined_views(tmp_path):
     wh2.repair_view("ol_b")
     wh2.check_consistency()
     wh2.close()
+
+
+def corrupt_segment(wal_path, containing: bytes):
+    """Flip a byte in the first record of the segment holding
+    *containing*, which quarantines that whole segment on reopen."""
+    for segment in sorted(Path(wal_path).glob("seg-*.wal")):
+        raw = bytearray(segment.read_bytes())
+        if containing in raw:
+            raw[15] ^= 0x01
+            segment.write_bytes(bytes(raw))
+            return
+    raise AssertionError(f"no WAL segment holds {containing!r}")
+
+
+def test_no_write_path_rebuilds_an_index(tmp_path, no_index_rebuild):
+    """The storage contract end to end: a warehouse delete, a committed
+    transaction's statements and WAL replay — plain, and degraded with
+    its key-conflict eviction — all edit the base-table indexes in place."""
+    wal_path = str(tmp_path / "changes.wal")
+    wh = Warehouse(build_db(), wal_path=wal_path, segment_bytes=64)
+    wh.create_view("ol", order_lines_expr())
+    wh.insert("orders", [(1, 100), (2, 100), (3, 100)])
+    wh.insert("lineitem", [(1, 0, 5), (1, 1, 6), (2, 0, 7), (3, 0, 8)])
+    wh.delete("lineitem", [(1, 0, 5)])
+    wh.delete_by_key("lineitem", [(1, 1)])
+    with wh.transaction() as txn:
+        txn.insert("orders", [(4, 100)])
+        txn.delete("lineitem", [(2, 0, 7)])
+    wh.insert("lineitem", [(1, 0, 9)])  # re-uses the key freed above
+    wh.check_consistency()
+    expected = set(wh.db.table("lineitem").rows)
+    assert expected == {(3, 0, 8), (1, 0, 9)}
+    wh.close()
+
+    def replay():
+        recovered = Warehouse(build_db(), wal_path=wal_path, segment_bytes=64)
+        recovered.create_view("ol", order_lines_expr())
+        recovered.recover(from_origin=True)
+        recovered.check_consistency()
+        rows = set(recovered.db.table("lineitem").rows)
+        degraded = recovered.wal.corruption_detected
+        recovered.close()
+        return rows, degraded
+
+    assert replay() == (expected, False)
+    # lose the delete of (1, 0, 5): the replayed insert of (1, 0, 9)
+    # must evict the stale holder of its key, found by primary-key probe
+    corrupt_segment(wal_path, b'"op":"delete","fk_allowed":true,"rows":[[1,0,5]]')
+    rows, degraded = replay()
+    assert degraded
+    assert (1, 0, 9) in rows and (1, 0, 5) not in rows

@@ -1,12 +1,15 @@
 """Tests for the TPC-H substrate: schema, generator, refresh batches and
 the paper's view definitions."""
 
+import os
+import pickle
 
 from repro.algebra import normal_form
 from repro.core import MaterializedView, ViewMaintainer
 from repro.engine import Database
 from repro.tpch import (
     TPCHGenerator,
+    cached_instance,
     cardinalities,
     create_schema,
     oj_view,
@@ -15,6 +18,7 @@ from repro.tpch import (
     v3,
     v3_core,
 )
+from repro.tpch import generator
 
 
 class TestSchema:
@@ -176,3 +180,24 @@ class TestViews:
         m.check_consistency()
         m.insert("part", gen.part_insert_batch(5, seed=8))
         m.check_consistency()
+
+
+class TestFixtureCache:
+    def test_digest_covers_the_pickled_engine_classes(self):
+        covered = {os.path.basename(p) for p in generator._FIXTURE_SOURCES}
+        assert {"table.py", "index.py", "catalog.py"} <= covered
+
+    def test_changed_digest_misses_an_existing_entry(self, tmp_path, monkeypatch):
+        directory = str(tmp_path)
+        _, built = cached_instance(0.0005, seed=5, directory=directory)
+        (entry,) = os.listdir(directory)
+        assert generator._source_digest() in entry
+        # an entry written under another source digest (say, the parent
+        # commit's index layout) must be ignored, never loaded
+        with open(os.path.join(directory, entry), "wb") as handle:
+            pickle.dump(("stale generator", "stale database"), handle)
+        monkeypatch.setattr(generator, "_source_digest", lambda: "0" * 12)
+        _, rebuilt = cached_instance(0.0005, seed=5, directory=directory)
+        assert isinstance(rebuilt, Database)
+        assert rebuilt.table("lineitem").rows == built.table("lineitem").rows
+        assert len(os.listdir(directory)) == 2

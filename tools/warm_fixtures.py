@@ -9,7 +9,7 @@ Two warm-ups, both keyed so source changes invalidate them:
   post-build PRNG state, so refresh batches drawn from a cached
   instance are identical to a fresh build's — into
   ``REPRO_FIXTURE_DIR`` under a name embedding a digest of the
-  generator sources.
+  generator sources and of the engine classes the pickle holds.
 * **Compiled plans** — compile the physical maintenance plans of the
   stock views against the smallest instance.  Plans are fingerprinted
   in-memory and cannot be persisted, so this is a fail-fast smoke: a

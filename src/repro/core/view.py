@@ -22,7 +22,7 @@ from ..algebra.normalform import Term, normal_form
 from ..algebra.subsumption import SubsumptionGraph
 from ..engine.catalog import Database
 from ..engine.schema import Schema
-from ..engine.table import Row, Table, next_version
+from ..engine.table import ChangeJournal, Row, Table, next_version
 from ..errors import MaintenanceError, UnsupportedViewError
 
 
@@ -214,8 +214,11 @@ class MaterializedView:
         self._subkey_indexes: Dict[Tuple[str, ...], SubkeyIndex] = {}
         # Mutation-clock tick: advanced by every delta application and
         # by wholesale ``_rows`` replacement (bump_version at those
-        # sites).  Snapshot capture keys its copy cache on this.
+        # sites).
         self.version: int = next_version()
+        # Set by a snapshot store: insert_rows/delete_rows record into
+        # it, reset_to breaks it.  A bare view records nothing.
+        self.journal: Optional[ChangeJournal] = None
 
     def bump_version(self) -> None:
         """Advance the mutation clock after a content change."""
@@ -266,6 +269,7 @@ class MaterializedView:
             for cols, index in self._subkey_indexes.items()
         }
         twin.version = next_version()
+        twin.journal = None
         return twin
 
     def reset_to(
@@ -285,6 +289,8 @@ class MaterializedView:
                 self.key_of(row): row for row in map(tuple, source)
             }
             self._subkey_indexes = {}
+        if self.journal is not None:
+            self.journal.broken = True
         self.bump_version()
 
     # ------------------------------------------------------------------
@@ -343,6 +349,7 @@ class MaterializedView:
     def insert_rows(self, rows: Iterable[Row]) -> int:
         """Insert delta rows (aligned to the view schema); returns count."""
         added = 0
+        journal = self.journal
         for row in rows:
             key = self.key_of(row)
             if key in self._rows:
@@ -354,6 +361,8 @@ class MaterializedView:
             self._rows[key] = stored
             for index in self._subkey_indexes.values():
                 index.add(stored, key)
+            if journal is not None:
+                journal.changes[key] = stored
             added += 1
         if added:
             self.bump_version()
@@ -362,6 +371,7 @@ class MaterializedView:
     def delete_rows(self, rows: Iterable[Row]) -> int:
         """Delete delta rows by their view key; returns count."""
         removed = 0
+        journal = self.journal
         for row in rows:
             key = self.key_of(row)
             if key not in self._rows:
@@ -373,6 +383,8 @@ class MaterializedView:
             for index in self._subkey_indexes.values():
                 index.discard(stored, key)
             del self._rows[key]
+            if journal is not None:
+                journal.changes[key] = None
             removed += 1
         if removed:
             self.bump_version()

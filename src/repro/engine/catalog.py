@@ -176,6 +176,9 @@ class Database:
         for index in table.indexes:
             index.extend(new_rows, start)
         if new_rows:
+            if table.journal is not None:
+                key_of = table.indexes[0].project
+                table.journal.changes.update(zip(map(key_of, new_rows), new_rows))
             table.bump_version()
         return self._delta(table, new_rows)
 
@@ -212,6 +215,9 @@ class Database:
             self._check_incoming_fks(name, delta)
         table.swap_remove(found)
         if found:
+            if table.journal is not None:
+                gone = dict.fromkeys(map(key_of, found.values()))
+                table.journal.changes.update(gone)
             table.bump_version()
         return delta
 

@@ -18,9 +18,9 @@ Row = Tuple[object, ...]
 
 #: Global monotonic mutation clock shared by tables and materialized
 #: views.  Every mutation (and every fresh container) draws the next
-#: tick, so a ``version`` value is never reused — snapshot capture can
-#: key its copy-on-write cache on the version alone, even across object
-#: replacement.  ``next()`` on a C-level iterator is atomic under the
+#: tick, so a ``version`` value is never reused — a snapshot slice that
+#: carries its source's version is current exactly while the two agree,
+#: even across object replacement.  ``next()`` on a C-level iterator is atomic under the
 #: GIL, which is all the hot path needs.
 _MUTATION_CLOCK = count(1)
 
@@ -28,6 +28,31 @@ _MUTATION_CLOCK = count(1)
 def next_version() -> int:
     """The next tick of the global mutation clock."""
     return next(_MUTATION_CLOCK)
+
+
+class ChangeJournal:
+    """Net ±rows of one table or view since its subscriber last took them.
+
+    A snapshot store (:mod:`repro.runtime.snapshots`) attaches one to
+    every container it publishes; a container nobody subscribed to has
+    ``journal = None`` and records nothing.  ``changes`` maps the
+    container's key to the row now stored under it, or ``None`` once the
+    key is gone.  ``broken`` means exactly one thing: the journal no
+    longer accounts for every edit (the contents were replaced wholesale,
+    or a capture was lost), so the subscriber's next capture must copy
+    the container in full.
+    """
+
+    __slots__ = ("changes", "broken")
+
+    def __init__(self):
+        self.changes: Dict[Row, Optional[Row]] = {}
+        self.broken = True  # nothing captured yet
+
+    def take(self) -> Dict[Row, Optional[Row]]:
+        """Hand over the recorded changes and start an empty record."""
+        changes, self.changes = self.changes, {}
+        return changes
 
 
 class Table:
@@ -51,7 +76,8 @@ class Table:
     """
 
     __slots__ = (
-        "name", "schema", "rows", "key", "not_null", "indexes", "version"
+        "name", "schema", "rows", "key", "not_null", "indexes", "version",
+        "journal",
     )
 
     def __init__(
@@ -81,10 +107,10 @@ class Table:
         # Persistent hash indexes (engine.index.HashIndex), maintained by
         # the catalog's DML and consulted by the join operator.
         self.indexes: list = []
-        # Mutation-clock tick, advanced by the catalog's DML.  Snapshot
-        # capture (runtime.snapshots) reuses its previous copy of any
-        # table whose version has not moved.
+        # Mutation-clock tick, advanced by the catalog's DML.
         self.version: int = next_version()
+        # Set by a snapshot store; Database.insert/delete record into it.
+        self.journal: Optional[ChangeJournal] = None
 
     def bump_version(self) -> None:
         """Advance the mutation clock after an in-place row change."""

@@ -39,8 +39,10 @@ class WalError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A checkpoint could not be written, or none could be restored when
-    one was explicitly required."""
+    """A checkpoint could not be written, none could be restored when
+    one was explicitly required, or the newest restorable one is older
+    than the WAL's compaction point (recovery refuses instead of
+    replaying a log with a hole in it)."""
 
 
 class BackpressureError(MaintenanceError):

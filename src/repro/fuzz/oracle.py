@@ -22,17 +22,24 @@ snapshot — converges to the reference state through
 ``scheduler.task`` failpoint each step and expects the retry path to
 absorb it.
 
-The durability configs go further.  ``checkpoint-wal`` checkpoints every
-few ops and restarts the warehouse at generated ``crash`` ops, so
+The durability configs go further.  ``checkpoint-wal`` checkpoints
+after every op and restarts the warehouse at generated ``crash`` ops, so
 checkpoint + suffix-replay recovery runs *inside* the differential loop.
 ``crash-checkpoint`` and ``crash-compaction`` kill the process inside
-:meth:`CheckpointManager.write` (the atomic-rename window) and inside
-segment deletion (``wal.compact.unlink``) and require the restart to
-self-heal and converge.  The ``corrupt-torn`` / ``corrupt-bitflip``
-configs byte-mangle the closed log deterministically (seeded from the
-scenario itself) and require :meth:`Warehouse.recover` to quarantine the
-damage, never raise, and leave every view recompute-equal over whatever
-history survived.
+:meth:`CheckpointManager.write` (the atomic-rename window, and the
+window between a durable new restore point and the pruning of the old
+lineage) and inside segment deletion (``wal.compact.unlink``) and
+require the restart to self-heal and converge.  The ``corrupt-torn`` /
+``corrupt-bitflip`` configs byte-mangle the closed log deterministically
+(seeded from the scenario itself) and require :meth:`Warehouse.recover`
+to quarantine the damage, never raise, and leave every view
+recompute-equal over whatever history survived; then they damage one
+checkpoint file — a base or a delta — and require recovery to fall back
+to the restore point before it and still reach the reference state, or
+to refuse with a typed error when the WAL no longer reaches back that
+far.  Each of these five stages its crash on top of a checkpoint
+*lineage* (:func:`_grow_lineage`: at least two delta files, one
+compaction, a delta newest), and :attr:`CaseResult.exercised` says so.
 
 The ``chaos-*`` configs point the same differential machinery at
 *partial* failure.  ``chaos-shard`` replays the stream through a
@@ -73,7 +80,7 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.maintain import (
     MaintenanceOptions,
@@ -82,7 +89,7 @@ from ..core.maintain import (
     SECONDARY_FROM_BASE,
     SECONDARY_FROM_VIEW,
 )
-from ..errors import ReproError
+from ..errors import CheckpointError, ReproError
 from ..runtime import FAILPOINTS, InjectedFault, RetryPolicy
 from ..warehouse import Warehouse
 from .generator import Scenario
@@ -129,6 +136,14 @@ class CaseResult:
 
     mismatches: List[Mismatch] = field(default_factory=list)
     configs_run: List[str] = field(default_factory=list)
+    #: config -> how often the run went through a mechanism worth
+    #: knowing was exercised: ``delta_checkpoints``, ``compactions``,
+    #: ``overlay_folds``
+    exercised: Dict[str, Dict[str, int]] = field(default_factory=dict)
+
+    def count(self, config: str, what: str, times: int = 1) -> None:
+        counters = self.exercised.setdefault(config, {})
+        counters[what] = counters.get(what, 0) + times
 
     def add(
         self,
@@ -262,20 +277,20 @@ def default_matrix() -> List[OracleConfig]:
             _opts(),
             wal=True,
             crash_check=True,
-            checkpoint_every=2,
+            checkpoint_every=1,
         ),
         OracleConfig(
             "crash-checkpoint",
             _opts(),
             wal=True,
-            checkpoint_every=2,
+            checkpoint_every=1,
             crash_checkpoint=True,
         ),
         OracleConfig(
             "crash-compaction",
             _opts(),
             wal=True,
-            checkpoint_every=2,
+            checkpoint_every=1,
             segment_bytes=128,
             crash_compaction=True,
         ),
@@ -283,12 +298,14 @@ def default_matrix() -> List[OracleConfig]:
             "corrupt-torn",
             _opts(),
             wal=True,
+            checkpoint_every=1,
             corruption="torn",
         ),
         OracleConfig(
             "corrupt-bitflip",
             _opts(),
             wal=True,
+            checkpoint_every=1,
             segment_bytes=128,
             corruption="bitflip",
         ),
@@ -496,6 +513,7 @@ def run_case(
             (config.crash_checkpoint, _run_crash_checkpoint_check),
             (config.crash_compaction, _run_crash_compaction_check),
             (bool(config.corruption), _run_corruption_check),
+            (bool(config.corruption), _run_checkpoint_corruption_check),
         ]
         for enabled, check in extra_checks:
             if not enabled:
@@ -656,6 +674,66 @@ def _restart(wh: Warehouse, config: OracleConfig, make):
     return fresh
 
 
+def _checkpoint(wh: Warehouse, config: OracleConfig, result: CaseResult) -> bool:
+    """One checkpoint of a local warehouse; True when it wrote a delta."""
+    path = wh.checkpoint()
+    delta = isinstance(path, str) and path.endswith(".delta.json")
+    if delta:
+        result.count(config.name, "delta_checkpoints")
+    return delta
+
+
+_LINEAGE_ROUNDS = 12  # churn rounds before giving up on a compaction
+
+
+def _churn_table(wh: Warehouse) -> Optional[Tuple[str, List]]:
+    """The biggest base table whose rows can all be deleted right now
+    (nothing references them), with those rows — or None."""
+    tables = wh.merged_database().tables
+    for name in sorted(tables, key=lambda n: -len(tables[n].rows)):
+        rows = list(tables[name].rows)
+        if not rows:
+            return None
+        try:
+            wh.delete(name, rows)
+        except ReproError:
+            continue  # still referenced: nothing changed
+        wh.insert(name, rows)
+        return name, rows
+    return None
+
+
+def _grow_lineage(
+    wh: Warehouse, config: OracleConfig, result: CaseResult
+) -> None:
+    """Checkpoint a settled warehouse until it has written two deltas,
+    compacted them into a new base, and written a delta on top of that —
+    so whatever restores next rolls a base forward through a chain.
+
+    Between checkpoints one table is emptied and refilled, so the deltas
+    carry real ±rows for it and every view over it while the state (and
+    the reference replay) stay where they were.  The journals stay whole
+    throughout, so every base after the first call is a compaction.  A
+    database with nothing deletable only gets empty deltas, which may
+    never add up to one."""
+    churn = _churn_table(wh)
+    emptied = False
+    deltas = compactions = 0
+    for attempt in range(2 * _LINEAGE_ROUNDS):
+        delta = _checkpoint(wh, config, result)
+        deltas += delta
+        if attempt and not delta:
+            compactions += 1
+            result.count(config.name, "compactions")
+        if deltas >= 2 and compactions and delta:
+            break
+        if churn:  # alternate: all of it gone, all of it back
+            (wh.insert if emptied else wh.delete)(*churn)
+            emptied = not emptied
+    if emptied:
+        wh.insert(*churn)
+
+
 def _pending_wal(wh: Warehouse, config: OracleConfig) -> str:
     """What the WAL(s) still hold unacknowledged ("" when nothing)."""
     if config.shards:
@@ -706,6 +784,12 @@ def _run_config(
             for i, op in enumerate(scenario.ops):
                 step = f"op[{i}]"
                 if op["kind"] == "crash" and config.wal:
+                    if config.snapshot_reads:
+                        result.count(
+                            config.name,
+                            "overlay_folds",
+                            wh.snapshots.overlay_folds,
+                        )
                     wh = _restart(wh, config, make_warehouse)
                 else:
                     _check_outcome(
@@ -720,8 +804,12 @@ def _run_config(
                 if config.checkpoint_every and op["kind"] != "crash":
                     since_checkpoint += 1
                     if since_checkpoint >= config.checkpoint_every:
-                        wh.checkpoint()
+                        _checkpoint(wh, config, result)
                         since_checkpoint = 0
+            if config.snapshot_reads:
+                result.count(
+                    config.name, "overlay_folds", wh.snapshots.overlay_folds
+                )
             if config.wal:
                 try:
                     wh.flush()
@@ -1101,7 +1189,9 @@ def _run_crash_check(
         for op in ops[:crash_at]:
             apply_op(wh, op)
         if checkpoint_dir:
-            wh.checkpoint()  # durable boundary + WAL compacted behind it
+            # durable boundary: a base, its deltas, the WAL compacted
+            # behind the restore point before the newest
+            _grow_lineage(wh, config, result)
         else:
             wh.flush()  # durable boundary: everything so far is acked
         snapshot = wh.db.copy()
@@ -1148,55 +1238,69 @@ def _run_crash_checkpoint_check(
     reference: _Reference,
     result: CaseResult,
 ) -> None:
-    """Crash inside :meth:`CheckpointManager.write`, after the payload is
-    durable under its ``.tmp`` name but before the atomic rename: the
-    half-written checkpoint must never be restored, and recovery must
-    fall back to the previous one plus a longer suffix replay."""
+    """Crash inside :meth:`CheckpointManager.write`, once in each of its
+    two windows, on top of a lineage of a base and its deltas:
+
+    * ``checkpoint.write`` — the payload is durable under its ``.tmp``
+      name but was never renamed: the half-written checkpoint must never
+      be restored, and recovery falls back to the chain before it plus a
+      longer suffix replay;
+    * ``checkpoint.prune`` — the new restore point is durable, the files
+      it makes redundant are still there: recovery restores the new one
+      and replays nothing it covers.
+    """
     ops = _replayable_ops(scenario)
     if not ops:
         return
     half = max(1, len(ops) // 2)
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") as tmp:
-        wal_path = os.path.join(tmp, "wal")
-        checkpoint_dir = os.path.join(tmp, "checkpoints")
-        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
-        wh = _open(scenario.build_database(), scenario, config, **kwargs)
-        for op in ops[:half]:
-            apply_op(wh, op)
-        wh.checkpoint()  # checkpoint A: published, WAL compacted
-        for op in ops[half:]:
-            apply_op(wh, op)
-        crashed = False
-        with FAILPOINTS.armed("checkpoint.write", action="raise"):
-            try:
-                wh.checkpoint()  # dies in the atomic-rename window
-            except InjectedFault:
-                crashed = True
-        if not crashed:
-            result.add(
-                config.name, "recovery", "harness-error",
-                "checkpoint.write failpoint never fired",
-            )
-        _drop_process(wh)
-
-        restarted = _open(
-            scenario.build_database(), scenario, config, **kwargs
-        )
-        try:
-            restarted.recover()
-            info = restarted.last_recovery or {}
-            if crashed and info.get("checkpoint_lsn") is None:
+    for site in ("checkpoint.write", "checkpoint.prune"):
+        with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") as tmp:
+            wal_path = os.path.join(tmp, "wal")
+            checkpoint_dir = os.path.join(tmp, "checkpoints")
+            kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
+            wh = _open(scenario.build_database(), scenario, config, **kwargs)
+            for op in ops[:half]:
+                apply_op(wh, op)
+            _grow_lineage(wh, config, result)  # published, WAL compacted
+            for op in ops[half:]:
+                apply_op(wh, op)
+            crashed = False
+            with FAILPOINTS.armed(site, action="raise"):
+                try:
+                    wh.checkpoint()
+                except InjectedFault:
+                    crashed = True
+            if not crashed:
                 result.add(
-                    config.name, "recovery", "durability",
-                    "no checkpoint restored although one was "
-                    "published before the crashed write",
+                    config.name, "recovery", "harness-error",
+                    f"{site} failpoint never fired",
                 )
-            _check_recovered(
-                restarted, config, reference, result,
-                "after a crash mid-checkpoint",
+            _drop_process(wh)
+
+            restarted = _open(
+                scenario.build_database(), scenario, config, **kwargs
             )
-        finally:
-            _drop_process(restarted)
+            try:
+                restarted.recover()
+                info = restarted.last_recovery or {}
+                if crashed and info.get("checkpoint_lsn") is None:
+                    result.add(
+                        config.name, "recovery", "durability",
+                        "no checkpoint restored although one was "
+                        f"published before the crash at {site}",
+                    )
+                if site == "checkpoint.prune" and info.get("replayed"):
+                    result.add(
+                        config.name, "recovery", "durability",
+                        f"{info['replayed']} entr(ies) replayed although the "
+                        "crashed checkpoint was already durable",
+                    )
+                _check_recovered(
+                    restarted, config, reference, result,
+                    f"after a crash at {site}",
+                )
+            finally:
+                _drop_process(restarted)
 
 
 def _run_crash_compaction_check(
@@ -1207,7 +1311,9 @@ def _run_crash_compaction_check(
 ) -> None:
     """Crash between the durable compaction marker and segment deletion
     (``wal.compact.unlink``): the next open must self-heal the stale
-    segments and recovery must converge as if compaction had finished."""
+    segments and recovery must converge as if compaction had finished.
+    The survivor then grows a lineage (deltas, a compaction — each with
+    its own WAL compaction behind it) and must recover from that too."""
     ops = _replayable_ops(scenario)
     if not ops:
         return
@@ -1226,17 +1332,20 @@ def _run_crash_compaction_check(
                 pass  # marker durable, some covered segments left behind
         _drop_process(wh)
 
-        restarted = _open(
-            scenario.build_database(), scenario, config, **kwargs
-        )
-        try:
-            restarted.recover()
-            _check_recovered(
-                restarted, config, reference, result,
-                "after a crash mid-compaction",
+        for when, grow in (
+            ("after a crash mid-compaction", True),
+            ("from a lineage grown after a crash mid-compaction", False),
+        ):
+            restarted = _open(
+                scenario.build_database(), scenario, config, **kwargs
             )
-        finally:
-            _drop_process(restarted)
+            try:
+                restarted.recover()
+                _check_recovered(restarted, config, reference, result, when)
+                if grow:
+                    _grow_lineage(restarted, config, result)
+            finally:
+                _drop_process(restarted)
 
 
 def _corrupt_wal(
@@ -1268,14 +1377,16 @@ def _corrupt_wal(
         return None
     # flip one payload byte of the first record, past its CRC prefix
     position = 9 + rng.randrange(line_end - 9)
-    mangled = (
-        raw[:position]
-        + bytes([raw[position] ^ 0x20])
-        + raw[position + 1 :]
-    )
-    with open(path, "wb") as handle:
-        handle.write(mangled)
+    _flip_byte(path, position)
     return f"flipped byte {position} of {segments[0]}"
+
+
+def _flip_byte(path: str, position: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.seek(position)
+        byte = handle.read(1)
+        handle.seek(position)
+        handle.write(bytes([byte[0] ^ 0x20]))
 
 
 def _export_artifacts(config_name: str, wal_dir: str) -> None:
@@ -1357,6 +1468,108 @@ def _run_corruption_check(
             _drop_process(restarted)
             if len(result.mismatches) > before:
                 _export_artifacts(config.name, wal_path)
+
+
+def _corrupt_checkpoint(
+    checkpoint_dir: str, mode: str, rng: random.Random
+) -> Optional[Tuple[str, bool]]:
+    """Damage one checkpoint file — base or delta, newest or not — of a
+    closed directory; returns a description of the damage and whether
+    restore has to come across it (it sits in the newest lineage)."""
+    names = sorted(
+        name
+        for name in os.listdir(checkpoint_dir)
+        if name.startswith("ckpt-") and name.endswith(".json")
+    )
+    if not names:
+        return None
+    name = rng.choice(names)
+    newest_base = max(n for n in names if not n.endswith(".delta.json"))
+    in_the_way = name >= newest_base
+    path = os.path.join(checkpoint_dir, name)
+    size = os.path.getsize(path)
+    if mode == "torn":
+        with open(path, "ab") as handle:
+            handle.truncate(size // 2)
+        return f"{name} cut to {size // 2} of {size} bytes", in_the_way
+    position = 9 + rng.randrange(size - 9)  # past the CRC prefix
+    _flip_byte(path, position)
+    return f"flipped byte {position} of {name}", in_the_way
+
+
+def _run_checkpoint_corruption_check(
+    scenario: Scenario,
+    config: OracleConfig,
+    reference: _Reference,
+    result: CaseResult,
+) -> None:
+    """Damage one file of a checkpoint lineage, then recover.  The WAL is
+    intact, so no history is lost: recovery must notice, fall back to the
+    restore point before the damage and reach the reference state — or,
+    when the WAL was already compacted past the restore point that is
+    left, refuse with :class:`~repro.errors.CheckpointError`."""
+    ops = _replayable_ops(scenario)
+    if not ops or not config.checkpoint_every:
+        return
+    rng = random.Random(
+        zlib.crc32(scenario.to_json().encode("utf-8")) ^ 0xC4EC
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-rot-") as tmp:
+        wal_path = os.path.join(tmp, "wal")
+        checkpoint_dir = os.path.join(tmp, "checkpoints")
+        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
+        wh = _open(scenario.build_database(), scenario, config, **kwargs)
+        half = max(1, len(ops) // 2)
+        for op in ops[:half]:
+            apply_op(wh, op)
+        _grow_lineage(wh, config, result)
+        for op in ops[half:]:
+            apply_op(wh, op)
+            _checkpoint(wh, config, result)
+        wh.flush()
+        _drop_process(wh)
+        damaged = _corrupt_checkpoint(checkpoint_dir, config.corruption, rng)
+        if damaged is None:
+            return
+        damage, in_the_way = damaged
+        before = len(result.mismatches)
+        restarted = _open(
+            scenario.build_database(), scenario, config, **kwargs
+        )
+        try:
+            try:
+                restarted.recover()
+            except CheckpointError as exc:
+                left = restarted.checkpoints.latest()
+                reach = left.lsn if left is not None else 0
+                if reach >= restarted.wal.compacted_through:
+                    result.add(
+                        config.name, "recovery", "corruption",
+                        f"recover() refused ({exc}) although the restore "
+                        f"point at LSN {reach} has its WAL suffix ({damage})",
+                    )
+                return
+            except Exception as exc:
+                result.add(
+                    config.name, "recovery", "corruption",
+                    f"recover() raised on a damaged checkpoint ({damage}):"
+                    f" {type(exc).__name__}: {exc}",
+                )
+                return
+            sidecar = os.path.join(checkpoint_dir, "corrupt")
+            if in_the_way and not os.listdir(sidecar):
+                result.add(
+                    config.name, "recovery", "harness-error",
+                    f"injected damage went undetected ({damage})",
+                )
+            _check_recovered(
+                restarted, config, reference, result,
+                f"after checkpoint damage ({damage})",
+            )
+        finally:
+            _drop_process(restarted)
+            if len(result.mismatches) > before:
+                _export_artifacts(config.name, checkpoint_dir)
 
 
 def _cross_config_check(

@@ -312,8 +312,8 @@ class Telemetry:
         )
         self.checkpoint_total = m.counter(
             "repro_checkpoint_total",
-            "Checkpoints written, by outcome",
-            ("outcome",),
+            "Checkpoints by outcome (written base / written delta / corrupt)",
+            ("outcome", "kind"),
         )
         self.checkpoint_bytes = m.gauge(
             "repro_checkpoint_bytes",
@@ -359,6 +359,14 @@ class Telemetry:
         self.snapshots_published = m.counter(
             "repro_snapshots_published_total",
             "Consistent read snapshots published by the warehouse",
+        )
+        self.snapshot_captured_rows = m.counter(
+            "repro_snapshot_captured_rows_total",
+            "Rows copied by snapshot publication (overlays, folds, full copies)",
+        )
+        self.snapshot_full_captures = m.counter(
+            "repro_snapshot_full_captures_total",
+            "Tables and views a publication copied whole (broken journal)",
         )
         self.snapshots_retained = m.gauge(
             "repro_snapshots_retained",
@@ -703,17 +711,23 @@ class Telemetry:
         with self._record_lock:
             self.queue_wait_seconds.observe(seconds)
 
-    def record_checkpoint(self, seconds: float, size_bytes: int) -> None:
-        """One durable checkpoint was written and published."""
+    def record_checkpoint(
+        self, seconds: float, size_bytes: int, kind: str = "base"
+    ) -> None:
+        """One durable checkpoint (*kind*: ``base`` | ``delta``) was
+        written and published."""
         if not self.enabled:
             return
         with self._record_lock:
             self.checkpoint_seconds.observe(seconds)
-            self.checkpoint_total.inc(outcome="written")
+            self.checkpoint_total.inc(outcome="written", kind=kind)
             self.checkpoint_bytes.set(size_bytes)
             self.health.record_checkpoint()
         self.record_event(
-            "checkpoint.written", seconds=seconds, size_bytes=size_bytes
+            "checkpoint.written",
+            seconds=seconds,
+            size_bytes=size_bytes,
+            kind=kind,
         )
 
     def record_checkpoint_corrupt(self, name: str) -> None:
@@ -721,7 +735,7 @@ class Telemetry:
         if not self.enabled:
             return
         with self._record_lock:
-            self.checkpoint_total.inc(outcome="corrupt")
+            self.checkpoint_total.inc(outcome="corrupt", kind="")
         self.record_event("checkpoint.corrupt", name=name)
 
     def record_wal_compaction(self, segments_deleted: int) -> None:
@@ -789,13 +803,21 @@ class Telemetry:
         self.slo.observe("read", seconds)
 
     def record_snapshot_publish(
-        self, lsn: Optional[int], retained: int, stale_views: int = 0
+        self,
+        lsn: Optional[int],
+        retained: int,
+        stale_views: int = 0,
+        captured_rows: int = 0,
+        full_captures: int = 0,
     ) -> None:
-        """The warehouse published a consistent read snapshot."""
+        """The warehouse published a consistent read snapshot, copying
+        *captured_rows* rows, *full_captures* objects of them whole."""
         if not self.enabled:
             return
         with self._record_lock:
             self.snapshots_published.inc()
+            self.snapshot_captured_rows.inc(captured_rows)
+            self.snapshot_full_captures.inc(full_captures)
             self.snapshots_retained.set(retained)
             if lsn is not None:
                 self.snapshot_lsn.set(lsn)

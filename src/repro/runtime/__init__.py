@@ -9,9 +9,10 @@ maintainers:
   entries (:meth:`~repro.warehouse.Warehouse.recover`).  Segments whose
   records fail verification are quarantined to a ``corrupt/`` sidecar
   rather than aborting recovery;
-* :class:`CheckpointManager` — atomically written, fsynced snapshots of
-  base tables + view contents + last-applied LSN.  Together with WAL
-  compaction this bounds recovery cost by the checkpoint interval
+* :class:`CheckpointManager` — atomically written, fsynced checkpoints
+  of base tables + view contents + last-applied LSN: a base file, then
+  delta files holding only the rows that changed since.  Together with
+  WAL compaction this bounds recovery cost by the checkpoint interval
   instead of total history;
 * :class:`MaintenanceScheduler` — serializes changes through a single
   dispatcher while fanning each change's per-view maintenance across a
@@ -19,7 +20,8 @@ maintainers:
   per-view timeouts, quarantine-based graceful degradation, and a
   bounded admission queue (block or shed on overflow);
 * :class:`SnapshotStore` — MVCC-style published snapshots of base
-  tables + views at consistent LSNs, giving readers torn-read-free,
+  tables + views at consistent LSNs, captured at delta cost from
+  per-object change journals, giving readers torn-read-free,
   non-blocking access (see ``docs/SERVING.md``).
 
 See ``docs/DURABILITY.md`` for the durability and staleness contract.

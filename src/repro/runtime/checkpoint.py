@@ -2,48 +2,64 @@
 
 A checkpoint is the second half of the bounded-recovery contract (the
 first is WAL compaction, :meth:`WriteAheadLog.compact`): restart cost is
-*restore the newest checkpoint, then replay the WAL suffix past its
+*restore the newest restore point, then replay the WAL suffix past its
 LSN* — proportional to the checkpoint interval, not the total history.
 
-One checkpoint is one JSON file, written atomically::
+Checkpoints form **lineages**: a *base* file holds everything, each
+*delta* file after it holds only the rows every table and plain view
+gained and lost since the file before it::
 
     checkpoints/
-      ckpt-00000001.json
-      ckpt-00000002.json        <- newest wins
-      corrupt/                  <- checkpoints that failed verification
+      ckpt-00000001.json          <- base
+      ckpt-00000002.delta.json    <- base 1 + this  = state at its lsn
+      ckpt-00000003.delta.json    <- ... + this     <- newest wins
+      corrupt/                    <- files that failed verification
 
-    # the whole file is a single framed record, like a WAL line:
-    9bb17ea3 {"lsn":412,"seq":2,"tables":{...},"foreign_keys":[...],
+    # every file is a single framed record, like a WAL line:
+    9bb17ea3 {"lsn":412,"seq":1,"tables":{...},"foreign_keys":[...],
               "views":{...}}
+    5e02ab1f {"lsn":518,"seq":2,"base_seq":1,
+              "tables":{"lineitem":{"+":[...],"-":[...]}},"views":{...}}
 
 * ``lsn`` — the highest WAL LSN whose effects the captured state
   includes.  :meth:`CheckpointManager.write` must therefore be called at
   a quiescent point (:meth:`Warehouse.flush` provides one).
-* ``tables`` — schema (bare column names, key, not-null) plus every row
-  of every base table.
-* ``views`` — the materialized rows of each *plain* view; aggregated
-  views are rebuilt from the restored base tables on restore (their
-  group state is derived, and rebuilding bounds restore cost by data
-  size, exactly like the table restore itself).
+* ``tables`` — base: schema (bare column names, key, not-null) plus
+  every row of every base table; delta: the rows added (``+``) and
+  removed (``-``) per table.
+* ``views`` — the same for each *plain* view; aggregated views are
+  rebuilt from the restored base tables on restore (their group state is
+  derived).  A delta names every table and view the state holds, so one
+  that was dropped since the base disappears on restore.
+
+Every file is one **restore point**: its base plus the deltas up to it.
+A delta is written when the caller knows the net change since the newest
+file (:meth:`SnapshotStore.net_delta`); a base otherwise, and whenever
+the deltas since the base together exceed half its bytes (compaction) —
+restore cost stays bounded by data size.  *keep* restore points are
+retained, with every file they need: a lineage is pruned once *keep*
+newer restore points exist, and :meth:`compactable_lsn` tells the WAL how
+far the oldest retained one has reached.
 
 Atomicity — the payload is written to a ``.tmp`` sibling, fsynced, then
 ``os.replace``-d into place and the directory fsynced: a crash
-mid-checkpoint leaves either the previous checkpoint set intact or a
-``.tmp`` orphan that :meth:`latest` never considers.  Verification —
-the frame CRC is checked on read; a checkpoint that fails to verify is
-moved to the ``corrupt/`` sidecar and :meth:`latest` falls back to the
-next-newest one (or ``None``, meaning recovery replays the WAL from
-genesis).  See ``docs/DURABILITY.md``.
+mid-checkpoint leaves either the previous files intact or a ``.tmp``
+orphan that :meth:`latest` never considers.  Verification — the frame CRC
+is checked on read; a file that fails moves to the ``corrupt/`` sidecar
+together with the deltas that depended on it, and :meth:`latest` falls
+back to the restore point before it (the chain prefix, then the previous
+lineage, then ``None``).  See ``docs/DURABILITY.md``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..engine.catalog import Database
 from ..errors import CheckpointError
@@ -52,22 +68,18 @@ from .failpoints import FAILPOINTS
 
 __all__ = ["CheckpointData", "CheckpointManager"]
 
-_PREFIX = "ckpt-"
-_SUFFIX = ".json"
+_FILE = re.compile(r"^ckpt-(\d+)(\.delta)?\.json$")
 _CORRUPT_DIR = "corrupt"
 
 
-def _checkpoint_name(seq: int) -> str:
-    return f"{_PREFIX}{seq:08d}{_SUFFIX}"
+class _File(NamedTuple):
+    seq: int
+    delta: bool
+    name: str
 
 
-def _checkpoint_seq(name: str) -> Optional[int]:
-    if not (name.startswith(_PREFIX) and name.endswith(_SUFFIX)):
-        return None
-    try:
-        return int(name[len(_PREFIX) : -len(_SUFFIX)])
-    except ValueError:
-        return None
+def _checkpoint_name(seq: int, delta: bool = False) -> str:
+    return f"ckpt-{seq:08d}{'.delta' if delta else ''}.json"
 
 
 def _bare(qualified: str) -> str:
@@ -77,14 +89,14 @@ def _bare(qualified: str) -> str:
 
 @dataclass
 class CheckpointData:
-    """One verified checkpoint, decoded."""
+    """One verified restore point, decoded (base with its deltas applied)."""
 
     lsn: int
     seq: int
     tables: Dict[str, Dict]  # name -> {columns, key, not_null, rows}
     foreign_keys: List[Dict] = field(default_factory=list)
     views: Dict[str, List] = field(default_factory=dict)  # plain views
-    path: str = ""
+    path: str = ""  # the newest file applied
 
     def build_database(self) -> Database:
         """A fresh :class:`Database` at the checkpointed state."""
@@ -110,6 +122,35 @@ class CheckpointData:
             )
         return db
 
+    def _apply(self, record: Dict, path: str, rolling: Dict) -> None:
+        """Roll this state forward through one delta record.  *rolling*
+        holds the row sets of the objects deltas have touched so far
+        (``(kind, name) -> {row: None}``), so each is re-keyed once per
+        restore; :meth:`_settle` writes them back."""
+        for kind, held in (("tables", self.tables), ("views", self.views)):
+            changes = record[kind]
+            for name in set(held) - set(changes):
+                del held[name]  # dropped since the base
+                rolling.pop((kind, name), None)
+            for name, change in changes.items():
+                if not (change["+"] or change["-"]):
+                    continue
+                rows = rolling.get((kind, name))
+                if rows is None:
+                    current = held[name]["rows"] if kind == "tables" else held[name]
+                    rows = rolling[kind, name] = dict.fromkeys(map(tuple, current))
+                for row in change["-"]:
+                    del rows[tuple(row)]
+                rows.update(dict.fromkeys(map(tuple, change["+"])))
+        self.lsn, self.seq, self.path = record["lsn"], record["seq"], path
+
+    def _settle(self, rolling: Dict) -> None:
+        for (kind, name), rows in rolling.items():
+            if kind == "tables":
+                self.tables[name]["rows"] = list(rows)
+            else:
+                self.views[name] = list(rows)
+
 
 class CheckpointManager:
     """Writes, lists and restores checkpoints under one directory."""
@@ -124,6 +165,13 @@ class CheckpointManager:
         self.telemetry = telemetry or Telemetry.disabled()
         self.keep = max(1, int(keep))
         os.makedirs(os.path.join(directory, _CORRUPT_DIR), exist_ok=True)
+        # The newest restore point this manager wrote or verified; a
+        # delta is only ever written on top of it.
+        self._tip: Optional[str] = None
+        self._base_seq = 0
+        self._base_bytes = 0
+        self._delta_bytes = 0  # of the deltas since that base
+        self._lsns: Dict[str, int] = {}  # file name -> lsn, as far as known
 
     # ------------------------------------------------------------------
     # writing
@@ -131,65 +179,51 @@ class CheckpointManager:
     def write(
         self,
         db: Database,
-        views: Optional[Dict[str, List]] = None,
+        views: Optional[Dict[str, object]] = None,
         lsn: int = 0,
+        delta: Optional[Dict[str, object]] = None,
     ) -> str:
         """Atomically write one checkpoint; returns its path.
 
-        *views* maps plain-view names to their materialized row lists.
-        The caller is responsible for quiescence: *lsn* must be the
-        highest WAL LSN already applied to both *db* and *views*.
+        *views* maps plain-view names to objects whose ``rows()`` are the
+        materialized rows.  *delta* is :meth:`SnapshotStore.net_delta`
+        — the net ±rows since the checkpoint whose path it carries as
+        ``since``; when that is still the newest restore point a delta
+        file is written, otherwise (and on compaction) a base.  The
+        caller is responsible for quiescence: *lsn* must be the highest
+        WAL LSN already applied to *db*, *views* and *delta*.
         """
         started = time.perf_counter()
-        seq = max((s for s, _ in self._sequence()), default=0) + 1
-        payload = json.dumps(
-            {
+        seq = max((f.seq for f in self._files()), default=0) + 1
+        as_delta = (
+            delta is not None
+            and self._tip is not None
+            and delta["since"] == self._tip
+            and 2 * self._delta_bytes <= self._base_bytes
+        )
+        if as_delta:
+            record = {
                 "lsn": lsn,
                 "seq": seq,
-                "tables": {
-                    name: {
-                        "columns": [
-                            _bare(c) for c in table.schema.columns
-                        ],
-                        "key": [_bare(c) for c in table.key or ()],
-                        "not_null": sorted(
-                            _bare(c)
-                            for c in table.not_null
-                            if c not in (table.key or ())
-                        ),
-                        "rows": [list(r) for r in table.rows],
+                "base_seq": self._base_seq,
+                **{
+                    kind: {
+                        name: {"+": added, "-": removed}
+                        for name, (added, removed) in sorted(delta[kind].items())
                     }
-                    for name, table in sorted(db.tables.items())
+                    for kind in ("tables", "views")
                 },
-                "foreign_keys": [
-                    {
-                        "source": fk.source,
-                        "source_columns": [
-                            _bare(c) for c in fk.source_columns
-                        ],
-                        "target": fk.target,
-                        "target_columns": [
-                            _bare(c) for c in fk.target_columns
-                        ],
-                        "cascading_deletes": fk.cascading_deletes,
-                        "deferrable": fk.deferrable,
-                    }
-                    for fk in db.foreign_keys
-                ],
-                "views": {
-                    name: [list(r) for r in rows]
-                    for name, rows in sorted((views or {}).items())
-                },
-            },
-            separators=(",", ":"),
-        )
-        crc = format(
-            zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x"
-        )
-        final = os.path.join(self.directory, _checkpoint_name(seq))
+            }
+        else:
+            record = self._base_record(db, views or {}, lsn, seq)
+        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        del record
+        name = _checkpoint_name(seq, as_delta)
+        final = os.path.join(self.directory, name)
         tmp = final + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(f"{crc} {payload}")
+        with open(tmp, "wb") as handle:
+            handle.write(b"%08x " % (zlib.crc32(payload) & 0xFFFFFFFF))
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         # Crash window: the payload is durable under the .tmp name but
@@ -197,11 +231,57 @@ class CheckpointManager:
         FAILPOINTS.hit("checkpoint.write", seq=seq, lsn=lsn)
         os.replace(tmp, final)
         self._fsync_directory()
+        self._tip = final
+        self._lsns[name] = lsn
+        if as_delta:
+            self._delta_bytes += len(payload)
+        else:
+            self._base_seq, self._base_bytes = seq, len(payload)
+            self._delta_bytes = 0
+        # Crash window: the new restore point is durable, the lineage it
+        # makes redundant is still there; the next write prunes it.
+        FAILPOINTS.hit("checkpoint.prune", seq=seq, lsn=lsn)
         self._prune()
         self.telemetry.record_checkpoint(
-            time.perf_counter() - started, len(payload)
+            time.perf_counter() - started,
+            len(payload),
+            kind="delta" if as_delta else "base",
         )
         return final
+
+    @staticmethod
+    def _base_record(db: Database, views: Dict[str, object], lsn: int, seq: int) -> Dict:
+        return {
+            "lsn": lsn,
+            "seq": seq,
+            "tables": {
+                name: {
+                    "columns": [_bare(c) for c in table.schema.columns],
+                    "key": [_bare(c) for c in table.key or ()],
+                    "not_null": sorted(
+                        _bare(c)
+                        for c in table.not_null
+                        if c not in (table.key or ())
+                    ),
+                    "rows": table.rows,  # tuples encode as arrays
+                }
+                for name, table in sorted(db.tables.items())
+            },
+            "foreign_keys": [
+                {
+                    "source": fk.source,
+                    "source_columns": [_bare(c) for c in fk.source_columns],
+                    "target": fk.target,
+                    "target_columns": [_bare(c) for c in fk.target_columns],
+                    "cascading_deletes": fk.cascading_deletes,
+                    "deferrable": fk.deferrable,
+                }
+                for fk in db.foreign_keys
+            ],
+            "views": {
+                name: view.rows() for name, view in sorted(views.items())
+            },
+        }
 
     def _fsync_directory(self) -> None:
         fd = os.open(self.directory, os.O_RDONLY)
@@ -211,52 +291,118 @@ class CheckpointManager:
             os.close(fd)
 
     def _prune(self) -> None:
-        """Keep the *keep* newest checkpoints, delete the rest."""
-        ordered = sorted(self._sequence(), reverse=True)
-        for _, name in ordered[self.keep :]:
-            os.remove(os.path.join(self.directory, name))
+        """Delete what no retained restore point needs — everything
+        older than the lineage of the *keep*-th newest file — and the
+        ``.tmp`` orphans of crashed writes."""
+        files = self._files()
+        start = max(0, len(files) - self.keep)
+        while start > 0 and files[start].delta:
+            start -= 1  # the oldest one kept needs its base and the deltas between
+        for file in files[:start]:
+            os.remove(os.path.join(self.directory, file.name))
+            self._lsns.pop(file.name, None)
         for name in os.listdir(self.directory):
             if name.endswith(".tmp"):
                 os.remove(os.path.join(self.directory, name))
 
+    def compactable_lsn(self) -> Optional[int]:
+        """The LSN the oldest retained restore point (the *keep*-th
+        newest file) has reached: every retained one can be rolled
+        forward without the WAL prefix through it.  ``None`` when that
+        file's LSN is not known to this manager (it predates it and
+        :meth:`latest` never read it) — compacting past an unknown
+        restore point could strand it."""
+        files = self._files()
+        if not files:
+            return None
+        return self._lsns.get(files[max(0, len(files) - self.keep)].name)
+
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def _sequence(self):
-        for name in os.listdir(self.directory):
-            seq = _checkpoint_seq(name)
-            if seq is not None:
-                yield seq, name
+    def _files(self) -> List[_File]:
+        """Checkpoint files, oldest first."""
+        matches = ((_FILE.match(n), n) for n in os.listdir(self.directory))
+        return sorted(
+            _File(int(m.group(1)), bool(m.group(2)), name)
+            for m, name in matches
+            if m is not None
+        )
 
     def checkpoint_paths(self) -> List[str]:
-        """Existing checkpoint files, oldest first."""
+        """Existing checkpoint files (bases and deltas), oldest first."""
         return [
-            os.path.join(self.directory, name)
-            for _, name in sorted(self._sequence())
+            os.path.join(self.directory, file.name) for file in self._files()
         ]
 
     def latest(self) -> Optional[CheckpointData]:
-        """The newest checkpoint that verifies, or ``None``.
+        """The newest restore point that verifies, or ``None``.
 
-        A checkpoint whose CRC or structure fails verification is moved
-        to the ``corrupt/`` sidecar and the next-newest one is tried —
-        recovery falls back to an older consistent state plus a longer
-        WAL replay rather than refusing to start.
+        The newest lineage's base is read and its deltas applied in
+        order.  A file whose CRC or structure fails verification moves to
+        the ``corrupt/`` sidecar along with the deltas after it (they
+        cannot be applied without it), and restore stops at the chain
+        prefix before it — or, when the base itself failed, starts over
+        on the previous lineage: an older consistent state plus a longer
+        WAL replay rather than a refusal to start.
         """
-        for seq, name in sorted(self._sequence(), reverse=True):
-            path = os.path.join(self.directory, name)
-            data = self._read(path, seq)
-            if data is not None:
-                return data
-            sidecar = os.path.join(self.directory, _CORRUPT_DIR, name)
-            os.replace(path, sidecar)
-            self.telemetry.record_checkpoint_corrupt(name)
+        files = self._files()
+        while files:
+            start = len(files) - 1
+            while start > 0 and files[start].delta:
+                start -= 1
+            base, deltas = files[start], files[start + 1 :]
+            files = files[:start]
+            data = None if base.delta else self._read_base(base)
+            if data is None:
+                self._quarantine([base, *deltas])
+                continue
+            size = 0
+            rolling: Dict = {}
+            for position, file in enumerate(deltas):
+                record = self._read(file)
+                if (
+                    record is None
+                    or record.get("base_seq") != base.seq
+                    or file.seq != data.seq + 1
+                ):
+                    self._quarantine(deltas[position:])
+                    break
+                try:
+                    data._apply(
+                        record, os.path.join(self.directory, file.name), rolling
+                    )
+                except (KeyError, TypeError):
+                    # verified, but not a delta of this state: it may be
+                    # half applied, so start over without it
+                    self._quarantine(deltas[position:])
+                    return self.latest()
+                self._lsns[file.name] = data.lsn
+                size += os.path.getsize(data.path)
+            data._settle(rolling)
+            self._tip = data.path
+            self._base_seq = base.seq
+            self._base_bytes = os.path.getsize(
+                os.path.join(self.directory, base.name)
+            )
+            self._delta_bytes = size
+            return data
         return None
 
-    @staticmethod
-    def _read(path: str, seq: int) -> Optional[CheckpointData]:
+    def _quarantine(self, files: List[_File]) -> None:
+        for file in files:
+            os.replace(
+                os.path.join(self.directory, file.name),
+                os.path.join(self.directory, _CORRUPT_DIR, file.name),
+            )
+            self._lsns.pop(file.name, None)
+            self.telemetry.record_checkpoint_corrupt(file.name)
+        self._tip = None
+
+    def _read(self, file: _File) -> Optional[Dict]:
+        """The verified record in *file*, or ``None``."""
         try:
-            with open(path, "rb") as handle:
+            with open(os.path.join(self.directory, file.name), "rb") as handle:
                 raw = handle.read()
             if len(raw) < 10 or raw[8:9] != b" ":
                 return None
@@ -265,19 +411,30 @@ class CheckpointManager:
             if raw[:8].decode("ascii", "replace") != crc:
                 return None
             record = json.loads(payload.decode("utf-8"))
-            return CheckpointData(
-                lsn=record["lsn"],
-                seq=record.get("seq", seq),
-                tables=record["tables"],
-                foreign_keys=record.get("foreign_keys", []),
-                views={
-                    name: [tuple(r) for r in rows]
-                    for name, rows in record.get("views", {}).items()
-                },
-                path=path,
-            )
-        except (OSError, ValueError, KeyError, UnicodeDecodeError):
+            if not isinstance(record.get("lsn"), int):
+                return None
+            if not all(isinstance(record.get(k), dict) for k in ("tables", "views")):
+                return None
+            return record
+        except (OSError, ValueError, AttributeError, UnicodeDecodeError):
             return None
+
+    def _read_base(self, file: _File) -> Optional[CheckpointData]:
+        record = self._read(file)
+        if record is None:
+            return None
+        self._lsns[file.name] = record["lsn"]
+        return CheckpointData(
+            lsn=record["lsn"],
+            seq=file.seq,
+            tables=record["tables"],
+            foreign_keys=record.get("foreign_keys", []),
+            views={
+                name: [tuple(r) for r in rows]
+                for name, rows in record["views"].items()
+            },
+            path=os.path.join(self.directory, file.name),
+        )
 
     def require_latest(self) -> CheckpointData:
         """Like :meth:`latest`, but raising when nothing verifies."""

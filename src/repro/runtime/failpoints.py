@@ -52,6 +52,10 @@ Instrumented sites (name → where it fires):
                     file is fsynced but before ``os.replace`` publishes
                     it — the atomic-rename crash window (context
                     carries ``seq`` and ``lsn``).
+``checkpoint.prune`` same method, after the new file is published and
+                    the directory fsynced but before the files it makes
+                    redundant are removed — the new restore point is
+                    durable, the old lineage still there (same context).
 ``shard.worker.kill`` thread-backend shard serve loop, before a command
                     runs — ``raise`` makes the worker die abruptly
                     (no reply, command never applied), the in-process

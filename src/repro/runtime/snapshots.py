@@ -16,11 +16,17 @@ the classic MVCC move — readers never touch live state at all:
   point lookups and predicate scans from it.  Readers therefore never
   block on maintenance and never observe a partially-applied batch —
   every read is consistent with *some* applied LSN.
-* Capture is **copy-on-write**: tables and views carry a global
-  mutation-clock ``version`` (see :func:`repro.engine.table.next_version`),
-  and :class:`SnapshotStore` reuses its previous copy of any container
-  whose version has not moved.  A change that touches 3 of 16 views
-  copies 3 views, not 16.
+* Capture costs the **delta**, not the database.  The store subscribes a
+  :class:`~repro.engine.table.ChangeJournal` to every table and plain
+  view it publishes; the paths that edit a live container
+  (``Database.insert/delete``, ``MaterializedView.insert_rows/
+  delete_rows``) record their ±rows there, and a publish turns the
+  journal into one more *overlay* (``key -> row | gone``) on top of the
+  previous slice.  A slice is an immutable base dict plus a short chain
+  of such overlays, so retained snapshots share everything but their
+  deltas.  Only a *broken* journal — first capture, wholesale
+  replacement (``reset_to``: rebuild, savepoint restore, checkpoint
+  restore, transaction rollback), a failed publish — costs a full copy.
 
 Retention is bounded two ways: the store keeps at most ``retain``
 snapshots (a deque), and :meth:`Warehouse.checkpoint` prunes snapshots
@@ -31,6 +37,11 @@ invalid when :meth:`Warehouse.recover` discards unacknowledged history,
 because a pre-crash snapshot may reflect changes that recovery rolled
 back.
 
+The store also nets every publish's overlays into per-object ±rows since
+the last *checkpoint mark* (:meth:`SnapshotStore.net_delta`), which is
+what lets :meth:`Warehouse.checkpoint` write a delta file instead of the
+whole database.
+
 Staleness contract: a snapshot's non-quarantined views equal a full
 recompute of their definitions over the snapshot's own base tables (the
 ``serving`` fuzz config asserts exactly this); views listed in
@@ -40,6 +51,7 @@ healthy state.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 import weakref
@@ -47,10 +59,21 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..engine.catalog import Database
-from ..engine.table import Row, Table
+from ..engine.table import ChangeJournal, Row, Table
 from ..errors import CatalogError
 
 __all__ = ["Snapshot", "SnapshotStore", "ViewSlice", "TableSlice"]
+
+#: One overlay: key -> the row stored under it, or None once it is gone.
+Overlay = Dict[object, Optional[Row]]
+
+#: A slice's overlays are folded into a fresh base dict once together
+#: they hold more than one entry per this many base entries.  Below that
+#: a fold would copy more than it saves; above it probes and scans pay
+#: for a chain that describes a large part of the data.
+_FOLD_DIVISOR = 4
+
+_ABSENT = object()
 
 
 def _bare(qualified: str) -> str:
@@ -58,16 +81,78 @@ def _bare(qualified: str) -> str:
     return qualified.split(".", 1)[1] if "." in qualified else qualified
 
 
-class ViewSlice:
-    """One view's frozen contents inside a snapshot.
+def _push(overlays: Tuple[Overlay, ...], top: Overlay) -> Tuple[Overlay, ...]:
+    """*overlays* (oldest first) with *top* stacked on as the newest.
 
-    ``rows_by_key`` maps the view key to the stored row, so key-equality
-    queries stay O(1) hash probes even on a frozen copy; everything else
-    scans.  Slices are shared across snapshots while the source view's
-    version does not move — never mutate one.
-    """
+    Neighbours merge (into a new dict — published ones are never edited)
+    until each overlay is at least twice the size of the one above it, so
+    the chain stays logarithmic in its total size and a publish copies
+    O(|top|) entries amortised."""
+    chain = list(overlays)
+    while chain and len(chain[-1]) < 2 * len(top):
+        top = {**chain.pop(), **top}
+    chain.append(top)
+    return tuple(chain)
 
-    __slots__ = ("name", "columns", "key_cols", "rows_by_key", "version")
+
+class _Slice:
+    """Frozen contents of one table or view: ``base`` plus ``overlays``
+    (oldest first).  Shared between snapshots — never mutate one."""
+
+    __slots__ = ("name", "columns", "version", "_base", "_overlays", "_len")
+
+    def __init__(self, name: str, columns: Tuple[str, ...], base: Dict, version: int):
+        self.name = name
+        self.columns = columns
+        self.version = version
+        self._base = base
+        self._overlays: Tuple[Overlay, ...] = ()
+        self._len = len(base)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def get(self, key) -> Optional[Row]:
+        """The row stored under *key*, newest overlay first."""
+        for overlay in reversed(self._overlays):
+            row = overlay.get(key, _ABSENT)
+            if row is not _ABSENT:
+                return row
+        return self._base.get(key)
+
+    def _merged(self) -> Dict:
+        """``key -> row`` with every overlay applied.  This is the base
+        dict itself when there is no overlay, so callers only read it."""
+        if not self._overlays:
+            return self._base
+        merged = dict(self._base)
+        for overlay in self._overlays:
+            for key, row in overlay.items():
+                if row is None:
+                    merged.pop(key, None)
+                else:
+                    merged[key] = row
+        return merged
+
+    def _successor(self, changes: Overlay, length: int, version: int):
+        """The slice one publish later; returns ``(slice, folded)``."""
+        twin = copy.copy(self)
+        twin.version = version
+        twin._overlays = _push(self._overlays, changes)
+        twin._len = length
+        folded = _FOLD_DIVISOR * sum(map(len, twin._overlays)) > len(self._base)
+        if folded:
+            twin._base = twin._merged()
+            twin._overlays = ()
+        return twin, folded
+
+
+class ViewSlice(_Slice):
+    """One view's frozen contents inside a snapshot, keyed by the view
+    key: a key-equality query is a few hash probes (:meth:`get`),
+    everything else scans :meth:`rows`."""
+
+    __slots__ = ("key_cols",)
 
     def __init__(
         self,
@@ -77,23 +162,18 @@ class ViewSlice:
         rows_by_key: Dict[Row, Row],
         version: int,
     ):
-        self.name = name
-        self.columns = columns
+        super().__init__(name, columns, rows_by_key, version)
         self.key_cols = key_cols
-        self.rows_by_key = rows_by_key
-        self.version = version
 
     def rows(self) -> List[Row]:
-        return list(self.rows_by_key.values())
-
-    def __len__(self) -> int:
-        return len(self.rows_by_key)
+        return list(self._merged().values())
 
 
-class TableSlice:
-    """One base table's frozen contents inside a snapshot."""
+class TableSlice(_Slice):
+    """One base table's frozen contents inside a snapshot, keyed by the
+    primary key (by position when the table has no usable key)."""
 
-    __slots__ = ("name", "columns", "key", "not_null", "rows", "version")
+    __slots__ = ("key", "not_null")
 
     def __init__(
         self,
@@ -101,18 +181,16 @@ class TableSlice:
         columns: Tuple[str, ...],
         key: Optional[Tuple[str, ...]],
         not_null: Tuple[str, ...],
-        rows: Tuple[Row, ...],
+        rows_by_key: Dict[object, Row],
         version: int,
     ):
-        self.name = name
-        self.columns = columns
+        super().__init__(name, columns, rows_by_key, version)
         self.key = key
         self.not_null = not_null
-        self.rows = rows
-        self.version = version
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    @property
+    def rows(self) -> Tuple[Row, ...]:
+        return tuple(self._merged().values())
 
 
 class Snapshot:
@@ -121,7 +199,8 @@ class Snapshot:
     ``lsn`` is the applied LSN the snapshot corresponds to: the WAL LSN
     of the last change it includes (WAL-backed warehouses) or the
     publish sequence number (undurable ones).  ``seq`` is the publish
-    sequence, strictly monotonic either way.
+    sequence, strictly monotonic either way.  ``captured_rows`` and
+    ``full_captures`` say what publishing it copied.
     """
 
     __slots__ = (
@@ -131,6 +210,8 @@ class Snapshot:
         "views",
         "tables",
         "stale_views",
+        "captured_rows",
+        "full_captures",
         "_valid",
         "_invalid_reason",
         "__weakref__",
@@ -144,6 +225,8 @@ class Snapshot:
         views: Dict[str, ViewSlice],
         tables: Dict[str, TableSlice],
         stale_views: frozenset,
+        captured_rows: int = 0,
+        full_captures: int = 0,
     ):
         self.lsn = lsn
         self.seq = seq
@@ -151,6 +234,8 @@ class Snapshot:
         self.views = views
         self.tables = tables
         self.stale_views = stale_views
+        self.captured_rows = captured_rows
+        self.full_captures = full_captures
         self._valid = True
         self._invalid_reason: Optional[str] = None
 
@@ -231,7 +316,7 @@ class Snapshot:
 
         ``equalities`` are column=value filters (qualified names via
         ``**{"customer.c_custkey": 5}``, or bare names when unambiguous);
-        an exact view-key match is answered by one hash probe.
+        an exact view-key match is answered by hash probes alone.
         *predicate* receives each candidate row as a column->value dict.
         """
         slice_ = self._slice(view)
@@ -244,26 +329,28 @@ class Snapshot:
             if probed == set(slice_.key_cols) and predicate is None:
                 by_col = dict(zip((slice_.columns[p] for p in positions), values))
                 key = tuple(by_col[c] for c in slice_.key_cols)
-                row = slice_.rows_by_key.get(key)
+                row = slice_.get(key)
                 rows = [row] if row is not None else []
                 return list(rows[:limit] if limit is not None else rows)
             rows = (
                 row
-                for row in slice_.rows_by_key.values()
+                for row in slice_._merged().values()
                 if all(row[p] == v for p, v in zip(positions, values))
             )
         else:
-            rows = slice_.rows_by_key.values()
+            rows = slice_._merged().values()
         if predicate is not None:
             columns = slice_.columns
             rows = (
                 row for row in rows if predicate(dict(zip(columns, row)))
             )
+        if limit is None:
+            return list(rows)
         out: List[Row] = []
         for row in rows:
-            out.append(row)
-            if limit is not None and len(out) >= limit:
+            if len(out) >= limit:
                 break
+            out.append(row)
         return out
 
     # ------------------------------------------------------------------
@@ -283,8 +370,9 @@ class Snapshot:
                 key=[_bare(c) for c in (slice_.key or ())],
                 not_null=[_bare(c) for c in slice_.not_null],
             )
-            if slice_.rows:
-                db.insert(name, slice_.rows, check=False)
+            rows = slice_.rows
+            if rows:
+                db.insert(name, rows, check=False)
         return db
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -294,8 +382,23 @@ class Snapshot:
         )
 
 
+class _Tracked:
+    """What the store keeps about one live table or plain view between
+    publishes: the journal it subscribed, its newest slice, and the rows
+    added / removed since the checkpoint mark, keyed like the slice
+    (``None`` when some change since the mark went unrecorded)."""
+
+    __slots__ = ("journal", "slice", "added", "removed")
+
+    def __init__(self, journal: ChangeJournal):
+        self.journal = journal
+        self.slice: Optional[_Slice] = None
+        self.added: Optional[Dict[object, Row]] = None
+        self.removed: Optional[Dict[object, Row]] = None
+
+
 class SnapshotStore:
-    """Bounded ring of published snapshots with copy-on-write capture.
+    """Bounded ring of published snapshots with journal-driven capture.
 
     ``publish`` must only be called from consistent points (the caller
     guarantees no fan-out is mutating views concurrently — the warehouse
@@ -309,7 +412,7 @@ class SnapshotStore:
         self._clock = clock
         # _lock guards the published ring and is only ever held for
         # O(1) work, so readers never wait on a capture in progress;
-        # _publish_lock serializes publishers (and owns the CoW caches)
+        # _publish_lock serializes publishers (and owns the capture state)
         self._lock = threading.Lock()
         self._publish_lock = threading.Lock()
         self._snapshots: "deque[Snapshot]" = deque()
@@ -317,11 +420,18 @@ class SnapshotStore:
         # every snapshot ever published and still referenced somewhere,
         # so invalidate() can flag copies readers are already holding
         self._issued: "weakref.WeakSet[Snapshot]" = weakref.WeakSet()
-        # copy-on-write caches: name -> (version, captured slice)
-        self._view_cache: Dict[str, Tuple[int, ViewSlice]] = {}
-        self._table_cache: Dict[str, Tuple[int, TableSlice]] = {}
+        self._tables: Dict[str, _Tracked] = {}
+        self._views: Dict[str, _Tracked] = {}
+        # aggregated views keep no journal (their rows are derived per
+        # publish): name -> slice, reused while the version stands
+        self._aggregates: Dict[str, ViewSlice] = {}
+        # what the net ±rows are relative to (see mark())
+        self._mark: Optional[object] = None
         self.published_count = 0
         self.invalidated_count = 0
+        self.captured_rows = 0
+        self.full_captures = 0
+        self.overlay_folds = 0
 
     # ------------------------------------------------------------------
     # publishing (consistent points only)
@@ -345,25 +455,39 @@ class SnapshotStore:
         """
         stale = frozenset(stale)
         with self._publish_lock:
+            captured, full = self.captured_rows, self.full_captures
             # capture happens OUTSIDE the ring lock: a reader calling
             # latest() mid-capture must not wait out the copies
-            view_slices: Dict[str, ViewSlice] = {}
-            for name, view in views.items():
-                view_slices[name] = self._capture_view(name, view, stale)
-            for name, aggregated in aggregates.items():
-                view_slices[name] = self._capture_aggregate(
-                    name, aggregated, stale
-                )
-            table_slices = {
-                name: self._capture_table(name, table)
-                for name, table in tables.items()
-            }
-            # drop cache entries for views/tables that no longer exist
-            live = set(view_slices)
-            for gone in set(self._view_cache) - live:
-                del self._view_cache[gone]
-            for gone in set(self._table_cache) - set(table_slices):
-                del self._table_cache[gone]
+            try:
+                view_slices: Dict[str, ViewSlice] = {}
+                for name, view in views.items():
+                    tracked = self._views.get(name)
+                    if name in stale and tracked and tracked.slice:
+                        tracked.added = None  # not what a checkpoint holds
+                        view_slices[name] = tracked.slice
+                    else:
+                        view_slices[name] = self._capture(self._views, name, view)
+                for name, aggregated in aggregates.items():
+                    view_slices[name] = self._capture_aggregate(
+                        name, aggregated, stale
+                    )
+                table_slices = {
+                    name: self._capture(self._tables, name, table)
+                    for name, table in tables.items()
+                }
+            except BaseException:
+                # some journal may have been taken and not applied
+                for tracked in (*self._views.values(), *self._tables.values()):
+                    tracked.journal.broken = True
+                raise
+            # forget views/tables that no longer exist
+            for kept, live in (
+                (self._views, views),
+                (self._aggregates, aggregates),
+                (self._tables, tables),
+            ):
+                for gone in set(kept) - set(live):
+                    del kept[gone]
             with self._lock:
                 self._seq += 1
                 seq = self._seq
@@ -373,7 +497,9 @@ class SnapshotStore:
                     created_at=self._clock(),
                     views=view_slices,
                     tables=table_slices,
-                    stale_views=stale & live,
+                    stale_views=stale & set(view_slices),
+                    captured_rows=self.captured_rows - captured,
+                    full_captures=self.full_captures - full,
                 )
                 self._snapshots.append(snapshot)
                 while len(self._snapshots) > self.retain:
@@ -382,56 +508,166 @@ class SnapshotStore:
                 self.published_count += 1
                 return snapshot
 
-    def _capture_view(self, name: str, view, stale: frozenset) -> ViewSlice:
-        cached = self._view_cache.get(name)
-        if cached is not None and (
-            cached[0] == view.version or name in stale
-        ):
-            return cached[1]
-        slice_ = ViewSlice(
+    def _capture(self, kept: Dict[str, _Tracked], name: str, live) -> _Slice:
+        """The slice of one live table or view for this publish: the
+        previous one when nothing was journaled, one more overlay when
+        something was, a full copy when the journal is broken."""
+        tracked = kept.get(name)
+        journal = live.journal
+        if tracked is None or journal is None or tracked.journal is not journal:
+            # first sight of this object (or another store took it over)
+            journal = live.journal = ChangeJournal()
+            tracked = kept[name] = _Tracked(journal)
+        previous = tracked.slice
+        if not journal.broken and journal.changes:
+            slice_ = self._advance(tracked, journal.take(), live.version)
+            if len(slice_) == len(live):
+                tracked.slice = slice_
+                return slice_
+            # an edit bypassed the journal: only a full copy is safe
+        elif previous is not None and previous.version == live.version:
+            return previous
+        return self._capture_full(tracked, name, live)
+
+    def _advance(self, tracked: _Tracked, changes: Overlay, version: int) -> _Slice:
+        """Stack *changes* on the tracked slice and net them into the
+        ±rows since the checkpoint mark."""
+        previous = tracked.slice
+        added, removed = tracked.added, tracked.removed
+        length = len(previous)
+        for key, row in changes.items():
+            old = previous.get(key)
+            if old is not None:
+                length -= 1
+                if added is not None:
+                    if key in added:
+                        del added[key]  # never part of the marked state
+                    else:
+                        removed[key] = old
+            if row is not None:
+                length += 1
+                if added is not None:
+                    added[key] = row
+        slice_, folded = previous._successor(changes, length, version)
+        self.captured_rows += len(changes)
+        if folded:
+            self.overlay_folds += 1
+            self.captured_rows += len(slice_)
+        return slice_
+
+    def _capture_full(self, tracked: _Tracked, name: str, live) -> _Slice:
+        """Copy *live* whole — the base case: a first capture, or a
+        journal that no longer accounts for every edit."""
+        journal = tracked.journal
+        journal.take()
+        if isinstance(live, Table):
+            slice_, keyed = self._full_table(name, live)
+        else:
+            slice_, keyed = self._full_view(name, live), True
+        tracked.slice = slice_
+        # a table without a usable key is copied again whenever it moves
+        journal.broken = not keyed
+        tracked.added = tracked.removed = None
+        self.full_captures += 1
+        self.captured_rows += len(slice_)
+        return slice_
+
+    @staticmethod
+    def _full_view(name: str, view) -> ViewSlice:
+        return ViewSlice(
             name,
             tuple(view.schema.columns),
             tuple(view.key_cols),
             dict(view._rows),
             view.version,
         )
-        self._view_cache[name] = (view.version, slice_)
-        return slice_
+
+    @staticmethod
+    def _full_table(name: str, table: Table) -> Tuple[TableSlice, bool]:
+        """The table keyed by its primary key — or by position (and then
+        never overlaid) when it has no key or unchecked inserts broke it."""
+        rows = table.rows
+        by_key: Dict[object, Row] = {}
+        keyed = table.key is not None and bool(table.indexes)
+        if keyed:
+            key_of = table.indexes[0].project
+            by_key = dict(zip(map(key_of, rows), rows))
+        if len(by_key) != len(rows):  # no key, or unchecked duplicates
+            keyed = False
+            by_key = dict(enumerate(rows))
+        slice_ = TableSlice(
+            name,
+            tuple(table.schema.columns),
+            tuple(table.key) if table.key is not None else None,
+            tuple(sorted(table.not_null)),
+            by_key,
+            table.version,
+        )
+        return slice_, keyed
 
     def _capture_aggregate(
         self, name: str, aggregated, stale: frozenset
     ) -> ViewSlice:
-        cached = self._view_cache.get(name)
+        cached = self._aggregates.get(name)
         if cached is not None and (
-            cached[0] == aggregated.version or name in stale
+            cached.version == aggregated.version or name in stale
         ):
-            return cached[1]
+            return cached
         columns = tuple(aggregated.group_by) + tuple(
             f"agg.{a.alias}" for a in aggregated.aggregates
         )
         key_cols = tuple(aggregated.group_by)
         key_len = len(key_cols)
         rows_by_key = {row[:key_len]: row for row in aggregated.rows()}
-        slice_ = ViewSlice(
+        slice_ = self._aggregates[name] = ViewSlice(
             name, columns, key_cols, rows_by_key, aggregated.version
         )
-        self._view_cache[name] = (aggregated.version, slice_)
+        self.captured_rows += len(slice_)
         return slice_
 
-    def _capture_table(self, name: str, table: Table) -> TableSlice:
-        cached = self._table_cache.get(name)
-        if cached is not None and cached[0] == table.version:
-            return cached[1]
-        slice_ = TableSlice(
-            name,
-            tuple(table.schema.columns),
-            tuple(table.key) if table.key is not None else None,
-            tuple(sorted(table.not_null)),
-            tuple(table.rows),
-            table.version,
+    # ------------------------------------------------------------------
+    # net change since the last checkpoint
+    # ------------------------------------------------------------------
+    def is_current(self, tables: Dict[str, Table], views: Dict[str, object]) -> bool:
+        """Whether the newest snapshot already shows exactly the live
+        *tables* and plain *views* (nothing edited since it was taken)."""
+        latest = self.latest()
+        if latest is None or not latest.valid:
+            return False
+        return all(
+            name in slices and slices[name].version == live.version
+            for slices, lives in ((latest.tables, tables), (latest.views, views))
+            for name, live in lives.items()
         )
-        self._table_cache[name] = (table.version, slice_)
-        return slice_
+
+    def mark(self, token: object) -> None:
+        """The published state is now durable as checkpoint *token*:
+        start netting ±rows from here."""
+        with self._publish_lock:
+            self._mark = token
+            for tracked in (*self._tables.values(), *self._views.values()):
+                tracked.added, tracked.removed = {}, {}
+
+    def net_delta(self) -> Optional[Dict[str, object]]:
+        """``{"since": token, "tables": {name: (added, removed)},
+        "views": {...}}`` — the rows every table and plain view gained
+        and lost between :meth:`mark` and the newest snapshot — or
+        ``None`` when there is no mark or some object's are unknown
+        (it was copied in full since)."""
+        with self._publish_lock:
+            if self._mark is None:
+                return None
+            delta: Dict[str, object] = {"since": self._mark}
+            for kind, kept in (("tables", self._tables), ("views", self._views)):
+                entries = delta[kind] = {}
+                for name, tracked in kept.items():
+                    if tracked.added is None:
+                        return None
+                    entries[name] = (
+                        list(tracked.added.values()),
+                        list(tracked.removed.values()),
+                    )
+            return delta
 
     # ------------------------------------------------------------------
     # reading
@@ -490,7 +726,7 @@ class SnapshotStore:
         a crash may include changes whose acknowledgements never became
         durable, so post-recovery they no longer correspond to any
         applied LSN.  Returns the number of snapshots flagged."""
-        with self._publish_lock:  # the caches belong to publishers
+        with self._publish_lock:  # the capture state belongs to publishers
             with self._lock:
                 flagged = 0
                 for snapshot in list(self._issued):
@@ -498,7 +734,9 @@ class SnapshotStore:
                         snapshot._invalidate(reason)
                         flagged += 1
                 self._snapshots.clear()
-                self._view_cache.clear()
-                self._table_cache.clear()
+                self._views.clear()
+                self._tables.clear()
+                self._aggregates.clear()
+                self._mark = None
                 self.invalidated_count += flagged
                 return flagged

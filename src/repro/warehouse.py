@@ -54,6 +54,7 @@ from .engine.catalog import Database
 from .engine.table import Row, Table
 from .errors import (
     CatalogError,
+    CheckpointError,
     FanOutError,
     MaintenanceError,
     ShardingError,
@@ -123,11 +124,12 @@ class Warehouse:
         WAL segment rotation threshold; see
         :class:`~repro.runtime.WriteAheadLog`.
     checkpoint_dir:
-        When given, :meth:`checkpoint` writes durable snapshots of base
-        tables + view contents + last-applied LSN here, and
-        :meth:`recover` restores the newest one and replays only the WAL
-        suffix past it (bounded recovery).  Each checkpoint compacts the
-        WAL behind itself.
+        When given, :meth:`checkpoint` writes durable checkpoints of base
+        tables + view contents + last-applied LSN here (a base file, then
+        deltas of what changed since), and :meth:`recover` restores the
+        newest one and replays only the WAL suffix past it (bounded
+        recovery).  Each checkpoint compacts the WAL behind the oldest
+        restore point still kept.
     checkpoint_interval:
         Auto-checkpoint every N changes (measured at submission, taken
         on the caller's thread at the next synchronous change or
@@ -425,6 +427,9 @@ class Warehouse:
             "snapshots_retained": self.snapshots.retained,
             "snapshots_invalidated": self.snapshots.invalidated_count,
             "publish_errors": self._publish_errors,
+            "captured_rows": self.snapshots.captured_rows,
+            "full_captures": self.snapshots.full_captures,
+            "overlay_folds": self.snapshots.overlay_folds,
             "latest_lsn": latest.lsn if latest is not None else None,
             "latest_age_seconds": (
                 latest.age_seconds() if latest is not None else None
@@ -688,31 +693,39 @@ class Warehouse:
         try:
             if lsn is None and self.wal is not None:
                 lsn = self.wal.last_lsn  # 0 before any append
-            plain: Dict[str, MaterializedView] = {}
-            aggregated: Dict[str, AggregatedView] = {}
-            for name, target in self._views.items():
-                if isinstance(target, AggregatedView):
-                    aggregated[name] = target
-                else:
-                    plain[name] = target.view
+            aggregated = {
+                name: target
+                for name, target in self._views.items()
+                if isinstance(target, AggregatedView)
+            }
             snapshot = self.snapshots.publish(
                 self.db.tables,
-                plain,
+                self._plain_views(),
                 aggregated,
                 stale=self.scheduler.quarantined,
                 lsn=lsn,
             )
         except Exception:
             # e.g. a timed-out zombie attempt mutating a quarantined
-            # view mid-capture before any cached slice exists
+            # view mid-capture before any slice of it exists; the store
+            # broke its journals, so the next publish copies in full
             self._publish_errors += 1
             return None
         self.telemetry.record_snapshot_publish(
             lsn=snapshot.lsn,
             retained=self.snapshots.retained,
             stale_views=len(snapshot.stale_views),
+            captured_rows=snapshot.captured_rows,
+            full_captures=snapshot.full_captures,
         )
         return snapshot
+
+    def _plain_views(self) -> Dict[str, MaterializedView]:
+        return {
+            name: target.view
+            for name, target in self._views.items()
+            if not isinstance(target, AggregatedView)
+        }
 
     def _settle(self) -> None:
         """The flush barrier: queue empty, WAL acknowledgements on disk."""
@@ -732,10 +745,13 @@ class Warehouse:
         """Write a durable checkpoint and compact the WAL behind it.
 
         Flushes first (the checkpoint must capture a quiescent,
-        fully-acknowledged state), snapshots base tables + plain-view
-        rows + the last-applied LSN via
-        :class:`~repro.runtime.CheckpointManager`, then deletes every
-        WAL segment the checkpoint fully covers
+        fully-acknowledged state) and makes sure that state is
+        published; then hands :class:`~repro.runtime.CheckpointManager`
+        the net ±rows the snapshot store has recorded since the previous
+        checkpoint — it writes a *delta* file from them, or a *base*
+        (every base table, every healthy plain view) when they are not
+        known or the lineage is due for compaction.  Finally the WAL
+        drops the segments no retained restore point needs
         (:meth:`~repro.runtime.WriteAheadLog.compact`).  Returns the
         checkpoint path.
         """
@@ -744,17 +760,27 @@ class Warehouse:
         self._checkpointing = True
         try:
             self.flush()
-            # aggregated group state is derived: restore rebuilds it
+            # aggregated group state is derived, and a quarantined view
+            # holds no state worth keeping: restore rebuilds both
+            quarantined = set(self.scheduler.quarantined)
             views = {
-                name: target.rows()
-                for name, target in self._views.items()
-                if not isinstance(target, AggregatedView)
+                name: view
+                for name, view in self._plain_views().items()
+                if name not in quarantined
             }
+            if not self.snapshots.is_current(self.db.tables, views):
+                self._publish()  # e.g. the last change's publish failed
             lsn = self.wal.last_lsn if self.wal is not None else 0
-            path = self.checkpoints.write(self.db, views, lsn=lsn)
-            if self.wal is not None:
-                self.wal.compact(lsn)
-            # snapshot retention follows the same boundary as the WAL:
+            delta = None if quarantined else self.snapshots.net_delta()
+            path = self.checkpoints.write(self.db, views, lsn=lsn, delta=delta)
+            self.snapshots.mark(path)
+            # Compact only as far as the *oldest* restore point kept has
+            # reached: if the newest file is ever found damaged, the one
+            # recovery falls back to still finds its WAL suffix.
+            through = self.checkpoints.compactable_lsn()
+            if self.wal is not None and through is not None:
+                self.wal.compact(through)
+            # snapshot retention follows the checkpoint boundary:
             # epochs the checkpoint covers need not be kept in the store
             self.snapshots.prune(lsn)
             self._changes_since_checkpoint = 0
@@ -777,10 +803,14 @@ class Warehouse:
     def recover(self, *, from_origin: bool = False) -> List[FanOutResult]:
         """Bounded, corruption-tolerant restart: checkpoint + suffix.
 
-        Restores the newest verifiable checkpoint (when a
-        ``checkpoint_dir`` is configured), then replays only the WAL
-        entries past its LSN — acknowledged or not, since the restored
-        state predates their effects.  Without a checkpoint the whole
+        Restores the newest verifiable restore point (when a
+        ``checkpoint_dir`` is configured: a base checkpoint rolled
+        forward through its deltas), then replays only the WAL entries
+        past its LSN — acknowledged or not, since the restored state
+        predates their effects.  If that restore point is older than
+        the WAL's compaction point, the entries between them no longer
+        exist: :class:`~repro.errors.CheckpointError` is raised before
+        any state is touched.  Without a checkpoint the whole
         unacknowledged log replays, as before — unless ``from_origin``
         is set, in which case *every* entry replays from LSN 0: the
         cold-start contract shard reincarnation uses when the worker
@@ -801,6 +831,23 @@ class Warehouse:
         """
         if self.wal is None:
             raise MaintenanceError("recover() requires a wal_path")
+        checkpoint: Optional[CheckpointData] = (
+            self.checkpoints.latest()
+            if self.checkpoints is not None
+            else None
+        )
+        restore_lsn = checkpoint.lsn if checkpoint is not None else 0
+        if restore_lsn < self.wal.compacted_through and (
+            from_origin or self.checkpoints is not None
+        ):
+            # the replay would start inside the prefix compaction
+            # deleted: refuse before anything is touched
+            raise CheckpointError(
+                "cannot recover: the newest verifiable restore point is at "
+                f"LSN {restore_lsn}, but the WAL was compacted through LSN "
+                f"{self.wal.compacted_through} — the entries between them "
+                "are gone"
+            )
         # Snapshots published before the crash may include changes whose
         # acknowledgements never became durable — after recovery they no
         # longer correspond to any applied LSN.  Flag them invalid for
@@ -808,11 +855,6 @@ class Warehouse:
         # replay settles on a consistent state.
         self.snapshots.invalidate("recovery")
         self._recovering = True
-        checkpoint: Optional[CheckpointData] = (
-            self.checkpoints.latest()
-            if self.checkpoints is not None
-            else None
-        )
         if checkpoint is not None:
             # the restored state predates everything past the checkpoint
             # LSN, so replay *all* entries after it — acked or not

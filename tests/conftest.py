@@ -6,6 +6,8 @@
   ``part ⟗ (orders ⟕ lineitem)`` with both foreign keys declared.
 * ``tiny_tpch`` — a small deterministic TPC-H instance.
 * ``no_index_rebuild`` — fails the test if a live index is rebuilt.
+* ``no_full_capture`` — fails the test if a snapshot publish copies a
+  table or view whole that the store had captured before.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro.algebra import Q, eq
 from repro.core import ViewDefinition
 from repro.engine import Database, HashIndex
+from repro.runtime import SnapshotStore
 from repro.tpch import TPCHGenerator
 
 
@@ -137,3 +140,18 @@ def no_index_rebuild(monkeypatch):
         build(index)
 
     monkeypatch.setattr(HashIndex, "rebuild", rebuild)
+
+
+@pytest.fixture
+def no_full_capture(monkeypatch):
+    """Steady-state publishes are journal-driven: with this fixture, a
+    full copy of any table or view the store already holds a slice of
+    (anything but a first capture) fails the test."""
+    capture = SnapshotStore._capture_full
+
+    def capture_full(store, tracked, name, live):
+        if tracked.slice is not None:
+            pytest.fail(f"publish copied {name!r} in full on a steady-state path")
+        return capture(store, tracked, name, live)
+
+    monkeypatch.setattr(SnapshotStore, "_capture_full", capture_full)

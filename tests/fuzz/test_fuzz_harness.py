@@ -8,6 +8,8 @@ import pytest
 
 import repro.core.maintain as maintain
 import repro.core.primary as primary
+import repro.runtime.checkpoint as checkpointmod
+import repro.runtime.snapshots as snapshotsmod
 import repro.runtime.wal as walmod
 from repro.algebra.expr import FULL, INNER
 from repro.fuzz import (
@@ -22,6 +24,7 @@ from repro.fuzz import (
     shrink,
 )
 from repro.fuzz.__main__ import main as fuzz_main
+from repro.fuzz.oracle import configs_by_name
 from repro.runtime import FAILPOINTS
 
 
@@ -121,6 +124,71 @@ def test_detects_dropped_wal_ack(monkeypatch):
     scenario, result = _first_detection(max_seeds=5)
     assert result is not None, "dropped WAL ack went undetected"
     assert "durability" in result.kinds
+
+
+LINEAGE_CONFIGS = (
+    "checkpoint-wal",
+    "crash-checkpoint",
+    "crash-compaction",
+    "corrupt-torn",
+    "corrupt-bitflip",
+)
+
+
+def test_durability_configs_really_go_through_deltas_and_folds():
+    """Every case of the checkpointing configs restores from a lineage
+    with delta files and a compaction in it, and the serving config reads
+    slices that were overlaid and folded — not just full copies."""
+    for seed in range(10):
+        result = run_case(
+            _scenario(seed), configs_by_name(LINEAGE_CONFIGS + ("serving",))
+        )
+        assert result.ok, f"seed {seed}:\n{result.summary()}"
+        for name in LINEAGE_CONFIGS:
+            seen = result.exercised[name]
+            assert seen["delta_checkpoints"] >= 2, (seed, name, seen)
+            assert seen["compactions"] >= 1, (seed, name, seen)
+        assert result.exercised["serving"]["overlay_folds"] >= 1, seed
+
+
+def test_detects_delta_checkpoint_that_forgets_removed_rows(monkeypatch):
+    apply = checkpointmod.CheckpointData._apply
+
+    def lossy(self, record, path, rolling):
+        for kind in ("tables", "views"):
+            for change in record[kind].values():
+                change["-"] = []
+        apply(self, record, path, rolling)
+
+    monkeypatch.setattr(checkpointmod.CheckpointData, "_apply", lossy)
+    found = [
+        result
+        for seed in range(6)
+        for result in [
+            run_case(_scenario(seed), configs_by_name(["checkpoint-wal"]))
+        ]
+        if not result.ok
+    ]
+    assert found, "a delta restore that resurrects deleted rows went undetected"
+    assert {"db-divergence", "view-divergence"} & set(found[0].kinds)
+
+
+def test_detects_overlay_that_forgets_removed_rows(monkeypatch):
+    def lossy(self):
+        merged = dict(self._base)
+        for overlay in self._overlays:
+            merged.update({k: r for k, r in overlay.items() if r is not None})
+        return merged
+
+    monkeypatch.setattr(snapshotsmod._Slice, "_merged", lossy)
+    found = [
+        result
+        for seed in range(6)
+        for result in [run_case(_scenario(seed), configs_by_name(["serving"]))]
+        if not result.ok
+    ]
+    assert found, "a snapshot scan that resurrects deleted rows went undetected"
+    assert "snapshot-divergence" in found[0].kinds
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.errors import MaintenanceError
+from repro.errors import CheckpointError, FanOutError, MaintenanceError
 from repro.runtime import (
     FAILPOINTS,
     CheckpointManager,
@@ -319,3 +319,272 @@ class TestCheckpointManagerCorruption:
         paths = manager.checkpoint_paths()
         assert len(paths) == 2
         assert manager.require_latest().lsn == 3
+
+
+# ---------------------------------------------------------------------------
+# lineages: a base, its deltas, compaction
+# ---------------------------------------------------------------------------
+def flip_byte(path, offset=40):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0x20]))
+
+
+def kinds(wh):
+    return [
+        "delta" if path.endswith(".delta.json") else "base"
+        for path in wh.checkpoints.checkpoint_paths()
+    ]
+
+
+def lineage_warehouse(tmp_path, orders=60, **kwargs):
+    """A warehouse whose base is big enough that a few small deltas do
+    not trigger compaction."""
+    wh = make_warehouse(tmp_path, **kwargs)
+    wh.create_view("ol", order_lines_expr())
+    wh.insert("orders", [(o, o % 7) for o in range(orders)])
+    wh.insert("lineitem", [(o, 0, o) for o in range(orders)])
+    return wh
+
+
+class TestLineage:
+    def test_base_plus_deltas_restores_the_live_state(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        for step in range(3):
+            wh.insert("lineitem", [(step, 1, 7)])
+            wh.delete("lineitem", [(step + 10, 0, step + 10)])
+            with wh.transaction() as txn:
+                txn.insert("orders", [(100 + step, 1)])
+                txn.insert("lineitem", [(100 + step, 0, 1)])
+            wh.checkpoint()
+        assert kinds(wh) == ["base", "delta", "delta", "delta"]
+        paths = wh.checkpoints.checkpoint_paths()
+        assert all(os.path.getsize(p) > 0 for p in paths)
+        assert paths == sorted(paths)  # oldest first
+        assert os.path.getsize(paths[-1]) < os.path.getsize(paths[0]) / 4
+        expected_view = sorted(wh.view("ol").rows())
+        expected_lines = sorted(wh.db.table("lineitem").rows)
+
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        assert wh2.last_recovery["checkpoint_path"] == paths[-1]
+        assert wh2.last_recovery["replayed"] == 0
+        assert sorted(wh2.view("ol").rows()) == expected_view
+        assert sorted(wh2.db.table("lineitem").rows) == expected_lines
+        wh2.check_consistency()
+        # what recovery restored is unknown to the journals: a base next
+        wh2.checkpoint()
+        assert kinds(wh2)[-1] == "base"
+        wh2.close()
+
+    def test_dropped_and_created_views_across_a_lineage(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.create_view("ol2", order_lines_expr())
+        wh.checkpoint()
+        wh.drop_view("ol2")
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        assert kinds(wh) == ["base", "delta"]
+        assert "ol2" not in wh.checkpoints.latest().views
+        wh.create_view("ol3", order_lines_expr())  # never checkpointed whole
+        wh.checkpoint()
+        assert kinds(wh)[-1] == "base"
+        assert sorted(wh.checkpoints.latest().views) == ["ol", "ol3"]
+        wh.close()
+
+    def test_quarantined_view_is_left_out_and_forces_a_base(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.create_view("ol2", order_lines_expr())
+        wh.checkpoint()
+        with FAILPOINTS.armed(
+            "scheduler.task", action="raise", times=None, view="ol2"
+        ):
+            with pytest.raises(FanOutError):
+                wh.insert("lineitem", [(1, 1, 1)])
+        assert wh.quarantined_views == ["ol2"]
+        wh.checkpoint()
+        assert kinds(wh)[-1] == "base"
+        assert sorted(wh.checkpoints.latest().views) == ["ol"]
+        wh2 = restart(tmp_path, wh)
+        wh2.create_view("ol2", order_lines_expr())
+        wh2.recover()  # ol2 is rebuilt from the restored tables
+        wh2.check_consistency()
+        wh2.close()
+
+    def test_bitflipped_delta_restores_the_prefix_and_replays_more(
+        self, tmp_path
+    ):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        wh.insert("lineitem", [(2, 1, 2)])
+        wh.insert("lineitem", [(3, 1, 3)])
+        wh.checkpoint()
+        wh.insert("lineitem", [(4, 1, 4)])
+        wh.flush()
+        assert kinds(wh) == ["base", "delta", "delta"]
+        paths = wh.checkpoints.checkpoint_paths()
+        expected = sorted(wh.view("ol").rows())
+        flip_byte(paths[-1])
+
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        info = wh2.last_recovery
+        assert info["checkpoint_path"] == paths[1]  # the prefix before it
+        assert info["replayed"] == 3  # two behind the lost delta + the tail
+        assert sorted(wh2.view("ol").rows()) == expected
+        wh2.check_consistency()
+        sidecar = os.path.join(
+            str(tmp_path / "checkpoints"), "corrupt", os.path.basename(paths[-1])
+        )
+        assert os.path.exists(sidecar)
+        assert wh2.checkpoints.checkpoint_paths() == paths[:2]
+        wh2.close()
+
+    def test_bitflipped_base_falls_back_to_the_previous_lineage(
+        self, tmp_path
+    ):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        wh.repair_view("ol")  # journal broken: the next one is a base
+        wh.insert("lineitem", [(2, 1, 2)])
+        wh.checkpoint()
+        assert kinds(wh) == ["base", "delta", "base"]
+        paths = wh.checkpoints.checkpoint_paths()
+        expected = sorted(wh.view("ol").rows())
+        flip_byte(paths[-1])
+
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        assert wh2.last_recovery["checkpoint_path"] == paths[1]
+        assert wh2.last_recovery["replayed"] == 1
+        assert sorted(wh2.view("ol").rows()) == expected
+        wh2.check_consistency()
+        wh2.close()
+
+    def test_compaction_rewrites_a_base_and_prunes_after_it_is_durable(
+        self, tmp_path
+    ):
+        wh = lineage_warehouse(tmp_path, orders=8)
+        wh.checkpoint()
+        order = 8
+        while "base" not in kinds(wh)[1:]:
+            # each delta is a large share of this small base
+            wh.insert("orders", [(o, 0) for o in range(order, order + 4)])
+            order += 4
+            with FAILPOINTS.armed("checkpoint.prune", action="raise"):
+                with pytest.raises(InjectedFault):
+                    wh.checkpoint()
+            # crashed before pruning: everything older is still there
+            assert kinds(wh)[0] == "base"
+            assert len(kinds(wh)) >= 2
+        old_lineage = kinds(wh)[:-1]
+        assert old_lineage[0] == "base" and "delta" in old_lineage
+        # the write "crashed", so the journals' mark was never moved: the
+        # next checkpoint is a base again, and only the write after it
+        # (keep = 2 restore points) drops the first lineage
+        wh.insert("orders", [(order, 0)])
+        wh.checkpoint()
+        wh.insert("orders", [(order + 1, 0)])
+        wh.checkpoint()
+        paths = wh.checkpoints.checkpoint_paths()
+        assert kinds(wh) == ["base", "delta"]
+        assert paths == sorted(paths)
+        expected = sorted(wh.db.table("orders").rows)
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        assert sorted(wh2.db.table("orders").rows) == expected
+        wh2.check_consistency()
+        wh2.close()
+
+    def test_crash_at_prune_recovers_from_the_new_restore_point(
+        self, tmp_path
+    ):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        with FAILPOINTS.armed("checkpoint.prune", action="raise"):
+            with pytest.raises(InjectedFault):
+                wh.checkpoint()
+        wh.insert("lineitem", [(2, 1, 2)])
+        wh.flush()
+        expected = sorted(wh.view("ol").rows())
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        assert wh2.last_recovery["checkpoint_path"].endswith(".delta.json")
+        assert wh2.last_recovery["replayed"] == 1
+        assert sorted(wh2.view("ol").rows()) == expected
+        wh2.check_consistency()
+        wh2.close()
+
+
+class TestFallbackKeepsItsWalSuffix:
+    """The WAL is compacted only through the *oldest* restore point
+    kept, so the one a damaged newest file falls back to can still be
+    rolled forward — and recovery refuses, typed, if it ever cannot."""
+
+    def test_compaction_trails_the_newest_checkpoint(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        first = wh.wal.last_lsn
+        assert wh.wal.compacted_through == first  # the only restore point
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        assert wh.wal.compacted_through == first  # the fallback's LSN
+        wh.insert("lineitem", [(2, 1, 2)])
+        wh.checkpoint()
+        assert wh.wal.compacted_through == first + 1
+        assert wh.checkpoints.compactable_lsn() == first + 1
+        wh.close()
+
+    def test_restore_point_older_than_the_wal_is_refused(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        wh.insert("lineitem", [(2, 1, 2)])
+        wh.checkpoint()
+        paths = wh.checkpoints.checkpoint_paths()
+        flip_byte(paths[1])  # both restore points the WAL still serves
+        wh.scheduler.shutdown()
+        wh.wal.close()
+
+        wh2 = make_warehouse(tmp_path)
+        wh2.create_view("ol", order_lines_expr())
+        pinned = wh2.snapshot()
+        before = sorted(wh2.db.table("lineitem").rows)
+        with pytest.raises(CheckpointError) as excinfo:
+            wh2.recover()
+        through = wh2.wal.compacted_through
+        base_lsn = through - 1
+        assert f"LSN {base_lsn}," in str(excinfo.value)
+        assert f"LSN {through} " in str(excinfo.value)
+        # nothing was touched
+        assert pinned.valid and wh2.snapshot() is pinned
+        assert sorted(wh2.db.table("lineitem").rows) == before
+        assert wh2.last_recovery is None
+        wh2.scheduler.shutdown()
+        wh2.wal.close()
+
+    def test_unknown_restore_points_are_never_compacted_past(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        through = wh.wal.compacted_through
+        wh.scheduler.shutdown()
+        wh.wal.close()
+        # a fresh process that checkpoints without having recovered has
+        # read neither file: it cannot vouch for the older one's LSN
+        wh2 = make_warehouse(tmp_path)
+        wh2.create_view("ol", order_lines_expr())
+        assert wh2.checkpoints.compactable_lsn() is None
+        wh2.recover()
+        assert wh2.checkpoints.compactable_lsn() == through
+        wh2.close()

@@ -298,11 +298,14 @@ class AggregatedView:
         try:
             report = self._maintain(table, delta, operation, fk_allowed)
         except Exception:
-            self.telemetry.record_failure(
-                self.definition.name, table, operation
+            self.telemetry.emit(
+                "maintenance.error",
+                view=self.definition.name,
+                table=table,
+                operation=operation,
             )
             raise
-        self.telemetry.record_maintenance(report)
+        self.telemetry.emit("maintenance.pass", report=report)
         return report
 
     def _maintain(

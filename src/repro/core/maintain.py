@@ -234,15 +234,21 @@ class ViewMaintainer:
         """
         found, plan = self._plan_cache.get(key, self._fingerprint())
         tel = self.telemetry
-        tel.record_plan_cache(self.definition.name, hit=found)
+        tel.emit(
+            "plan_cache.lookup",
+            view=self.definition.name,
+            outcome="hit" if found else "miss",
+        )
         if found:
             return plan
         with tel.tracer.span("compile_plan", view=self.definition.name,
                              key="/".join(str(p) for p in key)):
             started = time.perf_counter()
             plan = builder()
-            tel.record_plan_compile(
-                self.definition.name, time.perf_counter() - started
+            tel.emit(
+                "plan.compiled",
+                view=self.definition.name,
+                seconds=time.perf_counter() - started,
             )
         # The builder may have provisioned indexes (bumping the epoch);
         # store under the post-build fingerprint so the next lookup hits.
@@ -392,13 +398,18 @@ class ViewMaintainer:
                         table, delta, primary, mgraph, operation, report
                     )
             except Exception:
-                tel.record_failure(self.definition.name, table, operation)
+                tel.emit(
+                    "maintenance.error",
+                    view=self.definition.name,
+                    table=table,
+                    operation=operation,
+                )
                 raise
 
             report.elapsed_seconds = time.perf_counter() - started
             root.record_rows(report.total_view_changes)
-        tel.record_maintenance(report, root if tel.enabled else None)
-        tel.record_view_size(self.definition.name, len(self.view))
+        tel.emit("maintenance.pass", report=report, span=root)
+        tel.emit("view.size", view=self.definition.name, rows=len(self.view))
         return report
 
     # ------------------------------------------------------------------

@@ -90,12 +90,14 @@ def run_fuzz(
         result = run_case(scenario, configs)
         outcome.cases_run += 1
         if result.ok:
-            telemetry.record_fuzz_case("ok")
+            telemetry.emit("fuzz.case", outcome="ok")
             if (i + 1) % 100 == 0:
                 log(f"  {i + 1}/{budget} cases clean")
             continue
 
-        telemetry.record_fuzz_case("mismatch", result.kinds)
+        telemetry.emit(
+            "fuzz.case", outcome="mismatch", mismatch_kinds=result.kinds
+        )
         outcome.found = True
         outcome.case_seed = case_seed
         outcome.result = result
@@ -113,7 +115,7 @@ def run_fuzz(
             )
             outcome.scenario = report.scenario
             outcome.shrink_steps = report.accepted_steps
-            telemetry.record_fuzz_shrink(report.accepted_steps)
+            telemetry.emit("fuzz.shrink", steps=report.accepted_steps)
             log(
                 f"shrunk in {report.accepted_steps} accepted steps "
                 f"({report.evaluations} replays): "
@@ -133,6 +135,6 @@ def run_fuzz(
         break
 
     for name, fires in sorted(FAILPOINTS.hits.items()):
-        telemetry.record_failpoint(name, fires)
+        telemetry.emit("failpoint.fired", name=name, fires=fires)
     outcome.elapsed_seconds = time.monotonic() - started
     return outcome

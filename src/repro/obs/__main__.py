@@ -1,4 +1,5 @@
-"""``python -m repro.obs serve`` — an introspectable demo warehouse.
+"""``python -m repro.obs serve`` — an introspectable demo warehouse;
+``python -m repro.obs reference`` — the metric and occurrence tables.
 
 Builds a small TPC-H instance, registers the paper's outer-join views in
 a :class:`~repro.warehouse.Warehouse` with live telemetry, drives a
@@ -14,6 +15,11 @@ mixed insert/delete workload, and serves the observability endpoints::
 ``--quarantine`` arms a failpoint so one view is quarantined during the
 workload — the way to see ``/healthz`` flip to 503 and a flight-recorder
 dump appear without waiting for a real incident.
+
+``reference`` prints the reference tables of docs/OBSERVABILITY.md (the
+block between the ``GENERATED`` markers) as generated from
+:mod:`repro.obs.events`; ``tests/obs/test_contract.py`` fails when the
+doc and the table disagree.
 """
 
 from __future__ import annotations
@@ -129,15 +135,48 @@ def serve(argv=None) -> int:
     return 0
 
 
+REFERENCE_BEGIN = "<!-- BEGIN GENERATED: python -m repro.obs reference -->"
+REFERENCE_END = "<!-- END GENERATED -->"
+
+
+def reference_markdown() -> str:
+    """The metric-family and occurrence tables, as markdown."""
+    from repro.obs.events import FAMILIES, OCCURRENCES
+
+    def cell(text: str) -> str:
+        return text.replace("|", "\\|")
+
+    lines = ["| metric | type | labels | help |", "| --- | --- | --- | --- |"]
+    for f in FAMILIES:
+        labels = ", ".join(f.labels) or "—"
+        lines.append(f"| `{f.name}` | {f.type} | {labels} | {cell(f.help)} |")
+    lines += ["", "| occurrence | event severity | writes | meaning |"]
+    lines.append("| --- | --- | --- | --- |")
+    for kind, occurrence in OCCURRENCES.items():
+        families = [effect.family for effect in occurrence.effects]
+        families += occurrence.writes
+        writes = ", ".join(f"`{f.name}`" for f in dict.fromkeys(families)) or "—"
+        severity = occurrence.severity or "—"
+        lines.append(f"| `{kind}` | {severity} | {writes} | {cell(occurrence.doc)} |")
+    return "\n".join(lines)
+
+
+def reference(argv) -> int:
+    print(reference_markdown())
+    return 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or argv[0] != "serve":
+    commands = {"serve": serve, "reference": reference}
+    if not argv or argv[0] not in commands:
         print(
-            "usage: python -m repro.obs serve [--port N] [--scale F] ...",
+            "usage: python -m repro.obs serve [--port N] [--scale F] ...\n"
+            "       python -m repro.obs reference",
             file=sys.stderr,
         )
         return 2
-    return serve(argv[1:])
+    return commands[argv[0]](argv[1:])
 
 
 if __name__ == "__main__":

@@ -1,17 +1,34 @@
-"""Per-view health aggregation: reports + spans → a text dashboard.
+"""Per-view health aggregation: registry counts + spans → a text dashboard.
 
-:class:`Dashboard` consumes every finished maintenance pass (the
-:class:`~repro.core.maintain.MaintenanceReport` and, when tracing is on,
-the root span) and keeps bounded per-view series from which it renders a
-plain-text health summary: p50/p95 maintenance latency, rows touched,
-the secondary-strategy mix, the foreign-key shortcut hit rate, per-phase
-costs and the slowest secondary terms.
+:class:`Dashboard` renders a plain-text health summary — p50/p95
+maintenance latency, rows touched, the secondary-strategy mix, the
+foreign-key shortcut hit rate, per-phase costs and the slowest secondary
+terms.  Counts come from the metrics registry; of every finished pass
+(the :class:`~repro.core.maintain.MaintenanceReport` and, when tracing is
+on, the root span) it keeps only a bounded latency series and the span's
+phase/term durations.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, List, Optional
+
+from .events import (
+    BASE_ROWS,
+    CHECKPOINT_TOTAL,
+    ERRORS,
+    FK_SHORTCUT,
+    LOAD_SHED,
+    PASSES,
+    ROWS_CHANGED,
+    SECONDARY_STRATEGY,
+    VIEW_QUARANTINES,
+    VIEW_RETRIES,
+    WAL_COMPACTIONS,
+    WAL_SEGMENTS_DELETED,
+)
 
 __all__ = ["Dashboard", "percentile"]
 
@@ -56,41 +73,33 @@ class _Agg:
 
 
 class _ViewSeries:
+    """What a counter cannot hold, per view."""
+
     def __init__(self):
-        self.passes = 0
-        self.errors = 0
-        self.rows_changed = 0
-        self.base_rows = 0
-        self.fk_skips = 0
-        self.retries = 0
-        self.quarantines = 0
         self.quarantine_reason: Optional[str] = None
         self.latencies: List[float] = []
-        self.strategies: Dict[str, int] = {}
-        self.operations: Dict[str, int] = {}
-        self.tables: Dict[str, _Agg] = {}
-        self.table_rows: Dict[str, int] = {}
         self.phases: Dict[str, _Agg] = {}
         self.terms: Dict[str, _Agg] = {}
 
 
 class Dashboard:
-    """Aggregates maintenance activity and renders it as text."""
+    """Renders maintenance activity as text.
 
-    def __init__(self, max_samples: int = MAX_LATENCY_SAMPLES):
+    Every plain count is read from the metrics *registry* (the one store
+    the occurrence table writes); the dashboard itself keeps only
+    latency samples, span-derived phase/term aggregates, the current
+    quarantine reasons and the quarantined segment names.
+    """
+
+    def __init__(self, registry, max_samples: int = MAX_LATENCY_SAMPLES):
         self.max_samples = max_samples
+        self._registry = registry
+        self._lock = threading.Lock()  # pool threads fold passes concurrently
         self._views: Dict[str, _ViewSeries] = {}
-        # warehouse-wide durability/backpressure counters (kept out of
-        # the per-view series and out of totals(), whose shape is
-        # pinned by tests)
-        self._checkpoints = 0
-        self._compactions = 0
-        self._segments_deleted = 0
         self._segments_quarantined: List[str] = []
-        self._load_sheds = 0
 
     # ------------------------------------------------------------------
-    # feeding
+    # feeding (the ``fold`` targets of the occurrence table)
     # ------------------------------------------------------------------
     def _series(self, view: str) -> _ViewSeries:
         series = self._views.get(view)
@@ -99,152 +108,130 @@ class Dashboard:
             self._views[view] = series
         return series
 
-    def record_report(self, report, span=None) -> None:
-        """Fold one finished maintenance pass into the series."""
-        s = self._series(report.view)
-        s.passes += 1
-        s.rows_changed += report.total_view_changes
-        s.base_rows += report.base_rows
-        if report.primary_skipped:
-            s.fk_skips += 1
-        if len(s.latencies) < self.max_samples:
-            s.latencies.append(report.elapsed_seconds)
-        for strategy in report.secondary_strategy_used.values():
-            s.strategies[strategy] = s.strategies.get(strategy, 0) + 1
-        s.operations[report.operation] = (
-            s.operations.get(report.operation, 0) + 1
-        )
-        table_agg = s.tables.setdefault(report.table, _Agg())
-        table_agg.add(report.elapsed_seconds)
-        s.table_rows[report.table] = (
-            s.table_rows.get(report.table, 0) + report.total_view_changes
-        )
-        if span is not None:
-            self._record_span(s, span)
-
-    def _record_span(self, s: _ViewSeries, span) -> None:
-        for child in span.children:
-            s.phases.setdefault(child.name, _Agg()).add(
-                child.duration_seconds
-            )
-            if child.name == "secondary":
-                term = child.attributes.get("term")
+    def fold_pass(self, report, span=None) -> None:
+        """One finished maintenance pass: its latency sample and, when
+        tracing is on, the phase/term durations of its root span."""
+        with self._lock:
+            s = self._series(report.view)
+            if len(s.latencies) < self.max_samples:
+                s.latencies.append(report.elapsed_seconds)
+            for child in span.children if span is not None else ():
+                s.phases.setdefault(child.name, _Agg()).add(child.duration_seconds)
+                term = child.attributes.get("term") if child.name == "secondary" else None
                 if term:
-                    s.terms.setdefault(term, _Agg()).add(
-                        child.duration_seconds
-                    )
+                    s.terms.setdefault(term, _Agg()).add(child.duration_seconds)
 
-    def record_error(self, view: str) -> None:
-        self._series(view).errors += 1
-
-    def record_retry(self, view: str) -> None:
-        """The scheduler re-attempted *view* after a transient failure."""
-        self._series(view).retries += 1
-
-    def record_quarantine(self, view: str, reason: str) -> None:
+    def quarantine(self, view: str, reason: str) -> None:
         """The scheduler quarantined *view*; it is stale until repaired."""
-        s = self._series(view)
-        s.quarantines += 1
-        s.quarantine_reason = reason
+        with self._lock:
+            self._series(view).quarantine_reason = reason
 
     def clear_quarantine(self, view: str) -> None:
         """The view was repaired and reinstated into the fan-out."""
-        self._series(view).quarantine_reason = None
+        with self._lock:
+            self._series(view).quarantine_reason = None
 
-    def record_checkpoint(self) -> None:
-        """One durable checkpoint was written."""
-        self._checkpoints += 1
-
-    def record_compaction(self, segments_deleted: int) -> None:
-        """One WAL compaction pass deleted *segments_deleted* files."""
-        self._compactions += 1
-        self._segments_deleted += segments_deleted
-
-    def record_segment_quarantined(self, name: str) -> None:
+    def segment_quarantined(self, segment: str) -> None:
         """A WAL segment failed verification and was moved aside."""
-        self._segments_quarantined.append(name)
-
-    def record_load_shed(self) -> None:
-        """A change was rejected by the bounded scheduler queue."""
-        self._load_sheds += 1
+        with self._lock:
+            self._segments_quarantined.append(segment)
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
+    def _count(self, family, *by: str) -> Dict:
+        """Registry totals of *family* per value(s) of the labels *by*
+        (one label: keyed by the bare value)."""
+        sums = self._registry.get(family.name).sum_by(*by)
+        return {key[0] if len(by) == 1 else key: int(n) for key, n in sums.items()}
+
     @property
     def views(self) -> List[str]:
-        return sorted(self._views)
+        seen = set()
+        for family in (PASSES, ERRORS, VIEW_RETRIES, VIEW_QUARANTINES):
+            seen.update(self._count(family, "view"))
+        return sorted(seen)
+
+    def _total(self, family) -> int:
+        return int(self._registry.get(family.name).total())
+
+    def _per_view(self, columns: Dict) -> Dict[str, Dict[str, int]]:
+        counts = {name: self._count(family, "view") for name, family in columns.items()}
+        return {
+            view: {name: counts[name].get(view, 0) for name in columns} for view in self.views
+        }
 
     def totals(self) -> Dict[str, Dict[str, int]]:
         """Machine-readable per-view totals (used by tests and CI)."""
-        return {
-            view: {
-                "passes": s.passes,
-                "errors": s.errors,
-                "rows_changed": s.rows_changed,
-                "base_rows": s.base_rows,
-                "fk_skips": s.fk_skips,
+        return self._per_view(
+            {
+                "passes": PASSES,
+                "errors": ERRORS,
+                "rows_changed": ROWS_CHANGED,
+                "base_rows": BASE_ROWS,
+                "fk_skips": FK_SHORTCUT,
             }
-            for view, s in self._views.items()
-        }
+        )
 
     def quarantined(self) -> Dict[str, str]:
         """Currently quarantined views and why (kept out of
         :meth:`totals`, whose shape is pinned by tests and CI)."""
-        return {
-            view: s.quarantine_reason
-            for view, s in sorted(self._views.items())
-            if s.quarantine_reason is not None
-        }
+        with self._lock:
+            return {
+                view: s.quarantine_reason
+                for view, s in sorted(self._views.items())
+                if s.quarantine_reason is not None
+            }
 
     def durability(self) -> Dict:
         """Warehouse-wide durability/backpressure counters (kept out of
         :meth:`totals`, whose shape is pinned by tests and CI)."""
+        with self._lock:
+            segments = list(self._segments_quarantined)
         return {
-            "checkpoints": self._checkpoints,
-            "compactions": self._compactions,
-            "segments_deleted": self._segments_deleted,
-            "segments_quarantined": list(self._segments_quarantined),
-            "load_sheds": self._load_sheds,
+            "checkpoints": self._count(CHECKPOINT_TOTAL, "outcome").get("written", 0),
+            "compactions": self._total(WAL_COMPACTIONS),
+            "segments_deleted": self._total(WAL_SEGMENTS_DELETED),
+            "segments_quarantined": segments,
+            "load_sheds": self._total(LOAD_SHED),
         }
 
     def reliability(self) -> Dict[str, Dict[str, int]]:
         """Per-view retry/quarantine counters for the runtime layer."""
-        return {
-            view: {"retries": s.retries, "quarantines": s.quarantines}
-            for view, s in self._views.items()
-            if s.retries or s.quarantines
-        }
+        rows = self._per_view({"retries": VIEW_RETRIES, "quarantines": VIEW_QUARANTINES})
+        return {view: row for view, row in rows.items() if any(row.values())}
 
     def latency_percentiles(self, view: str) -> Dict[str, float]:
-        s = self._views.get(view)
-        if s is None:
-            return {"p50": 0.0, "p95": 0.0}
-        return {
-            "p50": percentile(s.latencies, 0.50),
-            "p95": percentile(s.latencies, 0.95),
-        }
+        with self._lock:
+            s = self._views.get(view)
+            samples = list(s.latencies) if s else []
+        return {"p50": percentile(samples, 0.50), "p95": percentile(samples, 0.95)}
 
     def observed_phases(
         self, view: str, phase: Optional[str] = None
     ) -> Dict[str, Dict[str, float]]:
         """Per-phase measured costs for *view*: avg/max seconds, count."""
-        s = self._views.get(view)
-        if s is None:
-            return {}
-        phases = s.phases
-        if phase is not None:
-            phases = {phase: phases[phase]} if phase in phases else {}
-        return {
-            name: {"count": agg.count, "avg": agg.avg, "max": agg.max}
-            for name, agg in phases.items()
-        }
+        with self._lock:
+            s = self._views.get(view)
+            return {
+                name: {"count": agg.count, "avg": agg.avg, "max": agg.max}
+                for name, agg in (s.phases.items() if s else ())
+                if phase is None or name == phase
+            }
 
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
+    def _breakdown(self, family, by: str) -> Dict[str, Dict[str, int]]:
+        """view -> {value of label *by* -> count} for *family*."""
+        out: Dict[str, Dict[str, int]] = {}
+        for (view, value), n in self._count(family, "view", by).items():
+            out.setdefault(view, {})[value] = n
+        return out
+
     def render(self) -> str:
-        if not self._views:
+        totals = self.totals()
+        if not totals:
             return "== Maintenance dashboard ==\n(no maintenance activity recorded)"
         lines: List[str] = ["== Maintenance dashboard =="]
         header = (
@@ -253,14 +240,13 @@ class Dashboard:
         )
         lines.append(header)
         lines.append("-" * len(header))
-        for view in self.views:
-            s = self._views[view]
+        for view, t in totals.items():
             pct = self.latency_percentiles(view)
-            skip_rate = 100.0 * s.fk_skips / s.passes if s.passes else 0.0
+            skip_rate = 100.0 * t["fk_skips"] / t["passes"] if t["passes"] else 0.0
             lines.append(
-                f"{view:<20} {s.passes:>6} {s.errors:>6} "
+                f"{view:<20} {t['passes']:>6} {t['errors']:>6} "
                 f"{pct['p50'] * 1000:>8.2f} {pct['p95'] * 1000:>8.2f} "
-                f"{s.rows_changed:>8} {s.base_rows:>8} {skip_rate:>7.1f}%"
+                f"{t['rows_changed']:>8} {t['base_rows']:>8} {skip_rate:>7.1f}%"
             )
         quarantined = self.quarantined()
         if quarantined:
@@ -268,76 +254,66 @@ class Dashboard:
             lines.append("!! quarantined (stale, excluded from fan-out):")
             for view, reason in quarantined.items():
                 lines.append(f"  {view}: {reason}")
-        if (
-            self._checkpoints
-            or self._compactions
-            or self._segments_quarantined
-            or self._load_sheds
-        ):
+        d = self.durability()
+        if d["checkpoints"] or d["compactions"] or d["segments_quarantined"] or d["load_sheds"]:
             lines.append("")
             lines.append("-- durability --")
+            lines.append(f"  checkpoints    : {d['checkpoints']} written")
             lines.append(
-                f"  checkpoints    : {self._checkpoints} written"
+                f"  compactions    : {d['compactions']} passes, "
+                f"{d['segments_deleted']} segments deleted"
             )
-            lines.append(
-                f"  compactions    : {self._compactions} passes, "
-                f"{self._segments_deleted} segments deleted"
-            )
-            if self._segments_quarantined:
-                names = ", ".join(self._segments_quarantined)
+            if d["segments_quarantined"]:
+                names = ", ".join(d["segments_quarantined"])
                 lines.append(f"  corrupt wal    : {names}")
-            if self._load_sheds:
-                lines.append(
-                    f"  load sheds     : {self._load_sheds} changes rejected"
+            if d["load_sheds"]:
+                lines.append(f"  load sheds     : {d['load_sheds']} changes rejected")
+        reliability = self.reliability()
+        operations = self._breakdown(PASSES, "operation")
+        strategies = self._breakdown(SECONDARY_STRATEGY, "strategy")
+        table_passes = self._breakdown(PASSES, "table")
+        table_rows = self._breakdown(ROWS_CHANGED, "table")
+        for view, t in totals.items():
+            lines += ["", f"-- {view} --"]
+            ops = ", ".join(f"{op}={n}" for op, n in sorted(operations.get(view, {}).items()))
+            lines.append(f"  operations     : {ops or '(none)'}")
+            mix = strategies.get(view)
+            if mix:
+                total = sum(mix.values())
+                shares = ", ".join(
+                    f"{name}={100.0 * n / total:.0f}%" for name, n in sorted(mix.items())
                 )
-        for view in self.views:
-            lines.extend(self._render_view_detail(view))
+                lines.append(f"  secondary mix  : {shares} ({total} term deltas)")
+            else:
+                lines.append("  secondary mix  : (no secondary deltas)")
+            lines.append(
+                f"  fk-shortcut    : {t['fk_skips']}/{t['passes']} passes primary-skipped"
+            )
+            if view in reliability:
+                status = "QUARANTINED" if view in quarantined else "healthy"
+                r = reliability[view]
+                lines.append(
+                    f"  reliability    : {r['retries']} retries, "
+                    f"{r['quarantines']} quarantines ({status})"
+                )
+            by_table = ", ".join(
+                f"{table}: {n} passes/{table_rows.get(view, {}).get(table, 0)} rows"
+                for table, n in sorted(table_passes.get(view, {}).items())
+            )
+            lines.append(f"  tables         : {by_table or '(none)'}")
+            lines.extend(self._render_span_detail(view))
         return "\n".join(lines)
 
-    def _render_view_detail(self, view: str) -> List[str]:
-        s = self._views[view]
-        lines = ["", f"-- {view} --"]
-        ops = ", ".join(
-            f"{op}={n}" for op, n in sorted(s.operations.items())
-        )
-        lines.append(f"  operations     : {ops or '(none)'}")
-        if s.strategies:
-            total = sum(s.strategies.values())
-            mix = ", ".join(
-                f"{name}={100.0 * n / total:.0f}%"
-                for name, n in sorted(s.strategies.items())
-            )
-            lines.append(f"  secondary mix  : {mix} ({total} term deltas)")
-        else:
-            lines.append("  secondary mix  : (no secondary deltas)")
-        lines.append(
-            "  fk-shortcut    : "
-            f"{s.fk_skips}/{s.passes} passes primary-skipped"
-        )
-        if s.retries or s.quarantines:
-            status = "QUARANTINED" if s.quarantine_reason else "healthy"
-            lines.append(
-                f"  reliability    : {s.retries} retries, "
-                f"{s.quarantines} quarantines ({status})"
-            )
-        by_table = ", ".join(
-            f"{table}: {agg.count} passes/{s.table_rows.get(table, 0)} rows"
-            for table, agg in sorted(s.tables.items())
-        )
-        lines.append(f"  tables         : {by_table or '(none)'}")
-        if s.phases:
-            phases = ", ".join(
-                f"{name} {agg.avg * 1000:.2f}ms avg"
-                for name, agg in sorted(s.phases.items())
-            )
-            lines.append(f"  phases         : {phases}")
-        if s.terms:
-            slowest = sorted(
-                s.terms.items(), key=lambda kv: -kv[1].max
-            )[:5]
-            rendered = ", ".join(
-                f"{term} max {agg.max * 1000:.2f}ms"
-                for term, agg in slowest
-            )
+    def _render_span_detail(self, view: str) -> List[str]:
+        lines: List[str] = []
+        with self._lock:
+            s = self._views.get(view)
+            phases = sorted(s.phases.items()) if s else []
+            terms = sorted(s.terms.items(), key=lambda kv: -kv[1].max)[:5] if s else []
+        if phases:
+            rendered = ", ".join(f"{name} {agg.avg * 1000:.2f}ms avg" for name, agg in phases)
+            lines.append(f"  phases         : {rendered}")
+        if terms:
+            rendered = ", ".join(f"{term} max {agg.max * 1000:.2f}ms" for term, agg in terms)
             lines.append(f"  slowest terms  : {rendered}")
         return lines

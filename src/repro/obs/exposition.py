@@ -27,6 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
 from ..errors import ShardingError
+from .events import recovery_degraded
 
 __all__ = [
     "render_openmetrics",
@@ -311,9 +312,7 @@ class ObsServer:
         quarantined = self.telemetry.health.quarantined()
         last_recovery = getattr(self.warehouse, "last_recovery", None)
         degraded_recovery = bool(last_recovery) and (
-            last_recovery.get("corruption_detected")
-            or last_recovery.get("quarantined_segments")
-            or last_recovery.get("recomputed_views")
+            recovery_degraded(last_recovery)
             # sharded: a quarantined shard or a reincarnation that lost
             # WAL history reports itself through the same channel
             or last_recovery.get("degraded")

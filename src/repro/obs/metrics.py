@@ -9,10 +9,9 @@ Three instrument kinds, all label-aware:
 Usage::
 
     registry = MetricsRegistry()
-    passes = registry.counter(
-        "repro_maintenance_passes_total", "Maintenance passes",
-        ("view", "table"))
-    passes.labels(view="v3", table="lineitem").inc()
+    hits = registry.counter(
+        "demo_hits_total", "Cache hits", ("view", "table"))
+    hits.labels(view="v3", table="lineitem").inc()
     print(registry.render_prometheus())
 
 Registration is idempotent: asking for an already-registered name with
@@ -106,7 +105,12 @@ class _Metric:
         return tuple(labels[name] for name in self.labelnames)
 
     def labels(self, **labels):
-        key = self._key(labels)
+        return self.child(self._key(labels))
+
+    def child(self, key: Tuple):
+        """The series for the label values *key* (in ``labelnames``
+        order), created on first use — ``labels`` without the keyword
+        matching, for callers that build the key themselves."""
         series = self._series.get(key)
         if series is None:
             with self._lock:
@@ -118,6 +122,19 @@ class _Metric:
 
     def _new_series(self):  # pragma: no cover - overridden
         raise NotImplementedError
+
+    def sum_by(self, *names: str) -> Dict[Tuple, float]:
+        """Series values summed per distinct combination of the labels
+        *names* (counters and gauges): ``sum_by("view")`` folds the
+        table/operation labels away."""
+        picks = [self.labelnames.index(name) for name in names]
+        with self._lock:
+            snapshot = list(self._series.items())
+        out: Dict[Tuple, float] = {}
+        for key, series in snapshot:
+            group = tuple(key[i] for i in picks)
+            out[group] = out.get(group, 0) + series.value
+        return out
 
     def render(self) -> List[str]:
         lines = []
@@ -204,16 +221,17 @@ class Gauge(_Metric):
 
 
 class _HistogramSeries:
-    __slots__ = ("counts", "sum", "count", "_lock")
+    __slots__ = ("buckets", "counts", "sum", "count", "_lock")
 
-    def __init__(self, n_buckets: int):
-        self.counts = [0] * (n_buckets + 1)  # +1 for +Inf
+    def __init__(self, buckets: Sequence[float]):
+        self.buckets = buckets
+        self.counts = [0] * (len(buckets) + 1)  # +1 for +Inf
         self.sum = 0.0
         self.count = 0
         self._lock = threading.Lock()
 
-    def observe(self, value: float, buckets: Sequence[float]) -> None:
-        idx = bisect_left(buckets, value)
+    def observe(self, value: float) -> None:
+        idx = bisect_left(self.buckets, value)
         with self._lock:
             self.counts[idx] += 1
             self.sum += value
@@ -243,10 +261,10 @@ class Histogram(_Metric):
         self.buckets = tuple(cleaned)
 
     def _new_series(self):
-        return _HistogramSeries(len(self.buckets))
+        return _HistogramSeries(self.buckets)
 
     def observe(self, value: float, **labels) -> None:
-        self.labels(**labels).observe(value, self.buckets)
+        self.labels(**labels).observe(value)
 
     def _render_series(self, key, series) -> List[str]:
         counts, total_sum, total_count = series.snapshot()

@@ -242,9 +242,10 @@ class CheckpointManager:
         # makes redundant is still there; the next write prunes it.
         FAILPOINTS.hit("checkpoint.prune", seq=seq, lsn=lsn)
         self._prune()
-        self.telemetry.record_checkpoint(
-            time.perf_counter() - started,
-            len(payload),
+        self.telemetry.emit(
+            "checkpoint.written",
+            seconds=time.perf_counter() - started,
+            size_bytes=len(payload),
             kind="delta" if as_delta else "base",
         )
         return final
@@ -396,7 +397,7 @@ class CheckpointManager:
                 os.path.join(self.directory, _CORRUPT_DIR, file.name),
             )
             self._lsns.pop(file.name, None)
-            self.telemetry.record_checkpoint_corrupt(file.name)
+            self.telemetry.emit("checkpoint.corrupt", name=file.name)
         self._tip = None
 
     def _read(self, file: _File) -> Optional[Dict]:

@@ -304,14 +304,14 @@ class MaintenanceScheduler:
             state = self.register(name)
             state.status = HEALTHY
             state.quarantine_reason = None
-        self.telemetry.record_reinstate(name)
+        self.telemetry.emit("view.reinstated", view=name)
 
     def _quarantine(self, name: str, reason: str) -> None:
         with self._lock:
             state = self.register(name)
             state.status = QUARANTINED
             state.quarantine_reason = reason
-        self.telemetry.record_quarantine(name, reason)
+        self.telemetry.emit("view.quarantined", view=name, reason=reason)
 
     # ------------------------------------------------------------------
     # change submission
@@ -352,7 +352,7 @@ class MaintenanceScheduler:
             except queue.Full:
                 with self._lock:
                     self.load_shed_count += 1
-                self.telemetry.record_load_shed(table)
+                self.telemetry.emit("scheduler.load_shed", table=table)
                 raise BackpressureError(
                     f"change queue is full ({self.max_queue_depth} "
                     f"deep); shed {operation} on {table!r}"
@@ -361,7 +361,7 @@ class MaintenanceScheduler:
             self._queue.put(item)  # blocks when bounded and full
         with self._lock:
             self._depth += 1
-            self.telemetry.record_queue_depth(self._depth)
+            self.telemetry.emit("scheduler.queue_depth", depth=self._depth)
         return ticket
 
     def apply(
@@ -380,8 +380,8 @@ class MaintenanceScheduler:
             if item is None:
                 return
             ticket, prepare, on_complete, enqueued = item
-            self.telemetry.record_queue_wait(
-                time.perf_counter() - enqueued
+            self.telemetry.emit(
+                "scheduler.queue_wait", seconds=time.perf_counter() - enqueued
             )
             try:
                 result = self._execute(
@@ -396,7 +396,9 @@ class MaintenanceScheduler:
             finally:
                 with self._lock:
                     self._depth -= 1
-                    self.telemetry.record_queue_depth(self._depth)
+                    self.telemetry.emit(
+                        "scheduler.queue_depth", depth=self._depth
+                    )
             ticket._complete(result)
 
     # ------------------------------------------------------------------
@@ -446,14 +448,17 @@ class MaintenanceScheduler:
                 except FutureTimeoutError:
                     # quarantined like any failure; the attempt may
                     # still be running, so it is never re-run
-                    outcome = (
-                        None,
-                        MaintenanceError(
-                            f"view {task.name!r} timed out after "
-                            f"{self.retry.timeout_seconds}s "
-                            f"({operation} on {table!r})"
-                        ),
+                    error = MaintenanceError(
+                        f"view {task.name!r} timed out after "
+                        f"{self.retry.timeout_seconds}s "
+                        f"({operation} on {table!r})"
                     )
+                    self._finish(task, (None, error), result)
+                    # after the quarantine, whose event owns the dump
+                    self.telemetry.emit(
+                        "view.timeout", view=task.name, reason=str(error)
+                    )
+                    continue
                 self._finish(task, outcome, result)
         return result
 
@@ -483,7 +488,9 @@ class MaintenanceScheduler:
                 if attempt < policy.max_attempts:
                     with self._lock:
                         state.retries += 1
-                    self.telemetry.record_retry(task.name, attempt=attempt)
+                    self.telemetry.emit(
+                        "view.retry", view=task.name, attempt=attempt
+                    )
                     time.sleep(policy.delay(attempt))
         return None, last
 
@@ -513,7 +520,7 @@ class MaintenanceScheduler:
         )
         with self._lock:
             self._depth += 1
-            self.telemetry.record_queue_depth(self._depth)
+            self.telemetry.emit("scheduler.queue_depth", depth=self._depth)
         barrier.wait()
 
     def shutdown(self) -> None:

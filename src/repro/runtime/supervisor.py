@@ -337,7 +337,7 @@ class ShardSupervisor:
                     return  # orderly close/terminate, not a failure
                 self._states[shard]["state"] = STATE_REINCARNATING
                 self._states[shard]["last_error"] = reason
-                wh.telemetry.record_shard_death(shard, reason)
+                wh.telemetry.emit("shard.dead", shard=shard, reason=reason)
                 while True:
                     if wh._closed or self._stop.is_set():
                         # teardown raced the revive: leave a fail-fast
@@ -402,8 +402,11 @@ class ShardSupervisor:
         elapsed = time.monotonic() - started
         self._states[shard]["state"] = STATE_UP
         self._states[shard]["last_reincarnation_seconds"] = elapsed
-        wh.telemetry.record_shard_reincarnated(
-            shard, elapsed, summary=summary
+        wh.telemetry.emit(
+            "shard.reincarnated",
+            shard=shard,
+            seconds=elapsed,
+            summary=summary,
         )
         wh._note_shard_recovery(
             shard,
@@ -500,8 +503,10 @@ class ShardSupervisor:
         self.quarantined.add(shard)
         self._states[shard]["state"] = STATE_QUARANTINED
         self._states[shard]["last_error"] = reason
-        wh.telemetry.record_shard_flapping(
-            shard, self._total_restarts[shard]
+        wh.telemetry.emit(
+            "shard.flapping",
+            shard=shard,
+            restarts=self._total_restarts[shard],
         )
         wh._note_shard_recovery(
             shard,

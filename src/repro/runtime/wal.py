@@ -306,8 +306,9 @@ class WriteAheadLog:
         os.replace(parsed.path, sidecar)
         self.corruption_detected = True
         self.quarantined_segments.append(sidecar)
-        self.telemetry.record_wal_segment_quarantined(
-            os.path.basename(parsed.path)
+        self.telemetry.emit(
+            "wal.segment_quarantined",
+            segment=os.path.basename(parsed.path),
         )
 
     def _ingest(self, record: Dict) -> None:
@@ -375,7 +376,7 @@ class WriteAheadLog:
             self._segment_max_lsn[self._active_seq] = max(
                 self._segment_max_lsn.get(self._active_seq, 0), entry.lsn
             )
-            self.telemetry.record_wal_append(table)
+            self.telemetry.emit("wal.append", table=table)
             return entry.lsn
 
     def ack(self, lsn: int) -> None:
@@ -421,7 +422,7 @@ class WriteAheadLog:
             self._acked = {n for n in self._acked if n > through}
             deleted = self._delete_covered_segments(through)
         if deleted:
-            self.telemetry.record_wal_compaction(deleted)
+            self.telemetry.emit("wal.compaction", segments_deleted=deleted)
         return deleted
 
     def _delete_covered_segments(self, through: int) -> int:
@@ -469,7 +470,9 @@ class WriteAheadLog:
         FAILPOINTS.hit("wal.fsync", segment=self._active_seq)
         started = time.perf_counter()
         os.fsync(self._handle.fileno())
-        self.telemetry.record_wal_fsync(time.perf_counter() - started)
+        self.telemetry.emit(
+            "wal.fsync", seconds=time.perf_counter() - started
+        )
         self._unsynced = 0
 
     def sync(self) -> None:

@@ -542,7 +542,7 @@ class ShardedWarehouse(Warehouse):
                 # as divergence by check_consistency, not hidden here
                 dead.add(shard)
                 continue
-            self.telemetry.record_shard_compensation(table)
+            self.telemetry.emit("shard.compensation", table=table)
         if dead and not self.spec.is_partitioned(table):
             # A replicated statement half-landed on a shard that died:
             # its reincarnation may have copied the donor *before* the
@@ -671,7 +671,7 @@ class ShardedWarehouse(Warehouse):
                 fk_allowed=fk_allowed,
                 check=check,
             )
-            self.telemetry.record_shard_change(shard, table)
+            self.telemetry.emit("shard.change", shard=shard, table=table)
         return _ShardedTicket(
             self, table, DELETE if by_key else operation, parts, replies
         )
@@ -819,10 +819,13 @@ class ShardedWarehouse(Warehouse):
         else:
             merge_started = time.perf_counter()
             rows = merge_view_rows(self._plan_of(view), fragments)
-            self.telemetry.record_shard_merge(
-                time.perf_counter() - merge_started
+            self.telemetry.emit(
+                "shard.merge", seconds=time.perf_counter() - merge_started
             )
-        self.telemetry.record_shard_query(shard is not None)
+        self.telemetry.emit(
+            "shard.query",
+            outcome="fanout" if shard is None else "fastpath",
+        )
         if predicate is not None:
             columns = self._outputs[view]
             rows = [
@@ -882,7 +885,9 @@ class ShardedWarehouse(Warehouse):
         ]
         started = time.perf_counter()
         rows = merge_view_rows(plan, fragments)
-        self.telemetry.record_shard_merge(time.perf_counter() - started)
+        self.telemetry.emit(
+            "shard.merge", seconds=time.perf_counter() - started
+        )
         return rows
 
     def table_rows(self, table: str) -> List[Row]:
@@ -951,7 +956,9 @@ class ShardedWarehouse(Warehouse):
             resolved.append(
                 {"shard": shard, "txn_id": txn_id, "outcome": outcome}
             )
-            self.telemetry.record_txn_resolved(txn_id, outcome)
+            self.telemetry.emit(
+                "txn.indoubt.resolved", txn=txn_id, outcome=outcome
+            )
         # only forget once every shard acknowledged its resolution: a
         # failure above leaves the decisions for the next recover()
         for record in records:
@@ -997,7 +1004,7 @@ class ShardedWarehouse(Warehouse):
             "resolved_transactions": resolved,
             "degraded": bool(quarantined) or corruption,
         }
-        self.telemetry.record_recovery(self.last_recovery)
+        self.telemetry.emit("recovery", summary=self.last_recovery)
 
     def repair_view(self, name: str) -> None:
         if name not in self._definitions:
@@ -1047,9 +1054,14 @@ class ShardedWarehouse(Warehouse):
             if not response.get("ok")
         }
         for shard, info in stats.items():
-            self.telemetry.record_shard_rows(shard, info["table_rows"])
-            self.telemetry.record_shard_queue_depth(
-                shard, self._handles[shard].queue_depth
+            for table, rows in info["table_rows"].items():
+                self.telemetry.emit(
+                    "shard.rows", shard=shard, table=table, rows=rows
+                )
+            self.telemetry.emit(
+                "shard.queue_depth",
+                shard=shard,
+                depth=self._handles[shard].queue_depth,
             )
         skew: Dict[str, float] = {}
         rebalance: List[Dict] = []
@@ -1060,7 +1072,7 @@ class ShardedWarehouse(Warehouse):
             mean = sum(counts) / len(counts) if counts else 0.0
             ratio = (max(counts) / mean) if mean else 1.0
             skew[table] = ratio
-            self.telemetry.record_shard_skew(table, ratio)
+            self.telemetry.emit("shard.skew", table=table, skew=ratio)
             if ratio > REBALANCE_SKEW_THRESHOLD:
                 hottest = max(stats, key=lambda s: stats[s]["table_rows"].get(table, 0))
                 rebalance.append(
@@ -1075,7 +1087,7 @@ class ShardedWarehouse(Warehouse):
                         ),
                     }
                 )
-                self.telemetry.record_shard_rebalance_hint(table)
+                self.telemetry.emit("shard.rebalance_hint", table=table)
         return {
             "shards": {
                 shard: {

@@ -283,8 +283,10 @@ class Warehouse:
         )
         # telemetry series are keyed by the *definition* name (that is what
         # the maintainer stamps on spans and metrics)
-        self.telemetry.record_view_size(
-            maintainer.definition.name, len(maintainer.view)
+        self.telemetry.emit(
+            "view.size",
+            view=maintainer.definition.name,
+            rows=len(maintainer.view),
         )
         self._publish()  # queue is drained: a consistent point
         return maintainer.view
@@ -411,9 +413,10 @@ class Warehouse:
             view, predicate=predicate, limit=limit, **equalities
         )
         elapsed = time.perf_counter() - started
-        self.telemetry.record_read(
-            view,
-            elapsed,
+        self.telemetry.emit(
+            "snapshot.read",
+            view=view,
+            seconds=elapsed,
             snapshot_age=snap.age_seconds(),
             lag=max(0, self.snapshots.last_seq - snap.seq),
         )
@@ -513,8 +516,8 @@ class Warehouse:
         tickets, self._pending_tickets = self._pending_tickets, []
         results = [ticket.wait() for ticket in tickets]
         self._settle()
-        self.telemetry.record_phase(
-            "flush", time.perf_counter() - started
+        self.telemetry.emit(
+            "warehouse.flush", seconds=time.perf_counter() - started
         )
         failed: Dict[str, Exception] = {}
         quarantined: List[str] = []
@@ -548,8 +551,8 @@ class Warehouse:
             table, operation, [tuple(r) for r in rows], fk_allowed, check
         )
         reports = self._finalize(ticket.wait())
-        self.telemetry.record_phase(
-            "apply", time.perf_counter() - started
+        self.telemetry.emit(
+            "warehouse.apply", seconds=time.perf_counter() - started
         )
         self._maybe_checkpoint()
         return reports
@@ -711,7 +714,8 @@ class Warehouse:
             # broke its journals, so the next publish copies in full
             self._publish_errors += 1
             return None
-        self.telemetry.record_snapshot_publish(
+        self.telemetry.emit(
+            "snapshot.published",
             lsn=snapshot.lsn,
             retained=self.snapshots.retained,
             stale_views=len(snapshot.stale_views),
@@ -908,7 +912,7 @@ class Warehouse:
             "quarantined_segments": list(self.wal.quarantined_segments),
             "recomputed_views": recomputed,
         }
-        self.telemetry.record_recovery(self.last_recovery)
+        self.telemetry.emit("recovery", summary=self.last_recovery)
         return results
 
     def _restore_checkpoint(self, data: CheckpointData) -> None:
@@ -1029,8 +1033,10 @@ class Warehouse:
     def _refresh_view_sizes(self) -> None:
         for target in self._views.values():
             if not isinstance(target, AggregatedView):
-                self.telemetry.record_view_size(
-                    target.definition.name, len(target.view)
+                self.telemetry.emit(
+                    "view.size",
+                    view=target.definition.name,
+                    rows=len(target.view),
                 )
 
     # ------------------------------------------------------------------

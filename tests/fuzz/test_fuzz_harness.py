@@ -25,6 +25,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.oracle import configs_by_name
+from repro.obs import Telemetry
 from repro.runtime import FAILPOINTS
 
 
@@ -249,6 +250,34 @@ def test_run_fuzz_finds_minimizes_and_saves(tmp_path, monkeypatch):
     assert outcome.corpus_path is not None
     loaded, meta = load_case(outcome.corpus_path)
     assert not run_case(loaded).ok  # the saved case is the failing one
+
+
+def test_clean_run_reports_no_mismatch(tmp_path):
+    """Passing cases are counted as ``ok`` and are not incidents: no
+    ``fuzz.mismatch`` event, no flight-recorder dump in the
+    failure-artifact directory."""
+    telemetry = Telemetry(dump_dir=str(tmp_path))
+    outcome = run_fuzz(budget=3, seed=1, save=False, telemetry=telemetry)
+    assert not outcome.found and outcome.cases_run == 3
+    assert list(tmp_path.iterdir()) == []
+    cases = telemetry.metrics.get("repro_fuzz_cases_total")
+    assert cases.value(outcome="ok") == 3
+    assert cases.total() == 3
+    assert [e.kind for e in telemetry.recorder.events] == []
+    assert telemetry.metrics.get("repro_events_total").total() == 0
+
+
+def test_fuzz_outcome_vocabulary_is_closed(tmp_path):
+    telemetry = Telemetry(dump_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="unknown fuzz outcome"):
+        telemetry.emit("fuzz.case", outcome="pass")
+    telemetry.emit(
+        "fuzz.case", outcome="mismatch", mismatch_kinds=["view-divergence"]
+    )
+    assert [e.kind for e in telemetry.recorder.events] == ["fuzz.mismatch"]
+    assert len(list(tmp_path.iterdir())) == 1  # a real mismatch does dump
+    by_kind = telemetry.metrics.get("repro_fuzz_mismatches_total")
+    assert by_kind.value(kind="view-divergence") == 1
 
 
 def test_cli_clean_run_and_replay(tmp_path, capsys):

@@ -137,6 +137,33 @@ class TestMetricsAndDashboard:
         assert "(telemetry disabled)" in wh.dashboard()
 
 
+class TestDurableWarehouseMetered:
+    def test_checkpoint_with_telemetry_on(self, generator, tmp_path):
+        """An explicit checkpoint of a metered warehouse reports itself
+        (it raised TypeError while ``checkpoint.written`` went through a
+        method whose first parameter was also called ``kind``)."""
+        db = TPCHGenerator(scale_factor=0.001, seed=5).build()
+        wh = Warehouse(
+            db,
+            telemetry=Telemetry(),
+            wal_path=str(tmp_path / "wal"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        try:
+            wh.create_view("v3", v3())
+            wh.insert("lineitem", generator.lineitem_insert_batch(5, seed=1))
+            assert wh.checkpoint()
+            registry = wh.telemetry.metrics
+            written = registry.get("repro_checkpoint_total")
+            assert written.value(outcome="written", kind="base") == 1
+            assert wh.telemetry.health.durability()["checkpoints"] == 1
+            assert "checkpoints    : 1 written" in wh.dashboard()
+            kinds = [e.kind for e in wh.telemetry.recorder.events]
+            assert "checkpoint.written" in kinds
+        finally:
+            wh.close()
+
+
 class TestFanOutFailures:
     def test_failure_yields_partial_reports_and_error_metric(
         self, wh, generator, monkeypatch

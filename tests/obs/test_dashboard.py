@@ -1,10 +1,16 @@
-"""Dashboard aggregation: percentile math, per-view series, rendering."""
+"""Dashboard aggregation: percentile math, per-view series, rendering.
+
+The dashboard holds no counts of its own: every case drives a
+``Telemetry`` through ``emit`` and reads ``telemetry.health``, which
+renders the registry's counters beside its own latency/span series.
+"""
 
 import types
 
 import pytest
 
-from repro.obs.dashboard import Dashboard, percentile
+from repro.obs import Telemetry
+from repro.obs.dashboard import percentile
 
 
 def make_report(
@@ -41,6 +47,14 @@ def make_span(children):
     return types.SimpleNamespace(children=kids)
 
 
+def passed(telemetry, span=None, **fields):
+    telemetry.emit("maintenance.pass", report=make_report(**fields), span=span)
+
+
+def quarantine(telemetry, view, reason):
+    telemetry.emit("view.quarantined", view=view, reason=reason)
+
+
 class TestPercentile:
     def test_empty_is_zero(self):
         assert percentile([], 0.5) == 0.0
@@ -62,18 +76,17 @@ class TestPercentile:
 
 class TestSeries:
     def test_totals_accumulate(self):
-        dash = Dashboard()
-        dash.record_report(make_report(total_view_changes=4, base_rows=2))
-        dash.record_report(
-            make_report(
-                operation="delete",
-                total_view_changes=6,
-                base_rows=3,
-                primary_skipped=True,
-            )
+        t = Telemetry()
+        passed(t, total_view_changes=4, base_rows=2)
+        passed(
+            t,
+            operation="delete",
+            total_view_changes=6,
+            base_rows=3,
+            primary_skipped=True,
         )
-        dash.record_error("v3")
-        totals = dash.totals()["v3"]
+        t.emit("maintenance.error", view="v3", table="lineitem", operation="insert")
+        totals = t.health.totals()["v3"]
         assert totals == {
             "passes": 2,
             "errors": 1,
@@ -81,43 +94,41 @@ class TestSeries:
             "base_rows": 5,
             "fk_skips": 1,
         }
+        assert all(type(n) is int for n in totals.values())
 
     def test_latency_percentiles(self):
-        dash = Dashboard()
+        t = Telemetry()
         for ms in (1, 2, 3, 4):
-            dash.record_report(make_report(elapsed_seconds=ms / 1000.0))
-        pct = dash.latency_percentiles("v3")
+            passed(t, elapsed_seconds=ms / 1000.0)
+        pct = t.health.latency_percentiles("v3")
         assert pct["p50"] == pytest.approx(0.0025)
         assert pct["p95"] == pytest.approx(0.00385)
 
     def test_unknown_view_percentiles_are_zero(self):
-        assert Dashboard().latency_percentiles("nope") == {
+        assert Telemetry().health.latency_percentiles("nope") == {
             "p50": 0.0,
             "p95": 0.0,
         }
 
     def test_latency_samples_bounded(self):
-        dash = Dashboard(max_samples=3)
+        t = Telemetry()
+        t.health.max_samples = 3
         for _ in range(10):
-            dash.record_report(make_report())
-        assert len(dash._views["v3"].latencies) == 3
-        assert dash.totals()["v3"]["passes"] == 10  # counting never stops
+            passed(t)
+        assert len(t.health._views["v3"].latencies) == 3
+        assert t.health.totals()["v3"]["passes"] == 10  # counting never stops
 
     def test_strategy_mix_counted_per_term(self):
-        dash = Dashboard()
-        dash.record_report(
-            make_report(
-                secondary_strategy_used={"{c}": "view", "{p}": "base"}
-            )
-        )
-        dash.record_report(
-            make_report(secondary_strategy_used={"{c}": "view"})
-        )
-        s = dash._views["v3"]
-        assert s.strategies == {"view": 2, "base": 1}
+        t = Telemetry()
+        passed(t, secondary_strategy_used={"{c}": "view", "{p}": "base"})
+        passed(t, secondary_strategy_used={"{c}": "view"})
+        mix = t.metrics.get("repro_secondary_strategy_total")
+        assert mix.value(view="v3", strategy="view") == 2
+        assert mix.value(view="v3", strategy="base") == 1
+        assert "secondary mix  : base=33%, view=67% (3 term deltas)" in t.dashboard()
 
     def test_span_phases_and_terms(self):
-        dash = Dashboard()
+        t = Telemetry()
         span = make_span(
             [
                 ("classify", {}, 0.001),
@@ -126,7 +137,8 @@ class TestSeries:
                 ("secondary", {"term": "{part}"}, 0.006),
             ]
         )
-        dash.record_report(make_report(), span)
+        passed(t, span)
+        dash = t.health
         phases = dash.observed_phases("v3")
         assert phases["classify"]["count"] == 1
         assert phases["secondary"]["count"] == 2
@@ -135,27 +147,27 @@ class TestSeries:
         assert dash.observed_phases("v3", "classify") == {
             "classify": {"count": 1, "avg": 0.001, "max": 0.001}
         }
+        assert dash.observed_phases("v3", "nope") == {}
         assert dash._views["v3"].terms["{part}"].max == pytest.approx(0.006)
 
 
 class TestRender:
     def test_empty_dashboard(self):
-        out = Dashboard().render()
+        out = Telemetry().dashboard()
         assert "no maintenance activity" in out
 
     def test_render_contains_views_and_details(self):
-        dash = Dashboard()
-        dash.record_report(
-            make_report(
-                view="orders_view",
-                table="orders",
-                primary_skipped=True,
-                secondary_strategy_used={"{c}": "view"},
-            ),
+        t = Telemetry()
+        passed(
+            t,
             make_span([("secondary", {"term": "{customer}"}, 0.002)]),
+            view="orders_view",
+            table="orders",
+            primary_skipped=True,
+            secondary_strategy_used={"{c}": "view"},
         )
-        dash.record_report(make_report(view="v3"))
-        out = dash.render()
+        passed(t, view="v3")
+        out = t.dashboard()
         assert "== Maintenance dashboard ==" in out
         # header table lists both views (sorted)
         assert out.index("orders_view") < out.index("v3")
@@ -165,62 +177,68 @@ class TestRender:
         assert "secondary mix  : view=100% (1 term deltas)" in out
         assert "fk-shortcut    : 1/1 passes primary-skipped" in out
         assert "slowest terms  : {customer} max 2.00ms" in out
+        assert "tables         : orders: 1 passes/10 rows" in out
         assert "-- v3 --" in out
         assert "operations     : insert=1" in out
 
 
 class TestQuarantineSection:
     def test_quarantined_views_listed_with_reason(self):
-        dash = Dashboard()
-        dash.record_report(make_report(view="v3"))
-        dash.record_retry("v3")
-        dash.record_quarantine("v3", "insert on 'lineitem' failed: boom")
-        out = dash.render()
+        t = Telemetry()
+        passed(t, view="v3")
+        t.emit("view.retry", view="v3", attempt=1)
+        quarantine(t, "v3", "insert on 'lineitem' failed: boom")
+        out = t.dashboard()
         assert "!! quarantined (stale, excluded from fan-out):" in out
         assert "v3: insert on 'lineitem' failed: boom" in out
         assert "reliability    : 1 retries, 1 quarantines (QUARANTINED)" in out
+        assert t.health.reliability() == {"v3": {"retries": 1, "quarantines": 1}}
 
     def test_reinstated_view_leaves_the_section(self):
-        dash = Dashboard()
-        dash.record_report(make_report(view="v3"))
-        dash.record_quarantine("v3", "boom")
-        dash.clear_quarantine("v3")
-        out = dash.render()
+        t = Telemetry()
+        passed(t, view="v3")
+        quarantine(t, "v3", "boom")
+        t.emit("view.reinstated", view="v3")
+        out = t.dashboard()
         assert "!! quarantined" not in out
         assert "(healthy)" in out
 
     def test_quarantined_accessor_tracks_state(self):
-        dash = Dashboard()
-        dash.record_quarantine("a", "x")
-        dash.record_quarantine("b", "y")
-        dash.clear_quarantine("a")
-        assert dash.quarantined() == {"b": "y"}
+        t = Telemetry()
+        quarantine(t, "a", "x")
+        quarantine(t, "b", "y")
+        t.emit("view.reinstated", view="a")
+        assert t.health.quarantined() == {"b": "y"}
 
     def test_totals_shape_unchanged_by_quarantine(self):
         # totals() is consumed by CI scripts: quarantine state must not
         # leak new keys into it
-        dash = Dashboard()
-        dash.record_report(make_report(view="v3"))
-        dash.record_quarantine("v3", "boom")
-        assert sorted(dash.totals()["v3"]) == [
+        t = Telemetry()
+        passed(t, view="v3")
+        quarantine(t, "v3", "boom")
+        assert sorted(t.health.totals()["v3"]) == [
             "base_rows", "errors", "fk_skips", "passes", "rows_changed",
         ]
 
 
+def durable_activity(t):
+    for _ in range(2):
+        t.emit("checkpoint.written", seconds=0.01, size_bytes=10, kind="base")
+    t.emit("wal.compaction", segments_deleted=3)
+    t.emit("scheduler.load_shed", table="orders")
+
+
 class TestDurabilitySection:
     def test_hidden_when_nothing_happened(self):
-        dash = Dashboard()
-        dash.record_report(make_report(view="v3"))
-        assert "-- durability --" not in dash.render()
+        t = Telemetry()
+        passed(t, view="v3")
+        assert "-- durability --" not in t.dashboard()
 
     def test_counters_rendered(self):
-        dash = Dashboard()
-        dash.record_report(make_report(view="v3"))
-        dash.record_checkpoint()
-        dash.record_checkpoint()
-        dash.record_compaction(3)
-        dash.record_load_shed()
-        out = dash.render()
+        t = Telemetry()
+        passed(t, view="v3")
+        durable_activity(t)
+        out = t.dashboard()
         assert "-- durability --" in out
         assert "checkpoints    : 2 written" in out
         assert "compactions    : 1 passes, 3 segments deleted" in out
@@ -228,22 +246,21 @@ class TestDurabilitySection:
         assert "corrupt wal" not in out
 
     def test_quarantined_segments_listed(self):
-        dash = Dashboard()
-        dash.record_report(make_report(view="v3"))
-        dash.record_segment_quarantined("wal-000001.seg")
-        out = dash.render()
+        t = Telemetry()
+        passed(t, view="v3")
+        t.emit("wal.segment_quarantined", segment="wal-000001.seg")
+        out = t.dashboard()
         assert "corrupt wal    : wal-000001.seg" in out
 
     def test_durability_accessor(self):
-        dash = Dashboard()
-        dash.record_checkpoint()
-        dash.record_compaction(2)
-        dash.record_segment_quarantined("wal-7.seg")
-        dash.record_load_shed()
-        assert dash.durability() == {
-            "checkpoints": 1,
+        t = Telemetry()
+        durable_activity(t)
+        t.emit("checkpoint.corrupt", name="ckpt-1.json")  # not a written one
+        t.emit("wal.segment_quarantined", segment="wal-7.seg")
+        assert t.health.durability() == {
+            "checkpoints": 2,
             "compactions": 1,
-            "segments_deleted": 2,
+            "segments_deleted": 3,
             "segments_quarantined": ["wal-7.seg"],
             "load_sheds": 1,
         }

@@ -127,8 +127,8 @@ class TestObsServer:
     @pytest.fixture
     def telemetry(self):
         t = Telemetry()
-        t.record_wal_append("lineitem")
-        t.record_phase("apply", 0.001)
+        t.emit("wal.append", table="lineitem")
+        t.emit("warehouse.apply", seconds=0.001)
         t.slo.record_outcome("v3", True)
         return t
 
@@ -154,7 +154,7 @@ class TestObsServer:
         assert payload["quarantined"] == {}
 
     def test_healthz_degrades_on_quarantine(self, server, telemetry):
-        telemetry.record_quarantine("v3", "boom")
+        telemetry.emit("view.quarantined", view="v3", reason="boom")
         status, _headers, body = fetch(server.url + "/healthz")
         assert status == 503
         payload = json.loads(body)
@@ -171,7 +171,7 @@ class TestObsServer:
         assert payload["slo"]["views"]["v3"]["passes"] == 1
 
     def test_flight_recorder_route(self, server, telemetry):
-        telemetry.record_event("view.retry", view="v3", attempt=1)
+        telemetry.emit("view.retry", view="v3", attempt=1)
         status, _headers, body = fetch(server.url + "/flight-recorder")
         assert status == 200
         payload = json.loads(body)

@@ -88,7 +88,8 @@ class TestShedPolicy:
             # shed strictly before the base-table write and the WAL
             assert (3, 300) not in wh.db.tables["orders"].rows
             assert wh.scheduler.load_shed_count == 1
-            assert telemetry.load_shed.value(table="orders") == 1
+            shed = telemetry.metrics.get("repro_scheduler_load_shed_total")
+            assert shed.value(table="orders") == 1
         finally:
             release()
         wh.flush()
@@ -109,7 +110,9 @@ class TestShedPolicy:
         finally:
             release()
         wh.flush()
-        series = telemetry.queue_wait_seconds.labels()
+        series = telemetry.metrics.get(
+            "repro_scheduler_queue_wait_seconds"
+        ).labels()
         assert series.count >= 2  # one observation per dequeued change
         wh.scheduler.shutdown()
 

@@ -211,6 +211,63 @@ class TestSchedulerCore:
             release.set()
             scheduler.shutdown()
 
+    def test_deadline_miss_is_reported_as_quarantine_and_timeout(self):
+        telemetry = Telemetry()
+        scheduler = MaintenanceScheduler(
+            workers=2,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=0.05),
+            telemetry=telemetry,
+        )
+        release = threading.Event()
+        try:
+            scheduler.apply(
+                lambda: (
+                    [
+                        Task("sluggish", lambda: release.wait(5.0)),
+                        Task("fine", lambda: "ok"),
+                    ],
+                    None,
+                ),
+                "t",
+                "insert",
+            )
+            kinds = [e.kind for e in telemetry.recorder.events]
+            # the quarantine comes first: its event owns the dump slot
+            assert kinds == ["view.quarantined", "view.timeout"]
+            timeout = telemetry.recorder.events[-1]
+            assert timeout.attrs["view"] == "sluggish"
+            assert "timed out after 0.05s" in timeout.attrs["reason"]
+        finally:
+            release.set()
+            scheduler.shutdown()
+
+    def test_error_text_saying_timed_out_is_not_a_deadline_miss(self):
+        # e.g. ShardUnavailableError("timed out after 5s waiting for a
+        # shard reply"): the maintainer raised, no scheduler deadline
+        # was missed, so no view.timeout may be reported
+        telemetry = Telemetry()
+        scheduler = MaintenanceScheduler(
+            workers=2,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=5.0),
+            telemetry=telemetry,
+        )
+
+        def failing():
+            raise MaintenanceError("timed out after 5s waiting for a reply")
+
+        try:
+            result = scheduler.apply(
+                lambda: ([Task("v", failing), Task("fine", lambda: "ok")], None),
+                "t",
+                "insert",
+            )
+            assert result.quarantined == ["v"]
+            events = telemetry.recorder.events
+            assert [e.kind for e in events] == ["view.quarantined"]
+            assert "timed out" in events[0].attrs["reason"]
+        finally:
+            scheduler.shutdown()
+
     def test_serial_scheduler_single_attempt_quarantines(self):
         calls = []
         saves = []
@@ -256,7 +313,7 @@ class TestSchedulerCore:
             scheduler.drain()
         finally:
             scheduler.shutdown()
-        gauge = telemetry.queue_depth
+        gauge = telemetry.metrics.get("repro_scheduler_queue_depth")
         assert gauge.value() == 0
 
 

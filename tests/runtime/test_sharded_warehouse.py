@@ -20,6 +20,7 @@ from repro.errors import (
     MaintenanceError,
     ShardingError,
 )
+from repro.obs import Telemetry
 from repro.sharded import ShardedSnapshot, ShardedWarehouse
 from repro.warehouse import Warehouse
 
@@ -145,20 +146,18 @@ def test_max_skew_reports_rebalance_advisory():
 
 
 def test_single_shard_key_probe_avoids_fan_out():
-    wh = make_sharded(shards=3)
+    wh = make_sharded(shards=3, telemetry=Telemetry())
     try:
-        probes = []
-        original = wh.telemetry.record_shard_query
-        wh.telemetry.record_shard_query = lambda fp: probes.append(fp)
-        try:
-            # all routing columns pinned -> single-shard fast path
-            rows = wh.query(
-                "order_lines",
-                **{"lineitem.l_orderkey": 2, "lineitem.l_linenumber": 1},
-            )
-        finally:
-            wh.telemetry.record_shard_query = original
+        queries = wh.telemetry.metrics.get("repro_shard_queries_total")
+        # all routing columns pinned -> single-shard fast path
+        rows = wh.query(
+            "order_lines",
+            **{"lineitem.l_orderkey": 2, "lineitem.l_linenumber": 1},
+        )
+        assert queries.value(outcome="fastpath") == 1
+        assert queries.value(outcome="fanout") == 0
         assert rows == [r for r in wh.query("order_lines") if r[2] == 2 and r[3] == 1]
+        assert queries.value(outcome="fanout") == 1
     finally:
         wh.close()
 

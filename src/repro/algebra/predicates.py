@@ -581,6 +581,73 @@ def equijoin_pairs(
     return pairs, residual
 
 
+_PY_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+def predicate_source(pred: Predicate, schema: Schema) -> Tuple[str, dict]:
+    """Render *pred* as one Python expression over ``row`` for *schema*.
+
+    Returns ``(source, names)``: the source holds only ``row[p]`` reads,
+    operators and names; every literal (and every generic evaluator, for
+    the shapes below that need one) is bound in *names*, the namespace
+    the source is evaluated in — a value never becomes source text.
+    The expression is true exactly when ``pred.eval3`` is ``True``: an
+    absent column reads as NULL and a NULL operand makes a comparison
+    false.  ``AND`` / ``OR`` / ``IS NOT TRUE`` preserve that collapse;
+    arithmetic operands and Kleene ``NOT`` (which must tell FALSE from
+    UNKNOWN) call the three-valued evaluator on their own sub-tree.
+    """
+    names: dict = {}
+
+    def bind(value) -> str:
+        name = f"_v{len(names)}"
+        names[name] = value
+        return name
+
+    def read(col: Col) -> Optional[str]:
+        name = col.qualified
+        return f"row[{schema.index_of(name)}]" if name in schema else None
+
+    def render(node: Predicate) -> str:
+        if isinstance(node, TruePred):
+            return "True"
+        if isinstance(node, (IsNull, NotNull)):
+            ref = read(node.col)
+            if isinstance(node, IsNull):
+                return "True" if ref is None else f"({ref} is None)"
+            return "False" if ref is None else f"({ref} is not None)"
+        if isinstance(node, Comparison) and all(
+            isinstance(side, (Col, Lit)) for side in (node.left, node.right)
+        ):
+            terms: List[str] = []
+            guards: List[str] = []
+            for side in (node.left, node.right):
+                if isinstance(side, Col):
+                    ref = read(side)
+                    if ref is not None:
+                        guards.append(f"{ref} is not None")
+                elif side.value is None:
+                    ref = None
+                else:
+                    ref = bind(side.value)
+                if ref is None:
+                    return "False"  # NULL operand: UNKNOWN, never true
+                terms.append(ref)
+            test = f"{terms[0]} {_PY_OPS[node.op]} {terms[1]}"
+            return "(" + " and ".join(guards + [test]) + ")"
+        if isinstance(node, And):
+            if not node.parts:
+                return "True"
+            return "(" + " and ".join(map(render, node.parts)) + ")"
+        if isinstance(node, Or):
+            return "(" + " or ".join(map(render, node.parts)) + ")"
+        if isinstance(node, NotTrue):
+            return f"(not {render(node.pred)})"
+        return f"{bind(_eval3_is_true(node, schema))}(row)"
+
+    return render(pred), names
+
+
 def compile_predicate(pred: Predicate, schema: Schema) -> Callable:
     """Compile a predicate AST into ``row -> bool`` for *schema*.
 
@@ -589,110 +656,31 @@ def compile_predicate(pred: Predicate, schema: Schema) -> Callable:
     as NULL — this is deliberate: term-extraction predicates mention every
     view table, while a delta may not carry all of them.
 
-    Column positions are resolved here, once; the common AST shapes
-    (comparisons over columns/literals, IS [NOT] NULL, AND/OR/IS NOT
-    TRUE) compile to direct position-indexing closures with no per-row
-    dictionary or closure allocation.  Anything else falls back to the
-    generic three-valued evaluator.
+    The whole tree becomes one expression (:func:`predicate_source`),
+    evaluated once into a single function: a row costs one call however
+    many conjuncts the predicate has.
     """
-    fast = _compile_fast(pred, schema)
-    if fast is not None:
-        return fast
+    source, names = predicate_source(pred, schema)
+    names["__builtins__"] = {}
+    return eval(f"lambda row: {source}", names)
 
-    positions = {}
-    for col in pred.columns():
-        positions[col] = schema.index_of(col) if col in schema else None
 
-    def getter_for(row):
+def _eval3_is_true(pred: Predicate, schema: Schema) -> Callable:
+    """``row -> (pred.eval3(row) is True)`` through the generic
+    three-valued evaluator, column positions resolved once."""
+    positions = {
+        col: schema.index_of(col) if col in schema else None
+        for col in pred.columns()
+    }
+
+    def run(row) -> bool:
         def get(name: str):
             pos = positions[name]
             return None if pos is None else row[pos]
 
-        return get
-
-    def run(row) -> bool:
-        return pred.eval3(getter_for(row)) is True
+        return pred.eval3(get) is True
 
     return run
-
-
-def _const(value: bool) -> Callable:
-    return lambda row: value
-
-
-def _position_of(col: Col, schema: Schema) -> Optional[int]:
-    name = col.qualified
-    return schema.index_of(name) if name in schema else None
-
-
-def _compile_fast(pred: Predicate, schema: Schema) -> Optional[Callable]:
-    """Specialized ``row -> bool`` closure for common predicate shapes,
-    or ``None`` when the shape needs the generic evaluator.  Semantics
-    are identical: the closure returns ``eval3(row) is True``."""
-    if isinstance(pred, TruePred):
-        return _const(True)
-    if isinstance(pred, IsNull):
-        pos = _position_of(pred.col, schema)
-        if pos is None:
-            return _const(True)  # absent column evaluates as NULL
-        return lambda row, p=pos: row[p] is None
-    if isinstance(pred, NotNull):
-        pos = _position_of(pred.col, schema)
-        if pos is None:
-            return _const(False)
-        return lambda row, p=pos: row[p] is not None
-    if isinstance(pred, Comparison):
-        fn = _OPS[pred.op]
-        left, right = pred.left, pred.right
-        if isinstance(left, Col) and isinstance(right, Col):
-            lp = _position_of(left, schema)
-            rp = _position_of(right, schema)
-            if lp is None or rp is None:
-                return _const(False)  # NULL operand → UNKNOWN → False
-
-            def run_cc(row, lp=lp, rp=rp, fn=fn):
-                a = row[lp]
-                b = row[rp]
-                return a is not None and b is not None and fn(a, b)
-
-            return run_cc
-        if isinstance(left, Col) and isinstance(right, Lit):
-            lp = _position_of(left, schema)
-            if lp is None or right.value is None:
-                return _const(False)
-            value = right.value
-            return (
-                lambda row, p=lp, v=value, fn=fn: row[p] is not None
-                and fn(row[p], v)
-            )
-        if isinstance(left, Lit) and isinstance(right, Col):
-            rp = _position_of(right, schema)
-            if rp is None or left.value is None:
-                return _const(False)
-            value = left.value
-            return (
-                lambda row, p=rp, v=value, fn=fn: row[p] is not None
-                and fn(v, row[p])
-            )
-        return None  # arithmetic operands: generic evaluator
-    if isinstance(pred, And):
-        parts = [_compile_fast(p, schema) for p in pred.parts]
-        if any(p is None for p in parts):
-            return None
-        return lambda row, fns=tuple(parts): all(f(row) for f in fns)
-    if isinstance(pred, Or):
-        parts = [_compile_fast(p, schema) for p in pred.parts]
-        if any(p is None for p in parts):
-            return None
-        return lambda row, fns=tuple(parts): any(f(row) for f in fns)
-    if isinstance(pred, NotTrue):
-        inner = _compile_fast(pred.pred, schema)
-        if inner is None:
-            return None
-        # eval3 is not True — exactly the negation of the inner closure.
-        return lambda row, f=inner: not f(row)
-    # Kleene NOT needs to distinguish False from UNKNOWN; fall back.
-    return None
 
 
 def null_predicate(table: str, key_column: str) -> IsNull:

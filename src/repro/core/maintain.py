@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..algebra.evaluate import ExecutionStats, evaluate
 from ..algebra.expr import RelExpr, delta_label
 from ..algebra.normalform import Term
 from ..algebra.subsumption import SubsumptionGraph
+from ..engine import operators as ops
 from ..engine.catalog import Database
 from ..engine.schema import Schema
 from ..engine.table import Row, Table
@@ -173,6 +174,8 @@ class ViewMaintainer:
         self._mgraphs: Dict[Tuple[str, bool], MaintenanceGraph] = {}
         # Compiled physical plans, fingerprinted on (options, index set).
         self._plan_cache = PlanCache()
+        # delta columns -> row shaper onto the view's columns (_align_rows)
+        self._aligners: Dict[Tuple[str, ...], Callable[[Row], Row]] = {}
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -603,15 +606,15 @@ class ViewMaintainer:
     def _align_rows(self, table: Table) -> List[Row]:
         """Null-extend/reorder rows of *table* to the view's output
         columns (delta results may carry extra base columns or lack
-        columns of FK-dropped tables)."""
-        mapping = [
-            table.schema.index_of(col) if col in table.schema else None
-            for col in self.view.schema.columns
-        ]
-        return [
-            tuple(row[m] if m is not None else None for m in mapping)
-            for row in table.rows
-        ]
+        columns of FK-dropped tables), through a row shaper built once
+        per input schema."""
+        columns, target = table.schema.columns, self.view.schema.columns
+        if columns == target:
+            return table.rows
+        align = self._aligners.get(columns)
+        if align is None:
+            align = self._aligners[columns] = ops.aligner(table.schema, target)
+        return list(map(align, table.rows))
 
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:

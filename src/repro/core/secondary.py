@@ -158,9 +158,10 @@ class CompiledViewSecondary:
     * deletions — a candidate is a new orphan iff no view row carries its
       Tᵢ key values, a count lookup in the sub-key index.
 
-    Everything that depends only on schemas — the ``Pᵢ`` filter closure,
-    the delta→term-key positions, the view-key slot mapping, the
-    candidate projection — is resolved here, once.
+    Everything that depends only on schemas — the ``Pᵢ`` filter, the row
+    shapers taking a delta row to its term sub-key, a sub-key to the
+    orphan's view key and a delta row to its candidate — is resolved
+    here, once; an execution maps them over the whole delta.
     """
 
     __slots__ = (
@@ -168,11 +169,9 @@ class CompiledViewSecondary:
         "delta_columns",
         "passes",
         "term_key_cols",
-        "delta_key_positions",
-        "key_slots",
-        "key_width",
-        "cand_columns",
-        "cand_positions",
+        "sub_key",
+        "orphan_key",
+        "candidate",
         "cand_schema",
     )
 
@@ -194,18 +193,14 @@ class CompiledViewSecondary:
         self.term_key_cols = tuple(
             col for t in sorted(term.source) for col in db.table(t).key
         )
-        self.delta_key_positions = tuple(
-            delta_schema.index_of(c) if c in delta_schema else None
-            for c in self.term_key_cols
-        )
+        # a term key column the delta lacks reads NULL: no sub-key forms
+        self.sub_key = ops.aligner(delta_schema, self.term_key_cols)
         if operation == INSERT:
-            slot = {c: i for i, c in enumerate(view.key_cols)}
-            self.key_width = len(view.key_cols)
-            self.key_slots = tuple(slot[c] for c in self.term_key_cols)
+            slot = {c: i for i, c in enumerate(self.term_key_cols)}
+            self.orphan_key = ops.shaper([slot.get(c) for c in view.key_cols])
         else:
             cols = term_columns(term, delta_schema.columns)
-            self.cand_columns = cols
-            self.cand_positions = delta_schema.positions(cols)
+            self.candidate = ops.shaper(delta_schema.positions(cols))
             self.cand_schema = Schema(cols)
 
     def matches(self, primary_delta: Table) -> bool:
@@ -216,43 +211,27 @@ class CompiledViewSecondary:
         """*view* is the live :class:`~repro.core.view.MaterializedView`
         (not a snapshot) so freshly inserted parent orphans are visible to
         child terms automatically."""
+        touched = list(filter(self.passes, primary_delta.rows))
+        subs = list(map(self.sub_key, touched))
         if self.operation == INSERT:
-            found: List = []
-            seen = set()
-            for row in primary_delta.rows:
-                if not self.passes(row):
-                    continue
-                sub = tuple(
-                    row[p] if p is not None else None
-                    for p in self.delta_key_positions
-                )
-                if None in sub or sub in seen:
-                    continue
-                seen.add(sub)
-                orphan_key = [None] * self.key_width
-                for slot, value in zip(self.key_slots, sub):
-                    orphan_key[slot] = value
-                orphan = view._rows.get(tuple(orphan_key))
-                if orphan is not None:
-                    found.append(orphan)
+            stored = view._rows
+            distinct = [sub for sub in dict.fromkeys(subs) if None not in sub]
+            found = [
+                stored[key]
+                for key in map(self.orphan_key, distinct)
+                if key in stored
+            ]
             return Table("d", view.schema, found)
 
-        index = view.subkey_index(self.term_key_cols)
-        out: List = []
-        seen = set()
-        for row in primary_delta.rows:
-            if not self.passes(row):
-                continue
-            sub = tuple(
-                row[p] if p is not None else None
-                for p in self.delta_key_positions
-            )
-            if None in sub or sub in seen:
-                continue
-            seen.add(sub)
-            if index.count(sub) == 0:
-                out.append(tuple(row[p] for p in self.cand_positions))
-        return Table("d", self.cand_schema, out)
+        groups = view.subkey_index(self.term_key_cols).groups
+        # first row per sub-key: later pairs overwrite, so feed them reversed
+        first = dict(zip(reversed(subs), reversed(touched)))
+        orphaned = [
+            first[sub]
+            for sub in dict.fromkeys(subs)
+            if None not in sub and sub not in groups
+        ]
+        return Table("d", self.cand_schema, map(self.candidate, orphaned))
 
 
 def secondary_from_view_indexed(

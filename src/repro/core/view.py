@@ -21,6 +21,7 @@ from ..algebra.expr import Project, RelExpr, validate_spoj
 from ..algebra.normalform import Term, normal_form
 from ..algebra.subsumption import SubsumptionGraph
 from ..engine.catalog import Database
+from ..engine.index import projector
 from ..engine.schema import Schema
 from ..engine.table import ChangeJournal, Row, Table, next_version
 from ..errors import MaintenanceError, UnsupportedViewError
@@ -38,29 +39,33 @@ class SubkeyIndex:
     positions are resolved once at construction, not per indexed row.
     """
 
-    __slots__ = ("columns", "positions", "groups")
+    __slots__ = ("columns", "positions", "project", "groups")
 
     def __init__(self, columns: Tuple[str, ...], positions: Tuple[int, ...]):
         self.columns = columns
         self.positions = positions
+        self.project = projector(positions)
         # value tuple -> {view key: None} (an insertion-ordered set)
         self.groups: Dict[Row, Dict[Row, None]] = {}
 
-    def sub_of(self, row: Row) -> Row:
-        return tuple(row[p] for p in self.positions)
+    def add_many(self, rows: Iterable[Row], keys: Iterable[Row]) -> None:
+        """Register view *rows* stored under view *keys*, pairwise."""
+        groups = self.groups
+        for sub, key in zip(map(self.project, rows), keys):
+            if sub in groups:
+                groups[sub][key] = None
+            elif None not in sub:
+                groups[sub] = {key: None}
 
-    def add(self, row: Row, key: Row) -> None:
-        sub = self.sub_of(row)
-        if None not in sub:
-            self.groups.setdefault(sub, {})[key] = None
-
-    def discard(self, row: Row, key: Row) -> None:
-        sub = self.sub_of(row)
-        group = self.groups.get(sub)
-        if group is not None:
-            group.pop(key, None)
-            if not group:
-                del self.groups[sub]
+    def discard_many(self, rows: Iterable[Row], keys: Iterable[Row]) -> None:
+        """Forget view *rows* that were stored under view *keys*."""
+        groups = self.groups
+        for sub, key in zip(map(self.project, rows), keys):
+            if sub in groups:
+                group = groups[sub]
+                del group[key]
+                if not group:
+                    del groups[sub]
 
     def count(self, sub: Row) -> int:
         group = self.groups.get(sub)
@@ -206,7 +211,7 @@ class MaterializedView:
         self.definition = definition
         self.schema = definition.schema(db)
         self.key_cols = definition.key_columns(db)
-        self._key_positions = self.schema.positions(self.key_cols)
+        self.key_of = projector(self.schema.positions(self.key_cols))
         self._rows: Dict[Row, Row] = {}
         # Secondary view indexes (the paper's V4_idx), lazily built per
         # column tuple.  Used by the maintainer's orphan probes and by
@@ -229,14 +234,11 @@ class MaterializedView:
     def materialize(cls, definition: ViewDefinition, db: Database) -> "MaterializedView":
         """Create and populate from a full evaluation."""
         view = cls(definition, db)
-        for row in definition.evaluate(db).rows:
-            view._rows[view.key_of(row)] = row
+        rows = definition.evaluate(db).rows
+        view._rows = dict(zip(map(view.key_of, rows), rows))
         return view
 
     # ------------------------------------------------------------------
-    def key_of(self, row: Row) -> Row:
-        return tuple(row[p] for p in self._key_positions)
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -262,7 +264,7 @@ class MaterializedView:
         twin.definition = self.definition
         twin.schema = self.schema
         twin.key_cols = self.key_cols
-        twin._key_positions = self._key_positions
+        twin.key_of = self.key_of
         twin._rows = dict(self._rows)
         twin._subkey_indexes = {
             cols: index.copy()
@@ -305,8 +307,7 @@ class MaterializedView:
         index = self._subkey_indexes.get(columns)
         if index is None:
             index = SubkeyIndex(columns, self.schema.positions(columns))
-            for key, row in self._rows.items():
-                index.add(row, key)
+            index.add_many(self._rows.values(), self._rows)
             self._subkey_indexes[columns] = index
         return index
 
@@ -346,46 +347,53 @@ class MaterializedView:
     # ------------------------------------------------------------------
     # delta application
     # ------------------------------------------------------------------
+    # A delta applies whole or not at all: both methods validate the
+    # batch before touching rows, sub-key indexes, journal or version.
     def insert_rows(self, rows: Iterable[Row]) -> int:
         """Insert delta rows (aligned to the view schema); returns count."""
-        added = 0
-        journal = self.journal
-        for row in rows:
-            key = self.key_of(row)
-            if key in self._rows:
-                raise MaintenanceError(
-                    f"view {self.definition.name!r}: duplicate key {key!r} "
-                    "on insert — maintenance produced an inconsistent delta"
-                )
-            stored = tuple(row)
-            self._rows[key] = stored
-            for index in self._subkey_indexes.values():
-                index.add(stored, key)
-            if journal is not None:
-                journal.changes[key] = stored
-            added += 1
-        if added:
-            self.bump_version()
-        return added
+        rows = list(map(tuple, rows))
+        if not rows:
+            return 0
+        keys = list(map(self.key_of, rows))
+        held = self._rows
+        fresh = dict(zip(keys, rows))
+        if len(fresh) < len(keys) or not held.keys().isdisjoint(fresh):
+            seen = set()
+            for key in keys:  # the first one already held, or repeated
+                if key in held or key in seen:
+                    raise MaintenanceError(
+                        f"view {self.definition.name!r}: duplicate key {key!r} "
+                        "on insert — maintenance produced an inconsistent delta"
+                    )
+                seen.add(key)
+        held.update(fresh)
+        for index in self._subkey_indexes.values():
+            index.add_many(rows, keys)
+        if self.journal is not None:
+            self.journal.changes.update(fresh)
+        self.bump_version()
+        return len(fresh)
 
     def delete_rows(self, rows: Iterable[Row]) -> int:
         """Delete delta rows by their view key; returns count."""
-        removed = 0
-        journal = self.journal
-        for row in rows:
-            key = self.key_of(row)
-            if key not in self._rows:
-                raise MaintenanceError(
-                    f"view {self.definition.name!r}: key {key!r} absent on "
-                    "delete — maintenance produced an inconsistent delta"
-                )
-            stored = self._rows[key]
-            for index in self._subkey_indexes.values():
-                index.discard(stored, key)
-            del self._rows[key]
-            if journal is not None:
-                journal.changes[key] = None
-            removed += 1
-        if removed:
-            self.bump_version()
-        return removed
+        keys = list(map(self.key_of, map(tuple, rows)))
+        if not keys:
+            return 0
+        held = self._rows
+        doomed = dict.fromkeys(keys)
+        if len(doomed) < len(keys) or not held.keys() >= doomed.keys():
+            seen = set()
+            for key in keys:  # the first one not held, or repeated
+                if key not in held or key in seen:
+                    raise MaintenanceError(
+                        f"view {self.definition.name!r}: key {key!r} absent on "
+                        "delete — maintenance produced an inconsistent delta"
+                    )
+                seen.add(key)
+        stored = list(map(held.pop, keys))
+        for index in self._subkey_indexes.values():
+            index.discard_many(stored, keys)
+        if self.journal is not None:
+            self.journal.changes.update(doomed)
+        self.bump_version()
+        return len(doomed)

@@ -118,11 +118,6 @@ class HashIndex:
         slots.pop()
 
     # ------------------------------------------------------------------
-    def lookup_positions(self, key: Row) -> List[int]:
-        """Positions (into ``table.rows``) of rows whose indexed columns
-        equal *key* (positionally)."""
-        return self.buckets.get(tuple(key), [])
-
     def lookup(self, key: Row) -> List[Row]:
         """Rows whose indexed columns equal *key* (positionally)."""
         rows = self.table.rows

@@ -19,9 +19,14 @@ Paper notation                Function here
 
 Predicates arrive **pre-compiled** as Python callables taking a row tuple
 and returning ``True``/``False`` (three-valued logic is resolved by the
-compiler in :mod:`repro.algebra.evaluate`: UNKNOWN behaves as ``False``).
+compiler in :mod:`repro.algebra.predicates`: UNKNOWN behaves as ``False``).
 Joins additionally accept equi-join column pairs that are executed with
 hash joins; the residual callable covers the non-equi part.
+
+The unit of work is the whole input: every per-row step is a
+comprehension, a ``map`` over a compiled row shaper (:func:`shaper`) or a
+dict bulk method, so an operator costs a fixed number of Python calls
+plus one per predicate test — never a call chain per row.
 
 SQL NULL semantics are observed throughout: ``None`` never matches ``None``
 in an equi-join (a ``None`` join key falls straight to the unmatched side).
@@ -30,11 +35,13 @@ in an equi-join (a ``None`` join key falls straight to the unmatched side).
 from __future__ import annotations
 
 import functools
+from itertools import chain, compress, repeat
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 from ..obs.tracing import current_span
+from .index import find_index, projector
 from .schema import Schema
 from .table import Row, Table
 
@@ -56,9 +63,7 @@ def _traced(kind_of: Callable[[tuple, dict], str]):
                 return fn(*args, **kwargs)
             started = perf_counter()
             out = fn(*args, **kwargs)
-            span.record_operator(
-                kind_of(args, kwargs), len(out.rows), perf_counter() - started
-            )
+            span.record_operator(kind_of(args, kwargs), len(out.rows), perf_counter() - started)
             return out
 
         return wrapper
@@ -75,17 +80,41 @@ def _join_kind(args: tuple, kwargs: dict) -> str:
     return f"join:{kind}"
 
 
+def _result(name: str, schema: Schema, rows: List[Row], key=None, not_null=()) -> Table:
+    """An operator's output table adopting *rows*, a list the operator
+    built itself (``Table(...)`` would copy it)."""
+    table = Table(name, schema, None, key=key, not_null=not_null)
+    table.rows = rows
+    return table
+
+
+def shaper(mapping: Sequence[Optional[int]]) -> Callable[[Row], Row]:
+    """Compile ``row -> tuple`` whose i-th value is ``row[mapping[i]]``, or
+    NULL where ``mapping[i]`` is ``None``: an ``itemgetter`` when every
+    output column is present, one generated tuple expression otherwise.
+    Built once per (plan, input schema) and mapped over whole batches."""
+    if mapping and None not in mapping:
+        return projector(mapping)
+    body = "".join("None," if m is None else f"row[{m}]," for m in mapping)
+    return eval(f"lambda row: ({body})", {"__builtins__": {}})
+
+
+def aligner(schema: Schema, columns: Sequence[str]) -> Callable[[Row], Row]:
+    """The :func:`shaper` taking a row of *schema* to *columns*, NULL for
+    the columns *schema* lacks."""
+    return shaper([schema.index_of(c) if c in schema else None for c in columns])
+
+
 # ---------------------------------------------------------------------------
 # unary operators
 # ---------------------------------------------------------------------------
 @_named("select")
 def select(table: Table, predicate: Predicate, name: str = "") -> Table:
     """``σ_p`` — keep rows for which *predicate* returns ``True``."""
-    rows = [row for row in table.rows if predicate(row)]
-    return Table(
+    return _result(
         name or table.name,
         table.schema,
-        rows,
+        list(filter(predicate, table.rows)),
         key=table.key,
         not_null=table.not_null,
     )
@@ -109,25 +138,19 @@ def project(
         positions = table.schema.positions(columns)
     if schema is None:
         schema = Schema(columns)
-    rows = [tuple(row[p] for p in positions) for row in table.rows]
+    rows = list(map(shaper(positions), table.rows))
     key = table.key if table.key and all(c in schema for c in table.key) else None
     not_null = frozenset(c for c in table.not_null if c in schema)
-    return Table(name or table.name, schema, rows, key=key, not_null=not_null)
+    return _result(name or table.name, schema, rows, key=key, not_null=not_null)
 
 
 @_named("distinct")
 def distinct(table: Table, name: str = "") -> Table:
     """``δ`` — remove duplicate rows, preserving first-seen order."""
-    seen = set()
-    rows: List[Row] = []
-    for row in table.rows:
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return Table(
+    return _result(
         name or table.name,
         table.schema,
-        rows,
+        list(dict.fromkeys(table.rows)),
         key=table.key,
         not_null=table.not_null,
     )
@@ -139,7 +162,7 @@ def null_if(
     predicate: Predicate,
     columns: Sequence[str],
     name: str = "",
-    positions: Optional[frozenset] = None,
+    nuller: Optional[Callable[[Row], Row]] = None,
 ) -> Table:
     """``λ^c_p`` — the paper's null-if operator (Section 4.1).
 
@@ -149,31 +172,27 @@ def null_if(
 
     The input's key survives when no key column is among the nulled
     *columns* (rows keep their key values, so uniqueness is preserved).
-    *positions* lets a compiled plan supply the resolved column positions.
+    *nuller* lets a compiled plan supply :func:`null_shaper`'s row
+    function, built once.
     """
-    if positions is None:
-        positions = set(table.schema.positions(columns))
-    rows: List[Row] = []
-    for row in table.rows:
-        if predicate(row):
-            rows.append(
-                tuple(None if i in positions else v for i, v in enumerate(row))
-            )
-        else:
-            rows.append(row)
+    if nuller is None:
+        nuller = null_shaper(table.schema, columns)
+    rows = [nuller(row) if predicate(row) else row for row in table.rows]
     nulled = set(columns)
     not_null = frozenset(c for c in table.not_null if c not in nulled)
     key = table.key if table.key and not nulled & set(table.key) else None
-    return Table(name or table.name, table.schema, rows, key=key, not_null=not_null)
+    return _result(name or table.name, table.schema, rows, key=key, not_null=not_null)
+
+
+def null_shaper(schema: Schema, columns: Sequence[str]) -> Callable[[Row], Row]:
+    """``row -> row`` with *columns* of *schema* set to NULL."""
+    nulled = set(schema.positions(columns))
+    return shaper([None if p in nulled else p for p in range(len(schema))])
 
 
 # ---------------------------------------------------------------------------
 # joins
 # ---------------------------------------------------------------------------
-def _null_pad(width: int) -> Row:
-    return (None,) * width
-
-
 @_traced(_join_kind)
 def join(
     left: Table,
@@ -182,7 +201,8 @@ def join(
     equi: Sequence[Tuple[str, str]] = (),
     residual: Optional[Predicate] = None,
     name: str = "",
-    build: Optional[str] = None,
+    positions: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
+    schema: Optional[Schema] = None,
 ) -> Table:
     """Join *left* and *right*.
 
@@ -194,144 +214,38 @@ def join(
         ``⋉^la``).
     equi:
         Equi-join column pairs ``(left_column, right_column)`` executed via
-        a hash join.  A NULL key never matches (SQL semantics).
+        a hash join.  A NULL key never matches (SQL semantics).  A
+        persistent right-side index covering the columns is probed as is;
+        otherwise the smaller input is hashed.  Either way the same kernel
+        runs: the hashed side only decides which input is streamed.
     residual:
         Optional extra predicate evaluated on the concatenated row
         (left columns followed by right columns) — for semi/anti joins the
         right row is appended only for the duration of the test.
-    build:
-        Hash-build side for equi joins.  ``None`` (the default) builds on
-        the right — or probes a persistent right-side index when one
-        covers the equi columns.  ``"left"`` hashes the *left* input and
-        streams the right through it: the choice of a compiled plan when
-        the left side is a small delta and the right a large base table
-        with no covering index.
+    positions / schema:
+        Let a compiled plan supply the equi columns' positions in
+        ``(left, right)`` and the output schema, resolved once.
 
-    Joins with no *equi* pairs fall back to a nested-loop strategy.
+    Joins with no *equi* pairs test every pair of rows (nested loop).
     """
     if kind not in JOIN_KINDS:
         raise SchemaError(f"unknown join kind {kind!r}")
-    if build == "left" and equi:
-        if kind in ("semi", "anti"):
-            return _semi_or_anti_build_left(
-                left, right, kind, equi, residual, name
-            )
-        return _full_width_join_build_left(
-            left, right, kind, equi, residual, name
-        )
-    if kind in ("semi", "anti"):
-        return _semi_or_anti(left, right, kind, equi, residual, name)
-    return _full_width_join(left, right, kind, equi, residual, name)
-
-
-def _probe_matches(
-    left: Table,
-    right: Table,
-    equi: Sequence[Tuple[str, str]],
-    residual: Optional[Predicate],
-) -> Iterable[Tuple[int, List[int]]]:
-    """Yield ``(left_index, [matching right indexes])`` pairs.
-
-    Uses a hash table on the right input when equi-join columns are given,
-    otherwise scans.  The residual predicate is applied to the concatenated
-    row.
-    """
     if equi:
-        lpos = left.schema.positions([lc for lc, __ in equi])
-        rcols = [rc for __, rc in equi]
-        persistent = _persistent_probe(right, rcols)
-        if persistent is not None:
-            yield from _probe_with_index(
-                left, right, lpos, persistent, residual
-            )
-            return
-        rpos = right.schema.positions(rcols)
-        index: Dict[Row, List[int]] = {}
-        for j, rrow in enumerate(right.rows):
-            key = tuple(rrow[p] for p in rpos)
-            if any(v is None for v in key):
-                continue  # NULL never matches
-            index.setdefault(key, []).append(j)
-        for i, lrow in enumerate(left.rows):
-            key = tuple(lrow[p] for p in lpos)
-            if any(v is None for v in key):
-                yield i, []
-                continue
-            candidates = index.get(key, ())
-            if residual is None:
-                yield i, list(candidates)
-            else:
-                yield i, [
-                    j for j in candidates if residual(lrow + right.rows[j])
-                ]
-    else:
-        pred = residual if residual is not None else (lambda row: True)
-        for i, lrow in enumerate(left.rows):
-            yield i, [
-                j for j, rrow in enumerate(right.rows) if pred(lrow + rrow)
-            ]
+        buckets, probe_key, swap = _lookup(left, right, equi, positions)
+        keys = map(probe_key, right.rows if swap else left.rows)
+    else:  # one bucket holding every right row, found under every key
+        buckets, swap = {(): range(len(right.rows))}, False
+        keys = repeat((), len(left.rows))
+    rows = _probe(kind, left, right, buckets, keys, swap, residual)
 
-
-def _persistent_probe(right: Table, rcols):
-    """A persistent hash index on *right* covering the equi columns, if
-    one exists (see engine.index)."""
-    if not right.indexes:
-        return None
-    from .index import find_index
-
-    return find_index(right, rcols)
-
-
-def _probe_with_index(left, right, lpos, persistent, residual):
-    """Probe a persistent index instead of building a fresh hash table.
-
-    The index stores row positions directly, so each probe is a hash
-    lookup plus (optionally) the residual filter — no scan of the right
-    input ever happens here.
-    """
-    index, permutation = persistent
-    rrows = right.rows
-    for i, lrow in enumerate(left.rows):
-        key = tuple(lrow[p] for p in lpos)
-        if any(v is None for v in key):
-            yield i, []
-            continue
-        probe = tuple(key[p] for p in permutation)
-        matches = index.lookup_positions(probe)
-        if residual is not None:
-            matches = [j for j in matches if residual(lrow + rrows[j])]
-        yield i, matches
-
-
-def _full_width_join(
-    left: Table,
-    right: Table,
-    kind: str,
-    equi: Sequence[Tuple[str, str]],
-    residual: Optional[Predicate],
-    name: str,
-) -> Table:
-    schema = left.schema.concat(right.schema)
-    lwidth, rwidth = len(left.schema), len(right.schema)
-    rows: List[Row] = []
-    matched_right = [False] * len(right.rows) if kind in ("right", "full") else None
-
-    for i, matches in _probe_matches(left, right, equi, residual):
-        lrow = left.rows[i]
-        if matches:
-            for j in matches:
-                rows.append(lrow + right.rows[j])
-                if matched_right is not None:
-                    matched_right[j] = True
-        elif kind in ("left", "full"):
-            rows.append(lrow + _null_pad(rwidth))
-
-    if matched_right is not None:
-        pad = _null_pad(lwidth)
-        for j, seen in enumerate(matched_right):
-            if not seen:
-                rows.append(pad + right.rows[j])
-
+    if kind in ("semi", "anti"):
+        return _result(
+            name or left.name,
+            left.schema,
+            rows,
+            key=left.key,
+            not_null=left.not_null,
+        )
     key = None
     if left.key is not None and right.key is not None:
         key = left.key + right.key
@@ -343,144 +257,76 @@ def _full_width_join(
         not_null = right.not_null
     else:
         not_null = frozenset()
-    return Table(name or "join", schema, rows, key=key, not_null=not_null)
+    if schema is None:
+        schema = left.schema.concat(right.schema)
+    return _result(name or "join", schema, rows, key=key, not_null=not_null)
 
 
-def _semi_or_anti(
-    left: Table,
-    right: Table,
-    kind: str,
-    equi: Sequence[Tuple[str, str]],
-    residual: Optional[Predicate],
-    name: str,
-) -> Table:
-    want_match = kind == "semi"
-    rows: List[Row] = []
-    for i, matches in _probe_matches(left, right, equi, residual):
-        if bool(matches) == want_match:
-            rows.append(left.rows[i])
-    return Table(
-        name or left.name,
-        left.schema,
-        rows,
-        key=left.key,
-        not_null=left.not_null,
-    )
+def _lookup(left: Table, right: Table, equi, positions=None):
+    """Choose an equi join's hash lookup: ``(buckets, probe_key, swap)``.
 
-
-def _build_left_hash(
-    left: Table, right: Table, equi: Sequence[Tuple[str, str]]
-) -> Tuple[Dict[Row, List[int]], Tuple[int, ...]]:
-    """Hash the *left* input on its equi columns; returns the hash table
-    (key → left row positions) and the right-side probe positions."""
-    lpos = left.schema.positions([lc for lc, __ in equi])
-    rpos = right.schema.positions([rc for __, rc in equi])
-    table: Dict[Row, List[int]] = {}
-    for i, lrow in enumerate(left.rows):
-        key = tuple(lrow[p] for p in lpos)
-        if any(v is None for v in key):
+    *buckets* maps a key to the positions of the build side's rows that
+    carry it (NULL-keyed rows are in no bucket, so a NULL probe key finds
+    nothing either); *probe_key* projects a streamed row onto the same key;
+    *swap* says the build side is the **left** input.  The live persistent
+    index of *right* is used as is when it covers the equi columns —
+    nothing is built — else the smaller input is hashed.
+    """
+    if positions is None:
+        positions = (
+            left.schema.positions([lc for lc, __ in equi]),
+            right.schema.positions([rc for __, rc in equi]),
+        )
+    lpos, rpos = positions
+    if right.indexes:
+        found = find_index(right, [rc for __, rc in equi])
+        if found is not None:
+            index, permutation = found
+            return index.buckets, projector([lpos[p] for p in permutation]), False
+    swap = len(left.rows) < len(right.rows)
+    built, bpos, ppos = (left, lpos, rpos) if swap else (right, rpos, lpos)
+    buckets: Dict[Row, List[int]] = {}
+    for position, key in enumerate(map(projector(bpos), built.rows)):
+        if None in key:
             continue  # NULL never matches
-        table.setdefault(key, []).append(i)
-    return table, rpos
-
-
-def _full_width_join_build_left(
-    left: Table,
-    right: Table,
-    kind: str,
-    equi: Sequence[Tuple[str, str]],
-    residual: Optional[Predicate],
-    name: str,
-) -> Table:
-    """Equi join hashing the left input and streaming the right through it.
-
-    Produces exactly the row multiset of :func:`_full_width_join`; only
-    the build side (and hence the memory/time constant) differs.  Chosen
-    by compiled plans when the left input is the small delta.
-    """
-    schema = left.schema.concat(right.schema)
-    lwidth, rwidth = len(left.schema), len(right.schema)
-    lrows = left.rows
-    hash_table, rpos = _build_left_hash(left, right, equi)
-    rows: List[Row] = []
-    matched_left = [False] * len(lrows) if kind in ("left", "full") else None
-    emit_unmatched_right = kind in ("right", "full")
-
-    for rrow in right.rows:
-        key = tuple(rrow[p] for p in rpos)
-        matched = False
-        if not any(v is None for v in key):
-            for i in hash_table.get(key, ()):
-                lrow = lrows[i]
-                if residual is not None and not residual(lrow + rrow):
-                    continue
-                rows.append(lrow + rrow)
-                matched = True
-                if matched_left is not None:
-                    matched_left[i] = True
-        if emit_unmatched_right and not matched:
-            rows.append(_null_pad(lwidth) + rrow)
-
-    if matched_left is not None:
-        pad = _null_pad(rwidth)
-        for i, seen in enumerate(matched_left):
-            if not seen:
-                rows.append(lrows[i] + pad)
-
-    key = None
-    if left.key is not None and right.key is not None:
-        key = left.key + right.key
-    if kind == "inner":
-        not_null = left.not_null | right.not_null
-    elif kind == "left":
-        not_null = left.not_null
-    elif kind == "right":
-        not_null = right.not_null
-    else:
-        not_null = frozenset()
-    return Table(name or "join", schema, rows, key=key, not_null=not_null)
-
-
-def _semi_or_anti_build_left(
-    left: Table,
-    right: Table,
-    kind: str,
-    equi: Sequence[Tuple[str, str]],
-    residual: Optional[Predicate],
-    name: str,
-) -> Table:
-    """Semi/anti join hashing the left input and streaming the right."""
-    lrows = left.rows
-    hash_table, rpos = _build_left_hash(left, right, equi)
-    matched = [False] * len(lrows)
-    for rrow in right.rows:
-        key = tuple(rrow[p] for p in rpos)
-        if any(v is None for v in key):
-            continue
-        bucket = hash_table.get(key)
-        if not bucket:
-            continue
-        if residual is None:
-            for i in bucket:
-                matched[i] = True
-            hash_table[key] = []  # fully matched; skip on later probes
+        if key in buckets:
+            buckets[key].append(position)
         else:
-            remaining = []
-            for i in bucket:
-                if residual(lrows[i] + rrow):
-                    matched[i] = True
-                else:
-                    remaining.append(i)
-            hash_table[key] = remaining
-    want_match = kind == "semi"
-    rows = [row for i, row in enumerate(lrows) if matched[i] == want_match]
-    return Table(
-        name or left.name,
-        left.schema,
-        rows,
-        key=left.key,
-        not_null=left.not_null,
-    )
+            buckets[key] = [position]
+    return buckets, projector(ppos), swap
+
+
+def _probe(kind, left: Table, right: Table, buckets, keys, swap, residual) -> List[Row]:
+    """The one join kernel: stream the probe side's *keys* through
+    *buckets* and emit the rows of a *kind* join.
+
+    The probe side is the left input unless *swap*; building left is this
+    same loop probed from the right, its matches turned back into left
+    and right positions (``li[n]`` matches ``ri[n]``) before anything is
+    emitted.
+    """
+    lrows, rrows = left.rows, right.rows
+    hits = list(map(buckets.get, keys, repeat(())))  # build positions per probe row
+    if residual is not None:
+        hits = [
+            h and [b for b in h if residual(lrows[b] + p if swap else p + rrows[b])]
+            for p, h in zip(rrows if swap else lrows, hits)
+        ]
+    probe_of = [i for i in compress(range(len(hits)), hits) for __ in hits[i]]
+    build_of = list(chain.from_iterable(hits))
+    li, ri = (build_of, probe_of) if swap else (probe_of, build_of)
+
+    if kind in ("semi", "anti"):
+        matched = set(li)
+        return [row for i, row in enumerate(lrows) if (i in matched) == (kind == "semi")]
+    rows = [lrows[i] + rrows[j] for i, j in zip(li, ri)]
+    if kind in ("left", "full"):
+        matched, pad = set(li), (None,) * len(right.schema)
+        rows += [row + pad for i, row in enumerate(lrows) if i not in matched]
+    if kind in ("right", "full"):
+        matched, pad = set(ri), (None,) * len(left.schema)
+        rows += [pad + row for j, row in enumerate(rrows) if j not in matched]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +335,7 @@ def _semi_or_anti_build_left(
 def align_to_schema(table: Table, target: Schema) -> List[Row]:
     """Null-extend the rows of *table* to *target* (columns not present in
     the table's schema become NULL)."""
-    mapping = [
-        table.schema.index_of(c) if c in table.schema else None
-        for c in target.columns
-    ]
-    return [
-        tuple(row[m] if m is not None else None for m in mapping)
-        for row in table.rows
-    ]
+    return list(map(aligner(table.schema, target.columns), table.rows))
 
 
 @_named("outer_union")
@@ -505,7 +344,7 @@ def outer_union(left: Table, right: Table, name: str = "") -> Table:
     concatenate (no duplicate elimination)."""
     schema = left.schema.union(right.schema)
     rows = align_to_schema(left, schema) + align_to_schema(right, schema)
-    return Table(name or "union", schema, rows)
+    return _result(name or "union", schema, rows)
 
 
 def _signature(row: Row) -> Tuple[bool, ...]:
@@ -540,9 +379,9 @@ def remove_subsumed(table: Table, name: str = "") -> Table:
         supersets = [
             s
             for s in signatures
-            if s != sig and all(s[i] for i in positions) and any(
-                s[i] and not sig[i] for i in range(len(sig))
-            )
+            if s != sig
+            and all(s[i] for i in positions)
+            and any(s[i] and not sig[i] for i in range(len(sig)))
         ]
         if not supersets:
             survivors.extend(buckets[sig])
@@ -554,7 +393,7 @@ def remove_subsumed(table: Table, name: str = "") -> Table:
         for row in buckets[sig]:
             if tuple(row[i] for i in positions) not in subsumer_keys:
                 survivors.append(row)
-    return Table(name or table.name, table.schema, survivors, key=table.key)
+    return _result(name or table.name, table.schema, survivors, key=table.key)
 
 
 def minimum_union(left: Table, right: Table, name: str = "") -> Table:
@@ -575,22 +414,23 @@ def fixup(
     require after a null-if: spurious null-extended rows are duplicates of,
     or subsumed by, rows sharing the same *group_key* (the unique key of
     the left operand chain).  Restricting subsumption to groups keeps the
-    operation linear.
+    operation linear — and a group of one has nothing to subsume, so rows
+    are only grouped when some group key repeats.
     """
-    deduped = distinct(table)
+    rows = distinct(table).rows
     if positions is None:
-        positions = deduped.schema.positions(group_key)
-    groups: Dict[Row, List[Row]] = {}
-    for row in deduped.rows:
-        groups.setdefault(tuple(row[p] for p in positions), []).append(row)
-    rows: List[Row] = []
-    for group in groups.values():
-        if len(group) == 1:
-            rows.append(group[0])
-            continue
-        sub = remove_subsumed(Table("g", deduped.schema, group))
-        rows.extend(sub.rows)
-    return Table(name or table.name, table.schema, rows, key=table.key)
+        positions = table.schema.positions(group_key)
+    keys = list(map(shaper(positions), rows))
+    if len(set(keys)) < len(keys):
+        groups: Dict[Row, List[Row]] = {}
+        for key, row in zip(keys, rows):
+            groups.setdefault(key, []).append(row)
+        rows = []
+        for group in groups.values():
+            if len(group) > 1:
+                group = remove_subsumed(Table("g", table.schema, group)).rows
+            rows.extend(group)
+    return _result(name or table.name, table.schema, rows, key=table.key)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +445,10 @@ def union_all(left: Table, right: Table, name: str = "") -> Table:
         extra = right.rows
     else:
         reorder = right.schema.positions(left.schema.columns)
-        extra = [tuple(row[p] for p in reorder) for row in right.rows]
-    return Table(
+        extra = list(map(shaper(reorder), right.rows))
+    return _result(
         name or left.name,
         left.schema,
-        list(left.rows) + list(extra),
-        key=None,
+        left.rows + extra,
         not_null=left.not_null & right.not_null,
     )

@@ -7,8 +7,8 @@ update.  This package provides the compiled alternative:
 
 * :mod:`~repro.planner.compile` — :func:`compile_plan` turns a
   ``RelExpr`` into a :class:`CompiledPlan` of pre-bound physical nodes
-  (schemas, predicates, positions and join pairs resolved once), with
-  build-side selection and persistent-index probing at the joins;
+  (schemas, predicates, row shapers, positions and join pairs resolved
+  once) over the batch-at-a-time operators the interpreter also calls;
 * :mod:`~repro.planner.cache` — :class:`PlanCache`, a fingerprinted plan
   cache keyed per (view, table, operation);
 * :mod:`~repro.planner.provision` — :func:`provision_indexes`, which

@@ -3,7 +3,7 @@
 Maintenance plans depend on two mutable inputs besides the view
 definition: the :class:`~repro.core.maintain.MaintenanceOptions` (which
 pick the logical tree) and the set of persistent indexes (which the
-compiled join nodes consult when choosing a build side — and which the
+join operator probes instead of hashing an input — and which the
 planner itself may have provisioned).  Each cached entry therefore
 carries a *fingerprint* of both; a lookup whose fingerprint differs is a
 miss and triggers recompilation.

@@ -16,11 +16,12 @@ the interpreter (:func:`repro.algebra.evaluate.static_join_plan`), so both
 paths always agree on join strategy — the property the equivalence tests
 in ``tests/planner`` and ``tests/property`` pin down.
 
-Join execution additionally does **build-side selection** at runtime
-(cheap: two ``len()`` calls): probe a persistent index on the right side
-when one covers the equi columns, otherwise hash whichever input is
-smaller.  For single-row maintenance against an indexed base table this
-turns each join into O(1) point lookups; see ``docs/PERFORMANCE.md``.
+The operators a plan calls are the interpreter's, and they work a batch
+at a time; what compilation adds is that every row function they map —
+predicates, projections, null-if shapers — is built here, once.  The one
+decision left to runtime is the join's hash side (probe a live persistent
+index, else hash the smaller input), taken inside the join operator
+itself; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..algebra.expr import (
 from ..algebra.predicates import compile_predicate
 from ..engine import operators as ops
 from ..engine.catalog import Database
-from ..engine.index import find_index
 from ..engine.schema import Schema
 from ..engine.table import Table
 from ..errors import ReproError
@@ -204,27 +204,26 @@ class DistinctNode(PhysicalNode):
 
 
 class NullIfNode(PhysicalNode):
-    __slots__ = ("child", "predicate", "columns", "positions")
+    __slots__ = ("child", "predicate", "columns", "nuller")
 
     def __init__(
         self,
         child: PhysicalNode,
         predicate: Callable,
         columns: Tuple[str, ...],
-        positions: frozenset,
     ):
         super().__init__(child.schema)
         self.child = child
         self.predicate = predicate
         self.columns = columns
-        self.positions = positions
+        self.nuller = ops.null_shaper(child.schema, columns)
 
     def execute(self, ctx: ExecutionContext) -> Table:
         return ops.null_if(
             self.child.execute(ctx),
             self.predicate,
             self.columns,
-            positions=self.positions,
+            nuller=self.nuller,
         )
 
     def describe(self) -> str:
@@ -263,20 +262,18 @@ class FixUpNode(PhysicalNode):
 
 
 class JoinNode(PhysicalNode):
-    """A join with equi pairs and residual resolved at compile time.
+    """A join with equi pairs, their column positions on both sides, the
+    residual and the output schema resolved at compile time.
 
-    The build side is selected at **execution** time from the actual input
-    cardinalities:
-
-    1. equi join and a persistent index on the right input covers the
-       equi columns → probe the index (point lookups, nothing built);
-    2. equi join and the left input is smaller → hash the left input
-       (the delta) and stream the right through it;
-    3. otherwise → classic build-right hash join (or nested loop when
-       there are no equi pairs).
+    What is left to **execution** time is what depends on the inputs
+    themselves, and :func:`repro.engine.operators.join` decides it (for
+    the interpreter too): probe the right input's live persistent index
+    when one covers the equi columns (point lookups, nothing built; the
+    index object is fetched per execution because a restore may swap
+    it), otherwise hash whichever input is smaller.
     """
 
-    __slots__ = ("left", "right", "kind", "equi", "residual", "right_cols")
+    __slots__ = ("left", "right", "kind", "equi", "residual", "positions")
 
     def __init__(
         self,
@@ -293,30 +290,21 @@ class JoinNode(PhysicalNode):
         self.kind = kind
         self.equi = equi
         self.residual = residual
-        self.right_cols = tuple(rc for __, rc in equi)
+        self.positions = (
+            left.schema.positions([lc for lc, __ in equi]),
+            right.schema.positions([rc for __, rc in equi]),
+        )
 
     def execute(self, ctx: ExecutionContext) -> Table:
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
-        build = self.choose_build(left, right)
         return ops.join(
-            left,
-            right,
+            self.left.execute(ctx),
+            self.right.execute(ctx),
             self.kind,
             equi=self.equi,
             residual=self.residual,
-            build=build,
+            positions=self.positions,
+            schema=self.schema,
         )
-
-    def choose_build(self, left: Table, right: Table) -> Optional[str]:
-        """Build-side selection (see class docstring)."""
-        if not self.equi:
-            return None
-        if right.indexes and find_index(right, self.right_cols) is not None:
-            return None  # ops.join probes the persistent index
-        if len(left.rows) < len(right.rows):
-            return "left"
-        return None
 
     def describe(self) -> str:
         extra = " residual" if self.residual is not None else ""
@@ -412,12 +400,8 @@ def compile_plan(
         if isinstance(node, NullIf):
             child = walk(node.child)
             columns = tuple(c for c in node.columns if c in child.schema)
-            positions = frozenset(child.schema.positions(columns))
             return NullIfNode(
-                child,
-                compile_predicate(node.pred, child.schema),
-                columns,
-                positions,
+                child, compile_predicate(node.pred, child.schema), columns
             )
         if isinstance(node, FixUp):
             child = walk(node.child)

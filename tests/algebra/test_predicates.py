@@ -1,10 +1,16 @@
 """Unit tests for the predicate AST: three-valued evaluation,
 null-rejection analysis, conjunct handling, compilation."""
 
+import random
+import re
+from datetime import date
+
 import pytest
 
 from repro.algebra.predicates import (
+    _OPS,
     And,
+    Arith,
     Col,
     Comparison,
     IsNull,
@@ -20,6 +26,7 @@ from repro.algebra.predicates import (
     conjuncts,
     eq,
     equijoin_pairs,
+    predicate_source,
 )
 from repro.engine.schema import Schema
 from repro.errors import ExpressionError
@@ -234,3 +241,109 @@ class TestCompile:
         run = compile_predicate(NotTrue(eq("t.a", 1)), schema)
         assert run((None,)) is True
         assert run((1,)) is False
+
+
+# ---------------------------------------------------------------------------
+# compiled ≡ three-valued evaluator, and literals never become source
+# ---------------------------------------------------------------------------
+HOSTILE = ["'); import os; ('", "line\nbreak", float("nan"), None, date(1994, 6, 1)]
+# column -> the literals it can be *ordered* against (same type family);
+# ``=`` / ``<>`` take any literal.  ``z.*`` are absent from the schema.
+ORDERABLE = {
+    "a.n": [0, 2.5, float("nan"), None],
+    "b.m": [1, -1.0, float("nan"), None],
+    "z.n": [3, None],
+    "a.s": ["m", "'); import os; ('", "line\nbreak", None],
+    "z.s": ["m", None],
+    "b.d": [date(1994, 6, 1), date(1995, 1, 1), None],
+}
+NUMERIC = ["a.n", "b.m", "z.n"]
+FAMILIES = [NUMERIC, ["a.s", "z.s"], ["b.d"]]
+PRESENT = Schema(["a.n", "a.s", "b.d", "b.m"])
+TOKEN = re.compile(
+    r"(row\[\d+\]|_v\d+|\(row\)|and|or|not|is|None|True|False|==|!=|<=|>=|<|>|\(|\)|\s)*"
+)
+
+
+def random_leaf(rng):
+    shape = rng.randrange(7)
+    column = rng.choice(sorted(ORDERABLE))
+    if shape == 0:
+        return rng.choice([IsNull, NotNull])(column)
+    if shape == 1:
+        return TruePred()
+    if shape == 2:  # col/col, same family so every operator is defined
+        (family,) = [f for f in FAMILIES if column in f]
+        return Comparison(Col(column), rng.choice(sorted(_OPS)), Col(rng.choice(family)))
+    if shape == 3:  # (in)equality against any literal, hostile ones included
+        sides = [Col(column), Lit(rng.choice(HOSTILE + [7, "m"]))]
+        rng.shuffle(sides)
+        return Comparison(sides[0], rng.choice(["=", "<>"]), sides[1])
+    if shape == 4:  # arithmetic operand: the generic evaluator's business
+        left = Arith(Col(rng.choice(NUMERIC)), rng.choice("+-*/"), Col(rng.choice(NUMERIC)))
+        return Comparison(left, rng.choice(sorted(_OPS)), Lit(rng.choice([0, 4, None])))
+    sides = [Col(column), Lit(rng.choice(ORDERABLE[column]))]
+    rng.shuffle(sides)
+    return Comparison(sides[0], rng.choice(sorted(_OPS)), sides[1])
+
+
+def random_predicate(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return random_leaf(rng)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return NotTrue(random_predicate(rng, depth - 1))
+    if shape == 1:
+        return Not(random_predicate(rng, depth - 1))
+    parts = [random_predicate(rng, depth - 1) for __ in range(rng.randint(1, 3))]
+    return And(parts) if shape == 2 else Or(parts)
+
+
+def random_rows(rng, count):
+    numbers = [None, 0, 1, 2.5, -1.0, 3, float("nan")]
+    strings = [None, "m", "a", "'); import os; ('", "line\nbreak"]
+    dates = [None, date(1994, 6, 1), date(1994, 12, 31), date(1996, 2, 29)]
+    return [
+        (rng.choice(numbers), rng.choice(strings), rng.choice(dates), rng.choice(numbers))
+        for __ in range(count)
+    ]
+
+
+class TestCompiledEqualsEval3:
+    def test_random_predicates_three_deep(self):
+        rng = random.Random(20070415)
+        rows = random_rows(rng, 40)
+        for __ in range(400):
+            pred = random_predicate(rng, 3)
+            run = compile_predicate(pred, PRESENT)
+            for row in rows:
+                values = dict(zip(PRESENT.columns, row))
+                assert run(row) == (pred.eval3(values.get) is True), (pred, row)
+
+    def test_source_holds_no_literal(self):
+        rng = random.Random(7)
+        for __ in range(400):
+            pred = random_predicate(rng, 3)
+            source, names = predicate_source(pred, PRESENT)
+            assert TOKEN.fullmatch(source), source
+            for value in names.values():  # what is bound is data, or a callable
+                assert callable(value) or value is not None
+
+    def test_hostile_literal_is_bound_by_name(self):
+        pred = And([eq("a.s", Lit(HOSTILE[0])), Comparison("a.n", "<", Lit(float("nan")))])
+        source, names = predicate_source(pred, PRESENT)
+        assert source == "((row[1] is not None and row[1] == _v0) and (row[0] is not None and row[0] < _v1))"
+        assert names["_v0"] is HOSTILE[0]
+        assert "import" not in source and "nan" not in source
+        run = compile_predicate(pred, PRESENT)
+        assert run((1, HOSTILE[0], None, None)) is False  # 1 < nan
+        assert compile_predicate(eq("a.s", Lit(HOSTILE[0])), PRESENT)((1, HOSTILE[0], None, None))
+
+    def test_kleene_not_and_arithmetic_keep_the_generic_evaluator(self):
+        pred = And([Not(eq("a.n", 1)), Comparison(Arith("a.n", "+", "b.m"), ">", 2)])
+        source, names = predicate_source(pred, PRESENT)
+        assert source == "(_v0(row) and _v1(row))"
+        run = compile_predicate(pred, PRESENT)
+        assert run((2, None, None, 1)) is True
+        assert run((None, None, None, 1)) is False  # NOT UNKNOWN is UNKNOWN
+        assert run((1, None, None, 5)) is False

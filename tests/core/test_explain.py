@@ -82,3 +82,59 @@ class TestExplainUpdate:
     def test_secondary_strategy_mentioned(self, v3_maintainer):
         text = explain_update(v3_maintainer, "lineitem")
         assert "'view' strategy (Section 5.2)" in text
+
+
+# ---------------------------------------------------------------------------
+# the trace contract: what a traced maintenance pass reports
+# ---------------------------------------------------------------------------
+# Span names under ``maintain`` and each span's operator records as
+# ``(kind, calls, rows)`` in first-report order, for one 60-row lineitem
+# insert and delete per view family (SF 0.001, seed 20070415).  Captured
+# before the operators went batch-at-a-time; the kernels must report what
+# the tuple-at-a-time operators reported.
+TRACE_CONTRACT = {
+    "v3": [("join:inner", 2, 66), ("select", 1, 6), ("join:left", 1, 6)],
+    "v2": [("join:left", 2, 120), ("null_if", 2, 120), ("distinct", 2, 120), ("fixup", 2, 120)],
+    "oj_view": [("join:inner", 1, 60), ("join:left", 1, 60)],
+}
+
+
+def traced_passes(definition):
+    from repro.obs import Telemetry
+    from repro.obs.tracing import InMemorySink
+
+    db = TPCHGenerator(scale_factor=0.001, seed=20070415).build()
+    batches = TPCHGenerator(scale_factor=0.001, seed=20070415)
+    batches.build()
+    sink = InMemorySink()
+    telemetry = Telemetry()
+    telemetry.tracer.add_sink(sink)
+    maintainer = ViewMaintainer(
+        db, MaterializedView.materialize(definition, db), telemetry=telemetry
+    )
+    rows = batches.lineitem_insert_batch(60, seed=1)
+    out = {}
+    for change in (db.insert, db.delete):
+        maintainer.maintain("lineitem", change("lineitem", rows), change.__name__)
+        root = [span for span in sink.spans if span.name == "maintain"][-1]
+        out[change.__name__] = [
+            (span.name, [(kind, agg[0], agg[1]) for kind, agg in span.operators.items()])
+            for span in root.children
+        ]
+    maintainer.check_consistency()
+    return out
+
+
+@pytest.mark.parametrize("family", ["v3", "v2", "oj_view"])
+def test_traced_pass_reports_the_same_operators(family):
+    from repro.tpch import oj_view, v2
+
+    definition = {"v3": v3, "v2": v2, "oj_view": oj_view}[family]()
+    expected = [
+        ("classify", []),
+        ("primary_delta", TRACE_CONTRACT[family]),
+        ("apply_primary", []),
+        ("secondary", []),
+        ("secondary", []),
+    ]
+    assert traced_passes(definition) == {"insert": expected, "delete": expected}

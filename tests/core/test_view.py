@@ -4,8 +4,8 @@ import pytest
 
 from repro.algebra.expr import Project
 from repro.core.view import MaterializedView, ViewDefinition
+from repro.engine.table import ChangeJournal
 from repro.errors import MaintenanceError, UnsupportedViewError
-
 
 
 class TestViewDefinition:
@@ -90,3 +90,79 @@ class TestMaterializedView:
         snap = view.as_table()
         view.delete_rows(view.rows()[:1])
         assert len(snap.rows) == len(view) + 1
+
+
+class TestDeltaAppliesWholeOrNotAtAll:
+    """A failing delta must leave rows, sub-key indexes, journal and
+    version exactly as they were (``engine/table.py``: a slice carrying
+    its source's version is current exactly while the two agree)."""
+
+    @pytest.fixture
+    def watched(self, v1_db, v1_defn):
+        """A view holding all rows but two, with a journal attached and a
+        sub-key index built; the two held-back rows are fresh inserts."""
+        rows = v1_defn.evaluate(v1_db).rows
+        view = MaterializedView(v1_defn, v1_db)
+        view.insert_rows(rows[2:])
+        view.journal = ChangeJournal()
+        index = view.subkey_index(("r.k",))
+        return view, rows[0], rows[1], index
+
+    @staticmethod
+    def state(view, index):
+        groups = {sub: dict(group) for sub, group in index.groups.items()}
+        return dict(view._rows), groups, view.version
+
+    def test_failing_insert_touches_nothing(self, watched):
+        view, new1, new2, index = watched
+        held = view.rows()[0]
+        before = self.state(view, index)
+        with pytest.raises(MaintenanceError, match="duplicate key") as caught:
+            view.insert_rows([new1, new2, held])
+        assert repr(view.key_of(held)) in str(caught.value)
+        assert self.state(view, index) == before
+        assert view.journal.changes == {}
+
+    def test_insert_repeating_a_key_inside_the_batch(self, watched):
+        view, new1, new2, index = watched
+        before = self.state(view, index)
+        with pytest.raises(MaintenanceError, match="duplicate key") as caught:
+            view.insert_rows([new1, new2, new1])
+        assert repr(view.key_of(new1)) in str(caught.value)
+        assert self.state(view, index) == before
+        assert view.journal.changes == {}
+
+    def test_failing_delete_touches_nothing(self, watched):
+        view, new1, __, index = watched
+        held = view.rows()[0]
+        before = self.state(view, index)
+        with pytest.raises(MaintenanceError, match="absent on delete") as caught:
+            view.delete_rows([held, new1, new1])
+        assert repr(view.key_of(new1)) in str(caught.value)
+        assert self.state(view, index) == before
+        assert view.journal.changes == {}
+
+    def test_delete_repeating_a_key_inside_the_batch(self, watched):
+        view, __, __, index = watched
+        first, second = view.rows()[:2]
+        before = self.state(view, index)
+        with pytest.raises(MaintenanceError, match="absent on delete") as caught:
+            view.delete_rows([first, second, first])
+        assert repr(view.key_of(first)) in str(caught.value)
+        assert self.state(view, index) == before
+        assert view.journal.changes == {}
+
+    def test_whole_delta_is_journalled_indexed_and_versioned(self, watched):
+        view, new1, new2, index = watched
+        version = view.version
+        assert view.insert_rows([new1, new2]) == 2
+        key1, key2 = view.key_of(new1), view.key_of(new2)
+        assert view.journal.take() == {key1: new1, key2: new2}
+        assert view.version > version
+        if new1[view.schema.index_of("r.k")] is not None:
+            assert key1 in index.groups[(new1[view.schema.index_of("r.k")],)]
+        version = view.version
+        assert view.delete_rows([new2, new1]) == 2
+        assert view.journal.take() == {key2: None, key1: None}
+        assert view.version > version
+        assert index == view.clone().subkey_index(("r.k",))

@@ -2,9 +2,12 @@
 ones (outer union ⊎, removal of subsumed tuples ↓, minimum union ⊕,
 null-if λ) and SQL NULL semantics in joins."""
 
+from collections import Counter
+
 import pytest
 
 from repro.engine import operators as ops
+from repro.engine.index import HashIndex
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.errors import SchemaError
@@ -246,6 +249,13 @@ class TestNullIf:
         out = ops.null_if(t, lambda row: True, ["a.x"])
         assert "a.x" not in out.not_null
 
+    def test_nulling_a_key_column_drops_the_key(self):
+        t = T("t", ["a.k", "b.k", "b.y"], [(1, 2, 3), (4, 5, 6)], key=["a.k", "b.k"])
+        kept = ops.null_if(t, lambda row: row[0] == 1, ["b.y"])
+        assert kept.key == ("a.k", "b.k") and kept.rows == [(1, 2, None), (4, 5, 6)]
+        dropped = ops.null_if(t, lambda row: row[0] == 1, ["b.k", "b.y"])
+        assert dropped.key is None and dropped.rows == [(1, None, None), (4, 5, 6)]
+
 
 class TestFixUp:
     def test_removes_duplicates(self):
@@ -259,6 +269,107 @@ class TestFixUp:
     def test_does_not_cross_groups(self):
         t = T("t", ["a.k", "b.y"], [(1, 2), (2, None)])
         assert set(ops.fixup(t, ["a.k"]).rows) == {(1, 2), (2, None)}
+
+
+    def test_all_singleton_groups_pass_through_in_order(self):
+        rows = [(3, None), (1, 2), (2, None)]
+        t = T("t", ["a.k", "b.y"], rows, key=["a.k"])
+        out = ops.fixup(t, ["a.k"])
+        assert out.rows == rows and out.key == ("a.k",)
+
+    def test_exact_duplicates_and_a_subsumed_row_together(self):
+        t = T("t", ["a.k", "b.y"], [(1, 2), (2, None), (1, 2), (1, None), (2, None)])
+        assert ops.fixup(t, ["a.k"]).rows == [(1, 2), (2, None)]
+
+    def test_empty_group_key_is_one_group(self):
+        t = T("t", ["a.k", "b.y"], [(1, 2), (1, None), (3, 4)])
+        assert ops.fixup(t, []).rows == [(1, 2), (3, 4)]
+
+
+# ---------------------------------------------------------------------------
+# the join kernel against a nested-loop reference
+# ---------------------------------------------------------------------------
+KERNEL_LEFT = [
+    (1, 1, 5), (1, 1, 9), (1, 2, 5), (None, 1, 5), (2, None, 5), (3, 3, 5), (1, 1, 5), (4, 4, None),
+]  # fmt: skip
+KERNEL_RIGHT = [
+    (1, 1, 7), (1, 1, 3), (1, 2, 6), (None, 1, 7), (1, None, 7), (5, 5, 7), (4, 4, 7), (None, None, 1),
+]  # fmt: skip
+KERNEL_EQUI = [("l.a", "r.a"), ("l.b", "r.b")]
+
+
+def kernel_residual(row):
+    return row[2] is not None and row[2] <= row[5]
+
+
+def nested_loop(lrows, rrows, kind, match):
+    """What a *kind* join of three-column inputs must produce, testing
+    ``match(lrow, rrow)`` one pair at a time."""
+    out, pad, matched_right = [], (None,) * 3, set()
+    for lrow in lrows:
+        hits = [j for j, rrow in enumerate(rrows) if match(lrow, rrow)]
+        matched_right.update(hits)
+        if kind in ("semi", "anti"):
+            out += [lrow] if bool(hits) == (kind == "semi") else []
+        else:
+            out += [lrow + rrows[j] for j in hits]
+            if not hits and kind in ("left", "full"):
+                out.append(lrow + pad)
+    if kind in ("right", "full"):
+        out += [pad + rrow for j, rrow in enumerate(rrows) if j not in matched_right]
+    return out
+
+
+@pytest.mark.parametrize("residual", [None, kernel_residual], ids=["equi", "residual"])
+@pytest.mark.parametrize("lookup", ["index", "right", "left"])
+@pytest.mark.parametrize("kind", ops.JOIN_KINDS)
+@pytest.mark.parametrize(
+    "lrows, rrows",
+    [(KERNEL_LEFT, KERNEL_RIGHT), ([], KERNEL_RIGHT), (KERNEL_LEFT, [])],
+    ids=["both", "empty-left", "empty-right"],
+)
+def test_join_kernel_equals_nested_loop(lrows, rrows, kind, lookup, residual):
+    # without an index the kernel hashes the smaller input, the right one on a tie
+    if lookup == "left" and lrows and rrows:
+        rrows = rrows + [(90, 90, 0)]  # matches nothing; makes the left input the smaller
+    if lookup != "index" and (lookup == "left") != (len(lrows) < len(rrows)):
+        pytest.skip("an empty input is never the larger one")
+    left = T("l", ["l.a", "l.b", "l.x"], lrows)
+    right = T("r", ["r.a", "r.b", "r.y"], rrows)
+    if lookup == "index":  # column order is a permutation of the equi pairs
+        right.indexes.append(HashIndex(right, ["r.b", "r.a"]))
+    buckets, __, swap = ops._lookup(left, right, KERNEL_EQUI)
+    assert swap == (lookup == "left")
+    assert (buckets is right.indexes[0].buckets) if lookup == "index" else not right.indexes
+    out = ops.join(left, right, kind, equi=KERNEL_EQUI, residual=residual)
+
+    def match(lrow, rrow):  # first two columns equal, NULL matching nothing
+        keys_equal = all(lrow[p] is not None and lrow[p] == rrow[p] for p in (0, 1))
+        return keys_equal and (residual is None or residual(lrow + rrow))
+
+    assert Counter(out.rows) == Counter(nested_loop(lrows, rrows, kind, match))
+    width = 3 if kind in ("semi", "anti") else 6
+    assert len(out.schema) == width and all(len(row) == width for row in out.rows)
+
+
+@pytest.mark.parametrize("kind", ops.JOIN_KINDS)
+def test_join_without_equi_pairs_tests_every_pair(kind):
+    left = T("l", ["l.a", "l.b", "l.x"], KERNEL_LEFT)
+    right = T("r", ["r.a", "r.b", "r.y"], KERNEL_RIGHT)
+
+    def theta(row):
+        return row[0] is not None and row[3] is not None and row[0] < row[3]
+
+    out = ops.join(left, right, kind, residual=theta)
+    expected = nested_loop(KERNEL_LEFT, KERNEL_RIGHT, kind, lambda lrow, rrow: theta(lrow + rrow))
+    assert Counter(out.rows) == Counter(expected)
+
+
+def test_operator_outputs_never_alias_the_input_rows():
+    left = T("l", ["l.a", "l.b", "l.x"], KERNEL_LEFT)
+    # outputs adopt the list the operator built, which is never the input's
+    for out in (ops.select(left, bool), ops.distinct(left), ops.project(left, ["l.a"])):
+        assert out.rows is not left.rows
 
 
 class TestUnionAll:

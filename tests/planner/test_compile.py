@@ -20,6 +20,7 @@ from repro.algebra.predicates import Comparison, IsNull, NotNull
 from repro.core import ViewMaintainer, primary_delta_expression, to_left_deep
 from repro.engine import Table, same_rows
 from repro.engine import operators as ops
+from repro.engine.index import HashIndex
 from repro.engine.schema import Schema
 from repro.planner import PlanCompileError, compile_plan
 
@@ -94,61 +95,64 @@ class TestOperatorEquivalence:
 
 
 class TestBuildSideSelection:
-    def _sides(self, db):
+    """Which input is hashed follows from the inputs alone — a covering
+    right-side index, else the smaller input — and never changes the rows."""
+
+    EQUI = [("r.v", "s.v")]
+
+    def _sides(self, db, small_rows=((500, 1), (501, 2))):
+        """A delta smaller than ``s`` (so the left input is hashed) and a
+        copy of ``s`` carrying an index (so it is probed, nothing hashed)."""
         big = db.table("s")
-        small = Table("d", db.table("r").schema, [(500, 1), (501, 2)])
-        return small, big
+        small = Table("d", db.table("r").schema, list(small_rows))
+        indexed = Table("s", big.schema, big.rows)
+        indexed.indexes.append(HashIndex(indexed, ["s.v"]))
+        assert ops._lookup(small, big, self.EQUI)[2] is True
+        assert ops._lookup(small, indexed, self.EQUI)[2] is False
+        return small, big, indexed
 
     def test_build_left_equals_default(self, v1_db):
-        small, big = self._sides(v1_db)
+        small, big, indexed = self._sides(v1_db)
         for kind in ("inner", "left", "right", "full", "semi", "anti"):
-            default = ops.join(small, big, kind, equi=[("r.v", "s.v")])
-            forced = ops.join(
-                small, big, kind, equi=[("r.v", "s.v")], build="left"
-            )
-            assert same_rows(default, forced), kind
+            built_left = ops.join(small, big, kind, equi=self.EQUI)
+            probed = ops.join(small, indexed, kind, equi=self.EQUI)
+            assert same_rows(built_left, probed), kind
 
     def test_build_left_with_residual(self, v1_db):
-        small, big = self._sides(v1_db)
+        small, big, indexed = self._sides(v1_db)
         def residual(row):
             return row[0] is not None and row[0] % 2 == 0
         for kind in ("inner", "left", "full", "semi", "anti"):
-            default = ops.join(
-                small, big, kind, equi=[("r.v", "s.v")], residual=residual
+            built_left = ops.join(
+                small, big, kind, equi=self.EQUI, residual=residual
             )
-            forced = ops.join(
-                small, big, kind, equi=[("r.v", "s.v")],
-                residual=residual, build="left",
+            probed = ops.join(
+                small, indexed, kind, equi=self.EQUI, residual=residual
             )
-            assert same_rows(default, forced), kind
+            assert same_rows(built_left, probed), kind
 
     def test_build_left_with_null_keys(self, v1_db):
-        small = Table(
-            "d", v1_db.table("r").schema, [(500, None), (501, 2)]
-        )
-        big = v1_db.table("s")
+        small, big, indexed = self._sides(v1_db, [(500, None), (501, 2)])
         for kind in ("left", "full", "anti"):
-            default = ops.join(small, big, kind, equi=[("r.v", "s.v")])
-            forced = ops.join(
-                small, big, kind, equi=[("r.v", "s.v")], build="left"
-            )
-            assert same_rows(default, forced), kind
+            built_left = ops.join(small, big, kind, equi=self.EQUI)
+            probed = ops.join(small, indexed, kind, equi=self.EQUI)
+            assert same_rows(built_left, probed), kind
 
     def test_choose_build_prefers_index(self, v1_db):
-        v1_db.create_index("s", ["v"])
-        expr = Join("inner", Relation("r"), Relation("s"), eq("r.v", "s.v"))
-        plan = compile_plan(expr, v1_db)
-        node = plan.root
-        left = v1_db.table("r")
-        right = v1_db.table("s")
-        assert node.choose_build(left, right) is None  # index probe
+        index = v1_db.create_index("s", ["v"])
+        buckets, __, swap = ops._lookup(
+            v1_db.table("r"), v1_db.table("s"), self.EQUI
+        )
+        assert buckets is index.buckets and not swap  # probed, not built
 
     def test_choose_build_hashes_smaller_left(self, v1_db):
-        expr = Join("inner", Relation("r"), Relation("s"), eq("r.v", "s.v"))
-        plan = compile_plan(expr, v1_db)
         tiny = Table("d", v1_db.table("r").schema, [(1, 1)])
-        assert plan.root.choose_build(tiny, v1_db.table("s")) == "left"
-        assert plan.root.choose_build(v1_db.table("s"), tiny) is None
+        big = v1_db.table("s")
+        assert ops._lookup(tiny, big, self.EQUI)[2] is True
+        assert ops._lookup(big, tiny, [("s.v", "r.v")])[2] is False
+        # a compiled join leaves the choice to the same kernel
+        expr = Join("inner", Relation("r"), Relation("s"), eq("r.v", "s.v"))
+        assert_plan_matches_interpreter(expr, v1_db)
 
 
 class TestFailureModes:

@@ -13,9 +13,9 @@ declarations that would shrink the normal form or short-circuit updates:
   tables whose inserts/deletes would become provable no-ops;
 * **missing base-table indexes** — non-key columns the view's ΔV^D
   plans would probe on each update (:func:`suggest_indexes`).  A
-  :class:`~repro.core.maintain.ViewMaintainer` with ``auto_index`` on
-  provisions these automatically; the advisor surfaces them for systems
-  that manage indexes externally.
+  :class:`~repro.core.maintain.ViewMaintainer` provisions these when it
+  compiles the plan; the advisor surfaces them for systems that manage
+  indexes externally.
 
 The FK check is a point-in-time data property; the advisor says so in
 its report — declaring the constraint is the schema owner's call.
@@ -315,8 +315,8 @@ def advise(definition: ViewDefinition, db: Database) -> str:
     if missing:
         lines.append(
             "  maintenance plans probe these un-indexed base-table "
-            "columns (auto-provisioned by ViewMaintainer unless "
-            "auto_index is off):"
+            "columns (ViewMaintainer provisions them when it compiles "
+            "the plan):"
         )
         for suggestion in missing:
             lines.append(f"  - {suggestion.describe()}")

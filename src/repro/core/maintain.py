@@ -72,7 +72,6 @@ class MaintenanceOptions:
     count_term_rows: bool = False  # fill report.primary_term_rows (Table 1)
     collect_stats: bool = False  # fill report.stats with row counters
     use_plan_cache: bool = True  # compile-once physical maintenance plans
-    auto_index: bool = True  # provision base-table indexes plans probe
 
     def fingerprint(self) -> Tuple:
         """The structural part of plan-cache fingerprints: any change to
@@ -83,7 +82,6 @@ class MaintenanceOptions:
             self.use_fk_graph_reduction,
             self.use_fk_normal_form,
             self.secondary_strategy,
-            self.auto_index,
         )
 
 
@@ -261,8 +259,7 @@ class ViewMaintainer:
     def _build_primary_plan(self, table: str, expr: RelExpr):
         schemas = {delta_label(table): self.db.table(table).schema}
         try:
-            if self.options.auto_index:
-                provision_indexes(expr, self.db, schemas)
+            provision_indexes(expr, self.db, schemas)
             return compile_plan(expr, self.db, schemas)
         except PlanCompileError:
             return None
@@ -282,8 +279,7 @@ class ViewMaintainer:
             plan = CompiledBaseSecondary(
                 term, mgraph, delta_schema, self.db, operation, table
             )
-            if self.options.auto_index:
-                provision_indexes(plan.expr, self.db, plan.plan.binding_schemas)
+            provision_indexes(plan.expr, self.db, plan.plan.binding_schemas)
             return plan
         except ReproError:
             return None

@@ -29,15 +29,12 @@ from .corpus import (
     save_case,
 )
 from .generator import GeneratorProfile, Scenario, generate_scenario
+from .matrix import OracleConfig, config_names, configs_by_name, default_matrix
 from .oracle import (
     CaseResult,
     Mismatch,
-    OracleConfig,
     apply_op,
-    config_names,
-    configs_by_name,
     consistency_mismatches,
-    default_matrix,
     run_case,
     view_divergence,
 )

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from ..obs import Telemetry
 from .corpus import iter_cases, replay_case
-from .oracle import config_names, configs_by_name, default_matrix
+from .matrix import config_names, configs_by_name, default_matrix
 from .runner import run_fuzz
 
 FUZZ_METRIC_PREFIXES = ("repro_fuzz_", "repro_failpoint_")
@@ -123,12 +123,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: --shards must be >= 1", file=sys.stderr)
             return 2
         pool = configs if configs is not None else default_matrix()
-        # chaos configs choreograph their own faults around a fixed
-        # shard count; the matrix hook is a clean-run equivalence sweep
+        # fault rows choreograph their havoc around a fixed shard
+        # count; the matrix hook is a clean-run equivalence sweep
         configs = [
             replace(c, shards=args.shards)
             for c in pool
-            if c.shards and not c.chaos
+            if c.shards and not c.faults
         ]
         if not configs:
             print(

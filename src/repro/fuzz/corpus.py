@@ -26,7 +26,8 @@ import os
 from typing import Iterator, List, Optional, Tuple
 
 from .generator import Scenario
-from .oracle import CaseResult, OracleConfig, run_case
+from .matrix import OracleConfig
+from .oracle import CaseResult, run_case
 
 __all__ = [
     "CORPUS_VERSION",

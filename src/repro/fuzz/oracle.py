@@ -1,78 +1,49 @@
 """The differential oracle: every maintenance strategy vs. recompute.
 
-One scenario is replayed once per :class:`OracleConfig` — interpreted
-vs. compiled plans, Section 5.2 view-side vs. Section 5.3 base-table
-secondary deltas (plus the combined and cost-based auto variants),
-foreign-key shortcuts on and off, and serial vs. parallel scheduling
-with a write-ahead log.  After **every** update the oracle checks
+One scenario is replayed once per config of :mod:`repro.fuzz.matrix` —
+a point on a few axes plus a tuple of fault rows; ``docs/FUZZING.md``
+walks through both tables.  After **every** update :func:`_check_step`
+holds the warehouse to the paper's Theorem 1 contract — each view equals
+a full recompute of its definition — and to a view-free reference replay
+(base tables, per-op outcome, no quarantine).  One loop
+(:func:`_run_config`) replays a stream and arms the in-stream faults;
+one driver (:func:`_stage`) stages every crash and every corruption.
 
-* each materialized view against a full recompute of its definition
-  (the paper's Theorem 1 contract);
-* the base tables against a reference replay (catches rollback bugs);
-* the per-update outcome (ok / error type) against the reference
-  (catches asymmetric constraint handling);
-* that no view was quarantined (a quarantine in a clean run means a
-  maintainer raised);
+What the tables cannot say is why each *outcome class* a fault row may
+demand is the right one:
 
-and, for WAL-enabled configs, that a flush leaves no entry pending
-(durability) and that a simulated crash — acknowledgements dropped via
-the ``wal.ack`` failpoint, base tables rolled back to the last flush
-snapshot — converges to the reference state through
-:meth:`Warehouse.recover`.  A transient-fault config arms the
-``scheduler.task`` failpoint each step and expects the retry path to
-absorb it.
+``reference``
+    Nothing the fault destroys was the only copy: the log, or the
+    checkpoint lineage plus its WAL suffix, still holds the stream up to
+    the stated step, so recovery owes exactly the reference state there,
+    every view its recompute, and no entry left pending.
+``refused``
+    The fault makes one *live* operation fail, and a failed operation
+    must leave what a failed constraint check leaves — nothing: tables
+    as the reference had them one step back, views equal their
+    recompute, and the same operation retried lands on the reference.
+    (For a coordinator dying before its decision record, "nothing" is
+    what presumed abort promises on every shard.)
+``survivors``
+    The fault destroys history (a quarantined WAL segment) or in-flight
+    work (a killed worker), so base tables may legitimately part from
+    the reference.  What still holds is internal consistency — views
+    equal a recompute over whatever survived — and the duty to *notice*:
+    damage detected, no call outliving its deadline, every shard back.
+``reference-or-refusal``
+    A damaged checkpoint loses no history while the WAL still reaches
+    back to the restore point before it, so ``reference`` is owed; past
+    that point the only honest answer is a typed
+    :class:`~repro.errors.CheckpointError`, checked against the directory.
 
-The durability configs go further.  ``checkpoint-wal`` checkpoints
-after every op and restarts the warehouse at generated ``crash`` ops, so
-checkpoint + suffix-replay recovery runs *inside* the differential loop.
-``crash-checkpoint`` and ``crash-compaction`` kill the process inside
-:meth:`CheckpointManager.write` (the atomic-rename window, and the
-window between a durable new restore point and the pruning of the old
-lineage) and inside segment deletion (``wal.compact.unlink``) and
-require the restart to self-heal and converge.  The ``corrupt-torn`` /
-``corrupt-bitflip`` configs byte-mangle the closed log deterministically
-(seeded from the scenario itself) and require :meth:`Warehouse.recover`
-to quarantine the damage, never raise, and leave every view
-recompute-equal over whatever history survived; then they damage one
-checkpoint file — a base or a delta — and require recovery to fall back
-to the restore point before it and still reach the reference state, or
-to refuse with a typed error when the WAL no longer reaches back that
-far.  Each of these five stages its crash on top of a checkpoint
-*lineage* (:func:`_grow_lineage`: at least two delta files, one
-compaction, a delta newest), and :attr:`CaseResult.exercised` says so.
-
-The ``chaos-*`` configs point the same differential machinery at
-*partial* failure.  ``chaos-shard`` replays the stream through a
-sharded warehouse while deterministically (seeded from the scenario)
-killing, stalling or tearing the reply pipe of individual shard
-workers mid-stream; it requires every faulted call to fail within the
-per-call deadline (no hangs), the supervisor to reincarnate the shard,
-and the post-havoc merged state to stay *internally* consistent —
-every merged view equal to a recompute over the merged database.
-(Lost or compensated ops legitimately diverge from the reference
-stream, so the reference-state check is deliberately absent.)
-``chaos-2pc`` drives every generated transaction through a coordinator
-crash — before the decision record, after it, or mid-commit-broadcast
-— then requires ``recover()`` to land all shards on the same outcome:
-presumed abort without a durable decision, commit with one.  Its
-reference replay applies exactly the transactions the decision log
-says survived, so base state *is* checked.
-
-The ``serving`` config exercises the MVCC read path: after every op it
-takes a :meth:`Warehouse.snapshot` and requires (a) the snapshot's base
-tables to equal the reference replay's state at that step, and (b) every
-non-stale view in the snapshot to equal a full recompute of its
-definition over the snapshot's *own* base tables — i.e. each published
-epoch is internally consistent at its LSN, never a torn batch.
-
-Because every config is checked against recompute on an identical update
-stream, agreement with the oracle implies pairwise agreement of all
-strategy pairs; a final explicit cross-config comparison is kept anyway
-as a belt-and-braces differential check.
+Agreement of every config with recompute on one stream implies pairwise
+agreement; the cross-config comparison of final view rows is kept as a
+belt-and-braces differential check.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import random
 import shutil
@@ -80,27 +51,18 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.maintain import (
-    MaintenanceOptions,
-    SECONDARY_AUTO,
-    SECONDARY_COMBINED,
-    SECONDARY_FROM_BASE,
-    SECONDARY_FROM_VIEW,
-)
 from ..errors import CheckpointError, ReproError
 from ..runtime import FAILPOINTS, InjectedFault, RetryPolicy
 from ..warehouse import Warehouse
 from .generator import Scenario
+from .matrix import STALL_SECONDS, Arm, Fault, Mangle, OracleConfig, default_matrix
 
 __all__ = [
     "Mismatch",
     "CaseResult",
-    "OracleConfig",
-    "default_matrix",
-    "config_names",
-    "configs_by_name",
     "run_case",
     "apply_op",
     "consistency_mismatches",
@@ -117,9 +79,7 @@ class Mismatch:
 
     config: str
     step: str  # "op[3]", "flush", "recovery", "final"
-    kind: str  # view-divergence | db-divergence | outcome | quarantine
-    #          | durability | cross-config | snapshot-divergence
-    #          | chaos-divergence | harness-error
+    kind: str  # the closed list is "Mismatch kinds" in docs/FUZZING.md
     view: Optional[str] = None
     detail: str = ""
 
@@ -138,7 +98,7 @@ class CaseResult:
     configs_run: List[str] = field(default_factory=list)
     #: config -> how often the run went through a mechanism worth
     #: knowing was exercised: ``delta_checkpoints``, ``compactions``,
-    #: ``overlay_folds``
+    #: ``overlay_folds``, and each fault row (by name) that fired
     exercised: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def count(self, config: str, what: str, times: int = 1) -> None:
@@ -160,10 +120,6 @@ class CaseResult:
         return not self.mismatches
 
     @property
-    def failing_configs(self) -> List[str]:
-        return sorted({m.config for m in self.mismatches})
-
-    @property
     def kinds(self) -> List[str]:
         return sorted({m.kind for m in self.mismatches})
 
@@ -174,191 +130,6 @@ class CaseResult:
         if len(self.mismatches) > limit:
             lines.append(f"... and {len(self.mismatches) - limit} more")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# the strategy matrix
-# ---------------------------------------------------------------------------
-@dataclass
-class OracleConfig:
-    """One way of running the maintenance machinery end to end."""
-
-    name: str
-    options: Callable[[], MaintenanceOptions]
-    workers: int = 0
-    wal: bool = False
-    retry: Optional[RetryPolicy] = None
-    crash_check: bool = False
-    inject_transient: bool = False
-    checkpoint_every: Optional[int] = None  # ops between checkpoints
-    segment_bytes: Optional[int] = None  # tiny values force rotation
-    crash_checkpoint: bool = False  # die inside CheckpointManager.write
-    crash_compaction: bool = False  # die inside segment deletion
-    corruption: Optional[str] = None  # "torn" | "bitflip"
-    snapshot_reads: bool = False  # MVCC snapshot queries vs recompute
-    shards: int = 0  # > 0: run through a ShardedWarehouse (thread backend)
-    chaos: Optional[str] = None  # "shard" (kill/stall/drop workers)
-    #                            | "2pc" (coordinator crash windows)
-
-
-def _opts(**kwargs) -> Callable[[], MaintenanceOptions]:
-    return lambda: MaintenanceOptions(**kwargs)
-
-
-_FAST_RETRY = RetryPolicy(
-    max_attempts=3, base_delay_seconds=0.0, max_delay_seconds=0.0
-)
-
-
-def default_matrix() -> List[OracleConfig]:
-    """The full strategy matrix (fresh instances, safe to mutate)."""
-    return [
-        OracleConfig(
-            "interpreted-view",
-            _opts(
-                use_plan_cache=False,
-                secondary_strategy=SECONDARY_FROM_VIEW,
-            ),
-        ),
-        OracleConfig(
-            "compiled-view",
-            _opts(
-                use_plan_cache=True, secondary_strategy=SECONDARY_FROM_VIEW
-            ),
-        ),
-        OracleConfig(
-            "interpreted-base",
-            _opts(
-                use_plan_cache=False,
-                secondary_strategy=SECONDARY_FROM_BASE,
-            ),
-        ),
-        OracleConfig(
-            "compiled-base",
-            _opts(
-                use_plan_cache=True, secondary_strategy=SECONDARY_FROM_BASE
-            ),
-        ),
-        OracleConfig(
-            "combined", _opts(secondary_strategy=SECONDARY_COMBINED)
-        ),
-        OracleConfig("auto", _opts(secondary_strategy=SECONDARY_AUTO)),
-        OracleConfig(
-            "no-fk",
-            _opts(
-                use_fk_simplify=False,
-                use_fk_graph_reduction=False,
-                use_fk_normal_form=False,
-            ),
-        ),
-        OracleConfig(
-            "serial-wal",
-            _opts(),
-            wal=True,
-            crash_check=True,
-        ),
-        OracleConfig(
-            "parallel-wal",
-            _opts(),
-            workers=2,
-            wal=True,
-            retry=_FAST_RETRY,
-            crash_check=True,
-        ),
-        OracleConfig(
-            "retry-transient",
-            _opts(),
-            workers=2,
-            retry=_FAST_RETRY,
-            inject_transient=True,
-        ),
-        OracleConfig(
-            "checkpoint-wal",
-            _opts(),
-            wal=True,
-            crash_check=True,
-            checkpoint_every=1,
-        ),
-        OracleConfig(
-            "crash-checkpoint",
-            _opts(),
-            wal=True,
-            checkpoint_every=1,
-            crash_checkpoint=True,
-        ),
-        OracleConfig(
-            "crash-compaction",
-            _opts(),
-            wal=True,
-            checkpoint_every=1,
-            segment_bytes=128,
-            crash_compaction=True,
-        ),
-        OracleConfig(
-            "corrupt-torn",
-            _opts(),
-            wal=True,
-            checkpoint_every=1,
-            corruption="torn",
-        ),
-        OracleConfig(
-            "corrupt-bitflip",
-            _opts(),
-            wal=True,
-            checkpoint_every=1,
-            segment_bytes=128,
-            corruption="bitflip",
-        ),
-        OracleConfig(
-            "serving",
-            _opts(),
-            workers=2,
-            wal=True,
-            retry=_FAST_RETRY,
-            snapshot_reads=True,
-        ),
-        OracleConfig(
-            "sharded",
-            _opts(),
-            shards=2,
-        ),
-        OracleConfig(
-            "sharded-wal",
-            _opts(),
-            wal=True,
-            shards=2,
-            checkpoint_every=2,
-        ),
-        OracleConfig(
-            "chaos-shard",
-            _opts(),
-            wal=True,
-            shards=2,
-            checkpoint_every=2,
-            chaos="shard",
-        ),
-        OracleConfig(
-            "chaos-2pc",
-            _opts(),
-            wal=True,
-            shards=2,
-            chaos="2pc",
-        ),
-    ]
-
-
-def config_names() -> List[str]:
-    return [c.name for c in default_matrix()]
-
-
-def configs_by_name(names) -> List[OracleConfig]:
-    matrix = {c.name: c for c in default_matrix()}
-    unknown = sorted(set(names) - set(matrix))
-    if unknown:
-        raise ValueError(
-            f"unknown oracle config(s) {unknown}; known: {sorted(matrix)}"
-        )
-    return [matrix[n] for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +151,18 @@ def apply_op(wh: Warehouse, op: Dict) -> str:
             wh.delete(op["table"], op["rows"])
         elif op["kind"] == "txn":
             with wh.transaction() as txn:
-                for st in op["statements"]:
-                    if st["kind"] == "insert":
-                        txn.insert(st["table"], st["rows"])
-                    else:
-                        txn.delete(st["table"], st["rows"])
+                _apply_statements(txn, op)
         else:  # pragma: no cover - corrupt corpus entry
             raise ValueError(f"unknown op kind {op['kind']!r}")
         return "ok"
     except ReproError as exc:
         return type(exc).__name__
+
+
+def _apply_statements(txn, op: Dict) -> None:
+    for st in op["statements"]:
+        apply = txn.insert if st["kind"] == "insert" else txn.delete
+        apply(st["table"], st["rows"])
 
 
 def _table_state(wh: Warehouse, db=None) -> Dict[str, frozenset]:
@@ -425,17 +198,27 @@ def _drop_process(wh: Warehouse) -> None:
 
 class _Reference:
     """The view-free reference replay: expected op outcomes and expected
-    base-table state after every step."""
+    base-table state after every step (``before(i)`` is the state step
+    *i* started from)."""
 
     def __init__(self, scenario: Scenario):
         self.outcomes: List[str] = []
         self.states: List[Dict[str, frozenset]] = []
         wh = Warehouse(scenario.build_database())
+        self.initial_state = _table_state(wh)
         for op in scenario.ops:
             self.outcomes.append(apply_op(wh, op))
             self.states.append(_table_state(wh))
-        self.final_state = _table_state(wh)
         wh.close()
+
+    def before(self, i: int) -> Dict[str, frozenset]:
+        return self.states[i - 1] if i else self.initial_state
+
+
+def _scenario_rng(scenario: Scenario, salt: int) -> random.Random:
+    """Injected havoc is seeded by the scenario's own content, so a
+    corpus replay meets byte-identical damage at identical steps."""
+    return random.Random(zlib.crc32(scenario.to_json().encode("utf-8")) ^ salt)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +237,16 @@ def view_divergence(
     return _row_diff(frozenset(expected), frozenset(wh.view_rows(name)))
 
 
+def _null_safe(row) -> Tuple:
+    """Sort key under which SQL NULLs order (first) instead of raising."""
+    return tuple((value is not None, value) for value in row)
+
+
 def _row_diff(expected: frozenset, actual: frozenset) -> Optional[str]:
     if actual == expected:
         return None
-    missing = sorted(expected - actual)[:3]
-    extra = sorted(actual - expected)[:3]
+    missing = sorted(expected - actual, key=_null_safe)[:3]
+    extra = sorted(actual - expected, key=_null_safe)[:3]
     return (
         f"{len(expected - actual)} missing (e.g. {missing}), "
         f"{len(actual - expected)} extra (e.g. {extra})"
@@ -466,21 +254,23 @@ def _row_diff(expected: frozenset, actual: frozenset) -> Optional[str]:
 
 
 def consistency_mismatches(
-    wh: Warehouse, config: str = "warehouse", step: str = "check"
+    wh: Warehouse,
+    config: str = "warehouse",
+    step: str = "check",
+    kind: str = "view-divergence",
+    recompute_db=None,
 ) -> List[Mismatch]:
     """Recompute-oracle check of every non-quarantined view (the helper
     the repair/quarantine tests assert with)."""
     quarantined = wh.quarantined_views
-    recompute_db = wh.merged_database()
+    if recompute_db is None:
+        recompute_db = wh.merged_database()
     found: List[Mismatch] = []
     for name in wh.view_names:
-        if name in quarantined:
-            continue
-        diff = view_divergence(wh, name, recompute_db)
-        if diff is not None:
-            found.append(
-                Mismatch(config, step, "view-divergence", name, diff)
-            )
+        if name not in quarantined:
+            diff = view_divergence(wh, name, recompute_db)
+            if diff is not None:
+                found.append(Mismatch(config, step, kind, name, diff))
     return found
 
 
@@ -491,66 +281,77 @@ def run_case(
     scenario: Scenario,
     configs: Optional[List[OracleConfig]] = None,
 ) -> CaseResult:
-    """Replay *scenario* under every config and collect all mismatches."""
+    """Replay *scenario* under every config — its own stream first, then
+    each of its staged fault rows — and collect all mismatches."""
     configs = default_matrix() if configs is None else configs
     result = CaseResult()
     reference = _Reference(scenario)
     final_views: Dict[str, Dict[str, frozenset]] = {}
-    for config in configs:
-        result.configs_run.append(config.name)
-        runner = _run_chaos_config if config.chaos else _run_config
-        try:
-            views = runner(scenario, config, reference, result)
-            if views is not None:
-                final_views[config.name] = views
-        except Exception as exc:  # harness bug or unexpected blow-up
-            result.add(
-                config.name, "run", "harness-error",
-                f"{type(exc).__name__}: {exc}",
-            )
-        extra_checks = [
-            (config.crash_check, _run_crash_check),
-            (config.crash_checkpoint, _run_crash_checkpoint_check),
-            (config.crash_compaction, _run_crash_compaction_check),
-            (bool(config.corruption), _run_corruption_check),
-            (bool(config.corruption), _run_checkpoint_corruption_check),
-        ]
-        for enabled, check in extra_checks:
-            if not enabled:
-                continue
+
+    def guarded(config, step, run, *args):
+        """One run in a scratch directory of its own; its WAL and
+        checkpoint trees (``corrupt/`` sidecars included) are copied out
+        for CI to upload when the run found something."""
+        before = len(result.mismatches)
+        with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
             try:
-                check(scenario, config, reference, result)
-            except Exception as exc:
+                return run(scenario, config, *args, reference, result, tmp)
+            except Exception as exc:  # harness bug or unexpected blow-up
                 result.add(
-                    config.name, "recovery", "harness-error",
+                    config.name, step, "harness-error",
                     f"{type(exc).__name__}: {exc}",
                 )
+            finally:
+                keep = os.environ.get("REPRO_FUZZ_ARTIFACT_DIR")
+                if keep and len(result.mismatches) > before:
+                    keep = os.path.join(keep, config.name)
+                    shutil.copytree(tmp, keep, dirs_exist_ok=True)
+
+    for config in configs:
+        result.configs_run.append(config.name)
+        views = guarded(config, "run", _run_config)
+        if views is not None:
+            final_views[config.name] = views
+        for fault in config.faults:
+            if fault.when == "staged":
+                guarded(config, "recovery", _stage, fault)
     _cross_config_check(final_views, result)
     return result
 
 
-def _warehouse_kwargs(
-    config: OracleConfig,
-    wal_path: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> Dict:
-    kwargs: Dict = {"workers": config.workers, "retry": config.retry}
+_FAST_RETRY = RetryPolicy(
+    max_attempts=3, base_delay_seconds=0.0, max_delay_seconds=0.0
+)
+_CHAOS_DEADLINE = 0.6  # facade per-call deadline during chaos replay
+_CHAOS_PROBE = 0.3  # supervisor liveness-probe timeout
+_CHAOS_INJECTIONS = 3  # ``on="sample"`` steps (fewer on a short stream)
+_CHAOS_SETTLE = 30.0  # max seconds to wait for reincarnation
+
+
+def _open(db, scenario: Scenario, config: OracleConfig, tmp: str) -> Warehouse:
+    """A warehouse over *db*, its log and checkpoints under *tmp*, with
+    the scenario's views registered under the config's options."""
+    parallel = config.scheduling != "serial"
+    kwargs: Dict = {
+        "workers": 2 if parallel else 0,
+        "retry": _FAST_RETRY if parallel else None,
+    }
     if config.shards:
         # thread-backend workers: deterministic, and they share this
-        # process's FAILPOINTS, so fault-injection configs compose
+        # process's FAILPOINTS, so fault rows compose with sharding
         kwargs.update(shards=config.shards, shard_backend="thread")
-    if wal_path:
-        kwargs["wal_path"] = wal_path
-    if checkpoint_dir:
-        kwargs["checkpoint_dir"] = checkpoint_dir
-    if config.segment_bytes:
-        kwargs["segment_bytes"] = config.segment_bytes
-    return kwargs
-
-
-def _open(db, scenario: Scenario, config: OracleConfig, **kwargs) -> Warehouse:
-    """A warehouse over *db* with the scenario's views registered under
-    the config's maintenance options."""
+        if config.faults:
+            kwargs.update(
+                call_deadline_seconds=_CHAOS_DEADLINE,
+                probe_timeout_seconds=_CHAOS_PROBE,
+                restart_budget=50,  # havoc is intentional; don't quarantine
+                restart_window_seconds=60.0,
+            )
+    if config.wal:
+        kwargs["wal_path"] = os.path.join(tmp, "wal")
+    if config.checkpoints:
+        kwargs["checkpoint_dir"] = os.path.join(tmp, "checkpoints")
+        kwargs["segment_bytes"] = 128
     wh = Warehouse(db, **kwargs)
     for defn in scenario.view_definitions(wh.db):
         wh.create_view(defn.name, defn, options=config.options())
@@ -563,6 +364,7 @@ def _check_step(
     step: str,
     expected_state: Dict[str, frozenset],
     result: CaseResult,
+    kind: Optional[str] = None,
 ) -> None:
     """After every op, through the facade's settled-state readers:
 
@@ -575,12 +377,16 @@ def _check_step(
       (``view-divergence``; sharded: the merged view vs a recompute over
       the merged database, the merge-barrier oracle —
       ``shard-vs-recompute``).
+
+    *kind* overrides both divergence kinds (a step that just resolved a
+    coordinator crash reports ``chaos-divergence``).
     """
-    table_kind, view_kind = (
-        ("shard-vs-unsharded", "shard-vs-recompute")
-        if config.shards
-        else ("db-divergence", "view-divergence")
-    )
+    if kind:
+        table_kind = view_kind = kind
+    elif config.shards:
+        table_kind, view_kind = "shard-vs-unsharded", "shard-vs-recompute"
+    else:
+        table_kind, view_kind = "db-divergence", "view-divergence"
     recompute_db = wh.merged_database()
     state = _table_state(wh, recompute_db)
     if state != expected_state:
@@ -597,12 +403,9 @@ def _check_step(
             "the flight recorder / shard_stats())",
             view=",".join(quarantined),
         )
-    for name in wh.view_names:
-        if name in quarantined:
-            continue
-        diff = view_divergence(wh, name, recompute_db)
-        if diff is not None:
-            result.add(config.name, step, view_kind, diff, view=name)
+    result.mismatches.extend(
+        consistency_mismatches(wh, config.name, step, view_kind, recompute_db)
+    )
 
 
 def _check_snapshot(
@@ -612,9 +415,11 @@ def _check_snapshot(
     expected_state: Dict[str, frozenset],
     result: CaseResult,
 ) -> None:
-    """The serving oracle: the latest published snapshot must equal the
-    reference replay's state at this step, and every non-stale view in
-    it must equal a recompute over the snapshot's own base tables.
+    """The serving oracle: the latest published snapshot is judged like
+    a warehouse of its own — base tables equal to the reference state at
+    this step, every non-stale view equal to a recompute over the
+    snapshot's *own* tables: each published epoch is internally
+    consistent at its LSN, never a torn batch.
 
     The caller has already drained (``_check_step``), so the newest
     snapshot corresponds to the just-applied op — or, when the op
@@ -629,35 +434,23 @@ def _check_snapshot(
             "outside recovery",
         )
         return
-    snap_state = {
-        name: frozenset(slice_.rows)
-        for name, slice_ in snapshot.tables.items()
-    }
-    if snap_state != expected_state:
-        result.add(
-            config.name, step, "snapshot-divergence",
-            "snapshot base table(s) "
-            f"{_diverged(snap_state, expected_state)} (lsn "
-            f"{snapshot.lsn}) differ from the reference replay",
-        )
-    recompute_db = snapshot.build_database()
-    for name in snapshot.view_names:
-        if name in snapshot.stale_views:
-            continue
-        diff = _row_diff(
-            frozenset(wh.definition(name).evaluate(recompute_db).rows),
-            frozenset(snapshot.view_rows(name)),
-        )
-        if diff is not None:
-            result.add(
-                config.name, step, "snapshot-divergence",
-                f"snapshot view differs from recompute at lsn "
-                f"{snapshot.lsn}: {diff}",
-                view=name,
-            )
+    published = SimpleNamespace(
+        merged_database=snapshot.build_database,
+        quarantined_views=sorted(snapshot.stale_views),
+        view_names=snapshot.view_names,
+        view_rows=snapshot.view_rows,
+        definition=wh.definition,
+    )
+    step = f"{step} snapshot@{snapshot.lsn}"
+    _check_step(
+        published, config, step, expected_state, result, "snapshot-divergence"
+    )
 
 
-def _restart(wh: Warehouse, config: OracleConfig, make):
+def _restart(
+    wh: Warehouse, scenario: Scenario, config: OracleConfig, tmp: str,
+    result: CaseResult,
+) -> Warehouse:
     """A ``crash`` op under WAL: restart at a durability boundary —
     flush (acks on disk), drop the process, reopen over the same
     directories and recover.  With checkpoints this resets the database
@@ -668,14 +461,16 @@ def _restart(wh: Warehouse, config: OracleConfig, make):
         wh.crash_restart()
         return wh
     wh.flush()
+    # what ``serving`` reads had to survive: folded snapshot overlays
+    result.count(config.name, "overlay_folds", wh.snapshots.overlay_folds)
     _drop_process(wh)
-    fresh = make(wh.db)
+    fresh = _open(wh.db, scenario, config, tmp)
     fresh.recover()
     return fresh
 
 
 def _checkpoint(wh: Warehouse, config: OracleConfig, result: CaseResult) -> bool:
-    """One checkpoint of a local warehouse; True when it wrote a delta."""
+    """One checkpoint; True when a local warehouse wrote a delta."""
     path = wh.checkpoint()
     delta = isinstance(path, str) and path.endswith(".delta.json")
     if delta:
@@ -747,638 +542,267 @@ def _pending_wal(wh: Warehouse, config: OracleConfig) -> str:
     return f"{len(lsns)} entr(ies), lsns {lsns[:5]}" if lsns else ""
 
 
+# ---------------------------------------------------------------------------
+# arming
+# ---------------------------------------------------------------------------
+_VICTIMS: Dict[str, Callable[[Dict], bool]] = {
+    "every": lambda op: op["kind"] != "crash",
+    "dml": lambda op: op["kind"] in ("insert", "delete"),
+    "txn": lambda op: op["kind"] == "txn",
+}
+
+
+def _hits(fault: Fault) -> int:
+    """How often the sites *fault* arms have fired so far."""
+    return sum(FAILPOINTS.fired(site) for site in fault.sites)
+
+
+def _armed(arm: Arm, shard: Optional[int] = None):
+    """The arm as a context manager (disarms the site on the way out)."""
+    match = {} if shard is None else {"shard": shard}
+    return FAILPOINTS.armed(arm.site, **arm.how, **match)
+
+
+def _fault_plan(
+    scenario: Scenario, config: OracleConfig
+) -> Dict[int, Tuple[Fault, Optional[int]]]:
+    """Step index -> (in-stream fault armed there, shard it matches).
+    Decided before the stream starts; the rows targeting a step take
+    turns in table order."""
+    faults = [f for f in config.faults if f.when == "stream"]
+    rng = _scenario_rng(scenario, 0x5EED)
+    ops = scenario.ops
+    eligible = [i for i, op in enumerate(ops) if _VICTIMS["every"](op)]
+    sample = set(
+        rng.sample(eligible, min(_CHAOS_INJECTIONS, len(eligible)))
+    )
+    plan: Dict[int, Tuple[Fault, Optional[int]]] = {}
+    for i, op in enumerate(ops):
+        here = [
+            f
+            for f in faults
+            if (i in sample if f.on == "sample" else _VICTIMS[f.on](op))
+        ]
+        if here:
+            fault = here[len(plan) % len(here)]
+            shard = rng.randrange(config.shards) if fault.inject.shard else None
+            plan[i] = (fault, shard)
+    return plan
+
+
+def _apply_armed(
+    wh: Warehouse, op: Dict, fault: Fault, shard: Optional[int]
+) -> Tuple[str, bool, float]:
+    """:func:`apply_op` with *fault* armed around the call its row names;
+    returns (outcome, whether the site fired, seconds taken).  Around
+    ``"commit"`` the statements run unarmed and — unlike the ``with``
+    block — a coordinator that "dies" in commit rolls nothing back:
+    resolving the in-doubt shards is ``recover()``'s job."""
+    arm = fault.inject
+    hits_before = _hits(fault)
+    started = time.monotonic()
+    if arm.around == "commit":
+        txn = wh.transaction()
+        try:
+            txn.__enter__()
+            _apply_statements(txn, op)
+            with _armed(arm, shard):
+                txn._commit()
+            got = "ok"
+        except InjectedFault as exc:
+            got = type(exc).__name__
+        except ReproError as exc:
+            txn._rollback()
+            got = type(exc).__name__
+    else:
+        with _armed(arm, shard):
+            got = apply_op(wh, op)
+    elapsed = time.monotonic() - started
+    return got, _hits(fault) > hits_before, elapsed
+
+
+# ---------------------------------------------------------------------------
+# the one replay loop
+# ---------------------------------------------------------------------------
 def _run_config(
     scenario: Scenario,
     config: OracleConfig,
     reference: _Reference,
     result: CaseResult,
+    tmp: str,
 ) -> Optional[Dict[str, frozenset]]:
     """Replay the scenario through one warehouse — local or sharded, the
-    loop only speaks the shared facade — checking every step."""
-    before = len(result.mismatches)
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-        wal_path = (
-            os.path.join(tmp, f"{config.name}.wal") if config.wal else None
-        )
-        checkpoint_dir = (
-            os.path.join(tmp, "checkpoints")
-            if config.checkpoint_every
-            else None
-        )
-
-        def make_warehouse(db):
-            return _open(
-                db, scenario, config,
-                **_warehouse_kwargs(config, wal_path, checkpoint_dir),
-            )
-
-        wh = make_warehouse(scenario.build_database())
-        try:
-            if config.inject_transient:
-                # every maintenance task fails its *first* attempt; the
-                # retry loop must absorb all of them without quarantine
-                FAILPOINTS.arm(
-                    "scheduler.task", action="raise", times=None, attempt=1
-                )
-            since_checkpoint = 0
-            for i, op in enumerate(scenario.ops):
-                step = f"op[{i}]"
-                if op["kind"] == "crash" and config.wal:
-                    if config.snapshot_reads:
-                        result.count(
-                            config.name,
-                            "overlay_folds",
-                            wh.snapshots.overlay_folds,
+    loop only speaks the shared facade — arming the config's in-stream
+    fault rows per :func:`_fault_plan` and checking every step.  Returns
+    the final view rows for the cross-config check, or ``None`` once a
+    ``survivors`` fault made the reference inapplicable."""
+    plan = _fault_plan(scenario, config)
+    wh = _open(scenario.build_database(), scenario, config, tmp)
+    parted = False  # a survivors fault fired: the reference is void
+    try:
+        for i, op in enumerate(scenario.ops):
+            step = f"op[{i}]"
+            kind = None
+            if op["kind"] == "crash":
+                got = "ok"
+                if config.wal:
+                    wh = _restart(wh, scenario, config, tmp, result)
+            elif i not in plan:
+                got = apply_op(wh, op)
+            else:
+                fault, shard = plan[i]
+                got, fired, elapsed = _apply_armed(wh, op, fault, shard)
+                if fired:
+                    result.count(config.name, fault.name)
+                    if fault.restart == "live":
+                        # the coordinator "died": the decision log alone
+                        # says how the transaction ended
+                        wh.recover()
+                        kind = "chaos-divergence"
+                        if fault.expect == "reference":
+                            got = "ok"  # decided: recover() committed it
+                    if fault.expect == "survivors":
+                        parted = True
+                        if not _check_reincarnated(
+                            wh, config, step, fault, elapsed, result
+                        ):
+                            return None
+                    elif fault.expect == "refused":
+                        if got == "ok":
+                            result.add(
+                                config.name, step, "outcome",
+                                f"{fault.name} fired but the op reported "
+                                "success",
+                            )
+                        _check_step(
+                            wh, config, step, reference.before(i), result, kind
                         )
-                    wh = _restart(wh, config, make_warehouse)
-                else:
-                    _check_outcome(
-                        result, config.name, step, op,
-                        apply_op(wh, op), reference.outcomes[i],
-                    )
-                _check_step(wh, config, step, reference.states[i], result)
-                if config.snapshot_reads:
+                        got = apply_op(wh, op)  # the retry must land
+            if not parted:
+                _check_outcome(
+                    result, config.name, step, op, got, reference.outcomes[i]
+                )
+                _check_step(wh, config, step, reference.states[i], result, kind)
+                if config.scheduling == "serving":
                     _check_snapshot(
                         wh, config, step, reference.states[i], result
                     )
-                if config.checkpoint_every and op["kind"] != "crash":
-                    since_checkpoint += 1
-                    if since_checkpoint >= config.checkpoint_every:
-                        _checkpoint(wh, config, result)
-                        since_checkpoint = 0
-            if config.snapshot_reads:
-                result.count(
-                    config.name, "overlay_folds", wh.snapshots.overlay_folds
-                )
-            if config.wal:
+            if config.checkpoints and op["kind"] != "crash":
                 try:
-                    wh.flush()
-                except ReproError as exc:
-                    result.add(
-                        config.name, "flush", "quarantine",
-                        "flush surfaced a maintenance failure: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                pending = _pending_wal(wh, config)
-                if pending:
-                    result.add(
-                        config.name, "flush", "durability",
-                        f"WAL still pending after flush ({pending})",
-                    )
-            return {
-                name: frozenset(wh.view_rows(name))
-                for name in wh.view_names
-            }
-        finally:
-            if config.inject_transient:
-                FAILPOINTS.disarm("scheduler.task")
-            if len(result.mismatches) > before and wal_path:
-                _export_artifacts(config.name, wal_path)
-            wh.close()
+                    _checkpoint(wh, config, result)
+                except ReproError:
+                    if not parted:  # else a straggler; settled below
+                        raise
+        _check_settled(wh, config, parted, result)
+        if parted:
+            return None
+        return {name: frozenset(wh.view_rows(name)) for name in wh.view_names}
+    finally:
+        wh.close()
+
+
+def _check_settled(
+    wh: Warehouse, config: OracleConfig, parted: bool, result: CaseResult
+) -> None:
+    """End of stream: a flush must surface no failure and leave nothing
+    pending (ops lost to a ``survivors`` fault were already compensated
+    per ticket, so there only the settling counts); a sharded tier must
+    have resolved every coordinator decision and pass its own
+    three-layer ``check_consistency``."""
+    if parted and not _wait_all_up(wh):
+        result.add(
+            config.name, "final", "chaos-divergence",
+            f"shards still down after the stream: {wh.supervisor.status()}",
+        )
+        return
+    if config.wal:
+        try:
+            wh.flush()
+        except ReproError as exc:
+            if not parted:
+                result.add(
+                    config.name, "flush", "quarantine",
+                    "flush surfaced a maintenance failure: "
+                    f"{type(exc).__name__}: {exc}",
+                )
+        pending = "" if parted else _pending_wal(wh, config)
+        if pending:
+            result.add(
+                config.name, "flush", "durability",
+                f"WAL still pending after flush ({pending})",
+            )
+    if not config.shards:
+        result.count(config.name, "overlay_folds", wh.snapshots.overlay_folds)
+        return
+    undecided = wh.txnlog.pending()
+    if undecided:
+        result.add(
+            config.name, "final", "durability",
+            f"{len(undecided)} coordinator decision(s) still pending "
+            "after every transaction resolved: "
+            f"{[r.txn_id for r in undecided]}",
+        )
+    try:
+        wh.check_consistency()
+    except ReproError as exc:
+        result.add(
+            config.name, "final",
+            "chaos-divergence" if config.faults else "shard-vs-recompute",
+            f"settled state inconsistent: {type(exc).__name__}: {exc}",
+        )
 
 
 # ---------------------------------------------------------------------------
-# chaos: partial failure under the differential oracle
+# survivors of worker havoc: no hang, every shard back
 # ---------------------------------------------------------------------------
-_CHAOS_STALL = 1.3  # stall long enough to blow both deadlines
-# failpoint -> how it is armed: die before the command runs, sleep
-# through the deadlines, or run the command but lose its reply
-_CHAOS_FAULTS = {
-    "shard.worker.kill": {"action": "raise"},
-    "shard.worker.stall": {
-        "action": "call",
-        "callback": lambda **_ctx: time.sleep(_CHAOS_STALL),
-    },
-    "shard.pipe.drop": {"action": "skip"},
-}
-_COORDINATOR_FAILPOINTS = (
-    "txn.coordinator.prepared",
-    "txn.coordinator.decided",
-    "txn.coordinator.commit",
-)
-_CHAOS_DEADLINE = 0.6  # facade per-call deadline during chaos replay
-_CHAOS_PROBE = 0.3  # supervisor liveness-probe timeout
-_CHAOS_INJECTIONS = 3  # faults per scenario (fewer if the stream is short)
-_CHAOS_SETTLE = 30.0  # max seconds to wait for reincarnation
-
-
-def _all_shards_up(wh) -> bool:
-    # quiesced first: a just-detected death may not have flipped the
-    # per-shard state yet, and "all up" must mean *settled*, not
-    # "the revive has not registered"
-    if not wh.supervisor.quiesced:
-        return False
-    status = wh.supervisor.status()
-    if not status or any(s["state"] != "up" for s in status.values()):
-        return False
-    return all(
-        h.is_alive() and not getattr(h, "_closed", False)
-        for h in wh._handles
-    )
-
-
 def _wait_all_up(wh, timeout: float = _CHAOS_SETTLE) -> bool:
+    """Poll until the tier is settled: no detection/revive in flight
+    (checked first — a just-detected death may not have flipped the
+    per-shard state yet), every shard ``up``, every handle alive."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if _all_shards_up(wh):
+        if (
+            wh.supervisor.quiesced
+            and (status := wh.supervisor.status())
+            and all(s["state"] == "up" for s in status.values())
+            and all(
+                h.is_alive() and not getattr(h, "_closed", False)
+                for h in wh._handles
+            )
+        ):
             return True
         time.sleep(0.02)
     return False
 
 
-def _run_chaos_config(
-    scenario: Scenario,
-    config: OracleConfig,
-    reference: _Reference,
+def _check_reincarnated(
+    wh, config: OracleConfig, step: str, fault: Fault, elapsed: float,
     result: CaseResult,
-) -> None:
-    if config.chaos == "shard":
-        _run_chaos_shard(scenario, config, result)
-    elif config.chaos == "2pc":
-        _run_chaos_2pc(scenario, config, result)
-    else:  # pragma: no cover - config typo
-        raise ValueError(f"unknown chaos mode {config.chaos!r}")
-
-
-def _make_chaos_warehouse(scenario: Scenario, config: OracleConfig, tmp):
-    return _open(
-        scenario.build_database(),
-        scenario,
-        config,
-        call_deadline_seconds=_CHAOS_DEADLINE,
-        probe_timeout_seconds=_CHAOS_PROBE,
-        restart_budget=50,  # havoc is intentional; don't quarantine
-        restart_window_seconds=60.0,
-        **_warehouse_kwargs(
-            config,
-            os.path.join(tmp, "wal"),
-            os.path.join(tmp, "checkpoints")
-            if config.checkpoint_every
-            else None,
-        ),
-    )
-
-
-def _run_chaos_shard(
-    scenario: Scenario, config: OracleConfig, result: CaseResult
-) -> None:
-    """Kill-9 havoc under the oracle: deterministically (seeded from the
-    scenario) kill, stall or tear the pipe of shard workers mid-stream.
-    Checks: every faulted call fails within the deadline instead of
-    hanging, the supervisor brings every shard back, and the post-havoc
-    merged state is internally consistent (``check_consistency``:
-    per-shard recompute, replicated-table identity, merged views ==
-    recompute over the merged database).  The reference-state check is
-    deliberately absent — faulted ops are legitimately lost or
-    compensated."""
-    rng = random.Random(
-        zlib.crc32(scenario.to_json().encode("utf-8")) ^ 0x5EED
-    )
-    ops = scenario.ops
-    eligible = [i for i, op in enumerate(ops) if op["kind"] != "crash"]
-    count = min(_CHAOS_INJECTIONS, len(eligible))
-    chosen = sorted(rng.sample(eligible, count)) if count else []
-    plan = {
-        index: (
-            list(_CHAOS_FAULTS)[n % len(_CHAOS_FAULTS)],
-            rng.randrange(config.shards),
-        )
-        for n, index in enumerate(chosen)
-    }
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-chaos-") as tmp:
-        wh = _make_chaos_warehouse(scenario, config, tmp)
-        try:
-            since_checkpoint = 0
-            for i, op in enumerate(ops):
-                step = f"op[{i}]"
-                fault = plan.get(i)
-                if fault is not None:
-                    name, shard = fault
-                    FAILPOINTS.arm(
-                        name, times=1, shard=shard, **_CHAOS_FAULTS[name]
-                    )
-                fired_before = (
-                    FAILPOINTS.fired(fault[0]) if fault else 0
-                )
-                started = time.monotonic()
-                if op["kind"] == "crash":
-                    # all shards are up here (crash ops are never fault
-                    # targets), so the orderly restart path is safe
-                    wh.crash_restart()
-                else:
-                    apply_op(wh, op)  # outcome legitimately diverges
-                elapsed = time.monotonic() - started
-                if fault is not None:
-                    for fp_name in _CHAOS_FAULTS:
-                        FAILPOINTS.disarm(fp_name)
-                    if FAILPOINTS.fired(fault[0]) == fired_before:
-                        continue  # op never touched the target shard
-                    # no-hang contract: the op must resolve within the
-                    # deadline plus scheduling slack, never block on the
-                    # dead worker's 30s default
-                    if elapsed > _CHAOS_STALL + 5.0:
-                        result.add(
-                            config.name, step, "chaos-divergence",
-                            f"op blocked {elapsed:.1f}s on faulted "
-                            f"shard {fault[1]} ({fault[0]}) instead "
-                            "of failing within the deadline",
-                        )
-                    if not _wait_all_up(wh):
-                        result.add(
-                            config.name, step, "chaos-divergence",
-                            f"shard {fault[1]} never reincarnated "
-                            f"after {fault[0]}: "
-                            f"{wh.supervisor.status()}",
-                        )
-                        return
-                    continue
-                if config.checkpoint_every and op["kind"] != "crash":
-                    since_checkpoint += 1
-                    if since_checkpoint >= config.checkpoint_every:
-                        try:
-                            wh.checkpoint()
-                        except ReproError:
-                            pass  # a straggler fault; settle below
-                        since_checkpoint = 0
-            # settle, then hold the survivors to the consistency oracle
-            if not _wait_all_up(wh):
-                result.add(
-                    config.name, "final", "chaos-divergence",
-                    "shards still down after the stream: "
-                    f"{wh.supervisor.status()}",
-                )
-                return
-            try:
-                wh.flush()
-            except ReproError:
-                pass  # failures were already compensated per ticket
-            try:
-                wh.check_consistency()
-            except ReproError as exc:
-                result.add(
-                    config.name, "final", "chaos-divergence",
-                    "post-havoc state inconsistent: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-        finally:
-            for fp_name in _CHAOS_FAULTS:
-                FAILPOINTS.disarm(fp_name)
-            wh.close()
-
-
-def _drive_2pc(wh, op: Dict, failpoint: str) -> str:
-    """Run one generated transaction into a coordinator crash at
-    *failpoint*, then recover.  Returns the resolved outcome:
-    ``"commit"``, ``"abort"`` (a real constraint failure), or
-    ``"forced-abort"`` (the injected pre-decision crash)."""
-    txn = wh.transaction()
-    txn.__enter__()
-    try:
-        for st in op["statements"]:
-            apply = txn.insert if st["kind"] == "insert" else txn.delete
-            apply(st["table"], st["rows"])
-    except ReproError:
-        txn._rollback()
-        return "abort"
-    match = (
-        {"shard": wh.shards - 1}
-        if failpoint == "txn.coordinator.commit"
-        else {}
-    )
-    FAILPOINTS.arm(
-        failpoint, action="raise", times=1, txn=txn.txn_id, **match
-    )
-    try:
-        txn._commit()
-        return "commit"  # e.g. commit-failpoint with a 1-shard facade
-    except InjectedFault:
-        # the coordinator "dies" here; recover() must resolve the
-        # in-doubt transaction from the decision log (presumed abort
-        # before the record, commit after)
-        wh.recover()
-        return (
-            "forced-abort"
-            if failpoint == "txn.coordinator.prepared"
-            else "commit"
-        )
-    except ReproError:
-        txn._rollback()
-        return "abort"
-    finally:
-        FAILPOINTS.disarm(failpoint)
-
-
-def _run_chaos_2pc(
-    scenario: Scenario, config: OracleConfig, result: CaseResult
-) -> None:
-    """Every generated transaction is driven through a coordinator
-    crash, cycling the three windows (after prepare, after the durable
-    decision, mid-commit-broadcast).  The inline reference replay
-    applies exactly the transactions the decision log committed, so the
-    merged base state is checked op by op — all shards must land on the
-    same side of every transaction."""
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-2pc-") as tmp:
-        wh = _make_chaos_warehouse(scenario, config, tmp)
-        ref = Warehouse(scenario.build_database())
-        txn_count = 0
-        try:
-            for i, op in enumerate(ops := scenario.ops):
-                step = f"op[{i}]"
-                if op["kind"] == "crash":
-                    continue
-                if op["kind"] == "txn":
-                    failpoint = _COORDINATOR_FAILPOINTS[
-                        txn_count % len(_COORDINATOR_FAILPOINTS)
-                    ]
-                    txn_count += 1
-                    outcome = _drive_2pc(wh, op, failpoint)
-                    if outcome != "forced-abort":
-                        # mirror the surviving outcome; a natural abort
-                        # must abort in the reference replay too
-                        ref_outcome = apply_op(ref, op)
-                        if (outcome == "commit") != (ref_outcome == "ok"):
-                            result.add(
-                                config.name, step, "outcome",
-                                f"2PC resolved {outcome!r} but the "
-                                "reference replay said "
-                                f"{ref_outcome!r}",
-                            )
-                else:
-                    _check_outcome(
-                        result, config.name, step, op,
-                        apply_op(wh, op), apply_op(ref, op),
-                    )
-                state = _table_state(wh)
-                expected = _table_state(ref)
-                if state != expected:
-                    result.add(
-                        config.name, step, "chaos-divergence",
-                        f"merged base table(s) "
-                        f"{_diverged(state, expected)} differ "
-                        "from the decision-log reference replay",
-                    )
-                    return
-            pending = wh.txnlog.pending()
-            if pending:
-                result.add(
-                    config.name, "final", "durability",
-                    f"{len(pending)} coordinator decision(s) still "
-                    "pending after every transaction resolved: "
-                    f"{[r.txn_id for r in pending]}",
-                )
-            try:
-                wh.check_consistency()
-            except ReproError as exc:
-                result.add(
-                    config.name, "final", "chaos-divergence",
-                    "post-2PC state inconsistent: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-        finally:
-            for fp_name in _COORDINATOR_FAILPOINTS:
-                FAILPOINTS.disarm(fp_name)
-            ref.close()
-            wh.close()
-
-
-def _check_recovered(
-    restarted: Warehouse,
-    config: OracleConfig,
-    reference: _Reference,
-    result: CaseResult,
-    when: str,
-) -> None:
-    """What every staged crash must recover to: base tables equal to
-    the reference replay's final state, every view equal to its
-    recompute."""
-    state = _table_state(restarted)
-    if state != reference.final_state:
+) -> bool:
+    """The faulted op may fail — lost work is legitimate — but it must
+    resolve within the deadline plus scheduling slack, never block on
+    the dead worker's 30 s default; and the supervisor must bring every
+    shard back.  False when the tier stayed down (the stream stops)."""
+    if elapsed > STALL_SECONDS + 5.0:
         result.add(
-            config.name, "recovery", "db-divergence",
-            f"{when}, recovered base table(s) "
-            f"{_diverged(state, reference.final_state)} differ from "
-            "the reference replay",
+            config.name, step, "chaos-divergence",
+            f"op blocked {elapsed:.1f}s on {fault.name} instead of "
+            "failing within the deadline",
         )
-    result.mismatches.extend(
-        consistency_mismatches(restarted, config.name, "recovery")
+    if _wait_all_up(wh):
+        return True
+    result.add(
+        config.name, step, "chaos-divergence",
+        f"a shard never reincarnated after {fault.name}: "
+        f"{wh.supervisor.status()}",
     )
+    return False
 
 
-def _run_crash_check(
-    scenario: Scenario,
-    config: OracleConfig,
-    reference: _Reference,
-    result: CaseResult,
-) -> None:
-    """Crash after the WAL records a suffix of the stream but before any
-    of its acknowledgements: restart from the flush-boundary snapshot
-    and require recovery to converge to the reference state."""
-    ops = scenario.ops
-    if not ops:
-        return
-    crash_at = len(ops) // 2
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-crash-") as tmp:
-        wal_path = os.path.join(tmp, "crash.wal")
-        checkpoint_dir = (
-            os.path.join(tmp, "checkpoints")
-            if config.checkpoint_every
-            else None
-        )
-        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
-        wh = _open(scenario.build_database(), scenario, config, **kwargs)
-        for op in ops[:crash_at]:
-            apply_op(wh, op)
-        if checkpoint_dir:
-            # durable boundary: a base, its deltas, the WAL compacted
-            # behind the restore point before the newest
-            _grow_lineage(wh, config, result)
-        else:
-            wh.flush()  # durable boundary: everything so far is acked
-        snapshot = wh.db.copy()
-        with FAILPOINTS.armed("wal.ack", action="skip", times=None):
-            for op in ops[crash_at:]:
-                apply_op(wh, op)
-            wh.scheduler.drain()
-            wh.wal.sync()
-            _drop_process(wh)
-
-        restarted = _open(snapshot, scenario, config, **kwargs)
-        try:
-            recovered = restarted.recover()
-            for fan_out in recovered:
-                if fan_out.error is not None or fan_out.failures:
-                    result.add(
-                        config.name, "recovery", "view-divergence",
-                        "recovery fan-out failed: "
-                        f"{fan_out.error or fan_out.failures}",
-                        view=",".join(sorted(fan_out.failures)) or None,
-                    )
-            if restarted.wal.pending():
-                result.add(
-                    config.name, "recovery", "durability",
-                    "recovery left WAL entries pending",
-                )
-            _check_recovered(
-                restarted, config, reference, result, "after a lost-ack crash"
-            )
-        finally:
-            _drop_process(restarted)
-
-
-def _replayable_ops(scenario: Scenario) -> List[Dict]:
-    """The scenario's ops minus ``crash`` markers (the dedicated crash
-    and corruption checks stage their own crash, at a point they
-    control)."""
-    return [op for op in scenario.ops if op["kind"] != "crash"]
-
-
-def _run_crash_checkpoint_check(
-    scenario: Scenario,
-    config: OracleConfig,
-    reference: _Reference,
-    result: CaseResult,
-) -> None:
-    """Crash inside :meth:`CheckpointManager.write`, once in each of its
-    two windows, on top of a lineage of a base and its deltas:
-
-    * ``checkpoint.write`` — the payload is durable under its ``.tmp``
-      name but was never renamed: the half-written checkpoint must never
-      be restored, and recovery falls back to the chain before it plus a
-      longer suffix replay;
-    * ``checkpoint.prune`` — the new restore point is durable, the files
-      it makes redundant are still there: recovery restores the new one
-      and replays nothing it covers.
-    """
-    ops = _replayable_ops(scenario)
-    if not ops:
-        return
-    half = max(1, len(ops) // 2)
-    for site in ("checkpoint.write", "checkpoint.prune"):
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") as tmp:
-            wal_path = os.path.join(tmp, "wal")
-            checkpoint_dir = os.path.join(tmp, "checkpoints")
-            kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
-            wh = _open(scenario.build_database(), scenario, config, **kwargs)
-            for op in ops[:half]:
-                apply_op(wh, op)
-            _grow_lineage(wh, config, result)  # published, WAL compacted
-            for op in ops[half:]:
-                apply_op(wh, op)
-            crashed = False
-            with FAILPOINTS.armed(site, action="raise"):
-                try:
-                    wh.checkpoint()
-                except InjectedFault:
-                    crashed = True
-            if not crashed:
-                result.add(
-                    config.name, "recovery", "harness-error",
-                    f"{site} failpoint never fired",
-                )
-            _drop_process(wh)
-
-            restarted = _open(
-                scenario.build_database(), scenario, config, **kwargs
-            )
-            try:
-                restarted.recover()
-                info = restarted.last_recovery or {}
-                if crashed and info.get("checkpoint_lsn") is None:
-                    result.add(
-                        config.name, "recovery", "durability",
-                        "no checkpoint restored although one was "
-                        f"published before the crash at {site}",
-                    )
-                if site == "checkpoint.prune" and info.get("replayed"):
-                    result.add(
-                        config.name, "recovery", "durability",
-                        f"{info['replayed']} entr(ies) replayed although the "
-                        "crashed checkpoint was already durable",
-                    )
-                _check_recovered(
-                    restarted, config, reference, result,
-                    f"after a crash at {site}",
-                )
-            finally:
-                _drop_process(restarted)
-
-
-def _run_crash_compaction_check(
-    scenario: Scenario,
-    config: OracleConfig,
-    reference: _Reference,
-    result: CaseResult,
-) -> None:
-    """Crash between the durable compaction marker and segment deletion
-    (``wal.compact.unlink``): the next open must self-heal the stale
-    segments and recovery must converge as if compaction had finished.
-    The survivor then grows a lineage (deltas, a compaction — each with
-    its own WAL compaction behind it) and must recover from that too."""
-    ops = _replayable_ops(scenario)
-    if not ops:
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-compact-") as tmp:
-        wal_path = os.path.join(tmp, "wal")
-        checkpoint_dir = os.path.join(tmp, "checkpoints")
-        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
-        kwargs.setdefault("segment_bytes", 128)
-        wh = _open(scenario.build_database(), scenario, config, **kwargs)
-        for op in ops:
-            apply_op(wh, op)
-        with FAILPOINTS.armed("wal.compact.unlink", action="raise"):
-            try:
-                wh.checkpoint()
-            except InjectedFault:
-                pass  # marker durable, some covered segments left behind
-        _drop_process(wh)
-
-        for when, grow in (
-            ("after a crash mid-compaction", True),
-            ("from a lineage grown after a crash mid-compaction", False),
-        ):
-            restarted = _open(
-                scenario.build_database(), scenario, config, **kwargs
-            )
-            try:
-                restarted.recover()
-                _check_recovered(restarted, config, reference, result, when)
-                if grow:
-                    _grow_lineage(restarted, config, result)
-            finally:
-                _drop_process(restarted)
-
-
-def _corrupt_wal(
-    wal_dir: str, mode: str, rng: random.Random
-) -> Optional[str]:
-    """Byte-mangle a closed WAL directory; returns a description of the
-    damage, or ``None`` when the log is too small to corrupt."""
-    segments = sorted(
-        name
-        for name in os.listdir(wal_dir)
-        if name.startswith("seg-") and name.endswith(".wal")
-    )
-    if not segments:
-        return None
-    if mode == "torn":
-        # an unterminated half-record after the final segment's last
-        # record — the classic torn write
-        path = os.path.join(wal_dir, segments[-1])
-        with open(path, "ab") as handle:
-            handle.write(b'deadbeef {"kind":"change","trunc')
-        return f"torn tail appended to {segments[-1]}"
-    if mode != "bitflip":
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    path = os.path.join(wal_dir, segments[0])
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    line_end = raw.find(b"\n")
-    if line_end <= 10:
-        return None
-    # flip one payload byte of the first record, past its CRC prefix
-    position = 9 + rng.randrange(line_end - 9)
-    _flip_byte(path, position)
-    return f"flipped byte {position} of {segments[0]}"
+# ---------------------------------------------------------------------------
+# file manglers: (what was done, did the restart notice) or None
+# ---------------------------------------------------------------------------
+Damage = Optional[Tuple[str, Callable[[Warehouse], bool]]]
 
 
 def _flip_byte(path: str, position: int) -> None:
@@ -1389,187 +813,205 @@ def _flip_byte(path: str, position: int) -> None:
         handle.write(bytes([byte[0] ^ 0x20]))
 
 
-def _export_artifacts(config_name: str, wal_dir: str) -> None:
-    """Copy the damaged log (including its ``corrupt/`` sidecar) out of
-    the about-to-be-deleted tempdir so CI can upload it with the failure
-    report.  Enabled by the ``REPRO_FUZZ_ARTIFACT_DIR`` env var."""
-    target_root = os.environ.get("REPRO_FUZZ_ARTIFACT_DIR")
-    if not target_root or not os.path.isdir(wal_dir):
-        return
-    target = os.path.join(target_root, config_name)
-    for root, _dirs, files in os.walk(wal_dir):
-        rel = os.path.relpath(root, wal_dir)
-        dest_dir = os.path.normpath(os.path.join(target, rel))
-        os.makedirs(dest_dir, exist_ok=True)
-        for name in files:
-            shutil.copy2(
-                os.path.join(root, name), os.path.join(dest_dir, name)
-            )
+def _mangle_wal(tmp: str, mode: str, rng: random.Random) -> Damage:
+    """Byte-mangle a closed WAL directory (``None``: too small to)."""
 
+    def noticed(restarted: Warehouse) -> bool:
+        wal = restarted.wal
+        return wal.corruption_detected or wal.torn_tail_dropped
 
-def _run_corruption_check(
-    scenario: Scenario,
-    config: OracleConfig,
-    reference: _Reference,
-    result: CaseResult,
-) -> None:
-    """Mangle the closed log, then require :meth:`Warehouse.recover` to
-    (a) never raise, (b) actually notice the damage, and (c) leave every
-    view recompute-equal over whatever base-table history survived —
-    base tables may legitimately differ from the reference once records
-    are quarantined, but views must never silently diverge from *their*
-    database."""
-    ops = _replayable_ops(scenario)
-    if not ops:
-        return
-    # deterministic damage: seeded by the scenario content itself so a
-    # corpus replay injects byte-identical corruption
-    rng = random.Random(
-        zlib.crc32(scenario.to_json().encode("utf-8"))
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-corrupt-") as tmp:
-        wal_path = os.path.join(tmp, "wal")
-        kwargs = _warehouse_kwargs(config, wal_path)
-        wh = _open(scenario.build_database(), scenario, config, **kwargs)
-        # drop every ack so the whole stream is replayable, then crash
-        with FAILPOINTS.armed("wal.ack", action="skip", times=None):
-            for op in ops:
-                apply_op(wh, op)
-            wh.scheduler.drain()
-            wh.wal.sync()
-            _drop_process(wh)
-        damage = _corrupt_wal(wal_path, config.corruption, rng)
-        if damage is None:
-            return
-        before = len(result.mismatches)
-        restarted = _open(
-            scenario.build_database(), scenario, config, **kwargs
-        )
-        try:
-            try:
-                restarted.recover()
-            except Exception as exc:
-                result.add(
-                    config.name, "recovery", "corruption",
-                    f"recover() raised on a corrupted log ({damage}):"
-                    f" {type(exc).__name__}: {exc}",
-                )
-                return
-            wal = restarted.wal
-            if not (wal.corruption_detected or wal.torn_tail_dropped):
-                result.add(
-                    config.name, "recovery", "harness-error",
-                    f"injected damage went undetected ({damage})",
-                )
-            result.mismatches.extend(
-                consistency_mismatches(restarted, config.name, "recovery")
-            )
-        finally:
-            _drop_process(restarted)
-            if len(result.mismatches) > before:
-                _export_artifacts(config.name, wal_path)
-
-
-def _corrupt_checkpoint(
-    checkpoint_dir: str, mode: str, rng: random.Random
-) -> Optional[Tuple[str, bool]]:
-    """Damage one checkpoint file — base or delta, newest or not — of a
-    closed directory; returns a description of the damage and whether
-    restore has to come across it (it sits in the newest lineage)."""
-    names = sorted(
-        name
-        for name in os.listdir(checkpoint_dir)
-        if name.startswith("ckpt-") and name.endswith(".json")
-    )
-    if not names:
+    segments = sorted(glob.glob(os.path.join(tmp, "wal", "seg-*.wal")))
+    if not segments:
         return None
-    name = rng.choice(names)
-    newest_base = max(n for n in names if not n.endswith(".delta.json"))
-    in_the_way = name >= newest_base
-    path = os.path.join(checkpoint_dir, name)
+    if mode == "torn":
+        # an unterminated half-record after the final segment's last
+        # record — the classic torn write
+        with open(segments[-1], "ab") as handle:
+            handle.write(b'deadbeef {"kind":"change","trunc')
+        return "torn tail appended to the last segment", noticed
+    with open(segments[0], "rb") as handle:
+        line_end = handle.read().find(b"\n")
+    if line_end <= 10:
+        return None
+    # flip one payload byte of the first record, past its CRC prefix
+    position = 9 + rng.randrange(line_end - 9)
+    _flip_byte(segments[0], position)
+    return f"flipped byte {position} of the first segment", noticed
+
+
+def _mangle_checkpoint(tmp: str, mode: str, rng: random.Random) -> Damage:
+    """Damage one checkpoint file — base or delta, newest or not — of a
+    closed directory.  Only a file restore has to come across (one in
+    the newest lineage) must end up in the ``corrupt/`` sidecar."""
+    directory = os.path.join(tmp, "checkpoints")
+    paths = sorted(glob.glob(os.path.join(directory, "ckpt-*.json")))
+    if not paths:
+        return None
+    path = rng.choice(paths)
+    name = os.path.basename(path)
+    newest_base = max(p for p in paths if not p.endswith(".delta.json"))
+
+    def noticed(_restarted: Warehouse) -> bool:
+        sidecar = os.listdir(os.path.join(directory, "corrupt"))
+        return path < newest_base or bool(sidecar)
+
     size = os.path.getsize(path)
     if mode == "torn":
         with open(path, "ab") as handle:
             handle.truncate(size // 2)
-        return f"{name} cut to {size // 2} of {size} bytes", in_the_way
+        return f"{name} cut to {size // 2} of {size} bytes", noticed
     position = 9 + rng.randrange(size - 9)  # past the CRC prefix
     _flip_byte(path, position)
-    return f"flipped byte {position} of {name}", in_the_way
+    return f"flipped byte {position} of {name}", noticed
 
 
-def _run_checkpoint_corruption_check(
+# ---------------------------------------------------------------------------
+# the one staged-fault driver
+# ---------------------------------------------------------------------------
+def _stage(
     scenario: Scenario,
     config: OracleConfig,
+    fault: Fault,
     reference: _Reference,
     result: CaseResult,
+    tmp: str,
 ) -> None:
-    """Damage one file of a checkpoint lineage, then recover.  The WAL is
-    intact, so no history is lost: recovery must notice, fall back to the
-    restore point before the damage and reach the reference state — or,
-    when the WAL was already compacted past the restore point that is
-    left, refuse with :class:`~repro.errors.CheckpointError`."""
-    ops = _replayable_ops(scenario)
-    if not ops or not config.checkpoint_every:
+    """Stage one :class:`Fault` row on a warehouse of its own: open →
+    replay the prefix → durable boundary → replay the suffix → inject →
+    drop the process → reopen → ``recover()`` → judge.
+
+    An arm around ``"op"`` ends the stream at its victim — the last
+    suffix op the row's ``on`` selects and the reference says succeeds —
+    so the state owed is the reference's *at that step*; every other row
+    runs the whole stream and owes the final state."""
+    ops = scenario.ops
+    if not ops:
         return
-    rng = random.Random(
-        zlib.crc32(scenario.to_json().encode("utf-8")) ^ 0xC4EC
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-rot-") as tmp:
-        wal_path = os.path.join(tmp, "wal")
-        checkpoint_dir = os.path.join(tmp, "checkpoints")
-        kwargs = _warehouse_kwargs(config, wal_path, checkpoint_dir)
-        wh = _open(scenario.build_database(), scenario, config, **kwargs)
-        half = max(1, len(ops) // 2)
-        for op in ops[:half]:
-            apply_op(wh, op)
-        _grow_lineage(wh, config, result)
-        for op in ops[half:]:
-            apply_op(wh, op)
-            _checkpoint(wh, config, result)
-        wh.flush()
-        _drop_process(wh)
-        damaged = _corrupt_checkpoint(checkpoint_dir, config.corruption, rng)
-        if damaged is None:
+    inject = fault.inject
+    cut = int(len(ops) * fault.cut)
+    if fault.boundary:
+        # a boundary with no history before it proves nothing: a lineage
+        # grown at LSN 0 compacts no WAL, and a directory whose every
+        # restore point is then damaged looks like one that never had any
+        cut = max(1, cut)
+    end = len(ops)  # where the stream stops: the victim's index, if any
+    if isinstance(inject, Arm) and inject.around == "op":
+        victims = [
+            i
+            for i in range(cut, len(ops))
+            if _VICTIMS[fault.on](ops[i]) and reference.outcomes[i] == "ok"
+        ]
+        if not victims:
             return
-        damage, in_the_way = damaged
-        before = len(result.mismatches)
-        restarted = _open(
-            scenario.build_database(), scenario, config, **kwargs
-        )
+        end = victims[-1]
+    wh = _open(scenario.build_database(), scenario, config, tmp)
+    for op in ops[:cut]:
+        apply_op(wh, op)
+    if fault.boundary == "lineage":
+        # a base, its deltas, the WAL compacted behind the restore point
+        # before the newest
+        _grow_lineage(wh, config, result)
+    elif fault.boundary == "flush":
+        wh.flush()  # everything so far is acked
+    snapshot = wh.db.copy() if fault.restart == "boundary" else None
+    hits_before = _hits(fault)
+    # times=0 arms nothing: acks are dropped only when the row says so
+    lose_acks = None if fault.suffix == "unacked" else 0
+    with FAILPOINTS.armed("wal.ack", action="skip", times=lose_acks):
+        for op in ops[cut:end]:
+            apply_op(wh, op)
+            if fault.suffix == "checkpointed":
+                _checkpoint(wh, config, result)
+        if isinstance(inject, Arm):
+            with _armed(inject):
+                if end < len(ops):
+                    apply_op(wh, ops[end])
+                else:
+                    try:
+                        wh.checkpoint()
+                    except InjectedFault:
+                        pass  # the process dies mid-checkpoint
+        wh.scheduler.drain()
+        wh.wal.sync()
+        _drop_process(wh)
+    fired = _hits(fault) > hits_before
+    damage: Damage = None
+    if isinstance(inject, Mangle):
+        mangle = _mangle_wal if inject.target == "wal" else _mangle_checkpoint
+        damage = mangle(tmp, inject.mode, _scenario_rng(scenario, 0xC4EC))
+        if damage is None:
+            return  # nothing on disk big enough to damage
+        fired = True
+    if fired:
+        result.count(config.name, fault.name)
+    owed = reference.states[min(end, len(ops) - 1)]
+    for again in (False, True) if fault.regrow else (False,):
+        over = scenario.build_database() if snapshot is None else snapshot
+        restarted = _open(over, scenario, config, tmp)
         try:
-            try:
-                restarted.recover()
-            except CheckpointError as exc:
-                left = restarted.checkpoints.latest()
-                reach = left.lsn if left is not None else 0
-                if reach >= restarted.wal.compacted_through:
-                    result.add(
-                        config.name, "recovery", "corruption",
-                        f"recover() refused ({exc}) although the restore "
-                        f"point at LSN {reach} has its WAL suffix ({damage})",
-                    )
-                return
-            except Exception as exc:
-                result.add(
-                    config.name, "recovery", "corruption",
-                    f"recover() raised on a damaged checkpoint ({damage}):"
-                    f" {type(exc).__name__}: {exc}",
-                )
-                return
-            sidecar = os.path.join(checkpoint_dir, "corrupt")
-            if in_the_way and not os.listdir(sidecar):
-                result.add(
-                    config.name, "recovery", "harness-error",
-                    f"injected damage went undetected ({damage})",
-                )
-            _check_recovered(
-                restarted, config, reference, result,
-                f"after checkpoint damage ({damage})",
+            _check_recovery(
+                restarted, config, fault, owed, damage, fired and not again,
+                result,
             )
+            if fault.regrow and not again:
+                _grow_lineage(restarted, config, result)
         finally:
             _drop_process(restarted)
-            if len(result.mismatches) > before:
-                _export_artifacts(config.name, checkpoint_dir)
+
+
+def _check_recovery(
+    restarted: Warehouse,
+    config: OracleConfig,
+    fault: Fault,
+    expected_state: Dict[str, frozenset],
+    damage: Damage,
+    fired: bool,
+    result: CaseResult,
+) -> None:
+    """Hold one staged restart to its row's outcome class."""
+    step = f"recovery after {fault.name}" + (f" ({damage[0]})" if damage else "")
+    broken = "corruption" if damage else "durability"
+
+    def complain(kind: str, detail: str):
+        result.add(config.name, step, kind, detail)
+
+    try:
+        restarted.recover()
+    except CheckpointError as exc:
+        left = restarted.checkpoints.latest()
+        reach = left.lsn if left is not None else 0
+        if fault.expect != "reference-or-refusal":
+            complain(broken, f"recover() refused: {exc}")
+        elif reach >= restarted.wal.compacted_through:
+            complain(
+                broken,
+                f"recover() refused ({exc}) although the restore point "
+                f"at LSN {reach} has its WAL suffix",
+            )
+        return
+    except Exception as exc:
+        complain(broken, f"recover() raised {type(exc).__name__}: {exc}")
+        return
+    if damage and not damage[1](restarted):
+        complain("harness-error", "injected damage went undetected")
+    if fault.expect == "survivors":
+        result.mismatches.extend(
+            consistency_mismatches(restarted, config.name, step)
+        )
+        return
+    # tables, and views unquarantined and recompute-equal: a fan-out
+    # that failed on the way, or a restore point that was skipped, shows
+    _check_step(restarted, config, step, expected_state, result)
+    pending = _pending_wal(restarted, config)
+    if pending:
+        complain("durability", f"recovery left the WAL pending ({pending})")
+    replayed = (restarted.last_recovery or {}).get("replayed")
+    if fired and not fault.replays and replayed:
+        complain(
+            "durability",
+            f"{replayed} entr(ies) replayed although the crashed "
+            "checkpoint was already durable",
+        )
 
 
 def _cross_config_check(

@@ -19,7 +19,8 @@ from ..obs import Telemetry
 from ..runtime import FAILPOINTS
 from .corpus import save_case
 from .generator import GeneratorProfile, Scenario, generate_scenario
-from .oracle import CaseResult, OracleConfig, run_case
+from .matrix import OracleConfig
+from .oracle import CaseResult, run_case
 from .shrinker import shrink
 
 __all__ = ["FuzzOutcome", "run_fuzz", "make_still_fails"]

@@ -16,67 +16,9 @@ harness has *armed* the site with one of three actions:
   (the callback may raise to fail the site, mutate shared state, or
   record what it saw).
 
-Instrumented sites (name → where it fires):
-
-================== ====================================================
-``wal.append``      :meth:`WriteAheadLog.append`, before the record is
-                    written — a crash after the base-table change but
-                    before it became durable.
-``wal.ack``         :meth:`WriteAheadLog.ack`, before the ack record is
-                    written — the crash window between a completed
-                    fan-out and its durable acknowledgement.  ``skip``
-                    leaves the entry pending for recovery.
-``scheduler.fanout``:meth:`MaintenanceScheduler._execute`, after the
-                    change was applied and logged but before any view
-                    is maintained.
-``scheduler.task``  per-view, per-attempt, inside the retry loop —
-                    context carries ``view`` and ``attempt`` so a fault
-                    can target one view or one attempt (exercising the
-                    retry and quarantine paths).
-``maintain.pass``   :meth:`ViewMaintainer.maintain`, inside the root
-                    ``maintain`` trace span (context carries ``view``,
-                    ``table``, ``operation``) — a raise here produces a
-                    real failing span chain, the shape flight-recorder
-                    quarantine dumps capture.
-``wal.fsync``       :meth:`WriteAheadLog._fsync`, before ``os.fsync`` —
-                    simulates a device that fails to make the log
-                    durable (context carries ``segment``).
-``wal.compact``     :meth:`WriteAheadLog.compact`, before the compact
-                    marker is written — a crash at compaction start
-                    leaves all segments intact.
-``wal.compact.unlink`` before each covered segment is deleted (context
-                    carries ``segment``) — a crash mid-compaction
-                    leaves a durable marker plus stale segments, which
-                    the next open self-heals.
-``checkpoint.write`` :meth:`CheckpointManager.write`, after the ``.tmp``
-                    file is fsynced but before ``os.replace`` publishes
-                    it — the atomic-rename crash window (context
-                    carries ``seq`` and ``lsn``).
-``checkpoint.prune`` same method, after the new file is published and
-                    the directory fsynced but before the files it makes
-                    redundant are removed — the new restore point is
-                    durable, the old lineage still there (same context).
-``shard.worker.kill`` thread-backend shard serve loop, before a command
-                    runs — ``raise`` makes the worker die abruptly
-                    (no reply, command never applied), the in-process
-                    stand-in for SIGKILL (context: ``shard``, ``cmd``).
-``shard.worker.stall`` same loop, ``action="call"`` with a sleeping
-                    callback — the worker hangs past the facade's
-                    per-call deadline, exercising probe-and-reincarnate.
-``shard.pipe.drop`` same loop, after the command ran — the reply is
-                    lost and the connection dies, the torn-reply
-                    window that breaks FIFO pairing for good.
-``txn.coordinator.prepared`` :meth:`ShardedTransaction._commit`, after
-                    every prepare acknowledgement but before the
-                    decision record is written — a coordinator crash
-                    here must abort everywhere (context: ``txn``).
-``txn.coordinator.decided`` same method, after the decision record is
-                    durable but before any commit message — a crash
-                    here must commit everywhere on ``recover()``.
-``txn.coordinator.commit`` before each per-shard commit send (context:
-                    ``txn``, ``shard``) — a crash mid-broadcast leaves
-                    some shards committed, others in doubt.
-================== ====================================================
+The instrumented sites are declared in :data:`SITES` (name → where it
+fires and what a crash there leaves behind); arming any other name is a
+:class:`ValueError`, so a typo cannot arm nothing and pass vacuously.
 
 Arming is match-filtered: ``arm("scheduler.task", view="v0", times=1)``
 fires only for the hit whose context has ``view == "v0"``, exactly once.
@@ -98,7 +40,44 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import ReproError
 
-__all__ = ["InjectedFault", "Failpoints", "FAILPOINTS"]
+__all__ = ["InjectedFault", "Failpoints", "FAILPOINTS", "SITES"]
+
+#: Every instrumented site: name -> where it fires (context keys in
+#: parentheses) and what the window means.
+SITES: Dict[str, str] = {
+    "wal.append": "WriteAheadLog.append, before the record is written "
+    "(table, operation): the base table changed, the log never heard",
+    "wal.ack": "WriteAheadLog.ack, before the ack record (lsn): fan-out "
+    "done, acknowledgement not durable; skip leaves the entry pending",
+    "wal.fsync": "WriteAheadLog._fsync, before os.fsync (segment): the "
+    "device fails to make the log durable",
+    "wal.compact": "WriteAheadLog.compact, before the marker (through): "
+    "a crash at compaction start leaves every segment intact",
+    "wal.compact.unlink": "before each covered segment is deleted (seq): "
+    "durable marker plus stale segments, self-healed by the next open",
+    "scheduler.fanout": "MaintenanceScheduler._execute (table, "
+    "operation): change applied and logged, no view maintained yet",
+    "scheduler.task": "per view, per attempt, inside the retry loop "
+    "(view, attempt): a raise is retried, then quarantines the view",
+    "maintain.pass": "ViewMaintainer.maintain, inside the root span "
+    "(view, table, operation): a real failing span chain mid-pass",
+    "checkpoint.write": "CheckpointManager.write, tmp file fsynced but "
+    "not yet renamed (seq, lsn): the atomic-rename window",
+    "checkpoint.prune": "same method, new file published, redundant "
+    "ones not yet removed (seq, lsn): new restore point durable",
+    "shard.worker.kill": "thread-backend serve loop, before a command "
+    "runs (shard, cmd): raise = abrupt death, the stand-in for SIGKILL",
+    "shard.worker.stall": "same loop, action='call' with a sleeping "
+    "callback: the worker hangs past the facade's call deadline",
+    "shard.pipe.drop": "same loop, after the command ran: the reply is "
+    "lost and the connection dies (skip)",
+    "txn.coordinator.prepared": "ShardedTransaction._commit, all "
+    "prepared, no decision record (txn): must abort everywhere",
+    "txn.coordinator.decided": "same method, decision durable, no commit "
+    "sent (txn): recover() must commit everywhere",
+    "txn.coordinator.commit": "before each per-shard commit send (txn, "
+    "shard): committed prefix, in-doubt suffix",
+}
 
 RAISE = "raise"
 SKIP = "skip"
@@ -147,6 +126,8 @@ class Failpoints:
         context matches every ``match`` keyword (``times=None`` means
         forever).  Multiple arms on one site stack; the first matching,
         unexhausted arm wins."""
+        if name not in SITES:
+            raise ValueError(f"unknown failpoint {name!r}; see SITES")
         if action not in _ACTIONS:
             raise ValueError(f"unknown failpoint action {action!r}")
         if action == CALL and callback is None:

@@ -358,7 +358,12 @@ class WriteAheadLog:
         rows,
         fk_allowed: bool = True,
     ) -> int:
-        """Durably record one base-table delta; returns its LSN."""
+        """Durably record one base-table delta; returns its LSN.
+
+        All or nothing: when the write or its fsync fails, the entry is
+        withdrawn — forgotten in memory and cut back out of the active
+        segment — before the error surfaces, so a caller that is told
+        the append failed never sees that change replayed."""
         # Crash window: the base table is updated but the change never
         # reaches the log (see runtime/failpoints.py).
         FAILPOINTS.hit("wal.append", table=table, operation=operation)
@@ -372,7 +377,16 @@ class WriteAheadLog:
             )
             self._next_lsn += 1
             self._entries[entry.lsn] = entry
-            self._write(entry.to_json())
+            seq, size = self._active_seq, self._active_size
+            try:
+                self._write(entry.to_json())
+            except BaseException:
+                del self._entries[entry.lsn]
+                self._next_lsn = entry.lsn
+                # a segment rotated into by this write held nothing yet
+                self._active_size = size if self._active_seq == seq else 0
+                self._handle.truncate(self._active_size)
+                raise
             self._segment_max_lsn[self._active_seq] = max(
                 self._segment_max_lsn.get(self._active_seq, 0), entry.lsn
             )

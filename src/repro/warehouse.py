@@ -613,7 +613,17 @@ class Warehouse:
                 delta = self.db.insert(table, rows, check=check)
             lsn = replay_lsn
             if lsn is None and self.wal is not None:
-                lsn = self.wal.append(table, logged, delta.rows, fk_allowed)
+                try:
+                    lsn = self.wal.append(
+                        table, logged, delta.rows, fk_allowed
+                    )
+                except BaseException:
+                    # the log withdrew the entry and no view has seen the
+                    # delta: take it back out, so a failed append leaves
+                    # what a failed constraint check leaves — nothing
+                    undo = self.db.insert if logged == DELETE else self.db.delete
+                    undo(table, delta.rows, check=False)
+                    raise
             if degraded:
                 return [], lsn
             return self._tasks(table, delta, logged, fk_allowed), lsn

@@ -2,41 +2,39 @@
 the fault plan actually firing, sensitivity to a seeded recovery bug,
 and the CLI matrix hook excluding chaos from ``--shards`` sweeps."""
 
-import random
-
-import pytest
-
-from repro.fuzz import generate_scenario, run_case
+from repro.fuzz import run_case
 from repro.fuzz.__main__ import main as fuzz_main
-from repro.fuzz.oracle import (
-    _CHAOS_FAULTS,
-    configs_by_name,
-    default_matrix,
-)
+from repro.fuzz.matrix import configs_by_name, default_matrix
 from repro.runtime import FAILPOINTS
 
-
-@pytest.fixture(autouse=True)
-def _clean_failpoints():
-    FAILPOINTS.reset()
-    yield
-    FAILPOINTS.reset()
-
-
-def _scenario(seed):
-    return generate_scenario(random.Random(seed), seed=str(seed))
+from .conftest import _scenario
 
 
 CHAOS = configs_by_name(["chaos-shard", "chaos-2pc"])
+_CHAOS_FAULTS = [site for fault in CHAOS[0].faults for site in fault.sites]
 
 
 def test_matrix_includes_chaos_configs():
     by_name = {c.name: c for c in default_matrix()}
-    assert by_name["chaos-shard"].chaos == "shard"
-    assert by_name["chaos-shard"].shards == 2
-    assert by_name["chaos-shard"].wal
-    assert by_name["chaos-2pc"].chaos == "2pc"
-    assert by_name["chaos-2pc"].wal
+    shard, twopc = by_name["chaos-shard"], by_name["chaos-2pc"]
+    assert sorted(_CHAOS_FAULTS) == [
+        "shard.pipe.drop", "shard.worker.kill", "shard.worker.stall"
+    ]
+    assert shard.shards == 2
+    assert shard.wal
+    # worker havoc: in-stream, lost work tolerated, consistency owed
+    assert {(f.when, f.expect) for f in shard.faults} == {("stream", "survivors")}
+    assert [f.sites for f in twopc.faults] == [
+        ("txn.coordinator.prepared",),
+        ("txn.coordinator.decided",),
+        ("txn.coordinator.commit",),
+    ]
+    assert twopc.shards == 2
+    assert twopc.wal
+    # coordinator crashes: resolved by recover() inside the live facade;
+    # only the window before the decision record may abort
+    assert {f.restart for f in twopc.faults} == {"live"}
+    assert [f.expect for f in twopc.faults] == ["refused", "reference", "reference"]
 
 
 def test_clean_seeds_survive_chaos():
@@ -88,10 +86,8 @@ def test_cli_shards_flag_excludes_chaos_configs():
         )
         == 2
     )
-    from dataclasses import replace  # noqa: F401  (mirror of __main__)
-
     pool = default_matrix()
-    survivors = [c.name for c in pool if c.shards and not c.chaos]
+    survivors = [c.name for c in pool if c.shards and not c.faults]
     assert "chaos-shard" not in survivors
     assert "chaos-2pc" not in survivors
     assert survivors, "no clean sharded configs left for --shards"

@@ -12,7 +12,9 @@ import os
 
 import pytest
 
-from repro.fuzz import default_corpus_dir, load_case, run_case
+from repro.fuzz import default_corpus_dir, load_case
+
+from .conftest import corpus_case
 
 CORPUS_DIR = default_corpus_dir()
 CASE_FILES = sorted(
@@ -31,8 +33,8 @@ def test_corpus_is_not_empty():
 @pytest.mark.parametrize("case_file", CASE_FILES)
 def test_corpus_case_replays_clean(case_file):
     path = os.path.join(CORPUS_DIR, case_file)
-    scenario, meta = load_case(path)
-    result = run_case(scenario)
+    _scenario, meta = load_case(path)
+    result = corpus_case(path)
     assert result.ok, (
         f"{case_file} (found: {meta.get('found')}) regressed:\n"
         f"{result.summary()}"

@@ -24,20 +24,11 @@ from repro.fuzz import (
     shrink,
 )
 from repro.fuzz.__main__ import main as fuzz_main
-from repro.fuzz.oracle import configs_by_name
+from repro.fuzz.matrix import configs_by_name
+from repro.fuzz.oracle import _row_diff
 from repro.obs import Telemetry
-from repro.runtime import FAILPOINTS
 
-
-@pytest.fixture(autouse=True)
-def _clean_failpoints():
-    FAILPOINTS.reset()
-    yield
-    FAILPOINTS.reset()
-
-
-def _scenario(seed) -> Scenario:
-    return generate_scenario(random.Random(seed), seed=str(seed))
+from .conftest import _scenario, clean_case
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +73,17 @@ def test_profile_bounds_are_respected():
 # ---------------------------------------------------------------------------
 def test_clean_seeds_agree_with_recompute():
     for seed in range(8):
-        result = run_case(_scenario(seed))
+        result = clean_case(seed)
         assert result.ok, f"seed {seed}:\n{result.summary()}"
+
+
+def test_row_diff_orders_null_extended_rows():
+    """Two differing rows that agree on a prefix and then hold NULL vs a
+    value — what SPOJ views are made of — must print, not raise."""
+    diff = _row_diff(frozenset({(1, None), (1, 3)}), frozenset({(2, None)}))
+    assert "2 missing (e.g. [(1, None), (1, 3)])" in diff
+    assert "1 extra (e.g. [(2, None)])" in diff
+    assert _row_diff(frozenset({(1, None)}), frozenset({(1, None)})) is None
 
 
 # ---------------------------------------------------------------------------

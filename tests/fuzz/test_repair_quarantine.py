@@ -25,13 +25,6 @@ from repro.warehouse import Warehouse
 NO_RETRY = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
 
 
-@pytest.fixture(autouse=True)
-def _clean_failpoints():
-    FAILPOINTS.reset()
-    yield
-    FAILPOINTS.reset()
-
-
 def _make_warehouse(workers: int = 0) -> Warehouse:
     rng = random.Random(9)
     db = Database()

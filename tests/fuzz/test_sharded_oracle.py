@@ -1,26 +1,12 @@
 """Sharded oracle configs: clean agreement, sensitivity to a seeded
 merge-barrier bug, and the ``--shards`` CLI matrix hook."""
 
-import random
-
-import pytest
-
 import repro.sharded as sharded_mod
-from repro.fuzz import generate_scenario, run_case
-from repro.fuzz.oracle import configs_by_name, default_matrix
+from repro.fuzz import run_case
+from repro.fuzz.matrix import configs_by_name, default_matrix
 from repro.fuzz.__main__ import main as fuzz_main
-from repro.runtime import FAILPOINTS
 
-
-@pytest.fixture(autouse=True)
-def _clean_failpoints():
-    FAILPOINTS.reset()
-    yield
-    FAILPOINTS.reset()
-
-
-def _scenario(seed):
-    return generate_scenario(random.Random(seed), seed=str(seed))
+from .conftest import _scenario
 
 
 SHARDED = configs_by_name(["sharded", "sharded-wal"])
@@ -29,9 +15,12 @@ SHARDED = configs_by_name(["sharded", "sharded-wal"])
 def test_matrix_includes_sharded_configs():
     by_name = {c.name: c for c in default_matrix()}
     assert by_name["sharded"].shards == 2
+    assert by_name["sharded"].durability == "none"
     assert by_name["sharded-wal"].shards == 2
     assert by_name["sharded-wal"].wal
-    assert by_name["sharded-wal"].checkpoint_every
+    assert by_name["sharded-wal"].checkpoints  # a checkpoint per op
+    # the clean equivalence configs: nothing is injected
+    assert not by_name["sharded"].faults and not by_name["sharded-wal"].faults
 
 
 def test_clean_seeds_agree_under_sharding():
@@ -75,9 +64,12 @@ def test_cli_shards_flag_filters_and_overrides(capsys):
         )
         == 0
     )
-    # --shards with a selection holding no sharded config is an error
-    assert (
-        fuzz_main(["--configs", "interpreted", "--shards", "2"]) == 2
-    )
-    assert fuzz_main(["--shards", "0"]) == 2
     capsys.readouterr()
+    # --shards with a selection holding no sharded config is an error ...
+    assert fuzz_main(["--configs", "interpreted-view", "--shards", "2"]) == 2
+    assert "at least one sharded config" in capsys.readouterr().err
+    # ... and a different one from naming a config that does not exist
+    assert fuzz_main(["--configs", "interpreted", "--shards", "2"]) == 2
+    assert "unknown oracle config(s) ['interpreted']" in capsys.readouterr().err
+    assert fuzz_main(["--shards", "0"]) == 2
+    assert "--shards must be >= 1" in capsys.readouterr().err

@@ -90,7 +90,7 @@ class TestMaintainerCache:
 
     def test_disabled_cache_never_compiles(self):
         db, m = fresh_maintainer(
-            options=MaintenanceOptions(use_plan_cache=False, auto_index=False)
+            options=MaintenanceOptions(use_plan_cache=False)
         )
         m.insert("r", [(100, 1)])
         m.insert("r", [(101, 2)])
@@ -139,11 +139,3 @@ class TestProvisioning:
         )
         m.check_consistency()
 
-    def test_auto_index_off_leaves_catalog_alone(self):
-        db, m = fresh_maintainer(
-            options=MaintenanceOptions(auto_index=False)
-        )
-        epoch_before = db.index_epoch
-        m.insert("r", [(100, 1)])
-        assert db.index_epoch == epoch_before
-        m.check_consistency()

@@ -85,7 +85,7 @@ def test_compiled_maintenance_equals_interpreted_end_state(seed):
     interpreted = ViewMaintainer(
         db_interp,
         MaterializedView.materialize(defn, db_interp),
-        options=MaintenanceOptions(use_plan_cache=False, auto_index=False),
+        options=MaintenanceOptions(use_plan_cache=False),
     )
     for step in range(4):
         table = rng.choice(sorted(defn.tables))

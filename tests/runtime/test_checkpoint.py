@@ -267,7 +267,9 @@ class TestCrashWindows:
 
     def test_fsync_failure_surfaces_and_wal_stays_usable(self, tmp_path):
         """An fsync error propagates to the writer (durability cannot
-        be silently skipped), and the log remains readable after."""
+        be silently skipped), the append it failed is withdrawn — the
+        writer was told it did not happen (docs/DURABILITY.md) — and the
+        log remains appendable and readable after."""
         wal = WriteAheadLog(str(tmp_path / "wal"), fsync_batch=1)
         wal.append("orders", "insert", [(1, 1)])
         FAILPOINTS.arm("wal.fsync", action="raise")
@@ -280,7 +282,7 @@ class TestCrashWindows:
         with WriteAheadLog(str(tmp_path / "wal")) as w2:
             assert not w2.corruption_detected
             assert w2.last_lsn == lsn3
-            assert len(w2.pending()) == 3
+            assert [e.rows for e in w2.pending()] == [((1, 1),), ((3, 3),)]
 
 
 class TestCheckpointManagerCorruption:

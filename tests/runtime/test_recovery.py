@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import MaintenanceError
 from repro.obs import Telemetry
-from repro.runtime import RetryPolicy, WriteAheadLog
+from repro.runtime import FAILPOINTS, InjectedFault, RetryPolicy, WriteAheadLog
 from repro.tpch import TPCHGenerator, oj_view, v3
 from repro.warehouse import Warehouse
 
@@ -97,6 +97,37 @@ def test_recover_requires_a_wal():
     with pytest.raises(MaintenanceError, match="wal_path"):
         wh.recover()
     wh.scheduler.shutdown()
+
+
+@pytest.mark.parametrize("site", ["wal.append", "wal.fsync"])
+@pytest.mark.parametrize("workers", [0, 2])
+def test_failed_log_append_leaves_no_trace(tmp_path, site, workers):
+    """A change whose WAL append fails is reported failed and is undone:
+    tables as before, views recompute-equal, nothing for recovery to
+    replay — and the same change retried goes through."""
+    wal_path = str(tmp_path / "changes.wal")
+    wh = Warehouse(build_db(), wal_path=wal_path, workers=workers)
+    wh.create_view("ol", order_lines_expr())
+    wh.insert("orders", [(1, 100)])
+    before = {name: sorted(t.rows) for name, t in wh.db.tables.items()}
+    for change in (
+        lambda: wh.insert("orders", [(2, 200)]),
+        lambda: wh.delete("orders", [(1, 100)]),
+    ):
+        with FAILPOINTS.armed(site), pytest.raises(InjectedFault):
+            change()
+        assert {n: sorted(t.rows) for n, t in wh.db.tables.items()} == before
+        wh.check_consistency()
+    wh.flush()
+    assert wh.wal.pending() == []
+    wh.insert("orders", [(2, 200)])  # the retry lands
+    wh.check_consistency()
+    wh.close()
+    reopened = WriteAheadLog(wal_path)
+    assert [e.rows for e in reopened.entries_after(0)] == [
+        ((1, 100),), ((2, 200),)
+    ]
+    reopened.close()
 
 
 def test_recovery_skips_quarantined_views(tmp_path):

@@ -9,7 +9,12 @@ import zlib
 import pytest
 
 from repro.errors import WalError
-from repro.runtime import DEFAULT_SEGMENT_BYTES, WriteAheadLog
+from repro.runtime import (
+    DEFAULT_SEGMENT_BYTES,
+    FAILPOINTS,
+    InjectedFault,
+    WriteAheadLog,
+)
 
 
 @pytest.fixture
@@ -52,6 +57,36 @@ class TestAppendAck:
         with pytest.raises(WalError):
             wal.ack(lsn + 7)
         wal.close()
+
+    @pytest.mark.parametrize("site", ["wal.append", "wal.fsync"])
+    def test_failed_append_is_withdrawn(self, wal_path, site):
+        """All or nothing: a record that reached the segment but not
+        stable storage is cut back out, in memory and on disk."""
+        wal = WriteAheadLog(wal_path)
+        first = wal.append("orders", "insert", [(1, 10)])
+        size = os.path.getsize(active_segment(wal))
+        with FAILPOINTS.armed(site), pytest.raises(InjectedFault):
+            wal.append("orders", "insert", [(2, 20)])
+        assert [e.lsn for e in wal.pending()] == [first]
+        assert os.path.getsize(active_segment(wal)) == size
+        # the LSN was handed back and the log is still appendable
+        assert wal.append("orders", "insert", [(3, 30)]) == first + 1
+        wal.close()
+        reopened = WriteAheadLog(wal_path)
+        assert [e.rows for e in reopened.pending()] == [((1, 10),), ((3, 30),)]
+        assert not reopened.torn_tail_dropped
+        reopened.close()
+
+    def test_append_failing_across_a_rotation_is_withdrawn(self, wal_path):
+        wal = WriteAheadLog(wal_path, segment_bytes=64)
+        wal.append("orders", "insert", [(1, 10)])  # fills the segment
+        with FAILPOINTS.armed("wal.fsync", times=2), pytest.raises(InjectedFault):
+            wal.append("orders", "insert", [(2, 20)])  # the rotation's fsync
+        assert wal.append("orders", "insert", [(3, 30)]) == 2
+        wal.close()
+        reopened = WriteAheadLog(wal_path)
+        assert [e.rows for e in reopened.pending()] == [((1, 10),), ((3, 30),)]
+        reopened.close()
 
     def test_entry_preserves_rows_operation_and_fk_flag(self, wal_path):
         wal = WriteAheadLog(wal_path)

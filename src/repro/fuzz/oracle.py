@@ -604,15 +604,14 @@ def _apply_armed(
     if arm.around == "commit":
         txn = wh.transaction()
         try:
-            txn.__enter__()
             _apply_statements(txn, op)
             with _armed(arm, shard):
-                txn._commit()
+                txn.commit()
             got = "ok"
         except InjectedFault as exc:
             got = type(exc).__name__
         except ReproError as exc:
-            txn._rollback()
+            txn.rollback()
             got = type(exc).__name__
     else:
         with _armed(arm, shard):

@@ -37,7 +37,7 @@ facade; ``docs/SHARDING.md`` the contract.
 
 :mod:`repro.runtime.supervisor` and :mod:`repro.runtime.txnlog` make
 that tier self-healing: the :class:`ShardSupervisor` detects dead or
-hung workers (pipe EOF, call deadlines, optional heartbeats), fails
+hung workers (pipe EOF, call deadlines + a ping probe), fails
 their outstanding calls fast, and reincarnates them from their
 WAL/checkpoint lineage under a bounded restart budget; the
 :class:`TxnDecisionLog` makes cross-shard commit decisions durable so

@@ -16,7 +16,7 @@ gained and lost since the file before it::
       corrupt/                    <- files that failed verification
 
     # every file is a single framed record, like a WAL line:
-    9bb17ea3 {"lsn":412,"seq":1,"tables":{...},"foreign_keys":[...],
+    9bb17ea3 {"lsn":412,"seq":1,"schema":{...},"tables":{...},
               "views":{...}}
     5e02ab1f {"lsn":518,"seq":2,"base_seq":1,
               "tables":{"lineitem":{"+":[...],"-":[...]}},"views":{...}}
@@ -24,9 +24,11 @@ gained and lost since the file before it::
 * ``lsn`` — the highest WAL LSN whose effects the captured state
   includes.  :meth:`CheckpointManager.write` must therefore be called at
   a quiescent point (:meth:`Warehouse.flush` provides one).
-* ``tables`` — base: schema (bare column names, key, not-null) plus
-  every row of every base table; delta: the rows added (``+``) and
-  removed (``-``) per table.
+* ``schema`` (base only) — the database's DDL in the shard wire's form
+  (:func:`repro.planner.wire.encode_schema`: columns, keys, not-null,
+  secondary indexes, foreign keys).
+* ``tables`` — base: every row of every base table, by name; delta:
+  the rows added (``+``) and removed (``-``) per table.
 * ``views`` — the same for each *plain* view; aggregated views are
   rebuilt from the restored base tables on restore (their group state is
   derived).  A delta names every table and view the state holds, so one
@@ -64,6 +66,7 @@ from typing import Dict, List, NamedTuple, Optional
 from ..engine.catalog import Database
 from ..errors import CheckpointError
 from ..obs import Telemetry
+from ..planner import wire
 from .failpoints import FAILPOINTS
 
 __all__ = ["CheckpointData", "CheckpointManager"]
@@ -82,53 +85,28 @@ def _checkpoint_name(seq: int, delta: bool = False) -> str:
     return f"ckpt-{seq:08d}{'.delta' if delta else ''}.json"
 
 
-def _bare(qualified: str) -> str:
-    """``lineitem.l_qty`` → ``l_qty`` (the engine qualifies internally)."""
-    return qualified.split(".", 1)[1] if "." in qualified else qualified
-
-
 @dataclass
 class CheckpointData:
     """One verified restore point, decoded (base with its deltas applied)."""
 
     lsn: int
     seq: int
-    tables: Dict[str, Dict]  # name -> {columns, key, not_null, rows}
-    foreign_keys: List[Dict] = field(default_factory=list)
+    schema: Dict  # wire.encode_schema form
+    tables: Dict[str, List] = field(default_factory=dict)  # name -> rows
     views: Dict[str, List] = field(default_factory=dict)  # plain views
     path: str = ""  # the newest file applied
 
     def build_database(self) -> Database:
         """A fresh :class:`Database` at the checkpointed state."""
-        db = Database()
-        for name, spec in self.tables.items():
-            db.create_table(
-                name,
-                list(spec["columns"]),
-                key=list(spec["key"]),
-                not_null=list(spec.get("not_null", ())),
-            )
-            rows = [tuple(r) for r in spec.get("rows", ())]
-            if rows:
-                db.insert(name, rows, check=False)
-        for fk in self.foreign_keys:
-            db.add_foreign_key(
-                fk["source"],
-                list(fk["source_columns"]),
-                fk["target"],
-                list(fk["target_columns"]),
-                cascading_deletes=fk.get("cascading_deletes", False),
-                deferrable=fk.get("deferrable", False),
-            )
-        return db
+        return wire.build_database(self.schema, self.tables)
 
     def _apply(self, record: Dict, path: str, rolling: Dict) -> None:
         """Roll this state forward through one delta record.  *rolling*
         holds the row sets of the objects deltas have touched so far
         (``(kind, name) -> {row: None}``), so each is re-keyed once per
         restore; :meth:`_settle` writes them back."""
-        for kind, held in (("tables", self.tables), ("views", self.views)):
-            changes = record[kind]
+        for kind in ("tables", "views"):
+            held, changes = getattr(self, kind), record[kind]
             for name in set(held) - set(changes):
                 del held[name]  # dropped since the base
                 rolling.pop((kind, name), None)
@@ -137,8 +115,7 @@ class CheckpointData:
                     continue
                 rows = rolling.get((kind, name))
                 if rows is None:
-                    current = held[name]["rows"] if kind == "tables" else held[name]
-                    rows = rolling[kind, name] = dict.fromkeys(map(tuple, current))
+                    rows = rolling[kind, name] = dict.fromkeys(map(tuple, held[name]))
                 for row in change["-"]:
                     del rows[tuple(row)]
                 rows.update(dict.fromkeys(map(tuple, change["+"])))
@@ -146,10 +123,7 @@ class CheckpointData:
 
     def _settle(self, rolling: Dict) -> None:
         for (kind, name), rows in rolling.items():
-            if kind == "tables":
-                self.tables[name]["rows"] = list(rows)
-            else:
-                self.views[name] = list(rows)
+            getattr(self, kind)[name] = list(rows)
 
 
 class CheckpointManager:
@@ -255,33 +229,10 @@ class CheckpointManager:
         return {
             "lsn": lsn,
             "seq": seq,
-            "tables": {
-                name: {
-                    "columns": [_bare(c) for c in table.schema.columns],
-                    "key": [_bare(c) for c in table.key or ()],
-                    "not_null": sorted(
-                        _bare(c)
-                        for c in table.not_null
-                        if c not in (table.key or ())
-                    ),
-                    "rows": table.rows,  # tuples encode as arrays
-                }
-                for name, table in sorted(db.tables.items())
-            },
-            "foreign_keys": [
-                {
-                    "source": fk.source,
-                    "source_columns": [_bare(c) for c in fk.source_columns],
-                    "target": fk.target,
-                    "target_columns": [_bare(c) for c in fk.target_columns],
-                    "cascading_deletes": fk.cascading_deletes,
-                    "deferrable": fk.deferrable,
-                }
-                for fk in db.foreign_keys
-            ],
-            "views": {
-                name: view.rows() for name, view in sorted(views.items())
-            },
+            "schema": wire.encode_schema(db),
+            # tuples encode as arrays
+            "tables": {name: table.rows for name, table in sorted(db.tables.items())},
+            "views": {name: view.rows() for name, view in sorted(views.items())},
         }
 
     def _fsync_directory(self) -> None:
@@ -422,14 +373,14 @@ class CheckpointManager:
 
     def _read_base(self, file: _File) -> Optional[CheckpointData]:
         record = self._read(file)
-        if record is None:
+        if record is None or not isinstance(record.get("schema"), dict):
             return None
         self._lsns[file.name] = record["lsn"]
         return CheckpointData(
             lsn=record["lsn"],
             seq=file.seq,
+            schema=record["schema"],
             tables=record["tables"],
-            foreign_keys=record.get("foreign_keys", []),
             views={
                 name: [tuple(r) for r in rows]
                 for name, rows in record["views"].items()

@@ -45,8 +45,9 @@ __all__ = ["InjectedFault", "Failpoints", "FAILPOINTS", "SITES"]
 #: Every instrumented site: name -> where it fires (context keys in
 #: parentheses) and what the window means.
 SITES: Dict[str, str] = {
-    "wal.append": "WriteAheadLog.append, before the record is written "
-    "(table, operation): the base table changed, the log never heard",
+    "wal.append": "WriteAheadLog.journal, per change before the record "
+    "is written (table, operation): the base table changed, the log "
+    "never heard",
     "wal.ack": "WriteAheadLog.ack, before the ack record (lsn): fan-out "
     "done, acknowledgement not durable; skip leaves the entry pending",
     "wal.fsync": "WriteAheadLog._fsync, before os.fsync (segment): the "
@@ -71,12 +72,12 @@ SITES: Dict[str, str] = {
     "callback: the worker hangs past the facade's call deadline",
     "shard.pipe.drop": "same loop, after the command ran: the reply is "
     "lost and the connection dies (skip)",
-    "txn.coordinator.prepared": "ShardedTransaction._commit, all "
-    "prepared, no decision record (txn): must abort everywhere",
-    "txn.coordinator.decided": "same method, decision durable, no commit "
-    "sent (txn): recover() must commit everywhere",
-    "txn.coordinator.commit": "before each per-shard commit send (txn, "
-    "shard): committed prefix, in-doubt suffix",
+    "txn.coordinator.prepared": "ShardedWarehouse._txn_prepare, every "
+    "shard prepared, no decision record (txn): must abort everywhere",
+    "txn.coordinator.decided": "ShardedWarehouse._txn_commit, decision "
+    "durable, no commit sent (txn): recover() must commit everywhere",
+    "txn.coordinator.commit": "same method, before each per-shard commit "
+    "send (txn, shard): committed prefix, in-doubt suffix",
 }
 
 RAISE = "raise"

@@ -30,7 +30,7 @@ Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
     create_view {view, options}          change {table, operation, rows,
     flush                                        fk_allowed, check}
     checkpoint / recover {from_origin}   txn_begin {txn_id} / txn_stmt /
-    snapshot_pin / snapshot_release        txn_commit / txn_rollback /
+    snapshot_pin / snapshot_release        txn_prepare / txn_commit /
     query {view, equalities, seq}          txn_resolve {commits}
     dump / stats / check                 crash_hard / restart
     repair_view {view}
@@ -212,7 +212,6 @@ class ShardServer:
             )
         self._txn = self.wh.transaction()
         self._txn_id = txn_id
-        self._txn.__enter__()
 
     def _require_txn(self):
         if self._txn is None:
@@ -232,25 +231,11 @@ class ShardServer:
         deferred-FK checks without committing.  The transaction stays
         active either way, so the parent can still roll every shard back
         when a sibling's prepare fails."""
-        txn = self._require_txn()
-        for table, rows in txn._deferred:
-            self.wh.db.check_deferred_fks(table, rows)
+        self._require_txn().prepare()
 
     def cmd_txn_commit(self):
-        txn = self._require_txn()
-        self._txn = None
-        self._txn_id = None
-        try:
-            txn._commit()
-        except Exception:
-            txn._rollback()
-            raise
-
-    def cmd_txn_rollback(self):
-        txn = self._require_txn()
-        self._txn = None
-        self._txn_id = None
-        txn._rollback()
+        self._require_txn()
+        self._end_txn(commit=True)
 
     def cmd_txn_resolve(self, commits: List[str]):
         """Land an in-doubt transaction on the coordinator's side.
@@ -265,18 +250,23 @@ class ShardServer:
         ``recover()`` and shard reincarnation."""
         if self._txn is None:
             return {"resolved": None}
-        txn, txn_id = self._txn, self._txn_id
-        self._txn = None
-        self._txn_id = None
-        if txn_id is not None and txn_id in set(commits):
-            try:
-                txn._commit()
-            except Exception:
-                txn._rollback()
-                raise
-            return {"resolved": "commit", "txn_id": txn_id}
-        txn._rollback()
-        return {"resolved": "abort", "txn_id": txn_id}
+        txn_id = self._txn_id
+        commit = txn_id is not None and txn_id in set(commits)
+        self._end_txn(commit)
+        return {"resolved": "commit" if commit else "abort", "txn_id": txn_id}
+
+    def _end_txn(self, commit: bool) -> None:
+        """Commit or roll back the open transaction and forget it; a
+        commit that fails before its commit point rolls back."""
+        txn, self._txn, self._txn_id = self._txn, None, None
+        if not commit:
+            txn.rollback()
+            return
+        try:
+            txn.commit()
+        except Exception:
+            txn.rollback()
+            raise
 
     # -- durability -----------------------------------------------------
     def cmd_checkpoint(self):
@@ -291,46 +281,30 @@ class ShardServer:
         the same WAL/checkpoint directories from the initial partition
         rows, and recover.  Mirrors the oracle's crash contract."""
         # an open transaction is volatile state: it dies with the crash
-        # (never roll it back — its undo path touches the pre-crash
-        # warehouse, whose WAL handle is about to close)
         self._txn = None
         self._txn_id = None
-        wh = self.wh
-        wh.scheduler.drain()
-        if wh.wal is not None:
-            wh.wal.sync()
-        wh.scheduler.shutdown()
-        if wh.wal is not None:
-            wh.wal.close()
-        base = self._wire.build_database(
-            self._init["schema"], self._init.get("rows") or {}
+        return self._reopen(
+            self._wire.build_database(
+                self._init["schema"], self._init.get("rows") or {}
+            )
         )
-        self._pinned.clear()
-        self.wh = self._build_warehouse(base)
-        for blob in list(self._views):
-            self._views.remove(blob)
-            self._create_view(blob)
-        if self.wh.wal is not None:
-            self.wh.recover()
-        return {"summary": self.wh.last_recovery}
 
     def cmd_restart(self):
         """Orderly restart (flush first), reopening over the same
         directories — the WAL-enabled replay loop's ``crash`` op."""
         if self._txn is not None:  # orderly: abort it while it still can
-            self._txn._rollback()
-            self._txn = None
-            self._txn_id = None
-        wh = self.wh
-        wh.flush()
-        wh.scheduler.shutdown()
-        if wh.wal is not None:
-            wh.wal.close()
-        db = wh.db
+            self._end_txn(commit=False)
+        self.wh.flush()
+        return self._reopen(self.wh.db)
+
+    def _reopen(self, db):
+        """Stop the warehouse (its queue drains, its WAL syncs and
+        closes), rebuild it over *db* and the same WAL and checkpoint
+        directories with every view re-created, and recover."""
+        self.wh._shutdown()
         self._pinned.clear()
         self.wh = self._build_warehouse(db)
-        for blob in list(self._views):
-            self._views.remove(blob)
+        for blob in self._views:
             self._create_view(blob)
         if self.wh.wal is not None:
             self.wh.recover()
@@ -418,8 +392,7 @@ class ShardServer:
 
     def cmd_close(self):
         if self._txn is not None:
-            self._txn._rollback()
-            self._txn = None
+            self._end_txn(commit=False)
         self._pinned.clear()
         self.wh.close()
         return {"bye": True}

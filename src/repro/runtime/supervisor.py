@@ -1,4 +1,4 @@
-"""Shard supervision: heartbeats, death detection, reincarnation.
+"""Shard supervision: death detection, reincarnation, restart budgets.
 
 A sharded warehouse's workers are ordinary OS processes (or threads):
 they can be SIGKILLed, hang past any reasonable deadline, or lose
@@ -7,12 +7,11 @@ caller forever — ``_Reply.wait`` had no deadline — and left the shard
 permanently absent.  :class:`ShardSupervisor` turns each of those
 events into a bounded, observable recovery:
 
-* **Detection.**  Three signals funnel into :meth:`_revive`: the
-  handle's reader loop reporting an unexpected exit (``on_death``), a
-  facade call timing out past its per-call deadline
+* **Detection.**  Two signals funnel into :meth:`_revive`: the
+  handle's reader loop reporting an unexpected exit (``on_death`` — a
+  dead worker), and a facade call timing out past its per-call deadline
   (:meth:`worker_unresponsive`, which confirms with a ``ping`` probe
-  before acting), and the optional background heartbeat thread probing
-  every worker each ``heartbeat_interval`` seconds.
+  before acting — a hung one).
 * **Fail-fast.**  The dying handle's outstanding replies resolve with
   a typed :class:`~repro.errors.ShardUnavailableError` — callers get
   an error within their deadline instead of blocking on a reply that
@@ -114,14 +113,12 @@ class ShardSupervisor:
         self,
         warehouse,
         *,
-        heartbeat_interval: Optional[float] = None,
         probe_timeout: float = 5.0,
         restart_budget: int = 5,
         restart_window: float = 60.0,
         reincarnate_timeout: float = 120.0,
     ):
         self.warehouse = warehouse
-        self.heartbeat_interval = heartbeat_interval
         self.probe_timeout = probe_timeout
         self.restart_budget = max(0, int(restart_budget))
         self.restart_window = restart_window
@@ -141,7 +138,6 @@ class ShardSupervisor:
         ]
         self.quarantined: set = set()
         self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         # count of in-flight detections/revives, so callers (and
         # ``stop()``) can tell "all shards look up" from "a revive has
         # not registered yet" — see :attr:`quiesced`
@@ -152,25 +148,12 @@ class ShardSupervisor:
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        """Install death hooks on every handle and start the heartbeat
-        thread (when an interval is configured)."""
+        """Install death hooks on every handle."""
         for handle in self.warehouse._handles:
             handle.on_death = self._on_death
-        if self.heartbeat_interval and self._thread is None:
-            self._thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name="repro-shard-supervisor",
-                daemon=True,
-            )
-            self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
-        if self._thread is not None:
-            self._thread.join(
-                (self.heartbeat_interval or 0) + self.probe_timeout + 1.0
-            )
-            self._thread = None
         # Drain in-flight probes/revives (bounded): a revive racing the
         # facade's close would otherwise submit to handles mid-teardown.
         deadline = time.monotonic() + 10.0
@@ -287,33 +270,6 @@ class ShardSupervisor:
         finally:
             self._busy_exit()
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
-            if self.warehouse._closed:
-                return
-            for shard in range(self.warehouse.shards):
-                if self._stop.is_set() or self.warehouse._closed:
-                    return
-                handle = self.warehouse._handles[shard]
-                if handle.backend == "dead" or getattr(
-                    handle, "_closed", False
-                ):
-                    continue
-                if not handle.is_alive():
-                    self._revive(shard, handle, "heartbeat: worker gone")
-                    continue
-                try:
-                    response = handle.submit("ping").wait(self.probe_timeout)
-                    if not response.get("ok"):
-                        self._revive(
-                            shard,
-                            handle,
-                            "heartbeat: "
-                            + str(response.get("message", "probe failed")),
-                        )
-                except ReproError as exc:
-                    self._revive(shard, handle, f"heartbeat: {exc}")
-
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
@@ -421,10 +377,7 @@ class ShardSupervisor:
         about on the coordinator's decided side (a fresh worker has no
         open transaction, so this is usually a no-op — but it keeps the
         reincarnation path symmetric with ``recover()``)."""
-        txnlog = self.warehouse.txnlog
-        if txnlog is None:
-            return
-        commits = [record.txn_id for record in txnlog.pending()]
+        commits = [record.txn_id for record in self.warehouse.txnlog.pending()]
         handle.call(
             "txn_resolve", commits=commits, timeout=self.reincarnate_timeout
         )
@@ -475,26 +428,17 @@ class ShardSupervisor:
             want_set, have_set = set(want), set(have)
             extra = [row for row in have if row not in want_set]
             missing = [row for row in want if row not in have_set]
-            if extra:
-                handle.call(
-                    "change",
-                    table=table,
-                    operation=DELETE,
-                    rows=wire.encode_rows(extra),
-                    fk_allowed=True,
-                    check=False,
-                    timeout=self.reincarnate_timeout,
-                )
-            if missing:
-                handle.call(
-                    "change",
-                    table=table,
-                    operation=INSERT,
-                    rows=wire.encode_rows(missing),
-                    fk_allowed=True,
-                    check=False,
-                    timeout=self.reincarnate_timeout,
-                )
+            for operation, rows in ((DELETE, extra), (INSERT, missing)):
+                if rows:
+                    handle.call(
+                        "change",
+                        table=table,
+                        operation=operation,
+                        rows=wire.encode_rows(rows),
+                        fk_allowed=True,
+                        check=False,
+                        timeout=self.reincarnate_timeout,
+                    )
 
     def _quarantine_locked(self, shard: int, reason: str) -> None:
         wh = self.warehouse

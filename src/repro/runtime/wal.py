@@ -19,12 +19,17 @@ checksummed JSON lines::
     1c291ca3 {"kind":"change","lsn":7,"table":"lineitem","op":"insert",
               "fk_allowed":true,"rows":[[1,1,5.0]]}
     9bb17ea3 {"kind":"ack","lsn":7}
+    0d5c7e21 {"kind":"txn","changes":[{"kind":"change","lsn":8,...},
+                                      {"kind":"change","lsn":9,...}]}
     5e02ab1f {"kind":"compact","through":7}
 
 * LSNs are monotonically increasing and assigned by the log.
 * A ``change`` records the delta rows exactly as applied to the base
   table (values must be JSON-representable: str/int/float/bool/None,
   which covers everything the engine stores).
+* A ``txn`` holds a committed transaction's changes (consecutive LSNs)
+  in one frame (:meth:`WriteAheadLog.journal`): it loads as those
+  changes, or — torn or withdrawn — as none of them.
 * An ``ack`` marks the change as fully applied to every non-quarantined
   view; acked entries are skipped by recovery.
 * A ``compact`` marker records that every LSN ≤ ``through`` is covered
@@ -68,7 +73,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..engine.table import Row
 from ..errors import WalError
@@ -97,18 +102,15 @@ class WalEntry:
     rows: Tuple[Row, ...]
     fk_allowed: bool = True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "change",
-                "lsn": self.lsn,
-                "table": self.table,
-                "op": self.operation,
-                "fk_allowed": self.fk_allowed,
-                "rows": [list(row) for row in self.rows],
-            },
-            separators=(",", ":"),
-        )
+    def to_record(self) -> Dict:
+        return {
+            "kind": "change",
+            "lsn": self.lsn,
+            "table": self.table,
+            "op": self.operation,
+            "fk_allowed": self.fk_allowed,
+            "rows": [list(row) for row in self.rows],
+        }
 
     @classmethod
     def from_record(cls, record: Dict) -> "WalEntry":
@@ -276,7 +278,7 @@ class WriteAheadLog:
             return None
         if not isinstance(record, dict):
             return None
-        if record.get("kind") not in ("change", "ack", "compact"):
+        if record.get("kind") not in ("change", "txn", "ack", "compact"):
             return None
         return record
 
@@ -291,12 +293,9 @@ class WriteAheadLog:
             with open(parsed.path, "ab") as handle:
                 handle.truncate(parsed.keep_bytes)
             self.torn_tail_dropped = True
-        max_lsn = 0
-        for record in parsed.records:
-            self._ingest(record)
-            if record["kind"] == "change":
-                max_lsn = max(max_lsn, record["lsn"])
-        self._segment_max_lsn[seq] = max_lsn
+        self._segment_max_lsn[seq] = max(
+            map(self._ingest, parsed.records), default=0
+        )
 
     def _quarantine_segment(self, parsed: _ParsedSegment) -> None:
         """Move an unreadable segment aside; ingest none of it."""
@@ -311,18 +310,25 @@ class WriteAheadLog:
             segment=os.path.basename(parsed.path),
         )
 
-    def _ingest(self, record: Dict) -> None:
+    def _ingest(self, record: Dict) -> int:
+        """Load one verified record; returns the highest change LSN it
+        holds (0 for an ack or compact marker)."""
         kind = record["kind"]
+        if kind == "txn":
+            # a journaled transaction expands to its consecutive changes
+            return max(map(self._ingest, record["changes"]), default=0)
         if kind == "change":
             entry = WalEntry.from_record(record)
             self._entries[entry.lsn] = entry
             self._next_lsn = max(self._next_lsn, entry.lsn + 1)
-        elif kind == "ack":
+            return entry.lsn
+        if kind == "ack":
             self._acked.add(record["lsn"])
         else:  # "compact" (the only other kind _verify_line admits)
             self.compacted_through = max(
                 self.compacted_through, record["through"]
             )
+        return 0
 
     # ------------------------------------------------------------------
     # recovery-time reading
@@ -358,40 +364,46 @@ class WriteAheadLog:
         rows,
         fk_allowed: bool = True,
     ) -> int:
-        """Durably record one base-table delta; returns its LSN.
+        """Durably record one base-table delta; returns its LSN."""
+        return self.journal([(table, operation, rows, fk_allowed)])[0]
 
-        All or nothing: when the write or its fsync fails, the entry is
-        withdrawn — forgotten in memory and cut back out of the active
-        segment — before the error surfaces, so a caller that is told
-        the append failed never sees that change replayed."""
-        # Crash window: the base table is updated but the change never
-        # reaches the log (see runtime/failpoints.py).
-        FAILPOINTS.hit("wal.append", table=table, operation=operation)
+    def journal(
+        self, changes: Sequence[Tuple[str, str, Iterable[Row], bool]]
+    ) -> List[int]:
+        """Durably record ``(table, operation, rows, fk_allowed)`` deltas
+        as **one** framed record; returns their consecutive LSNs.  A
+        committed transaction journals its statements this way, so they
+        are logged together or not at all.
+
+        All or nothing: when the write or its fsync fails, the record is
+        withdrawn — cut back out of the active segment, its LSNs never
+        handed out — before the error surfaces, so a caller that is told
+        the append failed never sees any of those changes replayed."""
+        for table, operation, _, _ in changes:
+            # Crash window: the base table is updated but the change
+            # never reaches the log (see runtime/failpoints.py).
+            FAILPOINTS.hit("wal.append", table=table, operation=operation)
         with self._lock:
-            entry = WalEntry(
-                lsn=self._next_lsn,
-                table=table,
-                operation=operation,
-                rows=tuple(tuple(row) for row in rows),
-                fk_allowed=fk_allowed,
-            )
-            self._next_lsn += 1
-            self._entries[entry.lsn] = entry
+            entries = [
+                WalEntry(self._next_lsn + offset, table, operation, tuple(map(tuple, rows)), fk)
+                for offset, (table, operation, rows, fk) in enumerate(changes)
+            ]
+            records = [entry.to_record() for entry in entries]
+            record = records[0] if len(records) == 1 else {"kind": "txn", "changes": records}
             seq, size = self._active_seq, self._active_size
             try:
-                self._write(entry.to_json())
+                self._write(json.dumps(record, separators=(",", ":")))
             except BaseException:
-                del self._entries[entry.lsn]
-                self._next_lsn = entry.lsn
                 # a segment rotated into by this write held nothing yet
                 self._active_size = size if self._active_seq == seq else 0
                 self._handle.truncate(self._active_size)
                 raise
-            self._segment_max_lsn[self._active_seq] = max(
-                self._segment_max_lsn.get(self._active_seq, 0), entry.lsn
-            )
-            self.telemetry.emit("wal.append", table=table)
-            return entry.lsn
+            for entry in entries:
+                self._entries[entry.lsn] = entry
+                self.telemetry.emit("wal.append", table=entry.table)
+            self._next_lsn += len(entries)
+            self._segment_max_lsn[self._active_seq] = self._next_lsn - 1
+            return [entry.lsn for entry in entries]
 
     def ack(self, lsn: int) -> None:
         """Mark *lsn* as applied to every non-quarantined view.

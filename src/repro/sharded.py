@@ -91,9 +91,9 @@ from .runtime.sharding import (
 from .runtime.shardproc import make_handle, raise_shard_error
 from .runtime.supervisor import ShardSupervisor
 from .runtime.txnlog import TxnDecisionLog
-from .warehouse import DELETE_BY_KEY, Reports, Warehouse
+from .warehouse import DELETE_BY_KEY, Reports, Transaction, Warehouse
 
-__all__ = ["ShardedWarehouse", "ShardedSnapshot", "ShardedTransaction"]
+__all__ = ["ShardedWarehouse", "ShardedSnapshot"]
 
 #: skew (max/mean partition size) above which shard_stats() emits a
 #: rebalance advisory for a partitioned table
@@ -235,13 +235,11 @@ class ShardedWarehouse(Warehouse):
         the supervisor off to probe (and, if the worker is gone or
         stuck, reincarnate) the shard — no caller ever blocks forever
         on a dead worker.
-    heartbeat_interval_seconds / probe_timeout_seconds /
-    restart_budget / restart_window_seconds:
+    probe_timeout_seconds / restart_budget / restart_window_seconds:
         :class:`~repro.runtime.supervisor.ShardSupervisor` knobs — see
-        ``docs/SHARDING.md`` ("Partial failure runbook").  Heartbeating
-        is off by default (death is still detected via pipe EOF and
-        call deadlines); set an interval to also catch silent hangs
-        between calls.
+        ``docs/SHARDING.md`` ("Partial failure runbook").  A dead worker
+        is detected by pipe EOF, a hung one by the next call's deadline
+        plus a ping probe.
     """
 
     # ``.db`` is a schema template: tables, WAL, scheduler and snapshot
@@ -266,7 +264,6 @@ class ShardedWarehouse(Warehouse):
         checkpoint_interval: Optional[int] = None,
         snapshot_retain: int = 8,
         call_deadline_seconds: float = 30.0,
-        heartbeat_interval_seconds: Optional[float] = None,
         probe_timeout_seconds: float = 5.0,
         restart_budget: int = 5,
         restart_window_seconds: float = 60.0,
@@ -350,7 +347,6 @@ class ShardedWarehouse(Warehouse):
             raise
         self.supervisor = ShardSupervisor(
             self,
-            heartbeat_interval=heartbeat_interval_seconds,
             probe_timeout=probe_timeout_seconds,
             restart_budget=restart_budget,
             restart_window=restart_window_seconds,
@@ -743,11 +739,89 @@ class ShardedWarehouse(Warehouse):
         """View sizes are per shard; :meth:`shard_stats` meters them."""
 
     # ------------------------------------------------------------------
-    # transactions
+    # the transaction seam (Transaction is the base class's): a
+    # worker-local transaction on every shard, committed two-phase.
+    # After every shard prepares, a durable decision record
+    # (TxnDecisionLog) is written *before* the first commit message, so
+    # a coordinator crash anywhere in the window is deterministic —
+    # recover() commits in-doubt shards when the record exists and
+    # aborts them (presumed abort) when it does not.
     # ------------------------------------------------------------------
-    def transaction(self) -> "ShardedTransaction":
-        self._require_open()
-        return ShardedTransaction(self)
+    def _txn_begin(self, txn: Transaction) -> None:
+        # counter for human-readable ordering; uuid suffix so ids never
+        # collide across facade restarts sharing one decision-log dir
+        txn.txn_id = f"t{next(self._txn_counter)}-{uuid.uuid4().hex[:8]}"
+        self.flush()  # the worker transactions bracket a settled state
+        try:
+            self._broadcast("txn_begin", txn_id=txn.txn_id)
+        except ReproError:
+            # a partial begin (e.g. one shard died mid-broadcast) must
+            # not leak open transactions on the shards that did begin
+            self._txn_abort(txn)
+            raise
+
+    def _txn_apply(
+        self, txn: Transaction, table: str, operation: str, rows: List[Row]
+    ) -> Reports:
+        parts = self._route(table, rows)
+        replies = {
+            shard: self._handles[shard].submit(
+                "txn_stmt",
+                kind=operation,
+                table=table,
+                rows=wire.encode_rows(parts[shard]),
+            )
+            for shard in sorted(parts)
+        }
+        responses = {
+            shard: self._wait_for(shard, reply)
+            for shard, reply in replies.items()
+        }
+        for shard in sorted(responses):
+            # a failed statement leaves every worker transaction open;
+            # the caller rolls them back together
+            raise_shard_error(responses[shard])
+        return self._merge_report_blobs(
+            [responses[shard]["reports"] for shard in sorted(responses)]
+        )
+
+    def _txn_prepare(self, txn: Transaction) -> None:
+        """Phase 1: every shard validates its deferred FKs, nobody
+        commits."""
+        self._broadcast("txn_prepare")
+        FAILPOINTS.hit("txn.coordinator.prepared", txn=txn.txn_id)
+
+    def _txn_decide(self, txn: Transaction) -> None:
+        """The commit point: one durable record flips the transaction
+        from presumed-abort to must-commit — recover() replays it."""
+        self.txnlog.decide(txn.txn_id, list(range(self.shards)))
+
+    def _txn_commit(self, txn: Transaction, decision: None) -> None:
+        """Phase 2, shard by shard; each send has its own crash window
+        (``txn.coordinator.commit``) leaving a committed prefix and an
+        in-doubt suffix for recover() to finish."""
+        FAILPOINTS.hit("txn.coordinator.decided", txn=txn.txn_id)
+        commit_replies = []
+        for handle in self._handles:
+            FAILPOINTS.hit(
+                "txn.coordinator.commit",
+                txn=txn.txn_id,
+                shard=handle.shard_id,
+            )
+            commit_replies.append(
+                (handle.shard_id, handle.submit("txn_commit"))
+            )
+        for response in [self._wait_for(s, reply) for s, reply in commit_replies]:
+            # on a failure keep the decision record: the unreached shards
+            # are in doubt and the next recover()/reincarnation commits them
+            raise_shard_error(response)
+        self.txnlog.forget(txn.txn_id)
+
+    def _txn_abort(self, txn: Transaction) -> None:
+        # a resolve with no commits aborts an open worker transaction but
+        # is a no-op on a shard that lost (or was reincarnated without)
+        # its transaction, so rollback survives a worker death
+        self._broadcast("txn_resolve", _tolerate_unavailable=True, commits=[])
 
     # ------------------------------------------------------------------
     # reads
@@ -1149,143 +1223,3 @@ class ShardedWarehouse(Warehouse):
         except ReproError:
             pass  # a dead or dying shard must not wedge shutdown
 
-
-class ShardedTransaction:
-    """Cross-shard atomic batch: a worker-local transaction on every
-    shard, committed with a prepare round (deferred FK checks) before
-    the commit round — any shard's violation rolls all of them back.
-
-    Commit is crash-safe two-phase: after every shard prepares, the
-    coordinator writes a durable decision record
-    (:class:`~repro.runtime.txnlog.TxnDecisionLog`) *before* the first
-    commit message.  A coordinator crash anywhere in the window is then
-    deterministic — :meth:`ShardedWarehouse.recover` commits in-doubt
-    shards when a decision record exists and aborts them (presumed
-    abort) when it does not, so the outcome is all-or-nothing across
-    shards no matter where the crash landed."""
-
-    def __init__(self, warehouse: ShardedWarehouse):
-        self.warehouse = warehouse
-        # counter for human-readable ordering; uuid suffix so ids never
-        # collide across facade restarts sharing one decision-log dir
-        self.txn_id = (
-            f"t{next(warehouse._txn_counter)}-{uuid.uuid4().hex[:8]}"
-        )
-        self._active = False
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ShardedTransaction":
-        self.warehouse.flush()  # snapshots must bracket a settled state
-        try:
-            self.warehouse._broadcast("txn_begin", txn_id=self.txn_id)
-        except ReproError:
-            # a partial begin (e.g. one shard died mid-broadcast) must
-            # not leak open transactions on the shards that did begin;
-            # an empty-commits resolve is the idempotent abort
-            self.warehouse._broadcast(
-                "txn_resolve", _tolerate_unavailable=True, commits=[]
-            )
-            raise
-        self._active = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self._rollback()
-            return False
-        try:
-            self._commit()
-        except Exception:
-            self._rollback()
-            raise
-        return False
-
-    # ------------------------------------------------------------------
-    def _require_active(self) -> None:
-        if not self._active:
-            raise CatalogError("transaction is no longer active")
-
-    def _statement(
-        self, kind: str, table: str, rows: Iterable[Row]
-    ) -> Reports:
-        self._require_active()
-        wh = self.warehouse
-        materialized = [tuple(r) for r in rows]
-        parts = wh._route(table, materialized)
-        replies = {
-            shard: wh._handles[shard].submit(
-                "txn_stmt",
-                kind=kind,
-                table=table,
-                rows=wire.encode_rows(parts[shard]),
-            )
-            for shard in sorted(parts)
-        }
-        responses = {
-            shard: wh._wait_for(shard, reply)
-            for shard, reply in replies.items()
-        }
-        for shard in sorted(responses):
-            # a failed statement leaves the transaction active; __exit__
-            # (or the caller) rolls every shard back together
-            raise_shard_error(responses[shard])
-        return wh._merge_report_blobs(
-            [responses[shard]["reports"] for shard in sorted(responses)]
-        )
-
-    def insert(self, table: str, rows: Iterable[Row]) -> Reports:
-        return self._statement("insert", table, rows)
-
-    def delete(self, table: str, rows: Iterable[Row]) -> Reports:
-        return self._statement("delete", table, rows)
-
-    # ------------------------------------------------------------------
-    def _commit(self) -> None:
-        self._require_active()
-        wh = self.warehouse
-        # phase 1: every shard validates its deferred FKs, nobody
-        # commits; a failure raises -> __exit__ rolls everyone back
-        wh._broadcast("txn_prepare")
-        FAILPOINTS.hit("txn.coordinator.prepared", txn=self.txn_id)
-        # the decision point: one durable record flips the transaction
-        # from presumed-abort to must-commit.  Nothing may roll back
-        # past this line — recover() replays the decision instead — so
-        # _active drops *before* the next crash window opens.
-        wh.txnlog.decide(self.txn_id, list(range(wh.shards)))
-        self._active = False
-        FAILPOINTS.hit("txn.coordinator.decided", txn=self.txn_id)
-        # phase 2: commit shard by shard; each send has its own crash
-        # window (txn.coordinator.commit) leaving a committed prefix
-        # and in-doubt suffix for recover() to finish
-        commit_replies = []
-        for handle in wh._handles:
-            FAILPOINTS.hit(
-                "txn.coordinator.commit",
-                txn=self.txn_id,
-                shard=handle.shard_id,
-            )
-            commit_replies.append(
-                (handle.shard_id, handle.submit("txn_commit"))
-            )
-        failure: Optional[Dict] = None
-        for shard, reply in commit_replies:
-            response = wh._wait_for(shard, reply)
-            if not response.get("ok") and failure is None:
-                failure = response
-        if failure is not None:
-            # keep the decision record: the unreached shards are in
-            # doubt and the next recover()/reincarnation commits them
-            raise_shard_error(failure)
-        wh.txnlog.forget(self.txn_id)
-
-    def _rollback(self) -> None:
-        if not self._active:
-            return
-        self._active = False
-        # resolve-with-no-commits instead of txn_rollback: it aborts an
-        # open transaction but is a no-op on a shard that lost (or was
-        # reincarnated without) its transaction, so rollback survives a
-        # mid-transaction worker death
-        self.warehouse._broadcast(
-            "txn_resolve", _tolerate_unavailable=True, commits=[]
-        )

@@ -33,16 +33,17 @@ one attempt per view).
 ``Warehouse(db, shards=N)`` builds the sharded flavour
 (:mod:`repro.sharded`), which shares the change surface defined here and
 swaps only the *transport* behind it: ``_submit`` (one change -> a
-:class:`ChangeTicket`), ``_settle`` (the flush barrier), ``_shutdown``
-and the settled-state readers.  ``docs/ARCHITECTURE.md`` ("Facade
-contract") has the method-by-method table.
+:class:`ChangeTicket`), ``_settle`` (the flush barrier), ``_shutdown``,
+the settled-state readers and the ``_txn_*`` steps under the one
+:class:`Transaction`.  ``docs/ARCHITECTURE.md`` ("Facade contract") has
+the method-by-method table.
 """
 
 from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra.expr import RelExpr
 from .core.aggregate import Aggregate, AggregatedView
@@ -621,8 +622,7 @@ class Warehouse:
                     # the log withdrew the entry and no view has seen the
                     # delta: take it back out, so a failed append leaves
                     # what a failed constraint check leaves — nothing
-                    undo = self.db.insert if logged == DELETE else self.db.delete
-                    undo(table, delta.rows, check=False)
+                    self._apply_inverse(table, logged, delta.rows)
                     raise
             if degraded:
                 return [], lsn
@@ -633,6 +633,13 @@ class Warehouse:
         )
         self._changes_since_checkpoint += 1
         return ticket
+
+    def _apply_inverse(self, table: str, operation: str, rows: List[Row]) -> Tuple[str, Table]:
+        """Take an applied change back out of the base table, unchecked;
+        returns the inverse operation and its delta."""
+        if operation == INSERT:
+            return DELETE, self.db.delete(table, rows, check=False)
+        return INSERT, self.db.insert(table, rows, check=False)
 
     def _evict_key_conflicts(self, table: str, rows: List[Row]) -> None:
         target = self.db.tables.get(table)
@@ -1005,7 +1012,7 @@ class Warehouse:
         return list(reports.values())
 
     # ------------------------------------------------------------------
-    # transactions
+    # transactions: one state machine (Transaction), the local seam here
     # ------------------------------------------------------------------
     def transaction(self) -> "Transaction":
         """A multi-statement atomic batch (the paper's Section 6 caveat-3
@@ -1020,6 +1027,69 @@ class Warehouse:
         failure — constraint or otherwise — rolls the database *and*
         every registered view back to the transaction start."""
         return Transaction(self)
+
+    def _txn_begin(self, txn: "Transaction") -> None:
+        """Settle the queue, so no concurrent change interleaves with
+        the statements (or their inverses on rollback)."""
+        self.scheduler.drain()
+        txn._quarantined_at_entry = frozenset(self.scheduler.quarantined)
+
+    def _txn_apply(
+        self, txn: "Transaction", table: str, operation: str, rows: List[Row]
+    ) -> Reports:
+        """Apply one statement now, DEFERRABLE foreign keys unchecked;
+        record its delta (for the journal and the undo) *before* the
+        fan-out, which may fail after the table has changed."""
+        if operation == INSERT:
+            delta = self.db.insert(table, rows, defer_deferrable=True)
+        else:
+            delta = self.db.delete(table, rows)
+        txn._statements.append((table, operation, delta.rows))
+        return self._maintain_now(table, delta, operation)
+
+    def _txn_prepare(self, txn: "Transaction") -> None:
+        for table, operation, rows in txn._statements:
+            if operation == INSERT:
+                self.db.check_deferred_fks(table, rows)
+
+    def _txn_decide(self, txn: "Transaction") -> List[int]:
+        """The commit point: every statement journaled as one WAL
+        record — logged together or not at all."""
+        if self.wal is None or not txn._statements:
+            return []
+        return self.wal.journal(
+            [(table, op, rows, True) for table, op, rows in txn._statements]
+        )
+
+    def _txn_commit(self, txn: "Transaction", lsns: List[int]) -> None:
+        """The statements are already maintained: ack them at once
+        (recorded, never replayed) and publish the commit — intermediate
+        statement states were never visible to readers."""
+        if self.wal is not None:
+            for lsn in lsns:
+                self.wal.ack(lsn)
+            self.wal.sync()
+        self._publish()
+
+    def _txn_abort(self, txn: "Transaction") -> None:
+        """Undo as an inverse change: each statement's inverse, newest
+        first, unchecked and maintained like any change.  The walk passes
+        back through states every non-deferrable foreign key held in, and
+        a deferrable key never licenses a shortcut, so FK shortcuts stay
+        on.  A view failing on the way is quarantined and the walk goes
+        on; every view quarantined since entry is then rebuilt from the
+        restored tables, and the pre-transaction epoch published."""
+        for table, operation, rows in reversed(txn._statements):
+            inverse, delta = self._apply_inverse(table, operation, rows)
+            try:
+                self._maintain_now(table, delta, inverse)
+            except FanOutError:
+                pass  # quarantined: rebuilt below
+        for name in self.scheduler.quarantined:
+            if name not in txn._quarantined_at_entry:
+                self._registered(name).rebuild()
+                self.scheduler.reinstate(name)
+        self._publish()
 
     # ------------------------------------------------------------------
     # observability
@@ -1060,107 +1130,86 @@ class Warehouse:
 
 
 class Transaction:
-    """Context manager for atomic multi-statement update batches.
+    """An atomic multi-statement batch over either transport (see
+    :meth:`Warehouse.transaction`): this class is the state machine, the
+    warehouse's ``_txn_*`` seam methods are the transport.
 
-    Implementation: statements apply eagerly (so each maintenance pass
-    sees exactly the base-table state the paper's formulas assume), with
-    deferrable foreign keys left unchecked until commit.  Rollback
-    restores saves taken at entry — database tables and every registered
-    view alike — and reinstates views a failing statement quarantined
-    (they are back at their pre-transaction contents).
-
-    Statements fan out through the scheduler like any change, and the
-    caller waits for each (the queue is drained at entry, so no
-    concurrent change can interleave with the save/rollback bracket).
-    On commit, the statements are appended to the WAL and immediately
-    acknowledged: their maintenance already happened, so they are
-    recorded for the durable history but never replayed.  A crash
-    mid-transaction therefore loses the whole transaction — exactly the
-    atomicity contract.
+    Construction begins it.  :meth:`prepare` checks the DEFERRABLE
+    foreign keys the statements left unchecked (on every shard), without
+    committing; idempotent.  :meth:`commit` prepares, passes the *commit
+    point* — the statements journaled as one WAL record, or the
+    coordinator's durable decision record — and lands the commit; past
+    that point nothing rolls back (a later failure surfaces, and a
+    sharded transaction is finished by ``recover()``).  :meth:`rollback`
+    undoes every statement by its inverse change — no copy of the
+    database or of any view is ever taken.  As a context manager it
+    commits on success and rolls back on any exception; a crash before
+    the commit point loses the whole transaction.
     """
 
     def __init__(self, warehouse: Warehouse):
         self.warehouse = warehouse
-        self._db_snapshot: Optional[Database] = None
-        self._saved: Dict[str, object] = {}
-        self._quarantined_at_entry: frozenset = frozenset()
-        self._deferred: List[tuple] = []
+        self.txn_id: Optional[str] = None  # the sharded seam names it
+        # the local seam's record: statements as applied (journal,
+        # deferred checks, undo) and the views quarantined before entry
         self._statements: List[tuple] = []
-        self._active = False
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "Transaction":
-        wh = self.warehouse
-        wh.scheduler.drain()
-        self._db_snapshot = wh.db.copy()
-        self._saved = {
-            name: target.save() for name, target in wh._views.items()
-        }
-        self._quarantined_at_entry = frozenset(wh.quarantined_views)
+        self._quarantined_at_entry: frozenset = frozenset()
+        self._prepared = False
+        warehouse._txn_begin(self)
         self._active = True
+
+    def __enter__(self) -> "Transaction":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
-            self._rollback()
+            self.rollback()
             return False
         try:
-            self._commit()
+            self.commit()
         except Exception:
-            self._rollback()
+            self.rollback()
             raise
         return False
 
     # ------------------------------------------------------------------
     def insert(self, table: str, rows: Iterable[Row]) -> Reports:
-        self._require_active()
-        materialized = [tuple(r) for r in rows]
-        delta = self.warehouse.db.insert(
-            table, materialized, defer_deferrable=True
-        )
-        self._deferred.append((table, materialized))
-        self._statements.append((table, INSERT, tuple(delta.rows)))
-        return self.warehouse._maintain_now(table, delta, INSERT)
+        return self._statement(table, INSERT, rows)
 
     def delete(self, table: str, rows: Iterable[Row]) -> Reports:
+        return self._statement(table, DELETE, rows)
+
+    def _statement(
+        self, table: str, operation: str, rows: Iterable[Row]
+    ) -> Reports:
         self._require_active()
-        delta = self.warehouse.db.delete(table, rows)
-        self._statements.append((table, DELETE, tuple(delta.rows)))
-        return self.warehouse._maintain_now(table, delta, DELETE)
+        self._prepared = False  # a new statement may defer a new check
+        return self.warehouse._txn_apply(
+            self, table, operation, [tuple(r) for r in rows]
+        )
 
     def _require_active(self) -> None:
         if not self._active:
             raise CatalogError("transaction is no longer active")
 
     # ------------------------------------------------------------------
-    def _commit(self) -> None:
-        for table, rows in self._deferred:
-            self.warehouse.db.check_deferred_fks(table, rows)
-        wal = self.warehouse.wal
-        if wal is not None:
-            # journal the committed statements: already maintained, so
-            # append + ack (recorded, never replayed)
-            for table, operation, rows in self._statements:
-                wal.ack(wal.append(table, operation, rows))
-            wal.sync()
-        self._active = False
-        self._db_snapshot = None
-        self._saved = {}
-        # commit is a consistent point; intermediate statement states
-        # were never published (readers cannot see uncommitted data)
-        self.warehouse._publish()
+    def prepare(self) -> None:
+        """Check the deferred foreign keys without committing.  A
+        failure raises and leaves the transaction active (to be rolled
+        back); a repeated call after success does nothing."""
+        self._require_active()
+        if not self._prepared:
+            self.warehouse._txn_prepare(self)
+            self._prepared = True
 
-    def _rollback(self) -> None:
-        wh = self.warehouse
-        assert self._db_snapshot is not None
-        # restore table contents in place so registered maintainers keep
-        # their Database reference
-        wh.db.tables = self._db_snapshot.tables
-        wh.db.foreign_keys = self._db_snapshot.foreign_keys
-        for name, saved in self._saved.items():
-            wh._views[name].restore(saved)
-        for name in wh.quarantined_views:
-            if name not in self._quarantined_at_entry:
-                wh.scheduler.reinstate(name)
-        self._active = False
-        wh._publish()  # rollback restored the pre-transaction epoch
+    def commit(self) -> None:
+        self.prepare()
+        decision = self.warehouse._txn_decide(self)
+        self._active = False  # the commit point: no rollback past here
+        self.warehouse._txn_commit(self, decision)
+
+    def rollback(self) -> None:
+        """Undo every statement; a no-op once committed or rolled back."""
+        if self._active:
+            self._active = False
+            self.warehouse._txn_abort(self)

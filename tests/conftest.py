@@ -8,6 +8,9 @@
 * ``no_index_rebuild`` — fails the test if a live index is rebuilt.
 * ``no_full_capture`` — fails the test if a snapshot publish copies a
   table or view whole that the store had captured before.
+* ``no_undo_copy`` — fails the test if a transaction's begin, commit or
+  rollback copies the database, saves or restores a view, or replaces
+  ``db.tables``.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import random
 import pytest
 
 from repro.algebra import Q, eq
-from repro.core import ViewDefinition
+from repro.core import AggregatedView, ViewDefinition, ViewMaintainer
 from repro.engine import Database, HashIndex
 from repro.runtime import SnapshotStore
 from repro.tpch import TPCHGenerator
+from repro.warehouse import Transaction
 
 
 # ---------------------------------------------------------------------------
@@ -155,3 +159,49 @@ def no_full_capture(monkeypatch):
         return capture(store, tracked, name, live)
 
     monkeypatch.setattr(SnapshotStore, "_capture_full", capture_full)
+
+
+@pytest.fixture
+def no_undo_copy(monkeypatch):
+    """Transactions undo by maintaining inverse changes: with this
+    fixture, ``Database.copy``, a view's ``save`` / ``restore`` or a
+    reassignment of ``db.tables`` inside a transaction's begin, commit
+    or rollback — in any thread, so shard workers count — fails the
+    test (checked at teardown: a failure inside a worker thread would
+    only surface as a dead shard)."""
+    inside, violations = [], []
+
+    def bracket(phase, method):
+        def wrapped(*args, **kwargs):
+            inside.append(phase)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def guard(what, method):
+        def guarded(*args, **kwargs):
+            if inside:
+                violations.append(f"{what} inside a transaction's {inside[-1]}")
+            return method(*args, **kwargs)
+
+        return guarded
+
+    for phase, name in (("begin", "__init__"), ("commit", "commit"), ("rollback", "rollback")):
+        monkeypatch.setattr(Transaction, name, bracket(phase, getattr(Transaction, name)))
+    for cls in (ViewMaintainer, AggregatedView):
+        for name in ("save", "restore"):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, guard(f"{cls.__name__}.{name}", method))
+    monkeypatch.setattr(Database, "copy", guard("Database.copy", Database.copy))
+
+    def set_attribute(db, name, value):
+        if name == "tables" and inside:
+            violations.append(f"db.tables replaced inside a transaction's {inside[-1]}")
+        object.__setattr__(db, name, value)
+
+    monkeypatch.setattr(Database, "__setattr__", set_attribute)
+    yield
+    assert not violations

@@ -73,6 +73,23 @@ class TestCheckpointRoundTrip:
         wh2.check_consistency()
         wh2.close()
 
+    def test_restore_keeps_secondary_indexes(self, tmp_path):
+        """The base stores the schema in the shard wire's form, indexes
+        included: a restore over a genesis database without the index
+        still has it."""
+        db = build_db()
+        db.create_index("lineitem", ["l_qty"])
+        wh = make_warehouse(tmp_path, db=db)
+        wh.insert("orders", [(1, 100)])
+        wh.insert("lineitem", [(1, 1, 5)])
+        wh.checkpoint()
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        indexed = {tuple(i.columns) for i in wh2.db.table("lineitem").indexes}
+        assert ("lineitem.l_qty",) in indexed
+        assert wh2.db.table("lineitem").rows == [(1, 1, 5)]
+        wh2.close()
+
     def test_checkpoint_requires_a_directory(self):
         wh = Warehouse(build_db())
         with pytest.raises(MaintenanceError, match="checkpoint_dir"):

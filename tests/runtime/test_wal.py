@@ -77,6 +77,23 @@ class TestAppendAck:
         assert not reopened.torn_tail_dropped
         reopened.close()
 
+    def test_journal_is_one_record_loaded_as_consecutive_entries(self, wal_path):
+        wal = WriteAheadLog(wal_path)
+        changes = [("orders", "insert", [(2, 20)], True), ("lineitem", "delete", [(1, 1, 5.0)], True)]
+        with FAILPOINTS.armed("wal.fsync"), pytest.raises(InjectedFault):
+            wal.journal(changes)  # withdrawn whole
+        assert wal.journal(changes) == [1, 2]
+        wal.close()
+        with open(active_segment(wal)) as handle:
+            assert len(handle.readlines()) == 1
+        reopened = WriteAheadLog(wal_path)
+        assert [(e.lsn, e.table, e.rows) for e in reopened.pending()] == [
+            (1, "orders", ((2, 20),)),
+            (2, "lineitem", ((1, 1, 5.0),)),
+        ]
+        assert reopened.append("orders", "insert", [(3, 30)]) == 3
+        reopened.close()
+
     def test_append_failing_across_a_rotation_is_withdrawn(self, wal_path):
         wal = WriteAheadLog(wal_path, segment_bytes=64)
         wal.append("orders", "insert", [(1, 10)])  # fills the segment

@@ -78,7 +78,7 @@ def test_bare_maintainer_journals_nothing():
 
 @pytest.mark.parametrize(
     "breaker",
-    ["repair", "rollback", "retry"],
+    ["repair", "retry"],
 )
 def test_wholesale_replacement_costs_one_full_copy(breaker):
     wh = seeded_warehouse(
@@ -91,12 +91,6 @@ def test_wholesale_replacement_costs_one_full_copy(breaker):
     if breaker == "repair":
         wh.repair_view("ol")
         copied = 1  # the view
-    elif breaker == "rollback":
-        with pytest.raises(RuntimeError):
-            with wh.transaction() as txn:
-                txn.insert("lineitem", [(2, 0, 1)])
-                raise RuntimeError("abort")
-        copied = 1 + len(wh.db.tables)  # the view and the restored tables
     else:
         FAILPOINTS.reset()
         with FAILPOINTS.armed("scheduler.task", action="raise", attempt=1):
@@ -109,6 +103,31 @@ def test_wholesale_replacement_costs_one_full_copy(breaker):
     assert wh.snapshots.full_captures == before + copied
     assert wh.snapshot().full_captures == 0
     assert sorted(wh.snapshot().view_rows("ol")) == sorted(wh.view("ol").rows())
+    wh.close()
+
+
+def test_rollback_copies_nothing_and_the_next_checkpoint_is_a_delta(
+    tmp_path, no_full_capture
+):
+    """A rolled-back transaction maintains its statements' inverses, so
+    every journal stays whole: no full capture, and the checkpoint after
+    it is a delta of the (net empty) change."""
+    wh = seeded_warehouse(
+        wal_path=str(tmp_path / "wal"), checkpoint_dir=str(tmp_path / "ckpt")
+    )
+    wh.insert("lineitem", [(1, 0, 5), (2, 0, 6)])
+    wh.checkpoint()
+    before = wh.snapshots.full_captures
+    with pytest.raises(RuntimeError):
+        with wh.transaction() as txn:
+            txn.insert("orders", [(100, 3)])
+            txn.insert("lineitem", [(100, 0, 1), (3, 0, 2)])
+            txn.delete("lineitem", [(1, 0, 5)])
+            raise RuntimeError("abort")
+    assert wh.snapshots.full_captures == before
+    assert wh.checkpoint().endswith(".delta.json")
+    assert sorted(wh.snapshot().view_rows("ol")) == sorted(wh.view("ol").rows())
+    wh.check_consistency()
     wh.close()
 
 

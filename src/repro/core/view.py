@@ -14,7 +14,7 @@ which is what lets deltas be applied with point inserts/deletes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..algebra.evaluate import evaluate, infer_schema
 from ..algebra.expr import Project, RelExpr, validate_spoj
@@ -274,23 +274,13 @@ class MaterializedView:
         twin.journal = None
         return twin
 
-    def reset_to(
-        self, source: Union["MaterializedView", Iterable[Row]]
-    ) -> None:
+    def reset_to(self, source: "MaterializedView") -> None:
         """Replace the whole contents in place, keeping this object's
-        identity for the maintainers that hold it.  Given another
-        instance, adopt its rows and subkey indexes (the caller hands
-        *source* over and must not use it afterwards); given bare rows
-        (a checkpoint), re-key them and let the subkey indexes rebuild
-        lazily."""
-        if isinstance(source, MaterializedView):
-            self._rows = source._rows
-            self._subkey_indexes = source._subkey_indexes
-        else:
-            self._rows = {
-                self.key_of(row): row for row in map(tuple, source)
-            }
-            self._subkey_indexes = {}
+        identity for the maintainers that hold it: adopt *source*'s rows
+        and subkey indexes (the caller hands *source* over and must not
+        use it afterwards)."""
+        self._rows = source._rows
+        self._subkey_indexes = source._subkey_indexes
         if self.journal is not None:
             self.journal.broken = True
         self.bump_version()

@@ -888,11 +888,6 @@ def _stage(
         return
     inject = fault.inject
     cut = int(len(ops) * fault.cut)
-    if fault.boundary:
-        # a boundary with no history before it proves nothing: a lineage
-        # grown at LSN 0 compacts no WAL, and a directory whose every
-        # restore point is then damaged looks like one that never had any
-        cut = max(1, cut)
     end = len(ops)  # where the stream stops: the victim's index, if any
     if isinstance(inject, Arm) and inject.around == "op":
         victims = [

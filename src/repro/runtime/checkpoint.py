@@ -1,13 +1,13 @@
-"""Durable checkpoints: base tables + view contents + last-applied LSN.
+"""Durable checkpoints: base tables + last-applied LSN.
 
 A checkpoint is the second half of the bounded-recovery contract (the
 first is WAL compaction, :meth:`WriteAheadLog.compact`): restart cost is
 *restore the newest restore point, then replay the WAL suffix past its
 LSN* — proportional to the checkpoint interval, not the total history.
 
-Checkpoints form **lineages**: a *base* file holds everything, each
-*delta* file after it holds only the rows every table and plain view
-gained and lost since the file before it::
+Checkpoints form **lineages**: a *base* file holds every base table,
+each *delta* file after it holds only the rows every table gained and
+lost since the file before it::
 
     checkpoints/
       ckpt-00000001.json          <- base
@@ -16,10 +16,9 @@ gained and lost since the file before it::
       corrupt/                    <- files that failed verification
 
     # every file is a single framed record, like a WAL line:
-    9bb17ea3 {"lsn":412,"seq":1,"schema":{...},"tables":{...},
-              "views":{...}}
+    9bb17ea3 {"lsn":412,"seq":1,"schema":{...},"tables":{...}}
     5e02ab1f {"lsn":518,"seq":2,"base_seq":1,
-              "tables":{"lineitem":{"+":[...],"-":[...]}},"views":{...}}
+              "tables":{"lineitem":{"+":[...],"-":[...]}}}
 
 * ``lsn`` — the highest WAL LSN whose effects the captured state
   includes.  :meth:`CheckpointManager.write` must therefore be called at
@@ -28,11 +27,14 @@ gained and lost since the file before it::
   (:func:`repro.planner.wire.encode_schema`: columns, keys, not-null,
   secondary indexes, foreign keys).
 * ``tables`` — base: every row of every base table, by name; delta:
-  the rows added (``+``) and removed (``-``) per table.
-* ``views`` — the same for each *plain* view; aggregated views are
-  rebuilt from the restored base tables on restore (their group state is
-  derived).  A delta names every table and view the state holds, so one
-  that was dropped since the base disappears on restore.
+  the rows added (``+``) and removed (``-``) per table.  A delta names
+  every table the state holds, so one dropped since the base
+  disappears on restore.
+
+No view is stored: a view is a function of the base tables, and restore
+rebuilds every one from the restored tables.  (A file written when
+bases and deltas still carried a ``views`` member restores the same
+way; that member is never read.)
 
 Every file is one **restore point**: its base plus the deltas up to it.
 A delta is written when the caller knows the net change since the newest
@@ -93,7 +95,6 @@ class CheckpointData:
     seq: int
     schema: Dict  # wire.encode_schema form
     tables: Dict[str, List] = field(default_factory=dict)  # name -> rows
-    views: Dict[str, List] = field(default_factory=dict)  # plain views
     path: str = ""  # the newest file applied
 
     def build_database(self) -> Database:
@@ -102,28 +103,27 @@ class CheckpointData:
 
     def _apply(self, record: Dict, path: str, rolling: Dict) -> None:
         """Roll this state forward through one delta record.  *rolling*
-        holds the row sets of the objects deltas have touched so far
-        (``(kind, name) -> {row: None}``), so each is re-keyed once per
-        restore; :meth:`_settle` writes them back."""
-        for kind in ("tables", "views"):
-            held, changes = getattr(self, kind), record[kind]
-            for name in set(held) - set(changes):
-                del held[name]  # dropped since the base
-                rolling.pop((kind, name), None)
-            for name, change in changes.items():
-                if not (change["+"] or change["-"]):
-                    continue
-                rows = rolling.get((kind, name))
-                if rows is None:
-                    rows = rolling[kind, name] = dict.fromkeys(map(tuple, held[name]))
-                for row in change["-"]:
-                    del rows[tuple(row)]
-                rows.update(dict.fromkeys(map(tuple, change["+"])))
+        holds the row sets of the tables deltas have touched so far
+        (``name -> {row: None}``), so each is re-keyed once per restore;
+        :meth:`_settle` writes them back."""
+        held, changes = self.tables, record["tables"]
+        for name in set(held) - set(changes):
+            del held[name]  # dropped since the base
+            rolling.pop(name, None)
+        for name, change in changes.items():
+            if not (change["+"] or change["-"]):
+                continue
+            rows = rolling.get(name)
+            if rows is None:
+                rows = rolling[name] = dict.fromkeys(map(tuple, held[name]))
+            for row in change["-"]:
+                del rows[tuple(row)]
+            rows.update(dict.fromkeys(map(tuple, change["+"])))
         self.lsn, self.seq, self.path = record["lsn"], record["seq"], path
 
     def _settle(self, rolling: Dict) -> None:
-        for (kind, name), rows in rolling.items():
-            getattr(self, kind)[name] = list(rows)
+        for name, rows in rolling.items():
+            self.tables[name] = list(rows)
 
 
 class CheckpointManager:
@@ -153,19 +153,17 @@ class CheckpointManager:
     def write(
         self,
         db: Database,
-        views: Optional[Dict[str, object]] = None,
         lsn: int = 0,
         delta: Optional[Dict[str, object]] = None,
     ) -> str:
         """Atomically write one checkpoint; returns its path.
 
-        *views* maps plain-view names to objects whose ``rows()`` are the
-        materialized rows.  *delta* is :meth:`SnapshotStore.net_delta`
-        — the net ±rows since the checkpoint whose path it carries as
-        ``since``; when that is still the newest restore point a delta
-        file is written, otherwise (and on compaction) a base.  The
-        caller is responsible for quiescence: *lsn* must be the highest
-        WAL LSN already applied to *db*, *views* and *delta*.
+        *delta* is :meth:`SnapshotStore.net_delta` — the net ±rows per
+        table since the checkpoint whose path it carries as ``since``;
+        when that is still the newest restore point a delta file is
+        written, otherwise (and on compaction) a base.  The caller is
+        responsible for quiescence: *lsn* must be the highest WAL LSN
+        already applied to *db* and *delta*.
         """
         started = time.perf_counter()
         seq = max((f.seq for f in self._files()), default=0) + 1
@@ -180,16 +178,19 @@ class CheckpointManager:
                 "lsn": lsn,
                 "seq": seq,
                 "base_seq": self._base_seq,
-                **{
-                    kind: {
-                        name: {"+": added, "-": removed}
-                        for name, (added, removed) in sorted(delta[kind].items())
-                    }
-                    for kind in ("tables", "views")
+                "tables": {
+                    name: {"+": added, "-": removed}
+                    for name, (added, removed) in sorted(delta["tables"].items())
                 },
             }
         else:
-            record = self._base_record(db, views or {}, lsn, seq)
+            record = {
+                "lsn": lsn,
+                "seq": seq,
+                "schema": wire.encode_schema(db),
+                # tuples encode as arrays
+                "tables": {name: table.rows for name, table in sorted(db.tables.items())},
+            }
         payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         del record
         name = _checkpoint_name(seq, as_delta)
@@ -223,17 +224,6 @@ class CheckpointManager:
             kind="delta" if as_delta else "base",
         )
         return final
-
-    @staticmethod
-    def _base_record(db: Database, views: Dict[str, object], lsn: int, seq: int) -> Dict:
-        return {
-            "lsn": lsn,
-            "seq": seq,
-            "schema": wire.encode_schema(db),
-            # tuples encode as arrays
-            "tables": {name: table.rows for name, table in sorted(db.tables.items())},
-            "views": {name: view.rows() for name, view in sorted(views.items())},
-        }
 
     def _fsync_directory(self) -> None:
         fd = os.open(self.directory, os.O_RDONLY)
@@ -365,7 +355,7 @@ class CheckpointManager:
             record = json.loads(payload.decode("utf-8"))
             if not isinstance(record.get("lsn"), int):
                 return None
-            if not all(isinstance(record.get(k), dict) for k in ("tables", "views")):
+            if not isinstance(record.get("tables"), dict):
                 return None
             return record
         except (OSError, ValueError, AttributeError, UnicodeDecodeError):
@@ -381,10 +371,6 @@ class CheckpointManager:
             seq=file.seq,
             schema=record["schema"],
             tables=record["tables"],
-            views={
-                name: [tuple(r) for r in rows]
-                for name, rows in record["views"].items()
-            },
             path=os.path.join(self.directory, file.name),
         )
 

@@ -291,10 +291,14 @@ class ShardServer:
 
     def cmd_restart(self):
         """Orderly restart (flush first), reopening over the same
-        directories — the WAL-enabled replay loop's ``crash`` op."""
+        directories — the WAL-enabled replay loop's ``crash`` op.  With
+        checkpoints, recovery rebuilds from the initial partition rows
+        (a restore point, or the whole WAL when none exists yet)."""
         if self._txn is not None:  # orderly: abort it while it still can
             self._end_txn(commit=False)
         self.wh.flush()
+        if self.wh.checkpoints is not None:
+            return self.cmd_crash_hard()
         return self._reopen(self.wh.db)
 
     def _reopen(self, db):

@@ -37,10 +37,10 @@ invalid when :meth:`Warehouse.recover` discards unacknowledged history,
 because a pre-crash snapshot may reflect changes that recovery rolled
 back.
 
-The store also nets every publish's overlays into per-object ±rows since
-the last *checkpoint mark* (:meth:`SnapshotStore.net_delta`), which is
-what lets :meth:`Warehouse.checkpoint` write a delta file instead of the
-whole database.
+The store also nets every publish's base-table overlays into per-table
+±rows since the last *checkpoint mark* (:meth:`SnapshotStore.net_delta`),
+which is what lets :meth:`Warehouse.checkpoint` write a delta file
+instead of every table.  Views net nothing: a checkpoint holds no view.
 
 Staleness contract: a snapshot's non-quarantined views equal a full
 recompute of their definitions over the snapshot's own base tables (the
@@ -384,9 +384,10 @@ class Snapshot:
 
 class _Tracked:
     """What the store keeps about one live table or plain view between
-    publishes: the journal it subscribed, its newest slice, and the rows
-    added / removed since the checkpoint mark, keyed like the slice
-    (``None`` when some change since the mark went unrecorded)."""
+    publishes: the journal it subscribed, its newest slice, and — for a
+    table — the rows added / removed since the checkpoint mark, keyed
+    like the slice (``None`` for a view, and when some change since the
+    mark went unrecorded)."""
 
     __slots__ = ("journal", "slice", "added", "removed")
 
@@ -463,7 +464,6 @@ class SnapshotStore:
                 for name, view in views.items():
                     tracked = self._views.get(name)
                     if name in stale and tracked and tracked.slice:
-                        tracked.added = None  # not what a checkpoint holds
                         view_slices[name] = tracked.slice
                     else:
                         view_slices[name] = self._capture(self._views, name, view)
@@ -476,9 +476,11 @@ class SnapshotStore:
                     for name, table in tables.items()
                 }
             except BaseException:
-                # some journal may have been taken and not applied
+                # some journal may have been taken and not applied, and
+                # the ±rows miss whatever it held
                 for tracked in (*self._views.values(), *self._tables.values()):
                     tracked.journal.broken = True
+                    tracked.added = None
                 raise
             # forget views/tables that no longer exist
             for kept, live in (
@@ -530,8 +532,8 @@ class SnapshotStore:
         return self._capture_full(tracked, name, live)
 
     def _advance(self, tracked: _Tracked, changes: Overlay, version: int) -> _Slice:
-        """Stack *changes* on the tracked slice and net them into the
-        ±rows since the checkpoint mark."""
+        """Stack *changes* on the tracked slice and, for a table, net
+        them into the ±rows since the checkpoint mark."""
         previous = tracked.slice
         added, removed = tracked.added, tracked.removed
         length = len(previous)
@@ -628,46 +630,42 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # net change since the last checkpoint
     # ------------------------------------------------------------------
-    def is_current(self, tables: Dict[str, Table], views: Dict[str, object]) -> bool:
+    def is_current(self, tables: Dict[str, Table]) -> bool:
         """Whether the newest snapshot already shows exactly the live
-        *tables* and plain *views* (nothing edited since it was taken)."""
+        *tables* (nothing edited since it was taken)."""
         latest = self.latest()
         if latest is None or not latest.valid:
             return False
         return all(
-            name in slices and slices[name].version == live.version
-            for slices, lives in ((latest.tables, tables), (latest.views, views))
-            for name, live in lives.items()
+            name in latest.tables and latest.tables[name].version == live.version
+            for name, live in tables.items()
         )
 
     def mark(self, token: object) -> None:
-        """The published state is now durable as checkpoint *token*:
+        """The published tables are now durable as checkpoint *token*:
         start netting ±rows from here."""
         with self._publish_lock:
             self._mark = token
-            for tracked in (*self._tables.values(), *self._views.values()):
+            for tracked in self._tables.values():
                 tracked.added, tracked.removed = {}, {}
 
     def net_delta(self) -> Optional[Dict[str, object]]:
-        """``{"since": token, "tables": {name: (added, removed)},
-        "views": {...}}`` — the rows every table and plain view gained
-        and lost between :meth:`mark` and the newest snapshot — or
-        ``None`` when there is no mark or some object's are unknown
-        (it was copied in full since)."""
+        """``{"since": token, "tables": {name: (added, removed)}}`` — the
+        rows every table gained and lost between :meth:`mark` and the
+        newest snapshot — or ``None`` when there is no mark or some
+        table's are unknown (it was copied in full since)."""
         with self._publish_lock:
             if self._mark is None:
                 return None
-            delta: Dict[str, object] = {"since": self._mark}
-            for kind, kept in (("tables", self._tables), ("views", self._views)):
-                entries = delta[kind] = {}
-                for name, tracked in kept.items():
-                    if tracked.added is None:
-                        return None
-                    entries[name] = (
-                        list(tracked.added.values()),
-                        list(tracked.removed.values()),
-                    )
-            return delta
+            tables = {}
+            for name, tracked in self._tables.items():
+                if tracked.added is None:
+                    return None
+                tables[name] = (
+                    list(tracked.added.values()),
+                    list(tracked.removed.values()),
+                )
+            return {"since": self._mark, "tables": tables}
 
     # ------------------------------------------------------------------
     # reading

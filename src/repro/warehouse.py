@@ -126,11 +126,11 @@ class Warehouse:
         :class:`~repro.runtime.WriteAheadLog`.
     checkpoint_dir:
         When given, :meth:`checkpoint` writes durable checkpoints of base
-        tables + view contents + last-applied LSN here (a base file, then
-        deltas of what changed since), and :meth:`recover` restores the
-        newest one and replays only the WAL suffix past it (bounded
-        recovery).  Each checkpoint compacts the WAL behind the oldest
-        restore point still kept.
+        tables + last-applied LSN here (a base file, then deltas of what
+        changed since), and :meth:`recover` restores the newest one,
+        rebuilds the views from it and replays only the WAL suffix past
+        it (bounded recovery).  Each checkpoint compacts the WAL behind
+        the oldest restore point still kept.
     checkpoint_interval:
         Auto-checkpoint every N changes (measured at submission, taken
         on the caller's thread at the next synchronous change or
@@ -713,14 +713,15 @@ class Warehouse:
         try:
             if lsn is None and self.wal is not None:
                 lsn = self.wal.last_lsn  # 0 before any append
-            aggregated = {
-                name: target
-                for name, target in self._views.items()
-                if isinstance(target, AggregatedView)
-            }
+            plain, aggregated = {}, {}
+            for name, target in self._views.items():
+                if isinstance(target, AggregatedView):
+                    aggregated[name] = target
+                else:
+                    plain[name] = target.view
             snapshot = self.snapshots.publish(
                 self.db.tables,
-                self._plain_views(),
+                plain,
                 aggregated,
                 stale=self.scheduler.quarantined,
                 lsn=lsn,
@@ -740,13 +741,6 @@ class Warehouse:
             full_captures=snapshot.full_captures,
         )
         return snapshot
-
-    def _plain_views(self) -> Dict[str, MaterializedView]:
-        return {
-            name: target.view
-            for name, target in self._views.items()
-            if not isinstance(target, AggregatedView)
-        }
 
     def _settle(self) -> None:
         """The flush barrier: queue empty, WAL acknowledgements on disk."""
@@ -768,11 +762,11 @@ class Warehouse:
         Flushes first (the checkpoint must capture a quiescent,
         fully-acknowledged state) and makes sure that state is
         published; then hands :class:`~repro.runtime.CheckpointManager`
-        the net ±rows the snapshot store has recorded since the previous
-        checkpoint — it writes a *delta* file from them, or a *base*
-        (every base table, every healthy plain view) when they are not
-        known or the lineage is due for compaction.  Finally the WAL
-        drops the segments no retained restore point needs
+        the net ±rows per base table since the previous checkpoint — it
+        writes a *delta* file from them, or a *base* (every table; no
+        view is ever written) when they are not known or the lineage is
+        due for compaction.  Finally the WAL drops the segments no
+        retained restore point needs
         (:meth:`~repro.runtime.WriteAheadLog.compact`).  Returns the
         checkpoint path.
         """
@@ -781,19 +775,12 @@ class Warehouse:
         self._checkpointing = True
         try:
             self.flush()
-            # aggregated group state is derived, and a quarantined view
-            # holds no state worth keeping: restore rebuilds both
-            quarantined = set(self.scheduler.quarantined)
-            views = {
-                name: view
-                for name, view in self._plain_views().items()
-                if name not in quarantined
-            }
-            if not self.snapshots.is_current(self.db.tables, views):
+            if not self.snapshots.is_current(self.db.tables):
                 self._publish()  # e.g. the last change's publish failed
             lsn = self.wal.last_lsn if self.wal is not None else 0
-            delta = None if quarantined else self.snapshots.net_delta()
-            path = self.checkpoints.write(self.db, views, lsn=lsn, delta=delta)
+            path = self.checkpoints.write(
+                self.db, lsn=lsn, delta=self.snapshots.net_delta()
+            )
             self.snapshots.mark(path)
             # Compact only as far as the *oldest* restore point kept has
             # reached: if the newest file is ever found damaged, the one
@@ -826,17 +813,16 @@ class Warehouse:
 
         Restores the newest verifiable restore point (when a
         ``checkpoint_dir`` is configured: a base checkpoint rolled
-        forward through its deltas), then replays only the WAL entries
-        past its LSN — acknowledged or not, since the restored state
-        predates their effects.  If that restore point is older than
-        the WAL's compaction point, the entries between them no longer
-        exist: :class:`~repro.errors.CheckpointError` is raised before
-        any state is touched.  Without a checkpoint the whole
-        unacknowledged log replays, as before — unless ``from_origin``
-        is set, in which case *every* entry replays from LSN 0: the
-        cold-start contract shard reincarnation uses when the worker
-        was rebuilt from its initial partition rows and no checkpoint
-        exists (the acked prefix's effects live only in the WAL then).
+        forward through its deltas, every view rebuilt from it), then
+        replays the WAL entries past its LSN — acknowledged or not, since
+        the restored state predates their effects.  Without one — none
+        written, or none verifies — every entry replays from LSN 0 over
+        the genesis tables the process reopened with; only a warehouse
+        with no ``checkpoint_dir`` (and no ``from_origin``) replays just
+        the unacknowledged tail, over tables restored to the acked
+        prefix.  If the replay would have to start inside the WAL's
+        compacted prefix, :class:`~repro.errors.CheckpointError` is
+        raised before any state is touched.
         Each replayed entry goes back through :meth:`_submit`
         (``check=False`` — it already passed integrity checks when
         first logged): re-applied to the database, fanned out, and
@@ -881,13 +867,14 @@ class Warehouse:
             # LSN, so replay *all* entries after it — acked or not
             self._restore_checkpoint(checkpoint)
             entries = self.wal.entries_after(checkpoint.lsn)
-        elif from_origin:
-            # cold start: base tables hold their *initial* rows, so the
-            # acked prefix must replay too — the WAL has all of history
+        elif from_origin or self.checkpoints is not None:
+            # cold start, or no restore point verifies: base tables hold
+            # their *initial* rows, so the acked prefix must replay too —
+            # the check above made sure the WAL still has all of history
             entries = self.wal.entries_after(0)
         else:
-            # no snapshot: base tables are assumed restored to the acked
-            # prefix — replay only the unacked tail
+            # no checkpoints: base tables are assumed restored to the
+            # acked prefix — replay only the unacked tail
             entries = self.wal.pending()
         # A quarantined segment means records are *missing* from the
         # middle of history: the surviving suffix may conflict with the
@@ -933,7 +920,8 @@ class Warehouse:
         return results
 
     def _restore_checkpoint(self, data: CheckpointData) -> None:
-        """Reset database and view state to a checkpoint, in place."""
+        """Reset the base tables to a checkpoint, in place, and rebuild
+        every view from them (a checkpoint holds no view)."""
         fresh = data.build_database()
         # swap table contents in place so registered maintainers keep
         # their Database reference; bump the epoch so compiled plans
@@ -941,14 +929,8 @@ class Warehouse:
         self.db.tables = fresh.tables
         self.db.foreign_keys = fresh.foreign_keys
         self.db.index_epoch += 1
-        for name, target in self._views.items():
-            captured = data.views.get(name)
-            if captured is None:
-                # not in the checkpoint (aggregated, or created after it
-                # was written) — rebuild from the restored tables
-                target.rebuild()
-            else:
-                target.view.reset_to(captured)
+        for target in self._views.values():
+            target.rebuild()
 
     def repair_view(self, name: str) -> None:
         """Rebuild a (typically quarantined) view from the current base

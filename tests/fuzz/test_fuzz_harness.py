@@ -156,9 +156,8 @@ def test_detects_delta_checkpoint_that_forgets_removed_rows(monkeypatch):
     apply = checkpointmod.CheckpointData._apply
 
     def lossy(self, record, path, rolling):
-        for kind in ("tables", "views"):
-            for change in record[kind].values():
-                change["-"] = []
+        for change in record["tables"].values():
+            change["-"] = []
         apply(self, record, path, rolling)
 
     monkeypatch.setattr(checkpointmod.CheckpointData, "_apply", lossy)

@@ -25,12 +25,13 @@ class TestScalingBench:
     def test_run_scaling_smoke(self):
         from repro.bench import run_scaling
 
-        rows = run_scaling(scales=(0.0005, 0.001), batch=10, quiet=True)
+        rows = run_scaling(scales=(0.0005, 0.002), batch=10, quiet=True)
         assert len(rows) == 2
         for record in rows:
             assert record["incremental"] > 0
             assert record["recompute"] > 0
-        # database doubled → recompute cost must grow
+        # database quadrupled → recompute cost must grow, by more than
+        # the jitter of a millisecond-scale timing
         assert rows[1]["recompute"] > rows[0]["recompute"] * 1.2
 
 

@@ -1,17 +1,19 @@
 """Checkpointed, bounded recovery: checkpoint + WAL-suffix replay.
 
 The contract under test (docs/DURABILITY.md): a checkpoint captures
-base tables, plain-view rows and the last-applied LSN; recovery
-restores the newest verifiable checkpoint and replays only the WAL
-entries past its LSN, so restart cost is proportional to the
-checkpoint interval — not the total logged history.  Crash windows
-around the checkpoint write and the compaction that follows it are
-driven through failpoints.
+base tables and the last-applied LSN, never a view; recovery restores
+the newest verifiable checkpoint, rebuilds every view from it and
+replays only the WAL entries past its LSN, so restart cost is
+proportional to the checkpoint interval — not the total logged history.
+Crash windows around the checkpoint write and the compaction that
+follows it are driven through failpoints.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 
 import pytest
 
@@ -153,25 +155,52 @@ class TestBoundedRecovery:
     def test_empty_checkpoint_dir_falls_back_to_full_replay(
         self, tmp_path
     ):
-        """checkpoint_dir configured but never written: recovery uses
-        the legacy contract — replay the unacknowledged WAL tail."""
+        """checkpoint_dir configured but never written: the process
+        reopens over genesis, as the runbook says, so the acked prefix
+        replays from LSN 0 along with the unacknowledged tail."""
         wh = make_warehouse(tmp_path)
         wh.create_view("ol", order_lines_expr())
         wh.insert("orders", [(1, 100)])
+        wh.insert("lineitem", [(1, 1, 5)])
         wh.flush()
-        snapshot = wh.db.copy()
         lost = wh.wal.append("orders", "insert", [(2, 200)])
-        wh.scheduler.shutdown()
-        wh.wal.close()
 
-        wh2 = make_warehouse(tmp_path, db=snapshot)
-        wh2.create_view("ol", order_lines_expr())
+        wh2 = restart(tmp_path, wh)
         wh2.recover()
         assert wh2.last_recovery["checkpoint_lsn"] is None
-        assert wh2.last_recovery["replayed"] == 1
+        assert wh2.last_recovery["replayed"] == 3
         assert wh2.wal.is_acked(lost)
-        assert (2, 200) in wh2.db.tables["orders"].rows
+        assert sorted(wh2.db.tables["orders"].rows) == [(1, 100), (2, 200)]
+        assert wh2.db.tables["lineitem"].rows == [(1, 1, 5)]
         wh2.check_consistency()
+        wh2.close()
+
+    def test_every_restore_point_damaged_replays_from_origin(self, tmp_path):
+        """Every checkpoint file fails verification but the WAL was never
+        compacted past genesis: recovery replays all of it instead of
+        only the unacknowledged tail, which would lose the acked prefix."""
+        wh = make_warehouse(tmp_path)
+        wh.create_view("ol", order_lines_expr())
+        wh.checkpoint()  # at LSN 0: compacts nothing
+        wh.insert("orders", [(1, 100), (2, 200)])
+        wh.checkpoint()  # a delta; the WAL keeps the fallback's suffix
+        wh.insert("lineitem", [(1, 1, 5)])
+        wh.flush()
+        assert wh.wal.compacted_through == 0
+        expected = sorted(wh.view("ol").rows())
+        paths = wh.checkpoints.checkpoint_paths()
+        assert len(paths) == 2
+        for path in paths:
+            flip_byte(path)
+
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        assert wh2.last_recovery["checkpoint_lsn"] is None
+        assert wh2.last_recovery["replayed"] == 2
+        assert sorted(wh2.db.tables["orders"].rows) == [(1, 100), (2, 200)]
+        assert sorted(wh2.view("ol").rows()) == expected
+        wh2.check_consistency()
+        assert wh2.checkpoints.checkpoint_paths() == []  # all in corrupt/
         wh2.close()
 
     def test_view_created_after_checkpoint_is_rebuilt(self, tmp_path):
@@ -351,6 +380,20 @@ def flip_byte(path, offset=40):
         handle.write(bytes([byte[0] ^ 0x20]))
 
 
+def read_record(path):
+    """The JSON record of one checkpoint file (past its CRC frame)."""
+    with open(path, "rb") as handle:
+        return json.loads(handle.read()[9:])
+
+
+def rewrite_record(path, **members):
+    """Add *members* to a checkpoint file's record, re-framed with a
+    valid CRC."""
+    payload = json.dumps({**read_record(path), **members}).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(b"%08x " % (zlib.crc32(payload) & 0xFFFFFFFF) + payload)
+
+
 def kinds(wh):
     return [
         "delta" if path.endswith(".delta.json") else "base"
@@ -400,21 +443,32 @@ class TestLineage:
         wh2.close()
 
     def test_dropped_and_created_views_across_a_lineage(self, tmp_path):
+        """View DDL leaves the lineage alone: a checkpoint holds no view,
+        so dropping, creating or repairing one never forces a base, and
+        restore rebuilds whatever views the restarted process registers."""
         wh = lineage_warehouse(tmp_path)
         wh.create_view("ol2", order_lines_expr())
         wh.checkpoint()
         wh.drop_view("ol2")
         wh.insert("lineitem", [(1, 1, 1)])
         wh.checkpoint()
-        assert kinds(wh) == ["base", "delta"]
-        assert "ol2" not in wh.checkpoints.latest().views
-        wh.create_view("ol3", order_lines_expr())  # never checkpointed whole
+        wh.create_view("ol3", order_lines_expr())
+        wh.repair_view("ol")
+        wh.insert("lineitem", [(2, 1, 2)])
         wh.checkpoint()
-        assert kinds(wh)[-1] == "base"
-        assert sorted(wh.checkpoints.latest().views) == ["ol", "ol3"]
-        wh.close()
+        assert kinds(wh) == ["base", "delta", "delta"]
+        expected = sorted(wh.view("ol3").rows())
+        wh2 = restart(tmp_path, wh)
+        wh2.create_view("ol3", order_lines_expr())
+        wh2.recover()
+        assert wh2.last_recovery["replayed"] == 0
+        assert sorted(wh2.view("ol3").rows()) == expected
+        wh2.check_consistency()
+        wh2.close()
 
-    def test_quarantined_view_is_left_out_and_forces_a_base(self, tmp_path):
+    def test_quarantined_view_leaves_the_next_checkpoint_a_delta(
+        self, tmp_path
+    ):
         wh = lineage_warehouse(tmp_path)
         wh.create_view("ol2", order_lines_expr())
         wh.checkpoint()
@@ -425,11 +479,51 @@ class TestLineage:
                 wh.insert("lineitem", [(1, 1, 1)])
         assert wh.quarantined_views == ["ol2"]
         wh.checkpoint()
-        assert kinds(wh)[-1] == "base"
-        assert sorted(wh.checkpoints.latest().views) == ["ol"]
+        assert kinds(wh) == ["base", "delta"]
         wh2 = restart(tmp_path, wh)
         wh2.create_view("ol2", order_lines_expr())
         wh2.recover()  # ol2 is rebuilt from the restored tables
+        assert wh2.last_recovery["replayed"] == 0
+        assert wh2.quarantined_views == []
+        assert (1, 1, 1) in wh2.db.table("lineitem").rows
+        wh2.check_consistency()
+        wh2.close()
+
+    def test_a_base_holds_the_tables_only(self, tmp_path):
+        """A base record is the LSN, the sequence number, the schema and
+        the tables — byte for byte the same however many views exist."""
+        sizes = []
+        for views in (0, 3):
+            wh = make_warehouse(tmp_path / f"views{views}")
+            for view in range(views):
+                wh.create_view(f"ol{view}", order_lines_expr())
+            wh.insert("orders", [(o, o % 7) for o in range(20)])
+            wh.insert("lineitem", [(o, 0, o) for o in range(20)])
+            path = wh.checkpoint()
+            assert sorted(read_record(path)) == ["lsn", "schema", "seq", "tables"]
+            sizes.append(os.path.getsize(path))
+            wh.close()
+        assert sizes[0] == sizes[1]
+
+    def test_files_that_still_carry_views_restore(self, tmp_path):
+        """A base and a delta written when checkpoints still stored view
+        rows restore: the tables are read, the ``views`` member never —
+        every view is rebuilt, so even rows that are wrong do no harm."""
+        wh = lineage_warehouse(tmp_path)
+        base = wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        delta = wh.checkpoint()
+        wh.flush()
+        expected = sorted(wh.view("ol").rows())
+        bogus = [[999, 999, 999, 999, 999]]
+        rewrite_record(base, views={"ol": bogus})
+        rewrite_record(delta, views={"ol": {"+": bogus, "-": []}})
+
+        wh2 = restart(tmp_path, wh)
+        wh2.recover()
+        assert wh2.last_recovery["checkpoint_path"] == delta
+        assert wh2.last_recovery["replayed"] == 0
+        assert sorted(wh2.view("ol").rows()) == expected
         wh2.check_consistency()
         wh2.close()
 
@@ -471,7 +565,7 @@ class TestLineage:
         wh.checkpoint()
         wh.insert("lineitem", [(1, 1, 1)])
         wh.checkpoint()
-        wh.repair_view("ol")  # journal broken: the next one is a base
+        wh.recover()  # tables replaced wholesale: the next one is a base
         wh.insert("lineitem", [(2, 1, 2)])
         wh.checkpoint()
         assert kinds(wh) == ["base", "delta", "base"]

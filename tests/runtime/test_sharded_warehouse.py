@@ -268,6 +268,33 @@ def test_recovery_iterates_shard_lineages(tmp_path):
         wh.close()
 
 
+def test_restart_before_the_first_checkpoint_replays_each_whole_wal(tmp_path):
+    """With a checkpoint_dir but no checkpoint written yet, recovery
+    replays every entry from LSN 0: the restart must start each shard
+    from its initial partition rows, never from the rows it holds."""
+    db = build_db()
+    wh = make_sharded(
+        db.copy(), shards=2, wal_path=str(tmp_path / "wal"),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    try:
+        wh.insert("orders", [(700, 1)])
+        wh.insert("lineitem", [(700, 0, 3), (700, 1, 4)])
+        wh.crash_restart()
+        assert wh.last_recovery["replayed"] > 0
+        assert sorted(wh.table_rows("lineitem")) == sorted(
+            db.table("lineitem").rows + [(700, 0, 3), (700, 1, 4)]
+        )
+        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        assert merged == reference_views(db, [
+            ("insert", "orders", [(700, 1)]),
+            ("insert", "lineitem", [(700, 0, 3), (700, 1, 4)]),
+        ])
+        wh.check_consistency()
+    finally:
+        wh.close()
+
+
 def test_recovery_with_one_corrupt_shard_wal_degrades_not_dies(tmp_path):
     db = build_db()
     wal_root = tmp_path / "wal"

@@ -23,7 +23,8 @@ scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..algebra.expr import delta_label
 from ..algebra.evaluate import evaluate
@@ -32,10 +33,12 @@ from ..engine.schema import Schema
 from ..engine.table import Row, Table, next_version
 from ..errors import MaintenanceError, UnsupportedViewError
 from ..obs import Telemetry
+from ..runtime.failpoints import FAILPOINTS
 from .maintain import (
     MaintenanceOptions,
     MaintenanceReport,
     SECONDARY_FROM_BASE,
+    undo_pass,
 )
 from .maintgraph import MaintenanceGraph
 from .secondary import DELETE, INSERT, secondary_from_base
@@ -161,23 +164,16 @@ class AggregatedView:
         self._populate()
         self.bump_version()
 
-    def save(self) -> Dict[Row, _Group]:
-        """An independent copy of the group state (see
-        :meth:`ViewMaintainer.save` — the same protocol)."""
-        return {key: group.copy() for key, group in self.groups.items()}
-
-    def restore(self, saved: Dict[Row, _Group]) -> None:
-        """Put a :meth:`save` back in place; *saved* stays reusable."""
-        self.groups = {key: group.copy() for key, group in saved.items()}
-        self.bump_version()
-
     # ------------------------------------------------------------------
     def _populate(self) -> None:
         base = evaluate(self.definition.join_expr, self.db)
         self._fold(base, sign=1)
 
     def _fold(self, table: Table, sign: int) -> int:
-        """Merge delta rows into the group store; returns rows folded."""
+        """Merge delta rows into the group store, all of them or none:
+        the groups they touch are folded as copies, checked, and only
+        then written back.  Returns rows folded; folding the same rows
+        with ``-sign`` undoes it (COUNT, SUM and AVG all invert)."""
         schema = table.schema
         group_pos = [
             schema.index_of(c) if c in schema else None for c in self.group_by
@@ -192,14 +188,19 @@ class AggregatedView:
             (t, schema.index_of(col)) if col in schema else (t, None)
             for t, col in self._table_key_col.items()
         ]
+        touched: Dict[Row, _Group] = {}
         for row in table.rows:
             key = tuple(
                 row[p] if p is not None else None for p in group_pos
             )
-            group = self.groups.get(key)
+            group = touched.get(key)
             if group is None:
-                group = _Group(len(self.aggregates), self.nullable_tables)
-                self.groups[key] = group
+                held = self.groups.get(key)
+                group = touched[key] = (
+                    held.copy()
+                    if held is not None
+                    else _Group(len(self.aggregates), self.nullable_tables)
+                )
             group.row_count += sign
             for t, pos in null_pos:
                 if pos is not None and row[pos] is not None:
@@ -213,24 +214,23 @@ class AggregatedView:
                     group.counts[i] += sign
                     if agg.kind in (SUM, AVG):
                         group.sums[i] += sign * value
-            if group.row_count == 0:
-                self._assert_empty(key, group)
-                del self.groups[key]
-            elif group.row_count < 0:
+        for key, group in touched.items():
+            if group.row_count < 0 or (
+                group.row_count == 0
+                and (any(group.counts) or any(group.notnull.values()))
+            ):
                 raise MaintenanceError(
-                    f"group {key!r} reached negative row count — "
-                    "inconsistent delta"
+                    f"group {key!r} left with a negative row count or, "
+                    "emptied, with dangling counters — inconsistent delta"
                 )
+        for key, group in touched.items():
+            if group.row_count:
+                self.groups[key] = group
+            else:
+                del self.groups[key]
         if table.rows:
             self.bump_version()
         return len(table.rows)
-
-    @staticmethod
-    def _assert_empty(key: Row, group: _Group) -> None:
-        if any(group.counts) or any(group.notnull.values()):
-            raise MaintenanceError(
-                f"group {key!r} emptied with dangling counters"
-            )
 
     # ------------------------------------------------------------------
     def rows(self) -> List[Row]:
@@ -294,9 +294,11 @@ class AggregatedView:
     ) -> MaintenanceReport:
         """Aggregate-and-merge maintenance: compute ΔV^D / ΔV^I for the
         underlying SPOJ view and fold them with the appropriate signs.
-        Success and failure are metered like a plain view's."""
+        Success and failure are metered like a plain view's, and a failed
+        pass is undone like one (see :func:`~repro.core.maintain.undo_pass`)."""
+        undo: List[Callable[[], int]] = []  # each fold's inverse, in order
         try:
-            report = self._maintain(table, delta, operation, fk_allowed)
+            report = self._maintain(table, delta, operation, fk_allowed, undo)
         except Exception:
             self.telemetry.emit(
                 "maintenance.error",
@@ -304,12 +306,14 @@ class AggregatedView:
                 table=table,
                 operation=operation,
             )
+            undo_pass(self, undo)
             raise
         self.telemetry.emit("maintenance.pass", report=report)
         return report
 
     def _maintain(
-        self, table: str, delta: Table, operation: str, fk_allowed: bool
+        self, table: str, delta: Table, operation: str, fk_allowed: bool,
+        undo: List[Callable[[], int]],
     ) -> MaintenanceReport:
         report = MaintenanceReport(
             view=self.definition.name,
@@ -352,12 +356,19 @@ class AggregatedView:
         primary = evaluate(expr, self.db, {delta_label(table): delta})
         sign = 1 if operation == INSERT else -1
         report.primary_rows = self._fold(primary, sign)
-
+        undo.append(partial(self._fold, primary, -sign))
+        FAILPOINTS.hit(
+            "maintain.pass",
+            view=self.definition.name,
+            table=table,
+            operation=operation,
+        )
         for term in mgraph.indirectly_affected:
             rows = secondary_from_base(
                 term, mgraph, primary, self.db, operation, table, delta
             )
             report.secondary_rows[term.label()] = self._fold(rows, -sign)
+            undo.append(partial(self._fold, rows, sign))
         return report
 
     # ------------------------------------------------------------------

@@ -19,12 +19,17 @@ this, two terms ``{R}`` and ``{R,S}`` orphaned by the same deleted rows
 would both be inserted even though the ``{R}`` orphan is subsumed by the
 ``{R,S}`` one.  (The base-table route needs no ordering — its ``Qᵢ``
 filter already excludes such candidates, cf. Example 9's ``n(S)``.)
+
+A pass lands whole or not at all: it records the inverse of each view
+apply (itself all-or-nothing) that succeeded, and if anything raises
+later :func:`undo_pass` runs them, leaving the view exactly pre-change.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..algebra.evaluate import ExecutionStats, evaluate
@@ -35,7 +40,7 @@ from ..engine import operators as ops
 from ..engine.catalog import Database
 from ..engine.schema import Schema
 from ..engine.table import Row, Table
-from ..errors import MaintenanceError, ReproError, UnsupportedViewError
+from ..errors import MaintenanceError, ReproError, UndoError, UnsupportedViewError
 from ..obs import Telemetry
 from ..planner import PlanCache, PlanCompileError, compile_plan, provision_indexes
 from ..runtime.failpoints import FAILPOINTS
@@ -144,6 +149,21 @@ class MaintenanceReport:
             parts.append("(primary delta proven empty)")
         parts.append(f"[{self.elapsed_seconds * 1000:.1f} ms]")
         return " ".join(parts)
+
+
+def undo_pass(target, undo: List[Callable[[], int]]) -> None:
+    """Run a failed pass's inverse applies on *target* (a plain or
+    aggregated view), newest first.  If one raises, rebuild *target* from
+    the base tables instead and raise :class:`~repro.errors.UndoError`."""
+    try:
+        for inverse in reversed(undo):
+            inverse()
+    except Exception as exc:
+        target.rebuild()
+        raise UndoError(
+            f"view {target.definition.name!r}: undoing a failed pass raised "
+            f"{exc!r}; rebuilt from the base tables"
+        ) from exc
 
 
 class ViewMaintainer:
@@ -346,6 +366,7 @@ class ViewMaintainer:
 
         tel = self.telemetry
         tracer = tel.tracer
+        undo: List[Callable[[], int]] = []  # each apply's inverse, in order
         with tracer.span(
             "maintain",
             view=self.definition.name,
@@ -354,15 +375,6 @@ class ViewMaintainer:
             base_rows=len(delta),
         ) as root:
             try:
-                # fault-injection site *inside* the maintain span: an
-                # armed raise produces a real failing span chain, the
-                # shape quarantine flight-recorder dumps capture
-                FAILPOINTS.hit(
-                    "maintain.pass",
-                    view=self.definition.name,
-                    table=table,
-                    operation=operation,
-                )
                 with tracer.span("classify") as span:
                     mgraph = self.maintenance_graph(table, fk_allowed)
                     report.direct_terms = [
@@ -385,16 +397,28 @@ class ViewMaintainer:
                         span.record_rows(len(primary))
                 if primary is not None and len(primary):
                     with tracer.span("apply_primary") as span:
-                        self._apply_primary(primary, operation, report)
+                        report.primary_rows = self._apply(
+                            primary, operation == INSERT, undo
+                        )
                         span.record_rows(report.primary_rows)
                     if self.options.count_term_rows:
                         self._count_term_rows(primary, mgraph, report)
+                # fault-injection site *inside* the maintain span, between
+                # the primary and the secondary applies: an armed raise
+                # stages the half-applied pass the undo below closes, with
+                # a real failing span chain for flight-recorder dumps
+                FAILPOINTS.hit(
+                    "maintain.pass",
+                    view=self.definition.name,
+                    table=table,
+                    operation=operation,
+                )
                 if primary is None:
                     primary = Table("delta", Schema([]), [])
 
                 if mgraph.indirectly_affected and len(primary):
                     self._apply_secondary(
-                        table, delta, primary, mgraph, operation, report
+                        table, delta, primary, mgraph, operation, report, undo
                     )
             except Exception:
                 tel.emit(
@@ -403,6 +427,7 @@ class ViewMaintainer:
                     table=table,
                     operation=operation,
                 )
+                undo_pass(self, undo)
                 raise
 
             report.elapsed_seconds = time.perf_counter() - started
@@ -441,14 +466,18 @@ class ViewMaintainer:
                     pass  # unexpected binding shape; interpreter handles it
         return evaluate(expr, self.db, bindings, stats=report.stats)
 
-    def _apply_primary(
-        self, primary: Table, operation: str, report: MaintenanceReport
-    ) -> None:
-        aligned = self._align_rows(primary)
-        if operation == INSERT:
-            report.primary_rows = self.view.insert_rows(aligned)
-        else:
-            report.primary_rows = self.view.delete_rows(aligned)
+    def _apply(
+        self, rows: Table, insert: bool, undo: List[Callable[[], int]]
+    ) -> int:
+        """Insert (or delete) delta *rows* into the view — all of them or
+        none — and record the inverse apply in *undo*; returns the count."""
+        aligned = self._align_rows(rows)
+        apply, inverse = self.view.insert_rows, self.view.delete_rows
+        if not insert:
+            apply, inverse = inverse, apply
+        count = apply(aligned)
+        undo.append(partial(inverse, aligned))
+        return count
 
     def _count_term_rows(
         self,
@@ -471,11 +500,12 @@ class ViewMaintainer:
         mgraph: MaintenanceGraph,
         operation: str,
         report: MaintenanceReport,
+        undo: List[Callable[[], int]],
     ) -> None:
         strategy = self.options.secondary_strategy
         if strategy == SECONDARY_COMBINED:
             self._apply_secondary_combined(
-                primary, mgraph, operation, report
+                primary, mgraph, operation, report, undo
             )
             return
         # Parents before children (see module docstring).
@@ -501,11 +531,7 @@ class ViewMaintainer:
                     rows = self._secondary_view_rows(
                         term, mgraph, primary, operation, table
                     )
-                aligned = self._align_rows(rows)
-                if operation == INSERT:
-                    count = self.view.delete_rows(aligned)
-                else:
-                    count = self.view.insert_rows(aligned)
+                count = self._apply(rows, operation != INSERT, undo)
                 report.secondary_rows[term.label()] = count
                 span.record_rows(count)
 
@@ -577,6 +603,7 @@ class ViewMaintainer:
         mgraph: MaintenanceGraph,
         operation: str,
         report: MaintenanceReport,
+        undo: List[Callable[[], int]],
     ) -> None:
         """Section 9 future work: all indirect term deltas from one pass
         over the view and one pass over the primary delta."""
@@ -589,14 +616,10 @@ class ViewMaintainer:
                 mgraph, self.view.as_table(), primary, self.db, operation
             )
             for label, rows in deltas.items():
-                aligned = self._align_rows(rows)
-                if operation == INSERT:
-                    report.secondary_rows[label] = self.view.delete_rows(aligned)
-                else:
-                    report.secondary_rows[label] = self.view.insert_rows(aligned)
-                span.record_rows(report.secondary_rows[label])
-            for label in deltas:
+                count = self._apply(rows, operation != INSERT, undo)
+                report.secondary_rows[label] = count
                 report.secondary_strategy_used[label] = SECONDARY_COMBINED
+                span.record_rows(count)
 
     # ------------------------------------------------------------------
     def _align_rows(self, table: Table) -> List[Row]:
@@ -630,20 +653,12 @@ class ViewMaintainer:
 
     # ------------------------------------------------------------------
     # state protocol (shared with AggregatedView): how the warehouse
-    # brackets retries and transactions, restores checkpoints and
-    # repairs quarantined views without knowing which kind it holds
+    # restores checkpoints and repairs quarantined views without knowing
+    # which kind it holds.  Retries and rollbacks need nothing here: a
+    # failed maintain() leaves its view exactly pre-change (undo_pass).
     # ------------------------------------------------------------------
     def rows(self) -> List[Row]:
         return self.view.rows()
-
-    def save(self) -> MaterializedView:
-        """An independent copy of the current contents."""
-        return self.view.clone()
-
-    def restore(self, saved: MaterializedView) -> None:
-        """Put a :meth:`save` back in place; *saved* stays reusable (a
-        retry loop restores the same save before every attempt)."""
-        self.view.reset_to(saved.clone())
 
     def rebuild(self) -> None:
         """Recompute the view from the current base tables, in place."""

@@ -33,6 +33,13 @@ class MaintenanceError(ReproError):
     """View maintenance could not be performed for the requested update."""
 
 
+class UndoError(MaintenanceError):
+    """A failed maintenance pass could not be undone by its inverse
+    applies — only a bug, or a timed-out attempt still running, can do
+    that.  The view was rebuilt from the base tables instead, and the
+    scheduler quarantines it without a further attempt."""
+
+
 class WalError(ReproError):
     """The write-ahead change log is unreadable or was used incorrectly
     (corruption before the final record, acking an unknown LSN, ...)."""

@@ -114,6 +114,7 @@ FAULTS: Tuple[Fault, ...] = (
     # in-stream: the process lives on
     Fault("absorb@scheduler.task", Arm("scheduler.task", how={"times": None, "attempt": 1}),
           on="every"),
+    Fault("absorb@maintain.pass", Arm("maintain.pass", how={"times": 1})),
     Fault("fail@wal.append", Arm("wal.append"), expect="refused"),
     Fault("fail@wal.fsync", Arm("wal.fsync"), expect="refused"),
     Fault("kill@shard.worker", Arm("shard.worker.kill", shard=True), **_HAVOC),
@@ -182,7 +183,8 @@ def default_matrix() -> List[OracleConfig]:
         row("serial-wal", durability="wal",
             faults=_faults("lost-acks", "fail@wal.append", "fail@wal.fsync")),
         row("parallel-wal", durability="wal", scheduling="parallel", faults=_faults("lost-acks")),
-        row("retry-transient", scheduling="parallel", faults=_faults("absorb@scheduler.task")),
+        row("retry-transient", scheduling="parallel",
+            faults=_faults("absorb@scheduler.task", "absorb@maintain.pass")),
         row("checkpoint-wal", durability=checkpoints, faults=_faults("lost-acks@lineage")),
         row("crash-checkpoint", durability=checkpoints, faults=_faults(
             "crash@checkpoint.write", "crash@checkpoint.prune",

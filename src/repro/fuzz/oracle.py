@@ -319,9 +319,7 @@ def run_case(
     return result
 
 
-_FAST_RETRY = RetryPolicy(
-    max_attempts=3, base_delay_seconds=0.0, max_delay_seconds=0.0
-)
+_FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_seconds=0.0)
 _CHAOS_DEADLINE = 0.6  # facade per-call deadline during chaos replay
 _CHAOS_PROBE = 0.3  # supervisor liveness-probe timeout
 _CHAOS_INJECTIONS = 3  # ``on="sample"`` steps (fewer on a short stream)

@@ -60,8 +60,9 @@ SITES: Dict[str, str] = {
     "operation): change applied and logged, no view maintained yet",
     "scheduler.task": "per view, per attempt, inside the retry loop "
     "(view, attempt): a raise is retried, then quarantines the view",
-    "maintain.pass": "ViewMaintainer.maintain, inside the root span "
-    "(view, table, operation): a real failing span chain mid-pass",
+    "maintain.pass": "ViewMaintainer / AggregatedView maintain, inside "
+    "the root span after the primary apply (view, table, operation): a "
+    "half-applied pass, which undoes itself and leaves the view pre-change",
     "checkpoint.write": "CheckpointManager.write, tmp file fsynced but "
     "not yet renamed (seq, lsn): the atomic-rename window",
     "checkpoint.prune": "same method, new file published, redundant "

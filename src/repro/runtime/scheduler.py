@@ -16,19 +16,21 @@ across views *within* one change, never across changes.
 Failure handling per view task:
 
 * **retry** — a raising maintainer is retried with bounded exponential
-  backoff (:class:`RetryPolicy`); before each retry the view is restored
-  from a pre-change snapshot so a partially-applied pass cannot be
-  double-applied;
+  backoff (:class:`RetryPolicy`).  A failed pass has already undone its
+  own applies, so the view is exactly pre-change and a retry is just
+  another call: nothing is copied and no snapshot journal is broken;
 * **timeout** — with ``timeout_seconds`` set (parallel mode only; pure
   Python cannot preempt a running thread) a task whose result does not
   arrive in time is treated as failed and its view quarantined — the
   still-running "zombie" attempt can only touch that already-quarantined
   view;
 * **quarantine / graceful degradation** — a view that exhausts its retry
-  budget is marked quarantined: restored to its pre-change (stale but
+  budget is marked quarantined: left at its pre-change (stale but
   internally consistent) state, excluded from subsequent fan-outs, and
-  surfaced on the health dashboard.  The batch is never poisoned — every
-  other view is still maintained and acknowledged.
+  surfaced on the health dashboard.  A pass whose undo itself raised
+  (:class:`~repro.errors.UndoError`) has rebuilt its view and is
+  quarantined at once, with no further attempt.  The batch is never
+  poisoned — every other view is still maintained and acknowledged.
 
 Admission control — with ``max_queue_depth`` set, the change queue is
 bounded, so a producer that outruns the dispatcher can no longer grow
@@ -49,10 +51,8 @@ started.
 With ``workers=0`` (the default) everything runs inline on the caller's
 thread in deterministic registration order (admission control does not
 apply: nothing ever queues).  With ``retry=None`` each view gets a
-single attempt and no pre-change snapshot is taken, so a view that
-fails is quarantined as it stands — possibly half-updated, which is why
-quarantined views are excluded from reads and consistency checks until
-``repair_view`` rebuilds them.
+single attempt; a view that fails is quarantined stale but consistent,
+exactly as it was before the change, until ``repair_view`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import BackpressureError, MaintenanceError
+from ..errors import BackpressureError, MaintenanceError, UndoError
 from ..obs import Telemetry
 from .failpoints import FAILPOINTS
 
@@ -89,25 +89,21 @@ class RetryPolicy:
     """Bounded exponential backoff for failing view maintainers.
 
     ``max_attempts`` counts every try (1 = no retries).  The delay before
-    retry *k* is ``base_delay_seconds * backoff_multiplier**(k-1)``,
-    capped at ``max_delay_seconds``.  ``timeout_seconds`` bounds how long
-    the scheduler waits for one view's task in parallel mode (``None`` =
-    wait forever); a timed-out view is quarantined immediately since the
+    retry *k* is ``base_delay_seconds * 2**(k-1)``, capped at
+    ``max_delay_seconds``.  ``timeout_seconds`` bounds how long the
+    scheduler waits for one view's task in parallel mode (``None`` = wait
+    forever); a timed-out view is quarantined immediately since the
     attempt cannot be safely re-run while the old one may still be
     executing.
     """
 
     max_attempts: int = 3
     base_delay_seconds: float = 0.005
-    backoff_multiplier: float = 2.0
     max_delay_seconds: float = 0.25
     timeout_seconds: Optional[float] = None
 
     def delay(self, failure_count: int) -> float:
-        raw = self.base_delay_seconds * (
-            self.backoff_multiplier ** (failure_count - 1)
-        )
-        return min(self.max_delay_seconds, raw)
+        return min(self.max_delay_seconds, self.base_delay_seconds * 2 ** (failure_count - 1))
 
 
 #: The policy when none is given: one attempt, no backoff.
@@ -116,19 +112,13 @@ SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
 
 @dataclass
 class Task:
-    """One view's work for one change.
-
-    ``run`` performs the maintenance pass and returns its report.
-    ``snapshot``, when provided and retries are enabled, is called once
-    before the first attempt and returns a ``restore()`` callable that
-    puts the view back to its pre-change state (invoked before every
-    retry and after the final failure, so a view quarantined under a
-    retry policy is stale but never half-updated).
-    """
+    """One view's work for one change: ``run`` performs the maintenance
+    pass and returns its report.  A pass that raises leaves its view
+    exactly pre-change — a retry just calls ``run`` again, and a view
+    quarantined after its last attempt is stale, never half-updated."""
 
     name: str
     run: Callable[[], object]
-    snapshot: Optional[Callable[[], Callable[[], None]]] = None
 
 
 @dataclass
@@ -463,12 +453,9 @@ class MaintenanceScheduler:
         return result
 
     def _run_task(self, task: Task):
-        """The per-view retry loop; returns ``(report, error)``."""
+        """The per-view retry loop; returns ``(report, error)``.  An
+        :class:`~repro.errors.UndoError` ends it: the view was rebuilt."""
         policy = self.retry
-        restore: Optional[Callable[[], None]] = None
-        if task.snapshot is not None and policy.max_attempts > 1:
-            restore = task.snapshot()
-        last: Optional[Exception] = None
         for attempt in range(1, policy.max_attempts + 1):
             try:
                 # Inside the try: an injected fault is handled exactly
@@ -478,21 +465,16 @@ class MaintenanceScheduler:
                 )
                 return task.run(), None
             except Exception as exc:
-                last = exc
                 with self._lock:
                     state = self.register(task.name)
                     state.failures += 1
                     state.last_error = repr(exc)
-                if restore is not None:
-                    restore()
-                if attempt < policy.max_attempts:
-                    with self._lock:
-                        state.retries += 1
-                    self.telemetry.emit(
-                        "view.retry", view=task.name, attempt=attempt
-                    )
-                    time.sleep(policy.delay(attempt))
-        return None, last
+                    if attempt == policy.max_attempts or isinstance(exc, UndoError):
+                        return None, exc
+                    state.retries += 1
+                self.telemetry.emit("view.retry", view=task.name, attempt=attempt)
+                time.sleep(policy.delay(attempt))
+        return None, None  # max_attempts < 1: nothing was attempted
 
     def _finish(self, task: Task, outcome, result: FanOutResult) -> None:
         report, error = outcome
@@ -502,8 +484,7 @@ class MaintenanceScheduler:
         result.failures[task.name] = error
         self._quarantine(
             task.name,
-            f"{result.operation} on {result.table!r} failed after "
-            f"{self.retry.max_attempts} attempt(s): {error!r}",
+            f"{result.operation} on {result.table!r} failed: {error!r}",
         )
         result.quarantined.append(task.name)
 

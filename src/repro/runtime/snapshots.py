@@ -25,8 +25,9 @@ the classic MVCC move — readers never touch live state at all:
   previous slice.  A slice is an immutable base dict plus a short chain
   of such overlays, so retained snapshots share everything but their
   deltas.  Only a *broken* journal — first capture, wholesale
-  replacement (``reset_to``: rebuild, savepoint restore, checkpoint
-  restore, transaction rollback), a failed publish — costs a full copy.
+  replacement (``reset_to``: rebuild, checkpoint restore, a rollback's
+  rebuild of a view quarantined inside it), a failed publish — costs a
+  full copy.
 
 Retention is bounded two ways: the store keeps at most ``retain``
 snapshots (a deque), and :meth:`Warehouse.checkpoint` prunes snapshots

@@ -82,13 +82,9 @@ Reports = Dict[str, MaintenanceReport]
 DELETE_BY_KEY = "delete_by_key"
 
 # Plain and aggregated views sit in one registry and answer the same
-# calls: maintain / save / restore / rebuild / rows / check_consistency.
+# calls: maintain / rebuild / rows / check_consistency.  A maintain that
+# raises leaves its view exactly as it was before the change.
 Maintained = Union[ViewMaintainer, AggregatedView]
-
-
-def _savepoint(target: Maintained) -> Callable[[], None]:
-    """``Task.snapshot`` for *target*: save now, restore on demand."""
-    return partial(target.restore, target.save())
 
 
 class Warehouse:
@@ -652,14 +648,9 @@ class Warehouse:
         self, table: str, delta: Table, operation: str, fk_allowed: bool
     ) -> List[Task]:
         """One scheduler task per registered view, in registration order.
-
-        Savepoints make retries safe: ``maintain`` is not idempotent (a
-        failure can leave the primary delta applied but not the
-        secondary), so before re-attempting — and after the final
-        failure — the view is restored to its pre-change state.  Every
-        view records its own telemetry (spans, error counter) on both
-        success and failure.
-        """
+        A failed ``maintain`` leaves its view exactly pre-change, so a
+        retry runs the task again: no copy, no broken snapshot journal.
+        Each view meters its own spans and errors either way."""
         return [
             Task(
                 name,
@@ -670,7 +661,6 @@ class Warehouse:
                     operation,
                     fk_allowed=fk_allowed,
                 ),
-                partial(_savepoint, target),
             )
             for name, target in self._views.items()
         ]

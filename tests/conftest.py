@@ -9,7 +9,8 @@
 * ``no_full_capture`` — fails the test if a snapshot publish copies a
   table or view whole that the store had captured before.
 * ``no_undo_copy`` — fails the test if a transaction's begin, commit or
-  rollback copies the database, saves or restores a view, or replaces
+  rollback, or a scheduler's maintenance pass with its retries, copies
+  the database or a view, resets a view wholesale, or replaces
   ``db.tables``.
 """
 
@@ -20,9 +21,9 @@ import random
 import pytest
 
 from repro.algebra import Q, eq
-from repro.core import AggregatedView, ViewDefinition, ViewMaintainer
+from repro.core import MaterializedView, ViewDefinition
 from repro.engine import Database, HashIndex
-from repro.runtime import SnapshotStore
+from repro.runtime import MaintenanceScheduler, SnapshotStore
 from repro.tpch import TPCHGenerator
 from repro.warehouse import Transaction
 
@@ -163,12 +164,14 @@ def no_full_capture(monkeypatch):
 
 @pytest.fixture
 def no_undo_copy(monkeypatch):
-    """Transactions undo by maintaining inverse changes: with this
-    fixture, ``Database.copy``, a view's ``save`` / ``restore`` or a
-    reassignment of ``db.tables`` inside a transaction's begin, commit
-    or rollback — in any thread, so shard workers count — fails the
-    test (checked at teardown: a failure inside a worker thread would
-    only surface as a dead shard)."""
+    """Transactions undo by maintaining inverse changes, and a failed
+    maintenance pass by its own inverse applies: with this fixture,
+    ``Database.copy``, ``MaterializedView.clone`` / ``reset_to`` or a
+    reassignment of ``db.tables`` inside a transaction's begin, commit or
+    rollback, or inside a scheduler task's attempts — in any thread, so
+    pool workers and shard workers count — fails the test (checked at
+    teardown: a failure inside a worker thread would only surface as a
+    dead shard)."""
     inside, violations = [], []
 
     def bracket(phase, method):
@@ -184,22 +187,26 @@ def no_undo_copy(monkeypatch):
     def guard(what, method):
         def guarded(*args, **kwargs):
             if inside:
-                violations.append(f"{what} inside a transaction's {inside[-1]}")
+                violations.append(f"{what} inside a {inside[-1]}")
             return method(*args, **kwargs)
 
         return guarded
 
     for phase, name in (("begin", "__init__"), ("commit", "commit"), ("rollback", "rollback")):
-        monkeypatch.setattr(Transaction, name, bracket(phase, getattr(Transaction, name)))
-    for cls in (ViewMaintainer, AggregatedView):
-        for name in ("save", "restore"):
-            method = getattr(cls, name)
-            monkeypatch.setattr(cls, name, guard(f"{cls.__name__}.{name}", method))
+        method = getattr(Transaction, name)
+        monkeypatch.setattr(Transaction, name, bracket(f"transaction {phase}", method))
+    monkeypatch.setattr(
+        MaintenanceScheduler, "_run_task",
+        bracket("maintenance pass", MaintenanceScheduler._run_task),
+    )
+    for name in ("clone", "reset_to"):
+        method = getattr(MaterializedView, name)
+        monkeypatch.setattr(MaterializedView, name, guard(f"MaterializedView.{name}", method))
     monkeypatch.setattr(Database, "copy", guard("Database.copy", Database.copy))
 
     def set_attribute(db, name, value):
         if name == "tables" and inside:
-            violations.append(f"db.tables replaced inside a transaction's {inside[-1]}")
+            violations.append(f"db.tables replaced inside a {inside[-1]}")
         object.__setattr__(db, name, value)
 
     monkeypatch.setattr(Database, "__setattr__", set_attribute)

@@ -40,7 +40,7 @@ def setup_insert(seed=1):
     delta_t = db.insert("t", [(700 + i, rng.randint(0, 5)) for i in range(4)])
     primary = evaluate(dexpr, db, {delta_label("t"): delta_t})
     maintainer = ViewMaintainer(db, view)
-    maintainer._apply_primary(primary, INSERT, _report())
+    view.insert_rows(maintainer._align_rows(primary))
     return db, defn, view, mgraph, primary, delta_t
 
 
@@ -56,14 +56,8 @@ def setup_delete(seed=1):
     delta_t = db.delete("t", doomed)
     primary = evaluate(dexpr, db, {delta_label("t"): delta_t})
     maintainer = ViewMaintainer(db, view)
-    maintainer._apply_primary(primary, DELETE, _report())
+    view.delete_rows(maintainer._align_rows(primary))
     return db, defn, view, mgraph, primary, delta_t
-
-
-def _report():
-    from repro.core.maintain import MaintenanceReport
-
-    return MaintenanceReport(view="v1", table="t", operation="x")
 
 
 class TestOldState:

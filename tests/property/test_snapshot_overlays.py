@@ -1,8 +1,8 @@
 """Overlay slices answer exactly as a full capture would.
 
 A seeded random stream — inserts, deletes, ``delete_by_key``, committed
-and rolled-back transactions, retried maintenance (savepoint restore),
-quarantine + ``repair_view``, ``create_view`` + ``drop_view`` — runs
+and rolled-back transactions, retried maintenance (a pass that failed
+half-applied and undid itself), quarantine + ``repair_view``, ``create_view`` + ``drop_view`` — runs
 through a warehouse whose every publish is shadowed by a deep copy of
 the live state.  Afterwards *every* snapshot ever published, including
 those held across several overlay folds, must read exactly like its copy.
@@ -118,11 +118,9 @@ def drive(wh, rng, steps):
                         txn.delete("lineitem", held_lines(1))
                         txn.insert("lineitem", [(10**6, 0, 0)])  # no such order
             elif kind == "retry":
-                # first attempt of every view fails: restore + re-run
+                # one view's first pass fails half-applied: undone, re-run
                 rows = fresh_lines(2)
-                with FAILPOINTS.armed(
-                    "scheduler.task", action="raise", times=None, attempt=1
-                ):
+                with FAILPOINTS.armed("maintain.pass"):
                     wh.insert("lineitem", rows)
                 lines.update({r[:2]: r for r in rows})
             elif kind == "quarantine":

@@ -1,5 +1,6 @@
 """Scheduler + warehouse fan-out failure paths: retry, quarantine,
-timeout, and the graceful-degradation contract."""
+timeout, the graceful-degradation contract, and the failed pass that
+undoes itself (so a retry or a quarantine copies nothing)."""
 
 import threading
 import time
@@ -7,13 +8,17 @@ import time
 import pytest
 
 from repro import Database, Q, eq
-from repro.errors import FanOutError, MaintenanceError
+from repro.core import agg_sum, count_star
+from repro.errors import FanOutError, MaintenanceError, UndoError
 from repro.obs import Telemetry
 from repro.runtime import (
+    FAILPOINTS,
+    InjectedFault,
     MaintenanceScheduler,
     RetryPolicy,
     Task,
 )
+from repro.tpch import TPCHGenerator, oj_view
 from repro.warehouse import Warehouse
 
 
@@ -49,7 +54,7 @@ class _FlakyMaintainer:
         self.attempts = 0
 
     def __getattr__(self, attr):
-        # view / definition / save / restore / rebuild / rows / ...
+        # view / definition / rebuild / rows / ...
         return getattr(self.inner, attr)
 
     def maintain(self, *args, **kwargs):
@@ -94,13 +99,14 @@ class TestRetry:
         assert retries == 2
 
     def test_retry_restores_view_between_attempts(self, wh):
-        # fail_times=1 with the *inner* maintainer half-applied is hard to
-        # stage from outside, so assert the observable contract instead:
-        # after a retried success the view equals a full recompute, and
-        # the row count moved exactly once.
-        make_flaky(wh, "ol_a", fail_times=1)
+        # the first attempt fails half-applied: its primary insert landed,
+        # the secondary (removing order 1's NULL pad) never ran
+        FAILPOINTS.reset()
         before = len(wh.view("ol_a"))
-        wh.insert("lineitem", [(1, 1, 5)])
+        with FAILPOINTS.armed("maintain.pass", view="ol_a"):
+            wh.insert("lineitem", [(1, 1, 5)])
+        assert FAILPOINTS.fired("maintain.pass") == 1
+        assert wh.scheduler.state("ol_a").retries == 1
         assert len(wh.view("ol_a")) == before  # row 1 replaced its NULL pad
         wh.check_consistency()
 
@@ -143,10 +149,7 @@ class TestQuarantine:
 class TestSchedulerCore:
     def test_backoff_delays_are_bounded(self):
         policy = RetryPolicy(
-            max_attempts=10,
-            base_delay_seconds=0.01,
-            backoff_multiplier=2.0,
-            max_delay_seconds=0.05,
+            max_attempts=10, base_delay_seconds=0.01, max_delay_seconds=0.05
         )
         assert policy.delay(1) == 0.01
         assert policy.delay(2) == 0.02
@@ -270,22 +273,16 @@ class TestSchedulerCore:
 
     def test_serial_scheduler_single_attempt_quarantines(self):
         calls = []
-        saves = []
 
         def failing():
             calls.append(1)
             raise MaintenanceError("boom")
 
-        def snapshot():
-            saves.append(1)
-            return lambda: None
-
         scheduler = MaintenanceScheduler()  # workers=0, retry=None
         result = scheduler.apply(
-            lambda: ([Task("v", failing, snapshot)], None), "t", "insert"
+            lambda: ([Task("v", failing)], None), "t", "insert"
         )
         assert len(calls) == 1  # no retry
-        assert saves == []  # and no pre-change save to pay for
         assert result.quarantined == ["v"]  # exhausted -> always quarantined
         assert scheduler.is_quarantined("v")
         skipped = scheduler.apply(
@@ -348,3 +345,95 @@ class TestAsync:
             assert excinfo.value.quarantined == ["ol"]
         finally:
             wh.scheduler.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# a failed pass undoes itself
+# ---------------------------------------------------------------------------
+class TestFailedPassIsUndone:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_single_attempt_ends_stale_not_half_applied(self, workers):
+        """retry=None: a fault between the primary and the secondary
+        apply quarantines the plain and the aggregated view exactly as
+        they were before the change."""
+        wh = Warehouse(build_db(), workers=workers)
+        wh.create_view("ol", order_lines_expr())
+        wh.create_aggregated_view(
+            "per_cust",
+            order_lines_expr(),
+            ["orders.o_custkey"],
+            [count_star("n"), agg_sum("lineitem.l_qty", "qty")],
+        )
+        wh.insert("orders", [(1, 100), (2, 200)])
+        contents = {
+            "ol": lambda: frozenset(wh.view("ol").rows()),
+            "per_cust": lambda: wh.aggregated_view("per_cust").rows(),
+        }
+        before = {name: read() for name, read in contents.items()}
+        mid_pass = {}
+
+        def strike(view, **_context):
+            mid_pass[view] = contents[view]()
+            raise InjectedFault(f"{view} fails half-applied")
+
+        try:
+            with FAILPOINTS.armed(
+                "maintain.pass", action="call", callback=strike, times=None
+            ):
+                with pytest.raises(FanOutError):
+                    # order 1's first line: a primary insert, then a
+                    # secondary delete of its NULL-padded row
+                    wh.insert("lineitem", [(1, 1, 5)])
+            assert wh.quarantined_views == ["ol", "per_cust"]
+            for name, read in contents.items():
+                assert mid_pass[name] != before[name], name  # primary landed
+                assert read() == before[name], name  # ... and was undone
+            for name in contents:
+                wh.repair_view(name)
+            wh.check_consistency()
+        finally:
+            wh.close()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_retried_tpch_change_copies_no_view(self, workers, tiny_tpch, no_undo_copy):
+        """A 6-row change over the TPC-H outer-join view fails
+        half-applied once and is retried: no view copy, no wholesale
+        reset, no database copy anywhere in either attempt."""
+        batches = TPCHGenerator(scale_factor=0.001, seed=42)  # tiny_tpch's twin
+        batches.build()
+        wh = Warehouse(
+            tiny_tpch,
+            workers=workers,
+            retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.0),
+        )
+        wh.create_view("oj_view", oj_view())
+        try:
+            FAILPOINTS.reset()
+            with FAILPOINTS.armed("maintain.pass", view="oj_view"):
+                reports = wh.insert(
+                    "lineitem", batches.lineitem_insert_batch(6, seed=1)
+                )
+            assert FAILPOINTS.fired("maintain.pass") == 1
+            report = reports["oj_view"]
+            assert report.primary_rows == 6 and report.total_view_changes > 6
+            assert wh.scheduler.state("oj_view").retries == 1
+            wh.check_consistency()
+        finally:
+            FAILPOINTS.reset()
+            wh.close()
+
+    def test_undo_failure_rebuilds_and_quarantines_at_once(self, wh, monkeypatch):
+        """An inverse apply that raises: the view is rebuilt (equal to
+        recompute) and quarantined after one attempt, never retried."""
+        def broken_inverse(rows):
+            raise RuntimeError("inverse apply failed")
+
+        monkeypatch.setattr(wh.view("ol_a"), "delete_rows", broken_inverse)
+        with FAILPOINTS.armed("maintain.pass", view="ol_a"):
+            with pytest.raises(FanOutError) as excinfo:
+                wh.insert("lineitem", [(1, 1, 5)])
+        assert isinstance(excinfo.value.failures["ol_a"], UndoError)
+        assert excinfo.value.quarantined == ["ol_a"]
+        state = wh.scheduler.state("ol_a")
+        assert (state.failures, state.retries) == (1, 0)
+        wh.maintainer("ol_a").check_consistency()  # rebuilt from the tables

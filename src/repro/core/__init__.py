@@ -58,7 +58,6 @@ from .secondary import (
     CompiledBaseSecondary,
     CompiledViewSecondary,
     old_state,
-    secondary_from_base,
     secondary_from_view,
 )
 from .view import MaterializedView, ViewDefinition
@@ -87,7 +86,6 @@ __all__ = [
     "nn_predicate",
     "n_predicate",
     "secondary_from_view",
-    "secondary_from_base",
     "CompiledViewSecondary",
     "CompiledBaseSecondary",
     "old_state",

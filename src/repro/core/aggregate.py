@@ -1,11 +1,12 @@
 """Aggregated outer-join views (paper Section 3.3).
 
 An aggregated outer-join view is an SPOJ view with a GROUP BY on top.
-Maintenance reuses the non-aggregated machinery: the primary delta
-``ΔV^D`` is computed exactly as before, aggregated, and merged into the
-stored groups; the secondary delta ``ΔV^I`` must be computed **from base
-tables** (Section 5.3) because individual terms can no longer be extracted
-from aggregated rows.
+Maintenance reuses the non-aggregated machinery — the same
+:class:`~repro.core.maintain.MaintenancePlans`, so the same compiled,
+cached plans: the primary delta ``ΔV^D`` is computed exactly as before,
+aggregated, and merged into the stored groups; the secondary delta
+``ΔV^I`` must be computed **from base tables** (Section 5.3) because
+individual terms can no longer be extracted from aggregated rows.
 
 Per the paper, every group carries a regular row count plus a **not-null
 count for every table that is null-extended in some term**; rows whose
@@ -24,10 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra.expr import delta_label
-from ..algebra.evaluate import evaluate
 from ..engine.catalog import Database
 from ..engine.schema import Schema
 from ..engine.table import Row, Table, next_version
@@ -36,12 +35,12 @@ from ..obs import Telemetry
 from ..runtime.failpoints import FAILPOINTS
 from .maintain import (
     MaintenanceOptions,
+    MaintenancePlans,
     MaintenanceReport,
     SECONDARY_FROM_BASE,
     undo_pass,
 )
-from .maintgraph import MaintenanceGraph
-from .secondary import DELETE, INSERT, secondary_from_base
+from .secondary import INSERT
 from .view import ViewDefinition
 
 COUNT_STAR = "count"
@@ -106,8 +105,9 @@ class _Group:
         return twin
 
 
-class AggregatedView:
-    """A materialized GROUP BY over an SPOJ view, maintained incrementally."""
+class AggregatedView(MaintenancePlans):
+    """A materialized GROUP BY over an SPOJ view's output columns,
+    maintained incrementally."""
 
     def __init__(
         self,
@@ -118,19 +118,19 @@ class AggregatedView:
         telemetry: Optional[Telemetry] = None,
     ):
         definition.validate(db)
-        self.definition = definition
+        super().__init__(
+            db,
+            definition,
+            MaintenanceOptions(secondary_strategy=SECONDARY_FROM_BASE),
+            telemetry,
+        )
         self.group_by = tuple(group_by)
         self.aggregates = tuple(aggregates)
-        self.db = db
-        self.telemetry = telemetry or Telemetry.disabled()
-        self.options = MaintenanceOptions(
-            secondary_strategy=SECONDARY_FROM_BASE
-        )
 
-        self._graph = definition.subsumption_graph(db)
+        terms = self.graph.terms
         always_present = frozenset.intersection(
-            *[t.source for t in self._graph.terms]
-        ) if self._graph.terms else frozenset()
+            *[t.source for t in terms]
+        ) if terms else frozenset()
         self.nullable_tables: Tuple[str, ...] = tuple(
             sorted(definition.tables - always_present)
         )
@@ -138,15 +138,14 @@ class AggregatedView:
             t: db.table(t).key[0] for t in self.nullable_tables
         }
 
-        full = definition.full_schema(db)
+        output = definition.schema(db)
         for col in self.group_by:
-            full.index_of(col)
+            output.index_of(col)
         for agg in self.aggregates:
             if agg.column is not None:
-                full.index_of(agg.column)
+                output.index_of(agg.column)
 
         self.groups: Dict[Row, _Group] = {}
-        self._mgraphs: Dict[str, MaintenanceGraph] = {}
         # Mutation-clock tick (see engine.table.next_version): advanced
         # by every fold and by wholesale ``groups`` replacement.
         self.version: int = next_version()
@@ -166,8 +165,7 @@ class AggregatedView:
 
     # ------------------------------------------------------------------
     def _populate(self) -> None:
-        base = evaluate(self.definition.join_expr, self.db)
-        self._fold(base, sign=1)
+        self._fold(self.definition.evaluate(self.db), sign=1)
 
     def _fold(self, table: Table, sign: int) -> int:
         """Merge delta rows into the group store, all of them or none:
@@ -269,26 +267,8 @@ class AggregatedView:
         return self.groups[tuple(group_key)].notnull[table]
 
     # ------------------------------------------------------------------
-    # maintenance
+    # maintenance (insert / delete / update come from MaintenancePlans)
     # ------------------------------------------------------------------
-    def insert(self, table: str, rows: Iterable[Row]) -> MaintenanceReport:
-        delta = self.db.insert(table, rows)
-        return self.maintain(table, delta, INSERT)
-
-    def delete(self, table: str, rows: Iterable[Row]) -> MaintenanceReport:
-        delta = self.db.delete(table, rows)
-        return self.maintain(table, delta, DELETE)
-
-    def update(self, table: str, old_rows, new_rows):
-        """UPDATE as delete + insert.  The Section 6 caveat applies here
-        exactly as for plain views: foreign-key shortcuts are disabled
-        for both halves because the "deleted" key is about to return."""
-        delete_delta = self.db.delete(table, old_rows, check=False)
-        delete_report = self.maintain(table, delete_delta, DELETE, fk_allowed=False)
-        insert_delta = self.db.insert(table, new_rows, check=False)
-        insert_report = self.maintain(table, insert_delta, INSERT, fk_allowed=False)
-        return delete_report, insert_report
-
     def maintain(
         self, table: str, delta: Table, operation: str, fk_allowed: bool = True
     ) -> MaintenanceReport:
@@ -324,36 +304,13 @@ class AggregatedView:
         if table not in self.definition.tables or not len(delta):
             return report
 
-        key = (table, fk_allowed)
-        if key not in self._mgraphs:
-            self._mgraphs[key] = MaintenanceGraph(
-                self._graph, table, self.db, use_foreign_keys=fk_allowed
-            )
-        mgraph = self._mgraphs[key]
+        mgraph = self.maintenance_graph(table, fk_allowed)
         report.direct_terms = [t.label() for t in mgraph.directly_affected]
         report.indirect_terms = [t.label() for t in mgraph.indirectly_affected]
-
-        if not mgraph.directly_affected:
-            report.primary_skipped = True
+        primary = self._compute_primary(table, delta, mgraph, fk_allowed, report)
+        if primary is None:
             return report
 
-        from .primary import primary_delta_expression
-        from .fk import simplify_tree
-        from .leftdeep import to_left_deep
-
-        expr = primary_delta_expression(self.definition.join_expr, table)
-        try:
-            expr = to_left_deep(expr, self.db)
-        except UnsupportedViewError:
-            pass
-        if fk_allowed:
-            simplified = simplify_tree(expr, table, self.db)
-            if simplified.is_empty:
-                report.primary_skipped = True
-                return report
-            expr = simplified.expression
-
-        primary = evaluate(expr, self.db, {delta_label(table): delta})
         sign = 1 if operation == INSERT else -1
         report.primary_rows = self._fold(primary, sign)
         undo.append(partial(self._fold, primary, -sign))
@@ -364,8 +321,8 @@ class AggregatedView:
             operation=operation,
         )
         for term in mgraph.indirectly_affected:
-            rows = secondary_from_base(
-                term, mgraph, primary, self.db, operation, table, delta
+            rows = self._secondary_base_rows(
+                term, mgraph, primary, operation, table, delta, fk_allowed
             )
             report.secondary_rows[term.label()] = self._fold(rows, -sign)
             undo.append(partial(self._fold, rows, sign))

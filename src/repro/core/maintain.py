@@ -20,9 +20,12 @@ would both be inserted even though the ``{R}`` orphan is subsumed by the
 ``{R,S}`` one.  (The base-table route needs no ordering — its ``Qᵢ``
 filter already excludes such candidates, cf. Example 9's ``n(S)``.)
 
-A pass lands whole or not at all: it records the inverse of each view
-apply (itself all-or-nothing) that succeeded, and if anything raises
-later :func:`undo_pass` runs them, leaving the view exactly pre-change.
+Every delta — ΔV^D and each ΔDᵢ — runs as a compiled physical plan out of
+a fingerprinted :class:`~repro.planner.PlanCache`; there is no second
+executor.  A pass lands whole or not at all: it records the inverse of
+each view apply (itself all-or-nothing) that succeeded, and if anything
+raises later :func:`undo_pass` runs them, leaving the view exactly
+pre-change.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..algebra.evaluate import ExecutionStats, evaluate
 from ..algebra.expr import RelExpr, delta_label
 from ..algebra.normalform import Term
 from ..algebra.subsumption import SubsumptionGraph
@@ -40,22 +42,15 @@ from ..engine import operators as ops
 from ..engine.catalog import Database
 from ..engine.schema import Schema
 from ..engine.table import Row, Table
-from ..errors import MaintenanceError, ReproError, UndoError, UnsupportedViewError
+from ..errors import MaintenanceError, UndoError, UnsupportedViewError
 from ..obs import Telemetry
-from ..planner import PlanCache, PlanCompileError, compile_plan, provision_indexes
+from ..planner import PlanCache, compile_plan, provision_indexes
 from ..runtime.failpoints import FAILPOINTS
 from .fk import simplify_tree
 from .leftdeep import to_left_deep
 from .maintgraph import MaintenanceGraph
 from .primary import primary_delta_expression
-from .secondary import (
-    DELETE,
-    INSERT,
-    CompiledBaseSecondary,
-    CompiledViewSecondary,
-    secondary_from_base,
-    secondary_from_view_indexed,
-)
+from .secondary import DELETE, INSERT, CompiledBaseSecondary, CompiledViewSecondary
 from .view import MaterializedView, ViewDefinition
 
 SECONDARY_FROM_VIEW = "view"
@@ -75,8 +70,6 @@ class MaintenanceOptions:
     use_fk_normal_form: bool = True
     secondary_strategy: str = SECONDARY_FROM_VIEW
     count_term_rows: bool = False  # fill report.primary_term_rows (Table 1)
-    collect_stats: bool = False  # fill report.stats with row counters
-    use_plan_cache: bool = True  # compile-once physical maintenance plans
 
     def fingerprint(self) -> Tuple:
         """The structural part of plan-cache fingerprints: any change to
@@ -106,7 +99,6 @@ class MaintenanceReport:
     indirect_terms: List[str] = field(default_factory=list)
     primary_skipped: bool = False
     elapsed_seconds: float = 0.0
-    stats: Optional["ExecutionStats"] = None
     secondary_strategy_used: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -132,8 +124,6 @@ class MaintenanceReport:
             out["primary_term_rows"] = dict(self.primary_term_rows)
         if self.secondary_strategy_used:
             out["secondary_strategy_used"] = dict(self.secondary_strategy_used)
-        if self.stats is not None:
-            out["stats"] = self.stats.to_dict()
         return out
 
     def summary(self) -> str:
@@ -166,25 +156,27 @@ def undo_pass(target, undo: List[Callable[[], int]]) -> None:
         ) from exc
 
 
-class ViewMaintainer:
-    """Incremental maintenance of one materialized view.
+class MaintenancePlans:
+    """The view-independent half of maintenance, shared by
+    :class:`ViewMaintainer` and :class:`~repro.core.aggregate.AggregatedView`.
 
     Structural work that depends only on the view definition — the normal
-    form, the subsumption graph and the primary-delta expressions — is
-    computed once and cached, mirroring how a real system would compile
-    maintenance plans at view-creation time.
+    form, the subsumption graph, the maintenance graphs and the
+    primary-delta expressions — is computed once and cached, and each
+    delta runs as a physical plan compiled once per fingerprint, mirroring
+    how a real system would compile maintenance plans at view-creation
+    time.
     """
 
     def __init__(
         self,
         db: Database,
-        view: MaterializedView,
+        definition: ViewDefinition,
         options: Optional[MaintenanceOptions] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.db = db
-        self.view = view
-        self.definition: ViewDefinition = view.definition
+        self.definition = definition
         self.options = options or MaintenanceOptions()
         self.telemetry = telemetry or Telemetry.disabled()
         self._graph: Optional[SubsumptionGraph] = None
@@ -192,8 +184,6 @@ class ViewMaintainer:
         self._mgraphs: Dict[Tuple[str, bool], MaintenanceGraph] = {}
         # Compiled physical plans, fingerprinted on (options, index set).
         self._plan_cache = PlanCache()
-        # delta columns -> row shaper onto the view's columns (_align_rows)
-        self._aligners: Dict[Tuple[str, ...], Callable[[Row], Row]] = {}
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -240,6 +230,35 @@ class ViewMaintainer:
         return self._delta_exprs[key]
 
     # ------------------------------------------------------------------
+    # public update API (over the subclass's ``maintain``)
+    # ------------------------------------------------------------------
+    def insert(self, table: str, rows: Iterable[Row]) -> MaintenanceReport:
+        """Insert *rows* into base table *table* and maintain the view."""
+        delta = self.db.insert(table, rows)
+        return self.maintain(table, delta, INSERT, fk_allowed=True)
+
+    def delete(self, table: str, rows: Iterable[Row]) -> MaintenanceReport:
+        """Delete *rows* from base table *table* and maintain the view."""
+        delta = self.db.delete(table, rows)
+        return self.maintain(table, delta, DELETE, fk_allowed=True)
+
+    def update(
+        self,
+        table: str,
+        old_rows: Iterable[Row],
+        new_rows: Iterable[Row],
+    ) -> Tuple[MaintenanceReport, MaintenanceReport]:
+        """An UPDATE modelled as delete + insert.  Foreign-key
+        optimizations are disabled for both halves (the paper's caveat 1:
+        the constraint argument breaks when the "deleted" key is about to
+        be re-inserted)."""
+        delete_delta = self.db.delete(table, old_rows, check=False)
+        delete_report = self.maintain(table, delete_delta, DELETE, fk_allowed=False)
+        insert_delta = self.db.insert(table, new_rows, check=False)
+        insert_report = self.maintain(table, insert_delta, INSERT, fk_allowed=False)
+        return delete_report, insert_report
+
+    # ------------------------------------------------------------------
     # compiled plans
     # ------------------------------------------------------------------
     def _fingerprint(self) -> Tuple:
@@ -250,8 +269,9 @@ class ViewMaintainer:
 
     def _cached_plan(self, key: Tuple, builder):
         """The compiled plan under *key*, recompiling via *builder* when
-        absent or stale.  *builder* returns the plan or ``None``
-        ("uncompilable — use the interpreter"); either result is cached.
+        absent or stale.  Every expression maintenance builds compiles, so
+        a builder that raises is a bug: the pass fails (and is undone)
+        like any other failing pass, and nothing is cached.
         """
         found, plan = self._plan_cache.get(key, self._fingerprint())
         tel = self.telemetry
@@ -278,64 +298,85 @@ class ViewMaintainer:
 
     def _build_primary_plan(self, table: str, expr: RelExpr):
         schemas = {delta_label(table): self.db.table(table).schema}
-        try:
-            provision_indexes(expr, self.db, schemas)
-            return compile_plan(expr, self.db, schemas)
-        except PlanCompileError:
-            return None
-
-    def _build_view_secondary(self, term, mgraph, delta_schema, operation):
-        try:
-            return CompiledViewSecondary(
-                term, mgraph, self.view, delta_schema, self.db, operation
-            )
-        except ReproError:
-            return None
+        provision_indexes(expr, self.db, schemas)
+        return compile_plan(expr, self.db, schemas)
 
     def _build_base_secondary(
         self, term, mgraph, delta_schema, operation, table
     ):
-        try:
-            plan = CompiledBaseSecondary(
-                term, mgraph, delta_schema, self.db, operation, table
-            )
-            provision_indexes(plan.expr, self.db, plan.plan.binding_schemas)
-            return plan
-        except ReproError:
+        plan = CompiledBaseSecondary(
+            term, mgraph, delta_schema, self.db, operation, table
+        )
+        provision_indexes(plan.expr, self.db, plan.plan.binding_schemas)
+        return plan
+
+    def _compute_primary(
+        self,
+        table: str,
+        delta: Table,
+        mgraph: MaintenanceGraph,
+        fk_allowed: bool,
+        report: MaintenanceReport,
+    ) -> Optional[Table]:
+        """ΔV^D for *delta* (``None`` when the maintenance graph or the
+        foreign keys prove it empty)."""
+        if not mgraph.directly_affected:
+            report.primary_skipped = True
             return None
+        expr = self.delta_expression(table, fk_allowed)
+        if expr is None:
+            report.primary_skipped = True
+            return None
+        use_fk = fk_allowed and self.options.use_fk_simplify
+        plan = self._cached_plan(
+            ("primary", table, use_fk),
+            lambda: self._build_primary_plan(table, expr),
+        )
+        return plan.execute(self.db, {delta_label(table): delta})
 
-    # ------------------------------------------------------------------
-    # public update API
-    # ------------------------------------------------------------------
-    def insert(self, table: str, rows: Iterable[Row]) -> MaintenanceReport:
-        """Insert *rows* into base table *table* and maintain the view."""
-        delta = self.db.insert(table, rows)
-        return self.maintain(table, delta, INSERT, fk_allowed=True)
+    def _secondary_base_rows(
+        self,
+        term: Term,
+        mgraph: MaintenanceGraph,
+        primary: Table,
+        operation: str,
+        table: str,
+        delta: Table,
+        fk_allowed: bool,
+    ) -> Table:
+        """ΔDᵢ of *term* from base tables (Section 5.3).  The key carries
+        *fk_allowed*, which fixes both *mgraph* and *primary*'s schema."""
+        plan = self._cached_plan(
+            ("secondary-base", table, term.label(), operation, fk_allowed),
+            lambda: self._build_base_secondary(
+                term, mgraph, primary.schema, operation, table
+            ),
+        )
+        return plan.execute(self.db, primary, delta)
 
-    def delete(self, table: str, rows: Iterable[Row]) -> MaintenanceReport:
-        """Delete *rows* from base table *table* and maintain the view."""
-        delta = self.db.delete(table, rows)
-        return self.maintain(table, delta, DELETE, fk_allowed=True)
+
+class ViewMaintainer(MaintenancePlans):
+    """Incremental maintenance of one materialized view: the compiled
+    deltas of :class:`MaintenancePlans` applied to a
+    :class:`~repro.core.view.MaterializedView`, plus the Section 5.2
+    secondary deltas that read the view itself.
+    """
+
+    def __init__(
+        self,
+        db: Database,
+        view: MaterializedView,
+        options: Optional[MaintenanceOptions] = None,
+        telemetry: Optional[Telemetry] = None,
+    ):
+        super().__init__(db, view.definition, options, telemetry)
+        self.view = view
+        # delta columns -> row shaper onto the view's columns (_align_rows)
+        self._aligners: Dict[Tuple[str, ...], Callable[[Row], Row]] = {}
 
     def delete_by_key(self, table: str, keys: Iterable[Row]) -> MaintenanceReport:
         delta = self.db.delete_by_key(table, keys)
         return self.maintain(table, delta, DELETE, fk_allowed=True)
-
-    def update(
-        self,
-        table: str,
-        old_rows: Iterable[Row],
-        new_rows: Iterable[Row],
-    ) -> Tuple[MaintenanceReport, MaintenanceReport]:
-        """An UPDATE modelled as delete + insert.  Foreign-key
-        optimizations are disabled for both halves (the paper's caveat 1:
-        the constraint argument breaks when the "deleted" key is about to
-        be re-inserted)."""
-        delete_delta = self.db.delete(table, old_rows, check=False)
-        delete_report = self.maintain(table, delete_delta, DELETE, fk_allowed=False)
-        insert_delta = self.db.insert(table, new_rows, check=False)
-        insert_report = self.maintain(table, insert_delta, INSERT, fk_allowed=False)
-        return delete_report, insert_report
 
     # ------------------------------------------------------------------
     # the maintenance procedure
@@ -385,8 +426,6 @@ class ViewMaintainer:
                     ]
                     span.set_attribute("direct", len(report.direct_terms))
                     span.set_attribute("indirect", len(report.indirect_terms))
-                if self.options.collect_stats:
-                    report.stats = ExecutionStats()
 
                 with tracer.span("primary_delta") as span:
                     primary = self._compute_primary(
@@ -418,7 +457,8 @@ class ViewMaintainer:
 
                 if mgraph.indirectly_affected and len(primary):
                     self._apply_secondary(
-                        table, delta, primary, mgraph, operation, report, undo
+                        table, delta, primary, mgraph, operation, fk_allowed,
+                        report, undo,
                     )
             except Exception:
                 tel.emit(
@@ -437,35 +477,6 @@ class ViewMaintainer:
         return report
 
     # ------------------------------------------------------------------
-    def _compute_primary(
-        self,
-        table: str,
-        delta: Table,
-        mgraph: MaintenanceGraph,
-        fk_allowed: bool,
-        report: MaintenanceReport,
-    ) -> Optional[Table]:
-        if not mgraph.directly_affected:
-            report.primary_skipped = True
-            return None
-        expr = self.delta_expression(table, fk_allowed)
-        if expr is None:
-            report.primary_skipped = True
-            return None
-        bindings = {delta_label(table): delta}
-        if self.options.use_plan_cache and report.stats is None:
-            use_fk = fk_allowed and self.options.use_fk_simplify
-            plan = self._cached_plan(
-                ("primary", table, use_fk),
-                lambda: self._build_primary_plan(table, expr),
-            )
-            if plan is not None:
-                try:
-                    return plan.execute(self.db, bindings)
-                except PlanCompileError:
-                    pass  # unexpected binding shape; interpreter handles it
-        return evaluate(expr, self.db, bindings, stats=report.stats)
-
     def _apply(
         self, rows: Table, insert: bool, undo: List[Callable[[], int]]
     ) -> int:
@@ -499,6 +510,7 @@ class ViewMaintainer:
         primary: Table,
         mgraph: MaintenanceGraph,
         operation: str,
+        fk_allowed: bool,
         report: MaintenanceReport,
         undo: List[Callable[[], int]],
     ) -> None:
@@ -522,61 +534,25 @@ class ViewMaintainer:
             ) as span:
                 if term_strategy == SECONDARY_FROM_BASE:
                     rows = self._secondary_base_rows(
-                        term, mgraph, primary, operation, table, delta, report
+                        term, mgraph, primary, operation, table, delta,
+                        fk_allowed,
                     )
                 else:
-                    # Index-seek variant of Section 5.2; reads the live view,
+                    # Index-seek plan of Section 5.2; reads the live view,
                     # so parent-term orphans inserted above are visible here
                     # (the parents-first requirement of the module docstring).
-                    rows = self._secondary_view_rows(
-                        term, mgraph, primary, operation, table
+                    plan = self._cached_plan(
+                        ("secondary-view", table, term.label(), operation,
+                         fk_allowed),
+                        lambda: CompiledViewSecondary(
+                            term, mgraph, self.view, primary.schema, self.db,
+                            operation,
+                        ),
                     )
+                    rows = plan.execute(self.view, primary)
                 count = self._apply(rows, operation != INSERT, undo)
                 report.secondary_rows[term.label()] = count
                 span.record_rows(count)
-
-    def _secondary_view_rows(
-        self, term, mgraph, primary: Table, operation: str, table: str
-    ) -> Table:
-        if self.options.use_plan_cache:
-            plan = self._cached_plan(
-                ("secondary-view", table, term.label(), operation),
-                lambda: self._build_view_secondary(
-                    term, mgraph, primary.schema, operation
-                ),
-            )
-            if plan is not None and plan.matches(primary):
-                return plan.execute(self.view, primary)
-        return secondary_from_view_indexed(
-            term, mgraph, self.view, primary, self.db, operation
-        )
-
-    def _secondary_base_rows(
-        self,
-        term,
-        mgraph,
-        primary: Table,
-        operation: str,
-        table: str,
-        delta: Table,
-        report: MaintenanceReport,
-    ) -> Table:
-        if self.options.use_plan_cache and report.stats is None:
-            plan = self._cached_plan(
-                ("secondary-base", table, term.label(), operation),
-                lambda: self._build_base_secondary(
-                    term, mgraph, primary.schema, operation, table
-                ),
-            )
-            if plan is not None and plan.matches(primary):
-                try:
-                    return plan.execute(self.db, primary, delta)
-                except PlanCompileError:
-                    pass  # unexpected binding shape; interpreter handles it
-        return secondary_from_base(
-            term, mgraph, primary, self.db, operation, table, delta,
-            stats=report.stats,
-        )
 
     def _choose_secondary_strategy(
         self, term: Term, mgraph: MaintenanceGraph, table: str

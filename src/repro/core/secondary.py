@@ -19,20 +19,20 @@ Both strategies return rows over the term's source-table columns; the
 caller pads them to the view schema and applies them with the *opposite*
 operation of the primary delta (delete on insert, insert on delete).
 
-Each strategy comes in two forms: a plain function (compiling its
-predicates per call — used by tests and by stats-collecting passes) and a
-**compiled plan** (:class:`CompiledViewSecondary`,
-:class:`CompiledBaseSecondary`) that resolves predicates, positions and —
-for the base route — the whole Section 5.3 expression once.  The
-:class:`~repro.core.maintain.ViewMaintainer` caches the compiled form per
-(term, operation) so repeated updates never re-plan.
+Maintenance runs each strategy as a **compiled plan**
+(:class:`CompiledViewSecondary`, :class:`CompiledBaseSecondary`) that
+resolves predicates, positions and — for the base route — the whole
+Section 5.3 expression once; the maintainers cache it per (table, term,
+operation, ``fk_allowed``) so repeated updates never re-plan.
+:func:`secondary_from_view` keeps the Section 5.2 formulas as plain
+relational operators, the reference the index-seek plan is tested
+against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..algebra.evaluate import evaluate
 from ..algebra.expr import (
     Bound,
     Join,
@@ -166,7 +166,6 @@ class CompiledViewSecondary:
 
     __slots__ = (
         "operation",
-        "delta_columns",
         "passes",
         "term_key_cols",
         "sub_key",
@@ -187,7 +186,6 @@ class CompiledViewSecondary:
         if operation not in (INSERT, DELETE):
             raise MaintenanceError(f"unknown operation {operation!r}")
         self.operation = operation
-        self.delta_columns = tuple(delta_schema.columns)
         pi = _parent_filter(term, mgraph, db)
         self.passes = compile_predicate(pi, delta_schema)
         self.term_key_cols = tuple(
@@ -202,10 +200,6 @@ class CompiledViewSecondary:
             cols = term_columns(term, delta_schema.columns)
             self.candidate = ops.shaper(delta_schema.positions(cols))
             self.cand_schema = Schema(cols)
-
-    def matches(self, primary_delta: Table) -> bool:
-        """Whether this plan was compiled for *primary_delta*'s schema."""
-        return tuple(primary_delta.schema.columns) == self.delta_columns
 
     def execute(self, view, primary_delta: Table) -> Table:
         """*view* is the live :class:`~repro.core.view.MaterializedView`
@@ -232,23 +226,6 @@ class CompiledViewSecondary:
             if None not in sub and sub not in groups
         ]
         return Table("d", self.cand_schema, map(self.candidate, orphaned))
-
-
-def secondary_from_view_indexed(
-    term: Term,
-    mgraph: MaintenanceGraph,
-    view,
-    primary_delta: Table,
-    db: Database,
-    operation: str,
-) -> Table:
-    """Index-seek variant of :func:`secondary_from_view` — compiles a
-    :class:`CompiledViewSecondary` and runs it once.  The maintainer
-    caches the compiled plan instead of calling this wrapper."""
-    plan = CompiledViewSecondary(
-        term, mgraph, view, primary_delta.schema, db, operation
-    )
-    return plan.execute(view, primary_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -283,44 +260,15 @@ def _base_state_expression(
     return result_expr
 
 
-def secondary_from_base(
-    term: Term,
-    mgraph: MaintenanceGraph,
-    primary_delta: Table,
-    db: Database,
-    operation: str,
-    updated_table: str,
-    delta_table: Table,
-    stats=None,
-) -> Table:
-    """``ΔDᵢ`` computed without reading the view.
+class CompiledBaseSecondary:
+    """Pre-bound Section 5.3 plan for one (term, operation, table):
+    ``ΔDᵢ`` computed without reading the view.
 
     Candidates come from ΔV^D filtered by
     ``Qᵢ = nn(Tᵢ) ∧ n(∪_{Eₖ∈pari(Eᵢ)} Rₖ)`` and are then anti-semijoined
     against one expression ``E'ₖ`` per directly affected parent, built
     from the parent's extra tables ``Rₖ`` and the updated table's old
     state (insertions) or new state (deletions).
-    """
-    qi = _base_candidate_predicate(term, mgraph, db)
-    filtered = ops.select(
-        primary_delta, compile_predicate(qi, primary_delta.schema)
-    )
-    candidates = ops.distinct(
-        ops.project(filtered, term_columns(term, primary_delta.schema.columns))
-    )
-
-    bindings: Dict[str, Table] = {
-        "candidates": candidates,
-        delta_label(updated_table): delta_table,
-    }
-    result_expr = _base_state_expression(
-        term, mgraph, db, operation, updated_table
-    )
-    return evaluate(result_expr, db, bindings, stats=stats)
-
-
-class CompiledBaseSecondary:
-    """Pre-bound Section 5.3 plan for one (term, operation, table).
 
     The candidate filter/projection closures and the compiled physical
     plan of the (anti-join chain) state expression are built once; each
@@ -330,7 +278,6 @@ class CompiledBaseSecondary:
     __slots__ = (
         "operation",
         "updated_table",
-        "delta_columns",
         "qi",
         "cand_columns",
         "cand_positions",
@@ -350,7 +297,6 @@ class CompiledBaseSecondary:
     ):
         self.operation = operation
         self.updated_table = updated_table
-        self.delta_columns = tuple(delta_schema.columns)
         qi = _base_candidate_predicate(term, mgraph, db)
         self.qi = compile_predicate(qi, delta_schema)
         cols = term_columns(term, delta_schema.columns)
@@ -369,9 +315,6 @@ class CompiledBaseSecondary:
                 delta_label(updated_table): db.table(updated_table).schema,
             },
         )
-
-    def matches(self, primary_delta: Table) -> bool:
-        return tuple(primary_delta.schema.columns) == self.delta_columns
 
     def execute(
         self, db: Database, primary_delta: Table, delta_table: Table

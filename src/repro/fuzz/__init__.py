@@ -1,9 +1,9 @@
 """Differential fuzzing for the maintenance engine.
 
 Random SPOJ views over random databases, replayed under every
-maintenance strategy the repo implements (interpreted vs. compiled
-plans, Section 5.2 view-side vs. Section 5.3 base-table secondary
-deltas, foreign-key shortcuts on/off, serial vs. parallel scheduling
+maintenance strategy the repo implements (Section 5.2 view-side vs.
+Section 5.3 base-table secondary deltas, combined and auto selection,
+foreign-key shortcuts on/off, serial vs. parallel scheduling
 with a write-ahead log) and cross-checked after every update against a
 full recompute of each view — plus crash-injection runs that drop WAL
 acknowledgements and force :meth:`Warehouse.recover` to converge.

@@ -2,7 +2,7 @@
 
 Nothing here runs anything.  A :class:`Fault` says where a stream is
 cut, what is injected and what the system must end in; an
-:class:`OracleConfig` is a point on six axes plus the fault rows staged
+:class:`OracleConfig` is a point on five axes plus the fault rows staged
 on it.  :mod:`repro.fuzz.oracle` interprets both and explains the
 outcome classes; a new fault window or config is one row below
 (``docs/FUZZING.md`` mirrors the tables and a test keeps them in step).
@@ -138,10 +138,9 @@ def _faults(*names: str) -> Tuple[Fault, ...]:
 @dataclass(frozen=True)
 class OracleConfig:
     """One way of running the maintenance machinery end to end: a point
-    on six axes, plus the fault rows staged on it."""
+    on five axes, plus the fault rows staged on it."""
 
     name: str
-    plan: str = "compiled"  # interpreted | compiled
     secondary: str = "view"  # view (§5.2) | base (§5.3) | combined | auto
     fk: bool = True  # foreign-key shortcuts
     durability: str = "none"  # none | wal | checkpoints (WAL + a checkpoint per
@@ -161,7 +160,6 @@ class OracleConfig:
 
     def options(self) -> MaintenanceOptions:
         return MaintenanceOptions(
-            use_plan_cache=self.plan == "compiled",
             secondary_strategy=self.secondary,
             use_fk_simplify=self.fk,
             use_fk_graph_reduction=self.fk,
@@ -173,9 +171,7 @@ def default_matrix() -> List[OracleConfig]:
     """The full strategy matrix, one row per config."""
     row, checkpoints = OracleConfig, "checkpoints"
     return [
-        row("interpreted-view", plan="interpreted"),
         row("compiled-view"),
-        row("interpreted-base", plan="interpreted", secondary="base"),
         row("compiled-base", secondary="base"),
         row("combined", secondary="combined"),
         row("auto", secondary="auto"),

@@ -1,9 +1,10 @@
-"""Compile-once physical plans for maintenance expressions.
+"""Compile-once physical plans: the only way maintenance runs a delta.
 
 The interpreter in :mod:`repro.algebra.evaluate` re-plans every
-expression it runs — fine for one-off queries, wasteful for maintenance,
-which evaluates the same ΔV^D and secondary-delta expressions on every
-update.  This package provides the compiled alternative:
+expression it runs — fine for the full recompute that checks a view,
+wasteful for maintenance, which evaluates the same ΔV^D and
+secondary-delta expressions on every update.  So every maintenance
+expression is compiled, once:
 
 * :mod:`~repro.planner.compile` — :func:`compile_plan` turns a
   ``RelExpr`` into a :class:`CompiledPlan` of pre-bound physical nodes
@@ -14,7 +15,8 @@ update.  This package provides the compiled alternative:
 * :mod:`~repro.planner.provision` — :func:`provision_indexes`, which
   creates the base-table indexes a plan's joins want to probe.
 
-:class:`~repro.core.maintain.ViewMaintainer` wires the three together;
+:class:`~repro.core.maintain.MaintenancePlans` wires the three together
+for plain and aggregated views alike;
 ``docs/PERFORMANCE.md`` describes the design.
 """
 

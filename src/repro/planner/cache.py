@@ -8,20 +8,18 @@ planner itself may have provisioned).  Each cached entry therefore
 carries a *fingerprint* of both; a lookup whose fingerprint differs is a
 miss and triggers recompilation.
 
-Entries may hold ``None``: a plan that failed to compile is cached as
-"use the interpreter", so an uncompilable expression costs one failed
-compile total, not one per update.
+The maintainers store compiled plans only: maintenance has no other
+executor, so nothing is cached as "uncompilable" — a compile error fails
+the pass that asked for the plan and leaves the cache as it was.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
-
-from .compile import CompiledPlan
+from typing import Dict, Hashable, Tuple
 
 CacheKey = Hashable
 Fingerprint = Hashable
-Entry = Tuple[Fingerprint, Optional[CompiledPlan]]
+Entry = Tuple[Fingerprint, object]
 
 _MISSING = object()
 
@@ -44,12 +42,9 @@ class PlanCache:
         self.hits += 1
         return True, entry[1]
 
-    def store(
-        self,
-        key: CacheKey,
-        fingerprint: Fingerprint,
-        plan: Optional[CompiledPlan],
-    ) -> None:
+    def store(self, key: CacheKey, fingerprint: Fingerprint, plan) -> None:
+        """Cache *plan* — a :class:`~repro.planner.compile.CompiledPlan`
+        or a compiled secondary-delta plan — under *key*."""
         self._entries[key] = (fingerprint, plan)
 
     def invalidate(self) -> None:

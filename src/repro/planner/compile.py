@@ -11,10 +11,11 @@ This matters because maintenance evaluates the *same* ΔV^D expression for
 every update: the interpreter in :mod:`repro.algebra.evaluate` re-splits
 equi-join pairs, re-compiles predicates and re-resolves positions per
 pass, which dwarfs the actual row work when the delta is a single row.
-The compiler hoists all of it.  The planning logic itself is shared with
-the interpreter (:func:`repro.algebra.evaluate.static_join_plan`), so both
-paths always agree on join strategy — the property the equivalence tests
-in ``tests/planner`` and ``tests/property`` pin down.
+The compiler hoists all of it, and maintenance runs nothing else: the
+interpreter is left as the full-recompute reference.  The planning logic
+itself is shared with it (:func:`repro.algebra.evaluate.static_join_plan`),
+so both always agree on join strategy — the property the equivalence
+tests in ``tests/planner`` and ``tests/property`` pin down.
 
 The operators a plan calls are the interpreter's, and they work a batch
 at a time; what compilation adds is that every row function they map —
@@ -51,8 +52,10 @@ BindingSchemas = Dict[str, Schema]
 
 
 class PlanCompileError(ReproError):
-    """The expression has a shape the compiler does not support; callers
-    fall back to the interpreter."""
+    """The expression has a shape the compiler does not support, or a plan
+    met bindings it was not compiled for.  Every expression maintenance
+    builds compiles, so during maintenance this is a bug: the pass fails
+    and is undone like any other failing pass."""
 
 
 class ExecutionContext:
@@ -361,8 +364,7 @@ def compile_plan(
     ``Bound`` leaves resolve their schema from *binding_schemas*; a
     ``delta:T`` label defaults to table T's schema (the shape
     :meth:`Database.insert`/``delete`` produce).  Raises
-    :class:`PlanCompileError` on shapes the compiler cannot pre-bind —
-    callers treat that as "use the interpreter".
+    :class:`PlanCompileError` on shapes the compiler cannot pre-bind.
     """
     schemas = dict(binding_schemas or {})
     counter = [0]

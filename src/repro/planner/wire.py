@@ -195,8 +195,8 @@ def encode_report(report: "MaintenanceReport") -> Dict:
 
 
 def decode_report(blob: Dict) -> "MaintenanceReport":
-    """Rebuild a report from its wire form (``stats`` objects stay
-    behind in the worker; they are per-process diagnostics)."""
+    """Rebuild a report from its wire form (:meth:`MaintenanceReport.to_dict`,
+    whose derived ``total_view_changes`` is dropped)."""
     from ..core.maintain import MaintenanceReport
 
     kwargs = {k: blob[k] for k in _REPORT_FIELDS if k in blob}

@@ -6,7 +6,6 @@ far fewer intermediate rows than bushy ones when ΔT is small."""
 from repro.algebra import Q, eq, evaluate
 from repro.algebra.evaluate import ExecutionStats
 from repro.algebra.expr import delta_label
-from repro.core import MaintenanceOptions, MaterializedView, ViewMaintainer
 from repro.core.leftdeep import to_left_deep
 from repro.core.primary import primary_delta_expression
 from repro.engine import Table
@@ -82,24 +81,3 @@ class TestSection41Claim:
         # left-deep intermediates are bounded by the delta's join fan-out
         assert flat_stats.peak_intermediate < 200
         assert flat_stats.total_rows < bushy_stats.total_rows / 5
-
-
-class TestMaintainerIntegration:
-    def test_report_carries_stats(self):
-        db = make_v1_db()
-        defn = make_v1_defn()
-        m = ViewMaintainer(
-            db,
-            MaterializedView.materialize(defn, db),
-            MaintenanceOptions(collect_stats=True),
-        )
-        report = m.insert("t", [(901, 2)])
-        assert report.stats is not None
-        assert report.stats.total_rows >= report.primary_rows
-
-    def test_stats_off_by_default(self):
-        db = make_v1_db()
-        defn = make_v1_defn()
-        m = ViewMaintainer(db, MaterializedView.materialize(defn, db))
-        report = m.insert("t", [(902, 2)])
-        assert report.stats is None

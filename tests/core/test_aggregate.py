@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.algebra import Q, eq
+from repro.algebra import Project, Q, eq
 from repro.core import (
     AggregatedView,
     ViewDefinition,
@@ -14,7 +14,7 @@ from repro.core import (
     count_star,
 )
 from repro.engine import Database
-from repro.errors import UnsupportedViewError
+from repro.errors import SchemaError, UnsupportedViewError
 
 from ..conftest import make_v1_db, make_v1_defn
 
@@ -83,6 +83,19 @@ class TestInitialAggregation:
 
         with pytest.raises(UnsupportedViewError):
             Aggregate("sum", "s")
+
+    def test_columns_must_be_view_outputs(self):
+        """The groups are folded from the view's own rows, so a column the
+        view projects away cannot be grouped or aggregated."""
+        db = order_lines_db()
+        projected = ViewDefinition(
+            "ol", Project(order_lines_defn().join_expr, ["o.ok", "l.lk", "l.qty"])
+        )
+        with pytest.raises(SchemaError):
+            AggregatedView(projected, ["o.cust"], [count_star("n")], db)
+        with pytest.raises(SchemaError):
+            AggregatedView(projected, ["o.ok"], [agg_sum("o.cust", "s")], db)
+        AggregatedView(projected, ["o.ok"], [agg_sum("l.qty", "s")], db).check_consistency()
 
 
 class TestMaintenance:

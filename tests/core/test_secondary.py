@@ -13,8 +13,8 @@ from repro.core.primary import primary_delta_expression
 from repro.core.secondary import (
     DELETE,
     INSERT,
+    CompiledBaseSecondary,
     old_state,
-    secondary_from_base,
     secondary_from_view,
 )
 from repro.core.view import MaterializedView
@@ -25,6 +25,12 @@ from ..conftest import make_v1_db, make_v1_defn
 
 def term_named(graph, *names):
     return graph.term_for(frozenset(names))
+
+
+def from_base(term, mgraph, primary, db, operation, delta_t):
+    """Section 5.3's ΔDᵢ for an update of ``t``, by its compiled plan."""
+    plan = CompiledBaseSecondary(term, mgraph, primary.schema, db, operation, "t")
+    return plan.execute(db, primary, delta_t)
 
 
 def setup_insert(seed=1):
@@ -92,9 +98,7 @@ class TestInsertions:
                 via_view = secondary_from_view(
                     term, mgraph, view.as_table(), primary, db, INSERT
                 )
-                via_base = secondary_from_base(
-                    term, mgraph, primary, db, INSERT, "t", delta_t
-                )
+                via_base = from_base(term, mgraph, primary, db, INSERT, delta_t)
                 cols = sorted(
                     set(via_base.schema.columns) & set(via_view.schema.columns)
                 )
@@ -141,9 +145,7 @@ class TestDeletions:
                 via_view = secondary_from_view(
                     term, mgraph, snapshot, primary, db, DELETE
                 )
-                via_base = secondary_from_base(
-                    term, mgraph, primary, db, DELETE, "t", delta_t
-                )
+                via_base = from_base(term, mgraph, primary, db, DELETE, delta_t)
                 cols = sorted(via_view.schema.columns)
                 vv = {
                     tuple(row[via_view.schema.index_of(c)] for c in cols)

@@ -1,6 +1,6 @@
-"""Tests for the index-seek secondary-delta variant
-(secondary_from_view_indexed): row-for-row equivalence with the scan
-formulas of Section 5.2, plus the view sub-key index mechanics."""
+"""Tests for the index-seek secondary-delta plan
+(CompiledViewSecondary): row-for-row equivalence with the scan formulas
+of Section 5.2, plus the view sub-key index mechanics."""
 
 import random
 
@@ -9,12 +9,17 @@ from repro.core import MaterializedView, ViewMaintainer
 from repro.core.secondary import (
     DELETE,
     INSERT,
+    CompiledViewSecondary,
     secondary_from_view,
-    secondary_from_view_indexed,
 )
 
 from ..conftest import make_v1_db, make_v1_defn
 from .test_secondary import setup_delete, setup_insert
+
+
+def run_indexed(term, mgraph, view, primary, db, operation):
+    plan = CompiledViewSecondary(term, mgraph, view, primary.schema, db, operation)
+    return plan.execute(view, primary)
 
 
 class TestEquivalenceWithScan:
@@ -25,9 +30,7 @@ class TestEquivalenceWithScan:
                 scan = secondary_from_view(
                     term, mgraph, view.as_table(), primary, db, INSERT
                 )
-                seek = secondary_from_view_indexed(
-                    term, mgraph, view, primary, db, INSERT
-                )
+                seek = run_indexed(term, mgraph, view, primary, db, INSERT)
                 assert set(seek.rows) == set(scan.rows), (seed, term.label())
 
     def test_delete_matches_scan_formula(self):
@@ -41,9 +44,7 @@ class TestEquivalenceWithScan:
                 scan = secondary_from_view(
                     term, mgraph, view.as_table(), primary, db, DELETE
                 )
-                seek = secondary_from_view_indexed(
-                    term, mgraph, view, primary, db, DELETE
-                )
+                seek = run_indexed(term, mgraph, view, primary, db, DELETE)
                 cols = scan.schema.columns
                 realigned = {
                     tuple(row[seek.schema.index_of(c)] for c in cols)

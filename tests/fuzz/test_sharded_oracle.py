@@ -66,7 +66,7 @@ def test_cli_shards_flag_filters_and_overrides(capsys):
     )
     capsys.readouterr()
     # --shards with a selection holding no sharded config is an error ...
-    assert fuzz_main(["--configs", "interpreted-view", "--shards", "2"]) == 2
+    assert fuzz_main(["--configs", "compiled-view", "--shards", "2"]) == 2
     assert "at least one sharded config" in capsys.readouterr().err
     # ... and a different one from naming a config that does not exist
     assert fuzz_main(["--configs", "interpreted", "--shards", "2"]) == 2

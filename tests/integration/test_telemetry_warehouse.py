@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.core import MaintenanceOptions
 from repro.errors import FanOutError, MaintenanceError
 from repro.obs import Telemetry
 from repro.tpch import TPCHGenerator, oj_view, v3
@@ -214,24 +213,3 @@ class TestFanOutFailures:
         with pytest.raises(FanOutError):
             wh.insert("lineitem", generator.lineitem_insert_batch(5, seed=9))
         wh.maintainer("v3").check_consistency()
-
-
-class TestReportStats:
-    def test_execution_stats_round_trip(self, generator):
-        db = TPCHGenerator(scale_factor=0.001, seed=5).build()
-        wh = Warehouse(db, telemetry=Telemetry())
-        wh.create_view("v3", v3(), MaintenanceOptions(collect_stats=True))
-        reports = wh.insert(
-            "lineitem", generator.lineitem_insert_batch(10, seed=1)
-        )
-        report = reports["v3"]
-        assert report.stats is not None
-        payload = report.to_dict()
-        stats = payload["stats"]
-        assert stats["total_rows"] == report.stats.total_rows
-        assert stats["total_seconds"] >= 0.0
-        assert stats["rows_by_operator"]
-        assert set(stats["seconds_by_operator"]) == set(
-            stats["rows_by_operator"]
-        )
-        json.dumps(payload)  # fully serializable

@@ -1,7 +1,7 @@
 """Property tests for the plan compiler: on random SPOJ views and random
 update streams, compiled execution is indistinguishable from the
-interpreter — same tables from ``compile_plan`` vs ``evaluate``, same
-end state from cached-plan maintenance vs interpreted maintenance."""
+interpreter — same tables from ``compile_plan`` vs ``evaluate`` — and
+cached-plan maintenance equals the full recompute after every step."""
 
 import random
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.algebra import evaluate
 from repro.algebra.expr import delta_label
 from repro.core import (
-    MaintenanceOptions,
     MaterializedView,
     ViewMaintainer,
     primary_delta_expression,
@@ -18,7 +17,7 @@ from repro.core import (
 )
 from repro.engine import Table, same_rows
 from repro.errors import UnsupportedViewError
-from repro.planner import PlanCompileError, compile_plan
+from repro.planner import compile_plan
 from repro.workloads import (
     random_database,
     random_delete_rows,
@@ -64,42 +63,25 @@ def test_compiled_delta_plan_equals_interpreter(seed):
         "d", db.table(table).schema, random_insert_rows(rng, db, table, 3)
     )
     bindings = {delta_label(table): delta}
-    try:
-        plan = compile_plan(expr, db)
-    except PlanCompileError:
-        return  # interpreter-only shape; the maintainer falls back
+    plan = compile_plan(expr, db)
     assert same_rows(plan.execute(db, bindings), evaluate(expr, db, bindings))
 
 
 @given(seeds)
 @settings(max_examples=40, deadline=None)
-def test_compiled_maintenance_equals_interpreted_end_state(seed):
+def test_compiled_maintenance_equals_recompute_every_step(seed):
     """A mixed update stream maintained with the plan cache (+auto
-    indexes) ends in exactly the rows the interpreted maintainer
-    produces — and both equal the recompute oracle."""
+    indexes) — the only way maintenance runs a delta — equals the
+    recompute oracle after every step."""
     rng, db, defn = build(seed)
-    db_interp = db.copy()
-    compiled = ViewMaintainer(
-        db, MaterializedView.materialize(defn, db)
-    )
-    interpreted = ViewMaintainer(
-        db_interp,
-        MaterializedView.materialize(defn, db_interp),
-        options=MaintenanceOptions(use_plan_cache=False),
-    )
+    maintainer = ViewMaintainer(db, MaterializedView.materialize(defn, db))
     for step in range(4):
         table = rng.choice(sorted(defn.tables))
         if rng.random() < 0.6:
-            rows = random_insert_rows(rng, db, table, 2)
-            compiled.insert(table, rows)
-            interpreted.insert(table, rows)
+            maintainer.insert(table, random_insert_rows(rng, db, table, 2))
         else:
             rows = random_delete_rows(rng, db, table, 2)
             if not rows:
                 continue
-            compiled.delete(table, rows)
-            interpreted.delete(table, rows)
-    assert frozenset(compiled.view.rows()) == frozenset(
-        interpreted.view.rows()
-    )
-    compiled.check_consistency()
+            maintainer.delete(table, rows)
+        maintainer.check_consistency()

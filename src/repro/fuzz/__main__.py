@@ -85,12 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _replay(path: str, configs, log) -> int:
-    paths: List[str] = []
     if os.path.isdir(path):
         paths = [p for p, _s, _m in iter_cases(path)]
-        if not paths:
-            log(f"no corpus cases under {path}")
-            return 0
     else:
         paths = [path]
     failed = 0

@@ -124,6 +124,8 @@ FAULTS: Tuple[Fault, ...] = (
           **_COMMIT),
     Fault("crash@txn.decided", Arm("txn.coordinator.decided", "commit"), **_COMMIT),
     Fault("crash@txn.commit", Arm("txn.coordinator.commit", "commit", shard=True), **_COMMIT),
+    Fault("kill@txn.commit",
+          Arm("shard.worker.kill", "commit", shard=True, how={"cmd": "txn_commit"}), **_COMMIT),
 )
 
 
@@ -195,8 +197,8 @@ def default_matrix() -> List[OracleConfig]:
         row("sharded-wal", durability=checkpoints, shards=2),
         row("chaos-shard", durability=checkpoints, shards=2,
             faults=_faults("kill@shard.worker", "stall@shard.worker", "drop@shard.pipe")),
-        row("chaos-2pc", durability="wal", shards=2,
-            faults=_faults("crash@txn.prepared", "crash@txn.decided", "crash@txn.commit")),
+        row("chaos-2pc", durability="wal", shards=2, faults=_faults(
+            "crash@txn.prepared", "crash@txn.decided", "crash@txn.commit", "kill@txn.commit")),
     ]
 
 

@@ -652,8 +652,9 @@ def _run_config(
                 if fired:
                     result.count(config.name, fault.name)
                     if fault.restart == "live":
-                        # the coordinator "died": the decision log alone
-                        # says how the transaction ended
+                        # a coordinator or worker "died": once the tier
+                        # settles, the decision log alone says the end
+                        _wait_all_up(wh)
                         wh.recover()
                         kind = "chaos-divergence"
                         if fault.expect == "reference":
@@ -702,10 +703,9 @@ def _check_settled(
     wh: Warehouse, config: OracleConfig, parted: bool, result: CaseResult
 ) -> None:
     """End of stream: a flush must surface no failure and leave nothing
-    pending (ops lost to a ``survivors`` fault were already compensated
-    per ticket, so there only the settling counts); a sharded tier must
-    have resolved every coordinator decision and pass its own
-    three-layer ``check_consistency``."""
+    pending (after a ``survivors`` fault only the settling counts); a
+    sharded tier must have resolved every coordinator decision and pass
+    its own three-layer ``check_consistency``."""
     if parted and not _wait_all_up(wh):
         result.add(
             config.name, "final", "chaos-divergence",

@@ -226,11 +226,6 @@ SHARD_REBALANCE_HINTS = _counter(
     "Rebalance advisories emitted because skew exceeded threshold",
     _TABLE,
 )
-SHARD_COMPENSATIONS = _counter(
-    "repro_shard_compensations_total",
-    "Inverse changes applied to undo a partially failed statement",
-    _TABLE,
-)
 SHARD_DEATHS = _counter(
     "repro_shard_deaths_total",
     "Shard workers detected dead or hung, by detection reason",
@@ -509,9 +504,6 @@ OCCURRENCES: Dict[str, Occurrence] = {
     ),
     "shard.rebalance_hint": Occurrence(
         "skew crossed the advisory threshold for a partitioned table", inc(SHARD_REBALANCE_HINTS)
-    ),
-    "shard.compensation": Occurrence(
-        "one inverse change undoing a partially failed statement", inc(SHARD_COMPENSATIONS)
     ),
     # -- shard supervision ---------------------------------------------------
     "shard.dead": Occurrence(

@@ -74,7 +74,7 @@ SITES: Dict[str, str] = {
     "shard.pipe.drop": "same loop, after the command ran: the reply is "
     "lost and the connection dies (skip)",
     "txn.coordinator.prepared": "ShardedWarehouse._txn_prepare, every "
-    "shard prepared, no decision record (txn): must abort everywhere",
+    "participant prepared, no decision record (txn): must abort everywhere",
     "txn.coordinator.decided": "ShardedWarehouse._txn_commit, decision "
     "durable, no commit sent (txn): recover() must commit everywhere",
     "txn.coordinator.commit": "same method, before each per-shard commit "

@@ -29,17 +29,19 @@ Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
 
     create_view {view, options}          change {table, operation, rows,
     flush                                        fk_allowed, check}
-    checkpoint / recover {from_origin}   txn_begin {txn_id} / txn_stmt /
-    snapshot_pin / snapshot_release        txn_prepare / txn_commit /
-    query {view, equalities, seq}          txn_resolve {commits}
-    dump / stats / check                 crash_hard / restart
-    repair_view {view}
-    ping                                 close
+    checkpoint / recover {from_origin}   txn_stmt {txn_id, table, operation,
+    snapshot_pin / snapshot_release        rows, join, prepare, fk_allowed,
+    query {view, equalities, seq}          check} / txn_prepare {txn_id} /
+    dump / stats / check                   txn_commit / txn_abort {txn_id} /
+    repair_view {view}                     txn_resolve {commits, keep}
+    ping                                 crash_hard / restart / close
 
 Partial-failure plumbing (see ``docs/SHARDING.md``, "Partial failure
-runbook"): ``ping`` is the supervisor's liveness probe;
-``txn_resolve`` lands an in-doubt two-phase transaction on the side
-the coordinator's decision log (:mod:`repro.runtime.txnlog`) recorded;
+runbook"): ``ping`` is the supervisor's liveness probe; a worker holds
+its open transactions by id, and a prepare is durable (a tagged WAL
+record), so a worker that dies prepared comes back with the transaction
+*in doubt*; ``txn_resolve`` lands in-doubt transactions on the side the
+coordinator's decision log (:mod:`repro.runtime.txnlog`) recorded;
 ``recover {from_origin: true}`` replays the *whole* WAL against the
 initial partition rows, the cold-start path a reincarnated worker
 uses when no checkpoint exists.  The thread backend's serve loop is
@@ -91,8 +93,7 @@ class ShardServer:
         self.shard_id = shard_id
         self._init = init
         self._views: List[Dict] = []
-        self._txn = None
-        self._txn_id: Optional[str] = None
+        self._txns: Dict[str, object] = {}  # open transactions by id
         self._pinned: Dict[int, object] = {}
         self.wh = self._build_warehouse(
             wire.build_database(init["schema"], init.get("rows") or {})
@@ -175,20 +176,10 @@ class ShardServer:
         fk_allowed: bool = True,
         check: bool = True,
     ):
-        decoded = self._wire.decode_rows(rows)
-        if operation == "delete_by_key":
-            # resolve the doomed rows first: the parent needs them to
-            # compensate sibling shards if one of them fails
-            doomed = self.wh.db.rows_by_key(table, decoded)
-            reports = self.wh.delete_by_key(table, decoded)
-            return {
-                "reports": self._encode_reports(reports),
-                "deleted": self._wire.encode_rows(doomed),
-            }
         reports = self.wh._change(
             table,
             operation,
-            decoded,
+            self._wire.decode_rows(rows),
             fk_allowed=fk_allowed,
             check=check,
         )
@@ -204,85 +195,100 @@ class ShardServer:
         self.wh.flush()
         return {"pending": self._pending_count()}
 
-    # -- transactions ---------------------------------------------------
-    def cmd_txn_begin(self, txn_id: Optional[str] = None):
-        if self._txn is not None:
-            raise ShardingError(
-                f"shard {self.shard_id}: transaction already active"
-            )
-        self._txn = self.wh.transaction()
-        self._txn_id = txn_id
+    # -- transactions: open ones by id; a shard joins with its first
+    # statement, and its prepare is durable (a tagged WAL record) -------
+    def _begin(self, txn_id: str):
+        txn = self._txns[txn_id] = self.wh.transaction()
+        txn.txn_id = txn_id
+        return txn
 
-    def _require_txn(self):
-        if self._txn is None:
-            raise ShardingError(
-                f"shard {self.shard_id}: no active transaction"
-            )
-        return self._txn
-
-    def cmd_txn_stmt(self, kind: str, table: str, rows: List):
-        txn = self._require_txn()
-        decoded = self._wire.decode_rows(rows)
-        apply = txn.insert if kind == "insert" else txn.delete
-        return {"reports": self._encode_reports(apply(table, decoded))}
-
-    def cmd_txn_prepare(self):
-        """Phase one of the cross-shard commit: run this shard's
-        deferred-FK checks without committing.  The transaction stays
-        active either way, so the parent can still roll every shard back
-        when a sibling's prepare fails."""
-        self._require_txn().prepare()
-
-    def cmd_txn_commit(self):
-        self._require_txn()
-        self._end_txn(commit=True)
-
-    def cmd_txn_resolve(self, commits: List[str]):
-        """Land an in-doubt transaction on the coordinator's side.
-
-        ``commits`` is the set of transaction ids the coordinator's
-        decision log (:mod:`repro.runtime.txnlog`) durably decided to
-        commit.  If this shard holds an open transaction whose id is in
-        the set, commit it; any other open transaction aborts (presumed
-        abort — no decision record means the commit phase never
-        started).  Idempotent: with no open transaction this is a
-        no-op, so the parent can broadcast it freely during
-        ``recover()`` and shard reincarnation."""
-        if self._txn is None:
-            return {"resolved": None}
-        txn_id = self._txn_id
-        commit = txn_id is not None and txn_id in set(commits)
-        self._end_txn(commit)
-        return {"resolved": "commit" if commit else "abort", "txn_id": txn_id}
-
-    def _end_txn(self, commit: bool) -> None:
-        """Commit or roll back the open transaction and forget it; a
-        commit that fails before its commit point rolls back."""
-        txn, self._txn, self._txn_id = self._txn, None, None
-        if not commit:
-            txn.rollback()
-            return
+    def _txn(self, txn_id: str):
         try:
-            txn.commit()
-        except Exception:
+            return self._txns[txn_id]
+        except KeyError:
+            raise ShardingError(
+                f"shard {self.shard_id}: transaction {txn_id} is not open "
+                "here (lost with a worker that died before preparing it)"
+            ) from None
+
+    def cmd_txn_stmt(
+        self, txn_id: str, table: str, operation: str, rows: List,
+        join: bool = False, prepare: bool = False, **flags,
+    ):
+        """One statement of *txn_id*: ``join`` (its first here) opens
+        the worker-local transaction, and ``prepare`` also prepares it —
+        a multi-shard statement's one message before the decision."""
+        txn = self._begin(txn_id) if join else self._txn(txn_id)
+        reports = txn._statement(
+            table, operation, self._wire.decode_rows(rows), **flags
+        )
+        if prepare:
+            txn.prepare()
+        return {"reports": self._encode_reports(reports)}
+
+    def cmd_txn_prepare(self, txn_id: str):
+        """Phase one of the cross-shard commit: deferred-FK checks, then
+        the statements journaled as one tagged WAL record.  The
+        transaction stays open either way, so the parent can still roll
+        every shard back when a sibling's prepare fails."""
+        self._txn(txn_id).prepare()
+
+    def cmd_txn_commit(self, txn_id: str):
+        """Commit *txn_id*; a no-op where it is no longer open (a
+        reincarnated worker may have resolved it already).  A commit
+        that fails before its commit point rolls back."""
+        txn = self._txns.pop(txn_id, None)
+        if txn is not None:
+            try:
+                txn.commit()
+            except Exception:
+                txn.rollback()
+                raise
+
+    def cmd_txn_abort(self, txn_id: str):
+        """Roll *txn_id* back by its inverses; a no-op where it is gone."""
+        txn = self._txns.pop(txn_id, None)
+        if txn is not None:
             txn.rollback()
-            raise
+
+    def cmd_txn_resolve(self, commits: List[str], keep: List[str] = ()):
+        """Land in-doubt transactions on the coordinator's side.
+
+        ``commits`` are the ids the coordinator's decision log
+        (:mod:`repro.runtime.txnlog`) durably decided to commit; ``keep``
+        the ids whose decision the coordinator is still making, which
+        stay open for its own commit or abort.  Every other open
+        transaction commits if its id is in ``commits`` and aborts
+        otherwise (presumed abort).  Idempotent, so the parent can send
+        it freely during ``recover()`` and shard reincarnation."""
+        resolved = []
+        for txn_id in [t for t in self._txns if t not in keep]:
+            commit = txn_id in commits
+            (self.cmd_txn_commit if commit else self.cmd_txn_abort)(txn_id)
+            resolved.append(
+                {"txn_id": txn_id, "outcome": "commit" if commit else "abort"}
+            )
+        return {"resolved": resolved}
 
     # -- durability -----------------------------------------------------
     def cmd_checkpoint(self):
         return {"path": self.wh.checkpoint()}
 
     def cmd_recover(self, from_origin: bool = False):
+        """Recover, holding the prepared transactions the replay
+        reopened in doubt until a commit, abort or ``txn_resolve``
+        lands them."""
         self.wh.recover(from_origin=from_origin)
+        self._txns.update(self.wh._in_doubt)
         return {"summary": self.wh.last_recovery}
 
     def cmd_crash_hard(self):
         """Die without acknowledging: drop in-memory state, reopen over
         the same WAL/checkpoint directories from the initial partition
         rows, and recover.  Mirrors the oracle's crash contract."""
-        # an open transaction is volatile state: it dies with the crash
-        self._txn = None
-        self._txn_id = None
+        # open transactions die with the crash; prepared ones come back
+        # in doubt from the WAL
+        self._txns.clear()
         return self._reopen(
             self._wire.build_database(
                 self._init["schema"], self._init.get("rows") or {}
@@ -294,8 +300,8 @@ class ShardServer:
         directories — the WAL-enabled replay loop's ``crash`` op.  With
         checkpoints, recovery rebuilds from the initial partition rows
         (a restore point, or the whole WAL when none exists yet)."""
-        if self._txn is not None:  # orderly: abort it while it still can
-            self._end_txn(commit=False)
+        for txn_id in list(self._txns):  # orderly: abort while it can
+            self.cmd_txn_abort(txn_id)
         self.wh.flush()
         if self.wh.checkpoints is not None:
             return self.cmd_crash_hard()
@@ -311,7 +317,7 @@ class ShardServer:
         for blob in self._views:
             self._create_view(blob)
         if self.wh.wal is not None:
-            self.wh.recover()
+            return self.cmd_recover()
         return {"summary": self.wh.last_recovery}
 
     # -- reads ----------------------------------------------------------
@@ -395,8 +401,8 @@ class ShardServer:
         return {"shard": self.shard_id}
 
     def cmd_close(self):
-        if self._txn is not None:
-            self._end_txn(commit=False)
+        for txn_id in list(self._txns):
+            self.cmd_txn_abort(txn_id)
         self._pinned.clear()
         self.wh.close()
         return {"bye": True}
@@ -460,6 +466,10 @@ class _Reply:
         return self._response
 
 
+def _unavailable(message: str) -> Dict:
+    return {"ok": False, "error": "ShardUnavailableError", "message": message}
+
+
 def raise_shard_error(response: Dict) -> Dict:
     """Return *response* if ok, else re-raise the worker's error under
     its original :class:`~repro.errors.ReproError` subclass."""
@@ -511,9 +521,10 @@ class _HandleBase:
         message.update(payload)
         with self._lock:
             if self._closed:
-                raise ShardingError(
-                    f"shard {self.shard_id} handle is closed"
-                )
+                # closed, or terminated by a reincarnation in progress:
+                # the same typed envelope a dying worker's replies get
+                reply.resolve(_unavailable(f"shard {self.shard_id} handle is closed"))
+                return reply
             self._pending.append(reply)
             try:
                 self._send(message)
@@ -548,13 +559,7 @@ class _HandleBase:
 
     def _fail_outstanding(self, message: str) -> None:
         while self._pending:
-            self._pending.popleft().resolve(
-                {
-                    "ok": False,
-                    "error": "ShardUnavailableError",
-                    "message": message,
-                }
-            )
+            self._pending.popleft().resolve(_unavailable(message))
 
     def _send(self, message: Dict) -> None:
         raise NotImplementedError

@@ -23,10 +23,13 @@ events into a bounded, observable recovery:
   blob (initial partition rows + every view created since), replays
   its WAL lineage (checkpoint restore + suffix when checkpoints
   exist, full-log cold replay otherwise — ``recover(from_origin=
-  True)``), resolves in-doubt cross-shard transactions against the
-  coordinator's :class:`~repro.runtime.txnlog.TxnDecisionLog`, and
-  resyncs replicated tables from a healthy donor shard before
-  swapping the new handle in.
+  True)``, which reopens every prepared transaction in doubt), swaps
+  the new handle in, and then resolves the in-doubt transactions the
+  coordinator is no longer driving against its
+  :class:`~repro.runtime.txnlog.TxnDecisionLog`.  Without a WAL the
+  replacement restarts from its initial rows — replicated tables
+  included — and reports ``degraded``; ``check_consistency`` names the
+  replicated divergence.
 * **Restart budget.**  More than ``restart_budget`` restarts within
   ``restart_window`` seconds marks the shard *flapping*: it is
   quarantined behind a :class:`DeadShardHandle` that fails every
@@ -49,10 +52,8 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..core.secondary import DELETE, INSERT
 from ..errors import ReproError, ShardUnavailableError
-from ..planner import wire
-from .shardproc import _Reply, make_handle
+from .shardproc import _Reply, _unavailable, make_handle
 
 __all__ = ["ShardSupervisor", "DeadShardHandle"]
 
@@ -79,13 +80,7 @@ class DeadShardHandle:
 
     def submit(self, cmd: str, **payload) -> _Reply:
         reply = _Reply()
-        reply.resolve(
-            {
-                "ok": False,
-                "error": "ShardUnavailableError",
-                "message": self._message(),
-            }
-        )
+        reply.resolve(_unavailable(self._message()))
         return reply
 
     def call(self, cmd: str, timeout: Optional[float] = None, **payload):
@@ -207,18 +202,6 @@ class ShardSupervisor:
                     return False
                 self._busy_cond.wait(remaining)
         return True
-
-    def realign_replicated(self, shard: int) -> None:
-        """Re-run the replicated-table resync for *shard* against a
-        healthy donor, under the shard's revive lock.  The facade calls
-        this after compensating around an unavailable shard: the revive
-        may have copied the donor's state *before* the compensation
-        landed, leaving the replacement with the un-compensated half."""
-        with self._locks[shard]:
-            handle = self.warehouse._handles[shard]
-            if handle.backend == "dead" or getattr(handle, "_closed", False):
-                return
-            self._resync_replicated(shard, handle)
 
     # ------------------------------------------------------------------
     # detection
@@ -346,15 +329,15 @@ class ShardSupervisor:
                 degraded = bool((summary or {}).get("corruption_detected"))
             else:
                 # no durable lineage: the shard restarts from its initial
-                # partition rows and its post-construction history is lost
+                # rows (replicated tables too) and its post-construction
+                # history is lost
                 degraded = True
-            self._resolve_indoubt(shard, replacement)
-            self._resync_replicated(shard, replacement)
+            wh._handles[shard] = replacement
+            self._resolve_indoubt(replacement)
         except Exception:
             replacement.terminate()
             raise
         replacement.on_death = self._on_death
-        wh._handles[shard] = replacement
         elapsed = time.monotonic() - started
         self._states[shard]["state"] = STATE_UP
         self._states[shard]["last_reincarnation_seconds"] = elapsed
@@ -372,73 +355,20 @@ class ShardSupervisor:
             duration_seconds=elapsed,
         )
 
-    def _resolve_indoubt(self, shard: int, handle) -> None:
-        """Land any transaction the replacement worker might be asked
-        about on the coordinator's decided side (a fresh worker has no
-        open transaction, so this is usually a no-op — but it keeps the
-        reincarnation path symmetric with ``recover()``)."""
+    def _resolve_indoubt(self, handle) -> None:
+        """Land the transactions the replacement reopened in doubt that
+        the coordinator is no longer driving: commit where the decision
+        log holds a record, presumed abort otherwise.  One whose
+        decision is still being made stays open for the coordinator's
+        own commit or abort.  The handle is swapped in first and the
+        undecided set read before the log, so a decision made meanwhile
+        either shows up here or reaches the replacement itself."""
+        keep = list(self.warehouse._undecided.copy())
         commits = [record.txn_id for record in self.warehouse.txnlog.pending()]
         handle.call(
-            "txn_resolve", commits=commits, timeout=self.reincarnate_timeout
+            "txn_resolve", commits=commits, keep=keep,
+            timeout=self.reincarnate_timeout,
         )
-
-    def _resync_replicated(self, shard: int, handle) -> None:
-        """Copy replicated tables from a healthy donor shard onto the
-        replacement: a kill can lose the tail of replicated history that
-        sibling shards already applied, and the merge barrier's
-        replicated-identical invariant must hold again before the new
-        handle is published.  Best-effort — with no live donor the shard
-        keeps its replayed state."""
-        wh = self.warehouse
-        replicated = [
-            name
-            for name in wh.db.tables
-            if not wh.spec.is_partitioned(name)
-        ]
-        if not replicated:
-            return
-        donor = None
-        for other in range(wh.shards):
-            candidate = wh._handles[other]
-            if other == shard or candidate.backend == "dead":
-                continue
-            if getattr(candidate, "_closed", False):
-                continue
-            if candidate.is_alive():
-                donor = candidate
-                break
-        if donor is None:
-            return
-        try:
-            donor_dump = donor.call(
-                "dump", timeout=self.reincarnate_timeout
-            )
-        except ReproError:
-            return  # the donor died too; its own revival will follow
-        own_dump = handle.call("dump", timeout=self.reincarnate_timeout)
-        for table in replicated:
-            want = [
-                tuple(row)
-                for row in wire.decode_rows(donor_dump["tables"][table])
-            ]
-            have = [
-                tuple(row)
-                for row in wire.decode_rows(own_dump["tables"][table])
-            ]
-            want_set, have_set = set(want), set(have)
-            extra = [row for row in have if row not in want_set]
-            missing = [row for row in want if row not in have_set]
-            for operation, rows in ((DELETE, extra), (INSERT, missing)):
-                if rows:
-                    handle.call(
-                        "change",
-                        table=table,
-                        operation=operation,
-                        rows=wire.encode_rows(rows),
-                        fk_allowed=True,
-                        check=False,
-                        timeout=self.reincarnate_timeout,
-                    )
 
     def _quarantine_locked(self, shard: int, reason: str) -> None:
         wh = self.warehouse

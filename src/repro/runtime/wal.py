@@ -21,6 +21,8 @@ checksummed JSON lines::
     9bb17ea3 {"kind":"ack","lsn":7}
     0d5c7e21 {"kind":"txn","changes":[{"kind":"change","lsn":8,...},
                                       {"kind":"change","lsn":9,...}]}
+    77a01c3e {"kind":"txn","id":"t4-9f2c","changes":[{"kind":"change",...}]}
+    41d0e9b2 {"kind":"resolve","id":"t4-9f2c"}
     5e02ab1f {"kind":"compact","through":7}
 
 * LSNs are monotonically increasing and assigned by the log.
@@ -29,7 +31,12 @@ checksummed JSON lines::
   which covers everything the engine stores).
 * A ``txn`` holds a committed transaction's changes (consecutive LSNs)
   in one frame (:meth:`WriteAheadLog.journal`): it loads as those
-  changes, or — torn or withdrawn — as none of them.
+  changes, or — torn or withdrawn — as none of them.  A ``txn`` tagged
+  with an ``id`` is a shard's *prepared* part of a cross-shard
+  transaction: until an ack of one of its LSNs (commit) or a
+  ``resolve`` marker with its id (abort, which drops its changes) it is
+  **in doubt** — its changes still replay in LSN order, and
+  :meth:`~WriteAheadLog.in_doubt` names the transaction they reopen.
 * An ``ack`` marks the change as fully applied to every non-quarantined
   view; acked entries are skipped by recovery.
 * A ``compact`` marker records that every LSN ≤ ``through`` is covered
@@ -185,6 +192,7 @@ class WriteAheadLog:
         self._lock = threading.RLock()
         self._entries: Dict[int, WalEntry] = {}
         self._acked: Set[int] = set()
+        self._doubt: Dict[int, str] = {}  # LSN -> id of its unresolved txn
         self._next_lsn = 1
         self._unsynced = 0
         self._closed = False
@@ -278,7 +286,7 @@ class WriteAheadLog:
             return None
         if not isinstance(record, dict):
             return None
-        if record.get("kind") not in ("change", "txn", "ack", "compact"):
+        if record.get("kind") not in ("change", "txn", "ack", "resolve", "compact"):
             return None
         return record
 
@@ -316,6 +324,9 @@ class WriteAheadLog:
         kind = record["kind"]
         if kind == "txn":
             # a journaled transaction expands to its consecutive changes
+            if "id" in record:  # a prepare: in doubt until an ack or a resolve
+                for change in record["changes"]:
+                    self._doubt[change["lsn"]] = record["id"]
             return max(map(self._ingest, record["changes"]), default=0)
         if kind == "change":
             entry = WalEntry.from_record(record)
@@ -324,6 +335,10 @@ class WriteAheadLog:
             return entry.lsn
         if kind == "ack":
             self._acked.add(record["lsn"])
+            if record["lsn"] in self._doubt:
+                self._settle(self._doubt[record["lsn"]], drop=False)
+        elif kind == "resolve":
+            self._settle(record["id"], drop=True)
         else:  # "compact" (the only other kind _verify_line admits)
             self.compacted_through = max(
                 self.compacted_through, record["through"]
@@ -354,6 +369,13 @@ class WriteAheadLog:
                 self._entries[n] for n in sorted(self._entries) if n > lsn
             ]
 
+    def in_doubt(self) -> Dict[int, str]:
+        """The entries of prepared transactions neither committed nor
+        aborted yet: ``{LSN: transaction id}``.  Recovery replays them in
+        their log position, through the reopened transaction."""
+        with self._lock:
+            return dict(self._doubt)
+
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
@@ -368,12 +390,15 @@ class WriteAheadLog:
         return self.journal([(table, operation, rows, fk_allowed)])[0]
 
     def journal(
-        self, changes: Sequence[Tuple[str, str, Iterable[Row], bool]]
+        self,
+        changes: Sequence[Tuple[str, str, Iterable[Row], bool]],
+        txn_id: Optional[str] = None,
     ) -> List[int]:
         """Durably record ``(table, operation, rows, fk_allowed)`` deltas
         as **one** framed record; returns their consecutive LSNs.  A
         committed transaction journals its statements this way, so they
-        are logged together or not at all.
+        are logged together or not at all.  With *txn_id* the record is
+        a prepare: in doubt until :meth:`ack` or :meth:`resolve`.
 
         All or nothing: when the write or its fsync fails, the record is
         withdrawn — cut back out of the active segment, its LSNs never
@@ -390,6 +415,8 @@ class WriteAheadLog:
             ]
             records = [entry.to_record() for entry in entries]
             record = records[0] if len(records) == 1 else {"kind": "txn", "changes": records}
+            if txn_id is not None:
+                record = {"kind": "txn", "id": txn_id, "changes": records}
             seq, size = self._active_seq, self._active_size
             try:
                 self._write(json.dumps(record, separators=(",", ":")))
@@ -400,6 +427,8 @@ class WriteAheadLog:
                 raise
             for entry in entries:
                 self._entries[entry.lsn] = entry
+                if txn_id is not None:
+                    self._doubt[entry.lsn] = txn_id
                 self.telemetry.emit("wal.append", table=entry.table)
             self._next_lsn += len(entries)
             self._segment_max_lsn[self._active_seq] = self._next_lsn - 1
@@ -411,6 +440,7 @@ class WriteAheadLog:
         An ack at or below :attr:`compacted_through` is a no-op: the
         change lives in a segment a checkpoint already covered (and
         compaction may have deleted), so there is nothing to record.
+        Acking an in-doubt entry commits its whole transaction.
         """
         # Crash window: the fan-out completed but its acknowledgement
         # never became durable — recovery must replay and converge.
@@ -425,6 +455,25 @@ class WriteAheadLog:
                 return
             self._acked.add(lsn)
             self._write(json.dumps({"kind": "ack", "lsn": lsn}))
+            if lsn in self._doubt:
+                self._settle(self._doubt[lsn], drop=False)
+
+    def resolve(self, txn_id: str) -> None:
+        """Abort the prepared transaction *txn_id*: one marker, after
+        which its changes never load again.  (Lost to a crash, the
+        marker is not missed: the transaction reopens in doubt and,
+        with no commit decision anywhere, aborts again.)"""
+        with self._lock:
+            self._write(json.dumps({"kind": "resolve", "id": txn_id}))
+            self._settle(txn_id, drop=True)
+
+    def _settle(self, txn_id: str, drop: bool) -> None:
+        # caller holds the lock (or is loading): *txn_id* is no longer
+        # in doubt, and with *drop* its changes are gone
+        for lsn in [n for n, owner in self._doubt.items() if owner == txn_id]:
+            del self._doubt[lsn]
+            if drop:
+                self._entries.pop(lsn, None)
 
     def compact(self, through: int) -> int:
         """Delete segments wholly covered by a checkpoint at *through*.

@@ -21,23 +21,25 @@ Construction is transparent through the base class::
 rules themselves (routing soundness, co-partitioning, the
 witness/residue merge) live in :mod:`repro.runtime.sharding`.  The
 change surface (``insert`` ... ``flush``) is the base class's; this
-module is the *transport* behind it — routing, the wire, compensation,
-2PC and merged reads (``docs/ARCHITECTURE.md``, "Facade contract").
+module is the *transport* behind it — routing, the wire, 2PC and merged
+reads (``docs/ARCHITECTURE.md``, "Facade contract").
 
 Semantics and caveats
 ---------------------
-* **Statement atomicity** — a statement touching several shards that
-  fails on one is *compensated* on the shards where it succeeded
-  (inverse change, ``check=False``) before the error is re-raised, so
-  synchronous callers observe all-or-nothing per statement.  With
-  :meth:`apply_async` the compensation happens at the :meth:`flush`
-  barrier; between submission and flush a cross-shard statement may be
-  transiently half-applied (invisible to :meth:`snapshot` readers taken
-  at barriers, which is where the consistency contract lives).
-* **Transactions** — :meth:`transaction` broadcasts a worker-local
-  transaction to every shard and commits with a prepare round (deferred
-  FK checks) before the commit round, so a deferrable violation on any
-  shard rolls the whole transaction back everywhere.
+* **Statement atomicity** — a statement owned by one shard is one
+  ``change`` round trip.  A statement touching several shards is a
+  one-statement :class:`~repro.warehouse.Transaction`: one message per
+  shard applies *and* prepares it, and its ticket then decides and
+  commits (or rolls back everywhere), so every statement is
+  all-or-nothing, and a worker dying mid-statement leaves whatever the
+  decision log says.  With :meth:`apply_async` the decision happens
+  when the ticket resolves (at the latest, the :meth:`flush` barrier);
+  until then the statement is prepared but not committed on its shards.
+* **Transactions** — :meth:`transaction` runs the same two-phase commit
+  over every statement: a shard joins with its first statement, a
+  prepare round checks deferred FKs and makes each shard's part durable,
+  so a deferrable violation on any shard rolls the whole transaction
+  back everywhere.
 * **Reads** — :meth:`query` and :meth:`snapshot` recombine per-shard
   fragments through :func:`~repro.runtime.sharding.merge_view_rows`.  A
   query whose equality filters pin every routing column of some
@@ -66,7 +68,7 @@ from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .core.maintain import MaintenanceOptions
-from .core.secondary import DELETE, INSERT
+from .core.secondary import DELETE
 from .core.view import MaterializedView, ViewDefinition
 from .engine.catalog import Database
 from .engine.table import Row
@@ -104,28 +106,21 @@ class _ShardedTicket(ChangeTicket):
     """One routed change.  The coordinator has no dispatcher thread, so
     the ticket resolves on the first :meth:`wait` (the flush barrier
     waits every outstanding ticket, in order): shard replies are merged
-    into one :class:`~repro.runtime.FanOutResult`, or a partial failure
-    is compensated and lands in ``result.error``."""
+    into one :class:`~repro.runtime.FanOutResult` and a multi-shard
+    statement's transaction is committed — or, on a failure, rolled back
+    and the error lands in ``result.error``."""
 
-    def __init__(self, warehouse, table, operation, parts, replies):
+    def __init__(self, warehouse, table, operation, replies, txn):
         super().__init__(table, operation)
         self._warehouse = warehouse
-        self._parts = parts  # {shard: rows} as routed
         self._replies = replies  # {shard: _Reply}
+        self._txn = txn  # the statement's Transaction, or None
         self._resolving = threading.Lock()
 
     def wait(self, timeout: Optional[float] = None) -> FanOutResult:
         with self._resolving:
             if not self.done():
-                self._complete(
-                    self._warehouse._resolve(
-                        self.table,
-                        self.operation,
-                        self._parts,
-                        self._replies,
-                        timeout,
-                    )
-                )
+                self._complete(self._warehouse._resolve(self, timeout))
         return super().wait()
 
     def add_done_callback(self, fn) -> None:
@@ -300,6 +295,10 @@ class ShardedWarehouse(Warehouse):
         self.txnlog = TxnDecisionLog(
             f"{wal_path}/txnlog" if wal_path else None
         )
+        # transactions whose decision is still being made: a
+        # reincarnated shard leaves these in doubt for the coordinator
+        self._undecided: set = set()
+        self._txn_lock = threading.Lock()  # a decision vs. recover()
 
         schema = wire.encode_schema(db)
         replicated_rows = {
@@ -427,29 +426,39 @@ class ShardedWarehouse(Warehouse):
         }
 
     def _broadcast(
-        self, cmd: str, _tolerate_unavailable: bool = False, **payload
+        self,
+        cmd: str,
+        _tolerate_unavailable: bool = False,
+        _shards: Optional[Iterable[int]] = None,
+        **payload,
     ) -> Dict[int, Dict]:
-        """Send *cmd* to every shard, wait for all, raise the first
-        failure (after waiting: no shard is left mid-command).  With
-        ``_tolerate_unavailable`` dead shards' error envelopes are
-        returned instead of raised, so health endpoints keep answering
-        while a shard is down."""
-        replies = [
-            (handle.shard_id, handle.submit(cmd, **payload))
-            for handle in self._handles
-        ]
+        """Send *cmd* to every shard (or to ``_shards``) and wait them
+        all out (see :meth:`_wait_all`)."""
+        replies = {
+            shard: self._handles[shard].submit(cmd, **payload)
+            for shard in (range(self.shards) if _shards is None else _shards)
+        }
+        return self._wait_all(replies, tolerate_unavailable=_tolerate_unavailable)
+
+    def _wait_all(
+        self, replies: Dict, timeout: Optional[float] = None,
+        tolerate_unavailable: bool = False,
+    ) -> Dict[int, Dict]:
+        """Every reply, then the first failure raised (after waiting: no
+        shard is left mid-command).  With *tolerate_unavailable* dead
+        shards' error envelopes are returned instead of raised, so
+        health endpoints keep answering while a shard is down."""
         responses = {
-            shard: self._wait_for(shard, reply) for shard, reply in replies
+            shard: self._wait_for(shard, reply, timeout)
+            for shard, reply in replies.items()
         }
         for shard in sorted(responses):
             response = responses[shard]
-            if (
-                _tolerate_unavailable
-                and not response.get("ok")
+            if not (
+                tolerate_unavailable
                 and response.get("error") == "ShardUnavailableError"
             ):
-                continue
-            raise_shard_error(response)
+                raise_shard_error(response)
         return responses
 
     def _route(
@@ -507,59 +516,6 @@ class ShardedWarehouse(Warehouse):
         return {
             view: wire.decode_report(blob) for view, blob in merged.items()
         }
-
-    def _compensate(
-        self,
-        table: str,
-        operation: str,
-        parts: Dict[int, List[Row]],
-        unavailable: Iterable[int] = (),
-    ) -> None:
-        """Undo a statement on the shards where it succeeded (inverse
-        change, unchecked) so a cross-shard failure is all-or-nothing."""
-        inverse = DELETE if operation == INSERT else INSERT
-        dead = set(unavailable)
-        for shard, rows in sorted(parts.items()):
-            if not rows:
-                continue
-            try:
-                self._call(
-                    "change",
-                    shard,
-                    table=table,
-                    operation=inverse,
-                    rows=wire.encode_rows(rows),
-                    fk_allowed=True,
-                    check=False,
-                )
-            except ShardUnavailableError:
-                # best effort: a shard that dies before compensation
-                # keeps the applied half in its WAL lineage — surfaced
-                # as divergence by check_consistency, not hidden here
-                dead.add(shard)
-                continue
-            self.telemetry.emit("shard.compensation", table=table)
-        if dead and not self.spec.is_partitioned(table):
-            # A replicated statement half-landed on a shard that died:
-            # its reincarnation may have copied the donor *before* the
-            # inverse above — realign once the supervisor settles.
-            # (Partitioned halves legitimately survive in the dead
-            # shard's WAL lineage; check_consistency stays green.)
-            self._realign_after_failure(dead)
-
-    def _realign_after_failure(self, shards: Iterable[int]) -> None:
-        supervisor = getattr(self, "supervisor", None)
-        if supervisor is None or self._closed:
-            return
-        # bounded: a revive normally settles in milliseconds (thread
-        # backend) to a few seconds (process backend); past that the
-        # divergence is surfaced by check_consistency instead
-        supervisor.wait_quiesced(5.0)
-        for shard in sorted(set(shards)):
-            try:
-                supervisor.realign_replicated(shard)
-            except ReproError:
-                continue
 
     # ------------------------------------------------------------------
     # view DDL
@@ -652,75 +608,66 @@ class ShardedWarehouse(Warehouse):
         fk_allowed: bool = True,
         check: bool = True,
     ) -> ChangeTicket:
-        """Route one statement to its owning shard(s) and return the
-        ticket that merges their replies (see :class:`_ShardedTicket`)."""
+        """Route one statement and return the ticket that merges its
+        replies (see :class:`_ShardedTicket`): one owning shard gets a
+        plain ``change``; several get a one-statement transaction whose
+        single message per shard applies and prepares it."""
         self._require_open()
-        by_key = operation == DELETE_BY_KEY
-        parts = self._route(table, rows, keys=by_key)
+        parts = self._route(table, rows, keys=operation == DELETE_BY_KEY)
+        txn = Transaction(self) if len(parts) > 1 else None
+        replies = self._send(
+            txn, table, operation, parts, prepare=True,
+            fk_allowed=fk_allowed, check=check,
+        )
+        if operation == DELETE_BY_KEY:
+            operation = DELETE
+        return _ShardedTicket(self, table, operation, replies, txn)
+
+    def _send(
+        self, txn: Optional[Transaction], table: str, operation: str,
+        parts: Dict[int, List[Row]], prepare: bool = False, **flags,
+    ) -> Dict:
+        """Submit one statement's rows to their owning shards: a plain
+        ``change``, or a ``txn_stmt`` of *txn* that joins each shard on
+        its first statement (and, with *prepare*, also prepares it)."""
         replies = {}
         for shard in sorted(parts):
+            extra = {}
+            if txn is not None:
+                extra = {"txn_id": txn.txn_id, "prepare": prepare,
+                         "join": shard not in txn._shards}
+                txn._shards[shard] = prepare
             replies[shard] = self._handles[shard].submit(
-                "change",
+                "change" if txn is None else "txn_stmt",
                 table=table,
                 operation=operation,
                 rows=wire.encode_rows(parts[shard]),
-                fk_allowed=fk_allowed,
-                check=check,
+                **flags,
+                **extra,
             )
             self.telemetry.emit("shard.change", shard=shard, table=table)
-        return _ShardedTicket(
-            self, table, DELETE if by_key else operation, parts, replies
-        )
+        return replies
 
     def _resolve(
-        self,
-        table: str,
-        operation: str,
-        parts: Dict[int, List[Row]],
-        replies: Dict,
-        timeout: Optional[float],
+        self, ticket: _ShardedTicket, timeout: Optional[float]
     ) -> FanOutResult:
-        """Wait one statement's shard replies out.  All ok: the merged
-        per-view reports.  Any failure: the shards where it did apply
-        are compensated and the first failing shard's typed error lands
-        in ``result.error`` — all-or-nothing, like a constraint failure
-        on the local transport."""
-        responses = {
-            shard: self._wait_for(shard, reply, timeout)
-            for shard, reply in replies.items()
-        }
-        result = FanOutResult(table, operation)
-        failures = {
-            s: resp for s, resp in responses.items() if not resp["ok"]
-        }
-        if not failures:
+        """Wait one statement's shard replies out and merge the per-view
+        reports; a multi-shard statement then commits through its
+        transaction.  Any failure before the commit point rolls it back
+        on every shard, and the first typed error lands in
+        ``result.error`` — all-or-nothing, like a constraint failure on
+        the local transport."""
+        result = FanOutResult(ticket.table, ticket.operation)
+        try:
+            responses = self._wait_all(ticket._replies, timeout)
+            if ticket._txn is not None:
+                ticket._txn.commit()
             result.reports = self._merge_report_blobs(
                 [responses[s]["reports"] for s in sorted(responses)]
             )
-            return result
-        # a worker answering delete_by_key says which rows the keys hit
-        applied = {
-            s: (
-                wire.decode_rows(resp["deleted"])
-                if "deleted" in resp
-                else parts[s]
-            )
-            for s, resp in responses.items()
-            if s not in failures
-        }
-        try:
-            self._compensate(
-                table,
-                operation,
-                applied,
-                unavailable=[
-                    s
-                    for s, resp in failures.items()
-                    if resp.get("error") == "ShardUnavailableError"
-                ],
-            )
-            raise_shard_error(failures[min(failures)])
         except ReproError as exc:
+            if ticket._txn is not None:
+                ticket._txn.rollback()  # a no-op past the commit point
             result.error = exc
         return result
 
@@ -740,88 +687,78 @@ class ShardedWarehouse(Warehouse):
 
     # ------------------------------------------------------------------
     # the transaction seam (Transaction is the base class's): a
-    # worker-local transaction on every shard, committed two-phase.
-    # After every shard prepares, a durable decision record
+    # worker-local transaction on every shard a statement reaches,
+    # committed two-phase.  Each shard's prepare is durable, and after
+    # every participant prepares a durable decision record
     # (TxnDecisionLog) is written *before* the first commit message, so
-    # a coordinator crash anywhere in the window is deterministic —
-    # recover() commits in-doubt shards when the record exists and
-    # aborts them (presumed abort) when it does not.
+    # a crash anywhere in the window is deterministic: a prepared shard
+    # commits when the record exists and aborts (presumed abort) when it
+    # does not — on reincarnation, or at recover().
     # ------------------------------------------------------------------
     def _txn_begin(self, txn: Transaction) -> None:
         # counter for human-readable ordering; uuid suffix so ids never
-        # collide across facade restarts sharing one decision-log dir
+        # collide across facade restarts sharing one decision-log dir.
+        # No shard hears of it yet: each joins with its first statement.
         txn.txn_id = f"t{next(self._txn_counter)}-{uuid.uuid4().hex[:8]}"
-        self.flush()  # the worker transactions bracket a settled state
-        try:
-            self._broadcast("txn_begin", txn_id=txn.txn_id)
-        except ReproError:
-            # a partial begin (e.g. one shard died mid-broadcast) must
-            # not leak open transactions on the shards that did begin
-            self._txn_abort(txn)
-            raise
+        self._undecided.add(txn.txn_id)
 
     def _txn_apply(
-        self, txn: Transaction, table: str, operation: str, rows: List[Row]
+        self, txn: Transaction, table: str, operation: str,
+        rows: List[Row], **flags,
     ) -> Reports:
+        # a failed statement leaves every worker transaction open; the
+        # caller rolls them back together
         parts = self._route(table, rows)
-        replies = {
-            shard: self._handles[shard].submit(
-                "txn_stmt",
-                kind=operation,
-                table=table,
-                rows=wire.encode_rows(parts[shard]),
-            )
-            for shard in sorted(parts)
-        }
-        responses = {
-            shard: self._wait_for(shard, reply)
-            for shard, reply in replies.items()
-        }
-        for shard in sorted(responses):
-            # a failed statement leaves every worker transaction open;
-            # the caller rolls them back together
-            raise_shard_error(responses[shard])
+        responses = self._wait_all(self._send(txn, table, operation, parts, **flags))
         return self._merge_report_blobs(
             [responses[shard]["reports"] for shard in sorted(responses)]
         )
 
     def _txn_prepare(self, txn: Transaction) -> None:
-        """Phase 1: every shard validates its deferred FKs, nobody
-        commits."""
-        self._broadcast("txn_prepare")
+        """Phase 1: every participant not prepared yet validates its
+        deferred FKs and makes its part durable; nobody commits."""
+        unprepared = [s for s, prepared in txn._shards.items() if not prepared]
+        self._broadcast("txn_prepare", _shards=unprepared, txn_id=txn.txn_id)
+        txn._shards.update(dict.fromkeys(unprepared, True))
         FAILPOINTS.hit("txn.coordinator.prepared", txn=txn.txn_id)
 
     def _txn_decide(self, txn: Transaction) -> None:
-        """The commit point: one durable record flips the transaction
-        from presumed-abort to must-commit — recover() replays it."""
-        self.txnlog.decide(txn.txn_id, list(range(self.shards)))
+        """The commit point: one durable record of the participants flips
+        the transaction from presumed-abort to must-commit.  One that a
+        ``recover()`` already resolved can no longer commit."""
+        with self._txn_lock:
+            if txn.txn_id not in self._undecided:
+                raise ShardingError(
+                    f"transaction {txn.txn_id} was resolved by recover() "
+                    "before its decision"
+                )
+            self.txnlog.decide(txn.txn_id, sorted(txn._shards))
+            self._undecided.discard(txn.txn_id)
 
     def _txn_commit(self, txn: Transaction, decision: None) -> None:
         """Phase 2, shard by shard; each send has its own crash window
         (``txn.coordinator.commit``) leaving a committed prefix and an
-        in-doubt suffix for recover() to finish."""
+        in-doubt suffix.  A failed commit keeps the decision record: the
+        shard's prepared part is durable, and its reincarnation commits
+        it (``recover()`` then retires the record)."""
         FAILPOINTS.hit("txn.coordinator.decided", txn=txn.txn_id)
-        commit_replies = []
-        for handle in self._handles:
-            FAILPOINTS.hit(
-                "txn.coordinator.commit",
-                txn=txn.txn_id,
-                shard=handle.shard_id,
+        replies = {}
+        for shard in sorted(txn._shards):
+            FAILPOINTS.hit("txn.coordinator.commit", txn=txn.txn_id, shard=shard)
+            replies[shard] = self._handles[shard].submit(
+                "txn_commit", txn_id=txn.txn_id
             )
-            commit_replies.append(
-                (handle.shard_id, handle.submit("txn_commit"))
-            )
-        for response in [self._wait_for(s, reply) for s, reply in commit_replies]:
-            # on a failure keep the decision record: the unreached shards
-            # are in doubt and the next recover()/reincarnation commits them
-            raise_shard_error(response)
+        self._wait_all(replies)
         self.txnlog.forget(txn.txn_id)
 
     def _txn_abort(self, txn: Transaction) -> None:
-        # a resolve with no commits aborts an open worker transaction but
-        # is a no-op on a shard that lost (or was reincarnated without)
-        # its transaction, so rollback survives a worker death
-        self._broadcast("txn_resolve", _tolerate_unavailable=True, commits=[])
+        # decided: presumed abort from here on.  A shard that lost the
+        # transaction (or whose reincarnation resolved it) answers no-op
+        self._undecided.discard(txn.txn_id)
+        self._broadcast(
+            "txn_abort", _tolerate_unavailable=True,
+            _shards=sorted(txn._shards), txn_id=txn.txn_id,
+        )
 
     # ------------------------------------------------------------------
     # reads
@@ -1013,26 +950,26 @@ class ShardedWarehouse(Warehouse):
         return []
 
     def _resolve_indoubt(self) -> List[Dict]:
-        """Drive every shard's open transaction (if any) to the outcome
-        the coordinator decision log recorded — commit when a durable
-        commit decision exists, presumed abort otherwise — then forget
-        the decisions.  Idempotent; shards with no open transaction
-        answer ``resolved: None``."""
-        records = self.txnlog.pending()
-        commits = [r.txn_id for r in records if r.decision == "commit"]
-        responses = self._broadcast("txn_resolve", commits=commits)
+        """Drive every shard's open transactions to the outcome the
+        coordinator decision log recorded — commit when a durable commit
+        decision exists, presumed abort otherwise — then forget the
+        decisions.  Whatever the coordinator was still deciding is
+        resolved too: a recover() stands in for a coordinator restart.
+        Idempotent."""
+        with self._txn_lock:
+            self._undecided.clear()
+            records = self.txnlog.pending()
+        responses = self._broadcast(
+            "txn_resolve", commits=[r.txn_id for r in records]
+        )
         resolved = []
         for shard in sorted(responses):
-            outcome = responses[shard].get("resolved")
-            if outcome is None:
-                continue
-            txn_id = responses[shard].get("txn_id")
-            resolved.append(
-                {"shard": shard, "txn_id": txn_id, "outcome": outcome}
-            )
-            self.telemetry.emit(
-                "txn.indoubt.resolved", txn=txn_id, outcome=outcome
-            )
+            for item in responses[shard]["resolved"]:
+                resolved.append({"shard": shard, **item})
+                self.telemetry.emit(
+                    "txn.indoubt.resolved", txn=item["txn_id"],
+                    outcome=item["outcome"],
+                )
         # only forget once every shard acknowledged its resolution: a
         # failure above leaves the decisions for the next recover()
         for record in records:
@@ -1092,17 +1029,17 @@ class ShardedWarehouse(Warehouse):
         recover each from its WAL + checkpoints."""
         self._pending_tickets = []
         responses = self._broadcast("crash_hard")
-        # a hard crash also takes the coordinator: open worker txns died
-        # with their shards, so resolution is a no-op sweep that retires
-        # stale decision records
+        # a hard crash also takes the coordinator: unprepared worker
+        # txns died with their shards, prepared ones came back in doubt
+        # and land on the decision log's side
         self._aggregate_recovery(responses, self._resolve_indoubt())
 
     def crash_restart(self) -> None:
         """Orderly stop + reopen of every shard over its own WAL and
         checkpoint directories (the replay loop's ``crash`` op)."""
         self.flush()
-        responses = self._broadcast("restart")
-        self._aggregate_recovery(responses, self._resolve_indoubt())
+        resolved = self._resolve_indoubt()
+        self._aggregate_recovery(self._broadcast("restart"), resolved)
 
     # ------------------------------------------------------------------
     # health

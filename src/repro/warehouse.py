@@ -225,6 +225,10 @@ class Warehouse:
             self.checkpoint_interval = max(1, int(checkpoint_interval))
         self._changes_since_checkpoint = 0
         self._checkpointing = False
+        # open transactions: a checkpoint must not cover their effects
+        self._open_txns: set = set()
+        # prepared transactions the last recover() reopened, by id
+        self._in_doubt: Dict[str, "Transaction"] = {}
         self.scheduler = MaintenanceScheduler(
             workers=workers,
             retry=retry,
@@ -666,13 +670,13 @@ class Warehouse:
         ]
 
     def _maintain_now(
-        self, table: str, delta: Table, operation: str
+        self, table: str, delta: Table, operation: str, fk_allowed: bool
     ) -> Reports:
         """Fan an already-applied, unlogged delta out through the
         scheduler and wait (transaction statements: their WAL journal
         and snapshot publish happen at commit, not per statement)."""
         ticket = self.scheduler.submit(
-            lambda: (self._tasks(table, delta, operation, True), None),
+            lambda: (self._tasks(table, delta, operation, fk_allowed), None),
             table,
             operation,
         )
@@ -762,6 +766,11 @@ class Warehouse:
         """
         if self.checkpoints is None:
             raise MaintenanceError("checkpoint() requires a checkpoint_dir")
+        if self._open_txns:
+            raise MaintenanceError(
+                "checkpoint() with a transaction open would record its "
+                "uncommitted effects; commit or roll it back first"
+            )
         self._checkpointing = True
         try:
             self.flush()
@@ -793,6 +802,7 @@ class Warehouse:
         if (
             self.checkpoint_interval is None
             or self._checkpointing
+            or self._open_txns  # deferred to a change after they end
             or self._changes_since_checkpoint < self.checkpoint_interval
         ):
             return
@@ -816,7 +826,8 @@ class Warehouse:
         Each replayed entry goes back through :meth:`_submit`
         (``check=False`` — it already passed integrity checks when
         first logged): re-applied to the database, fanned out, and
-        durably re-acknowledged.
+        durably re-acknowledged — except a prepared transaction's
+        entries, which reopen it instead.
 
         Corruption never aborts recovery: segments that fail CRC
         verification were quarantined by the WAL on open, so after the
@@ -869,18 +880,34 @@ class Warehouse:
         # A quarantined segment means records are *missing* from the
         # middle of history: the surviving suffix may conflict with the
         # restored state (e.g. an insert whose key a lost delete should
-        # have freed) — _submit reconciles that per entry.
-        results = [
-            self._submit(
-                entry.table,
-                entry.operation,
-                entry.rows,
-                entry.fk_allowed,
-                check=False,
-                replay_lsn=entry.lsn,
-            ).wait()
-            for entry in entries
-        ]
+        # have freed) — _submit reconciles that per entry.  A prepared
+        # transaction's entries replay in their log position too, through
+        # the transaction they reopen — in doubt until a commit, an abort
+        # or a resolution lands it — so later changes see its rows.
+        doubt = self.wal.in_doubt()
+        self._in_doubt = {}
+        results = []
+        for entry in entries:
+            txn_id = doubt.get(entry.lsn)
+            if txn_id is None:
+                results.append(self._submit(
+                    entry.table,
+                    entry.operation,
+                    entry.rows,
+                    entry.fk_allowed,
+                    check=False,
+                    replay_lsn=entry.lsn,
+                ).wait())
+                continue
+            txn = self._in_doubt.get(txn_id)
+            if txn is None:
+                txn = self._in_doubt[txn_id] = Transaction(self)
+                txn.txn_id = txn_id
+            txn._statement(
+                entry.table, entry.operation, entry.rows,
+                fk_allowed=entry.fk_allowed, check=False,
+            )
+            txn._lsns.append(entry.lsn)
         self.wal.sync()
         recomputed: List[str] = []
         if self.wal.corruption_detected:
@@ -1005,56 +1032,77 @@ class Warehouse:
         the statements (or their inverses on rollback)."""
         self.scheduler.drain()
         txn._quarantined_at_entry = frozenset(self.scheduler.quarantined)
+        self._open_txns.add(txn)
 
     def _txn_apply(
-        self, txn: "Transaction", table: str, operation: str, rows: List[Row]
+        self, txn: "Transaction", table: str, operation: str, rows: List[Row],
+        fk_allowed: bool = True, check: bool = True,
     ) -> Reports:
-        """Apply one statement now, DEFERRABLE foreign keys unchecked;
+        """Apply one statement now, DEFERRABLE foreign keys unchecked
+        (*check* ``False``: nothing checked, as for a plain change);
         record its delta (for the journal and the undo) *before* the
         fan-out, which may fail after the table has changed."""
-        if operation == INSERT:
-            delta = self.db.insert(table, rows, defer_deferrable=True)
+        if operation == DELETE_BY_KEY:
+            operation, delta = DELETE, self.db.delete_by_key(table, rows, check=check)
+        elif operation == INSERT:
+            delta = self.db.insert(table, rows, check=check, defer_deferrable=True)
         else:
-            delta = self.db.delete(table, rows)
-        txn._statements.append((table, operation, delta.rows))
-        return self._maintain_now(table, delta, operation)
+            delta = self.db.delete(table, rows, check=check)
+        txn._statements.append((table, operation, delta.rows, fk_allowed, check))
+        return self._maintain_now(table, delta, operation, fk_allowed)
 
     def _txn_prepare(self, txn: "Transaction") -> None:
-        for table, operation, rows in txn._statements:
-            if operation == INSERT:
+        """Check the deferred foreign keys.  A named transaction (a
+        shard's part of a cross-shard one) also journals its statements
+        here, tagged with its id: the prepare is durable, in doubt until
+        the commit acks it or the abort resolves it."""
+        for table, operation, rows, _, check in txn._statements:
+            if operation == INSERT and check:
                 self.db.check_deferred_fks(table, rows)
+        if txn.txn_id is not None:
+            self._txn_decide(txn)
 
     def _txn_decide(self, txn: "Transaction") -> List[int]:
-        """The commit point: every statement journaled as one WAL
-        record — logged together or not at all."""
-        if self.wal is None or not txn._statements:
-            return []
-        return self.wal.journal(
-            [(table, op, rows, True) for table, op, rows in txn._statements]
-        )
+        """The commit point: every statement not journaled yet, as one
+        WAL record — logged together or not at all."""
+        fresh = txn._statements[len(txn._lsns):]
+        if self.wal is not None and fresh:
+            txn._lsns += self.wal.journal(
+                [statement[:4] for statement in fresh], txn.txn_id
+            )
+        return txn._lsns
 
     def _txn_commit(self, txn: "Transaction", lsns: List[int]) -> None:
         """The statements are already maintained: ack them at once
         (recorded, never replayed) and publish the commit — intermediate
-        statement states were never visible to readers."""
+        statement states were never visible to readers.  A commit counts
+        as one change towards ``checkpoint_interval``."""
+        self._open_txns.discard(txn)
         if self.wal is not None:
             for lsn in lsns:
                 self.wal.ack(lsn)
             self.wal.sync()
         self._publish()
+        self._changes_since_checkpoint += 1
+        self._maybe_checkpoint()
 
     def _txn_abort(self, txn: "Transaction") -> None:
-        """Undo as an inverse change: each statement's inverse, newest
-        first, unchecked and maintained like any change.  The walk passes
-        back through states every non-deferrable foreign key held in, and
-        a deferrable key never licenses a shortcut, so FK shortcuts stay
-        on.  A view failing on the way is quarantined and the walk goes
-        on; every view quarantined since entry is then rebuilt from the
-        restored tables, and the pre-transaction epoch published."""
-        for table, operation, rows in reversed(txn._statements):
+        """Undo as an inverse change: a durable prepare's ``resolve``
+        marker first, then each statement's inverse, newest first,
+        unchecked and maintained like any change.  The walk passes back
+        through states every non-deferrable foreign key held in, and a
+        deferrable key never licenses a shortcut, so a statement's FK
+        shortcuts stay as it had them.  A view failing on the way is
+        quarantined and the walk goes on; every view quarantined since
+        entry is then rebuilt from the restored tables, and the
+        pre-transaction epoch published."""
+        self._open_txns.discard(txn)
+        if txn._lsns:
+            self.wal.resolve(txn.txn_id)
+        for table, operation, rows, fk_allowed, _ in reversed(txn._statements):
             inverse, delta = self._apply_inverse(table, operation, rows)
             try:
-                self._maintain_now(table, delta, inverse)
+                self._maintain_now(table, delta, inverse, fk_allowed)
             except FanOutError:
                 pass  # quarantined: rebuilt below
         for name in self.scheduler.quarantined:
@@ -1107,25 +1155,31 @@ class Transaction:
     warehouse's ``_txn_*`` seam methods are the transport.
 
     Construction begins it.  :meth:`prepare` checks the DEFERRABLE
-    foreign keys the statements left unchecked (on every shard), without
-    committing; idempotent.  :meth:`commit` prepares, passes the *commit
+    foreign keys the statements left unchecked (on every participating
+    shard, whose part it also makes durable), without committing;
+    idempotent.  :meth:`commit` prepares, passes the *commit
     point* — the statements journaled as one WAL record, or the
     coordinator's durable decision record — and lands the commit; past
     that point nothing rolls back (a later failure surfaces, and a
-    sharded transaction is finished by ``recover()``).  :meth:`rollback`
-    undoes every statement by its inverse change — no copy of the
-    database or of any view is ever taken.  As a context manager it
-    commits on success and rolls back on any exception; a crash before
-    the commit point loses the whole transaction.
+    sharded transaction is finished by the reincarnated shard or
+    ``recover()``).  :meth:`rollback` undoes every statement by its
+    inverse change — no copy of the database or of any view is ever
+    taken.  As a context manager it commits on success and rolls back on
+    any exception; a crash before the commit point loses the whole
+    transaction.
     """
 
     def __init__(self, warehouse: Warehouse):
         self.warehouse = warehouse
         self.txn_id: Optional[str] = None  # the sharded seam names it
         # the local seam's record: statements as applied (journal,
-        # deferred checks, undo) and the views quarantined before entry
+        # deferred checks, undo), the LSNs journaled so far and the
+        # views quarantined before entry
         self._statements: List[tuple] = []
+        self._lsns: List[int] = []
         self._quarantined_at_entry: frozenset = frozenset()
+        # the sharded seam's record: participating shard -> prepared
+        self._shards: Dict[int, bool] = {}
         self._prepared = False
         warehouse._txn_begin(self)
         self._active = True
@@ -1152,12 +1206,14 @@ class Transaction:
         return self._statement(table, DELETE, rows)
 
     def _statement(
-        self, table: str, operation: str, rows: Iterable[Row]
+        self, table: str, operation: str, rows: Iterable[Row], **flags
     ) -> Reports:
+        """One statement; *flags* (``fk_allowed``, ``check``) carry a
+        plain change's options when the statement stands for one."""
         self._require_active()
         self._prepared = False  # a new statement may defer a new check
         return self.warehouse._txn_apply(
-            self, table, operation, [tuple(r) for r in rows]
+            self, table, operation, [tuple(r) for r in rows], **flags
         )
 
     def _require_active(self) -> None:

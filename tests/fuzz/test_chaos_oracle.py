@@ -28,13 +28,17 @@ def test_matrix_includes_chaos_configs():
         ("txn.coordinator.prepared",),
         ("txn.coordinator.decided",),
         ("txn.coordinator.commit",),
+        ("shard.worker.kill",),  # a participant dying after the decision
     ]
     assert twopc.shards == 2
     assert twopc.wal
-    # coordinator crashes: resolved by recover() inside the live facade;
-    # only the window before the decision record may abort
+    # coordinator crashes and a participant killed at its commit:
+    # resolved by recover() inside the live facade; only the window
+    # before the decision record may abort
     assert {f.restart for f in twopc.faults} == {"live"}
-    assert [f.expect for f in twopc.faults] == ["refused", "reference", "reference"]
+    assert [f.expect for f in twopc.faults] == [
+        "refused", "reference", "reference", "reference"
+    ]
 
 
 def test_clean_seeds_survive_chaos():
@@ -60,8 +64,8 @@ def test_chaos_2pc_detects_ignored_decision_log(monkeypatch):
 
     real = ShardServer.cmd_txn_resolve
 
-    def presumed_abort_everything(self, commits):
-        return real(self, [])
+    def presumed_abort_everything(self, commits, **kwargs):
+        return real(self, [], **kwargs)
 
     monkeypatch.setattr(
         ShardServer, "cmd_txn_resolve", presumed_abort_everything

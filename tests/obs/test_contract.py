@@ -1,8 +1,10 @@
 """The telemetry contract: golden exposition + a closed occurrence table.
 
 ``golden_exposition.json`` was captured from the commit *before*
-``Telemetry.emit`` replaced the ``record_*`` methods: the 54 metric
-families (name, type, help, labels, buckets), the 17 event kinds with
+``Telemetry.emit`` replaced the ``record_*`` methods: the metric
+families (name, type, help, labels, buckets; 54 then, 53 since
+``repro_shard_compensations_total`` went with statement compensation),
+the 17 event kinds with
 their severities, the dump triggers, and — under ``"scenario"`` — the
 exposition text, event list, dashboard and accessor results after one
 call of every ``record_*`` method with fixed values.  ``SCENARIO`` below
@@ -87,7 +89,6 @@ SCENARIO = [
     ("shard.query", {"outcome": "fanout"}),
     ("shard.merge", {"seconds": 0.003}),
     ("shard.rebalance_hint", {"table": "lineitem"}),
-    ("shard.compensation", {"table": "orders"}),
     ("shard.dead", {"shard": 1, "reason": "exit"}),
     ("shard.reincarnated", {"shard": 1, "seconds": 0.2, "summary": {"replayed": 3}}),
     ("shard.flapping", {"shard": 0, "restarts": 5}),
@@ -129,7 +130,7 @@ class TestGoldenExposition:
             }
             for m in telemetry.metrics.metrics()
         ]
-        assert len(exposed) == 54
+        assert len(exposed) == 53
         assert exposed == GOLDEN["families"]
 
     def test_event_kinds_severities_and_dump_triggers(self):
@@ -215,7 +216,7 @@ class TestClosure:
             written.update(effect.family.name for effect in occurrence.effects)
             written.update(family.name for family in occurrence.writes)
         assert {family.name for family in FAMILIES} == written
-        assert len(FAMILIES) == 51
+        assert len(FAMILIES) == 50
 
     def test_each_family_name_is_spelled_once(self):
         text = "".join(

@@ -21,6 +21,7 @@ from repro.errors import (
     ShardingError,
 )
 from repro.obs import Telemetry
+from repro.runtime.shardproc import ThreadShardHandle
 from repro.sharded import ShardedSnapshot, ShardedWarehouse
 from repro.warehouse import Warehouse
 
@@ -175,6 +176,41 @@ def test_snapshot_pins_a_stable_cross_shard_epoch():
         live = frozenset(map(tuple, wh.query("order_lines")))
         assert live != before
         snap.release()
+    finally:
+        wh.close()
+
+
+def test_statement_message_shape(monkeypatch):
+    """What a statement costs on the wire: one owning shard, exactly one
+    ``change``; several, two messages per participant (apply+prepare,
+    then commit) and no ``flush`` barrier."""
+    sent = []
+    submit = ThreadShardHandle.submit
+
+    def counting_submit(handle, cmd, **payload):
+        sent.append((handle.shard_id, cmd))
+        return submit(handle, cmd, **payload)
+
+    wh = make_sharded(shards=2)
+    try:
+        monkeypatch.setattr(ThreadShardHandle, "submit", counting_submit)
+        (owner,) = wh.router.split_rows("lineitem", [(0, 9, 1)])
+        wh.insert("lineitem", [(0, 9, 1)])
+        assert sent == [(owner, "change")]
+        for table, rows in (
+            ("orders", [(100, 1)]),  # replicated: every shard
+            ("lineitem", [(o, 20 + o, 1) for o in range(6)]),  # partitioned
+        ):
+            del sent[:]
+            wh.insert(table, rows)
+            participants = sorted(wh._route(table, rows))
+            assert len(participants) == 2
+            assert sorted(sent) == sorted(
+                (shard, cmd)
+                for shard in participants
+                for cmd in ("txn_stmt", "txn_commit")
+            )
+        wh.check_consistency()
     finally:
         wh.close()
 

@@ -9,10 +9,11 @@ and a consistent merged state).
 
 import threading
 import time
+from functools import partial
 
 import pytest
 
-from repro.errors import ShardingError, ShardUnavailableError
+from repro.errors import MaintenanceError, ShardingError, ShardUnavailableError
 from repro.runtime.failpoints import FAILPOINTS
 from repro.runtime.shardproc import ThreadShardHandle
 from repro.runtime.supervisor import DeadShardHandle
@@ -115,17 +116,151 @@ def test_reincarnation_replays_wal_lineage(tmp_path):
 
 
 def test_reincarnation_without_wal_is_degraded(tmp_path):
-    # no durable lineage: the shard restarts from its initial rows and
-    # post-construction history is lost — reported, not hidden
+    # no durable lineage: the shard restarts from its initial rows —
+    # replicated tables too — and post-construction history is lost:
+    # reported, not hidden
     wh = make_supervised(tmp_path=None)
     try:
+        wh.insert("orders", [(529, 1)])
         kill_worker(wh, shard=1)
         with pytest.raises(ShardUnavailableError):
             wh.insert("orders", [(530, 1)])
         assert wait_all_up(wh)
         assert wh.last_recovery["degraded"]
+        with pytest.raises(MaintenanceError, match="replicated table 'orders' diverged on shard 1"):
+            wh.check_consistency()
     finally:
         FAILPOINTS.disarm("shard.worker.kill")
+        wh.close()
+
+
+# ---------------------------------------------------------------------------
+# a worker dying inside a multi-shard statement ends as the decision log says
+# ---------------------------------------------------------------------------
+SPREAD = [(o % 6, 100 + o, o) for o in range(16)]  # lineitem rows, both shards
+
+
+def lineitem_keys(wh):
+    return {row[:2] for row in wh.merged_database().tables["lineitem"].rows}
+
+
+def insert_in_transaction(wh, table, rows):
+    with wh.transaction() as txn:
+        txn.insert(table, rows)
+
+
+@pytest.mark.parametrize("insert", ["statement", "transaction"])
+def test_kill_at_commit_keeps_the_committed_half(tmp_path, insert):
+    """The decision is durable and shard 0 commits; shard 1 dies before
+    its commit runs.  Its prepare was durable too, so the replacement
+    reopens it in doubt and commits it: all 16 rows survive (with a
+    volatile prepare, shard 1's 8 were lost)."""
+    wh = make_supervised(tmp_path)
+    apply = wh.insert if insert == "statement" else partial(insert_in_transaction, wh)
+    try:
+        assert len(wh.router.split_rows("lineitem", SPREAD)) == 2
+        FAILPOINTS.arm("shard.worker.kill", shard=1, cmd="txn_commit")
+        with pytest.raises(ShardUnavailableError):
+            apply("lineitem", SPREAD)  # failed past the commit point
+        assert wait_all_up(wh), wh.supervisor.status()
+        wh.recover()
+        assert {row[:2] for row in SPREAD} <= lineitem_keys(wh)
+        assert wh.txnlog.pending() == []
+        wh.check_consistency()
+    finally:
+        FAILPOINTS.disarm("shard.worker.kill")
+        wh.close()
+
+
+def test_replacement_replays_a_prepare_in_its_log_position(tmp_path):
+    """A pipelined insert of key K lands on shard 1 while the multi-shard
+    delete of K is still prepared there, then shard 1 dies at its commit.
+    The replacement replays the prepare where the log holds it — before
+    the insert — so the committed history ends with the new K."""
+    wh = make_supervised(tmp_path)
+    try:
+        doomed = sorted(wh.merged_database().tables["lineitem"].rows)
+        parts = wh.router.split_rows("lineitem", doomed)
+        assert len(parts) == 2
+        k = (parts[1][0][0], parts[1][0][1], 999)
+        FAILPOINTS.arm("shard.worker.kill", shard=1, cmd="txn_commit")
+        deleted = wh.apply_async("lineitem", "delete", doomed)
+        inserted = wh.apply_async("lineitem", "insert", [k])
+        assert isinstance(deleted.wait().error, ShardUnavailableError)
+        assert inserted.wait().ok
+        assert wait_all_up(wh), wh.supervisor.status()
+        wh.recover()
+        assert sorted(wh.merged_database().tables["lineitem"].rows) == [k]
+        assert wh.txnlog.pending() == []
+        wh.check_consistency()
+    finally:
+        FAILPOINTS.disarm("shard.worker.kill")
+        wh.close()
+
+
+def test_worker_dying_between_prepare_and_decision_aborts_everywhere(tmp_path):
+    """Shard 1 prepares durably, then dies before its vote arrives: the
+    coordinator aborts, and the replacement — which reopened the prepare
+    in doubt — lands on the same side, with no recover() needed."""
+    wh = make_supervised(tmp_path)
+    try:
+        FAILPOINTS.arm("shard.pipe.drop", action="skip", shard=1, cmd="txn_stmt")
+        with pytest.raises(ShardUnavailableError):
+            wh.insert("lineitem", SPREAD)
+        assert wait_all_up(wh), wh.supervisor.status()
+        assert not {row[:2] for row in SPREAD} & lineitem_keys(wh)
+        assert wh._handles[1]._server._txns == {}
+        wh.check_consistency()
+    finally:
+        FAILPOINTS.disarm("shard.pipe.drop")
+        wh.close()
+
+
+def test_reincarnation_leaves_an_undecided_transaction_to_the_coordinator(
+    tmp_path,
+):
+    """Shard 1 dies after every shard prepared, while the coordinator
+    is still deciding.  The replacement must not presume abort: it keeps
+    the transaction in doubt, and the coordinator's commit lands it."""
+    wh = make_supervised(tmp_path)
+
+    def kill_shard_1(**_ctx):
+        kill_worker(wh, shard=1)
+        # answered (unavailable) once the revive has begun
+        wh._handles[1].submit("ping").wait(10.0)
+        assert wait_all_up(wh), wh.supervisor.status()
+
+    try:
+        with FAILPOINTS.armed("txn.coordinator.prepared", action="call", callback=kill_shard_1):
+            wh.insert("lineitem", SPREAD)  # decided and committed after the revive
+        assert wh.supervisor.status()[1]["restarts"] == 1
+        assert {row[:2] for row in SPREAD} <= lineitem_keys(wh)
+        assert wh.txnlog.pending() == []
+        wh.check_consistency()
+    finally:
+        FAILPOINTS.disarm("shard.worker.kill")
+        wh.close()
+
+
+def test_no_checkpoint_covers_an_open_transaction(tmp_path):
+    """While a prepared transaction is open on a shard, its
+    auto-checkpoint waits and an explicit one refuses; a crash then
+    aborts the undecided transaction, and nothing of it comes back."""
+    wh = make_supervised(
+        tmp_path, checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_interval=1
+    )
+    try:
+        txn = wh.transaction()
+        txn.insert("lineitem", SPREAD)
+        txn.prepare()  # durable on both shards, undecided
+        wh.insert("lineitem", [(0, 50, 1)])  # one shard: would auto-checkpoint
+        assert not any((tmp_path / "ckpt").rglob("ckpt-*"))
+        with pytest.raises(MaintenanceError, match="transaction open"):
+            wh.checkpoint()
+        wh.crash_hard()
+        assert lineitem_keys(wh) & {(0, 50), *(row[:2] for row in SPREAD)} == {(0, 50)}
+        wh.check_consistency()
+    finally:
         wh.close()
 
 
@@ -279,9 +414,11 @@ def test_process_worker_sigkill_acceptance(tmp_path):
         for i in range(4):
             try:
                 wh.insert("orders", [(600 + offset * 10 + i, 1)])
-            except ShardUnavailableError as exc:
-                errors.append(exc)
-            except ShardingError as exc:  # racing the compensation path
+            except ShardingError as exc:
+                # typed and bounded (ShardUnavailableError): the statement
+                # reached the killed worker, and its transaction ends as
+                # the decision log says — aborted, or committed by the
+                # replacement when the decision was already durable
                 errors.append(exc)
             time.sleep(0.02)
 

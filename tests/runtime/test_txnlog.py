@@ -166,21 +166,20 @@ def test_coordinator_crash_window_resolves_deterministically(
 def test_hard_crash_after_decision_sweeps_record_and_stays_consistent(
     tmp_path,
 ):
-    """A hard crash takes the workers' open (volatile) transactions
-    with it; prepare is not participant-durable by design.  What the
-    decision log guarantees across that crash is *mutual* consistency:
-    the stale commit record is retired, no shard holds half the
-    transaction, and the tier passes ``check_consistency``."""
+    """A hard crash takes every worker's memory, but each shard's
+    prepare is durable: the prepared parts come back in doubt from the
+    WAL, the durable decision commits them on every shard, and the
+    record is retired — no shard holds half the transaction."""
     wh = _make_durable_sharded(tmp_path)
     try:
         _crash_txn_at(wh, "txn.coordinator.decided")
         assert [r.txn_id for r in wh.txnlog.pending()]  # decision durable
         wh.crash_hard()
-        # the open worker txns died before any commit message: the
-        # sweep retires the record instead of leaving it in-doubt
         assert wh.txnlog.pending() == []
+        assert {r["outcome"] for r in wh.last_recovery["resolved_transactions"]} == {"commit"}
         merged = wh.merged_database()
-        assert 200 not in {row[0] for row in merged.tables["orders"].rows}
+        assert 200 in {row[0] for row in merged.tables["orders"].rows}
+        assert {(200, 0), (200, 1)} <= {row[:2] for row in merged.tables["lineitem"].rows}
         wh.check_consistency()
     finally:
         wh.close()

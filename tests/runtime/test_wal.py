@@ -121,6 +121,50 @@ class TestAppendAck:
         assert entry.rows == ((1, 1, 5.0, None), (2, 1, "x", True))
 
 
+class TestPreparedRecords:
+    """A ``txn`` tagged with an id is a prepare: in doubt until an ack
+    commits it or a ``resolve`` marker aborts it — across reopen too."""
+
+    CHANGES = [("orders", "insert", [(2, 20)], True), ("lineitem", "delete", [(1, 1, 5.0)], True)]
+
+    def prepared(self, wal_path):
+        wal = WriteAheadLog(wal_path)
+        before = wal.append("orders", "insert", [(1, 10)])
+        lsns = wal.journal(self.CHANGES, "t1-ab")
+        after = wal.append("orders", "insert", [(3, 30)])
+        return wal, before, lsns, after
+
+    def test_in_doubt_replays_in_its_log_position_across_reopen(self, wal_path):
+        wal, before, lsns, after = self.prepared(wal_path)
+        for log in (wal, WriteAheadLog(wal_path)):
+            assert [e.lsn for e in log.pending()] == [before, *lsns, after]
+            assert [e.lsn for e in log.entries_after(0)] == [before, *lsns, after]
+            assert log.in_doubt() == dict.fromkeys(lsns, "t1-ab")
+            log.close()
+
+    def test_an_ack_commits_the_whole_transaction(self, wal_path):
+        wal, before, lsns, after = self.prepared(wal_path)
+        wal.ack(lsns[0])
+        assert wal.in_doubt() == {}
+        assert [e.lsn for e in wal.pending()] == [before, lsns[1], after]
+        wal.close()
+        reopened = WriteAheadLog(wal_path)
+        assert reopened.in_doubt() == {}
+        assert [e.lsn for e in reopened.entries_after(0)] == [before, *lsns, after]
+        reopened.close()
+
+    def test_a_resolve_marker_drops_its_changes(self, wal_path):
+        wal, before, lsns, after = self.prepared(wal_path)
+        wal.resolve("t1-ab")
+        assert wal.in_doubt() == {}
+        wal.close()
+        reopened = WriteAheadLog(wal_path)
+        assert reopened.in_doubt() == {}
+        assert [e.lsn for e in reopened.entries_after(0)] == [before, after]
+        assert reopened.append("orders", "insert", [(4, 40)]) == after + 1
+        reopened.close()
+
+
 class TestDurabilityAcrossReopen:
     def test_reload_round_trip(self, wal_path):
         wal = WriteAheadLog(wal_path)

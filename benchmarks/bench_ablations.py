@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import (
     MaintenanceOptions,
-    SECONDARY_COMBINED,
     SECONDARY_FROM_BASE,
     ViewMaintainer,
 )
@@ -34,14 +33,7 @@ VARIANTS = {
     "a2_secondary_base": MaintenanceOptions(
         secondary_strategy=SECONDARY_FROM_BASE
     ),
-    "a3_no_fk": MaintenanceOptions(
-        use_fk_simplify=False,
-        use_fk_graph_reduction=False,
-        use_fk_normal_form=False,
-    ),
-    "a4_combined": MaintenanceOptions(
-        secondary_strategy=SECONDARY_COMBINED
-    ),
+    "a3_no_fk": MaintenanceOptions(use_foreign_keys=False),
 }
 
 

@@ -1,12 +1,12 @@
-"""A2/A4 focus — secondary-delta strategies on a term-heavy view.
+"""A2 focus — secondary-delta strategies on a term-heavy view.
 
-V3 has only two indirectly affected terms, so Section 5.2's per-term
-scans barely differ from the Section 9 combined pass.  This benchmark
-uses a five-table full-outer-join chain (15 normal-form terms, up to 9
-indirectly affected for a middle-table update) where the strategies
-separate: per-term-from-view scans the view once per term, from-base
-evaluates parent-state joins per term, and the combined pass touches the
-view exactly once.
+V3 has only two indirectly affected terms.  This benchmark uses a
+five-table full-outer-join chain (15 normal-form terms, up to 9
+indirectly affected for a middle-table update) where the two per-term
+strategies separate: Section 5.2 probes the view once per term, Section
+5.3 evaluates parent-state joins over base tables per term.  Neither
+wins at every view size and batch size, which is the case the ``auto``
+strategy's per-term cost estimate exists for.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.algebra import Q, eq
 from repro.core import (
     MaintenanceOptions,
     MaterializedView,
-    SECONDARY_COMBINED,
     SECONDARY_FROM_BASE,
     SECONDARY_FROM_VIEW,
     ViewDefinition,
@@ -34,7 +33,6 @@ BATCH = 30
 STRATEGIES = {
     "view_per_term": SECONDARY_FROM_VIEW,
     "base_per_term": SECONDARY_FROM_BASE,
-    "combined": SECONDARY_COMBINED,
 }
 
 
@@ -72,7 +70,7 @@ def test_all_strategies_agree(chain_state):
         m.delete("t2", rng.sample(db2.table("t2").rows, BATCH))
         m.check_consistency()
         results.append(frozenset(view2.rows()))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))

@@ -45,9 +45,7 @@ def griffin_kumar_options() -> MaintenanceOptions:
     """The handicapped option set modelling GK's cost profile."""
     return MaintenanceOptions(
         left_deep=False,
-        use_fk_simplify=False,
-        use_fk_graph_reduction=False,
-        use_fk_normal_form=False,
+        use_foreign_keys=False,
         secondary_strategy=SECONDARY_FROM_BASE,
     )
 

@@ -6,7 +6,7 @@ Run individual experiments or everything::
     python -m repro.bench figure5a    # Figure 5(a): insertion costs
     python -m repro.bench figure5b    # Figure 5(b): deletion costs
     python -m repro.bench fkshortcut  # §7 prose: customer/part updates
-    python -m repro.bench ablations   # A1–A4 design-choice ablations
+    python -m repro.bench ablations   # A1–A3 design-choice ablations
     python -m repro.bench scaling     # incremental vs recompute at growing SF
     python -m repro.bench all
 
@@ -44,7 +44,6 @@ from .obs import Telemetry
 from .core import (
     MaintenanceOptions,
     MaterializedView,
-    SECONDARY_COMBINED,
     SECONDARY_FROM_BASE,
     ViewMaintainer,
 )
@@ -387,8 +386,7 @@ def run_ablations(
     quiet: bool = False,
 ) -> Dict[str, Dict[str, float]]:
     """Flip one design choice at a time on the V3 workload: left-deep
-    trees (A1), secondary-delta strategy (A2, plus the Section 9
-    combined-pass variant A4), FK exploitation (A3).
+    trees (A1), secondary-delta strategy (A2), FK exploitation (A3).
 
     Three measurements per variant: a lineitem insert, a lineitem delete
     (fact-table churn) and a part insert (where FK exploitation is the
@@ -404,14 +402,7 @@ def run_ablations(
         "A2 secondary from base": MaintenanceOptions(
             secondary_strategy=SECONDARY_FROM_BASE
         ),
-        "A3 no FK exploitation": MaintenanceOptions(
-            use_fk_simplify=False,
-            use_fk_graph_reduction=False,
-            use_fk_normal_form=False,
-        ),
-        "A4 combined ΔV^I (§9)": MaintenanceOptions(
-            secondary_strategy=SECONDARY_COMBINED
-        ),
+        "A3 no FK exploitation": MaintenanceOptions(use_foreign_keys=False),
     }
 
     out: Dict[str, Dict[str, float]] = {}

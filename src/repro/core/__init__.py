@@ -45,12 +45,10 @@ from .maintain import (
     MaintenanceOptions,
     MaintenanceReport,
     SECONDARY_AUTO,
-    SECONDARY_COMBINED,
     SECONDARY_FROM_BASE,
     SECONDARY_FROM_VIEW,
     ViewMaintainer,
 )
-from .secondary_combined import secondary_combined
 from .primary import primary_delta_expression, vd_expression
 from .secondary import (
     DELETE,
@@ -70,9 +68,7 @@ __all__ = [
     "MaintenanceReport",
     "SECONDARY_FROM_VIEW",
     "SECONDARY_FROM_BASE",
-    "SECONDARY_COMBINED",
     "SECONDARY_AUTO",
-    "secondary_combined",
     "MaintenanceGraph",
     "Affect",
     "primary_delta_expression",

@@ -55,32 +55,35 @@ from .view import MaterializedView, ViewDefinition
 
 SECONDARY_FROM_VIEW = "view"
 SECONDARY_FROM_BASE = "base"
-SECONDARY_COMBINED = "combined"  # Section 9 future work, implemented
 SECONDARY_AUTO = "auto"  # per-term cost-based choice (Section 5's advice)
+SECONDARY_STRATEGIES = (SECONDARY_FROM_VIEW, SECONDARY_FROM_BASE, SECONDARY_AUTO)
 
 
 @dataclass
 class MaintenanceOptions:
     """Knobs for the maintenance pipeline (defaults = the paper's full
-    algorithm; the ablation benchmarks flip them individually)."""
+    algorithm; the ablation benchmarks flip them individually).
+
+    *use_foreign_keys* drives all three Section 6 mechanisms: FK pruning
+    of the normal form, Theorem 3 graph reduction and SimplifyTree (the
+    last two also need the change's ``fk_allowed``)."""
 
     left_deep: bool = True
-    use_fk_simplify: bool = True
-    use_fk_graph_reduction: bool = True
-    use_fk_normal_form: bool = True
+    use_foreign_keys: bool = True
     secondary_strategy: str = SECONDARY_FROM_VIEW
     count_term_rows: bool = False  # fill report.primary_term_rows (Table 1)
+
+    def __post_init__(self) -> None:
+        if self.secondary_strategy not in SECONDARY_STRATEGIES:
+            raise ValueError(
+                f"unknown secondary_strategy {self.secondary_strategy!r}; "
+                f"expected one of {', '.join(map(repr, SECONDARY_STRATEGIES))}"
+            )
 
     def fingerprint(self) -> Tuple:
         """The structural part of plan-cache fingerprints: any change to
         these fields changes the logical trees the maintainer builds."""
-        return (
-            self.left_deep,
-            self.use_fk_simplify,
-            self.use_fk_graph_reduction,
-            self.use_fk_normal_form,
-            self.secondary_strategy,
-        )
+        return (self.left_deep, self.use_foreign_keys, self.secondary_strategy)
 
 
 @dataclass
@@ -196,12 +199,12 @@ class MaintenancePlans:
     def graph(self) -> SubsumptionGraph:
         if self._graph is None:
             self._graph = self.definition.subsumption_graph(
-                self.db, use_foreign_keys=self.options.use_fk_normal_form
+                self.db, use_foreign_keys=self.options.use_foreign_keys
             )
         return self._graph
 
     def maintenance_graph(self, table: str, fk_allowed: bool) -> MaintenanceGraph:
-        use_fk = fk_allowed and self.options.use_fk_graph_reduction
+        use_fk = fk_allowed and self.options.use_foreign_keys
         key = (table, use_fk)
         if key not in self._mgraphs:
             self._mgraphs[key] = MaintenanceGraph(
@@ -212,7 +215,7 @@ class MaintenancePlans:
     def delta_expression(self, table: str, fk_allowed: bool) -> Optional[RelExpr]:
         """The compiled ΔV^D expression for updates of *table* (``None``
         when foreign keys prove the delta always empty)."""
-        use_fk = fk_allowed and self.options.use_fk_simplify
+        use_fk = fk_allowed and self.options.use_foreign_keys
         key = (table, use_fk)
         if key not in self._delta_exprs:
             expr: Optional[RelExpr] = primary_delta_expression(
@@ -327,7 +330,7 @@ class MaintenancePlans:
         if expr is None:
             report.primary_skipped = True
             return None
-        use_fk = fk_allowed and self.options.use_fk_simplify
+        use_fk = fk_allowed and self.options.use_foreign_keys
         plan = self._cached_plan(
             ("primary", table, use_fk),
             lambda: self._build_primary_plan(table, expr),
@@ -515,11 +518,6 @@ class ViewMaintainer(MaintenancePlans):
         undo: List[Callable[[], int]],
     ) -> None:
         strategy = self.options.secondary_strategy
-        if strategy == SECONDARY_COMBINED:
-            self._apply_secondary_combined(
-                primary, mgraph, operation, report, undo
-            )
-            return
         # Parents before children (see module docstring).
         terms = sorted(
             mgraph.indirectly_affected, key=lambda t: -len(t.source)
@@ -572,30 +570,6 @@ class ViewMaintainer(MaintenancePlans):
             if base_cost < view_cost
             else SECONDARY_FROM_VIEW
         )
-
-    def _apply_secondary_combined(
-        self,
-        primary: Table,
-        mgraph: MaintenanceGraph,
-        operation: str,
-        report: MaintenanceReport,
-        undo: List[Callable[[], int]],
-    ) -> None:
-        """Section 9 future work: all indirect term deltas from one pass
-        over the view and one pass over the primary delta."""
-        from .secondary_combined import secondary_combined
-
-        with self.telemetry.tracer.span(
-            "secondary", strategy=SECONDARY_COMBINED
-        ) as span:
-            deltas = secondary_combined(
-                mgraph, self.view.as_table(), primary, self.db, operation
-            )
-            for label, rows in deltas.items():
-                count = self._apply(rows, operation != INSERT, undo)
-                report.secondary_rows[label] = count
-                report.secondary_strategy_used[label] = SECONDARY_COMBINED
-                span.record_rows(count)
 
     # ------------------------------------------------------------------
     def _align_rows(self, table: Table) -> List[Row]:

@@ -16,10 +16,21 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .core.maintain import ViewMaintainer
+from .core.maintain import (
+    SECONDARY_AUTO,
+    SECONDARY_FROM_BASE,
+    SECONDARY_FROM_VIEW,
+    ViewMaintainer,
+)
 from .core.maintgraph import Affect
 from .core.secondary import DELETE, INSERT
 from .sql import maintenance_script
+
+_STRATEGY_SECTIONS = {
+    SECONDARY_FROM_VIEW: "Section 5.2",
+    SECONDARY_FROM_BASE: "Section 5.3",
+    SECONDARY_AUTO: "cost-based per-term choice between Sections 5.2 and 5.3",
+}
 
 
 def explain_view(maintainer: ViewMaintainer) -> str:
@@ -106,9 +117,8 @@ def explain_update(
     if indirect:
         strategy = maintainer.options.secondary_strategy
         out(
-            f"  ΔV^I: {len(indirect)} term(s) via the "
-            f"{strategy!r} strategy (Section "
-            f"{'5.2' if strategy == 'view' else '5.3' if strategy == 'base' else '9'})"
+            f"  ΔV^I: {len(indirect)} term(s) via the {strategy!r} strategy "
+            f"({_STRATEGY_SECTIONS[strategy]})"
         )
 
     ops = [operation] if operation else [INSERT, DELETE]

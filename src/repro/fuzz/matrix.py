@@ -143,7 +143,7 @@ class OracleConfig:
     on five axes, plus the fault rows staged on it."""
 
     name: str
-    secondary: str = "view"  # view (§5.2) | base (§5.3) | combined | auto
+    secondary: str = "view"  # view (§5.2) | base (§5.3) | auto
     fk: bool = True  # foreign-key shortcuts
     durability: str = "none"  # none | wal | checkpoints (WAL + a checkpoint per
     #   op over 128-byte segments, so every compaction has files to delete)
@@ -162,10 +162,7 @@ class OracleConfig:
 
     def options(self) -> MaintenanceOptions:
         return MaintenanceOptions(
-            secondary_strategy=self.secondary,
-            use_fk_simplify=self.fk,
-            use_fk_graph_reduction=self.fk,
-            use_fk_normal_form=self.fk,
+            secondary_strategy=self.secondary, use_foreign_keys=self.fk
         )
 
 
@@ -175,7 +172,6 @@ def default_matrix() -> List[OracleConfig]:
     return [
         row("compiled-view"),
         row("compiled-base", secondary="base"),
-        row("combined", secondary="combined"),
         row("auto", secondary="auto"),
         row("no-fk", fk=False),
         row("serial-wal", durability="wal",

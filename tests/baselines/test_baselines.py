@@ -118,9 +118,7 @@ class TestGriffinKumar:
 
         opts = griffin_kumar_options()
         assert not opts.left_deep
-        assert not opts.use_fk_simplify
-        assert not opts.use_fk_graph_reduction
-        assert not opts.use_fk_normal_form
+        assert not opts.use_foreign_keys
         assert opts.secondary_strategy == "base"
 
     def test_gk_classifies_more_terms_affected(self):

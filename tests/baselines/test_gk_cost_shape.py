@@ -29,7 +29,7 @@ def _stats_for(db, options, batch):
     view = MaterializedView.materialize(v3(), db2)
     maintainer = (
         GriffinKumarMaintainer(db2, view, options)
-        if options.left_deep is False and options.use_fk_simplify is False
+        if options.left_deep is False and options.use_foreign_keys is False
         else ViewMaintainer(db2, view, options)
     )
     delta = db2.insert("lineitem", list(batch))

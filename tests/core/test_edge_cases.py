@@ -10,8 +10,9 @@ from repro.algebra.predicates import Comparison, conjoin
 from repro.core import (
     MaintenanceOptions,
     MaterializedView,
-    SECONDARY_COMBINED,
+    SECONDARY_AUTO,
     SECONDARY_FROM_BASE,
+    SECONDARY_FROM_VIEW,
     ViewDefinition,
     ViewMaintainer,
 )
@@ -110,17 +111,19 @@ class TestDeepChains:
             m.delete(table, rng.sample(db.table(table).rows, 2))
             m.check_consistency()
 
-    def test_combined_strategy_on_many_indirect_terms(self):
-        db, defn = self._build(5, "full")
-        view = MaterializedView.materialize(defn, db)
-        m = ViewMaintainer(
-            db,
-            view,
-            MaintenanceOptions(secondary_strategy=SECONDARY_COMBINED),
-        )
-        rng = random.Random(10)
-        m.delete("t2", rng.sample(db.table("t2").rows, 3))
-        m.check_consistency()
+    def test_every_strategy_on_many_indirect_terms(self):
+        for strategy in (SECONDARY_FROM_VIEW, SECONDARY_FROM_BASE, SECONDARY_AUTO):
+            db, defn = self._build(5, "full")
+            view = MaterializedView.materialize(defn, db)
+            m = ViewMaintainer(
+                db, view, MaintenanceOptions(secondary_strategy=strategy)
+            )
+            rng = random.Random(10)
+            report = m.delete("t2", rng.sample(db.table("t2").rows, 3))
+            assert len(report.indirect_terms) >= 4, strategy
+            m.check_consistency()
+            m.insert("t2", [(100, 1), (101, 2)])
+            m.check_consistency()
 
 
 class TestStarSchema:

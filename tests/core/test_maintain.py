@@ -1,6 +1,7 @@
 """End-to-end tests for the ViewMaintainer orchestration (Section 3.2)."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.engine import Database
 from repro.algebra import Q, eq
 from repro.core.view import ViewDefinition
 from repro.errors import MaintenanceError
+from repro.planner.wire import decode_options, encode_options
 
 from ..conftest import (
     make_example1_db,
@@ -193,6 +195,45 @@ class TestCompiledPlanCache:
     def test_subsumption_graph_cached(self):
         db, m = fresh()
         assert m.graph is m.graph
+
+
+class TestOptions:
+    def test_fields_are_the_papers_switches(self):
+        assert [f.name for f in fields(MaintenanceOptions)] == [
+            "left_deep", "use_foreign_keys", "secondary_strategy",
+            "count_term_rows",
+        ]
+
+    @pytest.mark.parametrize("strategy", ["bogus", "combined"])
+    def test_unknown_strategy_rejected(self, strategy):
+        with pytest.raises(ValueError, match="'view', 'base', 'auto'"):
+            MaintenanceOptions(secondary_strategy=strategy)
+        blob = encode_options(MaintenanceOptions())
+        with pytest.raises(ValueError):  # shard workers decode the same way
+            decode_options(dict(blob, secondary_strategy=strategy))
+
+    def test_use_foreign_keys_drives_all_three_mechanisms(self):
+        db = make_example1_db()
+        defn = make_oj_view_defn()
+        on, off = (
+            ViewMaintainer(
+                db, MaterializedView.materialize(defn, db),
+                MaintenanceOptions(use_foreign_keys=flag),
+            )
+            for flag in (True, False)
+        )
+        assert len(on.graph.terms) < len(off.graph.terms)  # normal form
+
+        def direct(m, fk_allowed):
+            return len(m.maintenance_graph("part", fk_allowed).directly_affected)
+
+        # Theorem 3 reduction and SimplifyTree also need the change's
+        # fk_allowed (an update turns it off)
+        assert direct(on, True) < direct(on, False)
+        assert direct(off, True) == direct(off, False)
+        assert on.delta_expression("part", True).base_tables() == {"part"}
+        assert on.delta_expression("part", False).base_tables() != {"part"}
+        assert off.delta_expression("part", True).base_tables() != {"part"}
 
 
 class TestStrictApplication:

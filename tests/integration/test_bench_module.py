@@ -83,7 +83,6 @@ class TestAblations:
             "A1 bushy ΔV^D",
             "A2 secondary from base",
             "A3 no FK exploitation",
-            "A4 combined ΔV^I (§9)",
         }
         for timings in out.values():
             assert set(timings) == {"insert", "delete", "part_insert"}

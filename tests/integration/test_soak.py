@@ -28,7 +28,7 @@ from repro.workloads import (
 )
 
 
-STRATEGIES = ("view", "base", "combined", "auto")
+STRATEGIES = ("view", "base", "auto")
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -161,13 +161,15 @@ def test_update_never_reuses_an_fk_shortcut_plan(tpch_db):
 
 @contextmanager
 def interpreter_refused():
-    """Make every reference to ``repro.algebra.evaluate.evaluate`` raise."""
+    """Make every reference to ``repro.algebra.evaluate.evaluate`` raise,
+    and :meth:`MaterializedView.as_table`: no pass may copy the whole view."""
     original = sys.modules["repro.algebra.evaluate"].evaluate
 
     def refuse(*args, **kwargs):
         raise AssertionError("maintenance called the interpreter")
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MaterializedView, "as_table", refuse)
         holders = [
             module for module in list(sys.modules.values())
             if getattr(module, "evaluate", None) is original
@@ -198,7 +200,7 @@ def test_aggregated_view_runs_cached_plans_only(family):
     aggregated.check_consistency()
 
 
-@pytest.mark.parametrize("strategy", ["view", "base", "combined", "auto"])
+@pytest.mark.parametrize("strategy", ["view", "base", "auto"])
 def test_view_maintainer_never_calls_the_interpreter(strategy, tpch_db):
     db = tpch_db.copy()
     batches = TPCHGenerator(scale_factor=0.0005, seed=7)

@@ -210,7 +210,7 @@ def test_projected_view_maintenance(seed):
         maintainer.check_consistency()
 
 
-@given(seeds, st.sampled_from(["view", "base", "combined", "auto"]))
+@given(seeds, st.sampled_from(["view", "base", "auto"]))
 @settings(max_examples=40, deadline=None)
 def test_all_strategies_agree_on_final_state(seed, strategy):
     """Every secondary strategy lands on the identical view contents."""

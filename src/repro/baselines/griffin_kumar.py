@@ -36,6 +36,7 @@ from ..core.maintain import (
     SECONDARY_FROM_BASE,
     ViewMaintainer,
 )
+from ..core.maintgraph import MaintenanceGraph
 from ..core.view import MaterializedView
 from ..engine.catalog import Database
 from ..engine.table import Table
@@ -75,10 +76,21 @@ class GriffinKumarMaintainer(ViewMaintainer):
         operation: str,
         fk_allowed: bool = True,
     ) -> MaintenanceReport:
-        if table in self.definition.tables and len(delta):
-            self._evaluate_all_term_deltas(table, delta)
         # fk_allowed is irrelevant: every FK option is already off.
         return super().maintain(table, delta, operation, fk_allowed=False)
+
+    def _compute_primary(
+        self,
+        table: str,
+        delta: Table,
+        mgraph: MaintenanceGraph,
+        fk_allowed: bool,
+        report: MaintenanceReport,
+    ) -> Optional[Table]:
+        # inside the pass: the report's clock and the maintain span both
+        # cover the per-term deltas
+        self._evaluate_all_term_deltas(table, delta)
+        return super()._compute_primary(table, delta, mgraph, fk_allowed, report)
 
     def _evaluate_all_term_deltas(self, table: str, delta: Table) -> None:
         """Characteristic (c): evaluate ΔEᵢ from base tables for every

@@ -133,3 +133,22 @@ class TestGriffinKumar:
         gk.check_consistency()
         # GK processes the {lineitem,orders,part} term too
         assert "{lineitem,orders,part}" in report.direct_terms
+
+    def test_report_times_the_all_terms_deltas(self, monkeypatch):
+        """GK's extra per-term work is on its own report's clock and
+        inside its traced maintain span."""
+        import time
+
+        from repro.obs import Telemetry
+        from repro.obs.tracing import InMemorySink
+
+        db = make_v1_db(seed=0)
+        gk = GriffinKumarMaintainer(db, MaterializedView.materialize(make_v1_defn(), db))
+        gk.telemetry = Telemetry()
+        sink = InMemorySink()
+        gk.telemetry.tracer.add_sink(sink)
+        monkeypatch.setattr(gk, "_evaluate_all_term_deltas", lambda *a: time.sleep(0.05))
+        report = gk.insert("r", [(900, 1)])
+        assert report.elapsed_seconds >= 0.05
+        (root,) = [span for span in sink.spans if span.name == "maintain"]
+        assert root.duration_seconds >= 0.05

@@ -1,7 +1,8 @@
 """The paper's figures and worked examples, asserted as exactly as the
 text allows.  Each test cites the structure it reproduces.
 
-Figure 5 / Table 1 (the evaluation) live in benchmarks/, not here.
+Figure 5 / Table 1 (the evaluation) are the experiment table of
+``repro.bench``, checked in tests/integration/test_bench_module.py.
 """
 
 

@@ -23,16 +23,25 @@ from repro.warehouse import Warehouse
 
 class TestScalingBench:
     def test_run_scaling_smoke(self):
-        from repro.bench import run_scaling
+        from dataclasses import replace
 
-        rows = run_scaling(scales=(0.0005, 0.002), batch=10, quiet=True)
-        assert len(rows) == 2
+        from repro.bench import SCALING_SCALES, Workbench, cells
+
+        # the sweep's cells at one scale, moved to two tiny scales
+        sweep = [c for c in cells("scaling") if c.scale == SCALING_SCALES[0]]
+        rows = []
+        for scale in (0.0005, 0.002):
+            bench = Workbench(scale)
+            rows.append({
+                c.maintainer: bench.measure(replace(c, scale=scale, batch=10))
+                for c in sweep
+            })
         for record in rows:
-            assert record["incremental"] > 0
-            assert record["recompute"] > 0
+            assert record["ours"]["seconds"] > 0
+            assert record["recompute"]["seconds"] > 0
         # database quadrupled → recompute cost must grow, by more than
         # the jitter of a millisecond-scale timing
-        assert rows[1]["recompute"] > rows[0]["recompute"] * 1.2
+        assert rows[1]["recompute"]["seconds"] > rows[0]["recompute"]["seconds"] * 1.2
 
 
 class TestWarehouseBatch:

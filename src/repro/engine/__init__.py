@@ -12,7 +12,6 @@ from .catalog import Database
 from .constraints import ForeignKey, UniqueKey
 from .display import format_table, print_table
 from .index import HashIndex, find_index
-from .io import load_database, save_database
 from .schema import Schema, qualify, split_qualified
 from .table import Row, Table, rows_to_set, same_rows
 from .operators import (
@@ -53,6 +52,4 @@ __all__ = [
     "print_table",
     "HashIndex",
     "find_index",
-    "save_database",
-    "load_database",
 ]

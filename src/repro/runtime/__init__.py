@@ -10,9 +10,9 @@ maintainers:
   records fail verification are quarantined to a ``corrupt/`` sidecar
   rather than aborting recovery;
 * :class:`CheckpointManager` — atomically written, fsynced checkpoints
-  of base tables + view contents + last-applied LSN: a base file, then
-  delta files holding only the rows that changed since.  Together with
-  WAL compaction this bounds recovery cost by the checkpoint interval
+  of the base tables + last-applied LSN: a base file, then delta files
+  holding only the rows the WAL says changed since.  Together with WAL
+  compaction this bounds recovery cost by the checkpoint interval
   instead of total history;
 * :class:`MaintenanceScheduler` — serializes changes through a single
   dispatcher while fanning each change's per-view maintenance across a
@@ -24,7 +24,10 @@ maintainers:
   per-object change journals, giving readers torn-read-free,
   non-blocking access (see ``docs/SERVING.md``).
 
-See ``docs/DURABILITY.md`` for the durability and staleness contract.
+Both keep their files in the one durable record format of
+:mod:`repro.runtime.records` (CRC-framed JSON, atomic file writes,
+``corrupt/`` quarantine), as does the 2PC decision log below.  See
+``docs/DURABILITY.md`` for the durability and staleness contract.
 A fifth piece, :mod:`repro.runtime.failpoints`, is the deterministic
 fault-injection registry the crash-recovery tests and the differential
 fuzz harness (:mod:`repro.fuzz`) drive these code paths with.

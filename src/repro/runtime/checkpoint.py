@@ -37,20 +37,17 @@ bases and deltas still carried a ``views`` member restores the same
 way; that member is never read.)
 
 Every file is one **restore point**: its base plus the deltas up to it.
-A delta is written when the caller knows the net change since the newest
-file (:meth:`SnapshotStore.net_delta`); a base otherwise, and whenever
-the deltas since the base together exceed half its bytes (compaction) —
-restore cost stays bounded by data size.  *keep* restore points are
-retained, with every file they need: a lineage is pruned once *keep*
-newer restore points exist, and :meth:`compactable_lsn` tells the WAL how
-far the oldest retained one has reached.
+A delta is the WAL entries past the newest file's LSN, netted per table
+(:meth:`CheckpointManager._net`); a base is written when those cannot
+stand for the change, and when the deltas since the base together
+exceed half its bytes (compaction) — restore cost stays bounded by data
+size.  *keep* restore points are retained, with every file they need,
+and :meth:`compactable_lsn` tells the WAL how far the oldest has reached.
 
-Atomicity — the payload is written to a ``.tmp`` sibling, fsynced, then
-``os.replace``-d into place and the directory fsynced: a crash
-mid-checkpoint leaves either the previous files intact or a ``.tmp``
-orphan that :meth:`latest` never considers.  Verification — the frame CRC
-is checked on read; a file that fails moves to the ``corrupt/`` sidecar
-together with the deltas that depended on it, and :meth:`latest` falls
+Every file is written atomically (:mod:`repro.runtime.records`): a crash
+mid-checkpoint leaves the previous files intact plus at most a ``.tmp``
+orphan.  A file that fails verification moves to the ``corrupt/``
+sidecar with the deltas that depended on it, and :meth:`latest` falls
 back to the restore point before it (the chain prefix, then the previous
 lineage, then ``None``).  See ``docs/DURABILITY.md``.
 """
@@ -61,20 +58,19 @@ import json
 import os
 import re
 import time
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, FrozenSet, List, NamedTuple, Optional
 
 from ..engine.catalog import Database
-from ..errors import CheckpointError
 from ..obs import Telemetry
 from ..planner import wire
 from .failpoints import FAILPOINTS
+from .records import CORRUPT_DIR, frame, quarantine, read_file, remove_file, sweep, write_file
+from .wal import WriteAheadLog
 
 __all__ = ["CheckpointData", "CheckpointManager"]
 
 _FILE = re.compile(r"^ckpt-(\d+)(\.delta)?\.json$")
-_CORRUPT_DIR = "corrupt"
 
 
 class _File(NamedTuple):
@@ -138,10 +134,12 @@ class CheckpointManager:
         self.directory = directory
         self.telemetry = telemetry or Telemetry.disabled()
         self.keep = max(1, int(keep))
-        os.makedirs(os.path.join(directory, _CORRUPT_DIR), exist_ok=True)
-        # The newest restore point this manager wrote or verified; a
-        # delta is only ever written on top of it.
+        os.makedirs(os.path.join(directory, CORRUPT_DIR), exist_ok=True)
+        # The newest restore point this manager wrote or verified (its
+        # file name and the tables it holds); a delta is only ever
+        # written on top of it.
         self._tip: Optional[str] = None
+        self._tip_tables: FrozenSet[str] = frozenset()
         self._base_seq = 0
         self._base_bytes = 0
         self._delta_bytes = 0  # of the deltas since that base
@@ -154,35 +152,22 @@ class CheckpointManager:
         self,
         db: Database,
         lsn: int = 0,
-        delta: Optional[Dict[str, object]] = None,
+        wal: Optional[WriteAheadLog] = None,
     ) -> str:
         """Atomically write one checkpoint; returns its path.
 
-        *delta* is :meth:`SnapshotStore.net_delta` — the net ±rows per
-        table since the checkpoint whose path it carries as ``since``;
-        when that is still the newest restore point a delta file is
-        written, otherwise (and on compaction) a base.  The caller is
-        responsible for quiescence: *lsn* must be the highest WAL LSN
-        already applied to *db* and *delta*.
+        A delta file holds *wal*'s entries past the newest restore
+        point's LSN, netted per table (:meth:`_net`); a base file every
+        table of *db*.  The caller is responsible for quiescence: *lsn*
+        is the highest WAL LSN applied to *db*, and *db* is the newest
+        restore point's state plus exactly those entries — true after a
+        :meth:`write` and after a recovery that restored :meth:`latest`.
         """
         started = time.perf_counter()
         seq = max((f.seq for f in self._files()), default=0) + 1
-        as_delta = (
-            delta is not None
-            and self._tip is not None
-            and delta["since"] == self._tip
-            and 2 * self._delta_bytes <= self._base_bytes
-        )
-        if as_delta:
-            record = {
-                "lsn": lsn,
-                "seq": seq,
-                "base_seq": self._base_seq,
-                "tables": {
-                    name: {"+": added, "-": removed}
-                    for name, (added, removed) in sorted(delta["tables"].items())
-                },
-            }
+        tables = self._net(db, wal)
+        if tables is not None:
+            record = {"lsn": lsn, "seq": seq, "base_seq": self._base_seq, "tables": tables}
         else:
             record = {
                 "lsn": lsn,
@@ -193,22 +178,18 @@ class CheckpointManager:
             }
         payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         del record
-        name = _checkpoint_name(seq, as_delta)
+        name = _checkpoint_name(seq, tables is not None)
         final = os.path.join(self.directory, name)
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(b"%08x " % (zlib.crc32(payload) & 0xFFFFFFFF))
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
         # Crash window: the payload is durable under the .tmp name but
         # was never published; latest() ignores it and falls back.
-        FAILPOINTS.hit("checkpoint.write", seq=seq, lsn=lsn)
-        os.replace(tmp, final)
-        self._fsync_directory()
-        self._tip = final
+        write_file(
+            final,
+            frame(payload),
+            lambda: FAILPOINTS.hit("checkpoint.write", seq=seq, lsn=lsn),
+        )
+        self._tip, self._tip_tables = final, frozenset(db.tables)
         self._lsns[name] = lsn
-        if as_delta:
+        if tables is not None:
             self._delta_bytes += len(payload)
         else:
             self._base_seq, self._base_bytes = seq, len(payload)
@@ -221,16 +202,41 @@ class CheckpointManager:
             "checkpoint.written",
             seconds=time.perf_counter() - started,
             size_bytes=len(payload),
-            kind="delta" if as_delta else "base",
+            kind="base" if tables is None else "delta",
         )
         return final
 
-    def _fsync_directory(self) -> None:
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+    def _net(
+        self, db: Database, wal: Optional[WriteAheadLog]
+    ) -> Optional[Dict[str, Dict[str, List]]]:
+        """The WAL entries past the newest restore point, netted into the
+        rows each table of *db* gained (``+``) and lost (``-``) — or
+        ``None`` when a base is due: nothing to net from, a WAL that lost
+        records or entries past that point, a table created since, a
+        keyless table (its rows need not be distinct), or compaction."""
+        if (
+            self._tip is None
+            or wal is None
+            or wal.corruption_detected
+            or set(db.tables) != self._tip_tables
+            or 2 * self._delta_bytes > self._base_bytes
+        ):
+            return None
+        since = self._lsns[os.path.basename(self._tip)]
+        if wal.compacted_through > since:
+            return None
+        net = {name: ({}, {}) for name in sorted(db.tables)}
+        for entry in wal.entries_after(since):
+            if db.tables[entry.table].key is None:
+                return None
+            added, removed = net[entry.table]
+            gain, lose = (added, removed) if entry.operation == "insert" else (removed, added)
+            for row in entry.rows:
+                if row in lose:
+                    del lose[row]
+                else:
+                    gain[row] = None
+        return {name: {"+": list(added), "-": list(removed)} for name, (added, removed) in net.items()}
 
     def _prune(self) -> None:
         """Delete what no retained restore point needs — everything
@@ -241,11 +247,9 @@ class CheckpointManager:
         while start > 0 and files[start].delta:
             start -= 1  # the oldest one kept needs its base and the deltas between
         for file in files[:start]:
-            os.remove(os.path.join(self.directory, file.name))
+            remove_file(os.path.join(self.directory, file.name))
             self._lsns.pop(file.name, None)
-        for name in os.listdir(self.directory):
-            if name.endswith(".tmp"):
-                os.remove(os.path.join(self.directory, name))
+        sweep(self.directory)
 
     def compactable_lsn(self) -> Optional[int]:
         """The LSN the oldest retained restore point (the *keep*-th
@@ -322,7 +326,7 @@ class CheckpointManager:
                 self._lsns[file.name] = data.lsn
                 size += os.path.getsize(data.path)
             data._settle(rolling)
-            self._tip = data.path
+            self._tip, self._tip_tables = data.path, frozenset(data.tables)
             self._base_seq = base.seq
             self._base_bytes = os.path.getsize(
                 os.path.join(self.directory, base.name)
@@ -333,33 +337,21 @@ class CheckpointManager:
 
     def _quarantine(self, files: List[_File]) -> None:
         for file in files:
-            os.replace(
-                os.path.join(self.directory, file.name),
-                os.path.join(self.directory, _CORRUPT_DIR, file.name),
-            )
+            quarantine(os.path.join(self.directory, file.name))
             self._lsns.pop(file.name, None)
             self.telemetry.emit("checkpoint.corrupt", name=file.name)
         self._tip = None
 
     def _read(self, file: _File) -> Optional[Dict]:
         """The verified record in *file*, or ``None``."""
-        try:
-            with open(os.path.join(self.directory, file.name), "rb") as handle:
-                raw = handle.read()
-            if len(raw) < 10 or raw[8:9] != b" ":
-                return None
-            payload = raw[9:]
-            crc = format(zlib.crc32(payload) & 0xFFFFFFFF, "08x")
-            if raw[:8].decode("ascii", "replace") != crc:
-                return None
-            record = json.loads(payload.decode("utf-8"))
-            if not isinstance(record.get("lsn"), int):
-                return None
-            if not isinstance(record.get("tables"), dict):
-                return None
-            return record
-        except (OSError, ValueError, AttributeError, UnicodeDecodeError):
+        record = read_file(os.path.join(self.directory, file.name))
+        if (
+            record is None
+            or not isinstance(record.get("lsn"), int)
+            or not isinstance(record.get("tables"), dict)
+        ):
             return None
+        return record
 
     def _read_base(self, file: _File) -> Optional[CheckpointData]:
         record = self._read(file)
@@ -373,12 +365,3 @@ class CheckpointManager:
             tables=record["tables"],
             path=os.path.join(self.directory, file.name),
         )
-
-    def require_latest(self) -> CheckpointData:
-        """Like :meth:`latest`, but raising when nothing verifies."""
-        data = self.latest()
-        if data is None:
-            raise CheckpointError(
-                f"no verifiable checkpoint under {self.directory!r}"
-            )
-        return data

@@ -38,11 +38,6 @@ invalid when :meth:`Warehouse.recover` discards unacknowledged history,
 because a pre-crash snapshot may reflect changes that recovery rolled
 back.
 
-The store also nets every publish's base-table overlays into per-table
-±rows since the last *checkpoint mark* (:meth:`SnapshotStore.net_delta`),
-which is what lets :meth:`Warehouse.checkpoint` write a delta file
-instead of every table.  Views net nothing: a checkpoint holds no view.
-
 Staleness contract: a snapshot's non-quarantined views equal a full
 recompute of their definitions over the snapshot's own base tables (the
 ``serving`` fuzz config asserts exactly this); views listed in
@@ -385,18 +380,13 @@ class Snapshot:
 
 class _Tracked:
     """What the store keeps about one live table or plain view between
-    publishes: the journal it subscribed, its newest slice, and — for a
-    table — the rows added / removed since the checkpoint mark, keyed
-    like the slice (``None`` for a view, and when some change since the
-    mark went unrecorded)."""
+    publishes: the journal it subscribed and its newest slice."""
 
-    __slots__ = ("journal", "slice", "added", "removed")
+    __slots__ = ("journal", "slice")
 
     def __init__(self, journal: ChangeJournal):
         self.journal = journal
         self.slice: Optional[_Slice] = None
-        self.added: Optional[Dict[object, Row]] = None
-        self.removed: Optional[Dict[object, Row]] = None
 
 
 class SnapshotStore:
@@ -427,8 +417,6 @@ class SnapshotStore:
         # aggregated views keep no journal (their rows are derived per
         # publish): name -> slice, reused while the version stands
         self._aggregates: Dict[str, ViewSlice] = {}
-        # what the net ±rows are relative to (see mark())
-        self._mark: Optional[object] = None
         self.published_count = 0
         self.invalidated_count = 0
         self.captured_rows = 0
@@ -477,11 +465,9 @@ class SnapshotStore:
                     for name, table in tables.items()
                 }
             except BaseException:
-                # some journal may have been taken and not applied, and
-                # the ±rows miss whatever it held
+                # some journal may have been taken and not applied
                 for tracked in (*self._views.values(), *self._tables.values()):
                     tracked.journal.broken = True
-                    tracked.added = None
                 raise
             # forget views/tables that no longer exist
             for kept, live in (
@@ -533,24 +519,11 @@ class SnapshotStore:
         return self._capture_full(tracked, name, live)
 
     def _advance(self, tracked: _Tracked, changes: Overlay, version: int) -> _Slice:
-        """Stack *changes* on the tracked slice and, for a table, net
-        them into the ±rows since the checkpoint mark."""
+        """Stack *changes* on the tracked slice."""
         previous = tracked.slice
-        added, removed = tracked.added, tracked.removed
         length = len(previous)
         for key, row in changes.items():
-            old = previous.get(key)
-            if old is not None:
-                length -= 1
-                if added is not None:
-                    if key in added:
-                        del added[key]  # never part of the marked state
-                    else:
-                        removed[key] = old
-            if row is not None:
-                length += 1
-                if added is not None:
-                    added[key] = row
+            length += (row is not None) - (previous.get(key) is not None)
         slice_, folded = previous._successor(changes, length, version)
         self.captured_rows += len(changes)
         if folded:
@@ -570,7 +543,6 @@ class SnapshotStore:
         tracked.slice = slice_
         # a table without a usable key is copied again whenever it moves
         journal.broken = not keyed
-        tracked.added = tracked.removed = None
         self.full_captures += 1
         self.captured_rows += len(slice_)
         return slice_
@@ -627,46 +599,6 @@ class SnapshotStore:
         )
         self.captured_rows += len(slice_)
         return slice_
-
-    # ------------------------------------------------------------------
-    # net change since the last checkpoint
-    # ------------------------------------------------------------------
-    def is_current(self, tables: Dict[str, Table]) -> bool:
-        """Whether the newest snapshot already shows exactly the live
-        *tables* (nothing edited since it was taken)."""
-        latest = self.latest()
-        if latest is None or not latest.valid:
-            return False
-        return all(
-            name in latest.tables and latest.tables[name].version == live.version
-            for name, live in tables.items()
-        )
-
-    def mark(self, token: object) -> None:
-        """The published tables are now durable as checkpoint *token*:
-        start netting ±rows from here."""
-        with self._publish_lock:
-            self._mark = token
-            for tracked in self._tables.values():
-                tracked.added, tracked.removed = {}, {}
-
-    def net_delta(self) -> Optional[Dict[str, object]]:
-        """``{"since": token, "tables": {name: (added, removed)}}`` — the
-        rows every table gained and lost between :meth:`mark` and the
-        newest snapshot — or ``None`` when there is no mark or some
-        table's are unknown (it was copied in full since)."""
-        with self._publish_lock:
-            if self._mark is None:
-                return None
-            tables = {}
-            for name, tracked in self._tables.items():
-                if tracked.added is None:
-                    return None
-                tables[name] = (
-                    list(tracked.added.values()),
-                    list(tracked.removed.values()),
-                )
-            return {"since": self._mark, "tables": tables}
 
     # ------------------------------------------------------------------
     # reading
@@ -736,6 +668,5 @@ class SnapshotStore:
                 self._views.clear()
                 self._tables.clear()
                 self._aggregates.clear()
-                self._mark = None
                 self.invalidated_count += flagged
                 return flagged

@@ -11,13 +11,15 @@ classic in-doubt window.
 record per transaction **after** every prepare acknowledgement and
 **before** the first commit message:
 
-* the record is a small JSON file ``txn-<id>.json`` written to a
-  ``.tmp`` sibling, fsynced, ``os.replace``-d into place, with the
-  directory fsynced — the same atomicity idiom as
-  :class:`~repro.runtime.checkpoint.CheckpointManager`;
-* presence of a readable record means **commit**; absence (or a torn /
-  unparseable record, which is moved to a ``corrupt/`` sidecar) means
-  **abort** — presumed abort, the standard 2PC resolution;
+* the record is a file ``txn-<id>.json`` holding one framed record
+  (``{"txn_id": ..., "shards": [...]}`` behind its CRC), written
+  atomically — the same format and write as a checkpoint file
+  (:mod:`repro.runtime.records`);
+* presence of a record that verifies means **commit**; absence means
+  **abort** — presumed abort, the standard 2PC resolution.  A record
+  whose CRC fails, that does not parse, or whose id is not the one its
+  file name carries is moved to a ``corrupt/`` sidecar and counts as
+  absent;
 * once every shard has acknowledged the commit the record is
   :meth:`forget`-ten, so the log stays empty in steady state and
   :meth:`pending` enumerates exactly the in-doubt transactions.
@@ -37,36 +39,19 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
-from ..errors import WalError
+from .records import CORRUPT_DIR, frame, quarantine, read_file, remove_file, sweep, write_file
 
-_CORRUPT_DIR = "corrupt"
 _PREFIX = "txn-"
 _SUFFIX = ".json"
 
 
-class DecisionRecord:
-    """One durable coordinator decision (always ``commit``).
+class DecisionRecord(NamedTuple):
+    """One durable commit decision and the shards it was addressed to."""
 
-    ``shards`` records which shards the commit was addressed to, and
-    ``payload`` carries the raw decoded record for forensics.
-    """
-
-    __slots__ = ("txn_id", "decision", "shards", "payload")
-
-    def __init__(self, txn_id: str, decision: str, shards: List[int],
-                 payload: Optional[Dict] = None):
-        self.txn_id = txn_id
-        self.decision = decision
-        self.shards = list(shards)
-        self.payload = payload or {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DecisionRecord(txn_id={self.txn_id!r}, "
-            f"decision={self.decision!r}, shards={self.shards!r})"
-        )
+    txn_id: str
+    shards: List[int]
 
 
 class TxnDecisionLog:
@@ -77,16 +62,8 @@ class TxnDecisionLog:
         self._volatile: Dict[str, DecisionRecord] = {}
         self.quarantined: List[str] = []
         if directory:
-            os.makedirs(directory, exist_ok=True)
-            os.makedirs(os.path.join(directory, _CORRUPT_DIR), exist_ok=True)
-            # a crash can strand a .tmp orphan: never a decision
-            for name in os.listdir(directory):
-                if name.endswith(".tmp"):
-                    os.remove(os.path.join(directory, name))
-
-    @property
-    def durable(self) -> bool:
-        return self.directory is not None
+            os.makedirs(os.path.join(directory, CORRUPT_DIR), exist_ok=True)
+            sweep(directory)  # a crash can strand a .tmp orphan: never a decision
 
     # ------------------------------------------------------------------
     # writing
@@ -97,40 +74,22 @@ class TxnDecisionLog:
         Returns only after the record (and the directory entry) are
         fsynced: once this returns, every future :meth:`pending` — in
         this process or after a coordinator restart — resolves the
-        transaction as committed.
+        transaction as committed.  (A crash before that leaves at most a
+        ``.tmp`` orphan: no decision, presumed abort.)
         """
-        record = DecisionRecord(txn_id, "commit", list(shards))
+        record = DecisionRecord(txn_id, list(shards))
         if self.directory is None:
             self._volatile[txn_id] = record
-            return record
-        payload = {
-            "version": 1,
-            "txn_id": txn_id,
-            "decision": "commit",
-            "shards": list(shards),
-        }
-        final = self._path(txn_id)
-        tmp = final + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # Crash window: durable under the .tmp name but invisible to
-        # pending() — identical to no decision at all (presumed abort).
-        os.replace(tmp, final)
-        self._fsync_directory()
+        else:
+            payload = json.dumps(record._asdict(), separators=(",", ":"))
+            write_file(self._path(txn_id), frame(payload.encode("utf-8")))
         return record
 
     def forget(self, txn_id: str) -> None:
         """Drop the record once every shard acknowledged the commit."""
         self._volatile.pop(txn_id, None)
-        if self.directory is None:
-            return
-        try:
-            os.remove(self._path(txn_id))
-        except FileNotFoundError:
-            return
-        self._fsync_directory()
+        if self.directory is not None:
+            remove_file(self._path(txn_id), durable=True)
 
     # ------------------------------------------------------------------
     # reading
@@ -138,11 +97,12 @@ class TxnDecisionLog:
     def pending(self) -> List[DecisionRecord]:
         """All decided-but-unacknowledged transactions, oldest first.
 
-        A record that fails to parse (torn write under a crashed
-        filesystem, manual tampering) is moved to the ``corrupt/``
-        sidecar and **not** returned: with no readable decision the
-        transaction resolves as aborted, which is always safe because
-        the decision is written before any commit message is sent.
+        A record that fails verification (torn write under a crashed
+        filesystem, bit rot, manual tampering) is moved to the
+        ``corrupt/`` sidecar and **not** returned: with no readable
+        decision the transaction resolves as aborted, which is always
+        safe because the decision is written before any commit message
+        is sent.
         """
         if self.directory is None:
             return list(self._volatile.values())
@@ -156,40 +116,18 @@ class TxnDecisionLog:
             if not (name.startswith(_PREFIX) and name.endswith(_SUFFIX)):
                 continue
             path = os.path.join(self.directory, name)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                txn_id = payload["txn_id"]
-                decision = payload["decision"]
-                shards = list(payload.get("shards", ()))
-                if decision != "commit":
-                    raise WalError(f"unknown decision {decision!r}")
-            except (OSError, ValueError, KeyError, TypeError, WalError):
-                self._quarantine(name)
+            record = read_file(path) or {}
+            txn_id, shards = record.get("txn_id"), record.get("shards")
+            if not (
+                isinstance(txn_id, str)
+                and self._path(txn_id) == path
+                and isinstance(shards, list)
+            ):
+                quarantine(path)
+                self.quarantined.append(name)
                 continue
-            records.append(DecisionRecord(txn_id, decision, shards, payload))
+            records.append(DecisionRecord(txn_id, shards))
         return records
 
-    def get(self, txn_id: str) -> Optional[DecisionRecord]:
-        for record in self.pending():
-            if record.txn_id == txn_id:
-                return record
-        return None
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
     def _path(self, txn_id: str) -> str:
         return os.path.join(self.directory, f"{_PREFIX}{txn_id}{_SUFFIX}")
-
-    def _quarantine(self, name: str) -> None:
-        sidecar = os.path.join(self.directory, _CORRUPT_DIR, name)
-        os.replace(os.path.join(self.directory, name), sidecar)
-        self.quarantined.append(name)
-
-    def _fsync_directory(self) -> None:
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)

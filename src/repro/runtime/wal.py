@@ -15,7 +15,8 @@ checksummed JSON lines::
       seg-00000002.wal          <- active (highest sequence number)
       corrupt/                  <- quarantined segments, if any
 
-    # one record per line: CRC32 of the payload, a space, the payload
+    # one record per line, framed as every durable record is
+    # (repro.runtime.records): CRC32 of the payload, a space, the payload
     1c291ca3 {"kind":"change","lsn":7,"table":"lineitem","op":"insert",
               "fk_allowed":true,"rows":[[1,1,5.0]]}
     9bb17ea3 {"kind":"ack","lsn":7}
@@ -76,9 +77,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -86,6 +87,7 @@ from ..engine.table import Row
 from ..errors import WalError
 from ..obs import Telemetry
 from .failpoints import FAILPOINTS
+from .records import CORRUPT_DIR, frame, quarantine, remove_file, unframe
 
 __all__ = ["WalEntry", "WriteAheadLog", "DEFAULT_SEGMENT_BYTES"]
 
@@ -94,9 +96,8 @@ __all__ = ["WalEntry", "WriteAheadLog", "DEFAULT_SEGMENT_BYTES"]
 #: whole files to delete), large enough that rotation is rare.
 DEFAULT_SEGMENT_BYTES = 256 * 1024
 
-_SEGMENT_PREFIX = "seg-"
-_SEGMENT_SUFFIX = ".wal"
-_CORRUPT_DIR = "corrupt"
+_SEGMENT = re.compile(r"^seg-(\d+)\.wal$")
+_KINDS = ("change", "txn", "ack", "resolve", "compact")
 
 
 @dataclass(frozen=True)
@@ -128,30 +129,6 @@ class WalEntry:
             rows=tuple(tuple(row) for row in record["rows"]),
             fk_allowed=record.get("fk_allowed", True),
         )
-
-
-def _checksum(payload: bytes) -> str:
-    return format(zlib.crc32(payload) & 0xFFFFFFFF, "08x")
-
-
-def _frame(payload: str) -> str:
-    return f"{_checksum(payload.encode('utf-8'))} {payload}\n"
-
-
-def _segment_name(seq: int) -> str:
-    return f"{_SEGMENT_PREFIX}{seq:08d}{_SEGMENT_SUFFIX}"
-
-
-def _segment_seq(name: str) -> Optional[int]:
-    if not (
-        name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
-    ):
-        return None
-    digits = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-    try:
-        return int(digits)
-    except ValueError:
-        return None
 
 
 @dataclass
@@ -216,14 +193,9 @@ class WriteAheadLog:
                 f"WAL path {self.path!r} is a regular file; expected a "
                 "segment directory"
             )
-        os.makedirs(os.path.join(self.path, _CORRUPT_DIR), exist_ok=True)
-        seqs = sorted(
-            seq
-            for seq in (
-                _segment_seq(name) for name in os.listdir(self.path)
-            )
-            if seq is not None
-        )
+        os.makedirs(os.path.join(self.path, CORRUPT_DIR), exist_ok=True)
+        matches = map(_SEGMENT.match, os.listdir(self.path))
+        seqs = sorted(int(m.group(1)) for m in matches if m is not None)
         for position, seq in enumerate(seqs):
             self._load_segment(seq, final=position == len(seqs) - 1)
         self._next_lsn = max(self._next_lsn, self.compacted_through + 1)
@@ -239,11 +211,11 @@ class WriteAheadLog:
             self._active_seq = 1
             self._segment_max_lsn[1] = 0
         active = self._segment_path(self._active_seq)
-        self._handle = open(active, "a", encoding="utf-8")
+        self._handle = open(active, "ab")
         self._active_size = os.path.getsize(active)
 
     def _segment_path(self, seq: int) -> str:
-        return os.path.join(self.path, _segment_name(seq))
+        return os.path.join(self.path, f"seg-{seq:08d}.wal")
 
     def _parse_segment(self, seq: int) -> _ParsedSegment:
         path = self._segment_path(seq)
@@ -257,8 +229,8 @@ class WriteAheadLog:
             newline = raw.find(b"\n", offset)
             line = raw[offset:] if newline < 0 else raw[offset:newline]
             end = len(raw) if newline < 0 else newline + 1
-            record = self._verify_line(line)
-            if record is None:
+            record = unframe(line)
+            if record is None or record.get("kind") not in _KINDS:
                 if end >= len(raw):
                     torn = True
                 else:
@@ -270,25 +242,6 @@ class WriteAheadLog:
         return _ParsedSegment(
             seq, path, records, keep, len(raw), torn, corrupt
         )
-
-    @staticmethod
-    def _verify_line(line: bytes) -> Optional[Dict]:
-        """The record on *line*, or None when it fails verification."""
-        space = line.find(b" ")
-        if space != 8:
-            return None
-        payload = line[9:]
-        if line[:8].decode("ascii", "replace") != _checksum(payload):
-            return None
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        if record.get("kind") not in ("change", "txn", "ack", "resolve", "compact"):
-            return None
-        return record
 
     def _load_segment(self, seq: int, final: bool) -> None:
         parsed = self._parse_segment(seq)
@@ -307,10 +260,7 @@ class WriteAheadLog:
 
     def _quarantine_segment(self, parsed: _ParsedSegment) -> None:
         """Move an unreadable segment aside; ingest none of it."""
-        sidecar = os.path.join(
-            self.path, _CORRUPT_DIR, os.path.basename(parsed.path)
-        )
-        os.replace(parsed.path, sidecar)
+        sidecar = quarantine(parsed.path)
         self.corruption_detected = True
         self.quarantined_segments.append(sidecar)
         self.telemetry.emit(
@@ -339,7 +289,7 @@ class WriteAheadLog:
                 self._settle(self._doubt[record["lsn"]], drop=False)
         elif kind == "resolve":
             self._settle(record["id"], drop=True)
-        else:  # "compact" (the only other kind _verify_line admits)
+        else:  # "compact" (the only other kind in _KINDS)
             self.compacted_through = max(
                 self.compacted_through, record["through"]
             )
@@ -510,7 +460,7 @@ class WriteAheadLog:
                 # Crash window: the marker is durable but this covered
                 # segment still exists; reopening self-heals.
                 FAILPOINTS.hit("wal.compact.unlink", seq=seq)
-                os.remove(self._segment_path(seq))
+                remove_file(self._segment_path(seq))
                 del self._segment_max_lsn[seq]
                 deleted += 1
         return deleted
@@ -522,16 +472,14 @@ class WriteAheadLog:
         self._handle.close()
         self._active_seq += 1
         self._segment_max_lsn.setdefault(self._active_seq, 0)
-        self._handle = open(
-            self._segment_path(self._active_seq), "a", encoding="utf-8"
-        )
+        self._handle = open(self._segment_path(self._active_seq), "ab")
         self._active_size = 0
 
     def _write(self, payload: str) -> None:
         # caller holds the lock
         if self._active_size >= self.segment_bytes:
             self._rotate()
-        line = _frame(payload)
+        line = frame(payload.encode("utf-8")) + b"\n"
         self._handle.write(line)
         self._handle.flush()
         self._active_size += len(line)
@@ -601,11 +549,6 @@ class WriteAheadLog:
                 for seq in sorted(self._segment_max_lsn)
                 if os.path.exists(self._segment_path(seq))
             ]
-
-    @property
-    def segment_count(self) -> int:
-        with self._lock:
-            return len(self.segment_paths())
 
     def disk_bytes(self) -> int:
         """Total size of the live segment files (the WAL footprint)."""

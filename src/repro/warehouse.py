@@ -754,13 +754,12 @@ class Warehouse:
         """Write a durable checkpoint and compact the WAL behind it.
 
         Flushes first (the checkpoint must capture a quiescent,
-        fully-acknowledged state) and makes sure that state is
-        published; then hands :class:`~repro.runtime.CheckpointManager`
-        the net ±rows per base table since the previous checkpoint — it
-        writes a *delta* file from them, or a *base* (every table; no
-        view is ever written) when they are not known or the lineage is
-        due for compaction.  Finally the WAL drops the segments no
-        retained restore point needs
+        fully-acknowledged state); then
+        :class:`~repro.runtime.CheckpointManager` writes a *delta* file
+        netted from the WAL entries since the previous checkpoint, or a
+        *base* (every table; no view is ever written) when those cannot
+        stand for the change or the lineage is due for compaction.
+        Finally the WAL drops the segments no retained restore point needs
         (:meth:`~repro.runtime.WriteAheadLog.compact`).  Returns the
         checkpoint path.
         """
@@ -774,13 +773,8 @@ class Warehouse:
         self._checkpointing = True
         try:
             self.flush()
-            if not self.snapshots.is_current(self.db.tables):
-                self._publish()  # e.g. the last change's publish failed
             lsn = self.wal.last_lsn if self.wal is not None else 0
-            path = self.checkpoints.write(
-                self.db, lsn=lsn, delta=self.snapshots.net_delta()
-            )
-            self.snapshots.mark(path)
+            path = self.checkpoints.write(self.db, lsn=lsn, wal=self.wal)
             # Compact only as far as the *oldest* restore point kept has
             # reached: if the newest file is ever found damaged, the one
             # recovery falls back to still finds its WAL suffix.

@@ -107,11 +107,11 @@ class TestCheckpointRoundTrip:
         wh.create_view("ol", order_lines_expr())
         for o in range(20):
             wh.insert("orders", [(o, o * 10)])
-        assert wh.wal.segment_count > 1
+        assert len(wh.wal.segment_paths()) > 1
         wh.checkpoint()
         # everything the checkpoint covers is deleted; only the active
         # segment (and at most one successor) survives
-        assert wh.wal.segment_count <= 2
+        assert len(wh.wal.segment_paths()) <= 2
         assert wh.wal.compacted_through == wh.wal.last_lsn
         wh.close()
 
@@ -269,7 +269,7 @@ class TestCrashWindows:
         wh.create_view("ol", order_lines_expr())
         for o in range(8):
             wh.insert("orders", [(o, o * 10)])
-        segments_before = wh.wal.segment_count
+        segments_before = len(wh.wal.segment_paths())
 
         FAILPOINTS.arm("wal.compact", action="raise")
         with pytest.raises(InjectedFault):
@@ -278,7 +278,7 @@ class TestCrashWindows:
         # checkpoint exists, WAL was never compacted behind it
         assert wh.checkpoints.latest() is not None
         assert wh.wal.compacted_through == 0
-        assert wh.wal.segment_count >= segments_before
+        assert len(wh.wal.segment_paths()) >= segments_before
 
         wh2 = restart(tmp_path, wh, segment_bytes=128)
         wh2.recover()
@@ -287,7 +287,7 @@ class TestCrashWindows:
         wh2.check_consistency()
         wh2.checkpoint()  # compacts this time
         assert wh2.wal.compacted_through >= 8
-        assert wh2.wal.segment_count <= 2
+        assert len(wh2.wal.segment_paths()) <= 2
         wh2.close()
 
     def test_ack_for_lsn_inside_a_deleted_segment_is_a_noop(
@@ -299,7 +299,7 @@ class TestCrashWindows:
         lsns = [
             wal.append("orders", "insert", [(o, o)]) for o in range(6)
         ]
-        assert wal.segment_count > 1
+        assert len(wal.segment_paths()) > 1
         wal.compact(lsns[-1])
         for lsn in lsns:
             wal.ack(lsn)  # late acks: all covered, all no-ops
@@ -366,7 +366,7 @@ class TestCheckpointManagerCorruption:
             manager.write(db, lsn=lsn)
         paths = manager.checkpoint_paths()
         assert len(paths) == 2
-        assert manager.require_latest().lsn == 3
+        assert manager.latest().lsn == 3
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +399,16 @@ def kinds(wh):
         "delta" if path.endswith(".delta.json") else "base"
         for path in wh.checkpoints.checkpoint_paths()
     ]
+
+
+def restored_tables(tmp_path):
+    """The tables a fresh manager restores from the checkpoint files."""
+    data = CheckpointManager(str(tmp_path / "checkpoints")).latest()
+    return {name: sorted(map(tuple, rows)) for name, rows in data.tables.items()}
+
+
+def live_tables(wh):
+    return {name: sorted(table.rows) for name, table in wh.db.tables.items()}
 
 
 def lineage_warehouse(tmp_path, orders=60, **kwargs):
@@ -437,9 +447,12 @@ class TestLineage:
         assert sorted(wh2.view("ol").rows()) == expected_view
         assert sorted(wh2.db.table("lineitem").rows) == expected_lines
         wh2.check_consistency()
-        # what recovery restored is unknown to the journals: a base next
+        # recovery restored the newest restore point and replayed the
+        # WAL past it, so the next checkpoint nets from there: a delta
+        wh2.insert("lineitem", [(50, 1, 1)])
         wh2.checkpoint()
-        assert kinds(wh2)[-1] == "base"
+        assert kinds(wh2)[-1] == "delta"
+        assert restored_tables(tmp_path) == live_tables(wh2)
         wh2.close()
 
     def test_dropped_and_created_views_across_a_lineage(self, tmp_path):
@@ -561,21 +574,23 @@ class TestLineage:
     def test_bitflipped_base_falls_back_to_the_previous_lineage(
         self, tmp_path
     ):
-        wh = lineage_warehouse(tmp_path)
+        wh = lineage_warehouse(tmp_path, orders=8)
         wh.checkpoint()
-        wh.insert("lineitem", [(1, 1, 1)])
-        wh.checkpoint()
-        wh.recover()  # tables replaced wholesale: the next one is a base
-        wh.insert("lineitem", [(2, 1, 2)])
-        wh.checkpoint()
-        assert kinds(wh) == ["base", "delta", "base"]
+        order = 8
+        while "base" not in kinds(wh)[1:]:
+            # each delta is a large share of this small base, so the
+            # compaction rule starts the second lineage
+            wh.insert("orders", [(o, 0) for o in range(order, order + 4)])
+            order += 4
+            wh.checkpoint()
+        assert kinds(wh)[-2:] == ["delta", "base"]
         paths = wh.checkpoints.checkpoint_paths()
         expected = sorted(wh.view("ol").rows())
         flip_byte(paths[-1])
 
         wh2 = restart(tmp_path, wh)
         wh2.recover()
-        assert wh2.last_recovery["checkpoint_path"] == paths[1]
+        assert wh2.last_recovery["checkpoint_path"] == paths[-2]
         assert wh2.last_recovery["replayed"] == 1
         assert sorted(wh2.view("ol").rows()) == expected
         wh2.check_consistency()
@@ -599,12 +614,10 @@ class TestLineage:
             assert len(kinds(wh)) >= 2
         old_lineage = kinds(wh)[:-1]
         assert old_lineage[0] == "base" and "delta" in old_lineage
-        # the write "crashed", so the journals' mark was never moved: the
-        # next checkpoint is a base again, and only the write after it
-        # (keep = 2 restore points) drops the first lineage
+        # the crash came after the new base was durable: the next write
+        # is a delta on it, and with it (keep = 2 restore points) the
+        # first lineage is pruned
         wh.insert("orders", [(order, 0)])
-        wh.checkpoint()
-        wh.insert("orders", [(order + 1, 0)])
         wh.checkpoint()
         paths = wh.checkpoints.checkpoint_paths()
         assert kinds(wh) == ["base", "delta"]
@@ -701,3 +714,99 @@ class TestFallbackKeepsItsWalSuffix:
         wh2.recover()
         assert wh2.checkpoints.compactable_lsn() == through
         wh2.close()
+
+
+class TestDeltasComeFromTheWal:
+    """A delta is the WAL entries past the newest restore point, netted
+    per table: whatever mix of operations an interval holds, the
+    restored tables are the live ones."""
+
+    def test_every_interval_restores_the_live_tables(self, tmp_path):
+        wh = lineage_warehouse(tmp_path, orders=200)
+        wh.checkpoint()
+
+        def committed():
+            with wh.transaction() as txn:
+                txn.insert("orders", [(300, 1)])
+                txn.insert("lineitem", [(300, 0, 1), (300, 1, 2)])
+                txn.delete("lineitem", [(300, 1, 2)])
+
+        def rolled_back():
+            with pytest.raises(RuntimeError):
+                with wh.transaction() as txn:
+                    txn.insert("orders", [(301, 1)])
+                    txn.delete("lineitem", [(5, 0, 5)])
+                    raise RuntimeError("abort")
+
+        def batched():
+            batch = wh.batch()
+            batch.insert("lineitem", [(6, 1, 9)])
+            batch.delete("lineitem", [(6, 0, 6)])
+            batch.insert("lineitem", [(8, 1, 8)])
+            batch.delete("lineitem", [(8, 1, 8)])
+            batch.flush()
+
+        intervals = [
+            # insert then delete of one row: nets to nothing
+            lambda: (wh.insert("lineitem", [(1, 1, 1)]), wh.delete("lineitem", [(1, 1, 1)])),
+            # delete then reinsert of the same row
+            lambda: (wh.delete("lineitem", [(2, 0, 2)]), wh.insert("lineitem", [(2, 0, 2)])),
+            # a key update: the row moves to another key
+            lambda: wh.update("lineitem", [(3, 0, 3)], [(3, 5, 3)]),
+            committed,
+            rolled_back,
+            lambda: wh.update("lineitem", [(4, 0, 4)], [(4, 0, 44)]),
+            lambda: wh.delete_by_key("lineitem", [(7, 0)]),
+            batched,
+        ]
+        for interval in intervals:
+            interval()
+            wh.checkpoint()
+            assert restored_tables(tmp_path) == live_tables(wh)
+        assert kinds(wh) == ["base"] + ["delta"] * len(intervals)
+        wh.close()
+
+    def test_a_degraded_recovery_is_followed_by_a_base(self, tmp_path):
+        """A quarantined WAL segment means entries are missing: the ones
+        left cannot stand for the change since the restore point."""
+        wh = lineage_warehouse(tmp_path, segment_bytes=150)
+        wh.checkpoint()
+        for line in range(6):
+            wh.insert("lineitem", [(line, 1, line)])
+        wh.flush()
+        segments = wh.wal.segment_paths()
+        assert len(segments) >= 3
+        flip_byte(segments[1], offset=12)
+
+        wh2 = restart(tmp_path, wh, segment_bytes=150)
+        wh2.recover()
+        assert wh2.last_recovery["quarantined_segments"]
+        wh2.checkpoint()
+        assert kinds(wh2)[-1] == "base"
+        assert restored_tables(tmp_path) == live_tables(wh2)
+        wh2.close()
+
+    def test_without_a_wal_every_checkpoint_is_a_base(self, tmp_path):
+        wh = lineage_warehouse(tmp_path, wal_path=None)
+        wh.checkpoint()
+        wh.insert("lineitem", [(1, 1, 1)])
+        wh.checkpoint()
+        assert kinds(wh) == ["base", "base"]
+        assert restored_tables(tmp_path) == live_tables(wh)
+        wh.close()
+
+    def test_a_failed_publish_leaves_the_next_delta_correct(self, tmp_path):
+        wh = lineage_warehouse(tmp_path)
+        wh.checkpoint()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("mid-capture")
+
+        publish, wh.snapshots.publish = wh.snapshots.publish, boom
+        wh.insert("lineitem", [(1, 1, 1)])  # applied and acked, not published
+        wh.snapshots.publish = publish
+        assert wh.serving_stats()["publish_errors"] == 1
+        wh.checkpoint()
+        assert kinds(wh) == ["base", "delta"]
+        assert restored_tables(tmp_path) == live_tables(wh)
+        wh.close()

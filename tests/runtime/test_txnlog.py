@@ -1,8 +1,8 @@
 """The coordinator decision log and the 2PC crash windows.
 
 Unit half: the :class:`TxnDecisionLog` file format — atomic decide,
-forget, torn-record quarantine (presumed abort), and the volatile
-degradation without a directory.  Integration half: a sharded
+forget, quarantine of a torn or bit-flipped record (presumed abort),
+and the volatile degradation without a directory.  Integration half: a sharded
 warehouse crashed at each coordinator failpoint between prepare and
 commit must resolve deterministically through ``recover()``, leaving
 every shard on the same side of the decision.
@@ -26,12 +26,10 @@ from .test_sharded_warehouse import build_db, order_lines_defn
 # ---------------------------------------------------------------------------
 def test_decide_pending_forget_roundtrip(tmp_path):
     log = TxnDecisionLog(str(tmp_path / "txnlog"))
-    assert log.durable
     assert log.pending() == []
     log.decide("t1-abc", [0, 1])
     (record,) = log.pending()
     assert record.txn_id == "t1-abc"
-    assert record.decision == "commit"
     assert record.shards == [0, 1]
     # a second log over the same directory sees the decision: this is
     # exactly the coordinator-restart read path
@@ -78,6 +76,51 @@ def test_unknown_decision_value_is_quarantined(tmp_path):
     assert log.quarantined == ["txn-t3.json"]
 
 
+def test_unframed_record_is_quarantined(tmp_path):
+    """A well-formed decision without its CRC frame — the format written
+    before decisions were framed — fails verification: presumed abort."""
+    directory = str(tmp_path / "txnlog")
+    log = TxnDecisionLog(directory)
+    with open(os.path.join(directory, "txn-t3.json"), "w") as fh:
+        json.dump({"version": 1, "txn_id": "t3", "decision": "commit", "shards": [0]}, fh)
+    assert log.pending() == []
+    assert log.quarantined == ["txn-t3.json"]
+
+
+def test_bitflipped_record_is_quarantined_not_misread(tmp_path):
+    """One flipped bit turns ``t12`` into ``t13`` inside the record: the
+    CRC catches it, so no commit is invented for a transaction that never
+    existed, and the file leaves the log instead of being read again by
+    every later recovery."""
+    directory = str(tmp_path / "txnlog")
+    log = TxnDecisionLog(directory)
+    log.decide("t12-ab12cd34", [0, 1])
+    path = os.path.join(directory, "txn-t12-ab12cd34.json")
+    raw = bytearray(open(path, "rb").read())
+    position = raw.index(b"t12") + 2
+    raw[position] ^= 0x01  # "2" -> "3"
+    with open(path, "wb") as fh:
+        fh.write(bytes(raw))
+    assert log.pending() == []
+    assert log.quarantined == ["txn-t12-ab12cd34.json"]
+    assert os.listdir(directory) == ["corrupt"]
+    assert TxnDecisionLog(directory).pending() == []
+
+
+def test_record_under_another_name_is_quarantined(tmp_path):
+    """A verified record whose id is not the one its file name carries
+    (a copied or renamed file) is not a decision for either id."""
+    directory = str(tmp_path / "txnlog")
+    log = TxnDecisionLog(directory)
+    log.decide("t6", [0])
+    os.replace(
+        os.path.join(directory, "txn-t6.json"),
+        os.path.join(directory, "txn-t7.json"),
+    )
+    assert log.pending() == []
+    assert log.quarantined == ["txn-t7.json"]
+
+
 def test_missing_directory_reads_as_empty(tmp_path):
     # the owning warehouse's temp lineage can be torn down while a
     # background revive still holds the log: presumed abort, not a crash
@@ -88,12 +131,11 @@ def test_missing_directory_reads_as_empty(tmp_path):
     log.decide("t4", [0])
     shutil.rmtree(directory)
     assert log.pending() == []
-    assert log.get("t4") is None
 
 
 def test_volatile_log_without_directory():
     log = TxnDecisionLog(None)
-    assert not log.durable
+    assert log.directory is None
     log.decide("t5", [0, 1])
     assert [r.txn_id for r in log.pending()] == ["t5"]
     log.forget("t5")

@@ -140,7 +140,6 @@ def test_rollback_copies_nothing_and_the_next_checkpoint_is_a_delta(
 
 def test_failed_publish_breaks_every_journal():
     wh = seeded_warehouse()
-    wh.snapshots.mark("checkpoint")
     wh.insert("lineitem", [(1, 0, 5)])
     wh.db.insert("lineitem", [(3, 0, 7)])  # applied, not yet published
 
@@ -158,8 +157,6 @@ def test_failed_publish_breaks_every_journal():
         )
     assert wh.view("ol").journal.broken
     assert all(t.journal.broken for t in wh.db.tables.values())
-    # the ±rows since the mark miss (3, 0, 7): a checkpoint must be a base
-    assert wh.snapshots.net_delta() is None
     wh.insert("lineitem", [(2, 0, 6)])  # next publish copies what moved
     assert sorted(wh.snapshot().view_rows("ol")) == sorted(wh.view("ol").rows())
     wh.close()

@@ -67,14 +67,9 @@ from .sharding import (
     plan_view,
     shard_hash,
 )
-from .shardproc import (
-    ProcessShardHandle,
-    ShardServer,
-    ThreadShardHandle,
-    make_handle,
-)
+from .shardproc import ShardHandle, ShardServer
 from .snapshots import Snapshot, SnapshotStore, TableSlice, ViewSlice
-from .supervisor import DeadShardHandle, ShardSupervisor
+from .supervisor import ShardSupervisor
 from .txnlog import DecisionRecord, TxnDecisionLog
 from .wal import DEFAULT_SEGMENT_BYTES, WalEntry, WriteAheadLog
 
@@ -86,11 +81,8 @@ __all__ = [
     "merge_view_rows",
     "shard_hash",
     "ShardServer",
-    "ProcessShardHandle",
-    "ThreadShardHandle",
-    "make_handle",
+    "ShardHandle",
     "ShardSupervisor",
-    "DeadShardHandle",
     "TxnDecisionLog",
     "DecisionRecord",
     "Snapshot",

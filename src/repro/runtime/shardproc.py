@@ -4,73 +4,76 @@ A sharded warehouse (:mod:`repro.sharded`) owns no table data itself —
 each shard's partition lives inside a **worker** running a private,
 fully ordinary :class:`~repro.warehouse.Warehouse` (its own WAL segment
 directory, checkpoint lineage, scheduler, snapshot store and plan
-cache).  The parent talks to workers through a small command protocol
-whose messages are plain picklable data built with
-:mod:`repro.planner.wire`; replies come back in FIFO order, so the
-parent can pipeline many commands per shard and only block at merge
-barriers.
+cache).  The coordinator holds one :class:`ShardHandle` per shard: the
+near end of a ``multiprocessing`` pipe, which pickles every message
+both ways.  The far end runs one loop, :func:`_serve` — the start-up
+handshake (the init blob in, ``ok`` or the typed failure out), then one
+reply per command, in FIFO order, so the coordinator can pipeline many
+commands per shard and only block at merge barriers.
 
-Two interchangeable backends run the same :class:`ShardServer` loop:
+The two backends differ only in what runs the far end:
 
-* :class:`ProcessShardHandle` — a ``multiprocessing`` child started
-  with the **spawn** method (no interpreter state is inherited; the
-  init blob and every command crosses the pipe by pickle).  This is the
-  production backend: per-shard maintenance runs on separate cores,
-  outside the parent's GIL.
-* :class:`ThreadShardHandle` — the server on a daemon thread, with
-  every command and reply still round-tripped through ``pickle`` so the
-  wire contract stays honest.  Deterministic and cheap to start; the
-  fuzz oracle uses it (and it shares the parent's
-  :data:`~repro.runtime.failpoints.FAILPOINTS`, so fault injection
-  reaches into every shard).
+* ``"process"`` — a child started with the **spawn** method (no
+  interpreter state is inherited).  The production backend: per-shard
+  maintenance runs on separate cores, outside the coordinator's GIL.
+* ``"thread"`` — a daemon thread in the coordinator's process.
+  Deterministic and cheap to start; the fuzz oracle uses it.
 
 Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
 ``{"ok": False, "error": <ReproError subclass name>, "message": ...}``)::
 
     create_view {view, options}          change {table, operation, rows,
-    flush                                        fk_allowed, check}
-    checkpoint / recover {from_origin}   txn_stmt {txn_id, table, operation,
-    snapshot_pin / snapshot_release        rows, join, prepare, fk_allowed,
-    query {view, equalities, seq}          check} / txn_prepare {txn_id} /
-    dump / stats / check                   txn_commit / txn_abort {txn_id} /
-    repair_view {view}                     txn_resolve {commits, keep}
-    ping                                 crash_hard / restart / close
+    drop_view {view}                             fk_allowed, check}
+    flush                                txn_stmt {txn_id, table, operation,
+    checkpoint / recover {from_origin}     rows, join, prepare, fk_allowed,
+    snapshot_pin / snapshot_release        check} / txn_prepare {txn_id} /
+    query {view, equalities, seq}          txn_commit / txn_abort {txn_id} /
+    dump / stats / check                   txn_resolve {commits, keep}
+    repair_view {view}                   crash_hard / restart / close
+    ping
 
 Partial-failure plumbing (see ``docs/SHARDING.md``, "Partial failure
 runbook"): ``ping`` is the supervisor's liveness probe; a worker holds
-its open transactions by id, and a prepare is durable (a tagged WAL
-record), so a worker that dies prepared comes back with the transaction
-*in doubt*; ``txn_resolve`` lands in-doubt transactions on the side the
-coordinator's decision log (:mod:`repro.runtime.txnlog`) recorded;
-``recover {from_origin: true}`` replays the *whole* WAL against the
-initial partition rows, the cold-start path a reincarnated worker
-uses when no checkpoint exists.  The thread backend's serve loop is
-instrumented with three chaos failpoints — ``shard.worker.kill``
+its open transactions by id (``stats`` lists them), and a prepare is
+durable (a tagged WAL record), so a worker that dies prepared comes
+back with the transaction *in doubt*; ``txn_resolve`` lands in-doubt
+transactions on the side the coordinator's decision log
+(:mod:`repro.runtime.txnlog`) recorded; ``recover {from_origin: true}``
+replays the *whole* WAL against the initial partition rows, the
+cold-start path a reincarnated worker uses when no checkpoint exists.
+The serve loop holds three chaos failpoints — ``shard.worker.kill``
 (abrupt death before the command runs), ``shard.worker.stall``
 (``action="call"`` sleep before the command runs) and
 ``shard.pipe.drop`` (the command runs but its reply is lost and the
-connection dies) — which the ``chaos-shard`` fuzz config drives.
+connection dies) — which the ``chaos-shard`` fuzz config drives.  They
+are armed only in-process: a thread worker shares the coordinator's
+:data:`~repro.runtime.failpoints.FAILPOINTS`, a spawned child has its
+own, with nothing armed.
 """
 
 from __future__ import annotations
 
-import pickle
-import queue
+import multiprocessing
 import threading
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .. import errors as _errors
 from ..errors import ReproError, ShardingError, ShardUnavailableError
 from .failpoints import FAILPOINTS, InjectedFault
 
-__all__ = [
-    "ShardServer",
-    "ProcessShardHandle",
-    "ThreadShardHandle",
-    "make_handle",
-    "raise_shard_error",
-]
+__all__ = ["ShardServer", "ShardHandle", "raise_shard_error"]
+
+
+def _failure(exc: BaseException, context: str = "") -> Dict:
+    """The error envelope: a :class:`~repro.errors.ReproError` keeps its
+    class across the pipe; anything else is a worker bug, reported as a
+    :class:`~repro.errors.ShardingError`."""
+    if isinstance(exc, ReproError):
+        name, message = type(exc).__name__, str(exc)
+    else:
+        name, message = "ShardingError", f"{type(exc).__name__}: {exc}"
+    return {"ok": False, "error": name, "message": context + message}
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +82,11 @@ __all__ = [
 class ShardServer:
     """One shard's warehouse plus the command dispatch around it.
 
-    *init* is the plain-data blob the parent built: database schema and
-    this shard's rows (:func:`repro.planner.wire.encode_schema` form),
-    the runtime directories, and the views to create.
+    *init* is the plain-data blob the coordinator built: database schema
+    and this shard's rows (:func:`repro.planner.wire.encode_schema`
+    form), the ``settings`` the worker's
+    :class:`~repro.warehouse.Warehouse` is built with, unchanged, and
+    the views to create.
     """
 
     def __init__(self, shard_id: int, init: Dict):
@@ -92,35 +97,17 @@ class ShardServer:
         self._Warehouse = Warehouse
         self.shard_id = shard_id
         self._init = init
-        self._views: List[Dict] = []
+        self._views: Dict[str, Dict] = {}  # create_view blobs by name
         self._txns: Dict[str, object] = {}  # open transactions by id
         self._pinned: Dict[int, object] = {}
-        self.wh = self._build_warehouse(
-            wire.build_database(init["schema"], init.get("rows") or {})
-        )
+        self.wh = Warehouse(self._initial_database(), **init["settings"])
         for blob in init.get("views") or []:
             self._create_view(blob)
 
     # ------------------------------------------------------------------
-    def _build_warehouse(self, db):
+    def _initial_database(self):
         init = self._init
-        kwargs: Dict = {
-            "workers": init.get("workers", 0),
-            "snapshot_retain": init.get("snapshot_retain", 8),
-        }
-        if init.get("wal_dir"):
-            kwargs["wal_path"] = init["wal_dir"]
-        if init.get("checkpoint_dir"):
-            kwargs["checkpoint_dir"] = init["checkpoint_dir"]
-            if init.get("checkpoint_interval"):
-                kwargs["checkpoint_interval"] = init["checkpoint_interval"]
-        if init.get("segment_bytes"):
-            kwargs["segment_bytes"] = init["segment_bytes"]
-        if init.get("retry"):
-            from .scheduler import RetryPolicy
-
-            kwargs["retry"] = RetryPolicy(**init["retry"])
-        return self._Warehouse(db, **kwargs)
+        return self._wire.build_database(init["schema"], init.get("rows") or {})
 
     def _create_view(self, blob: Dict) -> None:
         definition = self._wire.decode_view(self.wh.db, blob["view"])
@@ -129,40 +116,28 @@ class ShardServer:
             definition,
             options=self._wire.decode_options(blob.get("options")),
         )
-        if blob not in self._views:
-            self._views.append(blob)
+        self._views[definition.name] = blob
 
     # ------------------------------------------------------------------
     def handle(self, msg: Dict) -> Dict:
         command = msg.get("cmd")
         method = getattr(self, f"cmd_{command}", None)
-        if method is None:
-            return {
-                "ok": False,
-                "error": "ShardingError",
-                "message": f"unknown shard command {command!r}",
-            }
         try:
-            out = method(**{k: v for k, v in msg.items() if k != "cmd"})
+            if method is None:
+                raise ShardingError(f"unknown shard command {command!r}")
             reply = {"ok": True}
-            reply.update(out or {})
+            reply.update(method(**{k: v for k, v in msg.items() if k != "cmd"}) or {})
             return reply
-        except ReproError as exc:
-            return {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        except Exception as exc:  # pragma: no cover - worker bug surface
-            return {
-                "ok": False,
-                "error": "ShardingError",
-                "message": f"{type(exc).__name__}: {exc}",
-            }
+        except Exception as exc:
+            return _failure(exc)
 
     # -- DDL ------------------------------------------------------------
     def cmd_create_view(self, view: Dict, options: Optional[Dict] = None):
         self._create_view({"view": view, "options": options})
+
+    def cmd_drop_view(self, view: str):
+        self.wh.drop_view(view)
+        del self._views[view]  # a reopened warehouse no longer has it
 
     def cmd_repair_view(self, view: str):
         self.wh.repair_view(view)
@@ -289,11 +264,7 @@ class ShardServer:
         # open transactions die with the crash; prepared ones come back
         # in doubt from the WAL
         self._txns.clear()
-        return self._reopen(
-            self._wire.build_database(
-                self._init["schema"], self._init.get("rows") or {}
-            )
-        )
+        return self._reopen(self._initial_database())
 
     def cmd_restart(self):
         """Orderly restart (flush first), reopening over the same
@@ -313,8 +284,8 @@ class ShardServer:
         directories with every view re-created, and recover."""
         self.wh._shutdown()
         self._pinned.clear()
-        self.wh = self._build_warehouse(db)
-        for blob in self._views:
+        self.wh = self._Warehouse(db, **self._init["settings"])
+        for blob in list(self._views.values()):
             self._create_view(blob)
         if self.wh.wal is not None:
             return self.cmd_recover()
@@ -388,6 +359,7 @@ class ShardServer:
                 bool(wh.wal.corruption_detected) if wh.wal else False
             ),
             "last_recovery": wh.last_recovery,
+            "open_txns": sorted(self._txns),
         }
 
     def cmd_check(self):
@@ -408,39 +380,48 @@ class ShardServer:
         return {"bye": True}
 
 
-def _shard_worker_main(conn, shard_id: int, init: Dict) -> None:
-    """Entry point of a spawned shard process: serve until ``close``."""
+def _serve(conn, shard_id: int, abandoned: Optional[threading.Event] = None) -> None:
+    """The far end of a shard's pipe, on a spawned process or a thread:
+    the start-up handshake, then one reply per command, in order, until
+    ``close`` or the coordinator's end goes away.  *abandoned* is the
+    thread backend's stand-in for a kill (see :meth:`ShardHandle.terminate`)."""
     try:
-        server = ShardServer(shard_id, init)
-    except Exception as exc:  # constructor failure must reach the parent
-        conn.send(
-            {
-                "ok": False,
-                "error": "ShardingError",
-                "message": f"shard {shard_id} failed to start: "
-                f"{type(exc).__name__}: {exc}",
-            }
-        )
-        conn.close()
-        return
-    conn.send({"ok": True, "shard": shard_id})  # readiness handshake
-    while True:
         try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        reply = server.handle(msg)
-        try:
+            server = ShardServer(shard_id, conn.recv())
+        except Exception as exc:  # the failure crosses under its own class
+            conn.send(_failure(exc, f"shard {shard_id} failed to start: "))
+            return
+        conn.send({"ok": True, "shard": shard_id})
+        while True:
+            message = conn.recv()
+            if message is None:
+                return  # terminate() woke an idle thread
+            cmd = message["cmd"]
+            # the chaos sites (see the module docstring)
+            try:
+                FAILPOINTS.hit("shard.worker.kill", shard=shard_id, cmd=cmd)
+            except InjectedFault:
+                return  # die abruptly: no reply, the command never ran
+            FAILPOINTS.hit("shard.worker.stall", shard=shard_id, cmd=cmd)
+            if abandoned is not None and abandoned.is_set():
+                # abandoned while stalled (the supervisor reincarnated
+                # this shard): exit without touching the warehouse, so
+                # the replacement worker owns the WAL lineage alone
+                return
+            reply = server.handle(message)
+            if FAILPOINTS.hit("shard.pipe.drop", shard=shard_id, cmd=cmd):
+                return  # the reply is lost mid-send: the connection dies
             conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-        if msg.get("cmd") == "close":
-            break
-    conn.close()
+            if cmd == "close":
+                return
+    except (EOFError, OSError):
+        pass  # the coordinator's end is gone
+    finally:
+        conn.close()
 
 
 # ---------------------------------------------------------------------------
-# parent-side handles
+# the coordinator's end
 # ---------------------------------------------------------------------------
 class _Reply:
     """A pending FIFO reply from one shard."""
@@ -482,20 +463,84 @@ def raise_shard_error(response: Dict) -> Dict:
     raise cls(response.get("message", "shard command failed"))
 
 
-class _HandleBase:
-    """FIFO submit/wait plumbing shared by both backends."""
+class ShardHandle:
+    """The coordinator's end of one shard's pipe: pipelined submits
+    resolved in FIFO order by a reader thread, death detection, an
+    orderly :meth:`close` and a hard :meth:`terminate`.  *backend*
+    (``"process"`` or ``"thread"``) chooses what runs :func:`_serve` at
+    the far end and how :meth:`terminate` stops it.  The constructor
+    returns once the worker has built its warehouse; a start-up failure
+    raises under the worker's error class, with no worker left alive."""
 
-    shard_id: int
-
-    def __init__(self, shard_id: int):
+    def __init__(self, shard_id: int, init: Dict, backend: str = "process"):
+        if backend not in ("process", "thread"):
+            raise ShardingError(
+                f"unknown shard backend {backend!r} (expected 'process' or 'thread')"
+            )
         self.shard_id = shard_id
+        self.backend = backend
         self._pending: deque = deque()
-        self._lock = threading.Lock()
-        self._closed = False
+        self._lock = threading.Lock()  # one writer; the reader closes under it
+        # why the handle takes no more commands (closed, terminated,
+        # quarantined) and why its worker died: None while open / alive
+        self._closed: Optional[str] = None
+        self._dead: Optional[str] = None
         # the supervisor installs this: called (once, off the caller's
         # thread) when the worker dies without being close()-d first
-        self.on_death: Optional[callable] = None
-        self._death_reported = False
+        self.on_death: Optional[Callable] = None
+        self._abandoned = threading.Event()
+        self._conn, far = multiprocessing.Pipe()
+        name = f"repro-shard-{shard_id}"
+        if backend == "process":
+            # spawn: the child inherits no interpreter state (locks, the
+            # coordinator's warehouse, armed failpoints)
+            self.worker = multiprocessing.get_context("spawn").Process(
+                target=_serve, args=(far, shard_id), name=name, daemon=True
+            )
+        else:
+            self.worker = threading.Thread(
+                target=_serve, args=(far, shard_id, self._abandoned),
+                name=name, daemon=True,
+            )
+        self.worker.start()
+        if backend == "process":
+            far.close()  # the child holds its own copy
+        handshake = _Reply()
+        self._pending.append(handshake)
+        threading.Thread(
+            target=self._read, name=f"{name}-reader", daemon=True
+        ).start()
+        with self._lock:
+            self._post(init)  # a worker already gone fails the handshake
+        try:
+            raise_shard_error(handshake.wait(120.0))
+        except BaseException:
+            # the caller has no handle to clean a failed worker up with
+            self.terminate()
+            self.worker.join(10.0)
+            raise
+
+    # ------------------------------------------------------------------
+    def _post(self, message) -> bool:
+        """Write *message* (the caller holds ``_lock``); False when the
+        pipe is already broken or closed."""
+        try:
+            self._conn.send(message)
+            return True
+        except (OSError, ValueError):
+            return False
+
+    def _read(self) -> None:
+        """Resolve replies in FIFO order until the worker's end closes."""
+        while True:
+            try:
+                response = self._conn.recv()
+            except (EOFError, OSError):
+                break
+            self._resolve_next(response)
+        self._report_death(f"shard {self.shard_id} worker exited unexpectedly")
+        with self._lock:
+            self._conn.close()
 
     def _report_death(self, reason: str) -> None:
         """Notify the supervisor and fail all outstanding replies —
@@ -505,41 +550,41 @@ class _HandleBase:
         it terminates this handle); the explicit `_fail_outstanding`
         after it covers handles with no supervisor attached."""
         with self._lock:
-            if self._death_reported:
+            if self._dead:
                 return
-            self._death_reported = True
+            self._dead = reason
             closed = self._closed
-        hook = self.on_death
-        if hook is not None and not closed:
-            hook(self, reason)
+        if self.on_death is not None and not closed:
+            self.on_death(self, reason)
         self._fail_outstanding(reason)
+
+    def _resolve_next(self, response: Dict) -> None:
+        try:
+            reply = self._pending.popleft()
+        except IndexError:  # a reply that terminate() already failed
+            return
+        reply.resolve(response)
+
+    def _fail_outstanding(self, message: str) -> None:
+        while self._pending:
+            self._pending.popleft().resolve(_unavailable(message))
 
     # ------------------------------------------------------------------
     def submit(self, cmd: str, **payload) -> _Reply:
         reply = _Reply()
-        message = {"cmd": cmd}
-        message.update(payload)
         with self._lock:
-            if self._closed:
-                # closed, or terminated by a reincarnation in progress:
-                # the same typed envelope a dying worker's replies get
-                reply.resolve(_unavailable(f"shard {self.shard_id} handle is closed"))
-                return reply
-            self._pending.append(reply)
-            try:
-                self._send(message)
-            except (OSError, ValueError) as exc:
-                # a SIGKILLed worker can break the pipe before the
-                # reader thread notices the death: surface it as the
-                # typed unavailability envelope, never a raw
-                # BrokenPipeError
-                failure = exc
-            else:
-                failure = None
-        if failure is not None:
-            self._report_death(
-                f"shard {self.shard_id} pipe write failed: {failure}"
-            )
+            gone = self._closed or self._dead
+            if not gone:
+                self._pending.append(reply)
+                sent = self._post({"cmd": cmd, **payload})
+        if gone:
+            # the same typed envelope a dying worker's replies get
+            reply.resolve(_unavailable(gone))
+        elif not sent:
+            # a SIGKILLed worker can break the pipe before the reader
+            # notices the death: surface it as the typed envelope, never
+            # a raw BrokenPipeError
+            self._report_death(f"shard {self.shard_id} pipe write failed")
         return reply
 
     def call(self, cmd: str, timeout: Optional[float] = None, **payload) -> Dict:
@@ -550,252 +595,45 @@ class _HandleBase:
         """Commands submitted but not yet answered."""
         return len(self._pending)
 
-    def _resolve_next(self, response: Dict) -> None:
-        try:
-            reply = self._pending.popleft()
-        except IndexError:  # pragma: no cover - protocol violation
-            return
-        reply.resolve(response)
-
-    def _fail_outstanding(self, message: str) -> None:
-        while self._pending:
-            self._pending.popleft().resolve(_unavailable(message))
-
-    def _send(self, message: Dict) -> None:
-        raise NotImplementedError
-
     def is_alive(self) -> bool:
-        raise NotImplementedError
-
-    def terminate(self) -> None:
-        """Hard-stop the worker without the graceful close round-trip.
-
-        Used by the supervisor before reincarnating a shard and by the
-        facade constructor's cleanup path; outstanding replies resolve
-        immediately with :class:`~repro.errors.ShardUnavailableError`.
-        """
-        raise NotImplementedError
-
-
-class ProcessShardHandle(_HandleBase):
-    """A shard worker in a spawned child process."""
-
-    backend = "process"
-
-    def __init__(self, shard_id: int, init: Dict):
-        import multiprocessing
-
-        super().__init__(shard_id)
-        # spawn: the child inherits no interpreter state (locks, the
-        # parent's warehouse); everything it needs crosses the pipe
-        ctx = multiprocessing.get_context("spawn")
-        self._conn, child = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_shard_worker_main,
-            args=(child, shard_id, init),
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-        # handshake synchronously so a failed spawn surfaces here, not
-        # on the first command
-        handshake = _Reply()
-        self._pending.append(handshake)
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"repro-shard-{shard_id}-reader",
-            daemon=True,
-        )
-        self._reader.start()
-        try:
-            raise_shard_error(handshake.wait(120.0))
-        except Exception:
-            # a worker that failed (or hung) its handshake must not
-            # outlive the constructor — the caller has no handle to
-            # clean it up with
-            self.terminate()
-            raise
-
-    def _send(self, message: Dict) -> None:
-        self._conn.send(message)
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                response = self._conn.recv()
-            except (EOFError, OSError):
-                break
-            self._resolve_next(response)
-        self._report_death(
-            f"shard {self.shard_id} worker exited unexpectedly"
-        )
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
+        return self.worker.is_alive()
 
     def close(self, timeout: float = 30.0) -> None:
+        """Orderly stop: a ``close`` round trip (none when the worker is
+        already dead, so this returns promptly), then join the worker;
+        one that outlives *timeout* is terminated."""
         with self._lock:
             if self._closed:
                 return
-            self._closed = True
-            # a worker that already exited can never answer a close
-            # round-trip: resolve everything outstanding immediately
-            # instead of sitting out the full timeout
-            dead = (
-                self.process.exitcode is not None or self._death_reported
-            )
+            self._closed = f"shard {self.shard_id} closed"
             reply = None
-            if not dead:
+            if not self._dead and self.worker.is_alive():
                 reply = _Reply()
                 self._pending.append(reply)
-                try:
-                    self._conn.send({"cmd": "close"})
-                except (BrokenPipeError, OSError):
-                    pass
+                self._post({"cmd": "close"})
         if reply is not None:
             try:
                 reply.wait(timeout)
             except ShardingError:
                 pass
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - deadlocked worker
-            self.process.terminate()
-            self.process.join(5.0)
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._fail_outstanding(f"shard {self.shard_id} closed")
+        self.worker.join(timeout)
+        if self.worker.is_alive():  # pragma: no cover - a wedged worker
+            self.terminate(self._closed)
+        self._fail_outstanding(self._closed)
 
-    def terminate(self) -> None:
+    def terminate(self, reason: Optional[str] = None) -> None:
+        """Hard-stop the worker without the close round trip: kill the
+        process, or abandon the thread (threads cannot be killed; the
+        serve loop exits at its next message, or straight after a
+        stall, without touching the warehouse).  Outstanding replies,
+        and every later one, resolve at once with
+        :class:`~repro.errors.ShardUnavailableError` naming *reason* —
+        the supervisor passes the quarantine's."""
         with self._lock:
-            self._closed = True
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(10.0)
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._fail_outstanding(
-            f"shard {self.shard_id} worker terminated"
-        )
-
-
-class ThreadShardHandle(_HandleBase):
-    """The same server on a daemon thread, pickle-round-tripping every
-    message so the protocol stays process-portable."""
-
-    backend = "thread"
-
-    def __init__(self, shard_id: int, init: Dict):
-        super().__init__(shard_id)
-        self._inbox: "queue.Queue" = queue.Queue()
-        self._server: Optional[ShardServer] = None
-        self._startup = _Reply()
-        self._pending.append(self._startup)
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(pickle.loads(pickle.dumps(init)),),
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
-        self._thread.start()
-        raise_shard_error(self._startup.wait(120.0))
-
-    def _run(self, init: Dict) -> None:
-        try:
-            server = ShardServer(self.shard_id, init)
-        except Exception as exc:
-            self._resolve_next(
-                {
-                    "ok": False,
-                    "error": "ShardingError",
-                    "message": f"shard {self.shard_id} failed to start: "
-                    f"{type(exc).__name__}: {exc}",
-                }
-            )
-            return
-        self._resolve_next({"ok": True, "shard": self.shard_id})
-        self._server = server  # debugging / test introspection
-        while True:
-            message = self._inbox.get()
-            if message is None:
-                break
-            message = pickle.loads(pickle.dumps(message))
-            cmd = message.get("cmd")
-            # chaos sites (see the module docstring): the thread backend
-            # shares the parent's FAILPOINTS, so the fuzz harness can
-            # kill, stall or sever this worker deterministically
-            try:
-                FAILPOINTS.hit(
-                    "shard.worker.kill", shard=self.shard_id, cmd=cmd
-                )
-            except InjectedFault:
-                break  # die abruptly: no reply, command never ran
-            FAILPOINTS.hit(
-                "shard.worker.stall", shard=self.shard_id, cmd=cmd
-            )
-            if self._closed:
-                # abandoned while stalled (the supervisor reincarnated
-                # this shard): exit without touching the warehouse, so
-                # the replacement worker owns the WAL lineage alone
-                break
-            reply = server.handle(message)
-            if FAILPOINTS.hit(
-                "shard.pipe.drop", shard=self.shard_id, cmd=cmd
-            ):
-                break  # reply lost mid-send: the connection is gone
-            self._resolve_next(pickle.loads(pickle.dumps(reply)))
-            if cmd == "close":
-                break
-        self._report_death(f"shard {self.shard_id} worker stopped")
-
-    def _send(self, message: Dict) -> None:
-        self._inbox.put(message)
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def close(self, timeout: float = 30.0) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            dead = self._death_reported or not self._thread.is_alive()
-            self._closed = True
-            reply = None
-            if not dead:
-                reply = _Reply()
-                self._pending.append(reply)
-                self._inbox.put({"cmd": "close"})
-        if reply is not None:
-            try:
-                reply.wait(timeout)
-            except ShardingError:
-                pass
-        self._inbox.put(None)
-        self._thread.join(timeout)
-        self._fail_outstanding(f"shard {self.shard_id} closed")
-
-    def terminate(self) -> None:
-        """Abandon the worker thread: threads cannot be killed, so mark
-        the handle closed (the serve loop checks this after its stall
-        site and exits without touching the warehouse) and poison the
-        inbox."""
-        with self._lock:
-            self._closed = True
-        self._inbox.put(None)
-        self._fail_outstanding(
-            f"shard {self.shard_id} worker terminated"
-        )
-
-
-def make_handle(backend: str, shard_id: int, init: Dict):
-    if backend == "process":
-        return ProcessShardHandle(shard_id, init)
-    if backend == "thread":
-        return ThreadShardHandle(shard_id, init)
-    raise ShardingError(
-        f"unknown shard backend {backend!r} (expected 'process' or 'thread')"
-    )
+            self._closed = reason or f"shard {self.shard_id} worker terminated"
+            self._abandoned.set()
+            self._post(None)  # wakes an idle serve loop
+        if self.backend == "process" and self.worker.is_alive():
+            self.worker.kill()
+            self.worker.join(10.0)
+        self._fail_outstanding(self._closed)

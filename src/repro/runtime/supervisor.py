@@ -32,10 +32,11 @@ events into a bounded, observable recovery:
   replicated divergence.
 * **Restart budget.**  More than ``restart_budget`` restarts within
   ``restart_window`` seconds marks the shard *flapping*: it is
-  quarantined behind a :class:`DeadShardHandle` that fails every
-  command fast, ``last_recovery`` reports ``degraded`` and ``/healthz``
-  turns 503.  Quarantine is terminal for the facade instance — rebuild
-  the warehouse (the durable lineage survives) to clear it.
+  quarantined — its handle stays closed, failing every command fast
+  with the quarantine reason — ``last_recovery`` reports ``degraded``
+  and ``/healthz`` turns 503.  Quarantine is terminal for the facade
+  instance — rebuild the warehouse (the durable lineage survives) to
+  clear it.
 
 Everything is reported through :class:`~repro.obs.Telemetry`: events
 ``shard.dead`` / ``shard.reincarnated`` / ``shard.flapping`` /
@@ -50,54 +51,20 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..errors import ReproError, ShardUnavailableError
-from .shardproc import _Reply, _unavailable, make_handle
+from ..errors import ReproError
+from .shardproc import ShardHandle
 
-__all__ = ["ShardSupervisor", "DeadShardHandle"]
+__all__ = ["ShardSupervisor"]
 
 STATE_UP = "up"
 STATE_REINCARNATING = "reincarnating"
 STATE_QUARANTINED = "quarantined"
 
 
-class DeadShardHandle:
-    """Placeholder handle for a quarantined shard: every command fails
-    fast with :class:`~repro.errors.ShardUnavailableError` instead of
-    touching a worker that no longer exists."""
-
-    backend = "dead"
-
-    def __init__(self, shard_id: int, reason: str):
-        self.shard_id = shard_id
-        self.reason = reason
-        self.on_death = None
-        self._closed = True
-
-    def _message(self) -> str:
-        return f"shard {self.shard_id} is quarantined: {self.reason}"
-
-    def submit(self, cmd: str, **payload) -> _Reply:
-        reply = _Reply()
-        reply.resolve(_unavailable(self._message()))
-        return reply
-
-    def call(self, cmd: str, timeout: Optional[float] = None, **payload):
-        raise ShardUnavailableError(self._message())
-
-    @property
-    def queue_depth(self) -> int:
-        return 0
-
-    def is_alive(self) -> bool:
-        return False
-
-    def close(self, timeout: float = 30.0) -> None:
-        pass
-
-    def terminate(self) -> None:
-        pass
+def _quarantined(shard: int, reason: str) -> str:
+    return f"shard {shard} is quarantined: {reason}"
 
 
 class ShardSupervisor:
@@ -220,7 +187,7 @@ class ShardSupervisor:
         if self._stop.is_set():
             return
         handle = self.warehouse._handles[shard]
-        if handle.backend == "dead" or getattr(handle, "_closed", False):
+        if handle._closed:
             return
         # mark busy *before* the thread exists so the caller — who just
         # observed the timeout — cannot see a quiesced supervisor in
@@ -272,18 +239,17 @@ class ShardSupervisor:
                     return
                 if wh._handles[shard] is not handle:
                     return  # a concurrent detection already replaced it
-                if getattr(handle, "_closed", False):
+                if handle._closed:
                     return  # orderly close/terminate, not a failure
                 self._states[shard]["state"] = STATE_REINCARNATING
                 self._states[shard]["last_error"] = reason
                 wh.telemetry.emit("shard.dead", shard=shard, reason=reason)
                 while True:
                     if wh._closed or self._stop.is_set():
-                        # teardown raced the revive: leave a fail-fast
-                        # placeholder rather than a half-built worker;
-                        # no telemetry — the facade is going away
-                        wh._handles[shard].terminate()
-                        wh._handles[shard] = DeadShardHandle(shard, reason)
+                        # teardown raced the revive: leave the handle
+                        # closed rather than a half-built worker; no
+                        # telemetry — the facade is going away
+                        wh._handles[shard].terminate(_quarantined(shard, reason))
                         self._states[shard]["state"] = STATE_QUARANTINED
                         return
                     if (
@@ -315,11 +281,11 @@ class ShardSupervisor:
         old = wh._handles[shard]
         old.terminate()
         init = wh._shard_init(shard)
-        replacement = make_handle(wh.backend, shard, init)
+        replacement = ShardHandle(shard, init, wh.backend)
         summary = None
         degraded = False
         try:
-            if init.get("wal_dir"):
+            if init["settings"]["wal_path"]:
                 response = replacement.call(
                     "recover",
                     from_origin=True,
@@ -372,8 +338,7 @@ class ShardSupervisor:
 
     def _quarantine_locked(self, shard: int, reason: str) -> None:
         wh = self.warehouse
-        wh._handles[shard].terminate()
-        wh._handles[shard] = DeadShardHandle(shard, reason)
+        wh._handles[shard].terminate(_quarantined(shard, reason))
         self.quarantined.add(shard)
         self._states[shard]["state"] = STATE_QUARANTINED
         self._states[shard]["last_error"] = reason

@@ -64,8 +64,7 @@ import threading
 import time
 import uuid
 from collections import Counter
-from dataclasses import asdict
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from .core.maintain import MaintenanceOptions
 from .core.secondary import DELETE
@@ -81,7 +80,7 @@ from .errors import (
 )
 from .obs import Telemetry
 from .planner import wire
-from .runtime import ChangeTicket, FanOutResult, RetryPolicy
+from .runtime import DEFAULT_SEGMENT_BYTES, ChangeTicket, FanOutResult, RetryPolicy
 from .runtime.failpoints import FAILPOINTS
 from .runtime.sharding import (
     ShardingSpec,
@@ -90,7 +89,7 @@ from .runtime.sharding import (
     merge_view_rows,
     plan_view,
 )
-from .runtime.shardproc import make_handle, raise_shard_error
+from .runtime.shardproc import ShardHandle, raise_shard_error
 from .runtime.supervisor import ShardSupervisor
 from .runtime.txnlog import TxnDecisionLog
 from .warehouse import DELETE_BY_KEY, Reports, Transaction, Warehouse
@@ -205,25 +204,21 @@ class ShardedWarehouse(Warehouse):
     shards:
         Shard count.  ``Warehouse(db, shards=N)`` routes here.
     sharding:
-        An explicit :class:`~repro.runtime.ShardingSpec`; overrides
-        *shards*/*routing*/*ranges*.
-    routing:
-        ``{table: [bare routing columns]}`` — which tables to partition
-        and on what.  Default: derived via
-        :meth:`ShardingSpec.for_database` (largest un-referenced table,
-        partitioned on its key).
-    ranges:
-        Optional range split points (see :class:`ShardingSpec`).
+        An explicit :class:`~repro.runtime.ShardingSpec` — which tables
+        to partition, on what columns, by hash or by range split points.
+        Default: :meth:`ShardingSpec.for_database` (the largest
+        un-referenced table, hash-partitioned on its key).
     shard_backend:
-        ``"process"`` (default — spawn one worker process per shard) or
-        ``"thread"`` (in-process workers that still pickle every
-        message; deterministic, failpoint-reachable — what the fuzz
-        oracle uses).
+        What runs each worker's end of the pipe: ``"process"`` (default —
+        a spawned process per shard) or ``"thread"`` (a thread in this
+        process; deterministic, and the chaos failpoints reach it — what
+        the fuzz oracle uses).
     wal_path / checkpoint_dir:
         *Root* directories; shard *i* uses ``<root>/shard-<i>``.
     workers / retry / segment_bytes / checkpoint_interval /
     snapshot_retain:
-        Forwarded to every per-shard warehouse.
+        Passed unchanged to every per-shard warehouse, so they are
+        checked exactly as the local facade checks them.
     call_deadline_seconds:
         Per-call reply deadline (default 30).  A reply that misses it
         raises :class:`~repro.errors.ShardUnavailableError` and tips
@@ -248,13 +243,11 @@ class ShardedWarehouse(Warehouse):
         *,
         shards: Optional[int] = None,
         sharding: Optional[ShardingSpec] = None,
-        routing: Optional[Dict[str, Sequence[str]]] = None,
-        ranges: Optional[Sequence] = None,
         shard_backend: str = "process",
         wal_path: Optional[str] = None,
         workers: int = 0,
         retry: Optional[RetryPolicy] = None,
-        segment_bytes: Optional[int] = None,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         checkpoint_dir: Optional[str] = None,
         checkpoint_interval: Optional[int] = None,
         snapshot_retain: int = 8,
@@ -264,16 +257,11 @@ class ShardedWarehouse(Warehouse):
         restart_window_seconds: float = 60.0,
     ):
         super().__init__(db, telemetry)  # the facade's own state
-        if sharding is not None:
-            self.spec = sharding
-            self.spec.validate(db)
-        elif routing is not None:
-            self.spec = ShardingSpec(shards or 1, routing, ranges=ranges)
-            self.spec.validate(db)
+        if sharding is None:
+            sharding = ShardingSpec.for_database(db, shards or 1)
         else:
-            self.spec = ShardingSpec.for_database(
-                db, shards or 1, ranges=ranges
-            )
+            sharding.validate(db)
+        self.spec = sharding
         if shards is not None and shards != self.spec.shards:
             raise ShardingError(
                 f"shards={shards} disagrees with the sharding spec's "
@@ -313,30 +301,26 @@ class ShardedWarehouse(Warehouse):
                 partitioned_rows.setdefault(shard, {})[name] = (
                     wire.encode_rows(rows)
                 )
-        self._handles = []
+        # every shard's Warehouse(db, **settings); only the directories
+        # differ, one shard-<i> below each root
+        settings = dict(
+            workers=workers, retry=retry, segment_bytes=segment_bytes,
+            checkpoint_interval=checkpoint_interval,
+            snapshot_retain=snapshot_retain,
+        )
+        self._handles: List[ShardHandle] = []
         self._inits: List[Dict] = []  # retained for shard reincarnation
         try:
             for shard in range(self.shards):
                 rows = dict(replicated_rows)
                 rows.update(partitioned_rows.get(shard, {}))
-                init = {
-                    "schema": schema,
-                    "rows": rows,
-                    "workers": workers,
-                    "snapshot_retain": snapshot_retain,
-                }
-                if wal_path:
-                    init["wal_dir"] = f"{wal_path}/shard-{shard}"
-                if checkpoint_dir:
-                    init["checkpoint_dir"] = f"{checkpoint_dir}/shard-{shard}"
-                    if checkpoint_interval:
-                        init["checkpoint_interval"] = checkpoint_interval
-                if segment_bytes:
-                    init["segment_bytes"] = segment_bytes
-                if retry is not None:
-                    init["retry"] = asdict(retry)
+                init = {"schema": schema, "rows": rows, "settings": dict(
+                    settings,
+                    wal_path=wal_path and f"{wal_path}/shard-{shard}",
+                    checkpoint_dir=checkpoint_dir and f"{checkpoint_dir}/shard-{shard}",
+                )}
                 self._inits.append(init)
-                self._handles.append(make_handle(shard_backend, shard, init))
+                self._handles.append(ShardHandle(shard, init, shard_backend))
         except Exception:
             # terminate (not close) the workers that did spawn: close()
             # waits out a graceful round-trip per shard, and the caller
@@ -356,13 +340,11 @@ class ShardedWarehouse(Warehouse):
         """The init blob a reincarnated worker for *shard* starts from:
         the retained construction blob (initial partition rows, runtime
         directories) plus every view created since."""
-        init = dict(self._inits[shard])
-        init["views"] = [
+        return dict(self._inits[shard], views=[
             {"view": wire.encode_view(self._definitions[name]),
              "options": self._options[name]}
             for name in self.view_names
-        ]
-        return init
+        ])
 
     # ------------------------------------------------------------------
     # plumbing
@@ -543,6 +525,15 @@ class ShardedWarehouse(Warehouse):
         self._outputs[name] = list(definition.output_columns(self.db))
         self._options[name] = opt_blob
 
+    def drop_view(self, name: str) -> None:
+        """Drop *name* on every shard, then forget it here, so that no
+        reincarnated worker re-creates it."""
+        self._require_open()
+        self._plan_of(name)  # CatalogError for an unknown view
+        self._broadcast("drop_view", view=name)
+        for registry in (self._definitions, self._plans, self._outputs, self._options):
+            del registry[name]
+
     @property
     def view_names(self) -> List[str]:
         return sorted(self._definitions)
@@ -557,7 +548,6 @@ class ShardedWarehouse(Warehouse):
         "aggregated views are not supported in sharded mode yet; "
         "create them on a per-shard warehouse or unsharded"
     )
-    drop_view = _worker_side("drop_view is not supported in sharded mode")
     view = aggregated_view = _worker_side(
         "a sharded warehouse has no single materialized view object; "
         "use query()/view_rows() to read merged contents"
@@ -1106,6 +1096,7 @@ class ShardedWarehouse(Warehouse):
                     "view_rows": info["view_rows"],
                     "quarantined": info["quarantined"],
                     "wal_pending": info["wal_pending"],
+                    "open_txns": info["open_txns"],
                     "queue_depth": self._handles[shard].queue_depth,
                 }
                 for shard, info in stats.items()

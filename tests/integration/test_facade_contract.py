@@ -12,12 +12,14 @@ returned or raised — and the sharded traces must equal the local one.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro import AsyncWarehouse
 from repro.core.maintain import MaintenanceReport
-from repro.errors import ConstraintError
+from repro.errors import ConstraintError, MaintenanceError
 from repro.runtime import ChangeTicket, FanOutResult
 from repro.warehouse import Warehouse
 
@@ -170,6 +172,14 @@ def surface_script(wh):
             wh.query(VIEW, predicate=lambda r: r["lineitem.l_qty"] is None)
         ),
     )
+
+    # a dropped view is gone everywhere; its name can be reused
+    wh.drop_view(VIEW)
+    note(
+        "drop_view",
+        (wh.view_names, raised(wh.query, VIEW), raised(wh.drop_view, VIEW)),
+    )
+    wh.create_view(VIEW, order_lines_defn())
     wh.check_consistency()
     note("final", contents(wh))
     return trace
@@ -240,4 +250,22 @@ def test_surface_trace_is_what_the_contract_says(local_traces):
     assert ok[3] and ok[4] == [VIEW]
     assert bad == trace["dup-ticket"]
     assert flushed == [] and len(probe) == 3
+    assert trace["drop_view"] == ([], "CatalogError", "CatalogError")
     assert trace["final"]["quarantined"] == []
+
+
+def shard_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("repro-shard-")}
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_checkpoint_interval_without_a_checkpoint_dir_is_refused(flavour):
+    """Every flavour refuses the same arguments with the same typed
+    error, and a sharded one leaves no worker behind."""
+    before = shard_threads()
+    with pytest.raises(MaintenanceError, match="requires a checkpoint_dir"):
+        Warehouse(build_db(), checkpoint_interval=5, **FLAVOURS[flavour])
+    deadline = time.monotonic() + 5.0
+    while shard_threads() - before and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not shard_threads() - before

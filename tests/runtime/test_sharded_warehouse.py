@@ -3,8 +3,8 @@ recovery with damaged shard WALs.  (Shard-vs-unsharded equivalence of
 the shared change surface: tests/integration/test_facade_contract.py.)
 
 Thread-backend workers everywhere except the one process-backend smoke
-test: they run the identical ``ShardServer`` code, round-trip every
-message through pickle, and keep the suite fast and deterministic.
+test: they run the identical serve loop over the same pipe, and keep
+the suite fast and deterministic.
 """
 
 import glob
@@ -21,7 +21,8 @@ from repro.errors import (
     ShardingError,
 )
 from repro.obs import Telemetry
-from repro.runtime.shardproc import ThreadShardHandle
+from repro.runtime import ShardingSpec
+from repro.runtime.shardproc import ShardHandle
 from repro.sharded import ShardedSnapshot, ShardedWarehouse
 from repro.warehouse import Warehouse
 
@@ -107,8 +108,7 @@ def test_empty_shard_participates_in_merge_and_accepts_late_rows():
     wh = make_sharded(
         db.copy(),
         shards=2,
-        routing={"lineitem": ("l_orderkey",)},
-        ranges=(1000,),
+        sharding=ShardingSpec(2, {"lineitem": ("l_orderkey",)}, ranges=(1000,)),
     )
     try:
         stats = wh.shard_stats()
@@ -132,8 +132,9 @@ def test_max_skew_reports_rebalance_advisory():
     wh = make_sharded(
         db.copy(),
         shards=4,
-        routing={"lineitem": ("l_orderkey",)},
-        ranges=(1000, 2000, 3000),
+        sharding=ShardingSpec(
+            4, {"lineitem": ("l_orderkey",)}, ranges=(1000, 2000, 3000)
+        ),
     )
     try:
         stats = wh.shard_stats()
@@ -185,7 +186,7 @@ def test_statement_message_shape(monkeypatch):
     ``change``; several, two messages per participant (apply+prepare,
     then commit) and no ``flush`` barrier."""
     sent = []
-    submit = ThreadShardHandle.submit
+    submit = ShardHandle.submit
 
     def counting_submit(handle, cmd, **payload):
         sent.append((handle.shard_id, cmd))
@@ -193,7 +194,7 @@ def test_statement_message_shape(monkeypatch):
 
     wh = make_sharded(shards=2)
     try:
-        monkeypatch.setattr(ThreadShardHandle, "submit", counting_submit)
+        monkeypatch.setattr(ShardHandle, "submit", counting_submit)
         (owner,) = wh.router.split_rows("lineitem", [(0, 9, 1)])
         wh.insert("lineitem", [(0, 9, 1)])
         assert sent == [(owner, "change")]
@@ -438,8 +439,6 @@ def test_ticket_resolves_once_under_concurrent_waiters_and_callbacks():
 
 
 def test_shard_count_must_match_spec():
-    from repro.runtime import ShardingSpec
-
     db = build_db()
     spec = ShardingSpec(2, {"lineitem": ("l_orderkey",)})
     with pytest.raises(ShardingError, match="shard"):

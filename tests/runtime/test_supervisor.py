@@ -15,8 +15,7 @@ import pytest
 
 from repro.errors import MaintenanceError, ShardingError, ShardUnavailableError
 from repro.runtime.failpoints import FAILPOINTS
-from repro.runtime.shardproc import ThreadShardHandle
-from repro.runtime.supervisor import DeadShardHandle
+from repro.runtime.shardproc import ShardHandle
 from repro.warehouse import Warehouse
 
 from .test_sharded_warehouse import build_db, order_lines_defn
@@ -209,7 +208,7 @@ def test_worker_dying_between_prepare_and_decision_aborts_everywhere(tmp_path):
             wh.insert("lineitem", SPREAD)
         assert wait_all_up(wh), wh.supervisor.status()
         assert not {row[:2] for row in SPREAD} & lineitem_keys(wh)
-        assert wh._handles[1]._server._txns == {}
+        assert wh.shard_stats()["shards"][1]["open_txns"] == []
         wh.check_consistency()
     finally:
         FAILPOINTS.disarm("shard.pipe.drop")
@@ -281,7 +280,7 @@ def test_flapping_shard_is_quarantined_and_health_degrades(tmp_path):
                 break
         assert wh.supervisor.is_quarantined(1)
         assert wh.supervisor.degraded
-        assert isinstance(wh._handles[1], DeadShardHandle)
+        assert wh._handles[1]._closed.startswith("shard 1 is quarantined")
         assert wh.supervisor.status()[1]["state"] == "quarantined"
         assert wh.last_recovery["kind"] == "quarantine"
         assert wh.last_recovery["degraded"]
@@ -309,16 +308,16 @@ def test_construction_failure_terminates_spawned_workers(monkeypatch):
     import repro.sharded as sharded_mod
 
     spawned = []
-    real_make_handle = sharded_mod.make_handle
+    real_handle = sharded_mod.ShardHandle
 
-    def flaky_make_handle(backend, shard, init, **kwargs):
+    def flaky_handle(shard, init, backend):
         if shard == 1:
             raise ShardingError("injected spawn failure")
-        handle = real_make_handle(backend, shard, init, **kwargs)
+        handle = real_handle(shard, init, backend)
         spawned.append(handle)
         return handle
 
-    monkeypatch.setattr(sharded_mod, "make_handle", flaky_make_handle)
+    monkeypatch.setattr(sharded_mod, "ShardHandle", flaky_handle)
     with pytest.raises(ShardingError, match="injected spawn failure"):
         Warehouse(build_db(), shards=2, shard_backend="thread")
     assert spawned, "first worker never spawned"
@@ -337,7 +336,7 @@ def test_close_resolves_outstanding_when_worker_already_dead():
     try:
         wh.supervisor.stop()  # keep the supervisor out of this one
         handle = wh._handles[0]
-        assert isinstance(handle, ThreadShardHandle)
+        assert isinstance(handle, ShardHandle) and handle.backend == "thread"
         kill_worker(wh, shard=0)
         reply = handle.submit("ping")
         started = time.monotonic()
@@ -387,8 +386,8 @@ def test_broken_pipe_write_surfaces_typed_error(tmp_path):
         tmp_path, shard_backend="process", probe_timeout_seconds=1.0
     )
     try:
-        wh._handles[1].process.kill()
-        wh._handles[1].process.join(timeout=10.0)
+        wh._handles[1].worker.kill()
+        wh._handles[1].worker.join(timeout=10.0)
         with pytest.raises(ShardingError):
             # replicated: the facade writes to the dead worker's pipe
             wh.insert("orders", [(590, 1)])
@@ -430,7 +429,7 @@ def test_process_worker_sigkill_acceptance(tmp_path):
         started = time.monotonic()
         for t in threads:
             t.start()
-        wh._handles[1].process.kill()
+        wh._handles[1].worker.kill()
         for t in threads:
             t.join(timeout=60.0)
         assert all(not t.is_alive() for t in threads), (

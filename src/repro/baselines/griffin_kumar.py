@@ -34,6 +34,7 @@ from ..core.maintain import (
     MaintenanceOptions,
     MaintenanceReport,
     SECONDARY_FROM_BASE,
+    SharedResults,
     ViewMaintainer,
 )
 from ..core.maintgraph import MaintenanceGraph
@@ -75,9 +76,10 @@ class GriffinKumarMaintainer(ViewMaintainer):
         delta: Table,
         operation: str,
         fk_allowed: bool = True,
+        shared: Optional[SharedResults] = None,
     ) -> MaintenanceReport:
         # fk_allowed is irrelevant: every FK option is already off.
-        return super().maintain(table, delta, operation, fk_allowed=False)
+        return super().maintain(table, delta, operation, fk_allowed=False, shared=shared)
 
     def _compute_primary(
         self,
@@ -86,11 +88,12 @@ class GriffinKumarMaintainer(ViewMaintainer):
         mgraph: MaintenanceGraph,
         fk_allowed: bool,
         report: MaintenanceReport,
+        shared: Optional[SharedResults] = None,
     ) -> Optional[Table]:
         # inside the pass: the report's clock and the maintain span both
         # cover the per-term deltas
         self._evaluate_all_term_deltas(table, delta)
-        return super()._compute_primary(table, delta, mgraph, fk_allowed, report)
+        return super()._compute_primary(table, delta, mgraph, fk_allowed, report, shared)
 
     def _evaluate_all_term_deltas(self, table: str, delta: Table) -> None:
         """Characteristic (c): evaluate ΔEᵢ from base tables for every

@@ -38,6 +38,7 @@ from .maintain import (
     MaintenancePlans,
     MaintenanceReport,
     SECONDARY_FROM_BASE,
+    SharedResults,
     undo_pass,
 )
 from .secondary import INSERT
@@ -270,7 +271,8 @@ class AggregatedView(MaintenancePlans):
     # maintenance (insert / delete / update come from MaintenancePlans)
     # ------------------------------------------------------------------
     def maintain(
-        self, table: str, delta: Table, operation: str, fk_allowed: bool = True
+        self, table: str, delta: Table, operation: str, fk_allowed: bool = True,
+        shared: Optional[SharedResults] = None,
     ) -> MaintenanceReport:
         """Aggregate-and-merge maintenance: compute ΔV^D / ΔV^I for the
         underlying SPOJ view and fold them with the appropriate signs.
@@ -278,7 +280,7 @@ class AggregatedView(MaintenancePlans):
         pass is undone like one (see :func:`~repro.core.maintain.undo_pass`)."""
         undo: List[Callable[[], int]] = []  # each fold's inverse, in order
         try:
-            report = self._maintain(table, delta, operation, fk_allowed, undo)
+            report = self._maintain(table, delta, operation, fk_allowed, undo, shared)
         except Exception:
             self.telemetry.emit(
                 "maintenance.error",
@@ -293,7 +295,7 @@ class AggregatedView(MaintenancePlans):
 
     def _maintain(
         self, table: str, delta: Table, operation: str, fk_allowed: bool,
-        undo: List[Callable[[], int]],
+        undo: List[Callable[[], int]], shared: Optional[SharedResults],
     ) -> MaintenanceReport:
         report = MaintenanceReport(
             view=self.definition.name,
@@ -307,7 +309,7 @@ class AggregatedView(MaintenancePlans):
         mgraph = self.maintenance_graph(table, fk_allowed)
         report.direct_terms = [t.label() for t in mgraph.directly_affected]
         report.indirect_terms = [t.label() for t in mgraph.indirectly_affected]
-        primary = self._compute_primary(table, delta, mgraph, fk_allowed, report)
+        primary = self._compute_primary(table, delta, mgraph, fk_allowed, report, shared)
         if primary is None:
             return report
 

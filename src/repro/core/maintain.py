@@ -44,7 +44,7 @@ from ..engine.schema import Schema
 from ..engine.table import Row, Table
 from ..errors import MaintenanceError, UndoError, UnsupportedViewError
 from ..obs import Telemetry
-from ..planner import PlanCache, compile_plan, provision_indexes
+from ..planner import PlanCache, SharedResults, compile_plan, provision_indexes
 from ..runtime.failpoints import FAILPOINTS
 from .fk import simplify_tree
 from .leftdeep import to_left_deep
@@ -320,9 +320,11 @@ class MaintenancePlans:
         mgraph: MaintenanceGraph,
         fk_allowed: bool,
         report: MaintenanceReport,
+        shared: Optional[SharedResults] = None,
     ) -> Optional[Table]:
         """ΔV^D for *delta* (``None`` when the maintenance graph or the
-        foreign keys prove it empty)."""
+        foreign keys prove it empty); *shared* is the change's memo of
+        sub-plan results (:meth:`~repro.planner.CompiledPlan.execute`)."""
         if not mgraph.directly_affected:
             report.primary_skipped = True
             return None
@@ -335,7 +337,7 @@ class MaintenancePlans:
             ("primary", table, use_fk),
             lambda: self._build_primary_plan(table, expr),
         )
-        return plan.execute(self.db, {delta_label(table): delta})
+        return plan.execute(self.db, {delta_label(table): delta}, shared)
 
     def _secondary_base_rows(
         self,
@@ -390,12 +392,14 @@ class ViewMaintainer(MaintenancePlans):
         delta: Table,
         operation: str,
         fk_allowed: bool = True,
+        shared: Optional[SharedResults] = None,
     ) -> MaintenanceReport:
         """Maintain the view for an already-applied base-table update.
 
         *delta* holds the inserted (or deleted) rows; the base table in
         ``self.db`` must already reflect the update, matching the paper's
-        setup ("the base tables have already been updated").
+        setup ("the base tables have already been updated").  *shared* is
+        the change's memo, handed to every view the change fans out to.
         """
         started = time.perf_counter()
         report = MaintenanceReport(
@@ -432,7 +436,7 @@ class ViewMaintainer(MaintenancePlans):
 
                 with tracer.span("primary_delta") as span:
                     primary = self._compute_primary(
-                        table, delta, mgraph, fk_allowed, report
+                        table, delta, mgraph, fk_allowed, report, shared
                     )
                     span.set_attribute("skipped", report.primary_skipped)
                     if primary is not None:
@@ -494,10 +498,7 @@ class ViewMaintainer(MaintenancePlans):
         return count
 
     def _count_term_rows(
-        self,
-        primary: Table,
-        mgraph: MaintenanceGraph,
-        report: MaintenanceReport,
+        self, primary: Table, mgraph: MaintenanceGraph, report: MaintenanceReport
     ) -> None:
         from .extract import extract_net_delta
 
@@ -519,9 +520,7 @@ class ViewMaintainer(MaintenancePlans):
     ) -> None:
         strategy = self.options.secondary_strategy
         # Parents before children (see module docstring).
-        terms = sorted(
-            mgraph.indirectly_affected, key=lambda t: -len(t.source)
-        )
+        terms = sorted(mgraph.indirectly_affected, key=lambda t: -len(t.source))
         for term in terms:
             term_strategy = strategy
             if strategy == SECONDARY_AUTO:
@@ -565,11 +564,7 @@ class ViewMaintainer(MaintenancePlans):
             for name in (parent.source - term.source - {table}):
                 base_cost += len(self.db.table(name))
             base_cost += len(self.db.table(table))
-        return (
-            SECONDARY_FROM_BASE
-            if base_cost < view_cost
-            else SECONDARY_FROM_VIEW
-        )
+        return SECONDARY_FROM_BASE if base_cost < view_cost else SECONDARY_FROM_VIEW
 
     # ------------------------------------------------------------------
     def _align_rows(self, table: Table) -> List[Row]:

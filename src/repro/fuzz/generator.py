@@ -286,19 +286,17 @@ def generate_scenario(
     views = []
     for i in range(rng.randint(1, p.max_views)):
         subset = sorted(rng.sample(names, rng.randint(2, len(names))))
-        defn = random_view(
-            rng,
-            db,
-            name=f"v{i}",
-            tables=subset,
-            key_join_probability=0.3,
-        )
+        defn = random_view(rng, db, name=f"v{i}", tables=subset, key_join_probability=0.3)
         views.append({"name": f"v{i}", "sql": render_select(defn.join_expr)})
 
     ops = _generate_ops(
         rng, db, p, value_range=value_range, null_fraction=null_fraction,
         skew=skew,
     )
+    # drawn last, so a seed keeps its tables, rows and ops: v1 may be v0's
+    # sibling, and then every sub-plan of the two views' plans is shared
+    if len(views) > 1 and rng.random() < 0.25:
+        views[1]["sql"] = views[0]["sql"]
     return Scenario(
         tables=tables,
         foreign_keys=foreign_keys,

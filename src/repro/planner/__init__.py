@@ -26,6 +26,7 @@ from .compile import (
     ExecutionContext,
     PhysicalNode,
     PlanCompileError,
+    SharedResults,
     compile_plan,
 )
 from .provision import ProbeSite, probe_sites, provision_indexes
@@ -49,6 +50,7 @@ __all__ = [
     "PlanCache",
     "PlanCompileError",
     "ProbeSite",
+    "SharedResults",
     "build_database",
     "compile_plan",
     "decode_options",

@@ -23,11 +23,20 @@ predicates, projections, null-if shapers — is built here, once.  The one
 decision left to runtime is the join's hash side (probe a live persistent
 index, else hash the smaller input), taken inside the join operator
 itself; see ``docs/PERFORMANCE.md``.
+
+Plans of different views share sub-trees: every view over ``lineitem``
+starts from the same ``ΔL ⋈ orders``.  A node whose leaves are all
+base-table scans or ``delta:<T>`` bindings gets a structural signature,
+interned to an int, and an execution handed a per-change memo
+(``shared``) computes each signed node once for every plan that holds
+it.  A node over any other binding (a view, the §5.3 candidates) is
+never signed: those inputs differ per view.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..algebra.evaluate import static_join_plan
 from ..algebra.expr import (
@@ -49,6 +58,22 @@ from ..engine.table import Table
 from ..errors import ReproError
 
 BindingSchemas = Dict[str, Schema]
+#: One change's shared sub-plan results: ``(signature, id of the delta
+#: read) -> Table``.  Built and dropped by the caller around one fan-out.
+SharedResults = Dict[Tuple, Table]
+
+_SIGNATURES: Dict[Tuple, int] = {}
+_NEXT_SIGNATURE = count()
+
+
+def _intern(signature: Tuple) -> int:
+    """The int standing for *signature* in this process.  ``next`` on a
+    ``count`` is atomic, so racing compiles never hand one int to two
+    signatures."""
+    found = _SIGNATURES.get(signature)
+    if found is None:
+        found = _SIGNATURES.setdefault(signature, next(_NEXT_SIGNATURE))
+    return found
 
 
 class PlanCompileError(ReproError):
@@ -60,26 +85,49 @@ class PlanCompileError(ReproError):
 
 class ExecutionContext:
     """Runtime inputs of one plan execution: the database (base-table
-    leaves are read live) and the binding environment (deltas, views,
-    temporaries)."""
+    leaves are read live), the binding environment (deltas, views,
+    temporaries) and the change's shared results, if any."""
 
-    __slots__ = ("db", "bindings")
+    __slots__ = ("db", "bindings", "shared")
 
-    def __init__(self, db: Database, bindings: Optional[Dict[str, Table]]):
+    def __init__(
+        self,
+        db: Database,
+        bindings: Optional[Dict[str, Table]],
+        shared: Optional[SharedResults] = None,
+    ):
         self.db = db
         self.bindings = bindings or {}
+        self.shared = shared
 
 
 class PhysicalNode:
     """One pre-bound pipeline step.  ``schema`` is the statically inferred
-    output schema every closure below this node was compiled against."""
+    output schema every closure below this node was compiled against.
+    ``sig`` is the interned structural signature (``None``: never shared)
+    and ``delta`` the ``delta:<T>`` label the leaves below read, if any."""
 
-    __slots__ = ("schema",)
+    __slots__ = ("schema", "sig", "delta")
 
     def __init__(self, schema: Schema):
         self.schema = schema
+        self.sig: Optional[int] = None
+        self.delta: Optional[str] = None
 
     def execute(self, ctx: ExecutionContext) -> Table:
+        """The node's output.  With shared results a signed node is looked
+        up there first, and stored there once computed; operator outputs
+        are never mutated afterwards, so every reader may hold the one."""
+        shared = ctx.shared
+        if shared is None or self.sig is None:
+            return self.compute(ctx)
+        key = (self.sig, id(ctx.bindings.get(self.delta)))
+        out = shared.get(key)
+        if out is None:
+            out = shared[key] = self.compute(ctx)
+        return out
+
+    def compute(self, ctx: ExecutionContext) -> Table:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -124,12 +172,9 @@ class BoundScan(PhysicalNode):
             table = ctx.bindings[self.label]
         except KeyError:
             raise PlanCompileError(
-                f"no binding for {self.label!r}; available: "
-                f"{sorted(ctx.bindings)}"
+                f"no binding for {self.label!r}; available: {sorted(ctx.bindings)}"
             ) from None
-        if table.schema is not self.schema and (
-            table.schema.columns != self.schema.columns
-        ):
+        if table.schema is not self.schema and (table.schema.columns != self.schema.columns):
             raise PlanCompileError(
                 f"binding {self.label!r} has schema "
                 f"{table.schema.columns}, plan was compiled for "
@@ -149,7 +194,7 @@ class SelectNode(PhysicalNode):
         self.child = child
         self.predicate = predicate
 
-    def execute(self, ctx: ExecutionContext) -> Table:
+    def compute(self, ctx: ExecutionContext) -> Table:
         return ops.select(self.child.execute(ctx), self.predicate)
 
     def describe(self) -> str:
@@ -174,7 +219,7 @@ class ProjectNode(PhysicalNode):
         self.columns = columns
         self.positions = positions
 
-    def execute(self, ctx: ExecutionContext) -> Table:
+    def compute(self, ctx: ExecutionContext) -> Table:
         return ops.project(
             self.child.execute(ctx),
             self.columns,
@@ -196,7 +241,7 @@ class DistinctNode(PhysicalNode):
         super().__init__(child.schema)
         self.child = child
 
-    def execute(self, ctx: ExecutionContext) -> Table:
+    def compute(self, ctx: ExecutionContext) -> Table:
         return ops.distinct(self.child.execute(ctx))
 
     def describe(self) -> str:
@@ -221,7 +266,7 @@ class NullIfNode(PhysicalNode):
         self.columns = columns
         self.nuller = ops.null_shaper(child.schema, columns)
 
-    def execute(self, ctx: ExecutionContext) -> Table:
+    def compute(self, ctx: ExecutionContext) -> Table:
         return ops.null_if(
             self.child.execute(ctx),
             self.predicate,
@@ -250,7 +295,7 @@ class FixUpNode(PhysicalNode):
         self.group_key = group_key
         self.positions = positions
 
-    def execute(self, ctx: ExecutionContext) -> Table:
+    def compute(self, ctx: ExecutionContext) -> Table:
         return ops.fixup(
             self.child.execute(ctx),
             self.group_key,
@@ -298,7 +343,7 @@ class JoinNode(PhysicalNode):
             right.schema.positions([rc for __, rc in equi]),
         )
 
-    def execute(self, ctx: ExecutionContext) -> Table:
+    def compute(self, ctx: ExecutionContext) -> Table:
         return ops.join(
             self.left.execute(ctx),
             self.right.execute(ctx),
@@ -337,9 +382,15 @@ class CompiledPlan:
         return self.root.schema
 
     def execute(
-        self, db: Database, bindings: Optional[Dict[str, Table]] = None
+        self,
+        db: Database,
+        bindings: Optional[Dict[str, Table]] = None,
+        shared: Optional[SharedResults] = None,
     ) -> Table:
-        return self.root.execute(ExecutionContext(db, bindings))
+        """Run the plan.  *shared* is one change's memo: signed nodes
+        reuse what an earlier plan computed for the same change and store
+        what they compute.  The caller owns its lifetime (one change)."""
+        return self.root.execute(ExecutionContext(db, bindings, shared))
 
     def explain(self) -> str:
         """Indented physical tree (for tests, docs and debugging)."""
@@ -354,6 +405,17 @@ class CompiledPlan:
         return "\n".join(lines)
 
 
+def _sign(node: PhysicalNode, head: Tuple[Hashable, ...]) -> PhysicalNode:
+    """Give *node* the signature *head* + its children's, and the delta
+    they read — unless a child has no signature, or they read two."""
+    below = node.children()
+    deltas = {child.delta for child in below} - {None}
+    if len(deltas) < 2 and all(child.sig is not None for child in below):
+        node.sig = _intern(head + tuple(child.sig for child in below))
+        node.delta = deltas.pop() if deltas else None
+    return node
+
+
 def compile_plan(
     expr: RelExpr,
     db: Database,
@@ -365,6 +427,7 @@ def compile_plan(
     ``delta:T`` label defaults to table T's schema (the shape
     :meth:`Database.insert`/``delete`` produce).  Raises
     :class:`PlanCompileError` on shapes the compiler cannot pre-bind.
+    Each node is signed on the way up (:func:`_sign`).
     """
     schemas = dict(binding_schemas or {})
     counter = [0]
@@ -372,23 +435,24 @@ def compile_plan(
     def walk(node: RelExpr) -> PhysicalNode:
         counter[0] += 1
         if isinstance(node, Relation):
-            return RelationScan(node.name, db.table(node.name).schema)
+            schema = db.table(node.name).schema
+            return _sign(RelationScan(node.name, schema), ("scan", node.name, schema.columns))
         if isinstance(node, Bound):
+            is_delta = node.label.startswith("delta:")
             schema = schemas.get(node.label)
-            if schema is None and node.label.startswith("delta:"):
+            if schema is None and is_delta:
                 schema = db.table(node.label.split(":", 1)[1]).schema
             if schema is None:
-                raise PlanCompileError(
-                    f"unknown binding schema for {node.label!r}"
-                )
-            return BoundScan(node.label, schema)
+                raise PlanCompileError(f"unknown binding schema for {node.label!r}")
+            scan = BoundScan(node.label, schema)
+            if is_delta:
+                _sign(scan, ("bind", node.label, schema.columns))
+                scan.delta = node.label
+            return scan
         if isinstance(node, Select):
             child = walk(node.child)
-            return SelectNode(
-                child,
-                compile_predicate(node.pred, child.schema),
-                child.schema,
-            )
+            select = SelectNode(child, compile_predicate(node.pred, child.schema), child.schema)
+            return _sign(select, ("select", node.pred))
         if isinstance(node, Project):
             child = walk(node.child)
             columns = tuple(node.columns)
@@ -396,26 +460,24 @@ def compile_plan(
                 positions = child.schema.positions(columns)
             except ReproError as exc:
                 raise PlanCompileError(str(exc)) from exc
-            return ProjectNode(child, columns, positions, Schema(columns))
+            project = ProjectNode(child, columns, positions, Schema(columns))
+            return _sign(project, ("project", columns))
         if isinstance(node, Distinct):
-            return DistinctNode(walk(node.child))
+            return _sign(DistinctNode(walk(node.child)), ("distinct",))
         if isinstance(node, NullIf):
             child = walk(node.child)
             columns = tuple(c for c in node.columns if c in child.schema)
-            return NullIfNode(
-                child, compile_predicate(node.pred, child.schema), columns
-            )
+            null_if = NullIfNode(child, compile_predicate(node.pred, child.schema), columns)
+            return _sign(null_if, ("null_if", node.pred, columns))
         if isinstance(node, FixUp):
             child = walk(node.child)
             keys = tuple(c for c in node.key_columns if c in child.schema)
-            return FixUpNode(child, keys, child.schema.positions(keys))
+            return _sign(FixUpNode(child, keys, child.schema.positions(keys)), ("fixup", keys))
         if isinstance(node, Join):
             left = walk(node.left)
             right = walk(node.right)
             try:
-                pairs, residual_pred = static_join_plan(
-                    node, left.schema, right.schema
-                )
+                pairs, residual_pred = static_join_plan(node, left.schema, right.schema)
                 if node.kind in ("semi", "anti"):
                     schema = left.schema
                 else:
@@ -424,12 +486,9 @@ def compile_plan(
                 raise PlanCompileError(str(exc)) from exc
             residual = None
             if residual_pred is not None:
-                residual = compile_predicate(
-                    residual_pred, left.schema.concat(right.schema)
-                )
-            return JoinNode(
-                left, right, node.kind, tuple(pairs), residual, schema
-            )
+                residual = compile_predicate(residual_pred, left.schema.concat(right.schema))
+            join = JoinNode(left, right, node.kind, tuple(pairs), residual, schema)
+            return _sign(join, ("join", node.kind, join.equi, residual_pred))
         raise PlanCompileError(f"cannot compile node {node!r}")
 
     root = walk(expr)

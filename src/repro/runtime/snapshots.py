@@ -266,9 +266,7 @@ class Snapshot:
         try:
             return list(self.tables[table].rows)
         except KeyError:
-            raise CatalogError(
-                f"snapshot has no base table {table!r}"
-            ) from None
+            raise CatalogError(f"snapshot has no base table {table!r}") from None
 
     def age_seconds(self, now: Optional[float] = None) -> float:
         return max(0.0, (time.time() if now is None else now) - self.created_at)
@@ -279,20 +277,14 @@ class Snapshot:
         except KeyError:
             raise CatalogError(f"snapshot has no view {view!r}") from None
 
-    def _positions(
-        self, slice_: ViewSlice, names: Iterable[str]
-    ) -> List[int]:
+    def _positions(self, slice_: ViewSlice, names: Iterable[str]) -> List[int]:
         positions = []
         for name in names:
             if name in slice_.columns:
                 positions.append(slice_.columns.index(name))
                 continue
             # accept bare column names when unambiguous
-            matches = [
-                i
-                for i, col in enumerate(slice_.columns)
-                if _bare(col) == name
-            ]
+            matches = [i for i, col in enumerate(slice_.columns) if _bare(col) == name]
             if len(matches) != 1:
                 raise CatalogError(
                     f"view {slice_.name!r} has no column {name!r}"
@@ -519,11 +511,18 @@ class SnapshotStore:
         return self._capture_full(tracked, name, live)
 
     def _advance(self, tracked: _Tracked, changes: Overlay, version: int) -> _Slice:
-        """Stack *changes* on the tracked slice."""
+        """Stack *changes* on the tracked slice.  Its length gains the rows
+        *changes* holds and loses the changed keys it held; each layer,
+        newest first, settles the keys no newer one named, by set ops."""
         previous = tracked.slice
-        length = len(previous)
-        for key, row in changes.items():
-            length += (row is not None) - (previous.get(key) is not None)
+        unsettled, held = changes.keys(), 0
+        for overlay in reversed(previous._overlays):
+            named = unsettled & overlay.keys()
+            if named:
+                held += len(named) - [overlay[key] for key in named].count(None)
+                unsettled = unsettled - named
+        held += len(unsettled & previous._base.keys())
+        length = len(previous) + len(changes) - list(changes.values()).count(None) - held
         slice_, folded = previous._successor(changes, length, version)
         self.captured_rows += len(changes)
         if folded:

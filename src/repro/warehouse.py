@@ -48,7 +48,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .algebra.expr import RelExpr
 from .core.aggregate import Aggregate, AggregatedView
 from .core.batch import NetDelta
-from .core.maintain import MaintenanceOptions, MaintenanceReport, ViewMaintainer
+from .core.maintain import MaintenanceOptions, MaintenanceReport, SharedResults, ViewMaintainer
 from .core.secondary import DELETE, INSERT
 from .core.view import MaterializedView, ViewDefinition
 from .engine.catalog import Database
@@ -654,18 +654,12 @@ class Warehouse:
         """One scheduler task per registered view, in registration order.
         A failed ``maintain`` leaves its view exactly pre-change, so a
         retry runs the task again: no copy, no broken snapshot journal.
-        Each view meters its own spans and errors either way."""
+        Each view meters its own spans and errors either way.  The tasks
+        share one memo: a sub-plan several views' plans hold runs once
+        for the change, and the memo dies with the tasks."""
+        shared: SharedResults = {}
         return [
-            Task(
-                name,
-                partial(
-                    target.maintain,
-                    table,
-                    delta,
-                    operation,
-                    fk_allowed=fk_allowed,
-                ),
-            )
+            Task(name, partial(target.maintain, table, delta, operation, fk_allowed, shared))
             for name, target in self._views.items()
         ]
 

@@ -681,18 +681,3 @@ def _eval3_is_true(pred: Predicate, schema: Schema) -> Callable:
         return pred.eval3(get) is True
 
     return run
-
-
-def null_predicate(table: str, key_column: str) -> IsNull:
-    """The paper's ``null(T)``: T is null-extended iff a non-null column of
-    T (we use a key column) is NULL."""
-    return IsNull(Col(key_column)) if "." in key_column else IsNull(
-        Col(f"{table}.{key_column}")
-    )
-
-
-def not_null_predicate(table: str, key_column: str) -> NotNull:
-    """The paper's ``¬null(T)``."""
-    return NotNull(Col(key_column)) if "." in key_column else NotNull(
-        Col(f"{table}.{key_column}")
-    )

@@ -15,13 +15,6 @@ Public entry points:
   separately for study and testing.
 """
 
-from .advisor import (
-    ForeignKeySuggestion,
-    IndexSuggestion,
-    advise,
-    suggest_foreign_keys,
-    suggest_indexes,
-)
 from .batch import UpdateBatch
 from .aggregate import (
     Aggregate,
@@ -89,11 +82,6 @@ __all__ = [
     "DELETE",
     "AggregatedView",
     "UpdateBatch",
-    "advise",
-    "suggest_foreign_keys",
-    "suggest_indexes",
-    "ForeignKeySuggestion",
-    "IndexSuggestion",
     "Aggregate",
     "count_star",
     "count_col",

@@ -10,7 +10,6 @@ foreign-key enforcement.
 
 from .catalog import Database
 from .constraints import ForeignKey, UniqueKey
-from .display import format_table, print_table
 from .index import HashIndex, find_index
 from .schema import Schema, qualify, split_qualified
 from .table import Row, Table, rows_to_set, same_rows
@@ -48,8 +47,6 @@ __all__ = [
     "null_if",
     "fixup",
     "union_all",
-    "format_table",
-    "print_table",
     "HashIndex",
     "find_index",
 ]

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..errors import CatalogError, ConstraintError, SchemaError
 from .constraints import ForeignKey, UniqueKey
 from .index import HashIndex, find_index, projector
-from .schema import Schema, qualify
+from .schema import Schema, qualify, split_qualified
 from .table import Row, Table
 
 
@@ -189,8 +189,11 @@ class Database:
         rows (no cascading deletes here).  With ``check=False`` such rows
         are skipped instead, and the delta holds only what was removed.
 
-        Costs one primary-key probe per row plus one bucket edit per
-        index (:meth:`Table.swap_remove`), whatever the table's size.
+        Costs one primary-key probe per row, one probe per row into each
+        referencing table and one bucket edit per index
+        (:meth:`Table.swap_remove`), whatever the table's size.  The
+        first checked delete from a referenced table indexes each
+        referencing table's foreign-key columns.
         """
         table = self.table(name)
         key_index = table.indexes[0]  # create_table registers it first
@@ -312,33 +315,25 @@ class Database:
                     )
 
     def _check_incoming_fks(self, name: str, delta: Table) -> None:
+        """Refuse a delete that would strand referencing rows: one probe
+        per deleted key into an index on each referencing table's FK
+        columns, built here by the first delete from *name*."""
         table = self.table(name)
         doomed_keys = set(map(table.indexes[0].project, delta.rows))
         for fk in self.foreign_keys_to(name):
             if tuple(fk.target_columns) != tuple(table.key or ()):
                 continue
             source = self.table(fk.source)
-            indexed = find_index(source, fk.source_columns)
-            if indexed is not None:
-                index, permutation = indexed
-                probe_of = projector(permutation)
-                if any(probe_of(key) in index.buckets for key in doomed_keys):
-                    raise ConstraintError(
-                        f"cannot delete from {name!r}: row still "
-                        f"referenced by {fk.source!r} via "
-                        f"{fk.source_columns}"
-                    )
-                continue
-            src_positions = source.schema.positions(fk.source_columns)
-            for row in source.rows:
-                ref = tuple(row[p] for p in src_positions)
-                if None in ref:
-                    continue
-                if ref in doomed_keys:
-                    raise ConstraintError(
-                        f"cannot delete from {name!r}: row still referenced "
-                        f"by {fk.source!r} via {fk.source_columns}"
-                    )
+            if find_index(source, fk.source_columns) is None:
+                bare = [split_qualified(c)[1] for c in fk.source_columns]
+                self.create_index(fk.source, bare)
+            index, permutation = find_index(source, fk.source_columns)
+            probe_of = projector(permutation)
+            if any(probe_of(key) in index.buckets for key in doomed_keys):
+                raise ConstraintError(
+                    f"cannot delete from {name!r}: row still "
+                    f"referenced by {fk.source!r} via {fk.source_columns}"
+                )
 
     # ------------------------------------------------------------------
     # misc

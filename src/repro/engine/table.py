@@ -210,23 +210,6 @@ class Table:
         clone.indexes = [index.copy_for(clone) for index in self.indexes]
         return clone
 
-    # ------------------------------------------------------------------
-    # convenience constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dicts(
-        cls,
-        name: str,
-        columns: Sequence[str],
-        dict_rows: Iterable[Dict[str, object]],
-        key: Optional[Sequence[str]] = None,
-        not_null: Iterable[str] = (),
-    ) -> "Table":
-        """Build a table from dictionaries; missing columns become NULL."""
-        schema = Schema(columns)
-        rows = [tuple(d.get(c) for c in columns) for d in dict_rows]
-        return cls(name, schema, rows, key=key, not_null=not_null)
-
 
 def rows_to_set(table: Table) -> frozenset:
     """The rows of *table* as a frozenset — the standard comparison used by

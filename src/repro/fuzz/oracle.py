@@ -343,7 +343,6 @@ def _open(db, scenario: Scenario, config: OracleConfig, tmp: str) -> Warehouse:
                 call_deadline_seconds=_CHAOS_DEADLINE,
                 probe_timeout_seconds=_CHAOS_PROBE,
                 restart_budget=50,  # havoc is intentional; don't quarantine
-                restart_window_seconds=60.0,
             )
     if config.wal:
         kwargs["wal_path"] = os.path.join(tmp, "wal")

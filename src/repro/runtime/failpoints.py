@@ -159,10 +159,6 @@ class Failpoints:
         finally:
             self.disarm(name)
 
-    def is_armed(self, name: str) -> bool:
-        with self._lock:
-            return bool(self._arms.get(name))
-
     # ------------------------------------------------------------------
     # the hook the runtime calls
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ the classic MVCC move — readers never touch live state at all:
   rebuild of a view quarantined inside it), a failed publish — costs a
   full copy.
 
-Retention is bounded two ways: the store keeps at most ``retain``
+Retention is bounded two ways: the store keeps at most :data:`RETAIN`
 snapshots (a deque), and :meth:`Warehouse.checkpoint` prunes snapshots
 older than the checkpoint LSN — the same boundary that compacts the WAL.
 Snapshot objects already handed to readers stay alive (plain Python
@@ -68,6 +68,9 @@ Overlay = Dict[object, Optional[Row]]
 #: a fold would copy more than it saves; above it probes and scans pay
 #: for a chain that describes a large part of the data.
 _FOLD_DIVISOR = 4
+
+#: How many published snapshots the store keeps.
+RETAIN = 8
 
 _ABSENT = object()
 
@@ -391,15 +394,13 @@ class SnapshotStore:
     maintenance: they take only the store's own lock, held for O(1).
     """
 
-    def __init__(self, retain: int = 8, clock=time.time):
-        self.retain = max(1, int(retain))
-        self._clock = clock
+    def __init__(self):
         # _lock guards the published ring and is only ever held for
         # O(1) work, so readers never wait on a capture in progress;
         # _publish_lock serializes publishers (and owns the capture state)
         self._lock = threading.Lock()
         self._publish_lock = threading.Lock()
-        self._snapshots: "deque[Snapshot]" = deque()
+        self._snapshots: "deque[Snapshot]" = deque(maxlen=RETAIN)
         self._seq = 0
         # every snapshot ever published and still referenced somewhere,
         # so invalidate() can flag copies readers are already holding
@@ -475,16 +476,14 @@ class SnapshotStore:
                 snapshot = Snapshot(
                     lsn=seq if lsn is None else lsn,
                     seq=seq,
-                    created_at=self._clock(),
+                    created_at=time.time(),
                     views=view_slices,
                     tables=table_slices,
                     stale_views=stale & set(view_slices),
                     captured_rows=self.captured_rows - captured,
                     full_captures=self.full_captures - full,
                 )
-                self._snapshots.append(snapshot)
-                while len(self._snapshots) > self.retain:
-                    self._snapshots.popleft()
+                self._snapshots.append(snapshot)  # evicts the oldest
                 self._issued.add(snapshot)
                 self.published_count += 1
                 return snapshot

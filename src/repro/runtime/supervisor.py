@@ -31,7 +31,7 @@ events into a bounded, observable recovery:
   included — and reports ``degraded``; ``check_consistency`` names the
   replicated divergence.
 * **Restart budget.**  More than ``restart_budget`` restarts within
-  ``restart_window`` seconds marks the shard *flapping*: it is
+  :data:`RESTART_WINDOW` seconds marks the shard *flapping*: it is
   quarantined — its handle stays closed, failing every command fast
   with the quarantine reason — ``last_recovery`` reports ``degraded``
   and ``/healthz`` turns 503.  Quarantine is terminal for the facade
@@ -62,6 +62,11 @@ STATE_UP = "up"
 STATE_REINCARNATING = "reincarnating"
 STATE_QUARANTINED = "quarantined"
 
+#: the span, in seconds, over which ``restart_budget`` counts restarts
+RESTART_WINDOW = 60.0
+#: seconds a replacement worker gets for each recovery call
+REINCARNATE_TIMEOUT = 120.0
+
 
 def _quarantined(shard: int, reason: str) -> str:
     return f"shard {shard} is quarantined: {reason}"
@@ -77,14 +82,10 @@ class ShardSupervisor:
         *,
         probe_timeout: float = 5.0,
         restart_budget: int = 5,
-        restart_window: float = 60.0,
-        reincarnate_timeout: float = 120.0,
     ):
         self.warehouse = warehouse
         self.probe_timeout = probe_timeout
         self.restart_budget = max(0, int(restart_budget))
-        self.restart_window = restart_window
-        self.reincarnate_timeout = reincarnate_timeout
         shards = warehouse.shards
         self._locks = [threading.RLock() for _ in range(shards)]
         self._restarts: List[List[float]] = [[] for _ in range(shards)]
@@ -224,7 +225,7 @@ class ShardSupervisor:
     # recovery
     # ------------------------------------------------------------------
     def _recent_restarts(self, shard: int) -> List[float]:
-        cutoff = time.monotonic() - self.restart_window
+        cutoff = time.monotonic() - RESTART_WINDOW
         self._restarts[shard] = [
             ts for ts in self._restarts[shard] if ts >= cutoff
         ]
@@ -289,7 +290,7 @@ class ShardSupervisor:
                 response = replacement.call(
                     "recover",
                     from_origin=True,
-                    timeout=self.reincarnate_timeout,
+                    timeout=REINCARNATE_TIMEOUT,
                 )
                 summary = response.get("summary")
                 degraded = bool((summary or {}).get("corruption_detected"))
@@ -333,7 +334,7 @@ class ShardSupervisor:
         commits = [record.txn_id for record in self.warehouse.txnlog.pending()]
         handle.call(
             "txn_resolve", commits=commits, keep=keep,
-            timeout=self.reincarnate_timeout,
+            timeout=REINCARNATE_TIMEOUT,
         )
 
     def _quarantine_locked(self, shard: int, reason: str) -> None:

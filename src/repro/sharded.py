@@ -78,7 +78,6 @@ from .errors import (
     ShardingError,
     ShardUnavailableError,
 )
-from .obs import Telemetry
 from .planner import wire
 from .runtime import DEFAULT_SEGMENT_BYTES, ChangeTicket, FanOutResult, RetryPolicy
 from .runtime.failpoints import FAILPOINTS
@@ -199,7 +198,9 @@ def _worker_side(message: str):
 class ShardedWarehouse(Warehouse):
     """N partitioned warehouses behind the :class:`Warehouse` facade.
 
-    Parameters (beyond the base constructor's ``db``/``telemetry``):
+    Parameters (beyond the facade's own ``db`` / ``telemetry`` /
+    ``obs_http_port`` / ``obs_http_host``, which mean what they mean
+    locally):
 
     shards:
         Shard count.  ``Warehouse(db, shards=N)`` routes here.
@@ -215,8 +216,7 @@ class ShardedWarehouse(Warehouse):
         the fuzz oracle uses).
     wal_path / checkpoint_dir:
         *Root* directories; shard *i* uses ``<root>/shard-<i>``.
-    workers / retry / segment_bytes / checkpoint_interval /
-    snapshot_retain:
+    workers / retry / segment_bytes / checkpoint_interval:
         Passed unchanged to every per-shard warehouse, so they are
         checked exactly as the local facade checks them.
     call_deadline_seconds:
@@ -225,21 +225,16 @@ class ShardedWarehouse(Warehouse):
         the supervisor off to probe (and, if the worker is gone or
         stuck, reincarnate) the shard — no caller ever blocks forever
         on a dead worker.
-    probe_timeout_seconds / restart_budget / restart_window_seconds:
+    probe_timeout_seconds / restart_budget:
         :class:`~repro.runtime.supervisor.ShardSupervisor` knobs — see
-        ``docs/SHARDING.md`` ("Partial failure runbook").  A dead worker
-        is detected by pipe EOF, a hung one by the next call's deadline
-        plus a ping probe.
+        ``docs/SHARDING.md`` ("Partial failure runbook"); restarts are
+        counted over a fixed 60 s window.  A dead worker is detected by
+        pipe EOF, a hung one by the next call's deadline plus a ping
+        probe.
     """
 
-    # ``.db`` is a schema template: tables, WAL, scheduler and snapshot
-    # store all live in the shard workers ``__init__`` spawns
-    _in_process = False
-
-    def __init__(
+    def _open_transport(
         self,
-        db: Database,
-        telemetry: Optional[Telemetry] = None,
         *,
         shards: Optional[int] = None,
         sharding: Optional[ShardingSpec] = None,
@@ -250,13 +245,13 @@ class ShardedWarehouse(Warehouse):
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         checkpoint_dir: Optional[str] = None,
         checkpoint_interval: Optional[int] = None,
-        snapshot_retain: int = 8,
         call_deadline_seconds: float = 30.0,
         probe_timeout_seconds: float = 5.0,
         restart_budget: int = 5,
-        restart_window_seconds: float = 60.0,
-    ):
-        super().__init__(db, telemetry)  # the facade's own state
+    ) -> None:
+        """Spawn the shard workers.  ``.db`` stays a schema template:
+        tables, WAL, scheduler and snapshot store all live in them."""
+        db = self.db
         if sharding is None:
             sharding = ShardingSpec.for_database(db, shards or 1)
         else:
@@ -306,7 +301,6 @@ class ShardedWarehouse(Warehouse):
         settings = dict(
             workers=workers, retry=retry, segment_bytes=segment_bytes,
             checkpoint_interval=checkpoint_interval,
-            snapshot_retain=snapshot_retain,
         )
         self._handles: List[ShardHandle] = []
         self._inits: List[Dict] = []  # retained for shard reincarnation
@@ -332,7 +326,6 @@ class ShardedWarehouse(Warehouse):
             self,
             probe_timeout=probe_timeout_seconds,
             restart_budget=restart_budget,
-            restart_window=restart_window_seconds,
         )
         self.supervisor.attach()
 

@@ -143,20 +143,16 @@ class Warehouse:
         When a port is given (``0`` = ephemeral), an
         :class:`~repro.obs.ObsServer` starts on a daemon thread serving
         ``/metrics``, ``/healthz``, ``/dashboard.json`` and
-        ``/flight-recorder`` for this warehouse; it stops on
-        :meth:`close`.  See ``docs/OBSERVABILITY.md``.
-    snapshot_retain:
-        How many published read snapshots the warehouse keeps (default
-        8).  Readers holding older :class:`~repro.runtime.Snapshot`
-        objects keep them alive independently; retention only bounds
-        the store.  :meth:`checkpoint` additionally prunes snapshots
-        older than the checkpoint LSN.  See ``docs/SERVING.md``.
-    """
+        ``/flight-recorder`` for this warehouse once its transport is
+        up, local or sharded alike; it stops on :meth:`close`.  See
+        ``docs/OBSERVABILITY.md``.
 
-    #: whether tables, WAL, scheduler and snapshot store live in this
-    #: process (the local transport) — False on the sharded subclass,
-    #: whose workers own them
-    _in_process = True
+    The store keeps the newest :data:`~repro.runtime.snapshots.RETAIN`
+    (8) published read snapshots.  Readers holding older
+    :class:`~repro.runtime.Snapshot` objects keep them alive
+    independently, and :meth:`checkpoint` additionally prunes snapshots
+    older than the checkpoint LSN.  See ``docs/SERVING.md``.
+    """
 
     def __new__(cls, *args, **kwargs):
         # Warehouse(db, shards=N) transparently constructs the sharded
@@ -177,6 +173,28 @@ class Warehouse:
         db: Database,
         telemetry: Optional[Telemetry] = None,
         *,
+        obs_http_port: Optional[int] = None,
+        obs_http_host: str = "127.0.0.1",
+        **transport,
+    ):
+        # the facade's own state, whatever the transport
+        self.db = db
+        self.telemetry = telemetry or Telemetry.disabled()
+        self.last_recovery: Optional[Dict] = None
+        self.checkpoint_interval: Optional[int] = None
+        self._pending_tickets: List[ChangeTicket] = []
+        self.obs_server: Optional[ObsServer] = None
+        self._open_transport(**transport)
+        if obs_http_port is not None:
+            try:
+                self.serve_obs(host=obs_http_host, port=obs_http_port)
+            except BaseException:
+                self.close()
+                raise
+
+    def _open_transport(
+        self,
+        *,
         wal_path: Optional[str] = None,
         workers: int = 0,
         retry: Optional[RetryPolicy] = None,
@@ -186,21 +204,9 @@ class Warehouse:
         checkpoint_interval: Optional[int] = None,
         max_queue_depth: Optional[int] = None,
         overflow: str = "block",
-        obs_http_port: Optional[int] = None,
-        obs_http_host: str = "127.0.0.1",
-        snapshot_retain: int = 8,
-    ):
-        # the facade's own state, whatever the transport
-        self.db = db
-        self.telemetry = telemetry or Telemetry.disabled()
-        self.last_recovery: Optional[Dict] = None
-        self.checkpoint_interval: Optional[int] = None
-        self._pending_tickets: List[ChangeTicket] = []
-        self.obs_server: Optional[ObsServer] = None
-        if not self._in_process:
-            return  # the subclass builds its own transport
-        # the local transport: view registry, WAL, checkpoints, scheduler
-        # and snapshot store, all in this process
+    ) -> None:
+        """The local transport: view registry, WAL, checkpoints,
+        scheduler and snapshot store, all in this process."""
         self._views: Dict[str, Maintained] = {}
         self.wal: Optional[WriteAheadLog] = (
             WriteAheadLog(
@@ -236,13 +242,11 @@ class Warehouse:
             max_queue_depth=max_queue_depth,
             overflow=overflow,
         )
-        self.snapshots = SnapshotStore(retain=snapshot_retain)
+        self.snapshots = SnapshotStore()
         self._recovering = False
         self._publish_errors = 0
         # the store is never empty: readers can always get *a* snapshot
         self._publish()
-        if obs_http_port is not None:
-            self.serve_obs(host=obs_http_host, port=obs_http_port)
 
     # ------------------------------------------------------------------
     # view DDL

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.algebra.expr import Project
+from repro.core.maintain import ViewMaintainer
 from repro.core.view import MaterializedView, ViewDefinition
 from repro.engine.table import ChangeJournal
-from repro.errors import MaintenanceError, UnsupportedViewError
+from repro.errors import MaintenanceError, SchemaError, UnsupportedViewError
+from repro.tpch import TPCHGenerator, v3
 
 
 class TestViewDefinition:
@@ -166,3 +168,54 @@ class TestDeltaAppliesWholeOrNotAtAll:
         assert view.journal.take() == {key2: None, key1: None}
         assert view.version > version
         assert index == view.clone().subkey_index(("r.k",))
+
+
+class TestViewLookup:
+    @pytest.fixture(scope="class")
+    def view(self):
+        db = TPCHGenerator(scale_factor=0.0005).build()
+        return MaterializedView.materialize(v3(), db), db
+
+    def test_full_key_lookup(self, view):
+        mv, db = view
+        row = mv.rows()[0]
+        key = dict(zip(mv.key_cols, mv.key_of(row)))
+        assert mv.lookup(**key) == [row]
+
+    def test_subkey_lookup(self, view):
+        mv, db = view
+        pk = mv.schema.index_of("part.p_partkey")
+        target = next(r[pk] for r in mv.rows() if r[pk] is not None)
+        rows = mv.lookup(**{"part.p_partkey": target})
+        assert rows
+        assert all(r[pk] == target for r in rows)
+
+    def test_miss_returns_empty(self, view):
+        mv, db = view
+        assert mv.lookup(**{"part.p_partkey": -1}) == []
+
+    def test_lookup_stays_fresh_under_maintenance(self):
+        gen = TPCHGenerator(scale_factor=0.0005)
+        db = gen.build()
+        mv = MaterializedView.materialize(v3(), db)
+        maintainer = ViewMaintainer(db, mv)
+        mv.lookup(**{"customer.c_custkey": 1})  # builds the subkey index
+        batch = gen.lineitem_insert_batch(20, seed=9)
+        maintainer.insert("lineitem", batch)
+        ck = mv.schema.index_of("customer.c_custkey")
+        expected = [r for r in mv.rows() if r[ck] == 1]
+        assert sorted(map(repr, mv.lookup(**{"customer.c_custkey": 1}))) == sorted(
+            map(repr, expected)
+        )
+
+    def test_unknown_column_rejected(self, view):
+        mv, db = view
+        with pytest.raises(SchemaError):
+            mv.lookup(**{"ghost.col": 1})
+
+    def test_null_probe_falls_back_to_scan(self, view):
+        mv, db = view
+        lk = mv.schema.index_of("lineitem.l_linenumber")
+        orphans = mv.lookup(**{"lineitem.l_linenumber": None})
+        assert all(r[lk] is None for r in orphans)
+        assert orphans  # V3 always has C/P orphan rows

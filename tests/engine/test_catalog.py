@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, HashIndex, find_index
 from repro.errors import CatalogError, ConstraintError
 
 
@@ -112,6 +112,62 @@ class TestDelete:
         db.delete_by_key("child", [(10,)])
         db.delete("parent", [(1, "a")])
         assert len(db.table("parent")) == 1
+
+
+class TestIncomingFkOnUnindexedColumn:
+    """A delete from a referenced table probes an index on the
+    referencing columns, built by the first delete that needs one."""
+
+    @pytest.fixture
+    def db(self):
+        d = Database()
+        d.create_table("parent", ["k", "v"], key=["k"])
+        d.create_table("child", ["k", "pk"], key=["k"])  # pk is nullable
+        fk = d.add_foreign_key("child", ["pk"], "parent", ["k"])
+        d.insert("parent", [(1, "a"), (2, "b"), (3, "c")])
+        d.insert("child", [(10, 1), (11, None)])
+        assert find_index(d.table("child"), fk.source_columns) is None
+        return d
+
+    @staticmethod
+    def fk_index(db):
+        (fk,) = db.foreign_keys_to("parent")
+        return find_index(db.table("child"), fk.source_columns)
+
+    def test_referenced_parent_cannot_be_deleted(self, db):
+        with pytest.raises(ConstraintError, match="still referenced"):
+            db.delete("parent", [(1, "a")])
+        assert len(db.table("parent")) == 3
+
+    def test_null_reference_does_not_block_the_delete(self, db):
+        db.delete("parent", [(2, "b")])
+        assert sorted(db.table("parent").rows) == [(1, "a"), (3, "c")]
+
+    def test_first_check_builds_the_index(self, db):
+        db.delete("parent", [(2, "b")])
+        assert self.fk_index(db) is not None
+
+    def test_index_stays_exact_under_child_dml(self, db):
+        db.delete("parent", [(2, "b")])
+        index, _ = self.fk_index(db)
+        db.insert("child", [(12, 3), (13, None)])
+        db.delete("child", [(10, 1)])
+        db.validate()
+        fresh = HashIndex(db.table("child"), index.columns)
+        exact = lambda i: {k: sorted(b) for k, b in i.buckets.items() if b}  # noqa: E731
+        assert exact(index) == exact(fresh)
+        assert index.lookup((3,)) == [(12, 3)]
+        db.delete("parent", [(1, "a")])  # no longer referenced
+        with pytest.raises(ConstraintError, match="still referenced"):
+            db.delete("parent", [(3, "c")])
+
+    def test_copy_carries_the_index(self, db):
+        db.delete("parent", [(2, "b")])
+        clone = db.copy()
+        index, _ = self.fk_index(clone)
+        assert index.lookup((1,)) == [(10, 1)]
+        with pytest.raises(ConstraintError, match="still referenced"):
+            clone.delete("parent", [(1, "a")])
 
 
 class TestCopyValidate:

@@ -34,10 +34,6 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Table("t", Schema(["t.k"]), not_null=["t.zz"])
 
-    def test_from_dicts_missing_becomes_null(self):
-        t = Table.from_dicts("t", ["t.k", "t.v"], [{"t.k": 1}], key=["t.k"])
-        assert t.rows == [(1, None)]
-
 
 class TestAccessors:
     def test_column_values(self):

@@ -12,14 +12,17 @@ returned or raised — and the sharded traces must equal the local one.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
 from repro import AsyncWarehouse
+from repro.core import count_star
 from repro.core.maintain import MaintenanceReport
-from repro.errors import ConstraintError, MaintenanceError
+from repro.errors import ConstraintError, MaintenanceError, ShardingError
 from repro.runtime import ChangeTicket, FanOutResult
 from repro.warehouse import Warehouse
 
@@ -269,3 +272,53 @@ def test_checkpoint_interval_without_a_checkpoint_dir_is_refused(flavour):
     while shard_threads() - before and time.monotonic() < deadline:
         time.sleep(0.02)
     assert not shard_threads() - before
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_obs_http_port_serves_healthz(flavour):
+    """``obs_http_port=`` serves the introspection endpoint for every
+    flavour once the transport is up, and ``close()`` stops it."""
+    wh = Warehouse(build_db(), obs_http_port=0, **FLAVOURS[flavour])
+    try:
+        server = wh.obs_server
+        assert server is not None and server.port
+        with urllib.request.urlopen(server.url + "/healthz", timeout=10) as response:
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+    finally:
+        wh.close()
+    assert wh.obs_server is None
+
+
+def per_order(wh, name):
+    return wh.create_aggregated_view(
+        name, order_lines_defn(name),
+        group_by=["orders.o_orderkey"], aggregates=[count_star("lines")],
+    )
+
+
+#: what the local transport keeps in-process: a local warehouse answers
+#: each by name, a sharded one refuses each with a ShardingError
+WORKER_SIDE = {
+    "create_aggregated_view": lambda wh: per_order(wh, "per_order_2"),
+    "view": lambda wh: wh.view(VIEW),
+    "aggregated_view": lambda wh: wh.aggregated_view("per_order"),
+    "maintainer": lambda wh: wh.maintainer(VIEW),
+    "serving_stats": lambda wh: wh.serving_stats(),
+    "scheduler": lambda wh: wh.scheduler,
+    "snapshots": lambda wh: wh.snapshots,
+    "wal": lambda wh: wh.wal,
+    "checkpoints": lambda wh: wh.checkpoints,
+}
+
+
+@pytest.mark.parametrize("name", WORKER_SIDE)
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_worker_side_surfaces_leave_the_contract_by_name(flavour, name):
+    with make(flavour) as wh:
+        if flavour == "local":
+            per_order(wh, "per_order")
+            WORKER_SIDE[name](wh)
+        else:
+            with pytest.raises(ShardingError):
+                WORKER_SIDE[name](wh)

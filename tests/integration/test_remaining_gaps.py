@@ -1,6 +1,6 @@
 """Coverage for the remaining public-surface corners: the scaling bench,
-warehouse batching, transactional aggregates, display printing, and the
-explain report under non-default strategies."""
+warehouse batching, transactional aggregates, and the explain report
+under non-default strategies."""
 
 import pytest
 
@@ -14,8 +14,7 @@ from repro.core import (
     agg_sum,
     count_star,
 )
-from repro.engine import Database, format_table
-from repro.engine.display import print_table
+from repro.engine import Database
 from repro.explain import explain_update
 from repro.tpch import TPCHGenerator, v3
 from repro.warehouse import Warehouse
@@ -92,23 +91,6 @@ class TestTransactionalAggregates:
                 raise RuntimeError("abort")
         assert wh.aggregated_view("counts").rows() == before
         wh.check_consistency()
-
-
-class TestDisplayPrint:
-    def test_print_table_writes_to_stdout(self, capsys):
-        db = Database()
-        db.create_table("t", ["k", "v"], key=["k"])
-        db.insert("t", [(1, "hello")])
-        print_table(db.table("t"))
-        captured = capsys.readouterr().out
-        assert "t.k" in captured and "hello" in captured
-
-    def test_format_view_snapshot(self):
-        gen = TPCHGenerator(scale_factor=0.0005)
-        db = gen.build()
-        view = MaterializedView.materialize(v3(), db)
-        text = format_table(view.as_table(), limit=3)
-        assert "not shown)" in text
 
 
 class TestExplainStrategies:

@@ -195,7 +195,6 @@ def test_every_published_snapshot_reads_like_its_deep_copy(seed):
     db.insert("orders", [(o, o % 7) for o in range(ORDERS)])
     wh = Warehouse(
         db,
-        snapshot_retain=8,
         retry=RetryPolicy(
             max_attempts=2, base_delay_seconds=0.0, max_delay_seconds=0.0
         ),

@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.errors import CatalogError
+from repro.runtime.snapshots import RETAIN
 from repro.warehouse import Warehouse
 
 from ..runtime.test_scheduler import build_db, order_lines_expr
@@ -146,11 +147,12 @@ def test_pinned_snapshot_survives_checkpoint_and_compaction(tmp_path):
 
 
 def test_store_retention_is_bounded():
-    wh = seeded_warehouse(workers=0, snapshot_retain=3)
+    wh = seeded_warehouse(workers=0)
     try:
-        for orderkey in range(10):
+        for orderkey in range(2 * RETAIN):
             wh.insert("lineitem", lineitem_batch(orderkey))
-            assert wh.snapshots.retained <= 3
+            assert wh.snapshots.retained <= RETAIN
+        assert wh.snapshots.retained == RETAIN
         retained = wh.snapshots.retained_snapshots()
         assert retained == sorted(retained, key=lambda s: s.seq)
     finally:

@@ -140,19 +140,25 @@ def tour_backpressure():
 
 
 def tour_recovery():
-    print("\n=== 5. Recovery invalidates issued snapshots ===")
+    print("\n=== 5. A restart recovers and invalidates issued snapshots ===")
     with tempfile.TemporaryDirectory(prefix="repro-serving-") as tmp:
-        wh = Warehouse(build_db(), workers=2, wal_path=tmp + "/changes.wal")
+        wal = tmp + "/changes.wal"
+        wh = Warehouse(build_db(), workers=2, wal_path=wal)
         wh.create_view("order_lines", order_lines())
         wh.insert("lineitem", batch(20))
-        pre = wh.snapshot()
+        wh.close()
+        # restart over the original database: it is the restore point,
+        # and recover() replays every logged change on top of it
+        wh = Warehouse(build_db(), workers=2, wal_path=wal)
+        wh.create_view("order_lines", order_lines())
+        pre = wh.snapshot()  # published at open, before the replay
         wh.recover()
         post = wh.snapshot()
         print(f"pre-recovery snapshot: valid={pre.valid} "
               f"(reason={pre.invalid_reason!r}), still readable: "
               f"{len(pre.view_rows('order_lines'))} rows")
         print(f"post-recovery snapshot: valid={post.valid}, "
-              f"lsn={post.lsn}")
+              f"lsn={post.lsn}, {len(post.view_rows('order_lines'))} rows")
         stats = wh.serving_stats()
         print(f"serving_stats: published={stats['snapshots_published']}, "
               f"retained={stats['snapshots_retained']}, "

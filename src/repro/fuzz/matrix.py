@@ -54,14 +54,14 @@ class Mangle:
 class Fault:
     """One fault window and what it must end in.
 
-    A *staged* row (``restart`` names the database a fresh process opens
-    over) runs on a warehouse of its own: the stream is cut at fraction
-    ``cut``, the prefix replayed up to a durable ``boundary``, the
-    suffix replayed as ``suffix`` says, ``inject`` applied, the process
-    dropped, and the restart's ``recover()`` judged.  An *in-stream* row
-    (``restart`` ``None``, or ``"live"`` for a ``recover()`` inside the
-    running facade) is armed around single ops — those ``on`` selects —
-    of the config's own replay."""
+    A *staged* row (``restart`` ``"genesis"``) runs on a warehouse of
+    its own: the stream is cut at fraction ``cut``, the prefix replayed
+    up to a durable ``boundary``, the suffix replayed as ``suffix``
+    says, ``inject`` applied, the process dropped, and a fresh one
+    opened over the genesis database; its ``recover()`` is judged.  An
+    *in-stream* row (``restart`` ``None``, or ``"live"`` for a
+    ``recover()`` inside the running facade) is armed around single ops
+    — those ``on`` selects — of the config's own replay."""
 
     name: str
     inject: Union[Arm, Mangle, None]
@@ -69,14 +69,14 @@ class Fault:
     cut: float = 0.5
     boundary: Optional[str] = None  # flush | lineage (oracle._grow_lineage)
     suffix: str = "acked"  # acked | unacked (wal.ack skipped) | checkpointed
-    restart: Optional[str] = None  # boundary (its snapshot) | genesis | live
+    restart: Optional[str] = None  # genesis | live
     expect: str = "reference"  # | refused | survivors | reference-or-refusal
     replays: bool = True  # False: the crashed checkpoint was durable
     regrow: bool = False  # grow a lineage on the survivor, restart again
 
     @property
     def when(self) -> str:
-        return "staged" if self.restart in ("boundary", "genesis") else "stream"
+        return "staged" if self.restart == "genesis" else "stream"
 
     @property
     def sites(self) -> Tuple[str, ...]:
@@ -87,7 +87,7 @@ class Fault:
 
 STALL_SECONDS = 1.3  # a stalled worker sleeps through both deadlines
 _STALL = {"action": "call", "callback": lambda **_ctx: time.sleep(STALL_SECONDS)}
-_LOST_ACKS = {"suffix": "unacked", "restart": "boundary"}
+_LOST_ACKS = {"suffix": "unacked", "restart": "genesis"}
 _LINEAGE = {"boundary": "lineage", "restart": "genesis"}
 _DURABLE = {"cut": 1.0, "restart": "genesis", "replays": False}
 _LOST = {"cut": 0.0, "suffix": "unacked", "restart": "genesis", "expect": "survivors"}

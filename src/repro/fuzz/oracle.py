@@ -448,20 +448,16 @@ def _restart(
     wh: Warehouse, scenario: Scenario, config: OracleConfig, tmp: str,
     result: CaseResult,
 ) -> Warehouse:
-    """A ``crash`` op under WAL: restart at a durability boundary —
-    flush (acks on disk), drop the process, reopen over the same
-    directories and recover.  With checkpoints this resets the database
-    to the last checkpoint and rolls it forward through the suffix.  A
-    sharded warehouse restarts its workers in place, each over its own
-    WAL/checkpoint lineage."""
-    if config.shards:
-        wh.crash_restart()
-        return wh
-    wh.flush()
-    # what ``serving`` reads had to survive: folded snapshot overlays
-    result.count(config.name, "overlay_folds", wh.snapshots.overlay_folds)
-    _drop_process(wh)
-    fresh = _open(wh.db, scenario, config, tmp)
+    """A ``crash`` op under WAL: close at the flush boundary (acks on
+    disk), reopen over the genesis database and the same directories,
+    and recover — the newest checkpoint, else genesis at LSN 0, rolled
+    forward through every WAL entry past it.  Local and sharded alike."""
+    wh.flush()  # a sharded close() would swallow what this raises
+    if not config.shards:
+        # what ``serving`` reads had to survive: folded snapshot overlays
+        result.count(config.name, "overlay_folds", wh.snapshots.overlay_folds)
+    wh.close()
+    fresh = _open(scenario.build_database(), scenario, config, tmp)
     fresh.recover()
     return fresh
 
@@ -904,7 +900,6 @@ def _stage(
         _grow_lineage(wh, config, result)
     elif fault.boundary == "flush":
         wh.flush()  # everything so far is acked
-    snapshot = wh.db.copy() if fault.restart == "boundary" else None
     hits_before = _hits(fault)
     # times=0 arms nothing: acks are dropped only when the row says so
     lose_acks = None if fault.suffix == "unacked" else 0
@@ -937,8 +932,7 @@ def _stage(
         result.count(config.name, fault.name)
     owed = reference.states[min(end, len(ops) - 1)]
     for again in (False, True) if fault.regrow else (False,):
-        over = scenario.build_database() if snapshot is None else snapshot
-        restarted = _open(over, scenario, config, tmp)
+        restarted = _open(scenario.build_database(), scenario, config, tmp)
         try:
             _check_recovery(
                 restarted, config, fault, owed, damage, fired and not again,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from typing import Dict, List, Optional
 
 from .events import (
@@ -32,6 +33,7 @@ from .events import (
 
 __all__ = ["Dashboard", "percentile"]
 
+#: latency samples kept per view: the newest, as in :mod:`repro.obs.slo`
 MAX_LATENCY_SAMPLES = 4096
 
 
@@ -77,7 +79,7 @@ class _ViewSeries:
 
     def __init__(self):
         self.quarantine_reason: Optional[str] = None
-        self.latencies: List[float] = []
+        self.latencies: deque = deque(maxlen=MAX_LATENCY_SAMPLES)
         self.phases: Dict[str, _Agg] = {}
         self.terms: Dict[str, _Agg] = {}
 
@@ -91,8 +93,7 @@ class Dashboard:
     quarantine reasons and the quarantined segment names.
     """
 
-    def __init__(self, registry, max_samples: int = MAX_LATENCY_SAMPLES):
-        self.max_samples = max_samples
+    def __init__(self, registry):
         self._registry = registry
         self._lock = threading.Lock()  # pool threads fold passes concurrently
         self._views: Dict[str, _ViewSeries] = {}
@@ -113,8 +114,7 @@ class Dashboard:
         tracing is on, the phase/term durations of its root span."""
         with self._lock:
             s = self._series(report.view)
-            if len(s.latencies) < self.max_samples:
-                s.latencies.append(report.elapsed_seconds)
+            s.latencies.append(report.elapsed_seconds)
             for child in span.children if span is not None else ():
                 s.phases.setdefault(child.name, _Agg()).add(child.duration_seconds)
                 term = child.attributes.get("term") if child.name == "secondary" else None

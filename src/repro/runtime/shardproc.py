@@ -25,12 +25,11 @@ Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
     create_view {view, options}          change {table, operation, rows,
     drop_view {view}                             fk_allowed, check}
     flush                                txn_stmt {txn_id, table, operation,
-    checkpoint / recover {from_origin}     rows, join, prepare, fk_allowed,
+    checkpoint / recover                   rows, join, prepare, fk_allowed,
     snapshot_pin / snapshot_release        check} / txn_prepare {txn_id} /
     query {view, equalities, seq}          txn_commit / txn_abort {txn_id} /
     dump / stats / check                   txn_resolve {commits, keep}
-    repair_view {view}                   crash_hard / restart / close
-    ping
+    repair_view {view}                   ping / close
 
 Partial-failure plumbing (see ``docs/SHARDING.md``, "Partial failure
 runbook"): ``ping`` is the supervisor's liveness probe; a worker holds
@@ -38,9 +37,11 @@ its open transactions by id (``stats`` lists them), and a prepare is
 durable (a tagged WAL record), so a worker that dies prepared comes
 back with the transaction *in doubt*; ``txn_resolve`` lands in-doubt
 transactions on the side the coordinator's decision log
-(:mod:`repro.runtime.txnlog`) recorded; ``recover {from_origin: true}``
-replays the *whole* WAL against the initial partition rows, the
-cold-start path a reincarnated worker uses when no checkpoint exists.
+(:mod:`repro.runtime.txnlog`) recorded; ``recover`` reopens the worker's
+warehouse over its initial partition rows and applies the one recovery
+rule (newest checkpoint, else those rows at LSN 0, then every WAL entry
+past it) — the path both ``ShardedWarehouse.recover()`` and a
+reincarnated worker take.
 The serve loop holds three chaos failpoints — ``shard.worker.kill``
 (abrupt death before the command runs), ``shard.worker.stall``
 (``action="call"`` sleep before the command runs) and
@@ -59,7 +60,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from .. import errors as _errors
-from ..errors import ReproError, ShardingError, ShardUnavailableError
+from ..errors import MaintenanceError, ReproError, ShardingError, ShardUnavailableError
 from .failpoints import FAILPOINTS, InjectedFault
 
 __all__ = ["ShardServer", "ShardHandle", "raise_shard_error"]
@@ -100,14 +101,17 @@ class ShardServer:
         self._views: Dict[str, Dict] = {}  # create_view blobs by name
         self._txns: Dict[str, object] = {}  # open transactions by id
         self._pinned: Dict[int, object] = {}
-        self.wh = Warehouse(self._initial_database(), **init["settings"])
-        for blob in init.get("views") or []:
-            self._create_view(blob)
+        self._open(init.get("views") or [])
 
     # ------------------------------------------------------------------
-    def _initial_database(self):
+    def _open(self, views: List[Dict]) -> None:
+        """Build the warehouse over the initial partition rows and the
+        shard's directories, then create *views* on it."""
         init = self._init
-        return self._wire.build_database(init["schema"], init.get("rows") or {})
+        db = self._wire.build_database(init["schema"], init.get("rows") or {})
+        self.wh = self._Warehouse(db, **init["settings"])
+        for blob in views:
+            self._create_view(blob)
 
     def _create_view(self, blob: Dict) -> None:
         definition = self._wire.decode_view(self.wh.db, blob["view"])
@@ -168,7 +172,6 @@ class ShardServer:
 
     def cmd_flush(self):
         self.wh.flush()
-        return {"pending": self._pending_count()}
 
     # -- transactions: open ones by id; a shard joins with its first
     # statement, and its prepare is durable (a tagged WAL record) -------
@@ -249,46 +252,21 @@ class ShardServer:
     def cmd_checkpoint(self):
         return {"path": self.wh.checkpoint()}
 
-    def cmd_recover(self, from_origin: bool = False):
-        """Recover, holding the prepared transactions the replay
-        reopened in doubt until a commit, abort or ``txn_resolve``
-        lands them."""
-        self.wh.recover(from_origin=from_origin)
-        self._txns.update(self.wh._in_doubt)
-        return {"summary": self.wh.last_recovery}
-
-    def cmd_crash_hard(self):
-        """Die without acknowledging: drop in-memory state, reopen over
-        the same WAL/checkpoint directories from the initial partition
-        rows, and recover.  Mirrors the oracle's crash contract."""
-        # open transactions die with the crash; prepared ones come back
-        # in doubt from the WAL
+    def cmd_recover(self):
+        """Crash and recover: drop every open transaction and the
+        warehouse, reopen over the initial partition rows and the same
+        WAL and checkpoint directories with every view re-created, and
+        recover — holding the prepared transactions the replay reopened
+        in doubt until a commit, abort or ``txn_resolve`` lands them.
+        Without a WAL nothing is touched: there is no history to replay."""
+        if self.wh.wal is None:
+            raise MaintenanceError("recover() requires a wal_path")
         self._txns.clear()
-        return self._reopen(self._initial_database())
-
-    def cmd_restart(self):
-        """Orderly restart (flush first), reopening over the same
-        directories — the WAL-enabled replay loop's ``crash`` op.  With
-        checkpoints, recovery rebuilds from the initial partition rows
-        (a restore point, or the whole WAL when none exists yet)."""
-        for txn_id in list(self._txns):  # orderly: abort while it can
-            self.cmd_txn_abort(txn_id)
-        self.wh.flush()
-        if self.wh.checkpoints is not None:
-            return self.cmd_crash_hard()
-        return self._reopen(self.wh.db)
-
-    def _reopen(self, db):
-        """Stop the warehouse (its queue drains, its WAL syncs and
-        closes), rebuild it over *db* and the same WAL and checkpoint
-        directories with every view re-created, and recover."""
-        self.wh._shutdown()
         self._pinned.clear()
-        self.wh = self._Warehouse(db, **self._init["settings"])
-        for blob in list(self._views.values()):
-            self._create_view(blob)
-        if self.wh.wal is not None:
-            return self.cmd_recover()
+        self.wh._shutdown()
+        self._open(list(self._views.values()))
+        self.wh.recover()
+        self._txns.update(self.wh._in_doubt)
         return {"summary": self.wh.last_recovery}
 
     # -- reads ----------------------------------------------------------
@@ -308,7 +286,6 @@ class ShardServer:
         self,
         view: str,
         equalities: Optional[Dict] = None,
-        limit: Optional[int] = None,
         seq: Optional[int] = None,
     ):
         if seq is not None:
@@ -320,7 +297,7 @@ class ShardServer:
                 ) from None
         else:
             snapshot = self.wh.snapshot()
-        rows = snapshot.query(view, limit=limit, **(equalities or {}))
+        rows = snapshot.query(view, **(equalities or {}))
         return {"rows": self._wire.encode_rows(rows)}
 
     def cmd_dump(self):
@@ -339,11 +316,6 @@ class ShardServer:
         }
 
     # -- health ---------------------------------------------------------
-    def _pending_count(self) -> int:
-        if self.wh.wal is None:
-            return 0
-        return len(self.wh.wal.pending())
-
     def cmd_stats(self):
         wh = self.wh
         return {
@@ -354,11 +326,7 @@ class ShardServer:
                 name: len(wh.maintainer(name).view) for name in wh.view_names
             },
             "quarantined": list(wh.quarantined_views),
-            "wal_pending": self._pending_count(),
-            "wal_corruption": (
-                bool(wh.wal.corruption_detected) if wh.wal else False
-            ),
-            "last_recovery": wh.last_recovery,
+            "wal_pending": len(wh.wal.pending()) if wh.wal else 0,
             "open_txns": sorted(self._txns),
         }
 

@@ -20,13 +20,12 @@ events into a bounded, observable recovery:
   retried in place.)
 * **Reincarnation.**  Under a per-shard lock the supervisor terminates
   the old worker, spawns a replacement from the shard's retained init
-  blob (initial partition rows + every view created since), replays
-  its WAL lineage (checkpoint restore + suffix when checkpoints
-  exist, full-log cold replay otherwise — ``recover(from_origin=
-  True)``, which reopens every prepared transaction in doubt), swaps
-  the new handle in, and then resolves the in-doubt transactions the
-  coordinator is no longer driving against its
-  :class:`~repro.runtime.txnlog.TxnDecisionLog`.  Without a WAL the
+  blob (initial partition rows + every view created since), has it
+  ``recover`` — the one rule: its newest checkpoint, else those rows
+  at LSN 0, then every WAL entry past it, every prepared transaction
+  reopened in doubt — swaps the new handle in, and then resolves the
+  in-doubt transactions the coordinator is no longer driving against
+  its :class:`~repro.runtime.txnlog.TxnDecisionLog`.  Without a WAL the
   replacement restarts from its initial rows — replicated tables
   included — and reports ``degraded``; ``check_consistency`` names the
   replicated divergence.
@@ -288,9 +287,7 @@ class ShardSupervisor:
         try:
             if init["settings"]["wal_path"]:
                 response = replacement.call(
-                    "recover",
-                    from_origin=True,
-                    timeout=REINCARNATE_TIMEOUT,
+                    "recover", timeout=REINCARNATE_TIMEOUT
                 )
                 summary = response.get("summary")
                 degraded = bool((summary or {}).get("corruption_detected"))

@@ -45,14 +45,15 @@ Semantics and caveats
   query whose equality filters pin every routing column of some
   partitioned table in the view is answered by that single owning shard.
 * **``.db`` is a schema template.**  The parent never maintains base
-  rows; read merged state via :meth:`table_rows`, :meth:`view_rows`,
-  :meth:`merged_views` or :meth:`merged_database`.
-* **Cold-start recovery** needs a checkpoint lineage: workers are seeded
-  with the constructor database's partitions, and :meth:`recover`
-  restores each shard's newest checkpoint before replaying its WAL
-  suffix.  (In-process restart — :meth:`crash_restart` — keeps each
-  worker's current state and replays only unacknowledged entries,
-  exactly like :meth:`Warehouse.recover`.)
+  rows; read merged state via :meth:`table_rows`, :meth:`view_rows`
+  or :meth:`merged_database`.
+* **Recovery** is the local rule on every shard: :meth:`recover` has
+  each worker reopen over the partition rows it was seeded with and
+  restore its newest checkpoint (or take those rows as LSN 0), replay
+  every WAL entry past it, and then resolves in-doubt transactions from
+  the coordinator's decision log.  A reincarnated worker runs the same
+  path, and a cold restart is a facade reopened over the original
+  database, then :meth:`recover`.
 
 ``docs/SHARDING.md`` is the long-form contract and runbook.
 """
@@ -892,20 +893,13 @@ class ShardedWarehouse(Warehouse):
         """One view's merged global contents."""
         return self._view_rows(name, self._dump_all())
 
-    def merged_table_state(self) -> Dict[str, List[Row]]:
-        """All base tables, merged (replicated tables from shard 0)."""
-        dumps = self._dump_all()
-        return {t: self._table_rows(t, dumps) for t in self.db.tables}
-
-    def merged_views(self) -> Dict[str, List[Row]]:
-        """Every view's merged global contents."""
-        dumps = self._dump_all()
-        return {n: self._view_rows(n, dumps) for n in self.view_names}
-
     def merged_database(self) -> Database:
-        """A standalone database holding the merged base tables."""
+        """A standalone database holding the merged base tables
+        (replicated tables from shard 0)."""
+        dumps = self._dump_all()
         return wire.build_database(
-            wire.encode_schema(self.db), self.merged_table_state()
+            wire.encode_schema(self.db),
+            {t: self._table_rows(t, dumps) for t in self.db.tables},
         )
 
     # ------------------------------------------------------------------
@@ -920,16 +914,21 @@ class ShardedWarehouse(Warehouse):
         }
 
     def recover(self) -> List:
-        """Recover every shard (checkpoint restore + WAL suffix replay,
-        shard by shard) and aggregate the per-shard summaries into
-        :attr:`last_recovery` — ``degraded`` when any shard quarantined
-        WAL segments or detected corruption.  In-doubt cross-shard
-        transactions are resolved *first* from the coordinator decision
-        log: a durable commit decision commits the open worker
-        transaction everywhere; no decision means presumed abort."""
+        """Recover every shard by the local rule, then settle the
+        coordinator's transactions.  Each worker drops its in-memory
+        state, reopens over the partition rows it was seeded with and
+        recovers: its newest checkpoint (or those rows, at LSN 0), then
+        every WAL entry past it.  The prepared transactions the replays
+        reopened in doubt land where the coordinator decision log says —
+        a durable commit decision commits everywhere, no decision means
+        presumed abort — and changes queued but not yet resolved are
+        dropped, as a coordinator restart drops them.  The per-shard
+        summaries aggregate into :attr:`last_recovery`, ``degraded``
+        when any shard quarantined WAL segments or detected corruption."""
         self._require_open()
-        resolved = self._resolve_indoubt()
-        self._aggregate_recovery(self._broadcast("recover"), resolved)
+        responses = self._broadcast("recover")
+        self._pending_tickets = []
+        self._aggregate_recovery(responses, self._resolve_indoubt())
         return []
 
     def _resolve_indoubt(self) -> List[Dict]:
@@ -962,8 +961,8 @@ class ShardedWarehouse(Warehouse):
     def _aggregate_recovery(
         self, responses: Dict[int, Dict], resolved: List[Dict]
     ) -> None:
-        """Fold every shard's recovery summary (the reply to ``recover``
-        / ``restart`` / ``crash_hard``) into :attr:`last_recovery`."""
+        """Fold every shard's ``recover`` summary into
+        :attr:`last_recovery`."""
         shard_summaries = {
             shard: response["summary"] or {}
             for shard, response in responses.items()
@@ -1004,25 +1003,6 @@ class ShardedWarehouse(Warehouse):
         if name not in self._definitions:
             raise CatalogError(f"no view named {name!r}")
         self._broadcast("repair_view", view=name)
-
-    # crash simulation (fuzz oracle hooks) ------------------------------
-    def crash_hard(self) -> None:
-        """Simulate a crash that loses unacknowledged work on every
-        shard (each falls back to its initial partition rows), then
-        recover each from its WAL + checkpoints."""
-        self._pending_tickets = []
-        responses = self._broadcast("crash_hard")
-        # a hard crash also takes the coordinator: unprepared worker
-        # txns died with their shards, prepared ones came back in doubt
-        # and land on the decision log's side
-        self._aggregate_recovery(responses, self._resolve_indoubt())
-
-    def crash_restart(self) -> None:
-        """Orderly stop + reopen of every shard over its own WAL and
-        checkpoint directories (the replay loop's ``crash`` op)."""
-        self.flush()
-        resolved = self._resolve_indoubt()
-        self._aggregate_recovery(self._broadcast("restart"), resolved)
 
     # ------------------------------------------------------------------
     # health

@@ -100,8 +100,8 @@ class Warehouse:
     ------------------
     wal_path:
         When given, every netted base-table delta is durably appended to
-        this write-ahead log *before* any view is maintained, and
-        :meth:`recover` can replay unacknowledged changes after a crash.
+        this write-ahead log *before* any view is maintained, and after
+        a restart :meth:`recover` replays it over a restore point.
     workers:
         Size of the fan-out thread pool.  ``0`` (default): changes apply
         inline on the caller's thread.  With ``workers > 0`` changes are
@@ -235,6 +235,8 @@ class Warehouse:
         self._open_txns: set = set()
         # prepared transactions the last recover() reopened, by id
         self._in_doubt: Dict[str, "Transaction"] = {}
+        # once a change reaches the tables they are no restore point
+        self._tables_changed = False
         self.scheduler = MaintenanceScheduler(
             workers=workers,
             retry=retry,
@@ -632,6 +634,7 @@ class Warehouse:
                 return [], lsn
             return self._tasks(table, delta, logged, fk_allowed), lsn
 
+        self._tables_changed = True
         ticket = self.scheduler.submit(
             prepare, table, logged, on_complete=self._ack
         )
@@ -800,21 +803,22 @@ class Warehouse:
             return
         self.checkpoint()
 
-    def recover(self, *, from_origin: bool = False) -> List[FanOutResult]:
-        """Bounded, corruption-tolerant restart: checkpoint + suffix.
+    def recover(self) -> List[FanOutResult]:
+        """Restart from a restore point and replay every WAL entry past it.
 
-        Restores the newest verifiable restore point (when a
-        ``checkpoint_dir`` is configured: a base checkpoint rolled
-        forward through its deltas, every view rebuilt from it), then
-        replays the WAL entries past its LSN — acknowledged or not, since
-        the restored state predates their effects.  Without one — none
-        written, or none verifies — every entry replays from LSN 0 over
-        the genesis tables the process reopened with; only a warehouse
-        with no ``checkpoint_dir`` (and no ``from_origin``) replays just
-        the unacknowledged tail, over tables restored to the acked
-        prefix.  If the replay would have to start inside the WAL's
-        compacted prefix, :class:`~repro.errors.CheckpointError` is
-        raised before any state is touched.
+        The restore point is the newest verifiable checkpoint (when a
+        ``checkpoint_dir`` is configured: a base rolled forward through
+        its deltas), restored in place with every view rebuilt from it;
+        with none, it is the tables this warehouse was opened with, at
+        LSN 0.  Every entry past it replays, acknowledged or not: the
+        restored state predates their effects.  A cold restart therefore
+        reopens over the database it first opened with.  Two cases are
+        refused before any state is touched: a warehouse that has applied
+        a change since it opened, with no checkpoint to restore
+        (:class:`~repro.errors.MaintenanceError` — its tables are no
+        longer a restore point), and a replay that would have to start
+        inside the WAL's compacted prefix
+        (:class:`~repro.errors.CheckpointError`).
         Each replayed entry goes back through :meth:`_submit`
         (``check=False`` — it already passed integrity checks when
         first logged): re-applied to the database, fanned out, and
@@ -836,10 +840,14 @@ class Warehouse:
             if self.checkpoints is not None
             else None
         )
+        if checkpoint is None and self._tables_changed:
+            raise MaintenanceError(
+                "cannot recover: no checkpoint to restore, and the tables "
+                "have changed since this warehouse opened — reopen it over "
+                "the database it first opened with, then recover()"
+            )
         restore_lsn = checkpoint.lsn if checkpoint is not None else 0
-        if restore_lsn < self.wal.compacted_through and (
-            from_origin or self.checkpoints is not None
-        ):
+        if restore_lsn < self.wal.compacted_through:
             # the replay would start inside the prefix compaction
             # deleted: refuse before anything is touched
             raise CheckpointError(
@@ -856,19 +864,8 @@ class Warehouse:
         self.snapshots.invalidate("recovery")
         self._recovering = True
         if checkpoint is not None:
-            # the restored state predates everything past the checkpoint
-            # LSN, so replay *all* entries after it — acked or not
             self._restore_checkpoint(checkpoint)
-            entries = self.wal.entries_after(checkpoint.lsn)
-        elif from_origin or self.checkpoints is not None:
-            # cold start, or no restore point verifies: base tables hold
-            # their *initial* rows, so the acked prefix must replay too —
-            # the check above made sure the WAL still has all of history
-            entries = self.wal.entries_after(0)
-        else:
-            # no checkpoints: base tables are assumed restored to the
-            # acked prefix — replay only the unacked tail
-            entries = self.wal.pending()
+        entries = self.wal.entries_after(restore_lsn)
         # A quarantined segment means records are *missing* from the
         # middle of history: the surviving suffix may conflict with the
         # restored state (e.g. an insert whose key a lost delete should
@@ -1034,6 +1031,7 @@ class Warehouse:
         (*check* ``False``: nothing checked, as for a plain change);
         record its delta (for the journal and the undo) *before* the
         fan-out, which may fail after the table has changed."""
+        self._tables_changed = True
         if operation == DELETE_BY_KEY:
             operation, delta = DELETE, self.db.delete_by_key(table, rows, check=check)
         elif operation == INSERT:

@@ -10,6 +10,7 @@ import types
 import pytest
 
 from repro.obs import Telemetry
+from repro.obs import dashboard
 from repro.obs.dashboard import percentile
 
 
@@ -110,13 +111,24 @@ class TestSeries:
             "p95": 0.0,
         }
 
-    def test_latency_samples_bounded(self):
+    def test_latency_samples_bounded(self, monkeypatch):
+        monkeypatch.setattr(dashboard, "MAX_LATENCY_SAMPLES", 3)
         t = Telemetry()
-        t.health.max_samples = 3
         for _ in range(10):
             passed(t)
         assert len(t.health._views["v3"].latencies) == 3
         assert t.health.totals()["v3"]["passes"] == 10  # counting never stops
+
+    def test_latency_series_keeps_the_newest_samples(self):
+        """Past the bound the series slides: percentiles follow the
+        latest passes instead of freezing on the first ones."""
+        t = Telemetry()
+        for _ in range(dashboard.MAX_LATENCY_SAMPLES):
+            passed(t, elapsed_seconds=0.001)
+        for _ in range(dashboard.MAX_LATENCY_SAMPLES):
+            passed(t, elapsed_seconds=0.5)
+        assert len(t.health._views["v3"].latencies) == dashboard.MAX_LATENCY_SAMPLES
+        assert t.health.latency_percentiles("v3") == {"p50": 0.5, "p95": 0.5}
 
     def test_strategy_mix_counted_per_term(self):
         t = Telemetry()

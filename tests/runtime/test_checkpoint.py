@@ -175,10 +175,10 @@ class TestBoundedRecovery:
         wh2.check_consistency()
         wh2.close()
 
-    def test_every_restore_point_damaged_replays_from_origin(self, tmp_path):
+    def test_every_restore_point_damaged_replays_the_whole_log(self, tmp_path):
         """Every checkpoint file fails verification but the WAL was never
-        compacted past genesis: recovery replays all of it instead of
-        only the unacknowledged tail, which would lose the acked prefix."""
+        compacted past genesis: the tables the restart opened with are
+        the restore point, and all of the log replays over them."""
         wh = make_warehouse(tmp_path)
         wh.create_view("ol", order_lines_expr())
         wh.checkpoint()  # at LSN 0: compacts nothing

@@ -1,12 +1,13 @@
 """Crash recovery: WAL replay re-drives lost maintenance work.
 
-The durability contract (docs/DURABILITY.md): base tables are
-snapshotted at flush() boundaries — where acks are fsynced — and after a
-crash the operator restores that snapshot and calls recover(), which
-re-applies every unacknowledged WAL entry to the database and fans it
-out across the views.  The proof obligation here: after replay, every
-non-quarantined view equals a full recompute of the final database
-state, even when the crash tore the WAL mid-record.
+The durability contract (docs/DURABILITY.md): recover() restores the
+newest verifiable checkpoint or, with none, takes the tables the
+warehouse was opened with as LSN 0, then replays every WAL entry past
+that restore point.  A cold restart therefore reopens over the database
+the warehouse first opened with.  The proof obligation here: after
+replay, every non-quarantined view equals a full recompute of the final
+database state, even when the crash tore the WAL mid-record — and a
+warehouse whose tables are no longer a restore point refuses.
 """
 
 from pathlib import Path
@@ -30,14 +31,15 @@ def generator():
 def test_recovery_replay_matches_full_recompute(generator, tmp_path):
     wal_path = str(tmp_path / "changes.wal")
     db = generator.build()
+    genesis = db.copy()  # the database the warehouse first opens with
 
     # -- before the crash: one flushed (acked) change ------------------
     wh = Warehouse(db, wal_path=wal_path)
     wh.create_view("v3", v3())
     wh.create_view("oj_view", oj_view())
-    wh.insert("lineitem", generator.lineitem_insert_batch(20, seed=1))
+    acked_batch = generator.lineitem_insert_batch(20, seed=1)
+    wh.insert("lineitem", acked_batch)
     wh.flush()
-    snapshot = db.copy()  # the operator's base-table snapshot
     wh.close()
 
     # -- after the flush: a change whose fan-out never completed -------
@@ -51,45 +53,80 @@ def test_recovery_replay_matches_full_recompute(generator, tmp_path):
     with open(segments[-1], "ab") as handle:
         handle.write(b'deadbeef {"kind":"change","lsn":99,"table":"linei')
 
-    # -- recovery ------------------------------------------------------
-    restored = snapshot.copy()
-    wh2 = Warehouse(restored, wal_path=wal_path)
+    # -- recovery: reopen over the original database -------------------
+    wh2 = Warehouse(genesis, wal_path=wal_path)
     assert wh2.wal.torn_tail_dropped  # the torn record was truncated
     wh2.create_view("v3", v3())
     wh2.create_view("oj_view", oj_view())
     assert [e.lsn for e in wh2.wal.pending()] == [lost_lsn]
 
     results = wh2.recover()
-    assert len(results) == 1 and results[0].ok
-    assert results[0].lsn == lost_lsn
+    # the acked change replays too: the restore point predates it
+    assert [r.lsn for r in results] == [lost_lsn - 1, lost_lsn]
+    assert all(r.ok for r in results)
     assert wh2.wal.pending() == []  # replayed changes are acked
 
     # every view equals a full recompute of the recovered database
     wh2.check_consistency()
-    # the replayed rows really are in the base table
-    keys = {(r[0], r[1]) for r in lost_batch}
-    present = {
-        (row[0], row[1]) for row in restored.table("lineitem").rows
-    }
-    assert keys <= present
+    # both batches really are in the base table, once each
+    rows = genesis.table("lineitem").rows
+    keys = [(row[0], row[1]) for row in rows]
+    assert len(keys) == len(set(keys))
+    assert {(r[0], r[1]) for r in acked_batch + lost_batch} <= set(keys)
     wh2.close()
 
 
 def test_recovery_is_idempotent_once_acked(generator, tmp_path):
+    """Recovering twice from the same log — once per cold restart over
+    the original database — lands on the same state the live warehouse
+    reached: acked entries replay over the restore point, never onto
+    their own effects."""
     wal_path = str(tmp_path / "changes.wal")
     db = generator.build()
+    genesis = db.copy()
     wh = Warehouse(db, wal_path=wal_path)
     wh.create_view("v3", v3())
     wh.insert("lineitem", generator.lineitem_insert_batch(10, seed=3))
     wh.flush()
+    expected = set(db.table("lineitem").rows)
     wh.close()
 
-    restored = db.copy()
-    wh2 = Warehouse(restored, wal_path=wal_path)
-    wh2.create_view("v3", v3())
-    assert wh2.recover() == []  # everything acked: nothing to replay
-    wh2.check_consistency()
-    wh2.close()
+    for _restart in range(2):
+        restarted = genesis.copy()
+        wh2 = Warehouse(restarted, wal_path=wal_path)
+        wh2.create_view("v3", v3())
+        assert len(wh2.recover()) == 1
+        assert wh2.wal.pending() == []
+        assert set(restarted.table("lineitem").rows) == expected
+        wh2.check_consistency()
+        wh2.close()
+
+
+@pytest.mark.parametrize("checkpoints", [False, True])
+def test_live_recover_without_a_restore_point_is_refused(tmp_path, checkpoints):
+    """A warehouse that has applied changes since it opened, with no
+    checkpoint to restore, has no restore point: recover() raises before
+    touching anything (it used to replay nothing, or every logged change
+    a second time), and a second call behaves the same."""
+    settings = {"wal_path": str(tmp_path / "changes.wal")}
+    if checkpoints:
+        settings["checkpoint_dir"] = str(tmp_path / "ckpt")  # none written
+    wh = Warehouse(build_db(), **settings)
+    wh.create_view("ol", order_lines_expr())
+    wh.insert("orders", [(0, 1)])
+    wh.insert("lineitem", [(0, 99, 5)])
+    wh.flush()
+    before = {name: sorted(t.rows) for name, t in wh.db.tables.items()}
+    for _attempt in range(2):
+        with pytest.raises(MaintenanceError, match="no checkpoint to restore"):
+            wh.recover()
+        assert {n: sorted(t.rows) for n, t in wh.db.tables.items()} == before
+        assert wh.last_recovery is None
+        wh.check_consistency()
+    # still live: changes keep landing
+    wh.insert("lineitem", [(0, 100, 6)])
+    wh.check_consistency()
+    wh.close()
 
 
 def test_recover_requires_a_wal():
@@ -134,21 +171,18 @@ def test_recovery_skips_quarantined_views(tmp_path):
     """A view that keeps failing during replay is quarantined; the
     others still recover to the recomputed state."""
     wal_path = str(tmp_path / "changes.wal")
-    db = build_db()
-    wh = Warehouse(db, wal_path=wal_path)
+    wh = Warehouse(build_db(), wal_path=wal_path)
     wh.create_view("ol_a", order_lines_expr())
     wh.insert("orders", [(1, 100)])
     wh.flush()
-    snapshot = db.copy()
     # a lost change
     wal = wh.wal
     lost = wal.append("orders", "insert", [(2, 200)])
     wh.scheduler.shutdown()
     wal.close()
 
-    restored = snapshot.copy()
     wh2 = Warehouse(
-        restored,
+        build_db(),  # the original database
         telemetry=Telemetry(),
         wal_path=wal_path,
         retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.001),
@@ -157,7 +191,7 @@ def test_recovery_skips_quarantined_views(tmp_path):
     wh2.create_view("ol_b", order_lines_expr())
     make_flaky(wh2, "ol_b", fail_times=10_000)
     results = wh2.recover()
-    assert len(results) == 1
+    assert [r.lsn for r in results] == [lost - 1, lost]
     assert results[0].quarantined == ["ol_b"]
     assert wh2.wal.pending() == []  # acked anyway: repair, don't replay
     # the healthy view recovered fully
@@ -204,7 +238,7 @@ def test_no_write_path_rebuilds_an_index(tmp_path, no_index_rebuild):
     def replay():
         recovered = Warehouse(build_db(), wal_path=wal_path, segment_bytes=64)
         recovered.create_view("ol", order_lines_expr())
-        recovered.recover(from_origin=True)
+        recovered.recover()
         recovered.check_consistency()
         rows = set(recovered.db.table("lineitem").rows)
         degraded = recovered.wal.corruption_detected

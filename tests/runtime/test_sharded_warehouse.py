@@ -113,7 +113,7 @@ def test_empty_shard_participates_in_merge_and_accepts_late_rows():
     try:
         stats = wh.shard_stats()
         assert stats["shards"][1]["table_rows"]["lineitem"] == 0
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db)
         # a row beyond the split point lands on the empty shard
         wh.insert("orders", [(2000, 1)])
@@ -228,7 +228,7 @@ def test_cross_shard_transaction_commits_atomically():
             # round, and the rows hash to different shards
             txn.insert("lineitem", [(300, 0, 1), (301, 0, 2)])
             txn.insert("orders", [(300, 1), (301, 1)])
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         ops = [
             ("insert", "lineitem", [(300, 0, 1), (301, 0, 2)]),
             ("insert", "orders", [(300, 1), (301, 1)]),
@@ -245,21 +245,15 @@ def test_cross_shard_transaction_rolls_back_on_exception():
     db = build_db(deferrable=True)
     wh = make_sharded(db.copy(), shards=3)
     try:
-        before_tables = {
-            t: frozenset(map(tuple, rows))
-            for t, rows in wh.merged_table_state().items()
-        }
+        before_tables = {t: frozenset(wh.table_rows(t)) for t in wh.db.tables}
         with pytest.raises(RuntimeError):
             with wh.transaction() as txn:
                 txn.insert("orders", [(400, 1)])
                 txn.insert("lineitem", [(400, 0, 1), (401, 0, 1)])
                 raise RuntimeError("abort mid-transaction")
-        after_tables = {
-            t: frozenset(map(tuple, rows))
-            for t, rows in wh.merged_table_state().items()
-        }
+        after_tables = {t: frozenset(wh.table_rows(t)) for t in wh.db.tables}
         assert after_tables == before_tables
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db)
     finally:
         wh.close()
@@ -276,7 +270,7 @@ def test_cross_shard_transaction_rolls_back_on_prepare_failure():
                 txn.insert("orders", [(600, 1)])
                 txn.insert("lineitem", [(600, 0, 1), (999, 0, 1)])
                 # order 999 never arrives
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db)
         wh.check_consistency()
     finally:
@@ -292,11 +286,11 @@ def test_recovery_iterates_shard_lineages(tmp_path):
     try:
         wh.insert("orders", [(700, 1)])
         wh.insert("lineitem", [(700, 0, 3), (700, 1, 4)])
-        wh.crash_restart()
+        wh.recover()
         summary = wh.last_recovery
         assert set(summary["shards"]) == {0, 1}
         assert not summary["degraded"]
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db, [
             ("insert", "orders", [(700, 1)]),
             ("insert", "lineitem", [(700, 0, 3), (700, 1, 4)]),
@@ -317,12 +311,12 @@ def test_restart_before_the_first_checkpoint_replays_each_whole_wal(tmp_path):
     try:
         wh.insert("orders", [(700, 1)])
         wh.insert("lineitem", [(700, 0, 3), (700, 1, 4)])
-        wh.crash_restart()
+        wh.recover()
         assert wh.last_recovery["replayed"] > 0
         assert sorted(wh.table_rows("lineitem")) == sorted(
             db.table("lineitem").rows + [(700, 0, 3), (700, 1, 4)]
         )
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db, [
             ("insert", "orders", [(700, 1)]),
             ("insert", "lineitem", [(700, 0, 3), (700, 1, 4)]),
@@ -348,15 +342,20 @@ def test_recovery_with_one_corrupt_shard_wal_degrades_not_dies(tmp_path):
             raw = handle.read()
             handle.seek(len(raw) // 2)
             handle.write(b"\xff\xfe\xfd\xfc")
-        wh.crash_restart()
+        wh.recover()
         summary = wh.last_recovery
         assert summary["degraded"]
         assert summary["corruption_detected"]
         assert 0 in summary["quarantined_segments"]
         assert 1 not in summary["quarantined_segments"]
-        # the warehouse survives and keeps serving coherent views
+        # the warehouse survives and keeps serving: every shard's views
+        # equal its own recompute (the first layer check_consistency
+        # runs), and the history shard 0 lost is named, not papered
+        # over — its copy of the replicated table replays without it
         wh.insert("orders", [(900, 1)])
-        wh.check_consistency()
+        assert 900 in {row[0] for row in wh.table_rows("orders")}
+        with pytest.raises(MaintenanceError, match="replicated table 'orders' diverged"):
+            wh.check_consistency()
     finally:
         wh.close()
 
@@ -459,7 +458,7 @@ def test_process_backend_smoke():
         wh.create_view("order_lines", order_lines_defn())
         wh.apply_async("lineitem", "insert", [(0, 7, 70), (1, 7, 71)])
         wh.flush()
-        merged = frozenset(map(tuple, wh.merged_views()["order_lines"]))
+        merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db, [
             ("insert", "lineitem", [(0, 7, 70), (1, 7, 71)]),
         ])

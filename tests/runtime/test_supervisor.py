@@ -243,7 +243,7 @@ def test_reincarnation_leaves_an_undecided_transaction_to_the_coordinator(
 
 def test_no_checkpoint_covers_an_open_transaction(tmp_path):
     """While a prepared transaction is open on a shard, its
-    auto-checkpoint waits and an explicit one refuses; a crash then
+    auto-checkpoint waits and an explicit one refuses; recover() then
     aborts the undecided transaction, and nothing of it comes back."""
     wh = make_supervised(
         tmp_path, checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_interval=1
@@ -256,7 +256,7 @@ def test_no_checkpoint_covers_an_open_transaction(tmp_path):
         assert not any((tmp_path / "ckpt").rglob("ckpt-*"))
         with pytest.raises(MaintenanceError, match="transaction open"):
             wh.checkpoint()
-        wh.crash_hard()
+        wh.recover()
         assert lineitem_keys(wh) & {(0, 50), *(row[:2] for row in SPREAD)} == {(0, 50)}
         wh.check_consistency()
     finally:

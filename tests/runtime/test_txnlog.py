@@ -208,15 +208,16 @@ def test_coordinator_crash_window_resolves_deterministically(
 def test_hard_crash_after_decision_sweeps_record_and_stays_consistent(
     tmp_path,
 ):
-    """A hard crash takes every worker's memory, but each shard's
-    prepare is durable: the prepared parts come back in doubt from the
-    WAL, the durable decision commits them on every shard, and the
-    record is retired — no shard holds half the transaction."""
+    """recover() drops every worker's memory, as a hard crash would,
+    but each shard's prepare is durable: the prepared parts come back
+    in doubt from the WAL, the durable decision commits them on every
+    shard, and the record is retired — no shard holds half the
+    transaction."""
     wh = _make_durable_sharded(tmp_path)
     try:
         _crash_txn_at(wh, "txn.coordinator.decided")
         assert [r.txn_id for r in wh.txnlog.pending()]  # decision durable
-        wh.crash_hard()
+        wh.recover()
         assert wh.txnlog.pending() == []
         assert {r["outcome"] for r in wh.last_recovery["resolved_transactions"]} == {"commit"}
         merged = wh.merged_database()

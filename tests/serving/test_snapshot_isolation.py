@@ -178,8 +178,12 @@ def test_snapshot_at_lsn(tmp_path):
 # recovery
 # ---------------------------------------------------------------------------
 def test_recovery_invalidates_previously_issued_snapshots(tmp_path):
-    wh = seeded_warehouse(workers=2, wal_path=str(tmp_path / "wal"))
+    wh = seeded_warehouse(
+        workers=2, wal_path=str(tmp_path / "wal"),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
     try:
+        wh.checkpoint()  # the restore point a live recover() needs
         wh.insert("lineitem", lineitem_batch(1))
         pre = wh.snapshot()
         assert pre.valid
@@ -196,7 +200,7 @@ def test_recovery_invalidates_previously_issued_snapshots(tmp_path):
         wh.close()
 
 
-def test_crash_restart_serves_a_valid_snapshot(tmp_path):
+def test_cold_restart_serves_a_valid_snapshot(tmp_path):
     from repro.runtime import FAILPOINTS
 
     wal_path = str(tmp_path / "wal")

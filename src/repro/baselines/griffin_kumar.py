@@ -33,11 +33,11 @@ from ..algebra.normalform import evaluate_term
 from ..core.maintain import (
     MaintenanceOptions,
     MaintenanceReport,
+    PassRecord,
     SECONDARY_FROM_BASE,
     SharedResults,
     ViewMaintainer,
 )
-from ..core.maintgraph import MaintenanceGraph
 from ..core.view import MaterializedView
 from ..engine.catalog import Database
 from ..engine.table import Table
@@ -83,17 +83,15 @@ class GriffinKumarMaintainer(ViewMaintainer):
 
     def _compute_primary(
         self,
+        record: PassRecord,
         table: str,
         delta: Table,
-        mgraph: MaintenanceGraph,
-        fk_allowed: bool,
-        report: MaintenanceReport,
         shared: Optional[SharedResults] = None,
     ) -> Optional[Table]:
         # inside the pass: the report's clock and the maintain span both
         # cover the per-term deltas
         self._evaluate_all_term_deltas(table, delta)
-        return super()._compute_primary(table, delta, mgraph, fk_allowed, report, shared)
+        return super()._compute_primary(record, table, delta, shared)
 
     def _evaluate_all_term_deltas(self, table: str, delta: Table) -> None:
         """Characteristic (c): evaluate ΔEᵢ from base tables for every

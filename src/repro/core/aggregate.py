@@ -306,10 +306,11 @@ class AggregatedView(MaintenancePlans):
         if table not in self.definition.tables or not len(delta):
             return report
 
-        mgraph = self.maintenance_graph(table, fk_allowed)
-        report.direct_terms = [t.label() for t in mgraph.directly_affected]
-        report.indirect_terms = [t.label() for t in mgraph.indirectly_affected]
-        primary = self._compute_primary(table, delta, mgraph, fk_allowed, report, shared)
+        record = self.pass_record(table, operation, fk_allowed)
+        report.direct_terms = list(record.direct)
+        report.indirect_terms = [s[1] for s in record.secondaries]
+        primary = self._compute_primary(record, table, delta, shared)
+        report.primary_skipped = primary is None
         if primary is None:
             return report
 
@@ -322,22 +323,15 @@ class AggregatedView(MaintenancePlans):
             table=table,
             operation=operation,
         )
-        for term in mgraph.indirectly_affected:
+        for term, label, key in record.secondaries:
             rows = self._secondary_base_rows(
-                term, mgraph, primary, operation, table, delta, fk_allowed
+                record, term, key, primary, operation, table, delta
             )
-            report.secondary_rows[term.label()] = self._fold(rows, -sign)
+            report.secondary_rows[label] = self._fold(rows, -sign)
             undo.append(partial(self._fold, rows, sign))
         return report
 
     # ------------------------------------------------------------------
-    def recompute_rows(self) -> List[Row]:
-        """Full-recompute oracle: group the freshly evaluated view."""
-        fresh = AggregatedView(
-            self.definition, self.group_by, self.aggregates, self.db
-        )
-        return fresh.rows()
-
     def check_consistency(self) -> None:
         """Compare against the recompute oracle; float aggregates are
         compared with a relative tolerance because incremental and batch
@@ -345,7 +339,7 @@ class AggregatedView(MaintenancePlans):
         import math
 
         mine = self.rows()
-        fresh = self.recompute_rows()
+        fresh = AggregatedView(self.definition, self.group_by, self.aggregates, self.db).rows()
         if len(mine) != len(fresh):
             raise MaintenanceError(
                 f"aggregated view {self.definition.name!r} diverged from "

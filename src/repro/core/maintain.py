@@ -20,12 +20,14 @@ would both be inserted even though the ``{R}`` orphan is subsumed by the
 ``{R,S}`` one.  (The base-table route needs no ordering — its ``Qᵢ``
 filter already excludes such candidates, cf. Example 9's ``n(S)``.)
 
-Every delta — ΔV^D and each ΔDᵢ — runs as a compiled physical plan out of
-a fingerprinted :class:`~repro.planner.PlanCache`; there is no second
-executor.  A pass lands whole or not at all: it records the inverse of
-each view apply (itself all-or-nothing) that succeeded, and if anything
-raises later :func:`undo_pass` runs them, leaving the view exactly
-pre-change.
+What a pass decides before it sees a row — the classification, labels,
+ΔV^D, the parents-first order and the plan keys — is a :class:`PassRecord`
+compiled once per (table, operation, ``fk_allowed``).  Every delta — ΔV^D
+and each ΔDᵢ — runs as a compiled physical plan out of a fingerprinted
+:class:`~repro.planner.PlanCache`; there is no second executor.  A pass
+lands whole or not at all: it records the inverse of each view apply
+(itself all-or-nothing) that succeeded, and if anything raises later
+:func:`undo_pass` runs them, leaving the view exactly pre-change.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..algebra.expr import RelExpr, delta_label
 from ..algebra.normalform import Term
 from ..algebra.subsumption import SubsumptionGraph
 from ..engine import operators as ops
 from ..engine.catalog import Database
-from ..engine.schema import Schema
 from ..engine.table import Row, Table
 from ..errors import MaintenanceError, UndoError, UnsupportedViewError
 from ..obs import Telemetry
@@ -159,16 +160,35 @@ def undo_pass(target, undo: List[Callable[[], int]]) -> None:
         ) from exc
 
 
+class PassRecord(NamedTuple):
+    """Everything a pass of (table, operation, ``fk_allowed``) decides before it sees a
+    row: the maintenance graph, the direct terms' labels, ΔV^D and its plan key, and the
+    indirect terms parents-first as ``(term, label, plan key)``, one key serving both
+    secondary routes behind the route's name.  ``primary_key`` is ``None`` when the pass
+    is statically empty: the view cannot see the table, no term is directly affected, or
+    foreign keys prove ΔV^D empty (Section 6)."""
+
+    mgraph: MaintenanceGraph
+    direct: Tuple[str, ...]
+    expr: Optional[RelExpr]
+    primary_key: Optional[Tuple]
+    secondaries: Tuple[Tuple[Term, str, Tuple], ...]
+
+    @property
+    def empty(self) -> bool:
+        return self.primary_key is None
+
+
 class MaintenancePlans:
     """The view-independent half of maintenance, shared by
     :class:`ViewMaintainer` and :class:`~repro.core.aggregate.AggregatedView`.
 
     Structural work that depends only on the view definition — the normal
-    form, the subsumption graph, the maintenance graphs and the
-    primary-delta expressions — is computed once and cached, and each
-    delta runs as a physical plan compiled once per fingerprint, mirroring
-    how a real system would compile maintenance plans at view-creation
-    time.
+    form, the subsumption graph and one :class:`PassRecord` per (table,
+    operation, ``fk_allowed``) — is derived once per options fingerprint,
+    and each delta runs as a physical plan compiled once per plan
+    fingerprint, mirroring how a real system would compile maintenance
+    plans at view-creation time.
     """
 
     def __init__(
@@ -182,9 +202,9 @@ class MaintenancePlans:
         self.definition = definition
         self.options = options or MaintenanceOptions()
         self.telemetry = telemetry or Telemetry.disabled()
-        self._graph: Optional[SubsumptionGraph] = None
-        self._delta_exprs: Dict[Tuple[str, bool], Optional[RelExpr]] = {}
-        self._mgraphs: Dict[Tuple[str, bool], MaintenanceGraph] = {}
+        # keyed by the options they depend on: an option flip derives afresh
+        self._graphs: Dict[bool, SubsumptionGraph] = {}
+        self._records: Dict[Tuple, PassRecord] = {}
         # Compiled physical plans, fingerprinted on (options, index set).
         self._plan_cache = PlanCache()
 
@@ -193,44 +213,55 @@ class MaintenancePlans:
         return self._plan_cache
 
     # ------------------------------------------------------------------
-    # cached structure
+    # structure, derived once per options fingerprint
     # ------------------------------------------------------------------
     @property
     def graph(self) -> SubsumptionGraph:
-        if self._graph is None:
-            self._graph = self.definition.subsumption_graph(
-                self.db, use_foreign_keys=self.options.use_foreign_keys
-            )
-        return self._graph
+        use_fk = self.options.use_foreign_keys
+        if use_fk not in self._graphs:
+            self._graphs[use_fk] = self.definition.subsumption_graph(self.db, use_fk)
+        return self._graphs[use_fk]
 
-    def maintenance_graph(self, table: str, fk_allowed: bool) -> MaintenanceGraph:
-        use_fk = fk_allowed and self.options.use_foreign_keys
-        key = (table, use_fk)
-        if key not in self._mgraphs:
-            self._mgraphs[key] = MaintenanceGraph(
-                self.graph, table, self.db, use_foreign_keys=use_fk
-            )
-        return self._mgraphs[key]
+    def pass_record(self, table: str, operation: str, fk_allowed: bool) -> PassRecord:
+        """The :class:`PassRecord` for a change of *table*, compiled on
+        first use."""
+        key = (table, operation, fk_allowed, self.options.fingerprint())
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = self._compile_record(table, operation, fk_allowed)
+        return record
 
-    def delta_expression(self, table: str, fk_allowed: bool) -> Optional[RelExpr]:
-        """The compiled ΔV^D expression for updates of *table* (``None``
-        when foreign keys prove the delta always empty)."""
+    def _compile_record(self, table: str, operation: str, fk_allowed: bool) -> PassRecord:
         use_fk = fk_allowed and self.options.use_foreign_keys
-        key = (table, use_fk)
-        if key not in self._delta_exprs:
-            expr: Optional[RelExpr] = primary_delta_expression(
-                self.definition.join_expr, table
-            )
+        mgraph = MaintenanceGraph(self.graph, table, self.db, use_foreign_keys=use_fk)
+        expr: Optional[RelExpr] = None
+        if mgraph.directly_affected:
+            expr = primary_delta_expression(self.definition.join_expr, table)
             if self.options.left_deep:
                 try:
                     expr = to_left_deep(expr, self.db)
                 except UnsupportedViewError:
                     pass  # fall back to the bushy tree
             if use_fk:
-                result = simplify_tree(expr, table, self.db)
-                expr = result.expression
-            self._delta_exprs[key] = expr
-        return self._delta_exprs[key]
+                expr = simplify_tree(expr, table, self.db).expression
+        # Parents before children (see module docstring).
+        terms = sorted(mgraph.indirectly_affected, key=lambda t: -len(t.source))
+        return PassRecord(
+            mgraph,
+            tuple(t.label() for t in mgraph.directly_affected),
+            expr,
+            None if expr is None else ("primary", table, use_fk),
+            tuple((t, t.label(), (table, t.label(), operation, fk_allowed)) for t in terms),
+        )
+
+    def maintenance_graph(self, table: str, fk_allowed: bool) -> MaintenanceGraph:
+        return self.pass_record(table, INSERT, fk_allowed).mgraph
+
+    def delta_expression(self, table: str, fk_allowed: bool) -> Optional[RelExpr]:
+        """The compiled ΔV^D expression for updates of *table* (``None``
+        when no term is directly affected or foreign keys prove the delta
+        always empty)."""
+        return self.pass_record(table, INSERT, fk_allowed).expr
 
     # ------------------------------------------------------------------
     # public update API (over the subclass's ``maintain``)
@@ -304,60 +335,46 @@ class MaintenancePlans:
         provision_indexes(expr, self.db, schemas)
         return compile_plan(expr, self.db, schemas)
 
-    def _build_base_secondary(
-        self, term, mgraph, delta_schema, operation, table
-    ):
-        plan = CompiledBaseSecondary(
-            term, mgraph, delta_schema, self.db, operation, table
-        )
-        provision_indexes(plan.expr, self.db, plan.plan.binding_schemas)
-        return plan
-
     def _compute_primary(
         self,
+        record: PassRecord,
         table: str,
         delta: Table,
-        mgraph: MaintenanceGraph,
-        fk_allowed: bool,
-        report: MaintenanceReport,
         shared: Optional[SharedResults] = None,
     ) -> Optional[Table]:
-        """ΔV^D for *delta* (``None`` when the maintenance graph or the
-        foreign keys prove it empty); *shared* is the change's memo of
-        sub-plan results (:meth:`~repro.planner.CompiledPlan.execute`)."""
-        if not mgraph.directly_affected:
-            report.primary_skipped = True
+        """ΔV^D for *delta* (``None`` when *record* is statically empty);
+        *shared* is the change's memo of sub-plan results
+        (:meth:`~repro.planner.CompiledPlan.execute`)."""
+        if record.empty:
             return None
-        expr = self.delta_expression(table, fk_allowed)
-        if expr is None:
-            report.primary_skipped = True
-            return None
-        use_fk = fk_allowed and self.options.use_foreign_keys
         plan = self._cached_plan(
-            ("primary", table, use_fk),
-            lambda: self._build_primary_plan(table, expr),
+            record.primary_key,
+            lambda: self._build_primary_plan(table, record.expr),
         )
         return plan.execute(self.db, {delta_label(table): delta}, shared)
 
     def _secondary_base_rows(
         self,
+        record: PassRecord,
         term: Term,
-        mgraph: MaintenanceGraph,
+        key: Tuple,
         primary: Table,
         operation: str,
         table: str,
         delta: Table,
-        fk_allowed: bool,
     ) -> Table:
-        """ΔDᵢ of *term* from base tables (Section 5.3).  The key carries
-        *fk_allowed*, which fixes both *mgraph* and *primary*'s schema."""
-        plan = self._cached_plan(
-            ("secondary-base", table, term.label(), operation, fk_allowed),
-            lambda: self._build_base_secondary(
-                term, mgraph, primary.schema, operation, table
-            ),
-        )
-        return plan.execute(self.db, primary, delta)
+        """ΔDᵢ of *term* from base tables (Section 5.3).  The plan *key*
+        carries ``fk_allowed``, which fixes both the maintenance graph and
+        *primary*'s schema."""
+
+        def build():
+            plan = CompiledBaseSecondary(
+                term, record.mgraph, primary.schema, self.db, operation, table
+            )
+            provision_indexes(plan.expr, self.db, plan.plan.binding_schemas)
+            return plan
+
+        return self._cached_plan(("secondary-base",) + key, build).execute(self.db, primary, delta)
 
 
 class ViewMaintainer(MaintenancePlans):
@@ -424,20 +441,15 @@ class ViewMaintainer(MaintenancePlans):
         ) as root:
             try:
                 with tracer.span("classify") as span:
-                    mgraph = self.maintenance_graph(table, fk_allowed)
-                    report.direct_terms = [
-                        t.label() for t in mgraph.directly_affected
-                    ]
-                    report.indirect_terms = [
-                        t.label() for t in mgraph.indirectly_affected
-                    ]
+                    record = self.pass_record(table, operation, fk_allowed)
+                    report.direct_terms = list(record.direct)
+                    report.indirect_terms = [s[1] for s in record.secondaries]
                     span.set_attribute("direct", len(report.direct_terms))
                     span.set_attribute("indirect", len(report.indirect_terms))
 
                 with tracer.span("primary_delta") as span:
-                    primary = self._compute_primary(
-                        table, delta, mgraph, fk_allowed, report, shared
-                    )
+                    primary = self._compute_primary(record, table, delta, shared)
+                    report.primary_skipped = primary is None
                     span.set_attribute("skipped", report.primary_skipped)
                     if primary is not None:
                         span.record_rows(len(primary))
@@ -448,7 +460,7 @@ class ViewMaintainer(MaintenancePlans):
                         )
                         span.record_rows(report.primary_rows)
                     if self.options.count_term_rows:
-                        self._count_term_rows(primary, mgraph, report)
+                        self._count_term_rows(primary, record, report)
                 # fault-injection site *inside* the maintain span, between
                 # the primary and the secondary applies: an armed raise
                 # stages the half-applied pass the undo below closes, with
@@ -459,13 +471,9 @@ class ViewMaintainer(MaintenancePlans):
                     table=table,
                     operation=operation,
                 )
-                if primary is None:
-                    primary = Table("delta", Schema([]), [])
-
-                if mgraph.indirectly_affected and len(primary):
+                if record.secondaries and primary is not None and len(primary):
                     self._apply_secondary(
-                        table, delta, primary, mgraph, operation, fk_allowed,
-                        report, undo,
+                        record, table, delta, primary, operation, report, undo
                     )
             except Exception:
                 tel.emit(
@@ -498,57 +506,51 @@ class ViewMaintainer(MaintenancePlans):
         return count
 
     def _count_term_rows(
-        self, primary: Table, mgraph: MaintenanceGraph, report: MaintenanceReport
+        self, primary: Table, record: PassRecord, report: MaintenanceReport
     ) -> None:
         from .extract import extract_net_delta
 
-        view_tables = self.definition.tables
-        for term in mgraph.directly_affected:
-            part = extract_net_delta(primary, term, view_tables, self.db)
-            report.primary_term_rows[term.label()] = len(part)
+        for term, label in zip(record.mgraph.directly_affected, record.direct):
+            part = extract_net_delta(primary, term, self.definition.tables, self.db)
+            report.primary_term_rows[label] = len(part)
 
     def _apply_secondary(
         self,
+        record: PassRecord,
         table: str,
         delta: Table,
         primary: Table,
-        mgraph: MaintenanceGraph,
         operation: str,
-        fk_allowed: bool,
         report: MaintenanceReport,
         undo: List[Callable[[], int]],
     ) -> None:
         strategy = self.options.secondary_strategy
-        # Parents before children (see module docstring).
-        terms = sorted(mgraph.indirectly_affected, key=lambda t: -len(t.source))
-        for term in terms:
+        for term, label, key in record.secondaries:
             term_strategy = strategy
             if strategy == SECONDARY_AUTO:
-                term_strategy = self._choose_secondary_strategy(term, mgraph, table)
-            report.secondary_strategy_used[term.label()] = term_strategy
+                term_strategy = self._choose_secondary_strategy(term, record.mgraph, table)
+            report.secondary_strategy_used[label] = term_strategy
             with self.telemetry.tracer.span(
-                "secondary", term=term.label(), strategy=term_strategy
+                "secondary", term=label, strategy=term_strategy
             ) as span:
                 if term_strategy == SECONDARY_FROM_BASE:
                     rows = self._secondary_base_rows(
-                        term, mgraph, primary, operation, table, delta,
-                        fk_allowed,
+                        record, term, key, primary, operation, table, delta
                     )
                 else:
                     # Index-seek plan of Section 5.2; reads the live view,
                     # so parent-term orphans inserted above are visible here
                     # (the parents-first requirement of the module docstring).
                     plan = self._cached_plan(
-                        ("secondary-view", table, term.label(), operation,
-                         fk_allowed),
+                        ("secondary-view",) + key,
                         lambda: CompiledViewSecondary(
-                            term, mgraph, self.view, primary.schema, self.db,
-                            operation,
+                            term, record.mgraph, self.view, primary.schema,
+                            self.db, operation,
                         ),
                     )
                     rows = plan.execute(self.view, primary)
-                count = self._apply(rows, operation != INSERT, undo)
-                report.secondary_rows[term.label()] = count
+                count = self._apply(rows, operation != INSERT, undo) if len(rows) else 0
+                report.secondary_rows[label] = count
                 span.record_rows(count)
 
     def _choose_secondary_strategy(

@@ -122,13 +122,10 @@ class ViewDefinition:
             self.join_expr = expr
             self._output = None
         validate_spoj(self.join_expr)
+        #: Base tables referenced by the view (``join_expr`` never changes).
+        self.tables: frozenset = self.join_expr.base_tables()
 
     # ------------------------------------------------------------------
-    @property
-    def tables(self) -> frozenset:
-        """Base tables referenced by the view."""
-        return self.join_expr.base_tables()
-
     def full_schema(self, db: Database) -> Schema:
         """Schema of the unprojected join expression."""
         return infer_schema(self.join_expr, db)

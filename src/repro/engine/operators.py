@@ -82,9 +82,14 @@ def _join_kind(args: tuple, kwargs: dict) -> str:
 
 def _result(name: str, schema: Schema, rows: List[Row], key=None, not_null=()) -> Table:
     """An operator's output table adopting *rows*, a list the operator
-    built itself (``Table(...)`` would copy it)."""
-    table = Table(name, schema, None, key=key, not_null=not_null)
+    built itself (``Table(...)`` would copy it).  *key* (a tuple or
+    ``None``) and *not_null* are set as given: the plan compiler already
+    resolved those columns, so the constructor's per-column
+    ``Schema.index_of`` check is skipped."""
+    table = Table(name, schema)
     table.rows = rows
+    table.key = key
+    table.not_null = frozenset(not_null)
     return table
 
 

@@ -1,10 +1,10 @@
 """Parallel maintenance fan-out with retry, timeout and quarantine.
 
-A warehouse change touches *every* registered view.  The views are
-independent given the already-applied base-table delta — each maintainer
-reads the shared database and writes only its own view — so the fan-out
-parallelizes naturally: :class:`MaintenanceScheduler` runs one task per
-view on a ``ThreadPoolExecutor``.
+A warehouse change touches every registered view it can reach.  The views
+are independent given the already-applied base-table delta — each
+maintainer reads the shared database and writes only its own view — so the
+fan-out parallelizes naturally: :class:`MaintenanceScheduler` runs one task
+per view on a ``ThreadPoolExecutor``.
 
 Changes themselves stay **strictly serial**: the paper's formulas assume
 the base tables are exactly at the post-update state while a view is

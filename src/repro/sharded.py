@@ -453,7 +453,8 @@ class ShardedWarehouse(Warehouse):
 
     def _merge_report_blobs(self, blob_maps: List[Dict]) -> Reports:
         """Recombine per-shard report dicts: row counts add, term lists
-        union, the primary shortcut only counts if every shard took it."""
+        union.  No report is primary-skipped: a shard runs no task for a
+        view whose pass record is statically empty (``Warehouse._tasks``)."""
         merged: Dict[str, Dict] = {}
         for blob_map in blob_maps:
             for view, blob in blob_map.items():
@@ -475,10 +476,6 @@ class ShardedWarehouse(Warehouse):
                     for term in blob.get(field) or []:
                         if term not in tgt.setdefault(field, []):
                             tgt[field].append(term)
-                tgt["primary_skipped"] = (
-                    tgt.get("primary_skipped", False)
-                    and blob.get("primary_skipped", False)
-                )
                 tgt["elapsed_seconds"] = max(
                     tgt.get("elapsed_seconds", 0.0),
                     blob.get("elapsed_seconds", 0.0),
@@ -809,14 +806,7 @@ class ShardedWarehouse(Warehouse):
             )
             for target, reply in replies.items()
         ]
-        if shard is not None:
-            (rows,) = fragments
-        else:
-            merge_started = time.perf_counter()
-            rows = merge_view_rows(self._plan_of(view), fragments)
-            self.telemetry.emit(
-                "shard.merge", seconds=time.perf_counter() - merge_started
-            )
+        rows = fragments[0] if shard is not None else self._merge(self._plan_of(view), fragments)
         self.telemetry.emit(
             "shard.query",
             outcome="fanout" if shard is None else "fastpath",
@@ -874,15 +864,13 @@ class ShardedWarehouse(Warehouse):
 
     def _view_rows(self, name: str, dumps: Dict[int, Dict]) -> List[Row]:
         plan = self._plan_of(name)
-        fragments = [
-            wire.decode_rows(dumps[shard]["views"][name])
-            for shard in sorted(dumps)
-        ]
+        return self._merge(plan, [wire.decode_rows(dumps[s]["views"][name]) for s in sorted(dumps)])
+
+    def _merge(self, plan: ViewShardPlan, fragments: List[List[Row]]) -> List[Row]:
+        """One view's per-shard fragments recombined, the merge metered."""
         started = time.perf_counter()
         rows = merge_view_rows(plan, fragments)
-        self.telemetry.emit(
-            "shard.merge", seconds=time.perf_counter() - started
-        )
+        self.telemetry.emit("shard.merge", seconds=time.perf_counter() - started)
         return rows
 
     def table_rows(self, table: str) -> List[Row]:

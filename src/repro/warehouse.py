@@ -658,17 +658,28 @@ class Warehouse:
     def _tasks(
         self, table: str, delta: Table, operation: str, fk_allowed: bool
     ) -> List[Task]:
-        """One scheduler task per registered view, in registration order.
-        A failed ``maintain`` leaves its view exactly pre-change, so a
-        retry runs the task again: no copy, no broken snapshot journal.
-        Each view meters its own spans and errors either way.  The tasks
-        share one memo: a sub-plan several views' plans hold runs once
-        for the change, and the memo dies with the tasks."""
+        """One scheduler task per view the change reaches, in registration
+        order.  A view whose pass record is statically empty gets none (if
+        it reads *table*, the skipped pass is metered as primary-skipped);
+        one whose record fails to compile does, so ``maintain`` raises
+        inside the scheduler's retry and quarantine.  A failed ``maintain``
+        leaves its view exactly pre-change.  The tasks share one memo: a
+        sub-plan several views' plans hold runs once for the change."""
         shared: SharedResults = {}
-        return [
-            Task(name, partial(target.maintain, table, delta, operation, fk_allowed, shared))
-            for name, target in self._views.items()
-        ]
+        tasks = []
+        for name, target in self._views.items():
+            try:
+                empty = target.pass_record(table, operation, fk_allowed).empty
+            except Exception:
+                empty = False
+            if not empty:
+                run = partial(target.maintain, table, delta, operation, fk_allowed, shared)
+                tasks.append(Task(name, run))
+            elif len(delta) and table in target.definition.tables:
+                skipped = MaintenanceReport(target.definition.name, table, operation, len(delta))
+                skipped.primary_skipped = True
+                self.telemetry.emit("maintenance.pass", report=skipped)
+        return tasks
 
     def _maintain_now(
         self, table: str, delta: Table, operation: str, fk_allowed: bool

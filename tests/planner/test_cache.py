@@ -9,6 +9,7 @@ from repro.obs import Telemetry
 from repro.planner import PlanCache, probe_sites, provision_indexes
 
 from ..conftest import make_v1_db, make_v1_defn
+from ..core.test_leftdeep import is_left_deep
 
 
 class TestPlanCacheUnit:
@@ -75,14 +76,24 @@ class TestMaintainerCache:
         assert m.plan_cache.hits > hits_before
         m.check_consistency()
 
-    def test_option_change_invalidates(self):
+    def test_option_change_invalidates(self, monkeypatch):
+        """Flipping an option recompiles the plan from a logical tree of
+        the new shape, not from the tree derived under the old options."""
         db, m = fresh_maintainer()
         m.insert("r", [(100, 1)])
+        assert is_left_deep(m.delta_expression("r", True))
         hits_before = m.plan_cache.hits
+        compiled = []
+        build = m._build_primary_plan
+        monkeypatch.setattr(
+            m, "_build_primary_plan",
+            lambda table, expr: compiled.append(expr) or build(table, expr),
+        )
         m.options.left_deep = not m.options.left_deep
-        m._delta_exprs.clear()  # options change invalidates logical cache too
         m.insert("r", [(101, 2)])
         assert m.plan_cache.hits == hits_before
+        (tree,) = compiled
+        assert not is_left_deep(tree)  # bushy: ΔR ⟗ S ⟕ (T ⟗ U)
         m.check_consistency()
 
     def test_cache_metrics_recorded(self):

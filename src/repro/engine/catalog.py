@@ -319,10 +319,12 @@ class Database:
         per deleted key into an index on each referencing table's FK
         columns, built here by the first delete from *name*."""
         table = self.table(name)
+        key = tuple(table.key or ())
+        fks = [fk for fk in self.foreign_keys_to(name) if tuple(fk.target_columns) == key]
+        if not fks:
+            return
         doomed_keys = set(map(table.indexes[0].project, delta.rows))
-        for fk in self.foreign_keys_to(name):
-            if tuple(fk.target_columns) != tuple(table.key or ()):
-                continue
+        for fk in fks:
             source = self.table(fk.source)
             if find_index(source, fk.source_columns) is None:
                 bare = [split_qualified(c)[1] for c in fk.source_columns]

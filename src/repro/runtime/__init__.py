@@ -5,10 +5,10 @@ maintainers:
 
 * :class:`WriteAheadLog` — a segmented, CRC-checksummed change log that
   records every netted base-table delta *before* any view is touched,
-  so a crash mid-fan-out is recoverable by replaying unacknowledged
-  entries (:meth:`~repro.warehouse.Warehouse.recover`).  Segments whose
-  records fail verification are quarantined to a ``corrupt/`` sidecar
-  rather than aborting recovery;
+  so a crash mid-fan-out is recoverable by replaying every entry past
+  the restore point (:meth:`~repro.warehouse.Warehouse.recover`).
+  Segments whose records fail verification are quarantined to a
+  ``corrupt/`` sidecar rather than aborting recovery;
 * :class:`CheckpointManager` — atomically written, fsynced checkpoints
   of the base tables + last-applied LSN: a base file, then delta files
   holding only the rows the WAL says changed since.  Together with WAL

@@ -50,10 +50,15 @@ connection dies) — which the ``chaos-shard`` fuzz config drives.  They
 are armed only in-process: a thread worker shares the coordinator's
 :data:`~repro.runtime.failpoints.FAILPOINTS`, a spawned child has its
 own, with nothing armed.
+
+A spawned worker sizes its young GC generation to one change
+(:data:`WORKER_GC_THRESHOLD`, ``docs/SHARDING.md``, "Worker GC"); a
+thread worker shares the coordinator's interpreter and leaves it alone.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import threading
 from collections import deque
@@ -63,7 +68,11 @@ from .. import errors as _errors
 from ..errors import MaintenanceError, ReproError, ShardingError, ShardUnavailableError
 from .failpoints import FAILPOINTS, InjectedFault
 
-__all__ = ["ShardServer", "ShardHandle", "raise_shard_error"]
+__all__ = ["ShardServer", "ShardHandle", "raise_shard_error", "unavailable"]
+
+#: a spawned worker's generation-0 threshold: above one change's
+#: allocation burst (the default 700 fires inside every change)
+WORKER_GC_THRESHOLD = 100_000
 
 
 def _failure(exc: BaseException, context: str = "") -> Dict:
@@ -328,6 +337,10 @@ class ShardServer:
             "quarantined": list(wh.quarantined_views),
             "wal_pending": len(wh.wal.pending()) if wh.wal else 0,
             "open_txns": sorted(self._txns),
+            "gc": {
+                "threshold": gc.get_threshold(),
+                "collections": [g["collections"] for g in gc.get_stats()],
+            },
         }
 
     def cmd_check(self):
@@ -353,6 +366,8 @@ def _serve(conn, shard_id: int, abandoned: Optional[threading.Event] = None) -> 
     the start-up handshake, then one reply per command, in order, until
     ``close`` or the coordinator's end goes away.  *abandoned* is the
     thread backend's stand-in for a kill (see :meth:`ShardHandle.terminate`)."""
+    if abandoned is None:  # a spawned process: the interpreter is ours
+        gc.set_threshold(WORKER_GC_THRESHOLD, *gc.get_threshold()[1:])
     try:
         try:
             server = ShardServer(shard_id, conn.recv())
@@ -415,7 +430,7 @@ class _Reply:
         return self._response
 
 
-def _unavailable(message: str) -> Dict:
+def unavailable(message: str) -> Dict:
     return {"ok": False, "error": "ShardUnavailableError", "message": message}
 
 
@@ -535,7 +550,7 @@ class ShardHandle:
 
     def _fail_outstanding(self, message: str) -> None:
         while self._pending:
-            self._pending.popleft().resolve(_unavailable(message))
+            self._pending.popleft().resolve(unavailable(message))
 
     # ------------------------------------------------------------------
     def submit(self, cmd: str, **payload) -> _Reply:
@@ -547,7 +562,7 @@ class ShardHandle:
                 sent = self._post({"cmd": cmd, **payload})
         if gone:
             # the same typed envelope a dying worker's replies get
-            reply.resolve(_unavailable(gone))
+            reply.resolve(unavailable(gone))
         elif not sent:
             # a SIGKILLed worker can break the pipe before the reader
             # notices the death: surface it as the typed envelope, never

@@ -118,13 +118,7 @@ class ShardSupervisor:
         self._stop.set()
         # Drain in-flight probes/revives (bounded): a revive racing the
         # facade's close would otherwise submit to handles mid-teardown.
-        deadline = time.monotonic() + 10.0
-        with self._busy_cond:
-            while self._busy:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._busy_cond.wait(remaining)
+        self.wait_quiesced(10.0)
 
     def _busy_enter(self) -> None:
         with self._busy_cond:
@@ -161,14 +155,8 @@ class ShardSupervisor:
 
     def wait_quiesced(self, timeout: float) -> bool:
         """Block until no detection/revive is in flight, or *timeout*."""
-        deadline = time.monotonic() + timeout
         with self._busy_cond:
-            while self._busy:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._busy_cond.wait(remaining)
-        return True
+            return self._busy_cond.wait_for(lambda: not self._busy, timeout)
 
     # ------------------------------------------------------------------
     # detection

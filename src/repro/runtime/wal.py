@@ -3,9 +3,9 @@
 :class:`WriteAheadLog` durably records every (netted) base-table delta a
 warehouse applies **before any view is touched**, so that a crash in the
 middle of a multi-view fan-out loses no maintenance work: on restart,
-:meth:`WriteAheadLog.pending` returns the change entries that were never
-acknowledged and :meth:`~repro.warehouse.Warehouse.recover` re-drives
-them through the registered maintainers.
+:meth:`~repro.warehouse.Warehouse.recover` re-drives every entry past
+its restore point (:meth:`WriteAheadLog.entries_after`), acknowledged
+or not, through the registered maintainers.
 
 Format (v2) — a *directory* of segment files, each a sequence of
 checksummed JSON lines::
@@ -39,7 +39,8 @@ checksummed JSON lines::
   **in doubt** — its changes still replay in LSN order, and
   :meth:`~WriteAheadLog.in_doubt` names the transaction they reopen.
 * An ``ack`` marks the change as fully applied to every non-quarantined
-  view; acked entries are skipped by recovery.
+  view.  It is advisory (recovery replays acked entries too), so it is
+  written and flushed but not fsynced: the next fsync makes it durable.
 * A ``compact`` marker records that every LSN ≤ ``through`` is covered
   by a durable checkpoint; segments wholly below the marker are deleted
   (:meth:`compact`) and acks for compacted LSNs become no-ops.
@@ -299,8 +300,8 @@ class WriteAheadLog:
     # recovery-time reading
     # ------------------------------------------------------------------
     def pending(self) -> List[WalEntry]:
-        """Change entries appended but never acknowledged, in LSN order —
-        the replay work list for :meth:`Warehouse.recover`."""
+        """Change entries appended but never acknowledged, in LSN order
+        (a health count: recovery replays acked entries too)."""
         with self._lock:
             return [
                 self._entries[lsn]
@@ -404,7 +405,7 @@ class WriteAheadLog:
             if lsn in self._acked:
                 return
             self._acked.add(lsn)
-            self._write(json.dumps({"kind": "ack", "lsn": lsn}))
+            self._write(json.dumps({"kind": "ack", "lsn": lsn}), durable=False)
             if lsn in self._doubt:
                 self._settle(self._doubt[lsn], drop=False)
 
@@ -475,8 +476,9 @@ class WriteAheadLog:
         self._handle = open(self._segment_path(self._active_seq), "ab")
         self._active_size = 0
 
-    def _write(self, payload: str) -> None:
-        # caller holds the lock
+    def _write(self, payload: str, durable: bool = True) -> None:
+        # caller holds the lock; a record that is not *durable* (an
+        # ack) never triggers the group commit: the next fsync covers it
         if self._active_size >= self.segment_bytes:
             self._rotate()
         line = frame(payload.encode("utf-8")) + b"\n"
@@ -484,7 +486,7 @@ class WriteAheadLog:
         self._handle.flush()
         self._active_size += len(line)
         self._unsynced += 1
-        if self._unsynced >= self.fsync_batch:
+        if durable and self._unsynced >= self.fsync_batch:
             self._fsync()
 
     def _fsync(self) -> None:
@@ -535,11 +537,6 @@ class WriteAheadLog:
     def is_acked(self, lsn: int) -> bool:
         with self._lock:
             return lsn in self._acked or lsn <= self.compacted_through
-
-    def __len__(self) -> int:
-        """Number of live change entries (acked or not, uncompacted)."""
-        with self._lock:
-            return len(self._entries)
 
     def segment_paths(self) -> List[str]:
         """Current (non-quarantined) segment files, oldest first."""

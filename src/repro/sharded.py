@@ -89,7 +89,7 @@ from .runtime.sharding import (
     merge_view_rows,
     plan_view,
 )
-from .runtime.shardproc import ShardHandle, raise_shard_error
+from .runtime.shardproc import ShardHandle, raise_shard_error, unavailable
 from .runtime.supervisor import ShardSupervisor
 from .runtime.txnlog import TxnDecisionLog
 from .warehouse import DELETE_BY_KEY, Reports, Transaction, Warehouse
@@ -359,11 +359,7 @@ class ShardedWarehouse(Warehouse):
             return reply.wait(limit)
         except ShardUnavailableError as exc:
             self._note_unresponsive(shard, str(exc))
-            return {
-                "ok": False,
-                "error": "ShardUnavailableError",
-                "message": f"shard {shard}: {exc}",
-            }
+            return unavailable(f"shard {shard}: {exc}")
 
     def _call(
         self, cmd: str, shard: int,
@@ -996,25 +992,21 @@ class ShardedWarehouse(Warehouse):
     # health
     # ------------------------------------------------------------------
     def shard_stats(self) -> Dict:
-        """Per-shard row counts, queue depths and skew, plus rebalance
-        advisories for partitioned tables whose max/mean partition size
-        exceeds :data:`REBALANCE_SKEW_THRESHOLD`.  Everything is also
-        pushed through :class:`~repro.obs.Telemetry`.  Dead or
+        """Each worker's ``stats`` (row counts, GC counts, ...), queue depths
+        and skew, plus rebalance advisories for partitioned tables whose
+        max/mean partition size exceeds :data:`REBALANCE_SKEW_THRESHOLD`.
+        Rows, depths and skew also go through :class:`~repro.obs.Telemetry`.  Dead or
         quarantined shards are reported under ``unavailable`` instead
         of failing the whole call, and ``supervisor`` carries each
         shard's liveness state and restart history."""
         self._require_open()
         responses = self._broadcast("stats", _tolerate_unavailable=True)
-        stats = {
-            shard: response
-            for shard, response in responses.items()
-            if response.get("ok")
-        }
-        unavailable = {
-            shard: response.get("message", "shard unavailable")
-            for shard, response in responses.items()
-            if not response.get("ok")
-        }
+        stats, down = {}, {}
+        for shard, response in responses.items():
+            if response.pop("ok"):
+                stats[shard] = response
+            else:
+                down[shard] = response["message"]
         for shard, info in stats.items():
             for table, rows in info["table_rows"].items():
                 self.telemetry.emit(
@@ -1052,17 +1044,10 @@ class ShardedWarehouse(Warehouse):
                 self.telemetry.emit("shard.rebalance_hint", table=table)
         return {
             "shards": {
-                shard: {
-                    "table_rows": info["table_rows"],
-                    "view_rows": info["view_rows"],
-                    "quarantined": info["quarantined"],
-                    "wal_pending": info["wal_pending"],
-                    "open_txns": info["open_txns"],
-                    "queue_depth": self._handles[shard].queue_depth,
-                }
+                shard: {**info, "queue_depth": self._handles[shard].queue_depth}
                 for shard, info in stats.items()
             },
-            "unavailable": unavailable,
+            "unavailable": down,
             "supervisor": self.supervisor.status(),
             "skew": skew,
             "rebalance": rebalance,

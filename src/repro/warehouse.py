@@ -696,8 +696,8 @@ class Warehouse:
 
     def _ack(self, result: FanOutResult) -> None:
         """Completion hook (dispatcher thread): the change reached every
-        non-quarantined view, so recovery must not replay it — failed
-        views are repaired by re-materialization, not by replay.
+        non-quarantined view.  The ack is advisory: recovery replays every
+        entry past its restore point, and failed views are re-materialized.
 
         This is also the MVCC publish point: the fan-out is complete and
         the next change's prepare has not started (the dispatcher is
@@ -832,8 +832,8 @@ class Warehouse:
         (:class:`~repro.errors.CheckpointError`).
         Each replayed entry goes back through :meth:`_submit`
         (``check=False`` — it already passed integrity checks when
-        first logged): re-applied to the database, fanned out, and
-        durably re-acknowledged — except a prepared transaction's
+        first logged): re-applied to the database, fanned out and
+        re-acknowledged — except a prepared transaction's
         entries, which reopen it instead.
 
         Corruption never aborts recovery: segments that fail CRC
@@ -1074,8 +1074,8 @@ class Warehouse:
         return txn._lsns
 
     def _txn_commit(self, txn: "Transaction", lsns: List[int]) -> None:
-        """The statements are already maintained: ack them at once
-        (recorded, never replayed) and publish the commit — intermediate
+        """The statements are already maintained: ack them and sync (a
+        prepare's commit must be durable), then publish it — intermediate
         statement states were never visible to readers.  A commit counts
         as one change towards ``checkpoint_interval``."""
         self._open_txns.discard(txn)

@@ -2,11 +2,12 @@
 recovery with damaged shard WALs.  (Shard-vs-unsharded equivalence of
 the shared change surface: tests/integration/test_facade_contract.py.)
 
-Thread-backend workers everywhere except the one process-backend smoke
-test: they run the identical serve loop over the same pipe, and keep
+Thread-backend workers everywhere except the process-backend smoke and
+GC tests: they run the identical serve loop over the same pipe, and keep
 the suite fast and deterministic.
 """
 
+import gc
 import glob
 import os
 
@@ -22,7 +23,7 @@ from repro.errors import (
 )
 from repro.obs import Telemetry
 from repro.runtime import ShardingSpec
-from repro.runtime.shardproc import ShardHandle
+from repro.runtime.shardproc import WORKER_GC_THRESHOLD, ShardHandle
 from repro.sharded import ShardedSnapshot, ShardedWarehouse
 from repro.warehouse import Warehouse
 
@@ -465,3 +466,21 @@ def test_process_backend_smoke():
         wh.check_consistency()
     finally:
         wh.close()
+
+
+def test_process_worker_runs_a_change_sized_young_generation():
+    wh = Warehouse(build_db(orders=2), shards=1, shard_backend="process")
+    try:
+        stats = wh.shard_stats()["shards"][0]["gc"]
+        assert stats["threshold"][0] == WORKER_GC_THRESHOLD
+        assert len(stats["collections"]) == 3  # one count per generation
+    finally:
+        wh.close()
+
+
+def test_thread_worker_leaves_the_coordinators_gc_alone():
+    before = gc.get_threshold()
+    wh = make_sharded()
+    assert wh.shard_stats()["shards"][0]["gc"]["threshold"] == before
+    wh.close()
+    assert gc.get_threshold() == before

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import MaintenanceError, ShardingError, ShardUnavailableError
 from repro.runtime.failpoints import FAILPOINTS
-from repro.runtime.shardproc import ShardHandle
+from repro.runtime.shardproc import WORKER_GC_THRESHOLD, ShardHandle
 from repro.warehouse import Warehouse
 
 from .test_sharded_warehouse import build_db, order_lines_defn
@@ -438,6 +438,9 @@ def test_process_worker_sigkill_acceptance(tmp_path):
         assert time.monotonic() - started < 45.0
         assert wait_all_up(wh, timeout=30.0), wh.supervisor.status()
         assert wh.supervisor.status()[1]["restarts"] >= 1
+        # the replacement process sizes its young generation too
+        gc_stats = wh.shard_stats()["shards"][1]["gc"]
+        assert gc_stats["threshold"][0] == WORKER_GC_THRESHOLD
         # merged state matches a recompute over the merged database
         wh.check_consistency()
     finally:

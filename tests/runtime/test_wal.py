@@ -193,6 +193,21 @@ class TestDurabilityAcrossReopen:
         assert wal._unsynced == 0
         wal.close()
 
+    def test_ack_rides_the_next_fsync(self, wal_path, monkeypatch):
+        """An ack is advisory (recovery replays acked entries too), so it
+        forces no fsync of its own: with fsync_batch=1 an append plus its
+        ack costs one fsync, and close() makes the ack durable."""
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        wal = WriteAheadLog(wal_path, fsync_batch=1)
+        wal.ack(wal.append("orders", "insert", [(1, 10)]))
+        assert len(fsyncs) == 1
+        wal.close()
+        assert len(fsyncs) == 2
+        with WriteAheadLog(wal_path) as reopened:
+            assert reopened.is_acked(1)
+
     def test_context_manager_and_idempotent_close(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
             wal.append("t", "insert", [(1,)])

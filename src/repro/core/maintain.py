@@ -23,7 +23,7 @@ filter already excludes such candidates, cf. Example 9's ``n(S)``.)
 What a pass decides before it sees a row — the classification, labels,
 ΔV^D, the parents-first order and the plan keys — is a :class:`PassRecord`
 compiled once per (table, operation, ``fk_allowed``).  Every delta — ΔV^D
-and each ΔDᵢ — runs as a compiled physical plan out of a fingerprinted
+and each ΔDᵢ — runs as a physical plan compiled once into the view's
 :class:`~repro.planner.PlanCache`; there is no second executor.  A pass
 lands whole or not at all: it records the inverse of each view apply
 (itself all-or-nothing) that succeeded, and if anything raises later
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..algebra.expr import RelExpr, delta_label
@@ -60,14 +60,16 @@ SECONDARY_AUTO = "auto"  # per-term cost-based choice (Section 5's advice)
 SECONDARY_STRATEGIES = (SECONDARY_FROM_VIEW, SECONDARY_FROM_BASE, SECONDARY_AUTO)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaintenanceOptions:
     """Knobs for the maintenance pipeline (defaults = the paper's full
     algorithm; the ablation benchmarks flip them individually).
 
     *use_foreign_keys* drives all three Section 6 mechanisms: FK pruning
     of the normal form, Theorem 3 graph reduction and SimplifyTree (the
-    last two also need the change's ``fk_allowed``)."""
+    last two also need the change's ``fk_allowed``).  Frozen: a
+    maintainer's compiled plans are fixed by the options it was built
+    with."""
 
     left_deep: bool = True
     use_foreign_keys: bool = True
@@ -80,11 +82,6 @@ class MaintenanceOptions:
                 f"unknown secondary_strategy {self.secondary_strategy!r}; "
                 f"expected one of {', '.join(map(repr, SECONDARY_STRATEGIES))}"
             )
-
-    def fingerprint(self) -> Tuple:
-        """The structural part of plan-cache fingerprints: any change to
-        these fields changes the logical trees the maintainer builds."""
-        return (self.left_deep, self.use_foreign_keys, self.secondary_strategy)
 
 
 @dataclass
@@ -185,10 +182,9 @@ class MaintenancePlans:
 
     Structural work that depends only on the view definition — the normal
     form, the subsumption graph and one :class:`PassRecord` per (table,
-    operation, ``fk_allowed``) — is derived once per options fingerprint,
-    and each delta runs as a physical plan compiled once per plan
-    fingerprint, mirroring how a real system would compile maintenance
-    plans at view-creation time.
+    operation, ``fk_allowed``) — is derived once, and each delta runs as a
+    physical plan compiled on first use and kept, mirroring how a real
+    system compiles maintenance procedures at view-creation time.
     """
 
     def __init__(
@@ -202,10 +198,7 @@ class MaintenancePlans:
         self.definition = definition
         self.options = options or MaintenanceOptions()
         self.telemetry = telemetry or Telemetry.disabled()
-        # keyed by the options they depend on: an option flip derives afresh
-        self._graphs: Dict[bool, SubsumptionGraph] = {}
         self._records: Dict[Tuple, PassRecord] = {}
-        # Compiled physical plans, fingerprinted on (options, index set).
         self._plan_cache = PlanCache()
 
     @property
@@ -213,19 +206,16 @@ class MaintenancePlans:
         return self._plan_cache
 
     # ------------------------------------------------------------------
-    # structure, derived once per options fingerprint
+    # structure, derived once
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def graph(self) -> SubsumptionGraph:
-        use_fk = self.options.use_foreign_keys
-        if use_fk not in self._graphs:
-            self._graphs[use_fk] = self.definition.subsumption_graph(self.db, use_fk)
-        return self._graphs[use_fk]
+        return self.definition.subsumption_graph(self.db, self.options.use_foreign_keys)
 
     def pass_record(self, table: str, operation: str, fk_allowed: bool) -> PassRecord:
         """The :class:`PassRecord` for a change of *table*, compiled on
         first use."""
-        key = (table, operation, fk_allowed, self.options.fingerprint())
+        key = (table, operation, fk_allowed)
         record = self._records.get(key)
         if record is None:
             record = self._records[key] = self._compile_record(table, operation, fk_allowed)
@@ -295,26 +285,20 @@ class MaintenancePlans:
     # ------------------------------------------------------------------
     # compiled plans
     # ------------------------------------------------------------------
-    def _fingerprint(self) -> Tuple:
-        """Current plan-cache fingerprint: the options' structural fields
-        plus the database's index epoch (indexes change build-side
-        choices, and the planner itself may provision them)."""
-        return self.options.fingerprint() + (self.db.index_epoch,)
-
     def _cached_plan(self, key: Tuple, builder):
-        """The compiled plan under *key*, recompiling via *builder* when
-        absent or stale.  Every expression maintenance builds compiles, so
-        a builder that raises is a bug: the pass fails (and is undone)
-        like any other failing pass, and nothing is cached.
+        """The compiled plan under *key*, compiled via *builder* on first
+        use.  Every expression maintenance builds compiles, so a builder
+        that raises is a bug: the pass fails (and is undone) like any
+        other failing pass, and nothing is cached.
         """
-        found, plan = self._plan_cache.get(key, self._fingerprint())
+        plan = self._plan_cache.get(key)
         tel = self.telemetry
         tel.emit(
             "plan_cache.lookup",
             view=self.definition.name,
-            outcome="hit" if found else "miss",
+            outcome="miss" if plan is None else "hit",
         )
-        if found:
+        if plan is not None:
             return plan
         with tel.tracer.span("compile_plan", view=self.definition.name,
                              key="/".join(str(p) for p in key)):
@@ -325,9 +309,7 @@ class MaintenancePlans:
                 view=self.definition.name,
                 seconds=time.perf_counter() - started,
             )
-        # The builder may have provisioned indexes (bumping the epoch);
-        # store under the post-build fingerprint so the next lookup hits.
-        self._plan_cache.store(key, self._fingerprint(), plan)
+        self._plan_cache.store(key, plan)
         return plan
 
     def _build_primary_plan(self, table: str, expr: RelExpr):

@@ -34,9 +34,9 @@ class SubkeyIndex:
 
     Storing keys (not just counts) lets :meth:`MaterializedView.lookup`
     answer subset-equality probes by point lookups into the view's key
-    hash instead of scanning every row, while ``count``/``get`` preserve
-    the count semantics the maintainer's orphan probes need.  Column
-    positions are resolved once at construction, not per indexed row.
+    hash instead of scanning every row; the maintainer's orphan probes
+    read :attr:`groups`.  Column positions are resolved once at
+    construction, not per indexed row.
     """
 
     __slots__ = ("columns", "positions", "project", "groups")
@@ -67,15 +67,6 @@ class SubkeyIndex:
                 if not group:
                     del groups[sub]
 
-    def count(self, sub: Row) -> int:
-        group = self.groups.get(sub)
-        return len(group) if group is not None else 0
-
-    def get(self, sub: Row, default: int = 0) -> int:
-        """Count of rows under *sub* (dict-of-counts compatibility)."""
-        group = self.groups.get(sub)
-        return len(group) if group is not None else default
-
     def keys_for(self, sub: Row) -> List[Row]:
         """View keys of the rows carrying *sub*."""
         group = self.groups.get(sub)
@@ -88,14 +79,6 @@ class SubkeyIndex:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SubkeyIndex):
-            return self.columns == other.columns and self.groups == other.groups
-        if isinstance(other, dict):
-            # tests compare against plain {value tuple: count} dicts
-            return {sub: len(g) for sub, g in self.groups.items()} == other
-        return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SubkeyIndex({list(self.columns)}, {len(self.groups)} groups)"

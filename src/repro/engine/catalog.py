@@ -25,9 +25,6 @@ class Database:
     def __init__(self):
         self.tables: Dict[str, Table] = {}
         self.foreign_keys: List[ForeignKey] = []
-        # Bumped whenever the set of persistent indexes changes; cached
-        # physical plans fingerprint it so index DDL invalidates them.
-        self.index_epoch: int = 0
         # Plan compilation provisions indexes lazily, and with a parallel
         # scheduler several views compile on worker threads at once.
         self._ddl_lock = threading.Lock()
@@ -64,22 +61,24 @@ class Database:
         # tables all carry clustered key indexes).  It accelerates key
         # lookups in joins and makes DML integrity checks O(|delta|).
         table.indexes.append(HashIndex(table, qualified_key))
-        self.index_epoch += 1
         return table
 
     def create_index(self, table: str, columns: Sequence[str]):
         """Create (or return) a hash index on *table* over *columns*
         (bare names).  Indexes are kept current by insert/delete and are
-        used automatically by equi-joins probing this table."""
+        used automatically by equi-joins probing this table.
+
+        An index over the same column set is returned as it is, so its
+        columns may be listed in another order than *columns*: probe it
+        through :func:`~repro.engine.index.find_index`'s permutation."""
         with self._ddl_lock:
             base = self.table(table)
             qualified = [qualify(table, c) for c in columns]
             existing = find_index(base, qualified)
-            if existing is not None and existing[0].columns == tuple(qualified):
+            if existing is not None:
                 return existing[0]
             index = HashIndex(base, qualified)
             base.indexes.append(index)
-            self.index_epoch += 1
             return index
 
     def add_foreign_key(
@@ -357,7 +356,6 @@ class Database:
         clone = Database()
         clone.tables = {name: t.copy() for name, t in self.tables.items()}
         clone.foreign_keys = list(self.foreign_keys)
-        clone.index_epoch = self.index_epoch
         return clone
 
     def validate(self) -> None:

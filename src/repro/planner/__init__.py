@@ -10,8 +10,8 @@ expression is compiled, once:
   ``RelExpr`` into a :class:`CompiledPlan` of pre-bound physical nodes
   (schemas, predicates, row shapers, positions and join pairs resolved
   once) over the batch-at-a-time operators the interpreter also calls;
-* :mod:`~repro.planner.cache` — :class:`PlanCache`, a fingerprinted plan
-  cache keyed per (view, table, operation);
+* :mod:`~repro.planner.cache` — :class:`PlanCache`, each view's store of
+  compiled plans, keyed per (table, operation);
 * :mod:`~repro.planner.provision` — :func:`provision_indexes`, which
   creates the base-table indexes a plan's joins want to probe.
 

@@ -1,12 +1,13 @@
 """The physical plan cache.
 
-Maintenance plans depend on two mutable inputs besides the view
-definition: the :class:`~repro.core.maintain.MaintenanceOptions` (which
-pick the logical tree) and the set of persistent indexes (which the
-join operator probes instead of hashing an input — and which the
-planner itself may have provisioned).  Each cached entry therefore
-carries a *fingerprint* of both; a lookup whose fingerprint differs is a
-miss and triggers recompilation.
+A compiled maintenance plan is a fixed fact of its view, like the
+stored procedure the paper compiles when the view is created: it holds
+no table or index object.  Relation scans read ``ctx.db.table(name)``
+live, and the join operator picks its probe index on every execution, so
+an index created (or a table restored) after compilation is seen by the
+plan's next run with nothing recompiled.  The cache is therefore a plain
+keyed store; the maintainers key it by plan kind, table, term, operation
+and ``fk_allowed``.
 
 The maintainers store compiled plans only: maintenance has no other
 executor, so nothing is cached as "uncompilable" — a compile error fails
@@ -15,41 +16,32 @@ the pass that asked for the plan and leaves the cache as it was.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable
 
 CacheKey = Hashable
-Fingerprint = Hashable
-Entry = Tuple[Fingerprint, object]
-
-_MISSING = object()
 
 
 class PlanCache:
-    """A fingerprinted map from plan keys to compiled plans."""
+    """A map from plan keys to compiled plans, counting hits and misses."""
 
     def __init__(self):
-        self._entries: Dict[CacheKey, Entry] = {}
+        self._entries: Dict[CacheKey, object] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: CacheKey, fingerprint: Fingerprint):
-        """``(found, plan)`` — *found* is True only when an entry exists
-        under *key* **and** its fingerprint matches."""
-        entry = self._entries.get(key, _MISSING)
-        if entry is _MISSING or entry[0] != fingerprint:
+    def get(self, key: CacheKey):
+        """The plan stored under *key*, or ``None`` (a miss)."""
+        plan = self._entries.get(key)
+        if plan is None:
             self.misses += 1
-            return False, None
-        self.hits += 1
-        return True, entry[1]
+        else:
+            self.hits += 1
+        return plan
 
-    def store(self, key: CacheKey, fingerprint: Fingerprint, plan) -> None:
+    def store(self, key: CacheKey, plan) -> None:
         """Cache *plan* — a :class:`~repro.planner.compile.CompiledPlan`
         or a compiled secondary-delta plan — under *key*."""
-        self._entries[key] = (fingerprint, plan)
-
-    def invalidate(self) -> None:
-        """Drop every entry (fingerprints make this rarely necessary)."""
-        self._entries.clear()
+        self._entries[key] = plan
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -4,7 +4,7 @@ Shard worker processes (:mod:`repro.runtime.shardproc`) are started with
 ``multiprocessing``'s ``spawn`` method: nothing of the parent interpreter
 is inherited, so everything a worker needs must cross a pipe as plain
 picklable data.  Physical maintenance plans cannot make that trip — they
-close over index handles and compiled callables — so the wire format
+close over compiled callables — so the wire format
 ships the *logical* artifacts instead and each worker compiles its own
 physical plans (warming its private :class:`~repro.planner.PlanCache`):
 

@@ -941,11 +941,10 @@ class Warehouse:
         every view from them (a checkpoint holds no view)."""
         fresh = data.build_database()
         # swap table contents in place so registered maintainers keep
-        # their Database reference; bump the epoch so compiled plans
-        # re-resolve their index handles
+        # their Database reference (and compiled plans, which read tables
+        # and indexes live)
         self.db.tables = fresh.tables
         self.db.foreign_keys = fresh.foreign_keys
-        self.db.index_epoch += 1
         for target in self._views.values():
             target.rebuild()
 

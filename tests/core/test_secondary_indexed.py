@@ -63,23 +63,24 @@ class TestSubkeyIndex:
         for row in view.rows():
             if row[rk] is not None:
                 expected[(row[rk],)] = expected.get((row[rk],), 0) + 1
-        assert index == expected
+        assert {sub: len(keys) for sub, keys in index.groups.items()} == expected
 
     def test_maintained_on_insert_and_delete(self, v1_db, v1_defn):
         view = MaterializedView.materialize(v1_defn, v1_db)
         index = view.subkey_index(("s.k",))
         m = ViewMaintainer(v1_db, view)
         m.insert("s", [(700, 99)])  # orphan s-row (v=99 matches nothing)
-        assert index.get((700,), 0) == 1
+        assert len(index.keys_for((700,))) == 1
         m.delete("s", [(700, 99)])
-        assert index.get((700,), 0) == 0
+        assert index.keys_for((700,)) == []
 
     def test_clone_deep_copies_indexes(self, v1_db, v1_defn):
         view = MaterializedView.materialize(v1_defn, v1_db)
         index = view.subkey_index(("r.k",))
         twin = view.clone()
         twin_index = twin.subkey_index(("r.k",))
-        assert twin_index == index
+        assert twin_index.columns == index.columns
+        assert twin_index.groups == index.groups
         assert twin_index is not index
 
     def test_lazy_build_reflects_prior_changes(self, v1_db, v1_defn):
@@ -87,7 +88,7 @@ class TestSubkeyIndex:
         m = ViewMaintainer(v1_db, view)
         m.insert("s", [(701, 98)])
         index = view.subkey_index(("s.k",))  # built after the change
-        assert index.get((701,), 0) == 1
+        assert len(index.keys_for((701,))) == 1
 
 
 class TestEndToEnd:

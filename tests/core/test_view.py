@@ -167,7 +167,7 @@ class TestDeltaAppliesWholeOrNotAtAll:
         assert view.delete_rows([new2, new1]) == 2
         assert view.journal.take() == {key2: None, key1: None}
         assert view.version > version
-        assert index == view.clone().subkey_index(("r.k",))
+        assert index.groups == view.clone().subkey_index(("r.k",)).groups
 
 
 class TestViewLookup:

@@ -53,6 +53,17 @@ class TestHashIndex:
         b = db.create_index("t", ["a"])
         assert a is b
 
+    def test_create_index_in_another_column_order_adds_none(self):
+        d = Database()
+        d.create_table("t", ["a", "b", "c"], key=["a", "b"])
+        d.insert("t", [(1, 2, "x")])
+        table = d.table("t")
+        (key_index,) = table.indexes
+        assert d.create_index("t", ["b", "a"]) is key_index
+        assert table.indexes == [key_index]
+        index, permutation = find_index(table, ("t.b", "t.a"))
+        assert index.lookup(tuple((2, 1)[i] for i in permutation)) == [(1, 2, "x")]
+
     def test_empty_columns_rejected(self, db):
         with pytest.raises(SchemaError):
             HashIndex(db.table("t"), [])

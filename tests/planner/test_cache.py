@@ -1,5 +1,10 @@
-"""Plan-cache behavior: hit/miss accounting, fingerprint invalidation on
-option and index changes, and automatic index provisioning."""
+"""Plan-cache behavior: hit/miss accounting, plans that outlive index DDL
+and checkpoint restores, frozen options, and automatic index
+provisioning."""
+
+import dataclasses
+
+import pytest
 
 from repro.algebra.expr import Join, Relation
 from repro.algebra.predicates import eq
@@ -7,41 +12,21 @@ from repro.core import MaterializedView, ViewMaintainer
 from repro.engine.index import find_index
 from repro.obs import Telemetry
 from repro.planner import PlanCache, probe_sites, provision_indexes
+from repro.warehouse import Warehouse
 
 from ..conftest import make_v1_db, make_v1_defn
-from ..core.test_leftdeep import is_left_deep
+from ..runtime.test_scheduler import build_db, order_lines_expr
 
 
 class TestPlanCacheUnit:
     def test_miss_then_hit(self):
         cache = PlanCache()
-        found, plan = cache.get("k", fingerprint=1)
-        assert not found and plan is None
-        cache.store("k", 1, "PLAN")
-        found, plan = cache.get("k", fingerprint=1)
-        assert found and plan == "PLAN"
+        assert cache.get("k") is None
+        cache.store("k", "PLAN")
+        assert cache.get("k") == "PLAN"
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
-
-    def test_fingerprint_mismatch_is_miss(self):
-        cache = PlanCache()
-        cache.store("k", 1, "PLAN")
-        found, plan = cache.get("k", fingerprint=2)
-        assert not found and plan is None
-
-    def test_none_plan_is_a_hit(self):
-        """The cache hands back whatever it holds: *found*, not the value,
-        tells a hit from a miss (the maintainers only ever store plans)."""
-        cache = PlanCache()
-        cache.store("k", 1, None)
-        found, plan = cache.get("k", 1)
-        assert found and plan is None
-
-    def test_invalidate(self):
-        cache = PlanCache()
-        cache.store("k", 1, "PLAN")
-        cache.invalidate()
-        assert len(cache) == 0
+        assert len(cache) == 1
 
 
 def fresh_maintainer(options=None, telemetry=None):
@@ -62,39 +47,24 @@ class TestMaintainerCache:
         assert m.plan_cache.hits > 0
         m.check_consistency()
 
-    def test_index_change_invalidates(self):
+    def test_an_index_created_after_compiling_recompiles_nothing(self):
+        """The ΔR plan joins on ``r.v``, which no plan probes, so nothing
+        provisioned it.  Plans read indexes live: creating it later costs
+        the next change no compile."""
         db, m = fresh_maintainer()
         m.insert("r", [(100, 1)])
-        hits_before = m.plan_cache.hits
-        # a combination no plan probes (plain u.v was auto-provisioned
-        # already): creating it bumps the index epoch
-        db.create_index("u", ["k", "v"])
-        m.insert("r", [(101, 2)])
-        # same key, stale fingerprint: recompiled, not served from cache
-        assert m.plan_cache.hits == hits_before
-        m.insert("r", [(102, 3)])
-        assert m.plan_cache.hits > hits_before
+        assert find_index(db.table("r"), ("r.v",)) is None
+        misses, hits = m.plan_cache.misses, m.plan_cache.hits
+        db.create_index("r", ["v"])
+        m.insert("r", [(101, 1)])
+        assert m.plan_cache.misses == misses
+        assert m.plan_cache.hits > hits
         m.check_consistency()
 
-    def test_option_change_invalidates(self, monkeypatch):
-        """Flipping an option recompiles the plan from a logical tree of
-        the new shape, not from the tree derived under the old options."""
-        db, m = fresh_maintainer()
-        m.insert("r", [(100, 1)])
-        assert is_left_deep(m.delta_expression("r", True))
-        hits_before = m.plan_cache.hits
-        compiled = []
-        build = m._build_primary_plan
-        monkeypatch.setattr(
-            m, "_build_primary_plan",
-            lambda table, expr: compiled.append(expr) or build(table, expr),
-        )
-        m.options.left_deep = not m.options.left_deep
-        m.insert("r", [(101, 2)])
-        assert m.plan_cache.hits == hits_before
-        (tree,) = compiled
-        assert not is_left_deep(tree)  # bushy: ΔR ⟗ S ⟕ (T ⟗ U)
-        m.check_consistency()
+    def test_options_are_frozen(self):
+        __, m = fresh_maintainer()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.options.left_deep = not m.options.left_deep
 
     def test_cache_metrics_recorded(self):
         telemetry = Telemetry()
@@ -106,6 +76,35 @@ class TestMaintainerCache:
         assert 'outcome="hit"' in text
         assert 'outcome="miss"' in text
         assert "repro_plan_compile_seconds" in text
+
+
+def test_a_checkpoint_restore_keeps_every_compiled_plan(tmp_path):
+    """recover() restores the checkpoint's tables in place and replays the
+    changes logged after it through the plans compiled before it."""
+    wh = Warehouse(
+        build_db(),
+        wal_path=str(tmp_path / "changes.wal"),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    on = eq("lineitem.l_orderkey", "orders.o_orderkey")
+    wh.create_view("order_lines", order_lines_expr())
+    wh.create_view("lines", Join("inner", Relation("lineitem"), Relation("orders"), on))
+
+    def change(key):
+        wh.insert("orders", [(key, key)])
+        wh.insert("lineitem", [(key, 1, 5), (key, 2, 6)])
+        wh.delete("lineitem", [(key, 1, 5)])
+
+    change(0)
+    wh.checkpoint()
+    change(1)
+    misses = {name: wh.maintainer(name).plan_cache.misses for name in wh.view_names}
+    assert all(misses.values())
+    wh.recover()
+    assert wh.last_recovery["replayed"] == 3
+    assert {name: wh.maintainer(name).plan_cache.misses for name in wh.view_names} == misses
+    wh.check_consistency()
+    wh.close()
 
 
 class TestProvisioning:
@@ -129,10 +128,9 @@ class TestProvisioning:
 
     def test_maintainer_auto_provisions(self):
         db, m = fresh_maintainer()
-        epoch_before = db.index_epoch
-        m.insert("r", [(100, 1)])
-        assert db.index_epoch > epoch_before
         # the v1 view joins on the non-key v columns of all four tables
+        assert all(find_index(db.table(t), (f"{t}.v",)) is None for t in "stu")
+        m.insert("r", [(100, 1)])
         assert any(
             find_index(db.table(t), (f"{t}.v",)) is not None for t in "stu"
         )

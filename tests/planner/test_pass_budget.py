@@ -10,7 +10,9 @@ record.  One warm 6-row ``lineitem`` insert into a warehouse over the
 Python-level call it makes is counted, as in ``test_batch_budget.py``.
 The count covers the whole change (base apply, fan-out, sixteen passes,
 snapshot publish) and is divided by the view count.  It read 358 calls
-per view when every pass re-derived its structure, and reads 291 now.
+per view when every pass re-derived its structure, 291 when every plan
+look-up also re-checked the options and the index set, and reads 284
+now.
 
 A change a view cannot see, or one Section 6 proves empty for it, gets
 no task at all, so its returned reports name only the views it reached;
@@ -35,7 +37,7 @@ from .test_shared_subplans import family_views
 SEED = 20070415
 SCALE = 0.005
 BATCH = 6
-CALLS_PER_VIEW = 320
+CALLS_PER_VIEW = 312
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ Two warm-ups, both keyed so source changes invalidate them:
   ``REPRO_FIXTURE_DIR`` under a name embedding a digest of the
   generator sources and of the engine classes the pickle holds.
 * **Compiled plans** — compile the physical maintenance plans of the
-  stock views against the smallest instance.  Plans are fingerprinted
-  in-memory and cannot be persisted, so this is a fail-fast smoke: a
+  stock views against the smallest instance.  Plans live in memory
+  and cannot be persisted, so this is a fail-fast smoke: a
   planner regression surfaces here, in the cheap setup step, not ten
   minutes into a benchmark job.
 

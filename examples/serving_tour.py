@@ -143,13 +143,13 @@ def tour_recovery():
     print("\n=== 5. A restart recovers and invalidates issued snapshots ===")
     with tempfile.TemporaryDirectory(prefix="repro-serving-") as tmp:
         wal = tmp + "/changes.wal"
-        wh = Warehouse(build_db(), workers=2, wal_path=wal)
+        wh = Warehouse(build_db(), workers=1, wal_path=wal)
         wh.create_view("order_lines", order_lines())
         wh.insert("lineitem", batch(20))
         wh.close()
         # restart over the original database: it is the restore point,
         # and recover() replays every logged change on top of it
-        wh = Warehouse(build_db(), workers=2, wal_path=wal)
+        wh = Warehouse(build_db(), workers=1, wal_path=wal)
         wh.create_view("order_lines", order_lines())
         pre = wh.snapshot()  # published at open, before the replay
         wh.recover()
@@ -167,7 +167,7 @@ def tour_recovery():
 
 
 def main():
-    wh = Warehouse(build_db(), workers=2)
+    wh = Warehouse(build_db(), workers=1)
     wh.create_view("order_lines", order_lines())
     tour_snapshots(wh)
     tour_queries(wh)

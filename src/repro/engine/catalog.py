@@ -25,8 +25,8 @@ class Database:
     def __init__(self):
         self.tables: Dict[str, Table] = {}
         self.foreign_keys: List[ForeignKey] = []
-        # Plan compilation provisions indexes lazily, and with a parallel
-        # scheduler several views compile on worker threads at once.
+        # Plan compilation provisions indexes lazily on the dispatcher
+        # thread, racing a user's DDL on the caller's.
         self._ddl_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -35,9 +35,9 @@ class MaintenanceError(ReproError):
 
 class UndoError(MaintenanceError):
     """A failed maintenance pass could not be undone by its inverse
-    applies — only a bug, or a timed-out attempt still running, can do
-    that.  The view was rebuilt from the base tables instead, and the
-    scheduler quarantines it without a further attempt."""
+    applies — only a bug can do that.  The view was rebuilt from the
+    base tables instead, and the scheduler quarantines it without a
+    further attempt."""
 
 
 class WalError(ReproError):

@@ -3,7 +3,7 @@
 Random SPOJ views over random databases, replayed under every
 maintenance strategy the repo implements (Section 5.2 view-side vs.
 Section 5.3 base-table secondary deltas and the per-term auto choice,
-foreign-key shortcuts on/off, serial vs. parallel scheduling
+foreign-key shortcuts on/off, inline vs. queued scheduling
 with a write-ahead log) and cross-checked after every update against a
 full recompute of each view — plus crash-injection runs that drop WAL
 acknowledgements and force :meth:`Warehouse.recover` to converge.

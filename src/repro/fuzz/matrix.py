@@ -148,8 +148,8 @@ class OracleConfig:
     durability: str = "none"  # none | wal | checkpoints (WAL + a checkpoint per
     #   op over 128-byte segments, so every compaction has files to delete)
     shards: int = 0  # > 0: a ShardedWarehouse over thread-backend workers
-    scheduling: str = "serial"  # serial | parallel (2 workers + retry)
-    #   | serving (parallel, and a snapshot read checked after every op)
+    scheduling: str = "inline"  # inline | queued (dispatcher + retry)
+    #   | serving (queued, and a snapshot read checked after every op)
     faults: Tuple[Fault, ...] = ()
 
     @property
@@ -176,8 +176,8 @@ def default_matrix() -> List[OracleConfig]:
         row("no-fk", fk=False),
         row("serial-wal", durability="wal",
             faults=_faults("lost-acks", "fail@wal.append", "fail@wal.fsync")),
-        row("parallel-wal", durability="wal", scheduling="parallel", faults=_faults("lost-acks")),
-        row("retry-transient", scheduling="parallel",
+        row("parallel-wal", durability="wal", scheduling="queued", faults=_faults("lost-acks")),
+        row("retry-transient", scheduling="queued",
             faults=_faults("absorb@scheduler.task", "absorb@maintain.pass")),
         row("checkpoint-wal", durability=checkpoints, faults=_faults("lost-acks@lineage")),
         row("crash-checkpoint", durability=checkpoints, faults=_faults(

@@ -329,10 +329,10 @@ _CHAOS_SETTLE = 30.0  # max seconds to wait for reincarnation
 def _open(db, scenario: Scenario, config: OracleConfig, tmp: str) -> Warehouse:
     """A warehouse over *db*, its log and checkpoints under *tmp*, with
     the scenario's views registered under the config's options."""
-    parallel = config.scheduling != "serial"
+    queued = config.scheduling != "inline"
     kwargs: Dict = {
-        "workers": 2 if parallel else 0,
-        "retry": _FAST_RETRY if parallel else None,
+        "workers": 1 if queued else 0,
+        "retry": _FAST_RETRY if queued else None,
     }
     if config.shards:
         # thread-backend workers: deterministic, and they share this

@@ -268,8 +268,9 @@ class Telemetry:
     # ------------------------------------------------------------------
     @property
     def spans(self) -> List[Span]:
-        """Finished root spans retained by the in-memory sink."""
-        return self.memory.spans
+        """Finished root spans retained by the in-memory sink, oldest
+        first (a copy: the sink keeps appending)."""
+        return list(self.memory.spans)
 
     def dashboard(self) -> str:
         if not self.enabled:

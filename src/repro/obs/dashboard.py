@@ -95,7 +95,7 @@ class Dashboard:
 
     def __init__(self, registry):
         self._registry = registry
-        self._lock = threading.Lock()  # pool threads fold passes concurrently
+        self._lock = threading.Lock()  # the dispatcher folds; HTTP reads
         self._views: Dict[str, _ViewSeries] = {}
         self._segments_quarantined: List[str] = []
 

@@ -401,7 +401,7 @@ OCCURRENCES: Dict[str, Occurrence] = {
         severity=SEVERITY_WARN,
     ),
     "view.quarantined": Occurrence(
-        "a view exhausted its retry budget (or timed out) and was "
+        "a view exhausted its retry budget (or its undo failed) and was "
         "quarantined: stale, excluded from fan-out",
         inc(VIEW_QUARANTINES),
         severity=SEVERITY_ERROR,
@@ -412,9 +412,6 @@ OCCURRENCES: Dict[str, Occurrence] = {
         "a quarantined view was repaired and rejoined the fan-out",
         severity=SEVERITY_INFO,
         fold="clear_quarantine",
-    ),
-    "view.timeout": Occurrence(
-        "a view's maintenance task missed its deadline in parallel mode", severity=SEVERITY_ERROR
     ),
     "scheduler.load_shed": Occurrence(
         "a change was rejected because the bounded queue was full",

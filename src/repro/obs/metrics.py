@@ -18,12 +18,12 @@ Registration is idempotent: asking for an already-registered name with
 the same kind and label names returns the existing instrument; a
 conflicting redefinition raises ``ValueError``.
 
-Every mutation is thread-safe: the parallel scheduler fan-out updates
-counters and histograms from worker threads while the dispatcher and
-the HTTP exposition endpoint read them.  Locking is layered — one lock
-per registry (registration), one per metric (series creation and
-render), one per series (value updates) — so hot-path increments on
-distinct series never contend with each other.
+Every mutation is thread-safe: the scheduler's dispatcher thread, the
+callers' threads and the shard reply readers update counters and
+histograms while the HTTP exposition endpoint reads them.  Locking is
+layered — one lock per registry (registration), one per metric (series
+creation and render), one per series (value updates) — so hot-path
+increments on distinct series never contend with each other.
 """
 
 from __future__ import annotations

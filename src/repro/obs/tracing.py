@@ -30,7 +30,8 @@ import json
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -270,12 +271,10 @@ class InMemorySink:
 
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
-        self.spans: List[Span] = []
+        self.spans: Deque[Span] = deque(maxlen=capacity)
 
     def emit(self, span: Span) -> None:
         self.spans.append(span)
-        if len(self.spans) > self.capacity:
-            del self.spans[: len(self.spans) - self.capacity]
 
 
 class JsonLinesSink:

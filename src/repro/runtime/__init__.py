@@ -14,10 +14,10 @@ maintainers:
   holding only the rows the WAL says changed since.  Together with WAL
   compaction this bounds recovery cost by the checkpoint interval
   instead of total history;
-* :class:`MaintenanceScheduler` — serializes changes through a single
-  dispatcher while fanning each change's per-view maintenance across a
-  thread pool, with bounded-backoff retry (:class:`RetryPolicy`),
-  per-view timeouts, quarantine-based graceful degradation, and a
+* :class:`MaintenanceScheduler` — runs each change's per-view
+  maintenance one view after another, inline or on a single dispatcher
+  thread that serializes queued changes, with bounded-backoff retry
+  (:class:`RetryPolicy`), quarantine-based graceful degradation, and a
   bounded admission queue (block or shed on overflow);
 * :class:`SnapshotStore` — MVCC-style published snapshots of base
   tables + views at consistent LSNs, captured at delta cost from

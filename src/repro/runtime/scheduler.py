@@ -1,17 +1,20 @@
-"""Parallel maintenance fan-out with retry, timeout and quarantine.
+"""Per-change view maintenance with retry and quarantine.
 
-A warehouse change touches every registered view it can reach.  The views
-are independent given the already-applied base-table delta — each
-maintainer reads the shared database and writes only its own view — so the
-fan-out parallelizes naturally: :class:`MaintenanceScheduler` runs one task
-per view on a ``ThreadPoolExecutor``.
+A warehouse change touches every registered view it can reach.  Each
+maintainer reads the already-applied base-table delta and writes only its
+own view; :class:`MaintenanceScheduler` runs those per-view tasks one
+after another, in registration order, on the thread that executes the
+change — as the paper's triggers run inside the updating statement.
+Pure-Python maintainers hold the GIL, so a thread pool would only add
+handoffs.
 
 Changes themselves stay **strictly serial**: the paper's formulas assume
 the base tables are exactly at the post-update state while a view is
 maintained, so change *N+1* must not mutate a base table while change
-*N*'s fan-out is still reading it.  The scheduler therefore owns a FIFO
-change queue drained by a single dispatcher thread; parallelism is
-across views *within* one change, never across changes.
+*N*'s views are still reading it.  With ``workers=0`` (the default) a
+change runs inline on the caller's thread; with ``workers >= 1`` it is
+queued on a FIFO drained by a single dispatcher thread, which is what
+``apply_async`` and the serving tier need.
 
 Failure handling per view task:
 
@@ -19,40 +22,36 @@ Failure handling per view task:
   backoff (:class:`RetryPolicy`).  A failed pass has already undone its
   own applies, so the view is exactly pre-change and a retry is just
   another call: nothing is copied and no snapshot journal is broken;
-* **timeout** — with ``timeout_seconds`` set (parallel mode only; pure
-  Python cannot preempt a running thread) a task whose result does not
-  arrive in time is treated as failed and its view quarantined — the
-  still-running "zombie" attempt can only touch that already-quarantined
-  view;
 * **quarantine / graceful degradation** — a view that exhausts its retry
   budget is marked quarantined: left at its pre-change (stale but
-  internally consistent) state, excluded from subsequent fan-outs, and
+  internally consistent) state, excluded from subsequent changes, and
   surfaced on the health dashboard.  A pass whose undo itself raised
   (:class:`~repro.errors.UndoError`) has rebuilt its view and is
   quarantined at once, with no further attempt.  The batch is never
   poisoned — every other view is still maintained and acknowledged.
+
+No deadline bounds one view's task: pure Python cannot preempt a running
+thread.  A hung maintainer is bounded where a process can be killed —
+the sharded supervisor's probe timeout (``docs/SHARDING.md``).
 
 Admission control — with ``max_queue_depth`` set, the change queue is
 bounded, so a producer that outruns the dispatcher can no longer grow
 memory without limit.  Two overflow policies:
 
 * ``"block"`` (default) — ``submit`` blocks until the dispatcher makes
-  room; throughput degrades to the fan-out rate, latency is absorbed by
-  the caller;
+  room; throughput degrades to the maintenance rate, latency is absorbed
+  by the caller;
 * ``"shed"`` — ``submit`` raises
   :class:`~repro.errors.BackpressureError` immediately (before the
   change touches the base tables), bumping the
   ``repro_scheduler_load_shed_total`` counter.
 
 Either way the ``repro_scheduler_queue_wait_seconds`` histogram records
-how long each admitted change sat in the queue before its fan-out
-started.
-
-With ``workers=0`` (the default) everything runs inline on the caller's
-thread in deterministic registration order (admission control does not
-apply: nothing ever queues).  With ``retry=None`` each view gets a
-single attempt; a view that fails is quarantined stale but consistent,
-exactly as it was before the change, until ``repair_view`` rebuilds it.
+how long each admitted change sat in the queue before its views were
+maintained.  Inline (``workers=0``) nothing ever queues, so admission
+control does not apply.  With ``retry=None`` each view gets a single
+attempt; a view that fails is quarantined stale but consistent, exactly
+as it was before the change, until ``repair_view`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -90,17 +87,20 @@ class RetryPolicy:
 
     ``max_attempts`` counts every try (1 = no retries).  The delay before
     retry *k* is ``base_delay_seconds * 2**(k-1)``, capped at
-    ``max_delay_seconds``.  ``timeout_seconds`` bounds how long the
-    scheduler waits for one view's task in parallel mode (``None`` = wait
-    forever); a timed-out view is quarantined immediately since the
-    attempt cannot be safely re-run while the old one may still be
-    executing.
+    ``max_delay_seconds``.
     """
 
     max_attempts: int = 3
     base_delay_seconds: float = 0.005
     max_delay_seconds: float = 0.25
-    timeout_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {self.max_attempts}"
+            )
+        if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
+            raise ValueError("retry delays must not be negative")
 
     def delay(self, failure_count: int) -> float:
         return min(self.max_delay_seconds, self.base_delay_seconds * 2 ** (failure_count - 1))
@@ -206,7 +206,12 @@ PrepareFn = Callable[[], Tuple[List[Task], Optional[int]]]
 
 
 class MaintenanceScheduler:
-    """Fan base-table changes out across views; degrade, don't poison."""
+    """Fan base-table changes out across views; degrade, don't poison.
+
+    ``workers=0`` runs each change inline on the caller's thread;
+    ``workers >= 1`` queues it through one dispatcher thread (any count
+    above 1 behaves as 1).
+    """
 
     def __init__(
         self,
@@ -232,7 +237,6 @@ class MaintenanceScheduler:
         self._states: Dict[str, ViewState] = {}
         self._lock = threading.RLock()
         self._depth = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         # maxsize bounds user changes; internal sentinels (the drain
         # barrier and the shutdown None) always use a blocking put, so
@@ -242,10 +246,6 @@ class MaintenanceScheduler:
         )
         self._closed = False
         if self.workers > 0:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-maint",
-            )
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop,
                 name="repro-dispatcher",
@@ -313,7 +313,7 @@ class MaintenanceScheduler:
         operation: str,
         on_complete: Optional[Callable[[FanOutResult], None]] = None,
     ) -> ChangeTicket:
-        """Queue one change (serial mode: runs inline before returning).
+        """Queue one change (``workers=0``: run it inline before returning).
 
         *prepare* runs under the dispatcher's serialization; it applies
         the base-table delta, optionally logs it, and returns
@@ -392,7 +392,7 @@ class MaintenanceScheduler:
             ticket._complete(result)
 
     # ------------------------------------------------------------------
-    # change execution (dispatcher thread, or caller in serial mode)
+    # change execution (dispatcher thread, or the caller with workers=0)
     # ------------------------------------------------------------------
     def _execute(
         self, prepare: PrepareFn, table: str, operation: str
@@ -406,50 +406,11 @@ class MaintenanceScheduler:
         # Crash window: the change is applied and logged but no view has
         # been maintained yet (see runtime/failpoints.py).
         FAILPOINTS.hit("scheduler.fanout", table=table, operation=operation)
-        runnable: List[Task] = []
         for task in tasks:
             if self.is_quarantined(task.name):
                 result.skipped.append(task.name)
             else:
-                runnable.append(task)
-        if self._pool is None or len(runnable) <= 1:
-            # inline on this thread; no fan_out span, so each view's
-            # "maintain" span stays a root
-            for task in runnable:
                 self._finish(task, self._run_task(task), result)
-            return result
-        with self.telemetry.tracer.span(
-            "fan_out",
-            table=table,
-            operation=operation,
-            views=len(runnable),
-            skipped=len(result.skipped),
-            workers=self.workers,
-        ):
-            futures: List[Tuple[Future, Task]] = [
-                (self._pool.submit(self._run_task, task), task)
-                for task in runnable
-            ]
-            for future, task in futures:
-                try:
-                    outcome = future.result(
-                        timeout=self.retry.timeout_seconds
-                    )
-                except FutureTimeoutError:
-                    # quarantined like any failure; the attempt may
-                    # still be running, so it is never re-run
-                    error = MaintenanceError(
-                        f"view {task.name!r} timed out after "
-                        f"{self.retry.timeout_seconds}s "
-                        f"({operation} on {table!r})"
-                    )
-                    self._finish(task, (None, error), result)
-                    # after the quarantine, whose event owns the dump
-                    self.telemetry.emit(
-                        "view.timeout", view=task.name, reason=str(error)
-                    )
-                    continue
-                self._finish(task, outcome, result)
         return result
 
     def _run_task(self, task: Task):
@@ -474,7 +435,6 @@ class MaintenanceScheduler:
                     state.retries += 1
                 self.telemetry.emit("view.retry", view=task.name, attempt=attempt)
                 time.sleep(policy.delay(attempt))
-        return None, None  # max_attempts < 1: nothing was attempted
 
     def _finish(self, task: Task, outcome, result: FanOutResult) -> None:
         report, error = outcome
@@ -492,8 +452,9 @@ class MaintenanceScheduler:
     # lifecycle
     # ------------------------------------------------------------------
     def drain(self) -> None:
-        """Block until every queued change has completed."""
-        if self._dispatcher is None:
+        """Block until every queued change has completed.  After
+        :meth:`shutdown` nothing can be queued, so this returns at once."""
+        if self._dispatcher is None or self._closed:
             return
         barrier = ChangeTicket("(drain)", "(drain)")
         self._queue.put(
@@ -505,12 +466,10 @@ class MaintenanceScheduler:
         barrier.wait()
 
     def shutdown(self) -> None:
-        """Drain the queue, stop the dispatcher and the worker pool."""
+        """Drain the queue and stop the dispatcher."""
         if self._closed:
             return
         self._closed = True
         if self._dispatcher is not None:
             self._queue.put(None)
             self._dispatcher.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)

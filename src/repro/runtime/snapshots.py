@@ -432,8 +432,8 @@ class SnapshotStore:
         *views* maps name -> :class:`~repro.core.view.MaterializedView`;
         *aggregates* maps name -> :class:`~repro.core.aggregate.AggregatedView`.
         *stale* names quarantined views: their previous capture is
-        reused (a zombie timeout attempt may still be mutating the live
-        object) and they are listed in ``Snapshot.stale_views``.
+        reused (a quarantined view reads as it was last published) and
+        they are listed in ``Snapshot.stale_views``.
         *lsn* defaults to the publish sequence number.
         """
         stale = frozenset(stale)

@@ -28,7 +28,7 @@ loop.  :class:`AsyncWarehouse` bridges the two worlds:
 
 Example::
 
-    wh = Warehouse(db, workers=4, wal_path=...,
+    wh = Warehouse(db, workers=1, wal_path=...,
                    max_queue_depth=256, overflow="shed")
     async with AsyncWarehouse(wh) as awh:
         try:

@@ -19,7 +19,7 @@ Runtime options (see :mod:`repro.runtime` and ``docs/DURABILITY.md``)::
     wh = Warehouse(db, wal_path="changes.wal",   # durable change log
                    checkpoint_dir="checkpoints", # bounded recovery
                    checkpoint_interval=1000,     # auto-checkpoint cadence
-                   workers=4,                    # parallel view fan-out
+                   workers=1,                    # queue on a dispatcher
                    max_queue_depth=256,          # admission control
                    retry=RetryPolicy(max_attempts=3))
     ticket = wh.apply_async("lineitem", "insert", rows)
@@ -27,7 +27,7 @@ Runtime options (see :mod:`repro.runtime` and ``docs/DURABILITY.md``)::
     wh.flush()        # wait for queued changes, fsync the WAL
     wh.checkpoint()   # snapshot state, compact the WAL behind it
 
-The serial, undurable path is simply the default (``workers=0``, no WAL,
+The inline, undurable path is simply the default (``workers=0``, no WAL,
 one attempt per view).
 
 ``Warehouse(db, shards=N)`` builds the sharded flavour
@@ -103,10 +103,10 @@ class Warehouse:
         this write-ahead log *before* any view is maintained, and after
         a restart :meth:`recover` replays it over a restore point.
     workers:
-        Size of the fan-out thread pool.  ``0`` (default): changes apply
-        inline on the caller's thread.  With ``workers > 0`` changes are
-        serialized through a dispatcher thread and each change's views
-        are maintained in parallel.
+        ``0`` (default): changes apply inline on the caller's thread.
+        ``>= 1``: changes queue through one dispatcher thread, which
+        maintains each change's views in registration order (any count
+        above 1 behaves as 1).
     retry:
         A :class:`~repro.runtime.RetryPolicy`.  ``None`` (default) means
         one attempt per view.  Either way a view whose attempts are
@@ -733,9 +733,9 @@ class Warehouse:
                 lsn=lsn,
             )
         except Exception:
-            # e.g. a timed-out zombie attempt mutating a quarantined
-            # view mid-capture before any slice of it exists; the store
-            # broke its journals, so the next publish copies in full
+            # a failed capture must not fail a change whose views are
+            # already maintained; the store broke its journals, so the
+            # next publish copies in full
             self._publish_errors += 1
             return None
         self.telemetry.emit(

@@ -134,7 +134,7 @@ class TestGoldenExposition:
         assert exposed == GOLDEN["families"]
 
     def test_event_kinds_severities_and_dump_triggers(self):
-        assert len(EVENT_KINDS) == 17
+        assert len(EVENT_KINDS) == 16
         severities = {kind: entry[0] for kind, entry in EVENT_KINDS.items()}
         assert severities == GOLDEN["events"]
         assert sorted(DUMP_TRIGGERS) == GOLDEN["dump_triggers"]
@@ -207,7 +207,7 @@ class TestClosure:
     def test_scenario_covers_the_table(self):
         direct = {kind for kind, _ in SCENARIO}
         via_handlers = {"recovery.completed", "recovery.degraded", "fuzz.mismatch"}
-        untested_here = {"checkpoint.written", "view.timeout"}  # own tests
+        untested_here = {"checkpoint.written"}  # own tests
         assert direct | via_handlers | untested_here == set(OCCURRENCES)
 
     def test_every_family_is_written_by_an_occurrence(self):

@@ -144,8 +144,8 @@ class TestExposition:
 
 
 class TestConcurrency:
-    """The parallel scheduler fan-out hammers shared instruments from
-    worker threads; every increment must survive."""
+    """The dispatcher, callers' threads and shard reply readers hammer
+    shared instruments at once; every increment must survive."""
 
     THREADS = 8
     ITERS = 2000

@@ -63,8 +63,8 @@ class TestSpanHasError:
         assert span_has_error(make_span(status="error"))
 
     def test_nested_error(self):
-        inner = make_span(name="maintain", status="error")
-        root = make_span(name="fan_out", children=[inner])
+        inner = make_span(name="primary_delta", status="error")
+        root = make_span(name="maintain", children=[inner])
         assert span_has_error(root)
 
     def test_clean_tree(self):

@@ -40,7 +40,7 @@ class TestNesting:
         assert [c.name for c in root.children] == ["first", "second", "third"]
         assert [c.name for c in second.children] == ["second.child"]
         # only the finished root is emitted
-        assert memory.spans == [root]
+        assert list(memory.spans) == [root]
 
     def test_current_span_tracks_stack(self, tracer):
         assert current_span() is None

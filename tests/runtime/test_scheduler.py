@@ -1,6 +1,7 @@
-"""Scheduler + warehouse fan-out failure paths: retry, quarantine,
-timeout, the graceful-degradation contract, and the failed pass that
-undoes itself (so a retry or a quarantine copies nothing)."""
+"""Scheduler + warehouse fan-out failure paths: retry, quarantine, the
+graceful-degradation contract, the inline order of a change's views, and
+the failed pass that undoes itself (so a retry or a quarantine copies
+nothing)."""
 
 import threading
 import time
@@ -157,102 +158,56 @@ class TestSchedulerCore:
         assert policy.delay(4) == 0.05  # capped
         assert policy.delay(9) == 0.05
 
-    def test_changes_are_serialized_but_views_run_parallel(self):
-        scheduler = MaintenanceScheduler(workers=4)
-        active = []
+    def test_rejects_a_policy_that_attempts_nothing(self):
+        with pytest.raises(ValueError):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(ValueError):
+            RetryPolicy(base_delay_seconds=-0.001)
+        with pytest.raises(ValueError):
+            RetryPolicy(max_delay_seconds=-1.0)
+
+    def test_views_run_one_at_a_time_in_order_on_the_dispatcher(self):
+        scheduler = MaintenanceScheduler(workers=2)
+        ran = []
+        active = [0]
         peak = [0]
-        lock = threading.Lock()
 
         def task(name):
             def run():
-                with lock:
-                    active.append(name)
-                    peak[0] = max(peak[0], len(active))
-                time.sleep(0.02)
-                with lock:
-                    active.remove(name)
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                ran.append((name, threading.current_thread().name))
+                time.sleep(0.005)
+                active[0] -= 1
                 return name
 
             return Task(name, run)
 
+        names = [f"v{i}" for i in range(4)]
         try:
             result = scheduler.apply(
-                lambda: ([task(f"v{i}") for i in range(4)], None),
+                lambda: ([task(name) for name in names], None),
                 "t",
                 "insert",
             )
-            assert result.ok and len(result.reports) == 4
-            assert peak[0] > 1  # views genuinely overlapped
+            assert result.ok and list(result.reports) == names
+            assert peak[0] == 1
+            assert ran == [(name, "repro-dispatcher") for name in names]
+            assert not [
+                t.name
+                for t in threading.enumerate()
+                if t.name.startswith("repro-maint")
+            ]
         finally:
-            scheduler.shutdown()
-
-    def test_timeout_quarantines_the_slow_view(self):
-        scheduler = MaintenanceScheduler(
-            workers=2,
-            retry=RetryPolicy(max_attempts=1, timeout_seconds=0.05),
-        )
-        release = threading.Event()
-
-        def slow():
-            release.wait(5.0)
-            return "late"
-
-        try:
-            result = scheduler.apply(
-                lambda: (
-                    [Task("sluggish", slow), Task("fine", lambda: "ok")],
-                    None,
-                ),
-                "t",
-                "insert",
-            )
-            assert "fine" in result.reports
-            assert "sluggish" in result.failures
-            assert result.quarantined == ["sluggish"]
-            assert scheduler.is_quarantined("sluggish")
-        finally:
-            release.set()
-            scheduler.shutdown()
-
-    def test_deadline_miss_is_reported_as_quarantine_and_timeout(self):
-        telemetry = Telemetry()
-        scheduler = MaintenanceScheduler(
-            workers=2,
-            retry=RetryPolicy(max_attempts=1, timeout_seconds=0.05),
-            telemetry=telemetry,
-        )
-        release = threading.Event()
-        try:
-            scheduler.apply(
-                lambda: (
-                    [
-                        Task("sluggish", lambda: release.wait(5.0)),
-                        Task("fine", lambda: "ok"),
-                    ],
-                    None,
-                ),
-                "t",
-                "insert",
-            )
-            kinds = [e.kind for e in telemetry.recorder.events]
-            # the quarantine comes first: its event owns the dump slot
-            assert kinds == ["view.quarantined", "view.timeout"]
-            timeout = telemetry.recorder.events[-1]
-            assert timeout.attrs["view"] == "sluggish"
-            assert "timed out after 0.05s" in timeout.attrs["reason"]
-        finally:
-            release.set()
             scheduler.shutdown()
 
     def test_error_text_saying_timed_out_is_not_a_deadline_miss(self):
         # e.g. ShardUnavailableError("timed out after 5s waiting for a
-        # shard reply"): the maintainer raised, no scheduler deadline
-        # was missed, so no view.timeout may be reported
+        # shard reply"): the maintainer raised, so the view is
+        # quarantined with that reason and nothing else is reported
         telemetry = Telemetry()
         scheduler = MaintenanceScheduler(
-            workers=2,
-            retry=RetryPolicy(max_attempts=1, timeout_seconds=5.0),
-            telemetry=telemetry,
+            workers=2, retry=RetryPolicy(max_attempts=1), telemetry=telemetry
         )
 
         def failing():
@@ -328,6 +283,21 @@ class TestAsync:
             wh.check_consistency()
         finally:
             wh.scheduler.shutdown()
+
+    def test_close_twice_then_flush_returns(self):
+        wh = Warehouse(build_db(), workers=1)
+        wh.create_view("ol", order_lines_expr())
+        wh.insert("orders", [(1, 100)])
+
+        def close_twice():
+            wh.close()
+            wh.close()
+            wh.flush()
+
+        closer = threading.Thread(target=close_twice, daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive(), "close()/flush() after close() hung"
 
     def test_flush_surfaces_async_failures(self):
         db = build_db()

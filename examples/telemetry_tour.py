@@ -13,8 +13,10 @@ in a :class:`~repro.warehouse.Warehouse` metered by a shared
 :class:`~repro.obs.Telemetry`, drives a mixed insert/delete workload,
 and then inspects what the instruments captured:
 
-1. the span tree of one maintenance pass (classify → primary delta →
-   apply → per-term secondary deltas, with per-operator row counts),
+1. the span tree of one change: a ``change`` root holding one
+   ``maintain`` span per view, whose attributes carry the phase times
+   (classify, primary delta, apply) and each secondary term's strategy
+   and time, with per-operator row counts,
 2. the per-view health dashboard (p50/p95 latency, rows touched,
    secondary-strategy mix, FK-shortcut rate, slowest terms),
 3. the Prometheus metrics text a scraper would collect.
@@ -55,12 +57,11 @@ def main():
     warehouse.insert("customer", generator.customer_insert_batch(5, seed=30))
     warehouse.check_consistency()
 
-    print("\n=== 1. One maintenance pass as a span tree ===")
+    print("\n=== 1. One change as a span tree ===")
     root = next(
         span
         for span in reversed(telemetry.spans)
-        if span.attributes.get("view") == "v3"
-        and span.attributes.get("table") == "lineitem"
+        if span.attributes.get("table") == "lineitem"
     )
     print(root.tree())
 

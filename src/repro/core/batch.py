@@ -13,25 +13,15 @@ net effect:
 * delete then re-insert of the *identical* row → dropped entirely;
 * everything else flows through unchanged.
 
-Works against any number of maintenance targets —
-:class:`~repro.core.maintain.ViewMaintainer` and
-:class:`~repro.core.aggregate.AggregatedView` share the ``maintain``
-protocol the batch drives.
+:meth:`~repro.warehouse.Warehouse.batch` hands out batches whose
+flush sends each netted pass through the warehouse's own change path
+(WAL, scheduler, every registered view).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..engine.catalog import Database
 from ..engine.table import Row
@@ -72,19 +62,10 @@ class UpdateBatch:
     """Accumulate updates, net them, flush as one pass per table."""
 
     def __init__(
-        self,
-        db: Database,
-        targets: Sequence,
-        apply: Optional[
-            Callable[[NetDelta], List[MaintenanceReport]]
-        ] = None,
+        self, db: Database, apply: Callable[[NetDelta], List[MaintenanceReport]]
     ):
         self.db = db
-        self.targets = list(targets)
-        # When set, flush() hands each NetDelta to this callable instead
-        # of applying it inline — the Warehouse routes batches through
-        # its WAL + scheduler this way.
-        self._apply = apply
+        self._apply = apply  # one netted pass -> its maintenance reports
         self._pending: Dict[str, Dict[Row, _Pending]] = {}
         self._flushed = False
 
@@ -196,20 +177,5 @@ class UpdateBatch:
             table: [] for table in self._pending
         }
         for net in deltas:
-            if self._apply is not None:
-                reports[net.table].extend(self._apply(net))
-                continue
-            if net.operation == DELETE:
-                delta = self.db.delete(net.table, net.rows, check=False)
-            else:
-                delta = self.db.insert(net.table, net.rows)
-            for target in self.targets:
-                reports[net.table].append(
-                    target.maintain(
-                        net.table,
-                        delta,
-                        net.operation,
-                        fk_allowed=net.fk_allowed,
-                    )
-                )
+            reports[net.table].extend(self._apply(net))
         return reports

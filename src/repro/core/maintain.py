@@ -200,6 +200,7 @@ class MaintenancePlans:
         self.telemetry = telemetry or Telemetry.disabled()
         self._records: Dict[Tuple, PassRecord] = {}
         self._plan_cache = PlanCache()
+        self.telemetry.watch(self)  # plan-cache counts, read at scrape
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -292,24 +293,13 @@ class MaintenancePlans:
         other failing pass, and nothing is cached.
         """
         plan = self._plan_cache.get(key)
-        tel = self.telemetry
-        tel.emit(
-            "plan_cache.lookup",
-            view=self.definition.name,
-            outcome="miss" if plan is None else "hit",
-        )
-        if plan is not None:
-            return plan
-        with tel.tracer.span("compile_plan", view=self.definition.name,
-                             key="/".join(str(p) for p in key)):
+        if plan is None:
             started = time.perf_counter()
             plan = builder()
-            tel.emit(
-                "plan.compiled",
-                view=self.definition.name,
-                seconds=time.perf_counter() - started,
+            self.telemetry.emit(
+                "plan.compiled", view=self.definition.name, seconds=time.perf_counter() - started
             )
-        self._plan_cache.store(key, plan)
+            self._plan_cache.store(key, plan)
         return plan
 
     def _build_primary_plan(self, table: str, expr: RelExpr):
@@ -412,41 +402,44 @@ class ViewMaintainer(MaintenancePlans):
             return report
 
         tel = self.telemetry
-        tracer = tel.tracer
         undo: List[Callable[[], int]] = []  # each apply's inverse, in order
-        with tracer.span(
+        phases: Dict[str, float] = {}  # phase -> seconds
+        terms: Dict[str, Dict] = {}  # secondary term -> strategy, seconds, rows
+        with tel.tracer.span(
             "maintain",
             view=self.definition.name,
             table=table,
             operation=operation,
             base_rows=len(delta),
-        ) as root:
+            phases=phases,
+            terms=terms,
+        ) as span:
             try:
-                with tracer.span("classify") as span:
-                    record = self.pass_record(table, operation, fk_allowed)
-                    report.direct_terms = list(record.direct)
-                    report.indirect_terms = [s[1] for s in record.secondaries]
-                    span.set_attribute("direct", len(report.direct_terms))
-                    span.set_attribute("indirect", len(report.indirect_terms))
-
-                with tracer.span("primary_delta") as span:
-                    primary = self._compute_primary(record, table, delta, shared)
-                    report.primary_skipped = primary is None
-                    span.set_attribute("skipped", report.primary_skipped)
-                    if primary is not None:
-                        span.record_rows(len(primary))
+                began = time.perf_counter()
+                record = self.pass_record(table, operation, fk_allowed)
+                report.direct_terms = list(record.direct)
+                report.indirect_terms = [s[1] for s in record.secondaries]
+                classified = time.perf_counter()
+                phases["classify"] = classified - began
+                primary = self._compute_primary(record, table, delta, shared)
+                report.primary_skipped = primary is None
+                computed = time.perf_counter()
+                phases["primary_delta"] = computed - classified
+                span.set_attributes(
+                    direct=len(record.direct),
+                    indirect=len(record.secondaries),
+                    skipped=report.primary_skipped,
+                    delta_rows=0 if primary is None else len(primary),
+                )
                 if primary is not None and len(primary):
-                    with tracer.span("apply_primary") as span:
-                        report.primary_rows = self._apply(
-                            primary, operation == INSERT, undo
-                        )
-                        span.record_rows(report.primary_rows)
+                    report.primary_rows = self._apply(primary, operation == INSERT, undo)
+                    phases["apply_primary"] = time.perf_counter() - computed
                     if self.options.count_term_rows:
                         self._count_term_rows(primary, record, report)
                 # fault-injection site *inside* the maintain span, between
                 # the primary and the secondary applies: an armed raise
                 # stages the half-applied pass the undo below closes, with
-                # a real failing span chain for flight-recorder dumps
+                # a real failing span for flight-recorder dumps
                 FAILPOINTS.hit(
                     "maintain.pass",
                     view=self.definition.name,
@@ -455,7 +448,7 @@ class ViewMaintainer(MaintenancePlans):
                 )
                 if record.secondaries and primary is not None and len(primary):
                     self._apply_secondary(
-                        record, table, delta, primary, operation, report, undo
+                        record, table, delta, primary, operation, report, undo, terms
                     )
             except Exception:
                 tel.emit(
@@ -468,9 +461,8 @@ class ViewMaintainer(MaintenancePlans):
                 raise
 
             report.elapsed_seconds = time.perf_counter() - started
-            root.record_rows(report.total_view_changes)
-        tel.emit("maintenance.pass", report=report, span=root)
-        tel.emit("view.size", view=self.definition.name, rows=len(self.view))
+            span.record_rows(report.total_view_changes)
+        tel.emit("maintenance.pass", report=report, span=span)
         return report
 
     # ------------------------------------------------------------------
@@ -505,6 +497,7 @@ class ViewMaintainer(MaintenancePlans):
         operation: str,
         report: MaintenanceReport,
         undo: List[Callable[[], int]],
+        terms: Dict[str, Dict],
     ) -> None:
         strategy = self.options.secondary_strategy
         for term, label, key in record.secondaries:
@@ -512,28 +505,30 @@ class ViewMaintainer(MaintenancePlans):
             if strategy == SECONDARY_AUTO:
                 term_strategy = self._choose_secondary_strategy(term, record.mgraph, table)
             report.secondary_strategy_used[label] = term_strategy
-            with self.telemetry.tracer.span(
-                "secondary", term=label, strategy=term_strategy
-            ) as span:
-                if term_strategy == SECONDARY_FROM_BASE:
-                    rows = self._secondary_base_rows(
-                        record, term, key, primary, operation, table, delta
-                    )
-                else:
-                    # Index-seek plan of Section 5.2; reads the live view,
-                    # so parent-term orphans inserted above are visible here
-                    # (the parents-first requirement of the module docstring).
-                    plan = self._cached_plan(
-                        ("secondary-view",) + key,
-                        lambda: CompiledViewSecondary(
-                            term, record.mgraph, self.view, primary.schema,
-                            self.db, operation,
-                        ),
-                    )
-                    rows = plan.execute(self.view, primary)
-                count = self._apply(rows, operation != INSERT, undo) if len(rows) else 0
-                report.secondary_rows[label] = count
-                span.record_rows(count)
+            started = time.perf_counter()
+            if term_strategy == SECONDARY_FROM_BASE:
+                rows = self._secondary_base_rows(
+                    record, term, key, primary, operation, table, delta
+                )
+            else:
+                # Index-seek plan of Section 5.2; reads the live view,
+                # so parent-term orphans inserted above are visible here
+                # (the parents-first requirement of the module docstring).
+                plan = self._cached_plan(
+                    ("secondary-view",) + key,
+                    lambda: CompiledViewSecondary(
+                        term, record.mgraph, self.view, primary.schema,
+                        self.db, operation,
+                    ),
+                )
+                rows = plan.execute(self.view, primary)
+            count = self._apply(rows, operation != INSERT, undo) if len(rows) else 0
+            report.secondary_rows[label] = count
+            terms[label] = {
+                "strategy": term_strategy,
+                "seconds": time.perf_counter() - started,
+                "rows": count,
+            }
 
     def _choose_secondary_strategy(
         self, term: Term, mgraph: MaintenanceGraph, table: str

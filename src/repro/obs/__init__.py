@@ -21,6 +21,9 @@ The runtime reports through one method, :meth:`Telemetry.emit`: an
 occurrence is ``(kind, attrs)`` data, and what it does — which metric
 families it writes, which SLO lane it feeds, whether it is also a
 flight-recorder event — is declared once in :mod:`repro.obs.events`.
+State that already has a home — a maintainer's plan-cache counts, its
+view's size — is not reported at all: :meth:`Telemetry.watch` reads it
+into the registry whenever the registry is read.
 
 The default everywhere is :meth:`Telemetry.disabled` — a shared no-op
 singleton whose tracer hands out a null span and whose ``emit`` returns
@@ -29,7 +32,10 @@ immediately, so uninstrumented workloads pay nothing.
 
 from __future__ import annotations
 
+import collections
 import os
+import threading
+import weakref
 from typing import Callable, Dict, List, Optional
 
 from .dashboard import Dashboard, percentile
@@ -40,6 +46,8 @@ from .events import (
     FAMILIES,
     FLIGHT_DUMPS,
     OCCURRENCES,
+    PLAN_CACHE_REQUESTS,
+    VIEW_ROWS,
     Effect,
     Event,
     Occurrence,
@@ -70,7 +78,6 @@ from .tracing import (
     TreeSink,
     current_span,
     load_jsonl,
-    record_operator,
 )
 
 __all__ = [
@@ -82,7 +89,6 @@ __all__ = [
     "JsonLinesSink",
     "TreeSink",
     "current_span",
-    "record_operator",
     "load_jsonl",
     "NULL_SPAN",
     "MetricsRegistry",
@@ -110,6 +116,10 @@ __all__ = [
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
 METRICS_FILE_ENV = "REPRO_METRICS_FILE"
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
+
+
+def _requests(view: str, cache) -> Dict[tuple, int]:
+    return {(view, "hit"): cache.hits, (view, "miss"): cache.misses}
 
 
 class Telemetry:
@@ -147,6 +157,9 @@ class Telemetry:
             getattr(self.metrics, family.type)(family.name, family.help, family.labels, **extra)
         self.health = Dashboard(self.metrics)
         self.slo = SLOTracker()
+        self._watched: Dict[weakref.ref, tuple] = {}  # maintainer -> (view, plan cache)
+        self._retired = collections.Counter()  # (view, outcome) -> count
+        self._watch_lock = threading.Lock()
         self._fire: Dict[str, Callable] = {
             kind: self._compile(kind, occurrence) for kind, occurrence in OCCURRENCES.items()
         }
@@ -264,6 +277,40 @@ class Telemetry:
         return publish
 
     # ------------------------------------------------------------------
+    # state read at scrape
+    # ------------------------------------------------------------------
+    def watch(self, maintainer) -> None:
+        """Read *maintainer*'s plan-cache hits/misses and its ``view``'s size
+        (if it has one) at every scrape.  Held weakly: once unwatched or
+        collected, its size leaves and its counts stay in the counter."""
+        if self.enabled:
+            self._retire(lambda ref: ref() is None)
+            entry = (maintainer.definition.name, maintainer.plan_cache)
+            with self._watch_lock:
+                self._watched[weakref.ref(maintainer)] = entry
+
+    def unwatch(self, maintainer) -> None:
+        """Stop reading *maintainer* (its view was dropped)."""
+        self._retire(lambda ref: ref() is maintainer)
+
+    def _retire(self, gone: Callable) -> None:
+        """Fold the watched entries *gone* picks into the retired counts."""
+        with self._watch_lock:
+            for ref in [ref for ref in self._watched if gone(ref)]:
+                self._retired.update(_requests(*self._watched.pop(ref)))
+
+    def _scrape(self) -> None:
+        self._retire(lambda ref: ref() is None)
+        with self._watch_lock:
+            requests, sizes = self._retired.copy(), {}
+            for ref, (view, cache) in self._watched.items():
+                requests.update(_requests(view, cache))
+                if hasattr(maintainer := ref(), "view"):
+                    sizes[(view,)] = len(maintainer.view)  # the newest of a name wins
+            self.metrics.get(PLAN_CACHE_REQUESTS.name).reset(+requests)  # + drops zeros
+            self.metrics.get(VIEW_ROWS.name).reset(sizes)
+
+    # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     @property
@@ -275,17 +322,20 @@ class Telemetry:
     def dashboard(self) -> str:
         if not self.enabled:
             return "== Maintenance dashboard ==\n(telemetry disabled)"
+        self._scrape()
         return self.health.render()
 
     def metrics_text(self) -> str:
         if not self.enabled:
             return ""
+        self._scrape()
         return self.metrics.render_prometheus()
 
     def openmetrics_text(self) -> str:
         """OpenMetrics 1.0 exposition, SLO gauges refreshed first."""
         if not self.enabled:
             return "# EOF\n"
+        self._scrape()
         self.slo.export(self.metrics)
         return render_openmetrics(self.metrics)
 

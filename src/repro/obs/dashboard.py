@@ -5,7 +5,7 @@ maintenance latency, rows touched, the secondary-strategy mix, the
 foreign-key shortcut hit rate, per-phase costs and the slowest secondary
 terms.  Counts come from the metrics registry; of every finished pass
 (the :class:`~repro.core.maintain.MaintenanceReport` and, when tracing is
-on, the root span) it keeps only a bounded latency series and the span's
+on, its ``maintain`` span) it keeps only a latency series and the span's
 phase/term durations.
 """
 
@@ -111,15 +111,16 @@ class Dashboard:
 
     def fold_pass(self, report, span=None) -> None:
         """One finished maintenance pass: its latency sample and, when
-        tracing is on, the phase/term durations of its root span."""
+        tracing is on, the ``phases`` and ``terms`` its span carries."""
+        attributes = span.attributes if span is not None else {}
         with self._lock:
             s = self._series(report.view)
             s.latencies.append(report.elapsed_seconds)
-            for child in span.children if span is not None else ():
-                s.phases.setdefault(child.name, _Agg()).add(child.duration_seconds)
-                term = child.attributes.get("term") if child.name == "secondary" else None
-                if term:
-                    s.terms.setdefault(term, _Agg()).add(child.duration_seconds)
+            for phase, seconds in attributes.get("phases", {}).items():
+                s.phases.setdefault(phase, _Agg()).add(seconds)
+            for term, detail in attributes.get("terms", {}).items():
+                s.phases.setdefault("secondary", _Agg()).add(detail["seconds"])
+                s.terms.setdefault(term, _Agg()).add(detail["seconds"])
 
     def quarantine(self, view: str, reason: str) -> None:
         """The scheduler quarantined *view*; it is stale until repaired."""

@@ -99,6 +99,7 @@ SECONDARY_STRATEGY = _counter(
     "Secondary-delta term evaluations by chosen strategy",
     ("view", "strategy"),
 )
+# these two are read from the watched maintainers at scrape (Telemetry.watch)
 VIEW_ROWS = _gauge("repro_view_rows", "Current cardinality of a materialized view", _VIEW)
 PLAN_CACHE_REQUESTS = _counter(
     "repro_plan_cache_requests_total",
@@ -373,7 +374,7 @@ _PASS_FAMILIES = (
 OCCURRENCES: Dict[str, Occurrence] = {
     # -- maintenance ---------------------------------------------------------
     "maintenance.pass": Occurrence(
-        "one view-maintenance pass finished (report: MaintenanceReport, span: its root span)",
+        "one view-maintenance pass finished (report: MaintenanceReport, span: its maintain span)",
         handler=_maintenance_pass,
         writes=_PASS_FAMILIES,
     ),
@@ -385,10 +386,6 @@ OCCURRENCES: Dict[str, Occurrence] = {
         inc(ERRORS),
         severity=SEVERITY_WARN,
         outcome=False,
-    ),
-    "view.size": Occurrence("a view's current cardinality", set_to(VIEW_ROWS, "rows")),
-    "plan_cache.lookup": Occurrence(
-        "one plan-cache lookup by a maintainer (outcome: hit | miss)", inc(PLAN_CACHE_REQUESTS)
     ),
     "plan.compiled": Occurrence(
         "one physical maintenance plan was compiled (a plan-cache miss)",

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ShardingError
 from .events import recovery_degraded
+from .metrics import _escape
 
 __all__ = [
     "render_openmetrics",
@@ -63,31 +64,19 @@ def render_openmetrics(registry) -> str:
         rendered = metric.render()
         samples = [line for line in rendered if not line.startswith("# ")]
         if metric.help:
-            lines.append(f"# HELP {family} {_escape_help(metric.help)}")
+            lines.append(f"# HELP {family} {_escape(metric.help)}")
         lines.append(f"# TYPE {family} {metric.kind}")
         if unit:
             lines.append(f"# UNIT {family} {unit}")
-        if metric.kind == "counter" and not metric.name.endswith("_total"):
-            # OpenMetrics counters must expose their samples as
-            # <family>_total even when the registry name lacks it
-            samples = [
-                family + "_total" + line[len(metric.name):]
-                for line in samples
-            ]
         lines.extend(samples)
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def _escape_help(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
 _SUFFIXES = {
     "counter": ("_total", "_created"),
     "gauge": ("",),
     "histogram": ("_bucket", "_sum", "_count", "_created"),
-    "untyped": ("",),
 }
 
 
@@ -271,14 +260,8 @@ class ObsServer:
         path = request.path.split("?", 1)[0]
         try:
             if path == "/metrics":
-                # prefer the warehouse's renderer: it refreshes the
-                # view-size gauges before exposing the registry
-                source = getattr(
-                    self.warehouse,
-                    "openmetrics_text",
-                    self.telemetry.openmetrics_text,
-                )
-                self._reply(request, 200, source(), CONTENT_TYPE_OPENMETRICS)
+                text = self.telemetry.openmetrics_text()
+                self._reply(request, 200, text, CONTENT_TYPE_OPENMETRICS)
             elif path == "/healthz":
                 payload = self.health_payload()
                 status = 200 if payload["status"] == "ok" else 503

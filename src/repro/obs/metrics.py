@@ -123,6 +123,13 @@ class _Metric:
     def _new_series(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
+    def reset(self, values: Dict[Tuple, float]) -> None:
+        """Replace every series with *values* (label values -> value)."""
+        fresh = {key: self._new_series() for key in values}
+        for key, value in values.items():
+            fresh[key].value = value
+        self._series = fresh
+
     def sum_by(self, *names: str) -> Dict[Tuple, float]:
         """Series values summed per distinct combination of the labels
         *names* (counters and gauges): ``sum_by("view")`` folds the
@@ -147,8 +154,12 @@ class _Metric:
             lines.extend(self._render_series(key, snapshot[key]))
         return lines
 
-    def _render_series(self, key, series) -> List[str]:  # pragma: no cover
-        raise NotImplementedError
+    def value(self, **labels) -> float:
+        return self.labels(**labels).value
+
+    def _render_series(self, key, series) -> List[str]:
+        """A counter's or a gauge's sample (histograms override)."""
+        return [f"{self.name}{_series_suffix(self.labelnames, key)} {_fmt(series.value)}"]
 
 
 class _Value:
@@ -192,15 +203,8 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels) -> None:
         self.labels(**labels).inc(amount)
 
-    def value(self, **labels) -> float:
-        return self.labels(**labels).value
-
     def total(self) -> float:
         return sum(s.value for s in self._series.values())
-
-    def _render_series(self, key, series) -> List[str]:
-        suffix = _series_suffix(self.labelnames, key)
-        return [f"{self.name}{suffix} {_fmt(series.value)}"]
 
 
 class Gauge(_Metric):
@@ -211,13 +215,6 @@ class Gauge(_Metric):
 
     def set(self, value: float, **labels) -> None:
         self.labels(**labels).set(value)
-
-    def value(self, **labels) -> float:
-        return self.labels(**labels).value
-
-    def _render_series(self, key, series) -> List[str]:
-        suffix = _series_suffix(self.labelnames, key)
-        return [f"{self.name}{suffix} {_fmt(series.value)}"]
 
 
 class _HistogramSeries:

@@ -203,14 +203,9 @@ class FlightRecorder:
         return path
 
     def _prune_dumps(self) -> None:
-        names = sorted(
-            name
-            for name in os.listdir(self.dump_dir)
-            if name.startswith("flight-") and name.endswith(".json")
-        )
-        for name in names[: -self.max_dumps]:
+        for path in self.dump_paths()[: -self.max_dumps]:
             try:
-                os.remove(os.path.join(self.dump_dir, name))
+                os.remove(path)
             except OSError:
                 pass
 

@@ -8,8 +8,8 @@ can report into whatever span is currently open without threading a
 handle through every call::
 
     tracer = Tracer([InMemorySink()])
-    with tracer.span("maintain", view="v3", table="lineitem") as root:
-        with tracer.span("primary_delta") as s:
+    with tracer.span("change", table="lineitem") as root:
+        with tracer.span("maintain", view="v3") as s:
             ...                     # operators report into ``s``
             s.record_rows(128)
 
@@ -39,7 +39,6 @@ __all__ = [
     "NullTracer",
     "NULL_SPAN",
     "current_span",
-    "record_operator",
     "InMemorySink",
     "JsonLinesSink",
     "TreeSink",
@@ -64,14 +63,6 @@ def current_span() -> Optional["Span"]:
     """The innermost active span of this thread, or ``None``."""
     stack = _stack()
     return stack[-1] if stack else None
-
-
-def record_operator(kind: str, rows: int, seconds: float) -> None:
-    """Report one physical-operator execution into the active span (no-op
-    when tracing is off)."""
-    stack = _stack()
-    if stack:
-        stack[-1].record_operator(kind, rows, seconds)
 
 
 class Span:
@@ -132,8 +123,8 @@ class Span:
         return False
 
     # -- recording -------------------------------------------------------
-    def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes[key] = value
+    def set_attributes(self, **attributes: Any) -> None:
+        self.attributes.update(attributes)
 
     def record_rows(self, n: int) -> None:
         self.rows += n
@@ -152,15 +143,6 @@ class Span:
     def duration_seconds(self) -> float:
         end = self.end if self.end is not None else time.perf_counter()
         return end - self.start
-
-    def find(self, name: str) -> List["Span"]:
-        """All descendants (preorder) named *name*."""
-        out = []
-        for child in self.children:
-            if child.name == name:
-                out.append(child)
-            out.extend(child.find(name))
-        return out
 
     def to_dict(self) -> Dict:
         """JSON-serializable form of the whole subtree."""
@@ -204,9 +186,6 @@ class Span:
             parts.append(child.tree(indent + 1))
         return "\n".join(parts)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Span({self.name!r}, rows={self.rows}, children={len(self.children)})"
-
 
 class _NullSpan:
     """Shared do-nothing span used when telemetry is disabled."""
@@ -219,7 +198,7 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    def set_attribute(self, key, value) -> None:
+    def set_attributes(self, **attributes) -> None:
         pass
 
     def record_rows(self, n) -> None:
@@ -258,9 +237,6 @@ class NullTracer:
 
     def span(self, name: str, **attributes) -> _NullSpan:
         return NULL_SPAN
-
-    def add_sink(self, sink) -> None:  # pragma: no cover - nothing to add to
-        pass
 
 
 # ---------------------------------------------------------------------------

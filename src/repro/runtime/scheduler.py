@@ -406,11 +406,23 @@ class MaintenanceScheduler:
         # Crash window: the change is applied and logged but no view has
         # been maintained yet (see runtime/failpoints.py).
         FAILPOINTS.hit("scheduler.fanout", table=table, operation=operation)
-        for task in tasks:
-            if self.is_quarantined(task.name):
-                result.skipped.append(task.name)
-            else:
-                self._finish(task, self._run_task(task), result)
+        if not tasks:
+            return result
+        # One root span per change.  Quarantines fire after it closes, so
+        # a quarantine's flight-recorder dump holds the failing pass.
+        with self.telemetry.tracer.span("change", table=table, operation=operation):
+            for task in tasks:
+                if self.is_quarantined(task.name):
+                    result.skipped.append(task.name)
+                    continue
+                report, error = self._run_task(task)
+                if error is None:
+                    result.reports[task.name] = report
+                else:
+                    result.failures[task.name] = error
+        for name, error in result.failures.items():
+            self._quarantine(name, f"{operation} on {table!r} failed: {error!r}")
+            result.quarantined.append(name)
         return result
 
     def _run_task(self, task: Task):
@@ -435,18 +447,6 @@ class MaintenanceScheduler:
                     state.retries += 1
                 self.telemetry.emit("view.retry", view=task.name, attempt=attempt)
                 time.sleep(policy.delay(attempt))
-
-    def _finish(self, task: Task, outcome, result: FanOutResult) -> None:
-        report, error = outcome
-        if error is None:
-            result.reports[task.name] = report
-            return
-        result.failures[task.name] = error
-        self._quarantine(
-            task.name,
-            f"{result.operation} on {result.table!r} failed: {error!r}",
-        )
-        result.quarantined.append(task.name)
 
     # ------------------------------------------------------------------
     # lifecycle

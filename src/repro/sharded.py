@@ -659,9 +659,6 @@ class ShardedWarehouse(Warehouse):
         for handle in self._handles:
             handle.close()
 
-    def _refresh_view_sizes(self) -> None:
-        """View sizes are per shard; :meth:`shard_stats` meters them."""
-
     # ------------------------------------------------------------------
     # the transaction seam (Transaction is the base class's): a
     # worker-local transaction on every shard a statement reaches,

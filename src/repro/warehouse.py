@@ -288,13 +288,6 @@ class Warehouse:
                 telemetry=self.telemetry,
             ),
         )
-        # telemetry series are keyed by the *definition* name (that is what
-        # the maintainer stamps on spans and metrics)
-        self.telemetry.emit(
-            "view.size",
-            view=maintainer.definition.name,
-            rows=len(maintainer.view),
-        )
         self._publish()  # queue is drained: a consistent point
         return maintainer.view
 
@@ -318,8 +311,10 @@ class Warehouse:
 
     def drop_view(self, name: str) -> None:
         self.scheduler.drain()
-        if self._views.pop(name, None) is None:
+        target = self._views.pop(name, None)
+        if target is None:
             raise CatalogError(f"no view named {name!r}")
+        self.telemetry.unwatch(target)
         self.scheduler.forget(name)
         self._publish()
 
@@ -996,7 +991,7 @@ class Warehouse:
         other change."""
         from .core.batch import UpdateBatch
 
-        return UpdateBatch(self.db, (), apply=self._apply_net_delta)
+        return UpdateBatch(self.db, self._apply_net_delta)
 
     def _apply_net_delta(self, net: NetDelta) -> List[MaintenanceReport]:
         check = net.operation == INSERT  # flush() deletes skip presence checks
@@ -1117,27 +1112,15 @@ class Warehouse:
     def dashboard(self) -> str:
         """The per-view health dashboard (p50/p95 latency, rows touched,
         strategy mix, FK-shortcut rate, slowest terms) as text."""
-        self._refresh_view_sizes()
         return self.telemetry.dashboard()
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of every maintenance metric."""
-        self._refresh_view_sizes()
         return self.telemetry.metrics_text()
 
     def openmetrics_text(self) -> str:
         """OpenMetrics 1.0 exposition (what ``/metrics`` serves)."""
-        self._refresh_view_sizes()
         return self.telemetry.openmetrics_text()
-
-    def _refresh_view_sizes(self) -> None:
-        for target in self._views.values():
-            if not isinstance(target, AggregatedView):
-                self.telemetry.emit(
-                    "view.size",
-                    view=target.definition.name,
-                    rows=len(target.view),
-                )
 
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:

@@ -98,7 +98,8 @@ def test_telemetry_tour_runs(tmp_path):
     assert "maintain" in result.stdout  # span tree printed
     assert "== Maintenance dashboard ==" in result.stdout
     assert "repro_maintenance_passes_total" in result.stdout
-    # env-driven artifacts: a JSON span tree per pass + the exposition
-    lines = trace.read_text().splitlines()
-    assert lines and all(json.loads(line)["name"] == "maintain" for line in lines)
+    # env-driven artifacts: a JSON span tree per change + the exposition
+    roots = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert roots and all(root["name"] == "change" for root in roots)
+    assert all(span["name"] == "maintain" for root in roots for span in root["children"])
     assert "repro_maintenance_seconds" in metrics.read_text()

@@ -32,43 +32,55 @@ def wh(generator):
     return warehouse
 
 
+def maintain_span(wh, view):
+    """The newest ``maintain`` span of *view*, under its change's root."""
+    return next(
+        span
+        for root in reversed(wh.telemetry.spans)
+        for span in root.children
+        if span.attributes["view"] == view
+    )
+
+
 class TestSpans:
-    def test_maintenance_emits_phase_spans(self, wh, generator):
+    def test_one_root_per_change_one_span_per_view(self, wh, generator):
         wh.insert("lineitem", generator.lineitem_insert_batch(20, seed=1))
-        spans = wh.telemetry.spans
-        assert len(spans) == 2  # one root per view
-        root = next(s for s in spans if s.attributes["view"] == "v3")
-        assert root.name == "maintain"
+        (change,) = wh.telemetry.spans
+        assert change.name == "change"
+        assert change.attributes == {"table": "lineitem", "operation": "insert"}
+        assert [c.name for c in change.children] == ["maintain", "maintain"]
+        root = maintain_span(wh, "v3")
         assert root.attributes["table"] == "lineitem"
         assert root.attributes["operation"] == "insert"
         assert root.status == "ok"
-        names = [c.name for c in root.children]
-        assert names[0] == "classify"
-        assert "primary_delta" in names
-        assert "apply_primary" in names
-        # phase times are nested inside the root's wall time
-        child_total = sum(c.duration_seconds for c in root.children)
-        assert 0 < child_total <= root.duration_seconds
+        # only a first pass compiles, under its maintain span
+        assert {c.name for c in root.children} <= {"compile_plan"}
+        phases = root.attributes["phases"]
+        assert list(phases) == ["classify", "primary_delta", "apply_primary"]
+        assert root.attributes["direct"] and not root.attributes["skipped"]
+        assert root.attributes["delta_rows"] > 0
+        # phase times are nested inside the span's wall time
+        terms = root.attributes["terms"].values()
+        phase_total = sum(phases.values()) + sum(t["seconds"] for t in terms)
+        assert 0 < phase_total <= root.duration_seconds
 
-    def test_secondary_spans_carry_term_and_strategy(self, wh, generator):
+    def test_secondary_terms_carry_strategy_and_seconds(self, wh, generator):
         # a lineitem insert absorbs orphan rows from the indirectly
-        # affected terms (COL, C, P), so secondary spans must appear
+        # affected terms (COL, C, P), so secondary terms must appear
         wh.insert("lineitem", generator.lineitem_insert_batch(30, seed=2))
-        root = next(
-            s for s in wh.telemetry.spans if s.attributes["view"] == "v3"
-        )
-        secondaries = root.find("secondary")
-        assert secondaries, "lineitem insert must touch secondary terms"
-        for span in secondaries:
-            assert span.attributes.get("term")
-            assert span.attributes.get("strategy")
+        root = maintain_span(wh, "v3")
+        terms = root.attributes["terms"]
+        assert terms, "lineitem insert must touch secondary terms"
+        assert len(terms) == root.attributes["indirect"]
+        for detail in terms.values():
+            assert detail["strategy"] == "view"
+            assert detail["seconds"] > 0
 
     def test_operator_counts_reach_spans(self, wh, generator):
         wh.insert("lineitem", generator.lineitem_insert_batch(20, seed=3))
-        root = wh.telemetry.spans[0]
-        primary = root.find("primary_delta")[0]
-        assert primary.operators, "delta evaluation must record operators"
-        assert any(kind.startswith("join") for kind in primary.operators)
+        root = maintain_span(wh, "v3")
+        assert root.operators, "delta evaluation must record operators"
+        assert any(kind.startswith("join") for kind in root.operators)
 
     def test_span_tree_serializes(self, wh, generator):
         wh.insert("lineitem", generator.lineitem_insert_batch(5, seed=4))
@@ -114,8 +126,39 @@ class TestMetricsAndDashboard:
             'repro_maintenance_passes_total{view="oj_view",table="lineitem",'
             'operation="insert"} 1' in text
         )
-        # the dashboard refreshes the cardinality gauges
+        # view sizes and plan-cache counts are read at scrape
         assert f'repro_view_rows{{view="v3"}} {len(wh.view("v3"))}' in text
+        cache = wh.maintainer("v3").plan_cache
+        assert cache.misses
+        for outcome, n in (("hit", cache.hits), ("miss", cache.misses)):
+            line = f'repro_plan_cache_requests_total{{view="v3",outcome="{outcome}"}} {n}'
+            assert (line in text) == (n > 0)
+
+    def test_a_dropped_view_leaves_the_exposition(self, wh, generator):
+        """Its size gauge goes with it; its plan-cache counts stay, so the
+        counter never decreases, also when the name is re-created."""
+
+        def requests():
+            series = wh.telemetry.metrics.get("repro_plan_cache_requests_total")
+            return {key: s.value for key, s in series._series.items()}
+
+        rows = generator.lineitem_insert_batch(10, seed=1)
+        wh.insert("lineitem", rows)
+        wh.delete("lineitem", rows)
+        assert 'repro_view_rows{view="v3"}' in wh.metrics_text()
+        before = requests()
+        wh.drop_view("v3")
+        for text in (wh.metrics_text(), wh.openmetrics_text()):
+            assert 'repro_view_rows{view="v3"}' not in text
+            assert 'repro_view_rows{view="oj_view"}' in text
+        assert requests() == before
+        wh.create_view("v3", v3())
+        wh.insert("lineitem", rows)
+        assert f'repro_view_rows{{view="v3"}} {len(wh.view("v3"))}' in wh.metrics_text()
+        after = requests()
+        assert set(before) <= set(after)
+        assert all(after[key] >= n for key, n in before.items())
+        assert after[("v3", "miss")] > before[("v3", "miss")]  # the new maintainer compiled
 
     def test_dashboard_renders_health(self, wh, generator):
         wh.insert("lineitem", generator.lineitem_insert_batch(10, seed=1))
@@ -124,7 +167,7 @@ class TestMetricsAndDashboard:
         assert "p50 ms" in out and "p95 ms" in out
         assert "-- v3 --" in out and "-- oj_view --" in out
         assert "secondary mix" in out
-        assert "phases" in out  # spans fed per-phase aggregates
+        assert "phases" in out  # span attributes fed per-phase aggregates
 
     def test_disabled_warehouse_pays_nothing(self, generator):
         db = TPCHGenerator(scale_factor=0.001, seed=5).build()
@@ -194,11 +237,7 @@ class TestFanOutFailures:
             'operation="insert"} 1' in wh.metrics_text()
         )
         # the failed pass still emitted its (error-status) span
-        failed = next(
-            s
-            for s in wh.telemetry.spans
-            if s.attributes["view"] == "oj_view"
-        )
+        failed = maintain_span(wh, "oj_view")
         assert failed.status == "error"
         assert "synthetic failure" in failed.error
 

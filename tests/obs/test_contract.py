@@ -8,10 +8,13 @@ the 17 event kinds with
 their severities, the dump triggers, and — under ``"scenario"`` — the
 exposition text, event list, dashboard and accessor results after one
 call of every ``record_*`` method with fixed values.  ``SCENARIO`` below
-is that same sequence as ``emit`` calls; the outputs must be identical.
+is that same sequence as ``emit`` calls, except that the plan-cache and
+view-size series are read at scrape from ``WATCHED``; the outputs must
+be identical.
 """
 
 import ast
+import gc
 import json
 import pathlib
 import re
@@ -23,7 +26,14 @@ import pytest
 
 from repro.obs import DUMP_TRIGGERS, EVENT_KINDS, Telemetry
 from repro.obs.__main__ import REFERENCE_BEGIN, REFERENCE_END, reference_markdown
-from repro.obs.events import EVENTS_TOTAL, FAMILIES, FLIGHT_DUMPS, OCCURRENCES
+from repro.obs.events import (
+    EVENTS_TOTAL,
+    FAMILIES,
+    FLIGHT_DUMPS,
+    OCCURRENCES,
+    PLAN_CACHE_REQUESTS,
+    VIEW_ROWS,
+)
 
 HERE = pathlib.Path(__file__).parent
 ROOT = HERE.parent.parent
@@ -53,6 +63,18 @@ def report(
     )
 
 
+class Watched:
+    """What :meth:`Telemetry.watch` reads of a maintainer, at fixed values."""
+
+    def __init__(self, view="v3", hits=1, misses=1, rows=42):
+        self.definition = types.SimpleNamespace(name=view)
+        self.plan_cache = types.SimpleNamespace(hits=hits, misses=misses)
+        self.view = range(rows)
+
+
+#: the scrape sources of the golden scenario: one hit, one miss, 42 rows
+WATCHED = [Watched()]
+
 CLEAN = {
     "replayed": 2,
     "corruption_detected": False,
@@ -71,9 +93,6 @@ SCENARIO = [
     ("maintenance.pass", {"report": report(operation="delete", changes=6, base=3, skipped=True, seconds=0.004)}),
     ("maintenance.pass", {"report": report(view="oj", table="orders", seconds=0.3)}),
     ("maintenance.error", {"view": "v3", "table": "lineitem", "operation": "insert"}),
-    ("view.size", {"view": "v3", "rows": 42}),
-    ("plan_cache.lookup", {"view": "v3", "outcome": "hit"}),
-    ("plan_cache.lookup", {"view": "v3", "outcome": "miss"}),
     ("plan.compiled", {"view": "v3", "seconds": 0.002}),
     ("view.retry", {"view": "v3", "attempt": 1}),
     ("view.quarantined", {"view": "oj", "reason": "insert on 'orders' failed: boom"}),
@@ -141,6 +160,8 @@ class TestGoldenExposition:
 
     def test_scenario_reads_back_byte_for_byte(self):
         telemetry = Telemetry()
+        for source in WATCHED:
+            telemetry.watch(source)
         for kind, attrs in SCENARIO:
             telemetry.emit(kind, **attrs)
         golden = GOLDEN["scenario"]
@@ -212,11 +233,14 @@ class TestClosure:
 
     def test_every_family_is_written_by_an_occurrence(self):
         written = {EVENTS_TOTAL.name, FLIGHT_DUMPS.name}  # by every event kind
+        written |= {PLAN_CACHE_REQUESTS.name, VIEW_ROWS.name}  # read at scrape
         for occurrence in OCCURRENCES.values():
             written.update(effect.family.name for effect in occurrence.effects)
             written.update(family.name for family in occurrence.writes)
         assert {family.name for family in FAMILIES} == written
         assert len(FAMILIES) == 50
+        # OpenMetrics exposes a counter's samples as <family>_total
+        assert all(f.name.endswith("_total") for f in FAMILIES if f.type == "counter")
 
     def test_each_family_name_is_spelled_once(self):
         text = "".join(
@@ -261,7 +285,7 @@ def test_concurrent_emit_loses_no_increment():
         start.wait(timeout=10)
         for i in range(per_thread):
             telemetry.emit("wal.append", table="lineitem")
-            telemetry.emit("plan_cache.lookup", view="v3", outcome="hit")
+            telemetry.emit("shard.change", shard=worker, table="lineitem")
             telemetry.emit("maintenance.pass", report=report(view=f"v{worker % 2}"))
             telemetry.emit("snapshot.read", view="v3", seconds=1e-5, snapshot_age=0.0, lag=0)
             if i % 10 == 0:
@@ -282,7 +306,7 @@ def test_concurrent_emit_loses_no_increment():
     total = threads * per_thread
     registry = telemetry.metrics
     assert registry.get("repro_wal_appends_total").value(table="lineitem") == total
-    assert registry.get("repro_plan_cache_requests_total").total() == total
+    assert registry.get("repro_shard_changes_total").total() == total
     assert registry.get("repro_maintenance_passes_total").total() == total
     assert registry.get("repro_base_rows_total").total() == 5 * total
     read = registry.get("repro_read_seconds").labels(view="v3")
@@ -307,9 +331,78 @@ class TestDisabledEmit:
         assert disabled.health.totals() == {}
         assert disabled.slo.snapshot()["views"] == {}
 
+    def test_holds_no_maintainer(self):
+        disabled = Telemetry.disabled()
+        disabled.watch(Watched())
+        assert disabled._watched == {} and disabled.metrics_text() == ""
+
     def test_enabled_unknown_kind_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown occurrence kind"):
             Telemetry().emit("view.quarantine", view="v3")
+
+
+# ---------------------------------------------------------------------------
+# (e) state read at scrape: a watched maintainer's counts outlive it
+# ---------------------------------------------------------------------------
+def test_scraped_counts_never_decrease_and_sizes_leave_with_their_view():
+    telemetry = Telemetry()
+    requests = telemetry.metrics.get(PLAN_CACHE_REQUESTS.name)
+    kept, dropped, collected = Watched(), Watched(hits=3), Watched(misses=4, rows=7)
+    for source in (kept, dropped, collected):
+        telemetry.watch(source)
+    assert 'repro_view_rows{view="v3"} 7' in telemetry.metrics_text()  # newest wins
+    assert requests.value(view="v3", outcome="hit") == 5
+    assert requests.value(view="v3", outcome="miss") == 6
+    telemetry.unwatch(dropped)
+    del collected, source
+    gc.collect()
+    kept.plan_cache.hits += 1
+    text = telemetry.metrics_text()
+    assert requests.value(view="v3", outcome="hit") == 6
+    assert requests.value(view="v3", outcome="miss") == 6
+    assert 'repro_view_rows{view="v3"} 42' in text
+    telemetry.unwatch(kept)
+    assert "repro_view_rows{" not in telemetry.metrics_text()
+    assert requests.value(view="v3", outcome="hit") == 6
+
+
+def test_concurrent_watch_and_scrape_never_decrease():
+    telemetry = Telemetry()
+    stop, readings, errors = threading.Event(), [], []
+    line = re.compile(r'repro_plan_cache_requests_total\{view="v3",outcome="hit"\} (\d+)')
+
+    def churn(drop):
+        try:
+            while not stop.is_set():
+                source = Watched()
+                telemetry.watch(source)
+                if drop:
+                    telemetry.unwatch(source)  # else collected when replaced
+        except Exception as exc:  # a lost update shows as a KeyError here
+            errors.append(exc)
+
+    def scrape():
+        for _ in range(1000):
+            found = line.search(telemetry.metrics_text())
+            readings.append(int(found.group(1)) if found else 0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=churn, args=(n % 2,)) for n in range(3)]
+        pool.append(threading.Thread(target=scrape))
+        for thread in pool:
+            thread.start()
+        pool[-1].join(timeout=60)
+        stop.set()
+        for thread in pool:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(readings) == 1000 and readings[-1] > 0
+    assert readings == sorted(readings)
 
 
 # ---------------------------------------------------------------------------

@@ -36,16 +36,15 @@ def make_report(
     )
 
 
-def make_span(children):
-    """A minimal span stub: Dashboard only reads children's name,
-    attributes and duration_seconds."""
-    kids = [
-        types.SimpleNamespace(
-            name=name, attributes=attrs, duration_seconds=seconds
-        )
-        for name, attrs, seconds in children
-    ]
-    return types.SimpleNamespace(children=kids)
+def make_span(phases=None, terms=None):
+    """A minimal ``maintain`` span stub: Dashboard only reads its
+    ``phases`` (phase -> seconds) and ``terms`` attributes (here term ->
+    seconds)."""
+    terms = {
+        term: {"strategy": "view", "seconds": seconds, "rows": 0}
+        for term, seconds in (terms or {}).items()
+    }
+    return types.SimpleNamespace(attributes={"phases": phases or {}, "terms": terms})
 
 
 def passed(telemetry, span=None, **fields):
@@ -142,12 +141,8 @@ class TestSeries:
     def test_span_phases_and_terms(self):
         t = Telemetry()
         span = make_span(
-            [
-                ("classify", {}, 0.001),
-                ("primary_delta", {}, 0.004),
-                ("secondary", {"term": "{customer}"}, 0.002),
-                ("secondary", {"term": "{part}"}, 0.006),
-            ]
+            {"classify": 0.001, "primary_delta": 0.004},
+            {"{customer}": 0.002, "{part}": 0.006},
         )
         passed(t, span)
         dash = t.health
@@ -172,7 +167,7 @@ class TestRender:
         t = Telemetry()
         passed(
             t,
-            make_span([("secondary", {"term": "{customer}"}, 0.002)]),
+            make_span(terms={"{customer}": 0.002}),
             view="orders_view",
             table="orders",
             primary_skipped=True,

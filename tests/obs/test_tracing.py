@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine.operators import select
 from repro.obs.tracing import (
     InMemorySink,
     JsonLinesSink,
@@ -13,7 +14,6 @@ from repro.obs.tracing import (
     TreeSink,
     current_span,
     load_jsonl,
-    record_operator,
 )
 
 
@@ -74,31 +74,31 @@ class TestNesting:
         with tracer.span("s", table="lineitem") as span:
             span.record_rows(3)
             span.record_rows(4)
-            span.set_attribute("strategy", "view")
+            span.set_attributes(strategy="view")
         assert span.rows == 7
         assert span.attributes == {"table": "lineitem", "strategy": "view"}
 
-    def test_find_descendants(self, tracer):
-        with tracer.span("root") as root:
-            with tracer.span("secondary"):
-                pass
-            with tracer.span("other"):
-                with tracer.span("secondary"):
-                    pass
-        assert len(root.find("secondary")) == 2
+
+def small_table():
+    from repro.engine.schema import Schema
+    from repro.engine.table import Table
+
+    return Table("t", Schema(["t.a"]), [(1,), (2,), (3,)])
 
 
 class TestOperatorRecording:
     def test_record_operator_into_active_span(self, tracer):
         with tracer.span("phase") as span:
-            record_operator("join:inner", 10, 0.5)
-            record_operator("join:inner", 5, 0.25)
-            record_operator("select", 1, 0.1)
+            current_span().record_operator("join:inner", 10, 0.5)
+            current_span().record_operator("join:inner", 5, 0.25)
+            select(small_table(), lambda row: row[0] > 2)  # reports itself
         assert span.operators["join:inner"] == [2, 15, 0.75]
-        assert span.operators["select"] == [1, 1, 0.1]
+        calls, rows, seconds = span.operators["select"]
+        assert (calls, rows) == (1, 1) and seconds >= 0
 
     def test_record_operator_noop_without_span(self):
-        record_operator("join:inner", 10, 0.5)  # must not raise
+        assert current_span() is None
+        assert len(select(small_table(), lambda row: True)) == 3  # untraced
 
 
 class TestDisabledPath:
@@ -109,7 +109,7 @@ class TestDisabledPath:
         with span as s:
             assert s is NULL_SPAN
             assert current_span() is None  # never pushed
-            s.set_attribute("k", "v")
+            s.set_attributes(k="v")
             s.record_rows(1)
             s.record_operator("select", 1, 0.0)
         assert span.duration_seconds == 0.0

@@ -276,30 +276,26 @@ def infer_schema(
     label defaults to table T's schema.
     """
     schemas = binding_schemas or {}
-
-    def walk(node: RelExpr) -> Schema:
-        if isinstance(node, Relation):
-            return db.table(node.name).schema
-        if isinstance(node, Bound):
-            if node.label in schemas:
-                return schemas[node.label]
-            if node.label.startswith("delta:"):
-                return db.table(node.label.split(":", 1)[1]).schema
-            raise ExpressionError(f"unknown binding schema for {node.label!r}")
-        if isinstance(node, (Select, Distinct, NullIf)):
-            return walk(node.children()[0])
-        if isinstance(node, FixUp):
-            return walk(node.child)
-        if isinstance(node, Project):
-            return Schema(node.columns)
-        if isinstance(node, Join):
-            left = walk(node.left)
-            if node.kind in ("semi", "anti"):
-                return left
-            return left.concat(walk(node.right))
-        raise ExpressionError(f"cannot infer schema of {node!r}")
-
-    return walk(expr)
+    if isinstance(expr, Relation):
+        return db.table(expr.name).schema
+    if isinstance(expr, Bound):
+        if expr.label in schemas:
+            return schemas[expr.label]
+        if expr.label.startswith("delta:"):
+            return db.table(expr.label.split(":", 1)[1]).schema
+        raise ExpressionError(f"unknown binding schema for {expr.label!r}")
+    if isinstance(expr, (Select, Distinct, NullIf)):
+        return infer_schema(expr.children()[0], db, schemas)
+    if isinstance(expr, FixUp):
+        return infer_schema(expr.child, db, schemas)
+    if isinstance(expr, Project):
+        return Schema(expr.columns)
+    if isinstance(expr, Join):
+        left = infer_schema(expr.left, db, schemas)
+        if expr.kind in ("semi", "anti"):
+            return left
+        return left.concat(infer_schema(expr.right, db, schemas))
+    raise ExpressionError(f"cannot infer schema of {expr!r}")
 
 
 def key_columns(expr: RelExpr, db: Database) -> tuple:

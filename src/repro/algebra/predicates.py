@@ -645,7 +645,10 @@ def predicate_source(pred: Predicate, schema: Schema) -> Tuple[str, dict]:
             return f"(not {render(node.pred)})"
         return f"{bind(_eval3_is_true(node, schema))}(row)"
 
-    return render(pred), names
+    try:
+        return render(pred), names
+    finally:
+        del render  # a recursive closure is a reference cycle
 
 
 def compile_predicate(pred: Predicate, schema: Schema) -> Callable:

@@ -9,7 +9,7 @@ foreign-key enforcement.
 """
 
 from .catalog import Database
-from .constraints import ForeignKey, UniqueKey
+from .constraints import ForeignKey
 from .index import HashIndex, find_index
 from .schema import Schema, qualify, split_qualified
 from .table import Row, Table, rows_to_set, same_rows
@@ -29,7 +29,6 @@ from .operators import (
 __all__ = [
     "Database",
     "ForeignKey",
-    "UniqueKey",
     "Schema",
     "Table",
     "Row",

@@ -13,8 +13,8 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import CatalogError, ConstraintError, SchemaError
-from .constraints import ForeignKey, UniqueKey
-from .index import HashIndex, find_index, projector
+from .constraints import ForeignKey
+from .index import HashIndex, KeyIndex, find_index, projector
 from .schema import Schema, qualify, split_qualified
 from .table import Row, Table
 
@@ -56,11 +56,12 @@ class Database:
             key=qualified_key,
             not_null=sorted(qualified_nn),
         )
-        self.tables[name] = table
         # Primary-key index: every base table gets one (the paper's
         # tables all carry clustered key indexes).  It accelerates key
-        # lookups in joins and makes DML integrity checks O(|delta|).
-        table.indexes.append(HashIndex(table, qualified_key))
+        # lookups in joins, makes DML integrity checks O(|delta|) and
+        # keeps keys exact: a write can never hold a key twice.
+        table.indexes.append(KeyIndex(table, qualified_key))
+        self.tables[name] = table
         return table
 
     def create_index(self, table: str, columns: Sequence[str]):
@@ -125,12 +126,6 @@ class Database:
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
-    def unique_key(self, name: str) -> UniqueKey:
-        table = self.table(name)
-        if table.key is None:
-            raise CatalogError(f"table {name!r} has no unique key")
-        return UniqueKey(name, table.key)
-
     def foreign_keys_from(self, source: str) -> List[ForeignKey]:
         return [fk for fk in self.foreign_keys if fk.source == source]
 
@@ -158,6 +153,8 @@ class Database:
         """Insert *rows* into table *name*; returns the inserted rows as a
         delta table (same schema/key as the base table).
 
+        A key held twice raises :class:`ConstraintError` before anything
+        changes, even with ``check=False`` (which skips the other checks).
         With *defer_deferrable*, foreign keys declared DEFERRABLE are not
         checked now (SQL's per-transaction checking); the caller is
         responsible for checking them at commit (see
@@ -167,17 +164,16 @@ class Database:
         new_rows = [tuple(row) for row in rows]
         if check:
             self._check_new_rows(table, new_rows)
-            self._check_outgoing_fks(
-                name, new_rows, skip_deferrable=defer_deferrable
-            )
+            self._check_outgoing_fks(name, new_rows, skip_deferrable=defer_deferrable)
         start = len(table.rows)
+        key_index, *others = table.indexes  # create_table registers it first
+        key_index.extend(new_rows, start)  # raises on a held key
         table.rows.extend(new_rows)
-        for index in table.indexes:
+        for index in others:
             index.extend(new_rows, start)
         if new_rows:
             if table.journal is not None:
-                key_of = table.indexes[0].project
-                table.journal.changes.update(zip(map(key_of, new_rows), new_rows))
+                table.journal.changes.update(zip(map(key_index.project, new_rows), new_rows))
             table.bump_version()
         return self._delta(table, new_rows)
 
@@ -200,42 +196,34 @@ class Database:
         held, width = table.rows, len(table.schema)
         found: Dict[int, Row] = {}  # position -> row, in input order
         for row in map(tuple, rows):
-            hits = probe(key_of(row), ()) if len(row) == width else ()
-            for position in hits:  # one, unless unchecked inserts broke the key
-                if held[position] == row and position not in found:
-                    found[position] = row
-                    break
-            else:
+            position = probe(key_of(row)) if len(row) == width else None
+            if position is None or held[position] != row:
                 if check:
-                    held_once = any(held[p] == row for p in hits)
-                    raise ConstraintError(
-                        f"cannot delete {'repeated' if held_once else 'absent'} "
-                        f"row {row!r} from {name!r}"
-                    )
+                    raise ConstraintError(f"cannot delete absent row {row!r} from {name!r}")
+            elif position not in found:
+                found[position] = row
+            elif check:
+                raise ConstraintError(f"cannot delete repeated row {row!r} from {name!r}")
         delta = self._delta(table, list(found.values()))
         if check:
             self._check_incoming_fks(name, delta)
         table.swap_remove(found)
         if found:
             if table.journal is not None:
-                gone = dict.fromkeys(map(key_of, found.values()))
-                table.journal.changes.update(gone)
+                table.journal.changes.update(dict.fromkeys(map(key_of, found.values())))
             table.bump_version()
         return delta
 
-    def delete_by_key(
-        self, name: str, keys: Iterable[Row], check: bool = True
-    ) -> Table:
+    def delete_by_key(self, name: str, keys: Iterable[Row], check: bool = True) -> Table:
         """Delete rows of *name* whose unique key is in *keys*."""
         return self.delete(name, self.rows_by_key(name, keys), check=check)
 
     def rows_by_key(self, name: str, keys: Iterable[Row]) -> List[Row]:
         """Rows of *name* whose unique key is in *keys*, in key order —
         one primary-key probe each; keys nothing holds are skipped."""
-        lookup = self.table(name).indexes[0].lookup
-        return [
-            row for key in dict.fromkeys(map(tuple, keys)) for row in lookup(key)
-        ]
+        table = self.table(name)
+        held = map(table.indexes[0].buckets.get, dict.fromkeys(map(tuple, keys)))
+        return [table.rows[p] for p in held if p is not None]
 
     @staticmethod
     def _delta(table: Table, rows: List[Row]) -> Table:
@@ -247,15 +235,12 @@ class Database:
     # integrity checks
     # ------------------------------------------------------------------
     def _check_new_rows(self, table: Table, new_rows: List[Row]) -> None:
-        """Arity, NOT NULL columns and key uniqueness — against the table
-        and within the batch — of rows about to be inserted."""
+        """Arity and NOT NULL columns of rows about to be inserted (the
+        key index checks their keys)."""
         schema = table.schema
         width = len(schema)
         required = schema.positions(sorted(table.not_null))
         any_null = projector(required)
-        key_index = table.indexes[0]
-        key_of, taken = key_index.project, key_index.buckets
-        seen = set()
         for row in new_rows:
             if len(row) != width:
                 raise SchemaError(
@@ -267,12 +252,6 @@ class Database:
                 raise ConstraintError(
                     f"NULL in NOT NULL column {column!r} of {table.name!r}"
                 )
-            key = key_of(row)
-            if key in taken or key in seen:
-                raise ConstraintError(
-                    f"duplicate key {key!r} inserted into {table.name!r}"
-                )
-            seen.add(key)
 
     def check_deferred_fks(self, name: str, rows: List[Row]) -> None:
         """Commit-time check of DEFERRABLE foreign keys for rows that were

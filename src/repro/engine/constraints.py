@@ -1,4 +1,5 @@
-"""Declarative constraints: unique keys and foreign keys.
+"""Declarative constraints: foreign keys (a table's unique key is
+``Table.key``, kept exact by its key index).
 
 Foreign keys are first-class citizens here because the paper's Section 6
 exploits them to (a) delete provably-empty joins from the primary-delta
@@ -12,17 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
-
-
-@dataclass(frozen=True)
-class UniqueKey:
-    """A unique, non-null key of a base table."""
-
-    table: str
-    columns: Tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
 
 
 @dataclass(frozen=True)

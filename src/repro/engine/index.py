@@ -3,28 +3,34 @@
 The paper's experiment ran with indexes on the base tables and views
 ("Both views had the same indexes").  Without them, every maintenance
 pass would re-hash the full inner tables of the delta joins — paying a
-cost proportional to the database instead of the delta.  A
-:class:`HashIndex` is registered on a table once (usually on foreign-key
-join columns), edited in place by every catalog write, and picked up
-transparently by the join operator whenever its columns match the
-equi-join's inner side.
+cost proportional to the database instead of the delta.  An index is
+registered on a table once, edited in place by every catalog write, and
+probed by the join operator whenever its columns match the equi-join's
+inner side.
 
-Buckets store row *positions* (indexes into ``table.rows``), not row
-tuples: the join operator needs positions to track matched rows on the
-outer side, and storing them directly avoids ever materializing a
-reverse row→position map over the whole table.
+Buckets store row *positions* (indexes into ``table.rows``), which the
+join operator needs to track matched rows.  Two layouts:
 
-NULL semantics match the join's: rows with a NULL in any indexed column
-are not indexed (a NULL key can never match an equi-join probe).
+* :class:`KeyIndex`, which ``create_table`` registers on the table's
+  unique key: a key is held once, so ``buckets[key]`` is the position.
+* :class:`HashIndex`, any other columns: ``buckets[key]`` is a list of
+  positions, and ``slots`` makes each edit O(1) whatever its size.
+
+No index refers to its table — callers pass the rows — so
+``Table.indexes`` is acyclic and a dropped table is freed by reference
+counting.  As in the join, a row with a NULL in an indexed column is in
+no :class:`HashIndex` bucket; key columns are NOT NULL.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
+from itertools import count
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SchemaError
+from ..errors import ConstraintError, SchemaError
 from .table import Row, Table
 
 
@@ -46,41 +52,33 @@ class HashIndex:
     re-pointing one position is O(1) whatever the bucket's size.
     """
 
-    __slots__ = (
-        "table", "columns", "positions", "project", "buckets", "slots", "size"
-    )
+    __slots__ = ("columns", "positions", "project", "buckets", "slots", "size")
 
     def __init__(self, table: Table, columns: Sequence[str]):
-        self.table = table
         self.columns: Tuple[str, ...] = tuple(columns)
         if not self.columns:
             raise SchemaError("an index needs at least one column")
         self.positions: Tuple[int, ...] = table.schema.positions(self.columns)
         self.project = projector(self.positions)
-        self.rebuild()
+        self.rebuild(table.rows)
 
     # ------------------------------------------------------------------
-    def rebuild(self) -> None:
+    def rebuild(self, rows: List[Row]) -> None:
         self.buckets: Dict[Row, List[int]] = {}
         self.slots: List[int] = []
         self.size = 0  # indexed rows, i.e. slots that are not -1
-        self.extend(self.table.rows, 0)
+        self.extend(rows, 0)
 
-    def copy_for(self, table: Table) -> "HashIndex":
-        """This index over *table*, a row-for-row copy of its own table:
-        positions are valid verbatim, so nothing is re-hashed."""
+    def copy(self) -> "HashIndex":
+        """This index over a row-for-row copy of its table: positions are
+        valid verbatim, so nothing is re-hashed."""
         clone = copy(self)
-        clone.table = table
         clone.buckets = {k: b[:] for k, b in self.buckets.items()}
         clone.slots = self.slots[:]
         return clone
 
-    # ------------------------------------------------------------------
-    # maintenance under DML
-    # ------------------------------------------------------------------
-    def extend(self, rows: Iterable[Row], start: int) -> None:
-        """Register *rows*, already placed in the table from position
-        *start* on."""
+    def extend(self, rows: List[Row], start: int) -> None:
+        """Register *rows*, placed in the table from position *start* on."""
         project, buckets, slots = self.project, self.buckets, self.slots
         indexed = 0
         for position, row in enumerate(rows, start):
@@ -94,9 +92,7 @@ class HashIndex:
             indexed += 1
         self.size += indexed
 
-    def swap_remove(
-        self, position: int, row: Row, last: int, last_row: Row
-    ) -> None:
+    def swap_remove(self, position: int, row: Row, last: int, last_row: Row) -> None:
         """*row* leaves *position* and *last_row*, the table's final
         row, moves from *last* into the hole (see ``Table.swap_remove``)."""
         buckets, slots = self.buckets, self.slots
@@ -118,19 +114,52 @@ class HashIndex:
         slots.pop()
 
     # ------------------------------------------------------------------
-    def lookup(self, key: Row) -> List[Row]:
-        """Rows whose indexed columns equal *key* (positionally)."""
-        rows = self.table.rows
+    def lookup(self, rows: List[Row], key: Row) -> List[Row]:
+        """The rows among *rows* (the table's) whose indexed columns equal
+        *key* (positionally)."""
         return [rows[p] for p in self.buckets.get(tuple(key), ())]
 
     def __len__(self) -> int:
         return self.size
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"HashIndex({self.table.name!r}, {list(self.columns)!r}, "
-            f"{len(self.buckets)} keys)"
-        )
+
+class KeyIndex(HashIndex):
+    """The index of a table's unique key: ``buckets[key]`` is the one
+    position holding *key*.  A write that would hold a key twice raises
+    :class:`~repro.errors.ConstraintError` before anything changes."""
+
+    __slots__ = ()
+
+    def rebuild(self, rows: List[Row]) -> None:
+        self.buckets: Dict[Row, int] = {}
+        self.extend(rows, 0)
+
+    def copy(self) -> "KeyIndex":
+        clone = copy(self)
+        clone.buckets = self.buckets.copy()
+        return clone
+
+    def extend(self, rows: List[Row], start: int) -> None:
+        buckets = self.buckets
+        placed = dict(zip(map(self.project, rows), count(start)))
+        if len(placed) != len(rows) or not buckets.keys().isdisjoint(placed):
+            counts = Counter(map(self.project, rows))
+            key = next(k for k in counts if k in buckets or counts[k] > 1)
+            raise ConstraintError(f"duplicate key {key!r} of {self.columns}")
+        buckets.update(placed)
+
+    def swap_remove(self, position: int, row: Row, last: int, last_row: Row) -> None:
+        buckets = self.buckets
+        del buckets[self.project(row)]
+        if position != last:
+            buckets[self.project(last_row)] = position
+
+    def lookup(self, rows: List[Row], key: Row) -> List[Row]:
+        position = self.buckets.get(tuple(key))
+        return [] if position is None else [rows[position]]
+
+    def __len__(self) -> int:
+        return len(self.buckets)
 
 
 def find_index(
@@ -146,9 +175,6 @@ def find_index(
     for index in table.indexes:
         if index.columns == wanted:
             return index, tuple(range(len(wanted)))
-        if set(index.columns) == set(wanted) and len(index.columns) == len(
-            wanted
-        ):
-            permutation = tuple(wanted.index(c) for c in index.columns)
-            return index, permutation
+        if sorted(index.columns) == sorted(wanted):
+            return index, tuple(map(wanted.index, index.columns))
     return None

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 from ..obs.tracing import current_span
-from .index import find_index, projector
+from .index import KeyIndex, find_index, projector
 from .schema import Schema
 from .table import Row, Table
 
@@ -236,12 +236,12 @@ def join(
     if kind not in JOIN_KINDS:
         raise SchemaError(f"unknown join kind {kind!r}")
     if equi:
-        buckets, probe_key, swap = _lookup(left, right, equi, positions)
+        buckets, probe_key, swap, single = _lookup(left, right, equi, positions)
         keys = map(probe_key, right.rows if swap else left.rows)
     else:  # one bucket holding every right row, found under every key
-        buckets, swap = {(): range(len(right.rows))}, False
+        buckets, swap, single = {(): range(len(right.rows))}, False, False
         keys = repeat((), len(left.rows))
-    rows = _probe(kind, left, right, buckets, keys, swap, residual)
+    rows = _probe(kind, left, right, buckets, keys, swap, single, residual)
 
     if kind in ("semi", "anti"):
         return _result(
@@ -268,14 +268,16 @@ def join(
 
 
 def _lookup(left: Table, right: Table, equi, positions=None):
-    """Choose an equi join's hash lookup: ``(buckets, probe_key, swap)``.
+    """Choose an equi join's hash lookup:
+    ``(buckets, probe_key, swap, single)``.
 
     *buckets* maps a key to the positions of the build side's rows that
     carry it (NULL-keyed rows are in no bucket, so a NULL probe key finds
-    nothing either); *probe_key* projects a streamed row onto the same key;
-    *swap* says the build side is the **left** input.  The live persistent
-    index of *right* is used as is when it covers the equi columns —
-    nothing is built — else the smaller input is hashed.
+    nothing either) — or, when *single*, to the one position holding it;
+    *probe_key* projects a streamed row onto the same key; *swap* says the
+    build side is the **left** input.  The live persistent index of
+    *right* is used as is when it covers the equi columns — nothing is
+    built, and a key index is *single* — else the smaller input is hashed.
     """
     if positions is None:
         positions = (
@@ -287,7 +289,8 @@ def _lookup(left: Table, right: Table, equi, positions=None):
         found = find_index(right, [rc for __, rc in equi])
         if found is not None:
             index, permutation = found
-            return index.buckets, projector([lpos[p] for p in permutation]), False
+            probe_key = projector([lpos[p] for p in permutation])
+            return index.buckets, probe_key, False, isinstance(index, KeyIndex)
     swap = len(left.rows) < len(right.rows)
     built, bpos, ppos = (left, lpos, rpos) if swap else (right, rpos, lpos)
     buckets: Dict[Row, List[int]] = {}
@@ -298,28 +301,36 @@ def _lookup(left: Table, right: Table, equi, positions=None):
             buckets[key].append(position)
         else:
             buckets[key] = [position]
-    return buckets, projector(ppos), swap
+    return buckets, projector(ppos), swap, False
 
 
-def _probe(kind, left: Table, right: Table, buckets, keys, swap, residual) -> List[Row]:
+def _probe(kind, left: Table, right: Table, buckets, keys, swap, single, residual):
     """The one join kernel: stream the probe side's *keys* through
     *buckets* and emit the rows of a *kind* join.
 
     The probe side is the left input unless *swap*; building left is this
     same loop probed from the right, its matches turned back into left
     and right positions (``li[n]`` matches ``ri[n]``) before anything is
-    emitted.
+    emitted.  A *single* lookup (a key index, never swapped) finds at most
+    one position per probe row.
     """
     lrows, rrows = left.rows, right.rows
-    hits = list(map(buckets.get, keys, repeat(())))  # build positions per probe row
-    if residual is not None:
-        hits = [
-            h and [b for b in h if residual(lrows[b] + p if swap else p + rrows[b])]
-            for p, h in zip(rrows if swap else lrows, hits)
-        ]
-    probe_of = [i for i in compress(range(len(hits)), hits) for __ in hits[i]]
-    build_of = list(chain.from_iterable(hits))
-    li, ri = (build_of, probe_of) if swap else (probe_of, build_of)
+    if single:
+        found = list(map(buckets.get, keys))  # the build position, or None
+        li = [i for i, b in enumerate(found) if b is not None]
+        if residual is not None:
+            li = [i for i in li if residual(lrows[i] + rrows[found[i]])]
+        ri = [found[i] for i in li]
+    else:
+        hits = list(map(buckets.get, keys, repeat(())))  # build positions per probe row
+        if residual is not None:
+            hits = [
+                h and [b for b in h if residual(lrows[b] + p if swap else p + rrows[b])]
+                for p, h in zip(rrows if swap else lrows, hits)
+            ]
+        probe_of = [i for i in compress(range(len(hits)), hits) for __ in hits[i]]
+        build_of = list(chain.from_iterable(hits))
+        li, ri = (build_of, probe_of) if swap else (probe_of, build_of)
 
     if kind in ("semi", "anti"):
         matched = set(li)

@@ -104,8 +104,9 @@ class Table:
         for col in nn:
             schema.index_of(col)
         self.not_null: frozenset = frozenset(nn)
-        # Persistent hash indexes (engine.index.HashIndex), maintained by
-        # the catalog's DML and consulted by the join operator.
+        # Persistent hash indexes (engine.index), maintained by the
+        # catalog's DML and consulted by the join operator; a base table's
+        # first is its KeyIndex.
         self.indexes: list = []
         # Mutation-clock tick, advanced by the catalog's DML.
         self.version: int = next_version()
@@ -131,11 +132,6 @@ class Table:
     # ------------------------------------------------------------------
     # row accessors
     # ------------------------------------------------------------------
-    def column_values(self, column: str) -> List[object]:
-        """Return the values of one column across all rows."""
-        pos = self.schema.index_of(column)
-        return [row[pos] for row in self.rows]
-
     def key_positions(self) -> Tuple[int, ...]:
         """Positions of the key columns; raises if the table has no key."""
         if self.key is None:
@@ -207,7 +203,7 @@ class Table:
             key=self.key,
             not_null=self.not_null,
         )
-        clone.indexes = [index.copy_for(clone) for index in self.indexes]
+        clone.indexes = [index.copy() for index in self.indexes]
         return clone
 
 

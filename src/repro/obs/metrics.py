@@ -155,7 +155,10 @@ class _Metric:
         return lines
 
     def value(self, **labels) -> float:
-        return self.labels(**labels).value
+        """The series *labels*' value — read, never created: a series
+        nothing wrote reads 0 and stays out of the exposition."""
+        series = self._series.get(self._key(labels))
+        return 0.0 if series is None else series.value
 
     def _render_series(self, key, series) -> List[str]:
         """A counter's or a gauge's sample (histograms override)."""

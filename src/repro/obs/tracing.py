@@ -168,7 +168,7 @@ class Span:
 
     def tree(self, indent: int = 0) -> str:
         """Human-readable rendering of the subtree."""
-        attrs = " ".join(f"{k}={v}" for k, v in self.attributes.items())
+        attrs = " ".join(f"{k}={_shown(v)}" for k, v in self.attributes.items())
         parts = [
             "  " * indent
             + f"{self.name} [{self.duration_seconds * 1000:.2f} ms]"
@@ -185,6 +185,15 @@ class Span:
         for child in self.children:
             parts.append(child.tree(indent + 1))
         return "\n".join(parts)
+
+
+def _shown(value, nested: bool = False) -> str:
+    """An attribute value as :meth:`Span.tree` prints it: a dict (a
+    ``maintain`` span's ``phases`` and ``terms``) with its floats to three
+    significant digits."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_shown(v, True)}" for k, v in value.items()) + "}"
+    return f"{value:.3g}" if nested and isinstance(value, float) else str(value)
 
 
 class _NullSpan:

@@ -491,5 +491,7 @@ def compile_plan(
             return _sign(join, ("join", node.kind, join.equi, residual_pred))
         raise PlanCompileError(f"cannot compile node {node!r}")
 
-    root = walk(expr)
-    return CompiledPlan(root, schemas, counter[0])
+    try:
+        return CompiledPlan(walk(expr), schemas, counter[0])
+    finally:
+        del walk  # a recursive closure is a reference cycle holding db

@@ -61,7 +61,9 @@ def probe_sites(
             seen.add(site)
             sites.append(site)
 
-    def walk(node: RelExpr) -> None:
+    stack = [expr]  # pre-order, left to right
+    while stack:
+        node = stack.pop()
         if isinstance(node, Join):
             try:
                 pairs, __ = static_join_plan(
@@ -72,10 +74,7 @@ def probe_sites(
             if pairs:
                 consider(node.left, tuple(lc for lc, __ in pairs))
                 consider(node.right, tuple(rc for __, rc in pairs))
-        for child in node.children():
-            walk(child)
-
-    walk(expr)
+        stack.extend(reversed(node.children()))
     return sites
 
 

@@ -212,8 +212,8 @@ class CheckpointManager:
         """The WAL entries past the newest restore point, netted into the
         rows each table of *db* gained (``+``) and lost (``-``) — or
         ``None`` when a base is due: nothing to net from, a WAL that lost
-        records or entries past that point, a table created since, a
-        keyless table (its rows need not be distinct), or compaction."""
+        records or entries past that point, a table created since, or
+        compaction."""
         if (
             self._tip is None
             or wal is None
@@ -227,8 +227,6 @@ class CheckpointManager:
             return None
         net = {name: ({}, {}) for name in sorted(db.tables)}
         for entry in wal.entries_after(since):
-            if db.tables[entry.table].key is None:
-                return None
             added, removed = net[entry.table]
             gain, lose = (added, removed) if entry.operation == "insert" else (removed, added)
             for row in entry.rows:

@@ -170,7 +170,7 @@ class ViewSlice(_Slice):
 
 class TableSlice(_Slice):
     """One base table's frozen contents inside a snapshot, keyed by the
-    primary key (by position when the table has no usable key)."""
+    primary key."""
 
     __slots__ = ("key", "not_null")
 
@@ -178,7 +178,7 @@ class TableSlice(_Slice):
         self,
         name: str,
         columns: Tuple[str, ...],
-        key: Optional[Tuple[str, ...]],
+        key: Tuple[str, ...],
         not_null: Tuple[str, ...],
         rows_by_key: Dict[object, Row],
         version: int,
@@ -358,7 +358,7 @@ class Snapshot:
             db.create_table(
                 name,
                 [_bare(c) for c in slice_.columns],
-                key=[_bare(c) for c in (slice_.key or ())],
+                key=[_bare(c) for c in slice_.key],
                 not_null=[_bare(c) for c in slice_.not_null],
             )
             rows = slice_.rows
@@ -534,13 +534,9 @@ class SnapshotStore:
         journal that no longer accounts for every edit."""
         journal = tracked.journal
         journal.take()
-        if isinstance(live, Table):
-            slice_, keyed = self._full_table(name, live)
-        else:
-            slice_, keyed = self._full_view(name, live), True
-        tracked.slice = slice_
-        # a table without a usable key is copied again whenever it moves
-        journal.broken = not keyed
+        full = self._full_table if isinstance(live, Table) else self._full_view
+        tracked.slice = slice_ = full(name, live)
+        journal.broken = False
         self.full_captures += 1
         self.captured_rows += len(slice_)
         return slice_
@@ -556,27 +552,18 @@ class SnapshotStore:
         )
 
     @staticmethod
-    def _full_table(name: str, table: Table) -> Tuple[TableSlice, bool]:
-        """The table keyed by its primary key — or by position (and then
-        never overlaid) when it has no key or unchecked inserts broke it."""
+    def _full_table(name: str, table: Table) -> TableSlice:
+        """The table keyed by its primary key (a database's tables all
+        have one, held exactly once by its key index)."""
         rows = table.rows
-        by_key: Dict[object, Row] = {}
-        keyed = table.key is not None and bool(table.indexes)
-        if keyed:
-            key_of = table.indexes[0].project
-            by_key = dict(zip(map(key_of, rows), rows))
-        if len(by_key) != len(rows):  # no key, or unchecked duplicates
-            keyed = False
-            by_key = dict(enumerate(rows))
-        slice_ = TableSlice(
+        return TableSlice(
             name,
             tuple(table.schema.columns),
-            tuple(table.key) if table.key is not None else None,
+            tuple(table.key),
             tuple(sorted(table.not_null)),
-            by_key,
+            dict(zip(map(table.indexes[0].project, rows), rows)),
             table.version,
         )
-        return slice_, keyed
 
     def _capture_aggregate(
         self, name: str, aggregated, stale: frozenset

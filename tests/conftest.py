@@ -23,6 +23,7 @@ import pytest
 from repro.algebra import Q, eq
 from repro.core import MaterializedView, ViewDefinition
 from repro.engine import Database, HashIndex
+from repro.engine.index import KeyIndex
 from repro.runtime import MaintenanceScheduler, SnapshotStore
 from repro.tpch import TPCHGenerator
 from repro.warehouse import Transaction
@@ -136,15 +137,15 @@ def tiny_tpch(tiny_tpch_gen) -> Database:
 @pytest.fixture
 def no_index_rebuild(monkeypatch):
     """Base-table writes edit indexes in place: with this fixture, any
-    ``HashIndex.rebuild`` other than the constructor's fails the test."""
-    build = HashIndex.rebuild
+    index ``rebuild`` other than the constructor's fails the test."""
+    for cls in (HashIndex, KeyIndex):
 
-    def rebuild(index):
-        if hasattr(index, "buckets"):  # unset only inside __init__
-            pytest.fail(f"{index!r} was rebuilt on a write path")
-        build(index)
+        def rebuild(index, rows, build=cls.rebuild):
+            if hasattr(index, "buckets"):  # unset only inside __init__
+                pytest.fail(f"{index!r} was rebuilt on a write path")
+            build(index, rows)
 
-    monkeypatch.setattr(HashIndex, "rebuild", rebuild)
+        monkeypatch.setattr(cls, "rebuild", rebuild)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database, HashIndex, find_index
-from repro.errors import CatalogError, ConstraintError
+from repro.errors import CatalogError, ConstraintError, SchemaError
 
 
 @pytest.fixture
@@ -29,9 +29,10 @@ class TestDDL:
         with pytest.raises(CatalogError):
             db.table("ghost")
 
-    def test_unique_key(self, db):
-        key = db.unique_key("parent")
-        assert key.columns == ("parent.k",)
+    def test_keyless_table_rejected_before_registration(self, db):
+        with pytest.raises(SchemaError, match="at least one column"):
+            db.create_table("bare", ["a"], key=[])
+        assert "bare" not in db.tables
 
     def test_fk_source_not_null_detected(self, db):
         fk = db.foreign_keys_from("child")[0]
@@ -156,7 +157,7 @@ class TestIncomingFkOnUnindexedColumn:
         fresh = HashIndex(db.table("child"), index.columns)
         exact = lambda i: {k: sorted(b) for k, b in i.buckets.items() if b}  # noqa: E731
         assert exact(index) == exact(fresh)
-        assert index.lookup((3,)) == [(12, 3)]
+        assert index.lookup(db.table("child").rows, (3,)) == [(12, 3)]
         db.delete("parent", [(1, "a")])  # no longer referenced
         with pytest.raises(ConstraintError, match="still referenced"):
             db.delete("parent", [(3, "c")])
@@ -165,7 +166,7 @@ class TestIncomingFkOnUnindexedColumn:
         db.delete("parent", [(2, "b")])
         clone = db.copy()
         index, _ = self.fk_index(clone)
-        assert index.lookup((1,)) == [(10, 1)]
+        assert index.lookup(clone.table("child").rows, (1,)) == [(10, 1)]
         with pytest.raises(ConstraintError, match="still referenced"):
             clone.delete("parent", [(1, "a")])
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.engine import operators as ops
-from repro.engine.index import HashIndex
+from repro.engine.index import HashIndex, KeyIndex
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.errors import SchemaError
@@ -321,7 +321,7 @@ def nested_loop(lrows, rrows, kind, match):
 
 
 @pytest.mark.parametrize("residual", [None, kernel_residual], ids=["equi", "residual"])
-@pytest.mark.parametrize("lookup", ["index", "right", "left"])
+@pytest.mark.parametrize("lookup", ["index", "key", "right", "left"])
 @pytest.mark.parametrize("kind", ops.JOIN_KINDS)
 @pytest.mark.parametrize(
     "lrows, rrows",
@@ -332,15 +332,23 @@ def test_join_kernel_equals_nested_loop(lrows, rrows, kind, lookup, residual):
     # without an index the kernel hashes the smaller input, the right one on a tie
     if lookup == "left" and lrows and rrows:
         rrows = rrows + [(90, 90, 0)]  # matches nothing; makes the left input the smaller
-    if lookup != "index" and (lookup == "left") != (len(lrows) < len(rrows)):
+    if lookup in ("right", "left") and (lookup == "left") != (len(lrows) < len(rrows)):
         pytest.skip("an empty input is never the larger one")
+    if lookup == "key":  # a key is held once and never NULL: one row per (a, b)
+        rrows = list({row[:2]: row for row in rrows if None not in row[:2]}.values())
     left = T("l", ["l.a", "l.b", "l.x"], lrows)
     right = T("r", ["r.a", "r.b", "r.y"], rrows)
-    if lookup == "index":  # column order is a permutation of the equi pairs
+    # column order is a permutation of the equi pairs
+    if lookup == "index":
         right.indexes.append(HashIndex(right, ["r.b", "r.a"]))
-    buckets, __, swap = ops._lookup(left, right, KERNEL_EQUI)
-    assert swap == (lookup == "left")
-    assert (buckets is right.indexes[0].buckets) if lookup == "index" else not right.indexes
+    elif lookup == "key":
+        right.indexes.append(KeyIndex(right, ["r.b", "r.a"]))
+    buckets, __, swap, single = ops._lookup(left, right, KERNEL_EQUI)
+    assert swap == (lookup == "left") and single == (lookup == "key")
+    if lookup in ("index", "key"):
+        assert buckets is right.indexes[0].buckets  # probed, not built
+    else:
+        assert not right.indexes
     out = ops.join(left, right, kind, equi=KERNEL_EQUI, residual=residual)
 
     def match(lrow, rrow):  # first two columns equal, NULL matching nothing

@@ -36,10 +36,6 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_column_values(self):
-        t = make([(1, "a"), (2, "b")])
-        assert t.column_values("t.v") == ["a", "b"]
-
     def test_key_of(self):
         t = make([(5, "x")])
         assert t.key_of((5, "x")) == (5,)

@@ -7,6 +7,7 @@ per-view totals equal the sums over the returned MaintenanceReports.
 """
 
 import json
+import re
 
 import pytest
 
@@ -82,6 +83,18 @@ class TestSpans:
         assert root.operators, "delta evaluation must record operators"
         assert any(kind.startswith("join") for kind in root.operators)
 
+    def test_tree_prints_dict_attributes_compactly(self, wh, generator):
+        wh.insert("lineitem", generator.lineitem_insert_batch(30, seed=2))
+        root = maintain_span(wh, "v3")
+        phases, terms = root.attributes["phases"], root.attributes["terms"]
+        assert phases and terms
+        line = root.tree().splitlines()[0]
+        for name, seconds in phases.items():
+            assert f"{name}: {seconds:.3g}" in line
+        for detail in terms.values():
+            assert f"seconds: {detail['seconds']:.3g}" in line
+        assert "'" not in line and not re.search(r"\d{7}", line), line
+
     def test_span_tree_serializes(self, wh, generator):
         wh.insert("lineitem", generator.lineitem_insert_batch(5, seed=4))
         payload = json.dumps(wh.telemetry.spans[0].to_dict())
@@ -128,6 +141,17 @@ class TestMetricsAndDashboard:
         )
         # view sizes and plan-cache counts are read at scrape
         assert f'repro_view_rows{{view="v3"}} {len(wh.view("v3"))}' in text
+
+    def test_reading_an_unwritten_series_creates_nothing(self, wh, generator):
+        wh.insert("lineitem", generator.lineitem_insert_batch(10, seed=1))
+        text, board = wh.metrics_text(), wh.telemetry.dashboard()
+        retries = wh.telemetry.metrics.get("repro_view_retries_total")
+        assert retries.value(view="ghost") == 0
+        assert wh.telemetry.metrics.get("repro_maintenance_passes_total").value(
+            view="ghost", table="lineitem", operation="insert"
+        ) == 0
+        assert wh.metrics_text() == text and wh.telemetry.dashboard() == board
+        assert "ghost" not in text and "ghost" not in board
         cache = wh.maintainer("v3").plan_cache
         assert cache.misses
         for outcome, n in (("hit", cache.hits), ("miss", cache.misses)):

@@ -140,10 +140,23 @@ class TestBuildSideSelection:
 
     def test_choose_build_prefers_index(self, v1_db):
         index = v1_db.create_index("s", ["v"])
-        buckets, __, swap = ops._lookup(
+        buckets, __, swap, single = ops._lookup(
             v1_db.table("r"), v1_db.table("s"), self.EQUI
         )
         assert buckets is index.buckets and not swap  # probed, not built
+        assert not single  # s.v is not s's key
+
+    def test_choose_build_probes_the_key_index(self, v1_db):
+        """A join on the right input's key probes its key index — one
+        position per key — even when the left input is the smaller one."""
+        tiny = Table("d", v1_db.table("r").schema, [(1, 1), (99, 2)])
+        s = v1_db.table("s")
+        buckets, __, swap, single = ops._lookup(tiny, s, [("r.k", "s.k")])
+        assert buckets is s.indexes[0].buckets and not swap and single
+        for kind in ("inner", "left", "right", "full", "semi", "anti"):
+            probed = ops.join(tiny, s, kind, equi=[("r.k", "s.k")])
+            built = ops.join(tiny, Table("s", s.schema, s.rows), kind, equi=[("r.k", "s.k")])
+            assert same_rows(probed, built), kind
 
     def test_choose_build_hashes_smaller_left(self, v1_db):
         tiny = Table("d", v1_db.table("r").schema, [(1, 1)])

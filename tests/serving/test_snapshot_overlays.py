@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MaterializedView, ViewDefinition, ViewMaintainer
+from repro.errors import ConstraintError
 from repro.obs import Telemetry
 from repro.runtime import FAILPOINTS, RetryPolicy
 from repro.runtime.snapshots import _FOLD_DIVISOR, _push
@@ -163,19 +164,18 @@ def test_failed_publish_breaks_every_journal():
 
 
 def test_unchecked_duplicate_keys_fall_back_to_positional_capture():
-    """``check=False`` inserts can break a table's key; its slice then
-    keeps every row (keyed by position) and is copied whole while the
-    duplicates last."""
+    """``check=False`` inserts can no longer break a table's key: the
+    duplicate is refused, so there is nothing to fall back for — the
+    slice stays keyed and the next change publishes from the journal."""
     wh = seeded_warehouse()
-    wh.db.insert("orders", [(1, 99)], check=False)  # second row under key 1
+    with pytest.raises(ConstraintError, match=r"duplicate key \(1,\)"):
+        wh.db.insert("orders", [(1, 99)], check=False)
     wh._publish()
     snap = wh.snapshot()
     assert sorted(snap.table_rows("orders")) == sorted(wh.db.table("orders").rows)
-    assert len(snap.tables["orders"]) == 41
-    wh.db.delete("orders", [(1, 99)])
-    wh._publish()
+    assert len(snap.tables["orders"]) == 40
     wh.insert("orders", [(500, 0)])
-    assert wh.snapshot().full_captures == 0  # keyed again, journal whole
+    assert wh.snapshot().full_captures == 0  # keyed throughout, journal whole
     assert len(wh.snapshot().tables["orders"]) == 41
     wh.close()
 

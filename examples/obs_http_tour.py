@@ -16,7 +16,8 @@ role of a monitoring stack:
    the failing span chain to disk,
 4. fetch ``/flight-recorder`` for the live incident rings.
 
-The same flow works from a shell against ``python -m repro.obs serve``::
+The same flow works from a shell against any warehouse built with
+``Warehouse(db, obs_http_port=9464)``::
 
     curl -s localhost:9464/metrics | head
     curl -s localhost:9464/healthz

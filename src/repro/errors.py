@@ -69,9 +69,12 @@ class FanOutError(MaintenanceError):
       the views that succeeded;
     * ``failures`` — ``{view_name: exception}`` for the views that
       raised;
-    * ``quarantined`` — names of views the scheduler quarantined because
-      this change exhausted their retry budget (empty unless a
-      :class:`~repro.runtime.RetryPolicy` is active).
+    * ``quarantined`` — names of the views this change quarantined: every
+      view whose attempts it exhausted (one attempt without a
+      :class:`~repro.runtime.RetryPolicy`).
+
+    A sharded warehouse carries all three back from the worker, each
+    failure rebuilt under its :class:`ReproError` class.
     """
 
     def __init__(self, message: str, reports=None, failures=None,

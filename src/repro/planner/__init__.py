@@ -30,18 +30,7 @@ from .compile import (
     compile_plan,
 )
 from .provision import ProbeSite, probe_sites, provision_indexes
-from .wire import (
-    build_database,
-    decode_options,
-    decode_report,
-    decode_rows,
-    decode_view,
-    encode_options,
-    encode_report,
-    encode_rows,
-    encode_schema,
-    encode_view,
-)
+from .wire import build_database, encode_schema
 
 __all__ = [
     "CompiledPlan",
@@ -53,15 +42,7 @@ __all__ = [
     "SharedResults",
     "build_database",
     "compile_plan",
-    "decode_options",
-    "decode_report",
-    "decode_rows",
-    "decode_view",
-    "encode_options",
-    "encode_report",
-    "encode_rows",
     "encode_schema",
-    "encode_view",
     "probe_sites",
     "provision_indexes",
 ]

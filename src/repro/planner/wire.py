@@ -1,53 +1,29 @@
-"""Spawn-safe serialization of plans, schemas and deltas.
+"""A database's schema as plain data, and the database built back from it.
 
-Shard worker processes (:mod:`repro.runtime.shardproc`) are started with
-``multiprocessing``'s ``spawn`` method: nothing of the parent interpreter
-is inherited, so everything a worker needs must cross a pipe as plain
-picklable data.  Physical maintenance plans cannot make that trip — they
-close over compiled callables — so the wire format
-ships the *logical* artifacts instead and each worker compiles its own
-physical plans (warming its private :class:`~repro.planner.PlanCache`):
+Shard workers (:mod:`repro.runtime.shardproc`) compile their own
+maintenance plans, as the paper's warehouse compiles a view's stored
+procedure where the view lives, so no compiled object ever crosses the
+shard pipe.  What does cross it are Python values, pickled by
+``multiprocessing``: ``ViewDefinition`` and ``MaintenanceOptions``
+objects, row tuples and ``MaintenanceReport`` objects.  The one thing
+with its own form is the **schema** (tables, keys, not-null sets,
+secondary indexes, foreign keys as nested dicts of bare column names):
+:func:`encode_schema` writes it, :func:`build_database` builds a
+database from it.  A worker builds its database that way, and a
+checkpoint base file stores the same form.
 
-* a database **schema** (tables, keys, not-null sets, secondary indexes,
-  foreign keys) as nested dicts of bare column names;
-* **view definitions** as SQL text via :func:`repro.sql.render_select`,
-  round-tripped through :func:`repro.parser.parse_expression` — the same
-  serialization the fuzzer's corpus uses, so it is already oracle-tested;
-* :class:`~repro.core.maintain.MaintenanceOptions` as dataclass field
-  dicts;
-* **deltas** as plain lists of row lists, and
-  :class:`~repro.core.maintain.MaintenanceReport` as its ``to_dict``
-  form.
-
-Everything here is JSON-shaped (dicts, lists, scalars): pickling is what
-``multiprocessing`` does on the pipe, but keeping the format
-JSON-compatible makes blobs dumpable into fuzz artifacts and fixtures.
+:func:`encode_rows` / :func:`decode_rows` are the old row form of the
+shard pipe, kept for the benchmark that still times them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.catalog import Database
 from ..engine.table import Row
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: core.maintain imports us
-    from ..core.maintain import MaintenanceOptions, MaintenanceReport
-    from ..core.view import ViewDefinition
-
-__all__ = [
-    "encode_schema",
-    "build_database",
-    "encode_view",
-    "decode_view",
-    "encode_options",
-    "decode_options",
-    "encode_rows",
-    "decode_rows",
-    "encode_report",
-    "decode_report",
-]
+__all__ = ["encode_schema", "build_database", "encode_rows", "decode_rows"]
 
 
 def _bare(table: str, qualified: Iterable[str]) -> List[str]:
@@ -127,77 +103,16 @@ def build_database(
 
 
 # ---------------------------------------------------------------------------
-# views and options
-# ---------------------------------------------------------------------------
-def encode_view(definition: "ViewDefinition") -> Dict:
-    """A view definition as SQL text plus its output column list."""
-    from ..sql import render_select
-
-    return {
-        "name": definition.name,
-        "sql": render_select(definition.join_expr),
-        "output": (
-            list(definition._output) if definition._output is not None else None
-        ),
-    }
-
-
-def decode_view(db: Database, blob: Dict) -> "ViewDefinition":
-    from ..algebra.expr import Project
-    from ..core.view import ViewDefinition
-    from ..parser import parse_expression
-
-    expr = parse_expression(db, blob["sql"])
-    if blob.get("output"):
-        expr = Project(expr, blob["output"])
-    return ViewDefinition(blob["name"], expr)
-
-
-def encode_options(options: "Optional[MaintenanceOptions]") -> Optional[Dict]:
-    return asdict(options) if options is not None else None
-
-
-def decode_options(blob: Optional[Dict]) -> "Optional[MaintenanceOptions]":
-    from ..core.maintain import MaintenanceOptions
-
-    return MaintenanceOptions(**blob) if blob is not None else None
-
-
-# ---------------------------------------------------------------------------
-# deltas and reports
+# rows
 # ---------------------------------------------------------------------------
 def encode_rows(rows: Iterable[Row]) -> List[List]:
+    """Rows as lists.  No shard message uses this any more (the pipe
+    carries the row tuples themselves); the benchmark's
+    ``planner.wire.*_us_per_krow`` metrics still time it."""
     return [list(row) for row in rows]
 
 
 def decode_rows(rows: Iterable[Sequence]) -> List[Tuple]:
+    """The inverse of :func:`encode_rows`; a tuple passes through
+    uncopied, so it also reads rows a shard reply carries as tuples."""
     return [tuple(row) for row in rows]
-
-
-_REPORT_FIELDS = (
-    "view",
-    "table",
-    "operation",
-    "base_rows",
-    "primary_rows",
-    "primary_term_rows",
-    "secondary_rows",
-    "direct_terms",
-    "indirect_terms",
-    "primary_skipped",
-    "elapsed_seconds",
-    "secondary_strategy_used",
-)
-
-
-def encode_report(report: "MaintenanceReport") -> Dict:
-    return report.to_dict()
-
-
-def decode_report(blob: Dict) -> "MaintenanceReport":
-    """Rebuild a report from its wire form (:meth:`MaintenanceReport.to_dict`,
-    whose derived ``total_view_changes`` is dropped)."""
-    from ..core.maintain import MaintenanceReport
-
-    kwargs = {k: blob[k] for k in _REPORT_FIELDS if k in blob}
-    return MaintenanceReport(**kwargs)

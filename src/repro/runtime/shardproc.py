@@ -19,8 +19,13 @@ The two backends differ only in what runs the far end:
 * ``"thread"`` — a daemon thread in the coordinator's process.
   Deterministic and cheap to start; the fuzz oracle uses it.
 
+Messages are Python values — ``ViewDefinition`` and
+``MaintenanceOptions`` objects, row tuples, ``MaintenanceReport``
+objects — pickled by the pipe; a worker compiles its own plans.
 Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
-``{"ok": False, "error": <ReproError subclass name>, "message": ...}``)::
+``{"ok": False, "error": <ReproError subclass name>, "message": ...}``,
+which for a ``FanOutError`` also carries ``reports``, ``failures`` and
+``quarantined``)::
 
     create_view {view, options}          change {table, operation, rows,
     drop_view {view}                             fk_allowed, check}
@@ -62,10 +67,11 @@ import gc
 import multiprocessing
 import threading
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import errors as _errors
-from ..errors import MaintenanceError, ReproError, ShardingError, ShardUnavailableError
+from ..errors import FanOutError, MaintenanceError, ReproError, ShardingError, ShardUnavailableError
+from ..planner.wire import build_database
 from .failpoints import FAILPOINTS, InjectedFault
 
 __all__ = ["ShardServer", "ShardHandle", "raise_shard_error", "unavailable"]
@@ -78,12 +84,20 @@ WORKER_GC_THRESHOLD = 100_000
 def _failure(exc: BaseException, context: str = "") -> Dict:
     """The error envelope: a :class:`~repro.errors.ReproError` keeps its
     class across the pipe; anything else is a worker bug, reported as a
-    :class:`~repro.errors.ShardingError`."""
+    :class:`~repro.errors.ShardingError`.  A ``FanOutError`` also
+    carries its payload, each failed view's error as an envelope."""
     if isinstance(exc, ReproError):
         name, message = type(exc).__name__, str(exc)
     else:
         name, message = "ShardingError", f"{type(exc).__name__}: {exc}"
-    return {"ok": False, "error": name, "message": context + message}
+    envelope = {"ok": False, "error": name, "message": context + message}
+    if isinstance(exc, FanOutError):
+        envelope.update(
+            reports=exc.reports,
+            failures={view: _failure(e) for view, e in exc.failures.items()},
+            quarantined=exc.quarantined,
+        )
+    return envelope
 
 
 # ---------------------------------------------------------------------------
@@ -92,44 +106,34 @@ def _failure(exc: BaseException, context: str = "") -> Dict:
 class ShardServer:
     """One shard's warehouse plus the command dispatch around it.
 
-    *init* is the plain-data blob the coordinator built: database schema
-    and this shard's rows (:func:`repro.planner.wire.encode_schema`
-    form), the ``settings`` the worker's
+    *init* is what the coordinator sent: the database schema
+    (:func:`repro.planner.wire.encode_schema` form) and this shard's row
+    tuples per table, the ``settings`` the worker's
     :class:`~repro.warehouse.Warehouse` is built with, unchanged, and
-    the views to create.
+    the views to create as ``(ViewDefinition, MaintenanceOptions)``
+    pairs.
     """
 
     def __init__(self, shard_id: int, init: Dict):
-        from ..planner import wire
         from ..warehouse import Warehouse
 
-        self._wire = wire
         self._Warehouse = Warehouse
         self.shard_id = shard_id
         self._init = init
-        self._views: Dict[str, Dict] = {}  # create_view blobs by name
+        self._views: Dict[str, Tuple] = {}  # (definition, options) by name
         self._txns: Dict[str, object] = {}  # open transactions by id
         self._pinned: Dict[int, object] = {}
         self._open(init.get("views") or [])
 
     # ------------------------------------------------------------------
-    def _open(self, views: List[Dict]) -> None:
+    def _open(self, views: List[Tuple]) -> None:
         """Build the warehouse over the initial partition rows and the
         shard's directories, then create *views* on it."""
         init = self._init
-        db = self._wire.build_database(init["schema"], init.get("rows") or {})
+        db = build_database(init["schema"], init.get("rows") or {})
         self.wh = self._Warehouse(db, **init["settings"])
-        for blob in views:
-            self._create_view(blob)
-
-    def _create_view(self, blob: Dict) -> None:
-        definition = self._wire.decode_view(self.wh.db, blob["view"])
-        self.wh.create_view(
-            definition.name,
-            definition,
-            options=self._wire.decode_options(blob.get("options")),
-        )
-        self._views[definition.name] = blob
+        for definition, options in views:
+            self.cmd_create_view(definition, options)
 
     # ------------------------------------------------------------------
     def handle(self, msg: Dict) -> Dict:
@@ -145,8 +149,9 @@ class ShardServer:
             return _failure(exc)
 
     # -- DDL ------------------------------------------------------------
-    def cmd_create_view(self, view: Dict, options: Optional[Dict] = None):
-        self._create_view({"view": view, "options": options})
+    def cmd_create_view(self, view, options=None):
+        self.wh.create_view(view.name, view, options=options)
+        self._views[view.name] = (view, options)
 
     def cmd_drop_view(self, view: str):
         self.wh.drop_view(view)
@@ -165,19 +170,9 @@ class ShardServer:
         check: bool = True,
     ):
         reports = self.wh._change(
-            table,
-            operation,
-            self._wire.decode_rows(rows),
-            fk_allowed=fk_allowed,
-            check=check,
+            table, operation, rows, fk_allowed=fk_allowed, check=check
         )
-        return {"reports": self._encode_reports(reports)}
-
-    def _encode_reports(self, reports: Dict) -> Dict[str, Dict]:
-        return {
-            name: self._wire.encode_report(report)
-            for name, report in reports.items()
-        }
+        return {"reports": reports}
 
     def cmd_flush(self):
         self.wh.flush()
@@ -206,12 +201,10 @@ class ShardServer:
         the worker-local transaction, and ``prepare`` also prepares it —
         a multi-shard statement's one message before the decision."""
         txn = self._begin(txn_id) if join else self._txn(txn_id)
-        reports = txn._statement(
-            table, operation, self._wire.decode_rows(rows), **flags
-        )
+        reports = txn._statement(table, operation, rows, **flags)
         if prepare:
             txn.prepare()
-        return {"reports": self._encode_reports(reports)}
+        return {"reports": reports}
 
     def cmd_txn_prepare(self, txn_id: str):
         """Phase one of the cross-shard commit: deferred-FK checks, then
@@ -306,20 +299,16 @@ class ShardServer:
                 ) from None
         else:
             snapshot = self.wh.snapshot()
-        rows = snapshot.query(view, **(equalities or {}))
-        return {"rows": self._wire.encode_rows(rows)}
+        return {"rows": snapshot.query(view, **(equalities or {}))}
 
     def cmd_dump(self):
         self.wh.scheduler.drain()
         return {
             "tables": {
-                name: self._wire.encode_rows(table.rows)
-                for name, table in self.wh.db.tables.items()
+                name: table.rows for name, table in self.wh.db.tables.items()
             },
             "views": {
-                name: self._wire.encode_rows(
-                    self.wh.maintainer(name).view.rows()
-                )
+                name: self.wh.maintainer(name).view.rows()
                 for name in self.wh.view_names
             },
         }
@@ -434,16 +423,27 @@ def unavailable(message: str) -> Dict:
     return {"ok": False, "error": "ShardUnavailableError", "message": message}
 
 
-def raise_shard_error(response: Dict) -> Dict:
-    """Return *response* if ok, else re-raise the worker's error under
-    its original :class:`~repro.errors.ReproError` subclass."""
-    if response.get("ok"):
-        return response
-    name = response.get("error", "ShardingError")
-    cls = getattr(_errors, name, None)
+def _rebuild(response: Dict) -> ReproError:
+    """The worker's error under its original class (else
+    ``ShardingError``); a ``FanOutError`` with its payload."""
+    if "failures" in response:
+        return FanOutError(
+            response["message"],
+            reports=response["reports"],
+            failures={v: _rebuild(e) for v, e in response["failures"].items()},
+            quarantined=response["quarantined"],
+        )
+    cls = getattr(_errors, response.get("error", "ShardingError"), None)
     if not (isinstance(cls, type) and issubclass(cls, ReproError)):
         cls = ShardingError
-    raise cls(response.get("message", "shard command failed"))
+    return cls(response.get("message", "shard command failed"))
+
+
+def raise_shard_error(response: Dict) -> Dict:
+    """Return *response* if ok, else re-raise the worker's error."""
+    if response.get("ok"):
+        return response
+    raise _rebuild(response)
 
 
 class ShardHandle:

@@ -269,7 +269,7 @@ class ShardedWarehouse(Warehouse):
         self._definitions: Dict[str, ViewDefinition] = {}
         self._plans: Dict[str, ViewShardPlan] = {}
         self._outputs: Dict[str, List[str]] = {}
-        self._options: Dict[str, Optional[Dict]] = {}
+        self._options: Dict[str, Optional[MaintenanceOptions]] = {}
         self._closed = False
         self.call_deadline = call_deadline_seconds
         self._txn_counter = itertools.count(1)
@@ -284,9 +284,11 @@ class ShardedWarehouse(Warehouse):
         self._undecided: set = set()
         self._txn_lock = threading.Lock()  # a decision vs. recover()
 
+        # shallow lists sharing the row tuples: the inits kept for
+        # reincarnation hold no second copy of the database
         schema = wire.encode_schema(db)
         replicated_rows = {
-            name: wire.encode_rows(table.rows)
+            name: list(table.rows)
             for name, table in db.tables.items()
             if not self.spec.is_partitioned(name)
         }
@@ -294,9 +296,7 @@ class ShardedWarehouse(Warehouse):
         for name in self.spec.partitioned:
             split = self.router.split_rows(name, db.tables[name].rows)
             for shard, rows in split.items():
-                partitioned_rows.setdefault(shard, {})[name] = (
-                    wire.encode_rows(rows)
-                )
+                partitioned_rows.setdefault(shard, {})[name] = rows
         # every shard's Warehouse(db, **settings); only the directories
         # differ, one shard-<i> below each root
         settings = dict(
@@ -331,12 +331,11 @@ class ShardedWarehouse(Warehouse):
         self.supervisor.attach()
 
     def _shard_init(self, shard: int) -> Dict:
-        """The init blob a reincarnated worker for *shard* starts from:
-        the retained construction blob (initial partition rows, runtime
+        """The init a reincarnated worker for *shard* starts from: the
+        retained construction init (initial partition rows, runtime
         directories) plus every view created since."""
         return dict(self._inits[shard], views=[
-            {"view": wire.encode_view(self._definitions[name]),
-             "options": self._options[name]}
+            (self._definitions[name], self._options[name])
             for name in self.view_names
         ])
 
@@ -447,44 +446,32 @@ class ShardedWarehouse(Warehouse):
             return self.router.split_keys(table, rows)
         return self.router.split_rows(table, rows)
 
-    def _merge_report_blobs(self, blob_maps: List[Dict]) -> Reports:
-        """Recombine per-shard report dicts: row counts add, term lists
-        union.  No report is primary-skipped: a shard runs no task for a
-        view whose pass record is statically empty (``Warehouse._tasks``)."""
-        merged: Dict[str, Dict] = {}
-        for blob_map in blob_maps:
-            for view, blob in blob_map.items():
-                if view not in merged:
-                    merged[view] = {
-                        k: (dict(v) if isinstance(v, dict) else
-                            list(v) if isinstance(v, list) else v)
-                        for k, v in blob.items()
-                    }
+    def _merge_reports(self, shard_reports: List[Reports]) -> Reports:
+        """Recombine per-shard reports into the first one per view (each
+        shard's reports are this process's own unpickled copies): row
+        counts add, term lists union, the slowest shard's time stands
+        and the first strategy per term stays.  No report is
+        primary-skipped: a shard runs no task for a view whose pass
+        record is statically empty (``Warehouse._tasks``)."""
+        merged: Reports = {}
+        for reports in shard_reports:
+            for view, report in reports.items():
+                into = merged.setdefault(view, report)
+                if into is report:
                     continue
-                tgt = merged[view]
-                tgt["base_rows"] += blob.get("base_rows", 0)
-                tgt["primary_rows"] += blob.get("primary_rows", 0)
+                into.base_rows += report.base_rows
+                into.primary_rows += report.primary_rows
                 for field in ("secondary_rows", "primary_term_rows"):
-                    for key, count in (blob.get(field) or {}).items():
-                        bucket = tgt.setdefault(field, {})
-                        bucket[key] = bucket.get(key, 0) + count
+                    counts = getattr(into, field)
+                    for key, count in getattr(report, field).items():
+                        counts[key] = counts.get(key, 0) + count
                 for field in ("direct_terms", "indirect_terms"):
-                    for term in blob.get(field) or []:
-                        if term not in tgt.setdefault(field, []):
-                            tgt[field].append(term)
-                tgt["elapsed_seconds"] = max(
-                    tgt.get("elapsed_seconds", 0.0),
-                    blob.get("elapsed_seconds", 0.0),
-                )
-                for key, strategy in (
-                    blob.get("secondary_strategy_used") or {}
-                ).items():
-                    tgt.setdefault("secondary_strategy_used", {}).setdefault(
-                        key, strategy
-                    )
-        return {
-            view: wire.decode_report(blob) for view, blob in merged.items()
-        }
+                    terms = getattr(into, field)
+                    terms += [t for t in getattr(report, field) if t not in terms]
+                into.elapsed_seconds = max(into.elapsed_seconds, report.elapsed_seconds)
+                for key, strategy in report.secondary_strategy_used.items():
+                    into.secondary_strategy_used.setdefault(key, strategy)
+        return merged
 
     # ------------------------------------------------------------------
     # view DDL
@@ -504,13 +491,11 @@ class ShardedWarehouse(Warehouse):
             else ViewDefinition(name, view)
         )
         plan = plan_view(definition, self.db, self.spec)
-        blob = wire.encode_view(definition)
-        opt_blob = wire.encode_options(options)
-        self._broadcast("create_view", view=blob, options=opt_blob)
+        self._broadcast("create_view", view=definition, options=options)
         self._definitions[name] = definition
         self._plans[name] = plan
         self._outputs[name] = list(definition.output_columns(self.db))
-        self._options[name] = opt_blob
+        self._options[name] = options
 
     def drop_view(self, name: str) -> None:
         """Drop *name* on every shard, then forget it here, so that no
@@ -618,7 +603,7 @@ class ShardedWarehouse(Warehouse):
                 "change" if txn is None else "txn_stmt",
                 table=table,
                 operation=operation,
-                rows=wire.encode_rows(parts[shard]),
+                rows=parts[shard],
                 **flags,
                 **extra,
             )
@@ -639,7 +624,7 @@ class ShardedWarehouse(Warehouse):
             responses = self._wait_all(ticket._replies, timeout)
             if ticket._txn is not None:
                 ticket._txn.commit()
-            result.reports = self._merge_report_blobs(
+            result.reports = self._merge_reports(
                 [responses[s]["reports"] for s in sorted(responses)]
             )
         except ReproError as exc:
@@ -684,7 +669,7 @@ class ShardedWarehouse(Warehouse):
         # caller rolls them back together
         parts = self._route(table, rows)
         responses = self._wait_all(self._send(txn, table, operation, parts, **flags))
-        return self._merge_report_blobs(
+        return self._merge_reports(
             [responses[shard]["reports"] for shard in sorted(responses)]
         )
 
@@ -794,9 +779,7 @@ class ShardedWarehouse(Warehouse):
             for target in targets
         }
         fragments = [
-            wire.decode_rows(
-                raise_shard_error(self._wait_for(target, reply))["rows"]
-            )
+            raise_shard_error(self._wait_for(target, reply))["rows"]
             for target, reply in replies.items()
         ]
         rows = fragments[0] if shard is not None else self._merge(self._plan_of(view), fragments)
@@ -849,15 +832,11 @@ class ShardedWarehouse(Warehouse):
         if table not in self.db.tables:
             raise CatalogError(f"no table named {table!r}")
         shards = sorted(dumps) if self.spec.is_partitioned(table) else [0]
-        return [
-            row
-            for shard in shards
-            for row in wire.decode_rows(dumps[shard]["tables"][table])
-        ]
+        return [row for shard in shards for row in dumps[shard]["tables"][table]]
 
     def _view_rows(self, name: str, dumps: Dict[int, Dict]) -> List[Row]:
         plan = self._plan_of(name)
-        return self._merge(plan, [wire.decode_rows(dumps[s]["views"][name]) for s in sorted(dumps)])
+        return self._merge(plan, [dumps[s]["views"][name] for s in sorted(dumps)])
 
     def _merge(self, plan: ViewShardPlan, fragments: List[List[Row]]) -> List[Row]:
         """One view's per-shard fragments recombined, the merge metered."""
@@ -1062,7 +1041,7 @@ class ShardedWarehouse(Warehouse):
                 continue
             reference = frozenset(rows)
             for shard in sorted(dumps):
-                got = frozenset(wire.decode_rows(dumps[shard]["tables"][table]))
+                got = frozenset(dumps[shard]["tables"][table])
                 if got != reference:
                     raise MaintenanceError(
                         f"replicated table {table!r} diverged on shard "

@@ -128,9 +128,9 @@ class Warehouse:
         it (bounded recovery).  Each checkpoint compacts the WAL behind
         the oldest restore point still kept.
     checkpoint_interval:
-        Auto-checkpoint every N changes (measured at submission, taken
-        on the caller's thread at the next synchronous change or
-        :meth:`flush`).  ``None`` (default) means manual
+        Auto-checkpoint every N changes that changed a table (counted as
+        each applies, taken on the caller's thread at the next synchronous
+        change or :meth:`flush`).  ``None`` (default) means manual
         :meth:`checkpoint` only.
     max_queue_depth / overflow:
         Admission control for the change queue.  ``None`` (default)
@@ -594,6 +594,9 @@ class Warehouse:
         exact delta **before any view is touched** — write-ahead of the
         recoverable work, which here is the multi-view maintenance.
 
+        A change whose delta is empty changed nothing: it is not logged,
+        maintained, published or counted towards ``checkpoint_interval``.
+
         :meth:`recover` re-submits logged history with *replay_lsn* set:
         the entry is already in the log, so nothing is appended.  When
         the log lost records (``wal.corruption_detected``) a replayed
@@ -603,8 +606,10 @@ class Warehouse:
         """
         logged = DELETE if operation == DELETE_BY_KEY else operation
         degraded = replay_lsn is not None and self.wal.corruption_detected
+        changed = False
 
         def prepare():
+            nonlocal changed
             if operation == DELETE_BY_KEY:
                 delta = self.db.delete_by_key(table, rows)
             elif operation == DELETE:
@@ -613,6 +618,10 @@ class Warehouse:
                 if degraded:
                     self._evict_key_conflicts(table, rows)
                 delta = self.db.insert(table, rows, check=check)
+            if not len(delta) and replay_lsn is None:
+                return [], None
+            changed = self._tables_changed = True
+            self._changes_since_checkpoint += 1
             lsn = replay_lsn
             if lsn is None and self.wal is not None:
                 try:
@@ -629,12 +638,11 @@ class Warehouse:
                 return [], lsn
             return self._tasks(table, delta, logged, fk_allowed), lsn
 
-        self._tables_changed = True
-        ticket = self.scheduler.submit(
-            prepare, table, logged, on_complete=self._ack
-        )
-        self._changes_since_checkpoint += 1
-        return ticket
+        def complete(result: FanOutResult) -> None:
+            if changed:
+                self._ack(result)
+
+        return self.scheduler.submit(prepare, table, logged, on_complete=complete)
 
     def _apply_inverse(self, table: str, operation: str, rows: List[Row]) -> Tuple[str, Table]:
         """Take an applied change back out of the base table, unchecked;
@@ -654,12 +662,15 @@ class Warehouse:
         self, table: str, delta: Table, operation: str, fk_allowed: bool
     ) -> List[Task]:
         """One scheduler task per view the change reaches, in registration
-        order.  A view whose pass record is statically empty gets none (if
-        it reads *table*, the skipped pass is metered as primary-skipped);
+        order; an empty delta reaches none.  A view whose pass record is
+        statically empty gets none (if it reads *table*, the skipped pass
+        is metered as primary-skipped);
         one whose record fails to compile does, so ``maintain`` raises
         inside the scheduler's retry and quarantine.  A failed ``maintain``
         leaves its view exactly pre-change.  The tasks share one memo: a
         sub-plan several views' plans hold runs once for the change."""
+        if not len(delta):
+            return []
         shared: SharedResults = {}
         tasks = []
         for name, target in self._views.items():
@@ -670,7 +681,7 @@ class Warehouse:
             if not empty:
                 run = partial(target.maintain, table, delta, operation, fk_allowed, shared)
                 tasks.append(Task(name, run))
-            elif len(delta) and table in target.definition.tables:
+            elif table in target.definition.tables:
                 skipped = MaintenanceReport(target.definition.name, table, operation, len(delta))
                 skipped.primary_skipped = True
                 self.telemetry.emit("maintenance.pass", report=skipped)
@@ -1034,8 +1045,8 @@ class Warehouse:
     ) -> Reports:
         """Apply one statement now, DEFERRABLE foreign keys unchecked
         (*check* ``False``: nothing checked, as for a plain change);
-        record its delta (for the journal and the undo) *before* the
-        fan-out, which may fail after the table has changed."""
+        record a non-empty delta (for the journal and the undo) *before*
+        the fan-out, which may fail after the table has changed."""
         self._tables_changed = True
         if operation == DELETE_BY_KEY:
             operation, delta = DELETE, self.db.delete_by_key(table, rows, check=check)
@@ -1043,7 +1054,8 @@ class Warehouse:
             delta = self.db.insert(table, rows, check=check, defer_deferrable=True)
         else:
             delta = self.db.delete(table, rows, check=check)
-        txn._statements.append((table, operation, delta.rows, fk_allowed, check))
+        if len(delta):
+            txn._statements.append((table, operation, delta.rows, fk_allowed, check))
         return self._maintain_now(table, delta, operation, fk_allowed)
 
     def _txn_prepare(self, txn: "Transaction") -> None:

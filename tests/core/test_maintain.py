@@ -16,7 +16,6 @@ from repro.engine import Database
 from repro.algebra import Q, eq
 from repro.core.view import ViewDefinition
 from repro.errors import MaintenanceError
-from repro.planner.wire import decode_options, encode_options
 
 from ..conftest import (
     make_example1_db,
@@ -208,9 +207,6 @@ class TestOptions:
     def test_unknown_strategy_rejected(self, strategy):
         with pytest.raises(ValueError, match="'view', 'base', 'auto'"):
             MaintenanceOptions(secondary_strategy=strategy)
-        blob = encode_options(MaintenanceOptions())
-        with pytest.raises(ValueError):  # shard workers decode the same way
-            decode_options(dict(blob, secondary_strategy=strategy))
 
     def test_use_foreign_keys_drives_all_three_mechanisms(self):
         db = make_example1_db()

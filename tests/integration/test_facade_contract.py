@@ -22,8 +22,9 @@ import pytest
 from repro import AsyncWarehouse
 from repro.core import count_star
 from repro.core.maintain import MaintenanceReport
-from repro.errors import ConstraintError, MaintenanceError, ShardingError
+from repro.errors import ConstraintError, FanOutError, MaintenanceError, ShardingError
 from repro.runtime import ChangeTicket, FanOutResult
+from repro.runtime.failpoints import FAILPOINTS
 from repro.warehouse import Warehouse
 
 from ..runtime.test_sharded_warehouse import build_db, order_lines_defn
@@ -96,6 +97,9 @@ def surface_script(wh):
         shape(wh.delete_by_key("lineitem", [(1, 0), (2, 1)])),
     )
     note("delete_by_key-none", len(wh.delete_by_key("lineitem", [(777, 7)])))
+    # an empty statement changes nothing, so it reports nothing
+    note("insert-empty", shape(wh.insert("lineitem", [])))
+    note("delete-empty", shape(wh.delete("lineitem", [])))
     note("update", shape(wh.update("orders", [(100, 1)], [(100, 2)])))
 
     # queued changes resolve to FanOutResults, one per ticket, at flush
@@ -148,6 +152,17 @@ def surface_script(wh):
     note("dup-flush", raised(wh.flush))
     note("unknown-op", raised(wh.apply_async, "lineitem", "upsert", []))
     assert contents(wh) == before
+
+    # a view failing its pass: the change stands, the view is
+    # quarantined, and the error says which views failed and which the
+    # change quarantined — carried back from the shard when sharded
+    with FAILPOINTS.armed("maintain.pass", view=VIEW):
+        with pytest.raises(FanOutError) as excinfo:
+            wh.insert("lineitem", [(3, 8, 38)])
+    failure = excinfo.value
+    note("view-failure", (sorted(failure.failures), failure.quarantined, sorted(failure.reports)))
+    note("view-failure-quarantined", wh.quarantined_views)
+    wh.repair_view(VIEW)
 
     async def front_end():
         awh = AsyncWarehouse(wh)
@@ -239,6 +254,10 @@ def test_surface_trace_is_what_the_contract_says(local_traces):
         ("fan-out", "lineitem", "insert", True, [VIEW], "NoneType")
     ] * 4
     assert trace["flush-empty"] == []
+    assert trace["insert-empty"] == trace["delete-empty"] == {}
+    assert trace["delete_by_key-none"] == 0
+    assert trace["view-failure"] == ([VIEW], [VIEW], [])
+    assert trace["view-failure-quarantined"] == [VIEW]
     assert trace["txn.insert"] == {
         VIEW: ("report", VIEW, "lineitem", "insert")
     }

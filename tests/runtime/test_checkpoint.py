@@ -102,6 +102,29 @@ class TestCheckpointRoundTrip:
         with pytest.raises(MaintenanceError, match="checkpoint_dir"):
             Warehouse(build_db(), checkpoint_interval=10)
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_an_empty_statement_changes_nothing(self, tmp_path, workers):
+        """No WAL record, no maintenance pass, no publish, and no count
+        towards ``checkpoint_interval``: an empty delta is no change."""
+        wh = make_warehouse(tmp_path, checkpoint_interval=2, workers=workers)
+        wh.create_view("ol", order_lines_expr())
+        wh.insert("orders", [(1, 100)])
+        published = wh.snapshots.published_count
+        assert wh.insert("lineitem", []) == {}
+        assert wh.delete("lineitem", []) == {}
+        assert wh.delete_by_key("orders", [(999,)]) == {}  # no such key
+        ticket = wh.apply_async("orders", "delete", [])
+        assert wh.flush()[0].reports == {} and ticket.wait().lsn is None
+        assert wh.wal.last_lsn == 1
+        assert wh.snapshots.published_count == published
+        assert wh.checkpoints.checkpoint_paths() == []
+        wh.insert("orders", [(2, 200)])  # the second change checkpoints
+        assert len(wh.checkpoints.checkpoint_paths()) == 1
+        with wh.transaction() as txn:  # a statement in a transaction too
+            assert txn.insert("orders", []) == {}
+        assert wh.wal.last_lsn == 2
+        wh.close()
+
     def test_checkpoint_compacts_the_wal(self, tmp_path):
         wh = make_warehouse(tmp_path, segment_bytes=128)
         wh.create_view("ol", order_lines_expr())

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core.maintain import MaintenanceOptions, MaintenanceReport
 from repro.errors import MaintenanceError
 from repro.planner import wire
 from repro.runtime.failpoints import FAILPOINTS
@@ -22,7 +23,7 @@ def init_blob(orders=6, **settings):
     db = build_db(orders=orders)
     return {
         "schema": wire.encode_schema(db),
-        "rows": {name: wire.encode_rows(t.rows) for name, t in db.tables.items()},
+        "rows": {name: list(t.rows) for name, t in db.tables.items()},
         "settings": settings,
     }
 
@@ -64,9 +65,10 @@ def handle(backend):
 def test_pipelined_submits_resolve_in_fifo_order(handle):
     replies = []
     for okey in range(100, 105):
-        rows = wire.encode_rows([(okey, 1)])
         replies.append(
-            handle.submit("change", table="orders", operation="insert", rows=rows)
+            handle.submit(
+                "change", table="orders", operation="insert", rows=[(okey, 1)]
+            )
         )
         replies.append(handle.submit("stats"))
     responses = [reply.wait(30.0) for reply in reversed(replies)][::-1]
@@ -77,13 +79,29 @@ def test_pipelined_submits_resolve_in_fifo_order(handle):
     assert handle.queue_depth == 0
 
 
+def test_the_pipe_carries_values(handle):
+    """A view definition and its options go over as objects; reports
+    come back as report objects and rows as tuples."""
+    options = MaintenanceOptions(secondary_strategy="base")
+    handle.call("create_view", view=order_lines_defn(), options=options)
+    reports = handle.call(
+        "change", table="lineitem", operation="insert", rows=[(0, 7, 70)]
+    )["reports"]
+    report = reports["order_lines"]
+    assert isinstance(report, MaintenanceReport)
+    assert (report.base_rows, report.operation) == (1, "insert")
+    rows = handle.call(
+        "query", view="order_lines", equalities={"lineitem.l_linenumber": 7}
+    )["rows"]
+    assert rows == [(0, 0, 0, 7, 70)]
+
+
 def test_terminate_resolves_every_outstanding_reply_at_once(backend):
     handle = ShardHandle(0, init_blob(orders=4000), backend)
     # materializing and checking a view over 8,000 lines keeps the
     # worker busy, so the ping behind them is still outstanding
-    view = wire.encode_view(order_lines_defn())
     replies = [
-        handle.submit("create_view", view=view, options=None),
+        handle.submit("create_view", view=order_lines_defn(), options=None),
         handle.submit("check"),
         handle.submit("ping"),
     ]

@@ -13,6 +13,7 @@ from functools import partial
 
 import pytest
 
+from repro.core.maintain import MaintenanceOptions
 from repro.errors import MaintenanceError, ShardingError, ShardUnavailableError
 from repro.runtime.failpoints import FAILPOINTS
 from repro.runtime.shardproc import WORKER_GC_THRESHOLD, ShardHandle
@@ -131,6 +132,45 @@ def test_reincarnation_without_wal_is_degraded(tmp_path):
     finally:
         FAILPOINTS.disarm("shard.worker.kill")
         wh.close()
+
+
+def test_maintenance_options_survive_the_pipe_and_a_reincarnation(tmp_path):
+    """A view's options reach every worker and come back with the one
+    that replaces a killed worker: its orphan-row terms still run from
+    the base tables, and the merged view equals the local one."""
+    options = MaintenanceOptions(secondary_strategy="base", left_deep=False)
+    local = Warehouse(build_db())
+    wh = make_supervised(tmp_path)
+    try:
+        for target in (local, wh):
+            target.create_view("base_lines", order_lines_defn("base_lines"), options)
+
+        def lines_for_a_new_order(okey):
+            """A first line for a new order: it replaces the order's
+            null-extended row, a secondary term."""
+            strategies = []
+            for target in (local, wh):
+                target.insert("orders", [(okey, 1)])
+                reports = target.insert("lineitem", [(okey, 0, 1)])
+                strategies.append(reports["base_lines"].secondary_strategy_used)
+            return strategies
+
+        local_used, sharded_used = lines_for_a_new_order(540)
+        assert set(sharded_used.values()) == {"base"} and sharded_used == local_used
+        (shard,) = wh.router.split_rows("lineitem", [(541, 0, 1)])
+        kill_worker(wh, shard=shard)
+        with pytest.raises(ShardUnavailableError):
+            wh.insert("orders", [(599, 1)])  # rolled back on every shard
+        assert wait_all_up(wh), wh.supervisor.status()
+        assert wh.supervisor.status()[shard]["restarts"] == 1
+        local_used, sharded_used = lines_for_a_new_order(541)
+        assert set(sharded_used.values()) == {"base"} and sharded_used == local_used
+        assert sorted(wh.view_rows("base_lines")) == sorted(local.view_rows("base_lines"))
+        wh.check_consistency()
+    finally:
+        FAILPOINTS.disarm("shard.worker.kill")
+        wh.close()
+        local.close()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ and then inspects what the instruments captured:
    (classify, primary delta, apply) and each secondary term's strategy
    and time, with per-operator row counts,
 2. the per-view health dashboard (p50/p95 latency, rows touched,
-   secondary-strategy mix, FK-shortcut rate, slowest terms),
+   secondary-strategy mix, FK-shortcut rate, average seconds per phase,
+   and the five secondary terms whose single slowest pass took
+   longest),
 3. the Prometheus metrics text a scraper would collect.
 """
 
@@ -70,7 +72,7 @@ def main():
 
     print("\n=== 3. Prometheus exposition (excerpt) ===")
     for line in warehouse.metrics_text().splitlines():
-        if "repro_maintenance_seconds_bucket" in line:
+        if "_bucket{" in line:
             continue  # elide the histogram buckets for readability
         print(line)
 

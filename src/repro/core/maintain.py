@@ -462,7 +462,7 @@ class ViewMaintainer(MaintenancePlans):
 
             report.elapsed_seconds = time.perf_counter() - started
             span.record_rows(report.total_view_changes)
-        tel.emit("maintenance.pass", report=report, span=span)
+        tel.emit("maintenance.pass", report=report)
         return report
 
     # ------------------------------------------------------------------

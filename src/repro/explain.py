@@ -140,12 +140,12 @@ def _append_measured(out, maintainer: ViewMaintainer) -> None:
     telemetry = getattr(maintainer, "telemetry", None)
     if telemetry is None or not telemetry.enabled:
         return
-    observed = telemetry.health.observed_phases(maintainer.definition.name)
-    if not observed:
+    costs = telemetry.health.pass_costs().get(maintainer.definition.name)
+    if not costs:
         return
     rendered = ", ".join(
         f"{phase} {data['avg'] * 1000:.2f}ms avg/{data['max'] * 1000:.2f}ms "
         f"max over {data['count']}"
-        for phase, data in sorted(observed.items())
+        for phase, data in sorted(costs["phases"].items())
     )
     out(f"  Measured (telemetry): {rendered}")

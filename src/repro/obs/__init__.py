@@ -19,11 +19,13 @@ maintenance layers share::
 
 The runtime reports through one method, :meth:`Telemetry.emit`: an
 occurrence is ``(kind, attrs)`` data, and what it does — which metric
-families it writes, which SLO lane it feeds, whether it is also a
-flight-recorder event — is declared once in :mod:`repro.obs.events`.
-State that already has a home — a maintainer's plan-cache counts, its
-view's size — is not reported at all: :meth:`Telemetry.watch` reads it
-into the registry whenever the registry is read.
+families it writes, whether it is also a flight-recorder event — is
+declared once in :mod:`repro.obs.events`.  Each number has one store:
+the dashboard and the SLO tracker read the registry and the retained
+spans when they are read.  State that already has a home — a
+maintainer's plan-cache counts, its view's size — is not reported at
+all: :meth:`Telemetry.watch` reads it into the registry whenever the
+registry is read.
 
 The default everywhere is :meth:`Telemetry.disabled` — a shared no-op
 singleton whose tracer hands out a null span and whose ``emit`` returns
@@ -38,7 +40,7 @@ import threading
 import weakref
 from typing import Callable, Dict, List, Optional
 
-from .dashboard import Dashboard, percentile
+from .dashboard import Dashboard
 from .events import (
     DUMP_TRIGGERS,
     EVENT_KINDS,
@@ -97,7 +99,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_BUCKETS",
     "Dashboard",
-    "percentile",
     "Event",
     "EVENT_KINDS",
     "OCCURRENCES",
@@ -149,14 +150,14 @@ class Telemetry:
 
     def _wire(self) -> None:
         """Register every declared family and compile every declared
-        occurrence against this instance's registry, dashboard, SLO
-        tracker and recorder."""
+        occurrence against this instance's registry, dashboard and
+        recorder."""
         self.metrics = MetricsRegistry()
         for family in FAMILIES:
             extra = {"buckets": family.buckets} if family.buckets else {}
             getattr(self.metrics, family.type)(family.name, family.help, family.labels, **extra)
-        self.health = Dashboard(self.metrics)
-        self.slo = SLOTracker()
+        self.health = Dashboard(self.metrics, self.memory)
+        self.slo = SLOTracker(self.metrics)
         self._watched: Dict[weakref.ref, tuple] = {}  # maintainer -> (view, plan cache)
         self._retired = collections.Counter()  # (view, outcome) -> count
         self._watch_lock = threading.Lock()
@@ -222,13 +223,6 @@ class Telemetry:
             bound = [self.metrics.get(family.name) for family in occurrence.writes]
             return lambda attrs: handler(self, *bound, **attrs)
         steps = [self._writer(effect) for effect in occurrence.effects]
-        slo = self.slo
-        if occurrence.phase is not None:
-            phase = occurrence.phase
-            steps.append(lambda attrs: slo.observe(phase, attrs["seconds"]))
-        if occurrence.outcome is not None:
-            ok = occurrence.outcome
-            steps.append(lambda attrs: slo.record_outcome(attrs["view"], ok))
         if occurrence.fold is not None:
             fold = getattr(self.health, occurrence.fold)
             steps.append(lambda attrs: fold(**attrs))
@@ -336,7 +330,7 @@ class Telemetry:
         if not self.enabled:
             return "# EOF\n"
         self._scrape()
-        self.slo.export(self.metrics)
+        self.slo.export()
         return render_openmetrics(self.metrics)
 
     def totals(self) -> Dict[str, Dict[str, int]]:

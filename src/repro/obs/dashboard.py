@@ -3,18 +3,17 @@
 :class:`Dashboard` renders a plain-text health summary — p50/p95
 maintenance latency, rows touched, the secondary-strategy mix, the
 foreign-key shortcut hit rate, per-phase costs and the slowest secondary
-terms.  Counts come from the metrics registry; of every finished pass
-(the :class:`~repro.core.maintain.MaintenanceReport` and, when tracing is
-on, its ``maintain`` span) it keeps only a latency series and the span's
-phase/term durations.
+terms.  Counts and latency quantiles come from the metrics registry;
+phase and term costs are folded, when read, from the ``maintain`` spans
+the in-memory sink retains.  The dashboard itself keeps only what
+neither can hold: current quarantine reasons and quarantined segment
+names.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .events import (
     BASE_ROWS,
@@ -22,6 +21,7 @@ from .events import (
     ERRORS,
     FK_SHORTCUT,
     LOAD_SHED,
+    MAINTENANCE_SECONDS,
     PASSES,
     ROWS_CHANGED,
     SECONDARY_STRATEGY,
@@ -30,107 +30,51 @@ from .events import (
     WAL_COMPACTIONS,
     WAL_SEGMENTS_DELETED,
 )
+from .tracing import STATUS_OK
 
-__all__ = ["Dashboard", "percentile"]
-
-#: latency samples kept per view: the newest, as in :mod:`repro.obs.slo`
-MAX_LATENCY_SAMPLES = 4096
+__all__ = ["Dashboard"]
 
 
-def percentile(values: List[float], q: float) -> float:
-    """Linear-interpolated percentile of *values* (``q`` in [0, 1])."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+def _maintain_spans(spans):
+    """Every ``maintain`` span in the trees under *spans*, oldest first."""
+    for span in spans:
+        if span.name == "maintain":
+            yield span
+        yield from _maintain_spans(span.children)
 
 
-class _Agg:
-    """count / total / max accumulator."""
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def avg(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class _ViewSeries:
-    """What a counter cannot hold, per view."""
-
-    def __init__(self):
-        self.quarantine_reason: Optional[str] = None
-        self.latencies: deque = deque(maxlen=MAX_LATENCY_SAMPLES)
-        self.phases: Dict[str, _Agg] = {}
-        self.terms: Dict[str, _Agg] = {}
+def _summaries(seconds: Dict[str, List[float]]) -> Dict[str, Dict[str, float]]:
+    return {n: {"count": len(s), "avg": sum(s) / len(s), "max": max(s)} for n, s in seconds.items()}
 
 
 class Dashboard:
     """Renders maintenance activity as text.
 
-    Every plain count is read from the metrics *registry* (the one store
-    the occurrence table writes); the dashboard itself keeps only
-    latency samples, span-derived phase/term aggregates, the current
-    quarantine reasons and the quarantined segment names.
+    Every count and latency is read from the metrics *registry* (the one
+    store the occurrence table writes), every phase and term cost from
+    the root spans *memory* retains; the dashboard itself keeps only the
+    current quarantine reasons and the quarantined segment names.
     """
 
-    def __init__(self, registry):
+    def __init__(self, registry, memory):
         self._registry = registry
+        self._memory = memory
         self._lock = threading.Lock()  # the dispatcher folds; HTTP reads
-        self._views: Dict[str, _ViewSeries] = {}
+        self._quarantined: Dict[str, str] = {}
         self._segments_quarantined: List[str] = []
 
     # ------------------------------------------------------------------
     # feeding (the ``fold`` targets of the occurrence table)
     # ------------------------------------------------------------------
-    def _series(self, view: str) -> _ViewSeries:
-        series = self._views.get(view)
-        if series is None:
-            series = _ViewSeries()
-            self._views[view] = series
-        return series
-
-    def fold_pass(self, report, span=None) -> None:
-        """One finished maintenance pass: its latency sample and, when
-        tracing is on, the ``phases`` and ``terms`` its span carries."""
-        attributes = span.attributes if span is not None else {}
-        with self._lock:
-            s = self._series(report.view)
-            s.latencies.append(report.elapsed_seconds)
-            for phase, seconds in attributes.get("phases", {}).items():
-                s.phases.setdefault(phase, _Agg()).add(seconds)
-            for term, detail in attributes.get("terms", {}).items():
-                s.phases.setdefault("secondary", _Agg()).add(detail["seconds"])
-                s.terms.setdefault(term, _Agg()).add(detail["seconds"])
-
     def quarantine(self, view: str, reason: str) -> None:
         """The scheduler quarantined *view*; it is stale until repaired."""
         with self._lock:
-            self._series(view).quarantine_reason = reason
+            self._quarantined[view] = reason
 
     def clear_quarantine(self, view: str) -> None:
         """The view was repaired and reinstated into the fan-out."""
         with self._lock:
-            self._series(view).quarantine_reason = None
+            self._quarantined.pop(view, None)
 
     def segment_quarantined(self, segment: str) -> None:
         """A WAL segment failed verification and was moved aside."""
@@ -178,11 +122,7 @@ class Dashboard:
         """Currently quarantined views and why (kept out of
         :meth:`totals`, whose shape is pinned by tests and CI)."""
         with self._lock:
-            return {
-                view: s.quarantine_reason
-                for view, s in sorted(self._views.items())
-                if s.quarantine_reason is not None
-            }
+            return dict(sorted(self._quarantined.items()))
 
     def durability(self) -> Dict:
         """Warehouse-wide durability/backpressure counters (kept out of
@@ -203,22 +143,30 @@ class Dashboard:
         return {view: row for view, row in rows.items() if any(row.values())}
 
     def latency_percentiles(self, view: str) -> Dict[str, float]:
-        with self._lock:
-            s = self._views.get(view)
-            samples = list(s.latencies) if s else []
-        return {"p50": percentile(samples, 0.50), "p95": percentile(samples, 0.95)}
+        """p50/p95 of *view*'s passes, from the buckets of the
+        maintenance-seconds histogram."""
+        histogram = self._registry.get(MAINTENANCE_SECONDS.name)
+        return {name: histogram.quantile(q, view=view) for name, q in (("p50", 0.5), ("p95", 0.95))}
 
-    def observed_phases(
-        self, view: str, phase: Optional[str] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-phase measured costs for *view*: avg/max seconds, count."""
-        with self._lock:
-            s = self._views.get(view)
-            return {
-                name: {"count": agg.count, "avg": agg.avg, "max": agg.max}
-                for name, agg in (s.phases.items() if s else ())
-                if phase is None or name == phase
-            }
+    def pass_costs(self) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
+        """view -> ``{"phases": ..., "terms": ...}``, each name -> count,
+        avg and max seconds: the ``phases`` and ``terms`` of every
+        finished ``maintain`` span the in-memory sink retains (a term's
+        seconds also count towards the ``secondary`` phase)."""
+        seconds: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
+        for span in _maintain_spans(list(self._memory.spans)):
+            if span.status != STATUS_OK:
+                continue
+            view = seconds.setdefault(span.attributes["view"], {"phases": {}, "terms": {}})
+            for phase, spent in span.attributes["phases"].items():
+                view["phases"].setdefault(phase, []).append(spent)
+            for term, detail in span.attributes["terms"].items():
+                view["phases"].setdefault("secondary", []).append(detail["seconds"])
+                view["terms"].setdefault(term, []).append(detail["seconds"])
+        return {
+            view: {part: _summaries(by_name) for part, by_name in parts.items()}
+            for view, parts in seconds.items()
+        }
 
     # ------------------------------------------------------------------
     # rendering
@@ -270,6 +218,7 @@ class Dashboard:
             if d["load_sheds"]:
                 lines.append(f"  load sheds     : {d['load_sheds']} changes rejected")
         reliability = self.reliability()
+        costs = self.pass_costs()
         operations = self._breakdown(PASSES, "operation")
         strategies = self._breakdown(SECONDARY_STRATEGY, "strategy")
         table_passes = self._breakdown(PASSES, "table")
@@ -302,19 +251,22 @@ class Dashboard:
                 for table, n in sorted(table_passes.get(view, {}).items())
             )
             lines.append(f"  tables         : {by_table or '(none)'}")
-            lines.extend(self._render_span_detail(view))
+            lines.extend(_render_costs(costs.get(view)))
         return "\n".join(lines)
 
-    def _render_span_detail(self, view: str) -> List[str]:
-        lines: List[str] = []
-        with self._lock:
-            s = self._views.get(view)
-            phases = sorted(s.phases.items()) if s else []
-            terms = sorted(s.terms.items(), key=lambda kv: -kv[1].max)[:5] if s else []
-        if phases:
-            rendered = ", ".join(f"{name} {agg.avg * 1000:.2f}ms avg" for name, agg in phases)
-            lines.append(f"  phases         : {rendered}")
-        if terms:
-            rendered = ", ".join(f"{term} max {agg.max * 1000:.2f}ms" for term, agg in terms)
-            lines.append(f"  slowest terms  : {rendered}")
-        return lines
+
+def _render_costs(costs) -> List[str]:
+    """The ``phases`` line (average per phase) and the ``slowest terms``
+    line (the five terms with the longest single pass) of one view."""
+    if not costs:
+        return []
+    lines: List[str] = []
+    phases = sorted(costs["phases"].items())
+    terms = sorted(costs["terms"].items(), key=lambda kv: -kv[1]["max"])[:5]
+    if phases:
+        rendered = ", ".join(f"{name} {c['avg'] * 1000:.2f}ms avg" for name, c in phases)
+        lines.append(f"  phases         : {rendered}")
+    if terms:
+        rendered = ", ".join(f"{term} max {c['max'] * 1000:.2f}ms" for term, c in terms)
+        lines.append(f"  slowest terms  : {rendered}")
+    return lines

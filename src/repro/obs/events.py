@@ -4,10 +4,10 @@ An *occurrence* is one thing that happened — a maintenance pass, a WAL
 append, a view quarantine — reported by the runtime as ``(kind, attrs)``
 through :meth:`repro.obs.Telemetry.emit`.  What an occurrence *does* is
 data in :data:`OCCURRENCES`: which metric families it writes from which
-attributes (:func:`inc` / :func:`set_to` / :func:`observe`), which SLO
-lane or outcome window it feeds, what the dashboard folds, and — when it
-has a severity — that it is also a structured :class:`Event` retained by
-the :class:`~repro.obs.recorder.FlightRecorder`.
+attributes (:func:`inc` / :func:`set_to` / :func:`observe`), what the
+dashboard folds, and — when it has a severity — that it is also a
+structured :class:`Event` retained by the
+:class:`~repro.obs.recorder.FlightRecorder`.
 
 The table is closed: ``emit`` rejects a kind that is not declared here,
 and every metric family on ``/metrics`` is declared here too, exactly
@@ -26,6 +26,8 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+
+from .metrics import DEFAULT_BUCKETS
 
 __all__ = [
     "Event",
@@ -79,9 +81,12 @@ _histogram = partial(_family, "histogram")
 
 _PASS = ("view", "table", "operation")
 _VIEW, _TABLE, _SHARD, _OUTCOME = ("view",), ("table",), ("shard",), ("outcome",)
+# a warm pass takes ~0.1 ms: the SLO and dashboard quantiles interpolate
+# inside these bounds, so they start well below it
+_PASS_BUCKETS = (0.000025, 0.00005, 0.0001, 0.00025) + DEFAULT_BUCKETS
 
 MAINTENANCE_SECONDS = _histogram(
-    "repro_maintenance_seconds", "Wall time of one view-maintenance pass", _PASS
+    "repro_maintenance_seconds", "Wall time of one view-maintenance pass", _PASS, _PASS_BUCKETS
 )
 ROWS_CHANGED = _counter(
     "repro_view_rows_changed_total", "View rows inserted or deleted by maintenance", _PASS
@@ -177,6 +182,12 @@ READ_SECONDS = _histogram(
     buckets=(
         0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05
     ),
+)
+WAREHOUSE_SECONDS = _histogram(
+    "repro_warehouse_seconds",
+    "Wall time of one synchronous change (apply) or flush() barrier (flush)",
+    ("phase",),
+    _PASS_BUCKETS,
 )
 SNAPSHOT_AGE_SECONDS = _gauge(
     "repro_snapshot_age_seconds", "Age of the snapshot serving the most recent read"
@@ -286,10 +297,9 @@ class Occurrence:
     *effects* are its metric writes.  *severity* makes it also a
     flight-recorder :class:`Event` (counted in EVENTS_TOTAL, and in
     FLIGHT_DUMPS when it triggers a dump) whose message is the attribute
-    named *message*.  *phase* is the SLO latency lane fed from
-    ``attrs["seconds"]``; *outcome* the SLO ok/error outcome recorded for
-    ``attrs["view"]``; *fold* the Dashboard method called with the
-    attributes.  The irregular few carry *handler* instead, called as
+    named *message*.  *fold* is the Dashboard method called with the
+    attributes, for what no counter can hold (quarantine reasons, segment
+    names).  The irregular few carry *handler* instead, called as
     ``handler(telemetry, *instruments, **attrs)`` with the instruments of
     the families in *writes* — the only ones it can write.
     """
@@ -300,8 +310,6 @@ class Occurrence:
         *effects: Effect,
         severity: Optional[str] = None,
         message: Optional[str] = None,
-        phase: Optional[str] = None,
-        outcome: Optional[bool] = None,
         fold: Optional[str] = None,
         handler: Optional[Callable] = None,
         writes: Tuple[Family, ...] = (),
@@ -310,8 +318,6 @@ class Occurrence:
         self.effects = effects
         self.severity = severity
         self.message = message
-        self.phase = phase
-        self.outcome = outcome
         self.fold = fold
         self.handler = handler
         self.writes = writes
@@ -321,7 +327,7 @@ class Occurrence:
 FUZZ_OUTCOMES = ("ok", "mismatch")
 
 
-def _maintenance_pass(t, seconds, rows, passes, base, fk, strategy, report, span=None):
+def _maintenance_pass(t, seconds, rows, passes, base, fk, strategy, report):
     key = (report.view, report.table, report.operation)
     seconds.child(key).observe(report.elapsed_seconds)
     rows.child(key).inc(report.total_view_changes)
@@ -331,9 +337,6 @@ def _maintenance_pass(t, seconds, rows, passes, base, fk, strategy, report, span
         fk.child(key[:2]).inc()
     for chosen in report.secondary_strategy_used.values():
         strategy.child((report.view, chosen)).inc()
-    t.health.fold_pass(report, span)
-    t.slo.observe("maintenance", report.elapsed_seconds)
-    t.slo.record_outcome(report.view, ok=True)
 
 
 def recovery_degraded(summary: Mapping) -> bool:
@@ -374,7 +377,7 @@ _PASS_FAMILIES = (
 OCCURRENCES: Dict[str, Occurrence] = {
     # -- maintenance ---------------------------------------------------------
     "maintenance.pass": Occurrence(
-        "one view-maintenance pass finished (report: MaintenanceReport, span: its maintain span)",
+        "one view-maintenance pass finished (report: MaintenanceReport)",
         handler=_maintenance_pass,
         writes=_PASS_FAMILIES,
     ),
@@ -385,7 +388,6 @@ OCCURRENCES: Dict[str, Occurrence] = {
         "one view-maintenance pass raised (the scheduler will retry)",
         inc(ERRORS),
         severity=SEVERITY_WARN,
-        outcome=False,
     ),
     "plan.compiled": Occurrence(
         "one physical maintenance plan was compiled (a plan-cache miss)",
@@ -422,14 +424,17 @@ OCCURRENCES: Dict[str, Occurrence] = {
         "queue residency of one admitted change (submit to dequeue)", observe(QUEUE_WAIT_SECONDS)
     ),
     # -- warehouse / serving -------------------------------------------------
-    "warehouse.apply": Occurrence("one synchronous change, submit to finalize", phase="apply"),
-    "warehouse.flush": Occurrence("one flush() barrier over the pending tickets", phase="flush"),
+    "warehouse.apply": Occurrence(
+        "one synchronous change, submit to finalize", observe(WAREHOUSE_SECONDS, phase="apply")
+    ),
+    "warehouse.flush": Occurrence(
+        "one flush() barrier over the pending tickets", observe(WAREHOUSE_SECONDS, phase="flush")
+    ),
     "snapshot.read": Occurrence(
         "one snapshot query: latency, snapshot age, reader lag in epochs",
         observe(READ_SECONDS),
         set_to(SNAPSHOT_AGE_SECONDS, "snapshot_age"),
         set_to(SNAPSHOT_LAG, "lag"),
-        phase="read",
     ),
     "snapshot.published": Occurrence(
         "the warehouse published a consistent read snapshot (lsn: None without a WAL)",

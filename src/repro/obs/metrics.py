@@ -4,7 +4,8 @@ Three instrument kinds, all label-aware:
 
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — a value that can go up and down;
-* :class:`Histogram` — fixed cumulative buckets plus ``_sum``/``_count``.
+* :class:`Histogram` — fixed cumulative buckets plus ``_sum``/``_count``,
+  from which :meth:`Histogram.quantile` estimates a quantile.
 
 Usage::
 
@@ -265,6 +266,24 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels) -> None:
         self.labels(**labels).observe(value)
+
+    def quantile(self, q: float, **match: str) -> float:
+        """The *q* quantile (in [0, 1]) of the series whose labels
+        include *match*, their buckets summed, estimated as Prometheus's
+        ``histogram_quantile`` does: linear inside the bucket the rank
+        falls in, from the bucket's lower bound (0 for the first), and
+        the highest finite bound when it falls in ``+Inf``.  For q > 0,
+        0 exactly when no matching series holds an observation."""
+        picks = [(self.labelnames.index(name), value) for name, value in match.items()]
+        with self._lock:
+            series = [s for key, s in self._series.items() if all(key[i] == v for i, v in picks)]
+        counts = [sum(column) for column in zip(*(s.snapshot()[0] for s in series))]
+        rank, seen = q * sum(counts), 0
+        for bound, lower, count in zip(self.buckets, (0.0,) + self.buckets, counts):
+            if count and seen + count >= rank:
+                return lower + (bound - lower) * (rank - seen) / count
+            seen += count
+        return self.buckets[-1] if rank else 0.0
 
     def _render_series(self, key, series) -> List[str]:
         counts, total_sum, total_count = series.snapshot()

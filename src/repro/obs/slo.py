@@ -1,223 +1,169 @@
 """SLO tracking: latency quantiles, error budgets, and burn rates.
 
-The ROADMAP's serving-tier goal is stated in SLO terms — "99.9% of
-maintenance passes complete, p99 apply latency under X" — so the
-observability layer has to speak that language natively rather than
-leave operators to derive it from raw counters.
+The serving tier's goal is stated in SLO terms — "99.9% of maintenance
+passes complete, p99 apply latency under X".  :class:`SLOTracker` keeps
+no sample of its own; it reads the metrics registry when asked:
 
-:class:`SLOTracker` keeps two kinds of state:
+* **Latency quantiles** per phase — p50/p95/p99 from the buckets of the
+  phase's histogram (:meth:`~repro.obs.metrics.Histogram.quantile`), so
+  their resolution is the bucket bounds.
+* **Error budgets** per view — over a one-hour window, the maintenance
+  error counter against attempts (those errors plus completed passes):
+  the error rate, the budget left, and the **burn rate**, the error rate
+  over the budgeted rate ``1 - objective``.  Burn rate 1.0 spends the
+  budget exactly as fast as the SLO allows; 14.4 is the classic "page
+  now" threshold (budget gone in 1/14.4 of the window).
 
-* **Latency samples** per phase (``apply``, ``flush``, ``maintenance``,
-  ``read``),
-  bounded reservoirs from which p50/p95/p99 are computed on demand.
-  Quantiles use the nearest-rank method over the retained window — exact
-  for windows below the bound, a recent-biased estimate beyond it.
-* **Outcome windows** per view: ``(timestamp, ok)`` pairs over a sliding
-  window (default one hour).  From these come the error rate, the
-  remaining error budget, and the **burn rate** — observed error rate
-  divided by the budgeted rate ``1 - objective``.  Burn rate 1.0 means
-  the view is consuming its budget exactly as fast as the SLO allows;
-  14.4 is the classic "page now" threshold (budget gone in 1/14.4 of the
-  window).
-
-The clock is injectable so tests can step time deterministically.
-All state is guarded by one lock; every operation is O(window) or
-better, and windows are bounded, so the tracker is safe to leave on in
-the hot path.
+The window is read at scrape: each read of the budgets takes a reading
+of those counters, and a small ring keeps one per :data:`READING_SPACING`
+seconds.  The baseline is the newest reading at least one window old —
+or zero, counting from construction, until one is.  The clock is
+injectable so tests can step time deterministically.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+from .events import ERRORS, MAINTENANCE_SECONDS, PASSES, READ_SECONDS, WAREHOUSE_SECONDS
 
 __all__ = ["SLOTracker", "PHASES", "DEFAULT_OBJECTIVE", "QUANTILES"]
 
 #: Pipeline phases with latency SLOs (``read`` is the serving tier's
-#: snapshot-query lane — see docs/SERVING.md).
-PHASES = ("apply", "flush", "maintenance", "read")
+#: snapshot-query lane — see docs/SERVING.md): the histogram each reads,
+#: and the labels its series must carry.
+_LANES = {
+    "apply": (WAREHOUSE_SECONDS, {"phase": "apply"}),
+    "flush": (WAREHOUSE_SECONDS, {"phase": "flush"}),
+    "maintenance": (MAINTENANCE_SECONDS, {}),
+    "read": (READ_SECONDS, {}),
+}
+PHASES = tuple(_LANES)
 
-#: Success-rate objective views are held to unless overridden: 99.9%.
+#: Success-rate objective every view is held to: 99.9%.
 DEFAULT_OBJECTIVE = 0.999
+
+#: The sliding window of the error budgets, in seconds.
+WINDOW_SECONDS = 3600.0
+
+#: The ring keeps at most one counter reading per this many seconds.
+READING_SPACING = WINDOW_SECONDS / 60
 
 #: Quantiles surfaced in the dashboard and the exported gauges.
 QUANTILES = (0.5, 0.95, 0.99)
 
-MAX_LATENCY_SAMPLES = 4096
-MAX_OUTCOME_SAMPLES = 8192
-
-
-def _nearest_rank(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = max(0, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[idx]
-
 
 class SLOTracker:
-    """Sliding-window SLO state for the warehouse."""
+    """Sliding-window SLO state for the warehouse, read off *registry*."""
 
-    def __init__(
-        self,
-        objective: float = DEFAULT_OBJECTIVE,
-        window_seconds: float = 3600.0,
-        clock=time.time,
-    ):
-        if not 0.0 < objective < 1.0:
-            raise ValueError("objective must be in (0, 1)")
-        self.objective = float(objective)
-        self.window_seconds = float(window_seconds)
+    objective = DEFAULT_OBJECTIVE
+    window_seconds = WINDOW_SECONDS
+
+    def __init__(self, registry, clock=time.time):
+        self._registry = registry
         self._clock = clock
         self._lock = threading.Lock()
-        self._latencies: Dict[str, deque] = {
-            phase: deque(maxlen=MAX_LATENCY_SAMPLES) for phase in PHASES
-        }
-        self._outcomes: Dict[str, deque] = {}
-
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-    def observe(self, phase: str, seconds: float) -> None:
-        """One latency sample for *phase* (unknown phases get a lane)."""
-        with self._lock:
-            lane = self._latencies.get(phase)
-            if lane is None:
-                lane = deque(maxlen=MAX_LATENCY_SAMPLES)
-                self._latencies[phase] = lane
-            lane.append(float(seconds))
-
-    def record_outcome(self, view: str, ok: bool) -> None:
-        """One maintenance outcome for *view* into its sliding window."""
-        now = self._clock()
-        with self._lock:
-            window = self._outcomes.get(view)
-            if window is None:
-                window = deque(maxlen=MAX_OUTCOME_SAMPLES)
-                self._outcomes[view] = window
-            window.append((now, bool(ok)))
-            self._expire(window, now)
-
-    def _expire(self, window: deque, now: float) -> None:
-        cutoff = now - self.window_seconds
-        while window and window[0][0] < cutoff:
-            window.popleft()
+        # (time, {view: (errors, attempts)}), oldest first
+        self._readings: List[Tuple[float, Dict[str, Tuple[float, float]]]] = []
 
     # ------------------------------------------------------------------
     # latency quantiles
     # ------------------------------------------------------------------
-    def latency_quantiles(
-        self, phase: str, quantiles: Tuple[float, ...] = QUANTILES
-    ) -> Dict[str, float]:
+    def latency_quantiles(self, phase: str) -> Dict[str, float]:
         """``{"p50": ..., "p95": ..., "p99": ...}`` for *phase*."""
-        with self._lock:
-            values = sorted(self._latencies.get(phase, ()))
-        return {
-            f"p{int(q * 100)}": _nearest_rank(values, q) for q in quantiles
-        }
+        family, match = _LANES[phase]
+        histogram = self._registry.get(family.name)
+        return {f"p{int(q * 100)}": histogram.quantile(q, **match) for q in QUANTILES}
 
     def phases(self) -> List[str]:
-        """Phases with at least one sample, declared order first."""
-        with self._lock:
-            return [p for p, lane in self._latencies.items() if lane]
+        """Phases with at least one observation (a quantile reads 0
+        only without one), in declared order."""
+        return [phase for phase in PHASES if self.latency_quantiles(phase)["p99"]]
 
     # ------------------------------------------------------------------
     # error budgets
     # ------------------------------------------------------------------
-    def _view_stats(self, view: str, now: float) -> Tuple[int, int]:
-        window = self._outcomes.get(view)
-        if window is None:
-            return 0, 0
-        self._expire(window, now)
-        total = len(window)
-        errors = sum(1 for _, ok in window if not ok)
-        return total, errors
-
-    def error_rate(self, view: str) -> float:
+    def _window(self) -> Dict[str, Tuple[float, float]]:
+        """view -> (errors, attempts) inside the window: the counters
+        now, less the baseline reading."""
+        errors = self._registry.get(ERRORS.name).sum_by("view")
+        passes = self._registry.get(PASSES.name).sum_by("view")
+        now_counts = {
+            key[0]: (errors.get(key, 0.0), errors.get(key, 0.0) + passes.get(key, 0.0))
+            for key in errors.keys() | passes.keys()
+        }
         now = self._clock()
         with self._lock:
-            total, errors = self._view_stats(view, now)
-        return errors / total if total else 0.0
+            readings = self._readings
+            if not readings or now - readings[-1][0] >= READING_SPACING:
+                readings.append((now, now_counts))
+            old = [i for i, (at, _) in enumerate(readings) if at <= now - self.window_seconds]
+            if old:
+                del readings[: old[-1]]  # keep the baseline, drop what precedes it
+            baseline = readings[0][1] if old else {}
+        return {
+            view: (errs - baseline.get(view, (0, 0))[0], tries - baseline.get(view, (0, 0))[1])
+            for view, (errs, tries) in sorted(now_counts.items())
+        }
 
-    def burn_rate(self, view: str) -> float:
-        """Error rate over the window divided by the budgeted rate.
+    def _budget(self, errors: float, attempts: float) -> Dict:
+        """The window's budget figures for one view.
 
-        1.0 = consuming budget exactly at the sustainable pace; >1
-        exhausts the budget before the window rolls over; 0 = clean.
+        Burn rate 1.0 = consuming budget exactly at the sustainable pace;
+        >1 exhausts the budget before the window rolls over; 0 = clean.
+        The remaining budget is in [0, 1], and intact (1.0) with no
+        attempts.
         """
         budget = 1.0 - self.objective
-        return self.error_rate(view) / budget
-
-    def budget_remaining(self, view: str) -> float:
-        """Fraction of the window's error budget still unspent, in
-        [0, 1].  With no observations the budget is intact (1.0)."""
-        now = self._clock()
-        with self._lock:
-            total, errors = self._view_stats(view, now)
-        if not total:
-            return 1.0
-        allowed = total * (1.0 - self.objective)
-        if allowed <= 0:
-            return 0.0 if errors else 1.0
-        return max(0.0, 1.0 - errors / allowed)
-
-    def views(self) -> List[str]:
-        with self._lock:
-            return sorted(self._outcomes)
+        rate = errors / attempts if attempts else 0.0
+        return {
+            "passes": int(attempts),
+            "errors": int(errors),
+            "error_rate": rate,
+            "burn_rate": rate / budget,
+            "budget_remaining": max(0.0, 1.0 - errors / (attempts * budget)) if attempts else 1.0,
+        }
 
     # ------------------------------------------------------------------
     # surfacing
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """Everything the dashboard shows, one JSON-friendly dict."""
-        out: Dict = {
+        return {
             "objective": self.objective,
             "window_seconds": self.window_seconds,
-            "latency": {
-                phase: self.latency_quantiles(phase)
-                for phase in self.phases()
-            },
-            "views": {},
+            "latency": {phase: self.latency_quantiles(phase) for phase in self.phases()},
+            "views": {view: self._budget(*counts) for view, counts in self._window().items()},
         }
-        now = self._clock()
-        for view in self.views():
-            with self._lock:
-                total, errors = self._view_stats(view, now)
-            out["views"][view] = {
-                "passes": total,
-                "errors": errors,
-                "error_rate": errors / total if total else 0.0,
-                "burn_rate": self.burn_rate(view),
-                "budget_remaining": self.budget_remaining(view),
-            }
-        return out
 
-    def export(self, registry) -> None:
-        """Refresh the SLO gauges in *registry* from current state.
+    def export(self) -> None:
+        """Refresh the SLO gauges in the registry from current state.
 
         Called just before exposition so scrapes always see fresh
         values; gauges (not counters) because quantiles and burn rates
         are point-in-time statistics, free to move in both directions.
         """
-        latency = registry.gauge(
+        latency = self._registry.gauge(
             "repro_slo_latency_seconds",
             "Phase latency quantile over the retained window",
             ("phase", "quantile"),
         )
-        burn = registry.gauge(
+        burn = self._registry.gauge(
             "repro_slo_burn_rate",
             "Error-budget burn rate per view (1.0 = budget pace)",
             ("view",),
         )
-        budget = registry.gauge(
+        remaining = self._registry.gauge(
             "repro_slo_error_budget_remaining",
             "Fraction of the error budget left in the sliding window",
             ("view",),
         )
-        for phase in self.phases():
-            for name, value in self.latency_quantiles(phase).items():
+        snapshot = self.snapshot()
+        for phase, quantiles in snapshot["latency"].items():
+            for name, value in quantiles.items():
                 latency.set(value, phase=phase, quantile=name)
-        for view in self.views():
-            burn.set(self.burn_rate(view), view=view)
-            budget.set(self.budget_remaining(view), view=view)
+        for view, budget in snapshot["views"].items():
+            burn.set(budget["burn_rate"], view=view)
+            remaining.set(budget["budget_remaining"], view=view)

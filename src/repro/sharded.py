@@ -74,6 +74,7 @@ from .engine.catalog import Database
 from .engine.table import Row
 from .errors import (
     CatalogError,
+    FanOutError,
     MaintenanceError,
     ReproError,
     ShardingError,
@@ -446,16 +447,16 @@ class ShardedWarehouse(Warehouse):
             return self.router.split_keys(table, rows)
         return self.router.split_rows(table, rows)
 
-    def _merge_reports(self, shard_reports: List[Reports]) -> Reports:
-        """Recombine per-shard reports into the first one per view (each
-        shard's reports are this process's own unpickled copies): row
+    def _merge_reports(self, responses: Dict[int, Dict]) -> Reports:
+        """Recombine the shards' reports in *responses* into the first one
+        per view (each shard's reports are this process's own copies): row
         counts add, term lists union, the slowest shard's time stands
         and the first strategy per term stays.  No report is
         primary-skipped: a shard runs no task for a view whose pass
         record is statically empty (``Warehouse._tasks``)."""
         merged: Reports = {}
-        for reports in shard_reports:
-            for view, report in reports.items():
+        for shard in sorted(responses):
+            for view, report in responses[shard]["reports"].items():
                 into = merged.setdefault(view, report)
                 if into is report:
                     continue
@@ -618,18 +619,18 @@ class ShardedWarehouse(Warehouse):
         transaction.  Any failure before the commit point rolls it back
         on every shard, and the first typed error lands in
         ``result.error`` — all-or-nothing, like a constraint failure on
-        the local transport."""
+        the local transport, naming only views it left quarantined."""
         result = FanOutResult(ticket.table, ticket.operation)
         try:
             responses = self._wait_all(ticket._replies, timeout)
             if ticket._txn is not None:
                 ticket._txn.commit()
-            result.reports = self._merge_reports(
-                [responses[s]["reports"] for s in sorted(responses)]
-            )
+            result.reports = self._merge_reports(responses)
         except ReproError as exc:
             if ticket._txn is not None:
                 ticket._txn.rollback()  # a no-op past the commit point
+                if isinstance(exc, FanOutError) and exc.quarantined:
+                    exc.quarantined = sorted(set(exc.quarantined) & set(self.quarantined_views))
             result.error = exc
         return result
 
@@ -669,9 +670,7 @@ class ShardedWarehouse(Warehouse):
         # caller rolls them back together
         parts = self._route(table, rows)
         responses = self._wait_all(self._send(txn, table, operation, parts, **flags))
-        return self._merge_reports(
-            [responses[shard]["reports"] for shard in sorted(responses)]
-        )
+        return self._merge_reports(responses)
 
     def _txn_prepare(self, txn: Transaction) -> None:
         """Phase 1: every participant not prepared yet validates its

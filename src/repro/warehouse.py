@@ -1083,15 +1083,16 @@ class Warehouse:
         """The statements are already maintained: ack them and sync (a
         prepare's commit must be durable), then publish it — intermediate
         statement states were never visible to readers.  A commit counts
-        as one change towards ``checkpoint_interval``."""
+        as one change towards ``checkpoint_interval``, an empty one as none."""
         self._open_txns.discard(txn)
         if self.wal is not None:
             for lsn in lsns:
                 self.wal.ack(lsn)
             self.wal.sync()
-        self._publish()
-        self._changes_since_checkpoint += 1
-        self._maybe_checkpoint()
+        if txn._statements:
+            self._publish()
+            self._changes_since_checkpoint += 1
+            self._maybe_checkpoint()
 
     def _txn_abort(self, txn: "Transaction") -> None:
         """Undo as an inverse change: a durable prepare's ``resolve``

@@ -12,6 +12,7 @@ import re
 import pytest
 
 from repro.errors import FanOutError, MaintenanceError
+from repro.explain import explain_update
 from repro.obs import Telemetry
 from repro.tpch import TPCHGenerator, oj_view, v3
 from repro.warehouse import Warehouse
@@ -192,6 +193,37 @@ class TestMetricsAndDashboard:
         assert "-- v3 --" in out and "-- oj_view --" in out
         assert "secondary mix" in out
         assert "phases" in out  # span attributes fed per-phase aggregates
+
+    def test_phase_and_term_lines_fold_the_retained_spans(self, wh, generator):
+        """The dashboard's ``phases`` and ``slowest terms`` lines and
+        explain's measured line are a fold, at read time, over the
+        ``maintain`` spans the telemetry retains."""
+        for seed in (1, 2, 3):
+            wh.insert("lineitem", generator.lineitem_insert_batch(10, seed=seed))
+        wh.delete("lineitem", generator.lineitem_delete_batch(wh.db, 5, seed=4))
+        phases, terms = {}, {}
+        for root in wh.telemetry.spans:
+            for span in root.children:
+                if span.attributes["view"] == "v3":
+                    for name, seconds in span.attributes["phases"].items():
+                        phases.setdefault(name, []).append(seconds)
+                    for term, detail in span.attributes["terms"].items():
+                        phases.setdefault("secondary", []).append(detail["seconds"])
+                        terms.setdefault(term, []).append(detail["seconds"])
+        assert phases and terms
+        ms = {name: (sum(s) / len(s) * 1000, max(s) * 1000, len(s)) for name, s in phases.items()}
+        slowest = sorted(terms.items(), key=lambda kv: -max(kv[1]))[:5]
+        v3 = wh.dashboard().split("-- v3 --")[1]
+        assert "  phases         : " + ", ".join(
+            f"{name} {avg:.2f}ms avg" for name, (avg, _, _) in sorted(ms.items())
+        ) in v3
+        assert "  slowest terms  : " + ", ".join(
+            f"{term} max {max(s) * 1000:.2f}ms" for term, s in slowest
+        ) in v3
+        assert "  Measured (telemetry): " + ", ".join(
+            f"{name} {avg:.2f}ms avg/{top:.2f}ms max over {n}"
+            for name, (avg, top, n) in sorted(ms.items())
+        ) in explain_update(wh.maintainer("v3"), "lineitem")
 
     def test_disabled_warehouse_pays_nothing(self, generator):
         db = TPCHGenerator(scale_factor=0.001, seed=5).build()

@@ -1,8 +1,10 @@
-"""Dashboard aggregation: percentile math, per-view series, rendering.
+"""Dashboard aggregation: per-view series from the registry and the
+retained spans, rendering.
 
 The dashboard holds no counts of its own: every case drives a
-``Telemetry`` through ``emit`` and reads ``telemetry.health``, which
-renders the registry's counters beside its own latency/span series.
+``Telemetry`` through ``emit`` (and, for phase and term costs, finished
+``maintain`` spans into its in-memory sink) and reads
+``telemetry.health``.
 """
 
 import types
@@ -10,8 +12,6 @@ import types
 import pytest
 
 from repro.obs import Telemetry
-from repro.obs import dashboard
-from repro.obs.dashboard import percentile
 
 
 def make_report(
@@ -36,42 +36,24 @@ def make_report(
     )
 
 
-def make_span(phases=None, terms=None):
-    """A minimal ``maintain`` span stub: Dashboard only reads its
-    ``phases`` (phase -> seconds) and ``terms`` attributes (here term ->
-    seconds)."""
+def traced(telemetry, view="v3", phases=None, terms=None, status="ok"):
+    """One finished ``maintain`` span in *telemetry*'s in-memory
+    sink, carrying ``phases`` (phase -> seconds) and ``terms`` (here
+    term -> seconds) as a maintenance pass leaves them."""
     terms = {
         term: {"strategy": "view", "seconds": seconds, "rows": 0}
         for term, seconds in (terms or {}).items()
     }
-    return types.SimpleNamespace(attributes={"phases": phases or {}, "terms": terms})
+    with telemetry.tracer.span("maintain", view=view, phases=phases or {}, terms=terms) as span:
+        span.status = status
 
 
-def passed(telemetry, span=None, **fields):
-    telemetry.emit("maintenance.pass", report=make_report(**fields), span=span)
+def passed(telemetry, **fields):
+    telemetry.emit("maintenance.pass", report=make_report(**fields))
 
 
 def quarantine(telemetry, view, reason):
     telemetry.emit("view.quarantined", view=view, reason=reason)
-
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert percentile([], 0.5) == 0.0
-
-    def test_single_value(self):
-        assert percentile([7.0], 0.95) == 7.0
-
-    def test_median_even_count_interpolates(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
-
-    def test_p95_interpolates(self):
-        values = [float(i) for i in range(1, 101)]  # 1..100
-        # rank = 99 * 0.95 = 94.05 -> 95 + 0.05 * (96 - 95)
-        assert percentile(values, 0.95) == pytest.approx(95.05)
-
-    def test_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
 
 
 class TestSeries:
@@ -101,33 +83,16 @@ class TestSeries:
         for ms in (1, 2, 3, 4):
             passed(t, elapsed_seconds=ms / 1000.0)
         pct = t.health.latency_percentiles("v3")
+        # buckets (..., 1] 1, (1, 2.5] 1, (2.5, 5] 2 (ms): rank 2 closes
+        # the second, rank 3.8 sits 1.8/2 into the third
         assert pct["p50"] == pytest.approx(0.0025)
-        assert pct["p95"] == pytest.approx(0.00385)
+        assert pct["p95"] == pytest.approx(0.0025 + 0.0025 * 0.9)
 
     def test_unknown_view_percentiles_are_zero(self):
         assert Telemetry().health.latency_percentiles("nope") == {
             "p50": 0.0,
             "p95": 0.0,
         }
-
-    def test_latency_samples_bounded(self, monkeypatch):
-        monkeypatch.setattr(dashboard, "MAX_LATENCY_SAMPLES", 3)
-        t = Telemetry()
-        for _ in range(10):
-            passed(t)
-        assert len(t.health._views["v3"].latencies) == 3
-        assert t.health.totals()["v3"]["passes"] == 10  # counting never stops
-
-    def test_latency_series_keeps_the_newest_samples(self):
-        """Past the bound the series slides: percentiles follow the
-        latest passes instead of freezing on the first ones."""
-        t = Telemetry()
-        for _ in range(dashboard.MAX_LATENCY_SAMPLES):
-            passed(t, elapsed_seconds=0.001)
-        for _ in range(dashboard.MAX_LATENCY_SAMPLES):
-            passed(t, elapsed_seconds=0.5)
-        assert len(t.health._views["v3"].latencies) == dashboard.MAX_LATENCY_SAMPLES
-        assert t.health.latency_percentiles("v3") == {"p50": 0.5, "p95": 0.5}
 
     def test_strategy_mix_counted_per_term(self):
         t = Telemetry()
@@ -140,22 +105,26 @@ class TestSeries:
 
     def test_span_phases_and_terms(self):
         t = Telemetry()
-        span = make_span(
-            {"classify": 0.001, "primary_delta": 0.004},
-            {"{customer}": 0.002, "{part}": 0.006},
+        traced(
+            t,
+            phases={"classify": 0.001, "primary_delta": 0.004},
+            terms={"{customer}": 0.002, "{part}": 0.006},
         )
-        passed(t, span)
-        dash = t.health
-        phases = dash.observed_phases("v3")
-        assert phases["classify"]["count"] == 1
+        traced(t, phases={"classify": 0.003}, status="error")  # a failed pass
+        with t.tracer.span("change"):  # a warehouse change: spans nest
+            traced(t, view="oj", phases={"classify": 0.002})
+        costs = t.health.pass_costs()
+        phases = costs["v3"]["phases"]
+        assert phases["classify"] == {"count": 1, "avg": 0.001, "max": 0.001}
         assert phases["secondary"]["count"] == 2
         assert phases["secondary"]["max"] == pytest.approx(0.006)
         assert phases["secondary"]["avg"] == pytest.approx(0.004)
-        assert dash.observed_phases("v3", "classify") == {
-            "classify": {"count": 1, "avg": 0.001, "max": 0.001}
+        assert costs["v3"]["terms"]["{part}"]["max"] == pytest.approx(0.006)
+        assert costs["oj"] == {
+            "phases": {"classify": {"count": 1, "avg": 0.002, "max": 0.002}},
+            "terms": {},
         }
-        assert dash.observed_phases("v3", "nope") == {}
-        assert dash._views["v3"].terms["{part}"].max == pytest.approx(0.006)
+        assert "nope" not in costs
 
 
 class TestRender:
@@ -165,9 +134,9 @@ class TestRender:
 
     def test_render_contains_views_and_details(self):
         t = Telemetry()
+        traced(t, view="orders_view", terms={"{customer}": 0.002})
         passed(
             t,
-            make_span(terms={"{customer}": 0.002}),
             view="orders_view",
             table="orders",
             primary_skipped=True,

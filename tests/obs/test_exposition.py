@@ -1,6 +1,7 @@
 """OpenMetrics encoding, validation, and the HTTP introspection server."""
 
 import json
+import types
 import urllib.request
 
 import pytest
@@ -129,7 +130,11 @@ class TestObsServer:
         t = Telemetry()
         t.emit("wal.append", table="lineitem")
         t.emit("warehouse.apply", seconds=0.001)
-        t.slo.record_outcome("v3", True)
+        t.emit("maintenance.pass", report=types.SimpleNamespace(
+            view="v3", table="lineitem", operation="insert", total_view_changes=1,
+            base_rows=1, primary_skipped=False, elapsed_seconds=0.001,
+            secondary_strategy_used={},
+        ))
         return t
 
     @pytest.fixture

@@ -98,6 +98,44 @@ class TestHistogramBuckets:
             registry.histogram("h", "", (), buckets=())
 
 
+# (observations as (view, table, seconds), q, label match, expected) over
+# bounds 1 / 2 / 4: the bucket quantile every p50/p95/p99 is read from
+QUANTILE_TABLE = {
+    "empty-histogram": ([], 0.5, {}, 0.0),
+    "no-series-matches": ([("v3", "t", 1.5)], 0.5, {"view": "oj"}, 0.0),
+    "single-bucket": ([("v3", "t", 1.5)] * 4, 0.5, {}, 1.5),
+    "first-bucket-starts-at-0": ([("v3", "t", 0.5)], 0.5, {}, 0.5),
+    "interpolates-inside-a-bucket": (
+        [("v3", "t", 0.5), ("v3", "t", 3.0), ("v3", "t", 3.0), ("v3", "t", 3.0)],
+        0.75,
+        {},
+        2.0 + 2.0 * (2 / 3),
+    ),
+    "inf-gives-the-highest-finite-bound": ([("v3", "t", 9.0)], 0.99, {}, 4.0),
+    "sums-across-label-sets": (
+        [("v3", "a", 0.5), ("v3", "b", 1.5), ("oj", "a", 3.0)],
+        1.0,
+        {"view": "v3"},
+        2.0,
+    ),
+    "matches-every-label-given": (
+        [("v3", "a", 0.5), ("v3", "b", 1.5), ("oj", "b", 3.0)],
+        0.5,
+        {"view": "v3", "table": "b"},
+        1.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", QUANTILE_TABLE)
+def test_histogram_quantile(registry, case):
+    observations, q, match, expected = QUANTILE_TABLE[case]
+    h = registry.histogram("h_seconds", "", ("view", "table"), buckets=(1.0, 2.0, 4.0))
+    for view, table, seconds in observations:
+        h.observe(seconds, view=view, table=table)
+    assert h.quantile(q, **match) == pytest.approx(expected)
+
+
 GOLDEN = """\
 # HELP repro_maintenance_seconds Wall time of one pass
 # TYPE repro_maintenance_seconds histogram

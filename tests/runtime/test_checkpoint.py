@@ -120,9 +120,14 @@ class TestCheckpointRoundTrip:
         assert wh.checkpoints.checkpoint_paths() == []
         wh.insert("orders", [(2, 200)])  # the second change checkpoints
         assert len(wh.checkpoints.checkpoint_paths()) == 1
+        published = wh.snapshots.published_count
         with wh.transaction() as txn:  # a statement in a transaction too
             assert txn.insert("orders", []) == {}
+        with wh.transaction():  # and a transaction with no statement
+            pass
         assert wh.wal.last_lsn == 2
+        assert wh.snapshots.published_count == published
+        assert len(wh.checkpoints.checkpoint_paths()) == 1  # no count either
         wh.close()
 
     def test_checkpoint_compacts_the_wal(self, tmp_path):

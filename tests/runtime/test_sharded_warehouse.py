@@ -18,11 +18,13 @@ from repro.core import ViewDefinition
 from repro.errors import (
     CatalogError,
     ConstraintError,
+    FanOutError,
     MaintenanceError,
     ShardingError,
 )
 from repro.obs import Telemetry
 from repro.runtime import ShardingSpec
+from repro.runtime.failpoints import FAILPOINTS
 from repro.runtime.shardproc import WORKER_GC_THRESHOLD, ShardHandle
 from repro.sharded import ShardedSnapshot, ShardedWarehouse
 from repro.warehouse import Warehouse
@@ -274,6 +276,31 @@ def test_cross_shard_transaction_rolls_back_on_prepare_failure():
         merged = frozenset(map(tuple, wh.view_rows("order_lines")))
         assert merged == reference_views(db)
         wh.check_consistency()
+    finally:
+        wh.close()
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_a_failed_view_is_reported_quarantined_only_if_it_stays_so(shards):
+    """A local change stands with the failed view quarantined.  A
+    statement reaching both shards (``orders`` is replicated) is rolled
+    back on every shard instead, and the rollback rebuilds the view, so
+    its ``FanOutError`` names no quarantined view."""
+    if shards:
+        wh = make_sharded(shards=shards)
+    else:
+        wh = Warehouse(build_db())
+        wh.create_view("order_lines", order_lines_defn())
+    try:
+        with FAILPOINTS.armed("maintain.pass", view="order_lines"):
+            with pytest.raises(FanOutError) as excinfo:
+                wh.insert("orders", [(77, 1)])
+        assert list(excinfo.value.failures) == ["order_lines"]
+        assert excinfo.value.quarantined == wh.quarantined_views
+        stands = (77, 1) in map(tuple, wh.table_rows("orders"))
+        assert (stands, wh.quarantined_views) == (
+            (False, []) if shards else (True, ["order_lines"])
+        )
     finally:
         wh.close()
 

@@ -30,7 +30,7 @@ import urllib.request
 
 from repro.errors import FanOutError
 from repro.obs import Telemetry, validate_openmetrics
-from repro.runtime import FAILPOINTS, RetryPolicy
+from repro.runtime import FAILPOINTS
 from repro.tpch import TPCHGenerator, oj_view, v3
 from repro.warehouse import Warehouse
 
@@ -54,7 +54,6 @@ def main():
     warehouse = Warehouse(
         db,
         telemetry=telemetry,
-        retry=RetryPolicy(max_attempts=1, base_delay_seconds=0.0),
         obs_http_port=0,  # ephemeral: the OS picks a free port
     )
     warehouse.create_view("v3", v3())

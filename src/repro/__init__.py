@@ -64,7 +64,6 @@ from .parser import parse_expression, parse_predicate, parse_view
 from .runtime import (
     FanOutResult,
     MaintenanceScheduler,
-    RetryPolicy,
     Snapshot,
     SnapshotStore,
     WriteAheadLog,
@@ -130,7 +129,6 @@ __all__ = [
     "WalError",
     "WriteAheadLog",
     "MaintenanceScheduler",
-    "RetryPolicy",
     "FanOutResult",
     "Snapshot",
     "SnapshotStore",

@@ -578,7 +578,7 @@ class ViewMaintainer(MaintenancePlans):
     # ------------------------------------------------------------------
     # state protocol (shared with AggregatedView): how the warehouse
     # restores checkpoints and repairs quarantined views without knowing
-    # which kind it holds.  Retries and rollbacks need nothing here: a
+    # which kind it holds.  Quarantines and rollbacks need nothing here: a
     # failed maintain() leaves its view exactly pre-change (undo_pass).
     # ------------------------------------------------------------------
     def rows(self) -> List[Row]:

@@ -69,9 +69,9 @@ class FanOutError(MaintenanceError):
       the views that succeeded;
     * ``failures`` — ``{view_name: exception}`` for the views that
       raised;
-    * ``quarantined`` — names of the views this change quarantined: every
-      view whose attempts it exhausted (one attempt without a
-      :class:`~repro.runtime.RetryPolicy`).
+    * ``quarantined`` — names of the views this change left quarantined:
+      every view whose one attempt failed, less any a transaction's
+      rollback rebuilt and reinstated.
 
     A sharded warehouse carries all three back from the worker, each
     failure rebuilt under its :class:`ReproError` class.

@@ -112,9 +112,6 @@ FAULTS: Tuple[Fault, ...] = (
     Fault("torn@checkpoint", Mangle("checkpoint", "torn"), **_ROT),
     Fault("bitflip@checkpoint", Mangle("checkpoint", "bitflip"), **_ROT),
     # in-stream: the process lives on
-    Fault("absorb@scheduler.task", Arm("scheduler.task", how={"times": None, "attempt": 1}),
-          on="every"),
-    Fault("absorb@maintain.pass", Arm("maintain.pass", how={"times": 1})),
     Fault("fail@wal.append", Arm("wal.append"), expect="refused"),
     Fault("fail@wal.fsync", Arm("wal.fsync"), expect="refused"),
     Fault("kill@shard.worker", Arm("shard.worker.kill", shard=True), **_HAVOC),
@@ -148,7 +145,7 @@ class OracleConfig:
     durability: str = "none"  # none | wal | checkpoints (WAL + a checkpoint per
     #   op over 128-byte segments, so every compaction has files to delete)
     shards: int = 0  # > 0: a ShardedWarehouse over thread-backend workers
-    scheduling: str = "inline"  # inline | queued (dispatcher + retry)
+    scheduling: str = "inline"  # inline | queued (a dispatcher thread)
     #   | serving (queued, and a snapshot read checked after every op)
     faults: Tuple[Fault, ...] = ()
 
@@ -177,8 +174,6 @@ def default_matrix() -> List[OracleConfig]:
         row("serial-wal", durability="wal",
             faults=_faults("lost-acks", "fail@wal.append", "fail@wal.fsync")),
         row("parallel-wal", durability="wal", scheduling="queued", faults=_faults("lost-acks")),
-        row("retry-transient", scheduling="queued",
-            faults=_faults("absorb@scheduler.task", "absorb@maintain.pass")),
         row("checkpoint-wal", durability=checkpoints, faults=_faults("lost-acks@lineage")),
         row("crash-checkpoint", durability=checkpoints, faults=_faults(
             "crash@checkpoint.write", "crash@checkpoint.prune",

@@ -55,7 +55,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError, ReproError
-from ..runtime import FAILPOINTS, InjectedFault, RetryPolicy
+from ..runtime import FAILPOINTS, InjectedFault
 from ..warehouse import Warehouse
 from .generator import Scenario
 from .matrix import STALL_SECONDS, Arm, Fault, Mangle, OracleConfig, default_matrix
@@ -319,7 +319,6 @@ def run_case(
     return result
 
 
-_FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_seconds=0.0)
 _CHAOS_DEADLINE = 0.6  # facade per-call deadline during chaos replay
 _CHAOS_PROBE = 0.3  # supervisor liveness-probe timeout
 _CHAOS_INJECTIONS = 3  # ``on="sample"`` steps (fewer on a short stream)
@@ -329,11 +328,7 @@ _CHAOS_SETTLE = 30.0  # max seconds to wait for reincarnation
 def _open(db, scenario: Scenario, config: OracleConfig, tmp: str) -> Warehouse:
     """A warehouse over *db*, its log and checkpoints under *tmp*, with
     the scenario's views registered under the config's options."""
-    queued = config.scheduling != "inline"
-    kwargs: Dict = {
-        "workers": 1 if queued else 0,
-        "retry": _FAST_RETRY if queued else None,
-    }
+    kwargs: Dict = {"workers": 0 if config.scheduling == "inline" else 1}
     if config.shards:
         # thread-backend workers: deterministic, and they share this
         # process's FAILPOINTS, so fault rows compose with sharding
@@ -670,7 +665,7 @@ def _run_config(
                         _check_step(
                             wh, config, step, reference.before(i), result, kind
                         )
-                        got = apply_op(wh, op)  # the retry must land
+                        got = apply_op(wh, op)  # re-applied, the op must land
             if not parted:
                 _check_outcome(
                     result, config.name, step, op, got, reference.outcomes[i]

@@ -26,7 +26,6 @@ from .events import (
     ROWS_CHANGED,
     SECONDARY_STRATEGY,
     VIEW_QUARANTINES,
-    VIEW_RETRIES,
     WAL_COMPACTIONS,
     WAL_SEGMENTS_DELETED,
 )
@@ -93,7 +92,7 @@ class Dashboard:
     @property
     def views(self) -> List[str]:
         seen = set()
-        for family in (PASSES, ERRORS, VIEW_RETRIES, VIEW_QUARANTINES):
+        for family in (PASSES, ERRORS, VIEW_QUARANTINES):
             seen.update(self._count(family, "view"))
         return sorted(seen)
 
@@ -138,8 +137,8 @@ class Dashboard:
         }
 
     def reliability(self) -> Dict[str, Dict[str, int]]:
-        """Per-view retry/quarantine counters for the runtime layer."""
-        rows = self._per_view({"retries": VIEW_RETRIES, "quarantines": VIEW_QUARANTINES})
+        """Per-view quarantine counts for the runtime layer."""
+        rows = self._per_view({"quarantines": VIEW_QUARANTINES})
         return {view: row for view, row in rows.items() if any(row.values())}
 
     def latency_percentiles(self, view: str) -> Dict[str, float]:
@@ -243,8 +242,7 @@ class Dashboard:
                 status = "QUARANTINED" if view in quarantined else "healthy"
                 r = reliability[view]
                 lines.append(
-                    f"  reliability    : {r['retries']} retries, "
-                    f"{r['quarantines']} quarantines ({status})"
+                    f"  reliability    : {r['quarantines']} quarantines ({status})"
                 )
             by_table = ", ".join(
                 f"{table}: {n} passes/{table_rows.get(view, {}).get(table, 0)} rows"

@@ -117,11 +117,8 @@ PLAN_COMPILE_SECONDS = _histogram(
 QUEUE_DEPTH = _gauge(
     "repro_scheduler_queue_depth", "Base-table changes waiting for (or in) fan-out"
 )
-VIEW_RETRIES = _counter(
-    "repro_view_retries_total", "Maintenance attempts re-run after a transient failure", _VIEW
-)
 VIEW_QUARANTINES = _counter(
-    "repro_view_quarantined_total", "Views quarantined after exhausting their retry budget", _VIEW
+    "repro_view_quarantined_total", "Views quarantined after a failed maintenance pass", _VIEW
 )
 WAL_APPENDS = _counter(
     "repro_wal_appends_total", "Base-table deltas durably recorded in the write-ahead log", _TABLE
@@ -381,11 +378,11 @@ OCCURRENCES: Dict[str, Occurrence] = {
         handler=_maintenance_pass,
         writes=_PASS_FAMILIES,
     ),
-    # warn, not error: a single failed pass is retried by the scheduler;
-    # the *terminal* outcome (view.quarantined) owns the dump, and an
-    # error here would consume the rate-limited dump slot first.
+    # warn, not error: the warehouse's outcome (view.quarantined) owns
+    # the dump, and an error here would consume the rate-limited dump
+    # slot first.
     "maintenance.error": Occurrence(
-        "one view-maintenance pass raised (the scheduler will retry)",
+        "one view-maintenance pass raised (a warehouse quarantines its view)",
         inc(ERRORS),
         severity=SEVERITY_WARN,
     ),
@@ -394,14 +391,9 @@ OCCURRENCES: Dict[str, Occurrence] = {
         observe(PLAN_COMPILE_SECONDS),
     ),
     # -- scheduler / fan-out -------------------------------------------------
-    "view.retry": Occurrence(
-        "a view maintainer raised and is being re-attempted",
-        inc(VIEW_RETRIES),
-        severity=SEVERITY_WARN,
-    ),
     "view.quarantined": Occurrence(
-        "a view exhausted its retry budget (or its undo failed) and was "
-        "quarantined: stale, excluded from fan-out",
+        "a view's maintenance pass failed and the view was quarantined: "
+        "stale, excluded from fan-out",
         inc(VIEW_QUARANTINES),
         severity=SEVERITY_ERROR,
         message="reason",

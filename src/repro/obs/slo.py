@@ -147,7 +147,7 @@ class SLOTracker:
         """
         latency = self._registry.gauge(
             "repro_slo_latency_seconds",
-            "Phase latency quantile over the retained window",
+            "Phase latency quantile over every observation since the telemetry was built",
             ("phase", "quantile"),
         )
         burn = self._registry.gauge(

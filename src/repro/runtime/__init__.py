@@ -16,9 +16,9 @@ maintainers:
   instead of total history;
 * :class:`MaintenanceScheduler` — runs each change's per-view
   maintenance one view after another, inline or on a single dispatcher
-  thread that serializes queued changes, with bounded-backoff retry
-  (:class:`RetryPolicy`), quarantine-based graceful degradation, and a
-  bounded admission queue (block or shed on overflow);
+  thread that serializes queued changes; a view whose one attempt fails
+  is quarantined (stale, excluded from fan-out) rather than poisoning
+  the change, and a bounded admission queue blocks or sheds on overflow;
 * :class:`SnapshotStore` — MVCC-style published snapshots of base
   tables + views at consistent LSNs, captured at delta cost from
   per-object change journals, giving readers torn-read-free,
@@ -49,16 +49,7 @@ a coordinator crash mid-2PC resolves deterministically.
 
 from .checkpoint import CheckpointData, CheckpointManager
 from .failpoints import FAILPOINTS, Failpoints, InjectedFault
-from .scheduler import (
-    HEALTHY,
-    QUARANTINED,
-    ChangeTicket,
-    FanOutResult,
-    MaintenanceScheduler,
-    RetryPolicy,
-    Task,
-    ViewState,
-)
+from .scheduler import ChangeTicket, FanOutResult, MaintenanceScheduler, Task
 from .sharding import (
     ShardingSpec,
     ShardRouter,
@@ -98,11 +89,7 @@ __all__ = [
     "CheckpointManager",
     "CheckpointData",
     "MaintenanceScheduler",
-    "RetryPolicy",
     "Task",
-    "ViewState",
     "FanOutResult",
     "ChangeTicket",
-    "HEALTHY",
-    "QUARANTINED",
 ]

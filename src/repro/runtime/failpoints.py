@@ -1,4 +1,4 @@
-"""Deterministic fault injection for crash and retry testing.
+"""Deterministic fault injection for crash and failure testing.
 
 A *failpoint* is a named hook compiled into the runtime's crash-relevant
 code paths.  Production code calls :meth:`Failpoints.hit` at each site;
@@ -6,8 +6,8 @@ the call is a dictionary miss (near-zero cost) unless a test or the fuzz
 harness has *armed* the site with one of three actions:
 
 * ``"raise"`` — raise :class:`InjectedFault` at the site, simulating a
-  crash (WAL append, fan-out start) or a transient maintenance failure
-  (per-view task);
+  crash (WAL append, fan-out start) or a failing maintenance pass
+  (which quarantines its view);
 * ``"skip"`` — make the site skip its own effect; the site observes this
   through the boolean return value of :meth:`~Failpoints.hit`.  Used to
   drop a WAL acknowledgement so the entry stays pending and recovery has
@@ -20,7 +20,7 @@ The instrumented sites are declared in :data:`SITES` (name → where it
 fires and what a crash there leaves behind); arming any other name is a
 :class:`ValueError`, so a typo cannot arm nothing and pass vacuously.
 
-Arming is match-filtered: ``arm("scheduler.task", view="v0", times=1)``
+Arming is match-filtered: ``arm("maintain.pass", view="v0", times=1)``
 fires only for the hit whose context has ``view == "v0"``, exactly once.
 Every hit of every *armed* failpoint is counted in :attr:`hits`
 regardless of action, so tests can assert an injection actually ran.
@@ -58,11 +58,10 @@ SITES: Dict[str, str] = {
     "durable marker plus stale segments, self-healed by the next open",
     "scheduler.fanout": "MaintenanceScheduler._execute (table, "
     "operation): change applied and logged, no view maintained yet",
-    "scheduler.task": "per view, per attempt, inside the retry loop "
-    "(view, attempt): a raise is retried, then quarantines the view",
     "maintain.pass": "ViewMaintainer / AggregatedView maintain, inside "
     "the root span after the primary apply (view, table, operation): a "
-    "half-applied pass, which undoes itself and leaves the view pre-change",
+    "half-applied pass, which undoes itself, leaves the view pre-change "
+    "and quarantines it",
     "checkpoint.write": "CheckpointManager.write, tmp file fsynced but "
     "not yet renamed (seq, lsn): the atomic-rename window",
     "checkpoint.prune": "same method, new file published, redundant "

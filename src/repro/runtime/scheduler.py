@@ -1,4 +1,4 @@
-"""Per-change view maintenance with retry and quarantine.
+"""Per-change view maintenance with quarantine.
 
 A warehouse change touches every registered view it can reach.  Each
 maintainer reads the already-applied base-table delta and writes only its
@@ -16,19 +16,15 @@ change runs inline on the caller's thread; with ``workers >= 1`` it is
 queued on a FIFO drained by a single dispatcher thread, which is what
 ``apply_async`` and the serving tier need.
 
-Failure handling per view task:
-
-* **retry** — a raising maintainer is retried with bounded exponential
-  backoff (:class:`RetryPolicy`).  A failed pass has already undone its
-  own applies, so the view is exactly pre-change and a retry is just
-  another call: nothing is copied and no snapshot journal is broken;
-* **quarantine / graceful degradation** — a view that exhausts its retry
-  budget is marked quarantined: left at its pre-change (stale but
-  internally consistent) state, excluded from subsequent changes, and
-  surfaced on the health dashboard.  A pass whose undo itself raised
-  (:class:`~repro.errors.UndoError`) has rebuilt its view and is
-  quarantined at once, with no further attempt.  The batch is never
-  poisoned — every other view is still maintained and acknowledged.
+Each view task gets one attempt.  A pass is a deterministic function of
+the base tables, the delta and the view, and a failed pass has undone
+its own applies (or, when its undo raised, rebuilt its view), so a second
+attempt would get exactly the inputs the first one failed on.  A view
+whose task raises is **quarantined** at once: left at its pre-change
+(stale but internally consistent) state, excluded from subsequent
+changes, and surfaced on the health dashboard until ``repair_view``
+rebuilds it.  The batch is never poisoned — every other view is still
+maintained and acknowledged.
 
 No deadline bounds one view's task: pure Python cannot preempt a running
 thread.  A hung maintainer is bounded where a process can be killed —
@@ -49,9 +45,7 @@ memory without limit.  Two overflow policies:
 Either way the ``repro_scheduler_queue_wait_seconds`` histogram records
 how long each admitted change sat in the queue before its views were
 maintained.  Inline (``workers=0``) nothing ever queues, so admission
-control does not apply.  With ``retry=None`` each view gets a single
-attempt; a view that fails is quarantined stale but consistent, exactly
-as it was before the change, until ``repair_view`` rebuilds it.
+control does not apply.
 """
 
 from __future__ import annotations
@@ -60,62 +54,21 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import BackpressureError, MaintenanceError, UndoError
+from ..errors import BackpressureError, MaintenanceError
 from ..obs import Telemetry
 from .failpoints import FAILPOINTS
 
-__all__ = [
-    "RetryPolicy",
-    "Task",
-    "FanOutResult",
-    "ChangeTicket",
-    "ViewState",
-    "MaintenanceScheduler",
-    "HEALTHY",
-    "QUARANTINED",
-]
-
-HEALTHY = "healthy"
-QUARANTINED = "quarantined"
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded exponential backoff for failing view maintainers.
-
-    ``max_attempts`` counts every try (1 = no retries).  The delay before
-    retry *k* is ``base_delay_seconds * 2**(k-1)``, capped at
-    ``max_delay_seconds``.
-    """
-
-    max_attempts: int = 3
-    base_delay_seconds: float = 0.005
-    max_delay_seconds: float = 0.25
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be at least 1, got {self.max_attempts}"
-            )
-        if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
-            raise ValueError("retry delays must not be negative")
-
-    def delay(self, failure_count: int) -> float:
-        return min(self.max_delay_seconds, self.base_delay_seconds * 2 ** (failure_count - 1))
-
-
-#: The policy when none is given: one attempt, no backoff.
-SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
+__all__ = ["Task", "FanOutResult", "ChangeTicket", "MaintenanceScheduler"]
 
 
 @dataclass
 class Task:
     """One view's work for one change: ``run`` performs the maintenance
     pass and returns its report.  A pass that raises leaves its view
-    exactly pre-change — a retry just calls ``run`` again, and a view
-    quarantined after its last attempt is stale, never half-updated."""
+    exactly pre-change, so the view it quarantines is stale, never
+    half-updated."""
 
     name: str
     run: Callable[[], object]
@@ -187,18 +140,6 @@ class ChangeTicket:
             fn(result)
 
 
-@dataclass
-class ViewState:
-    """Per-view scheduler health, surfaced by the dashboard."""
-
-    name: str
-    status: str = HEALTHY
-    failures: int = 0  # raising attempts, lifetime
-    retries: int = 0  # re-attempts after a failure, lifetime
-    last_error: Optional[str] = None
-    quarantine_reason: Optional[str] = None
-
-
 # A change's preparation step: applies the base-table delta (and logs it)
 # under the dispatcher's serialization, then returns the per-view tasks
 # plus the WAL LSN recorded for the change (None when unlogged).
@@ -216,13 +157,11 @@ class MaintenanceScheduler:
     def __init__(
         self,
         workers: int = 0,
-        retry: Optional[RetryPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         max_queue_depth: Optional[int] = None,
         overflow: str = "block",
     ):
         self.workers = max(0, int(workers))
-        self.retry = retry if retry is not None else SINGLE_ATTEMPT
         if overflow not in ("block", "shed"):
             raise ValueError(
                 f"unknown overflow policy {overflow!r} "
@@ -234,7 +173,7 @@ class MaintenanceScheduler:
         self.overflow = overflow
         self.load_shed_count = 0
         self.telemetry = telemetry or Telemetry.disabled()
-        self._states: Dict[str, ViewState] = {}
+        self._quarantined: Set[str] = set()
         self._lock = threading.RLock()
         self._depth = 0
         self._dispatcher: Optional[threading.Thread] = None
@@ -254,53 +193,31 @@ class MaintenanceScheduler:
             self._dispatcher.start()
 
     # ------------------------------------------------------------------
-    # view registry / health
+    # quarantine
     # ------------------------------------------------------------------
-    def register(self, name: str) -> ViewState:
-        with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                state = ViewState(name)
-                self._states[name] = state
-            return state
-
     def forget(self, name: str) -> None:
         with self._lock:
-            self._states.pop(name, None)
-
-    def state(self, name: str) -> ViewState:
-        with self._lock:
-            return self._states[name]
+            self._quarantined.discard(name)
 
     @property
     def quarantined(self) -> List[str]:
         """Names of currently quarantined (stale) views."""
         with self._lock:
-            return sorted(
-                name
-                for name, state in self._states.items()
-                if state.status == QUARANTINED
-            )
+            return sorted(self._quarantined)
 
     def is_quarantined(self, name: str) -> bool:
         with self._lock:
-            state = self._states.get(name)
-            return state is not None and state.status == QUARANTINED
+            return name in self._quarantined
 
     def reinstate(self, name: str) -> None:
         """Clear a quarantine after the view has been repaired (the
         caller must have re-materialized it — the scheduler cannot)."""
-        with self._lock:
-            state = self.register(name)
-            state.status = HEALTHY
-            state.quarantine_reason = None
+        self.forget(name)
         self.telemetry.emit("view.reinstated", view=name)
 
     def _quarantine(self, name: str, reason: str) -> None:
         with self._lock:
-            state = self.register(name)
-            state.status = QUARANTINED
-            state.quarantine_reason = reason
+            self._quarantined.add(name)
         self.telemetry.emit("view.quarantined", view=name, reason=reason)
 
     # ------------------------------------------------------------------
@@ -426,27 +343,11 @@ class MaintenanceScheduler:
         return result
 
     def _run_task(self, task: Task):
-        """The per-view retry loop; returns ``(report, error)``.  An
-        :class:`~repro.errors.UndoError` ends it: the view was rebuilt."""
-        policy = self.retry
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                # Inside the try: an injected fault is handled exactly
-                # like a raising maintainer (retry, then quarantine).
-                FAILPOINTS.hit(
-                    "scheduler.task", view=task.name, attempt=attempt
-                )
-                return task.run(), None
-            except Exception as exc:
-                with self._lock:
-                    state = self.register(task.name)
-                    state.failures += 1
-                    state.last_error = repr(exc)
-                    if attempt == policy.max_attempts or isinstance(exc, UndoError):
-                        return None, exc
-                    state.retries += 1
-                self.telemetry.emit("view.retry", view=task.name, attempt=attempt)
-                time.sleep(policy.delay(attempt))
+        """The view's one attempt; returns ``(report, error)``."""
+        try:
+            return task.run(), None
+        except Exception as exc:
+            return None, exc
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -74,14 +74,13 @@ from .engine.catalog import Database
 from .engine.table import Row
 from .errors import (
     CatalogError,
-    FanOutError,
     MaintenanceError,
     ReproError,
     ShardingError,
     ShardUnavailableError,
 )
 from .planner import wire
-from .runtime import DEFAULT_SEGMENT_BYTES, ChangeTicket, FanOutResult, RetryPolicy
+from .runtime import DEFAULT_SEGMENT_BYTES, ChangeTicket, FanOutResult
 from .runtime.failpoints import FAILPOINTS
 from .runtime.sharding import (
     ShardingSpec,
@@ -218,7 +217,7 @@ class ShardedWarehouse(Warehouse):
         the fuzz oracle uses).
     wal_path / checkpoint_dir:
         *Root* directories; shard *i* uses ``<root>/shard-<i>``.
-    workers / retry / segment_bytes / checkpoint_interval:
+    workers / segment_bytes / checkpoint_interval:
         Passed unchanged to every per-shard warehouse, so they are
         checked exactly as the local facade checks them.
     call_deadline_seconds:
@@ -243,7 +242,6 @@ class ShardedWarehouse(Warehouse):
         shard_backend: str = "process",
         wal_path: Optional[str] = None,
         workers: int = 0,
-        retry: Optional[RetryPolicy] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         checkpoint_dir: Optional[str] = None,
         checkpoint_interval: Optional[int] = None,
@@ -301,7 +299,7 @@ class ShardedWarehouse(Warehouse):
         # every shard's Warehouse(db, **settings); only the directories
         # differ, one shard-<i> below each root
         settings = dict(
-            workers=workers, retry=retry, segment_bytes=segment_bytes,
+            workers=workers, segment_bytes=segment_bytes,
             checkpoint_interval=checkpoint_interval,
         )
         self._handles: List[ShardHandle] = []
@@ -628,9 +626,7 @@ class ShardedWarehouse(Warehouse):
             result.reports = self._merge_reports(responses)
         except ReproError as exc:
             if ticket._txn is not None:
-                ticket._txn.rollback()  # a no-op past the commit point
-                if isinstance(exc, FanOutError) and exc.quarantined:
-                    exc.quarantined = sorted(set(exc.quarantined) & set(self.quarantined_views))
+                ticket._txn._rollback_after(exc)  # a no-op past the commit point
             result.error = exc
         return result
 

@@ -20,15 +20,15 @@ Runtime options (see :mod:`repro.runtime` and ``docs/DURABILITY.md``)::
                    checkpoint_dir="checkpoints", # bounded recovery
                    checkpoint_interval=1000,     # auto-checkpoint cadence
                    workers=1,                    # queue on a dispatcher
-                   max_queue_depth=256,          # admission control
-                   retry=RetryPolicy(max_attempts=3))
+                   max_queue_depth=256)          # admission control
     ticket = wh.apply_async("lineitem", "insert", rows)
     ...
     wh.flush()        # wait for queued changes, fsync the WAL
     wh.checkpoint()   # snapshot state, compact the WAL behind it
 
-The inline, undurable path is simply the default (``workers=0``, no WAL,
-one attempt per view).
+The inline, undurable path is simply the default (``workers=0``, no WAL).
+Either way a view gets one attempt per change, and a view whose pass
+fails is quarantined.
 
 ``Warehouse(db, shards=N)`` builds the sharded flavour
 (:mod:`repro.sharded`), which shares the change surface defined here and
@@ -68,7 +68,6 @@ from .runtime import (
     CheckpointManager,
     FanOutResult,
     MaintenanceScheduler,
-    RetryPolicy,
     Snapshot,
     SnapshotStore,
     Task,
@@ -106,14 +105,11 @@ class Warehouse:
         ``0`` (default): changes apply inline on the caller's thread.
         ``>= 1``: changes queue through one dispatcher thread, which
         maintains each change's views in registration order (any count
-        above 1 behaves as 1).
-    retry:
-        A :class:`~repro.runtime.RetryPolicy`.  ``None`` (default) means
-        one attempt per view.  Either way a view whose attempts are
-        exhausted is quarantined: marked stale, excluded from fan-out,
-        surfaced on the dashboard, repaired with :meth:`repair_view`
-        (the synchronous caller still gets the
-        :class:`~repro.errors.FanOutError`).
+        above 1 behaves as 1).  Either way each view gets one attempt
+        per change: a view whose pass fails is quarantined — marked
+        stale, excluded from fan-out, surfaced on the dashboard,
+        repaired with :meth:`repair_view` (the synchronous caller still
+        gets the :class:`~repro.errors.FanOutError`).
     fsync_batch:
         WAL group-commit size (records per fsync); see
         :class:`~repro.runtime.WriteAheadLog`.
@@ -197,7 +193,6 @@ class Warehouse:
         *,
         wal_path: Optional[str] = None,
         workers: int = 0,
-        retry: Optional[RetryPolicy] = None,
         fsync_batch: int = 1,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         checkpoint_dir: Optional[str] = None,
@@ -239,7 +234,6 @@ class Warehouse:
         self._tables_changed = False
         self.scheduler = MaintenanceScheduler(
             workers=workers,
-            retry=retry,
             telemetry=self.telemetry,
             max_queue_depth=max_queue_depth,
             overflow=overflow,
@@ -268,7 +262,6 @@ class Warehouse:
             else ViewDefinition(name, view)
         )
         target = self._views[name] = build(definition)
-        self.scheduler.register(name)
         return target
 
     def create_view(
@@ -666,7 +659,7 @@ class Warehouse:
         statically empty gets none (if it reads *table*, the skipped pass
         is metered as primary-skipped);
         one whose record fails to compile does, so ``maintain`` raises
-        inside the scheduler's retry and quarantine.  A failed ``maintain``
+        inside the scheduler and the view is quarantined.  A failed ``maintain``
         leaves its view exactly pre-change.  The tasks share one memo: a
         sub-plan several views' plans hold runs once for the change."""
         if not len(delta):
@@ -1047,7 +1040,6 @@ class Warehouse:
         (*check* ``False``: nothing checked, as for a plain change);
         record a non-empty delta (for the journal and the undo) *before*
         the fan-out, which may fail after the table has changed."""
-        self._tables_changed = True
         if operation == DELETE_BY_KEY:
             operation, delta = DELETE, self.db.delete_by_key(table, rows, check=check)
         elif operation == INSERT:
@@ -1055,6 +1047,7 @@ class Warehouse:
         else:
             delta = self.db.delete(table, rows, check=check)
         if len(delta):
+            self._tables_changed = True
             txn._statements.append((table, operation, delta.rows, fk_allowed, check))
         return self._maintain_now(table, delta, operation, fk_allowed)
 
@@ -1185,12 +1178,12 @@ class Transaction:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
-            self.rollback()
+            self._rollback_after(exc)
             return False
         try:
             self.commit()
-        except Exception:
-            self.rollback()
+        except Exception as failure:
+            self._rollback_after(failure)
             raise
         return False
 
@@ -1237,3 +1230,12 @@ class Transaction:
         if self._active:
             self._active = False
             self.warehouse._txn_abort(self)
+
+    def _rollback_after(self, exc: BaseException) -> None:
+        """Roll back on *exc*.  The rollback rebuilds every view
+        quarantined since entry, so a :class:`FanOutError` is left
+        naming only the views still quarantined after it."""
+        self.rollback()
+        if isinstance(exc, FanOutError) and exc.quarantined:
+            still = set(self.warehouse.quarantined_views)
+            exc.quarantined = [name for name in exc.quarantined if name in still]

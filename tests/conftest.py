@@ -9,7 +9,7 @@
 * ``no_full_capture`` — fails the test if a snapshot publish copies a
   table or view whole that the store had captured before.
 * ``no_undo_copy`` — fails the test if a transaction's begin, commit or
-  rollback, or a scheduler's maintenance pass with its retries, copies
+  rollback, or a scheduler's maintenance pass, copies
   the database or a view, resets a view wholesale, or replaces
   ``db.tables``.
 """
@@ -169,7 +169,7 @@ def no_undo_copy(monkeypatch):
     maintenance pass by its own inverse applies: with this fixture,
     ``Database.copy``, ``MaterializedView.clone`` / ``reset_to`` or a
     reassignment of ``db.tables`` inside a transaction's begin, commit or
-    rollback, or inside a scheduler task's attempts — in any thread, so
+    rollback, or inside a scheduler task's attempt — in any thread, so
     pool workers and shard workers count — fails the test (checked at
     teardown: a failure inside a worker thread would only surface as a
     dead shard)."""

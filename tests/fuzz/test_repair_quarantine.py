@@ -1,7 +1,7 @@
 """Repair and quarantine re-entry, asserted through the fuzz oracle.
 
-A poisoned view (every maintenance attempt fails via the
-``scheduler.task`` failpoint) must be quarantined without hurting its
+A poisoned view (every maintenance pass fails via the
+``maintain.pass`` failpoint) must be quarantined without hurting its
 siblings; :meth:`Warehouse.repair_view` must bring it back to exact
 recompute consistency; and the whole cycle must survive being entered a
 second time.  Consistency is judged by the same helpers the fuzzer's
@@ -19,10 +19,8 @@ from repro.core import ViewDefinition
 from repro.engine import Database
 from repro.errors import FanOutError
 from repro.fuzz import consistency_mismatches, view_divergence
-from repro.runtime import FAILPOINTS, RetryPolicy
+from repro.runtime import FAILPOINTS, InjectedFault
 from repro.warehouse import Warehouse
-
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
 
 
 def _make_warehouse(workers: int = 0) -> Warehouse:
@@ -31,7 +29,7 @@ def _make_warehouse(workers: int = 0) -> Warehouse:
     for name in ("r", "s"):
         db.create_table(name, ["k", "v"], key=["k"])
         db.insert(name, [(i, rng.randint(0, 3)) for i in range(8)])
-    wh = Warehouse(db, workers=workers, retry=NO_RETRY)
+    wh = Warehouse(db, workers=workers)
     full = Q.table("r").full_outer_join("s", on=eq("r.v", "s.v")).build()
     left = Q.table("r").left_outer_join("s", on=eq("r.v", "s.v")).build()
     wh.create_view("frail", ViewDefinition("frail", full))
@@ -40,11 +38,11 @@ def _make_warehouse(workers: int = 0) -> Warehouse:
 
 
 def _poison(view: str) -> None:
-    FAILPOINTS.arm("scheduler.task", action="raise", times=None, view=view)
+    FAILPOINTS.arm("maintain.pass", action="raise", times=None, view=view)
 
 
 def _cure() -> None:
-    FAILPOINTS.disarm("scheduler.task")
+    FAILPOINTS.disarm("maintain.pass")
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -90,11 +88,10 @@ def test_quarantine_reentry_cycle(workers):
     try:
         for generation in (1, 2):
             _poison("frail")
-            with pytest.raises(FanOutError):
+            with pytest.raises(FanOutError) as excinfo:
                 wh.insert("r", [(100 * generation, 0)])
             assert wh.scheduler.is_quarantined("frail"), generation
-            reason = wh.scheduler.state("frail").quarantine_reason
-            assert "InjectedFault" in (reason or "")
+            assert isinstance(excinfo.value.failures["frail"], InjectedFault)
 
             _cure()
             wh.repair_view("frail")

@@ -14,10 +14,8 @@ from repro.core import ViewDefinition
 from repro.engine import Database
 from repro.errors import FanOutError
 from repro.obs import Telemetry, validate_openmetrics
-from repro.runtime import FAILPOINTS, RetryPolicy
+from repro.runtime import FAILPOINTS
 from repro.warehouse import Warehouse
-
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay_seconds=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -37,13 +35,7 @@ def make_db() -> Database:
 
 
 def make_warehouse(telemetry, workers=0, **kwargs) -> Warehouse:
-    wh = Warehouse(
-        make_db(),
-        telemetry=telemetry,
-        workers=workers,
-        retry=NO_RETRY,
-        **kwargs,
-    )
+    wh = Warehouse(make_db(), telemetry=telemetry, workers=workers, **kwargs)
     full = Q.table("r").full_outer_join("s", on=eq("r.v", "s.v")).build()
     left = Q.table("r").left_outer_join("s", on=eq("r.v", "s.v")).build()
     wh.create_view("frail", ViewDefinition("frail", full))

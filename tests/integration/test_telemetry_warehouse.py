@@ -146,8 +146,8 @@ class TestMetricsAndDashboard:
     def test_reading_an_unwritten_series_creates_nothing(self, wh, generator):
         wh.insert("lineitem", generator.lineitem_insert_batch(10, seed=1))
         text, board = wh.metrics_text(), wh.telemetry.dashboard()
-        retries = wh.telemetry.metrics.get("repro_view_retries_total")
-        assert retries.value(view="ghost") == 0
+        quarantines = wh.telemetry.metrics.get("repro_view_quarantined_total")
+        assert quarantines.value(view="ghost") == 0
         assert wh.telemetry.metrics.get("repro_maintenance_passes_total").value(
             view="ghost", table="lineitem", operation="insert"
         ) == 0

@@ -18,6 +18,14 @@ four things and nothing else: the ``repro_maintenance_seconds`` bucket
 bounds (finer below 0.5 ms), the new ``repro_warehouse_seconds``
 histogram (54 families again) that the ``apply`` and ``flush`` lanes
 read, the dashboard's p50/p95 columns and the SLO latency quantiles.
+
+Since a failed view is quarantined at its first failure, nothing is
+retried: ``repro_view_retries_total`` (53 families) and ``view.retry``
+(15 event kinds) left the capture with the ``retries`` field of
+``reliability()``, and two help strings were corrected —
+``repro_view_quarantined_total`` no longer speaks of a retry budget, and
+``repro_slo_latency_seconds`` covers every observation since the
+telemetry was built, not a retained window.
 """
 
 import ast
@@ -101,7 +109,6 @@ SCENARIO = [
     ("maintenance.pass", {"report": report(view="oj", table="orders", seconds=0.3)}),
     ("maintenance.error", {"view": "v3", "table": "lineitem", "operation": "insert"}),
     ("plan.compiled", {"view": "v3", "seconds": 0.002}),
-    ("view.retry", {"view": "v3", "attempt": 1}),
     ("view.quarantined", {"view": "oj", "reason": "insert on 'orders' failed: boom"}),
     ("view.quarantined", {"view": "v3", "reason": "x"}),
     ("view.reinstated", {"view": "v3"}),
@@ -156,11 +163,11 @@ class TestGoldenExposition:
             }
             for m in telemetry.metrics.metrics()
         ]
-        assert len(exposed) == 54
+        assert len(exposed) == 53
         assert exposed == GOLDEN["families"]
 
     def test_event_kinds_severities_and_dump_triggers(self):
-        assert len(EVENT_KINDS) == 16
+        assert len(EVENT_KINDS) == 15
         severities = {kind: entry[0] for kind, entry in EVENT_KINDS.items()}
         assert severities == GOLDEN["events"]
         assert sorted(DUMP_TRIGGERS) == GOLDEN["dump_triggers"]
@@ -245,7 +252,7 @@ class TestClosure:
             written.update(effect.family.name for effect in occurrence.effects)
             written.update(family.name for family in occurrence.writes)
         assert {family.name for family in FAMILIES} == written
-        assert len(FAMILIES) == 51
+        assert len(FAMILIES) == 50
         # OpenMetrics exposes a counter's samples as <family>_total
         assert all(f.name.endswith("_total") for f in FAMILIES if f.type == "counter")
 
@@ -295,7 +302,7 @@ def test_concurrent_emit_loses_no_increment():
             telemetry.emit("maintenance.pass", report=report(view=f"v{worker % 2}"))
             telemetry.emit("snapshot.read", view="v3", seconds=1e-5, snapshot_age=0.0, lag=0)
             if i % 10 == 0:
-                telemetry.emit("view.retry", view="v3", attempt=1)
+                telemetry.emit("maintenance.error", view="v3", table="lineitem", operation="insert")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -162,13 +162,12 @@ class TestQuarantineSection:
     def test_quarantined_views_listed_with_reason(self):
         t = Telemetry()
         passed(t, view="v3")
-        t.emit("view.retry", view="v3", attempt=1)
         quarantine(t, "v3", "insert on 'lineitem' failed: boom")
         out = t.dashboard()
         assert "!! quarantined (stale, excluded from fan-out):" in out
         assert "v3: insert on 'lineitem' failed: boom" in out
-        assert "reliability    : 1 retries, 1 quarantines (QUARANTINED)" in out
-        assert t.health.reliability() == {"v3": {"retries": 1, "quarantines": 1}}
+        assert "reliability    : 1 quarantines (QUARANTINED)" in out
+        assert t.health.reliability() == {"v3": {"quarantines": 1}}
 
     def test_reinstated_view_leaves_the_section(self):
         t = Telemetry()

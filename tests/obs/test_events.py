@@ -44,15 +44,15 @@ class TestTaxonomy:
 class TestEvent:
     def test_severity_derived_from_kind(self):
         assert Event("view.quarantined").severity == SEVERITY_ERROR
-        assert Event("view.retry").severity == SEVERITY_WARN
+        assert Event("maintenance.error").severity == SEVERITY_WARN
         assert Event("checkpoint.written").severity == SEVERITY_INFO
 
     def test_timestamp_autofilled(self):
-        event = Event("view.retry")
+        event = Event("maintenance.error")
         assert event.ts is not None and event.ts > 0
 
     def test_explicit_fields_win(self):
-        event = Event("view.retry", severity="error", ts=123.0)
+        event = Event("maintenance.error", severity="error", ts=123.0)
         assert event.severity == "error"
         assert event.ts == 123.0
 
@@ -67,7 +67,7 @@ class TestEvent:
         assert out["attrs"] == {"view": "v3", "attempt": 3}
 
     def test_empty_message_and_attrs_omitted(self):
-        out = Event("view.retry").to_dict()
+        out = Event("maintenance.error").to_dict()
         assert "message" not in out
         assert "attrs" not in out
 

@@ -176,12 +176,12 @@ class TestObsServer:
         assert payload["slo"]["views"]["v3"]["passes"] == 1
 
     def test_flight_recorder_route(self, server, telemetry):
-        telemetry.emit("view.retry", view="v3", attempt=1)
+        telemetry.emit("maintenance.error", view="v3", table="lineitem", operation="insert")
         status, _headers, body = fetch(server.url + "/flight-recorder")
         assert status == 200
         payload = json.loads(body)
         kinds = [e["kind"] for e in payload["events"]]
-        assert "view.retry" in kinds
+        assert "maintenance.error" in kinds
 
     def test_unknown_route_404s(self, server):
         status, _headers, body = fetch(server.url + "/nope")

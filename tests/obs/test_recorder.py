@@ -46,7 +46,7 @@ class TestRingBounds:
     def test_events_bounded(self):
         rec = FlightRecorder(event_capacity=3)
         for i in range(7):
-            rec.record_event(Event("view.retry", attrs={"i": i}))
+            rec.record_event(Event("maintenance.error", attrs={"i": i}))
         events = rec.events
         assert len(events) == 3
         assert events[-1].attrs["i"] == 6

@@ -19,7 +19,7 @@ A change a view cannot see, or one Section 6 proves empty for it, gets
 no task at all, so its returned reports name only the views it reached;
 a skipped pass over a table the view reads is still metered.  A record
 that fails to compile keeps its task, so the error stays inside that
-view's retry and quarantine.
+view and quarantines it.
 
 Bounds are for CPython 3.11; 3.12 inlines comprehensions and reads lower.
 """

@@ -20,7 +20,6 @@ from repro.engine import operators
 from repro.engine.table import Table
 from repro.errors import FanOutError
 from repro.planner import compile_plan
-from repro.runtime import RetryPolicy
 from repro.runtime.failpoints import FAILPOINTS
 from repro.tpch import TPCHGenerator, oj_view, v2, v3
 
@@ -51,7 +50,7 @@ def batches():
 
 @pytest.fixture
 def warehouse(tiny_tpch):
-    wh = Warehouse(tiny_tpch, retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.0))
+    wh = Warehouse(tiny_tpch)
     for definition in family_views(tiny_tpch):
         wh.create_view(definition.name, definition)
     yield wh
@@ -135,15 +134,6 @@ def test_equal_sub_trees_get_equal_signatures(tiny_tpch):
     first, second, other = (compile_plan(e, tiny_tpch) for e in (inner, inner, left))
     assert first.root.sig == second.root.sig != other.root.sig
     assert first.root.delta == delta_label("lineitem")
-
-
-def test_a_retried_view_leaves_the_others_exact(warehouse, batches):
-    with FAILPOINTS.armed("scheduler.task", view="v3_win0"):
-        warehouse.insert("lineitem", batches.lineitem_insert_batch(60, seed=5))
-    assert FAILPOINTS.fired("scheduler.task") == 1
-    assert warehouse.scheduler.state("v3_win0").retries == 1
-    assert warehouse.quarantined_views == []
-    assert_recompute(warehouse)
 
 
 def test_a_quarantined_view_leaves_the_others_exact(warehouse, batches):

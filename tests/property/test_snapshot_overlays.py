@@ -1,8 +1,8 @@
 """Overlay slices answer exactly as a full capture would.
 
 A seeded random stream — inserts, deletes, ``delete_by_key``, committed
-and rolled-back transactions, retried maintenance (a pass that failed
-half-applied and undid itself), quarantine + ``repair_view``, ``create_view`` + ``drop_view`` — runs
+and rolled-back transactions, quarantine (a pass that failed half-applied
+and undid itself) + ``repair_view``, ``create_view`` + ``drop_view`` — runs
 through a warehouse whose every publish is shadowed by a deep copy of
 the live state.  Afterwards *every* snapshot ever published, including
 those held across several overlay folds, must read exactly like its copy.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.aggregate import count_star
 from repro.errors import FanOutError, ReproError
-from repro.runtime import FAILPOINTS, RetryPolicy
+from repro.runtime import FAILPOINTS
 from repro.warehouse import Warehouse
 
 from ..runtime.test_scheduler import build_db, order_lines_expr
@@ -81,7 +81,7 @@ def drive(wh, rng, steps):
     for _ in range(steps):
         kind = rng.choice(
             ["insert"] * 6 + ["delete"] * 3
-            + ["by_key", "order", "commit", "rollback", "retry", "quarantine", "ddl"]
+            + ["by_key", "order", "commit", "rollback", "quarantine", "ddl"]
         )
         try:
             if kind == "insert":
@@ -117,17 +117,10 @@ def drive(wh, rng, steps):
                         txn.insert("lineitem", fresh_lines(2))
                         txn.delete("lineitem", held_lines(1))
                         txn.insert("lineitem", [(10**6, 0, 0)])  # no such order
-            elif kind == "retry":
-                # one view's first pass fails half-applied: undone, re-run
-                rows = fresh_lines(2)
-                with FAILPOINTS.armed("maintain.pass"):
-                    wh.insert("lineitem", rows)
-                lines.update({r[:2]: r for r in rows})
             elif kind == "quarantine":
                 rows = fresh_lines(2)
-                with FAILPOINTS.armed(
-                    "scheduler.task", action="raise", times=None, view="ol_b"
-                ):
+                # ol_b's pass fails half-applied: undone, then quarantined
+                with FAILPOINTS.armed("maintain.pass", view="ol_b"):
                     with pytest.raises(FanOutError):
                         wh.insert("lineitem", rows)
                 lines.update({r[:2]: r for r in rows})
@@ -193,12 +186,7 @@ def test_every_published_snapshot_reads_like_its_deep_copy(seed):
     rng = random.Random(seed)
     db = build_db()
     db.insert("orders", [(o, o % 7) for o in range(ORDERS)])
-    wh = Warehouse(
-        db,
-        retry=RetryPolicy(
-            max_attempts=2, base_delay_seconds=0.0, max_delay_seconds=0.0
-        ),
-    )
+    wh = Warehouse(db)
     shadow = Shadow(wh)
     wh.create_view("ol_a", order_lines_expr())
     wh.create_view("ol_b", order_lines_expr())

@@ -129,6 +129,13 @@ class TestCheckpointRoundTrip:
         assert wh.snapshots.published_count == published
         assert len(wh.checkpoints.checkpoint_paths()) == 1  # no count either
         wh.close()
+        # nor does it change the tables: they stay a restore point
+        wal_only = Warehouse(build_db(), wal_path=str(tmp_path / "wal-only"), workers=workers)
+        with wal_only.transaction() as txn:
+            assert txn.insert("orders", []) == {}
+        wal_only.recover()  # no MaintenanceError
+        assert wal_only.last_recovery["replayed"] == 0
+        wal_only.close()
 
     def test_checkpoint_compacts_the_wal(self, tmp_path):
         wh = make_warehouse(tmp_path, segment_bytes=128)
@@ -513,9 +520,7 @@ class TestLineage:
         wh = lineage_warehouse(tmp_path)
         wh.create_view("ol2", order_lines_expr())
         wh.checkpoint()
-        with FAILPOINTS.armed(
-            "scheduler.task", action="raise", times=None, view="ol2"
-        ):
+        with FAILPOINTS.armed("maintain.pass", view="ol2"):
             with pytest.raises(FanOutError):
                 wh.insert("lineitem", [(1, 1, 1)])
         assert wh.quarantined_views == ["ol2"]

@@ -16,11 +16,11 @@ import pytest
 
 from repro.errors import MaintenanceError
 from repro.obs import Telemetry
-from repro.runtime import FAILPOINTS, InjectedFault, RetryPolicy, WriteAheadLog
+from repro.runtime import FAILPOINTS, InjectedFault, WriteAheadLog
 from repro.tpch import TPCHGenerator, oj_view, v3
 from repro.warehouse import Warehouse
 
-from .test_scheduler import build_db, make_flaky, order_lines_expr
+from .test_scheduler import build_db, make_broken, order_lines_expr
 
 
 @pytest.fixture
@@ -181,15 +181,11 @@ def test_recovery_skips_quarantined_views(tmp_path):
     wh.scheduler.shutdown()
     wal.close()
 
-    wh2 = Warehouse(
-        build_db(),  # the original database
-        telemetry=Telemetry(),
-        wal_path=wal_path,
-        retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.001),
-    )
+    # over the original database
+    wh2 = Warehouse(build_db(), telemetry=Telemetry(), wal_path=wal_path)
     wh2.create_view("ol_a", order_lines_expr())
     wh2.create_view("ol_b", order_lines_expr())
-    make_flaky(wh2, "ol_b", fail_times=10_000)
+    make_broken(wh2, "ol_b")
     results = wh2.recover()
     assert [r.lsn for r in results] == [lost - 1, lost]
     assert results[0].quarantined == ["ol_b"]
@@ -197,7 +193,7 @@ def test_recovery_skips_quarantined_views(tmp_path):
     # the healthy view recovered fully
     wh2.maintainer("ol_a").check_consistency()
     # and repair brings the quarantined one back
-    wh2.maintainer("ol_b").remaining_failures = 0
+    wh2.maintainer("ol_b").broken = False
     wh2.repair_view("ol_b")
     wh2.check_consistency()
     wh2.close()

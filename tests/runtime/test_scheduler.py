@@ -1,7 +1,7 @@
-"""Scheduler + warehouse fan-out failure paths: retry, quarantine, the
-graceful-degradation contract, the inline order of a change's views, and
-the failed pass that undoes itself (so a retry or a quarantine copies
-nothing)."""
+"""Scheduler + warehouse fan-out failure paths: quarantine at the first
+failure, the graceful-degradation contract, the inline order of a
+change's views, and the failed pass that undoes itself (so a quarantine
+copies nothing)."""
 
 import threading
 import time
@@ -12,14 +12,7 @@ from repro import Database, Q, eq
 from repro.core import agg_sum, count_star
 from repro.errors import FanOutError, MaintenanceError, UndoError
 from repro.obs import Telemetry
-from repro.runtime import (
-    FAILPOINTS,
-    InjectedFault,
-    MaintenanceScheduler,
-    RetryPolicy,
-    Task,
-)
-from repro.tpch import TPCHGenerator, oj_view
+from repro.runtime import FAILPOINTS, InjectedFault, MaintenanceScheduler, Task
 from repro.warehouse import Warehouse
 
 
@@ -45,41 +38,33 @@ def order_lines_expr():
     )
 
 
-class _FlakyMaintainer:
-    """Delegates to a real ViewMaintainer but raises on the first
-    *fail_times* maintenance attempts."""
+class _BrokenMaintainer:
+    """Delegates to a real ViewMaintainer but raises on every maintenance
+    pass while ``broken`` is set."""
 
-    def __init__(self, inner, fail_times):
+    def __init__(self, inner):
         self.inner = inner
-        self.remaining_failures = fail_times
-        self.attempts = 0
+        self.broken = True
 
     def __getattr__(self, attr):
         # view / definition / rebuild / rows / ...
         return getattr(self.inner, attr)
 
     def maintain(self, *args, **kwargs):
-        self.attempts += 1
-        if self.remaining_failures > 0:
-            self.remaining_failures -= 1
-            raise MaintenanceError("transient storage hiccup")
+        if self.broken:
+            raise MaintenanceError("storage hiccup")
         return self.inner.maintain(*args, **kwargs)
 
 
-def make_flaky(wh, name, fail_times):
-    wh._views[name] = _FlakyMaintainer(wh._views[name], fail_times)
+def make_broken(wh, name):
+    wh._views[name] = _BrokenMaintainer(wh._views[name])
     return wh._views[name]
 
 
 @pytest.fixture
 def wh():
     db = build_db()
-    warehouse = Warehouse(
-        db,
-        telemetry=Telemetry(),
-        workers=2,
-        retry=RetryPolicy(max_attempts=3, base_delay_seconds=0.001),
-    )
+    warehouse = Warehouse(db, telemetry=Telemetry(), workers=2)
     warehouse.create_view("ol_a", order_lines_expr())
     warehouse.create_view("ol_b", order_lines_expr())
     warehouse.insert("orders", [(1, 100), (2, 200)])
@@ -87,34 +72,9 @@ def wh():
     warehouse.scheduler.shutdown()
 
 
-class TestRetry:
-    def test_transient_failure_recovers_after_retry(self, wh):
-        flaky = make_flaky(wh, "ol_a", fail_times=2)
-        reports = wh.insert("lineitem", [(1, 1, 5), (2, 1, 7)])
-        assert set(reports) == {"ol_a", "ol_b"}
-        assert flaky.attempts == 3  # 2 failures + 1 success
-        assert wh.quarantined_views == []
-        wh.check_consistency()  # retries restored state before re-running
-        # the retries were metered
-        retries = wh.telemetry.health.reliability()["ol_a"]["retries"]
-        assert retries == 2
-
-    def test_retry_restores_view_between_attempts(self, wh):
-        # the first attempt fails half-applied: its primary insert landed,
-        # the secondary (removing order 1's NULL pad) never ran
-        FAILPOINTS.reset()
-        before = len(wh.view("ol_a"))
-        with FAILPOINTS.armed("maintain.pass", view="ol_a"):
-            wh.insert("lineitem", [(1, 1, 5)])
-        assert FAILPOINTS.fired("maintain.pass") == 1
-        assert wh.scheduler.state("ol_a").retries == 1
-        assert len(wh.view("ol_a")) == before  # row 1 replaced its NULL pad
-        wh.check_consistency()
-
-
 class TestQuarantine:
     def test_persistent_failure_is_quarantined_and_reported(self, wh):
-        make_flaky(wh, "ol_a", fail_times=10_000)
+        make_broken(wh, "ol_a")
         with pytest.raises(FanOutError) as excinfo:
             wh.insert("lineitem", [(1, 1, 5)])
         err = excinfo.value
@@ -124,7 +84,7 @@ class TestQuarantine:
         assert wh.quarantined_views == ["ol_a"]
 
     def test_quarantined_view_is_excluded_then_stale(self, wh):
-        make_flaky(wh, "ol_a", fail_times=10_000)
+        make_broken(wh, "ol_a")
         with pytest.raises(FanOutError):
             wh.insert("lineitem", [(1, 1, 5)])
         stale_rows = dict(wh.view("ol_a")._rows)
@@ -137,10 +97,10 @@ class TestQuarantine:
         assert "QUARANTINED" in wh.dashboard() or "quarantined" in wh.dashboard()
 
     def test_repair_view_reinstates(self, wh):
-        flaky = make_flaky(wh, "ol_a", fail_times=10_000)
+        broken = make_broken(wh, "ol_a")
         with pytest.raises(FanOutError):
             wh.insert("lineitem", [(1, 1, 5)])
-        flaky.remaining_failures = 0  # the fault is fixed
+        broken.broken = False  # the fault is fixed
         wh.repair_view("ol_a")
         assert wh.quarantined_views == []
         wh.insert("lineitem", [(2, 1, 7)])
@@ -148,24 +108,6 @@ class TestQuarantine:
 
 
 class TestSchedulerCore:
-    def test_backoff_delays_are_bounded(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_delay_seconds=0.01, max_delay_seconds=0.05
-        )
-        assert policy.delay(1) == 0.01
-        assert policy.delay(2) == 0.02
-        assert policy.delay(3) == 0.04
-        assert policy.delay(4) == 0.05  # capped
-        assert policy.delay(9) == 0.05
-
-    def test_rejects_a_policy_that_attempts_nothing(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_seconds=-0.001)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_delay_seconds=-1.0)
-
     def test_views_run_one_at_a_time_in_order_on_the_dispatcher(self):
         scheduler = MaintenanceScheduler(workers=2)
         ran = []
@@ -206,9 +148,7 @@ class TestSchedulerCore:
         # shard reply"): the maintainer raised, so the view is
         # quarantined with that reason and nothing else is reported
         telemetry = Telemetry()
-        scheduler = MaintenanceScheduler(
-            workers=2, retry=RetryPolicy(max_attempts=1), telemetry=telemetry
-        )
+        scheduler = MaintenanceScheduler(workers=2, telemetry=telemetry)
 
         def failing():
             raise MaintenanceError("timed out after 5s waiting for a reply")
@@ -233,12 +173,12 @@ class TestSchedulerCore:
             calls.append(1)
             raise MaintenanceError("boom")
 
-        scheduler = MaintenanceScheduler()  # workers=0, retry=None
+        scheduler = MaintenanceScheduler()  # workers=0
         result = scheduler.apply(
             lambda: ([Task("v", failing)], None), "t", "insert"
         )
-        assert len(calls) == 1  # no retry
-        assert result.quarantined == ["v"]  # exhausted -> always quarantined
+        assert len(calls) == 1  # one attempt
+        assert result.quarantined == ["v"]  # ... and its failure quarantines
         assert scheduler.is_quarantined("v")
         skipped = scheduler.apply(
             lambda: ([Task("v", failing)], None), "t", "insert"
@@ -301,13 +241,9 @@ class TestAsync:
 
     def test_flush_surfaces_async_failures(self):
         db = build_db()
-        wh = Warehouse(
-            db,
-            workers=2,
-            retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.001),
-        )
+        wh = Warehouse(db, workers=2)
         wh.create_view("ol", order_lines_expr())
-        make_flaky(wh, "ol", fail_times=10_000)
+        make_broken(wh, "ol")
         try:
             wh.apply_async("orders", "insert", [(1, 100)])
             with pytest.raises(FanOutError) as excinfo:
@@ -321,11 +257,17 @@ class TestAsync:
 # a failed pass undoes itself
 # ---------------------------------------------------------------------------
 class TestFailedPassIsUndone:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_single_attempt_ends_stale_not_half_applied(self, workers):
-        """retry=None: a fault between the primary and the secondary
-        apply quarantines the plain and the aggregated view exactly as
-        they were before the change."""
+    @pytest.mark.parametrize("failing", ["ol", "per_cust"])
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_single_attempt_ends_stale_not_half_applied(
+        self, workers, failing, monkeypatch, no_undo_copy
+    ):
+        """A plain or an aggregated view whose pass fails between its
+        primary and its secondary apply: ``maintain`` runs once, the
+        change raises, the view is quarantined exactly as it was before
+        the change, the other view stays exact, the undo copies nothing
+        (so the next publish takes no full capture), and ``repair_view``
+        restores recompute."""
         wh = Warehouse(build_db(), workers=workers)
         wh.create_view("ol", order_lines_expr())
         wh.create_aggregated_view(
@@ -335,66 +277,51 @@ class TestFailedPassIsUndone:
             [count_star("n"), agg_sum("lineitem.l_qty", "qty")],
         )
         wh.insert("orders", [(1, 100), (2, 200)])
-        contents = {
+        read = {
             "ol": lambda: frozenset(wh.view("ol").rows()),
             "per_cust": lambda: wh.aggregated_view("per_cust").rows(),
-        }
-        before = {name: read() for name, read in contents.items()}
-        mid_pass = {}
+        }[failing]
+        before, mid_pass, calls = read(), [], []
+        target = wh._views[failing]
+        maintain = target.maintain
+        monkeypatch.setattr(
+            target, "maintain", lambda *args: calls.append(args) or maintain(*args)
+        )
 
-        def strike(view, **_context):
-            mid_pass[view] = contents[view]()
-            raise InjectedFault(f"{view} fails half-applied")
+        def strike(**_context):
+            mid_pass.append(read())
+            raise InjectedFault(f"{failing} fails half-applied")
 
+        captures = wh.snapshots.full_captures
         try:
             with FAILPOINTS.armed(
-                "maintain.pass", action="call", callback=strike, times=None
+                "maintain.pass", action="call", callback=strike, times=None,
+                view=failing,
             ):
-                with pytest.raises(FanOutError):
+                with pytest.raises(FanOutError) as excinfo:
                     # order 1's first line: a primary insert, then a
                     # secondary delete of its NULL-padded row
                     wh.insert("lineitem", [(1, 1, 5)])
-            assert wh.quarantined_views == ["ol", "per_cust"]
-            for name, read in contents.items():
-                assert mid_pass[name] != before[name], name  # primary landed
-                assert read() == before[name], name  # ... and was undone
-            for name in contents:
-                wh.repair_view(name)
+            assert len(calls) == len(mid_pass) == 1
+            err = excinfo.value
+            assert list(err.failures) == err.quarantined == [failing]
+            assert wh.quarantined_views == [failing]
+            assert set(err.reports) == {"ol", "per_cust"} - {failing}
+            assert mid_pass[0] != before  # the primary landed ...
+            assert read() == before  # ... and was undone
+            wh.check_consistency()  # the other view is exact
+            wh.insert("orders", [(3, 300)])  # published with the view stale
+            assert wh.snapshots.full_captures == captures
+            assert wh.snapshot().stale_views == {failing}
+            wh.repair_view(failing)
+            assert wh.quarantined_views == []
             wh.check_consistency()
         finally:
-            wh.close()
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_retried_tpch_change_copies_no_view(self, workers, tiny_tpch, no_undo_copy):
-        """A 6-row change over the TPC-H outer-join view fails
-        half-applied once and is retried: no view copy, no wholesale
-        reset, no database copy anywhere in either attempt."""
-        batches = TPCHGenerator(scale_factor=0.001, seed=42)  # tiny_tpch's twin
-        batches.build()
-        wh = Warehouse(
-            tiny_tpch,
-            workers=workers,
-            retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.0),
-        )
-        wh.create_view("oj_view", oj_view())
-        try:
-            FAILPOINTS.reset()
-            with FAILPOINTS.armed("maintain.pass", view="oj_view"):
-                reports = wh.insert(
-                    "lineitem", batches.lineitem_insert_batch(6, seed=1)
-                )
-            assert FAILPOINTS.fired("maintain.pass") == 1
-            report = reports["oj_view"]
-            assert report.primary_rows == 6 and report.total_view_changes > 6
-            assert wh.scheduler.state("oj_view").retries == 1
-            wh.check_consistency()
-        finally:
-            FAILPOINTS.reset()
             wh.close()
 
     def test_undo_failure_rebuilds_and_quarantines_at_once(self, wh, monkeypatch):
         """An inverse apply that raises: the view is rebuilt (equal to
-        recompute) and quarantined after one attempt, never retried."""
+        recompute) and quarantined like any failed pass."""
         def broken_inverse(rows):
             raise RuntimeError("inverse apply failed")
 
@@ -404,6 +331,4 @@ class TestFailedPassIsUndone:
                 wh.insert("lineitem", [(1, 1, 5)])
         assert isinstance(excinfo.value.failures["ol_a"], UndoError)
         assert excinfo.value.quarantined == ["ol_a"]
-        state = wh.scheduler.state("ol_a")
-        assert (state.failures, state.retries) == (1, 0)
         wh.maintainer("ol_a").check_consistency()  # rebuilt from the tables

@@ -280,12 +280,25 @@ def test_cross_shard_transaction_rolls_back_on_prepare_failure():
         wh.close()
 
 
+def insert_order(wh):
+    wh.insert("orders", [(77, 1)])
+
+
+def insert_order_in_a_transaction(wh):
+    with wh.transaction() as txn:
+        txn.insert("orders", [(77, 1)])
+
+
+@pytest.mark.parametrize(
+    "change", [insert_order, insert_order_in_a_transaction], ids=["change", "transaction"]
+)
 @pytest.mark.parametrize("shards", [None, 2])
-def test_a_failed_view_is_reported_quarantined_only_if_it_stays_so(shards):
+def test_a_failed_view_is_reported_quarantined_only_if_it_stays_so(shards, change):
     """A local change stands with the failed view quarantined.  A
     statement reaching both shards (``orders`` is replicated) is rolled
-    back on every shard instead, and the rollback rebuilds the view, so
-    its ``FanOutError`` names no quarantined view."""
+    back on every shard instead, as is an explicit transaction on either
+    transport, and the rollback rebuilds the view, so its
+    ``FanOutError`` names no quarantined view."""
     if shards:
         wh = make_sharded(shards=shards)
     else:
@@ -294,12 +307,13 @@ def test_a_failed_view_is_reported_quarantined_only_if_it_stays_so(shards):
     try:
         with FAILPOINTS.armed("maintain.pass", view="order_lines"):
             with pytest.raises(FanOutError) as excinfo:
-                wh.insert("orders", [(77, 1)])
+                change(wh)
         assert list(excinfo.value.failures) == ["order_lines"]
         assert excinfo.value.quarantined == wh.quarantined_views
         stands = (77, 1) in map(tuple, wh.table_rows("orders"))
+        rolled_back = shards or change is insert_order_in_a_transaction
         assert (stands, wh.quarantined_views) == (
-            (False, []) if shards else (True, ["order_lines"])
+            (False, []) if rolled_back else (True, ["order_lines"])
         )
     finally:
         wh.close()

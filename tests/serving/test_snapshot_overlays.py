@@ -8,7 +8,6 @@ import pytest
 from repro.core import MaterializedView, ViewDefinition, ViewMaintainer
 from repro.errors import ConstraintError
 from repro.obs import Telemetry
-from repro.runtime import FAILPOINTS, RetryPolicy
 from repro.runtime.snapshots import _FOLD_DIVISOR, _push
 from repro.warehouse import Warehouse
 
@@ -88,29 +87,6 @@ def test_wholesale_replacement_costs_one_full_copy():
     assert wh.snapshots.full_captures == before + 1
     assert wh.snapshot().full_captures == 0
     assert sorted(wh.snapshot().view_rows("ol")) == sorted(wh.view("ol").rows())
-    wh.close()
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_retry_copies_nothing(workers, no_full_capture):
-    """A pass that fails half-applied undoes itself through the journaled
-    apply methods, so the retry breaks no journal: no full capture, and
-    the snapshot equals the live view."""
-    wh = seeded_warehouse(
-        workers=workers, retry=RetryPolicy(max_attempts=2, base_delay_seconds=0.0)
-    )
-    wh.insert("lineitem", [(1, 0, 5)])
-    FAILPOINTS.reset()
-    try:
-        with FAILPOINTS.armed("maintain.pass", view="ol"):
-            wh.insert("lineitem", [(2, 0, 1)])  # fails after its primary, retried
-        assert FAILPOINTS.fired("maintain.pass") == 1
-    finally:
-        FAILPOINTS.reset()
-    assert wh.scheduler.state("ol").retries == 1
-    assert wh.snapshot().full_captures == 0
-    assert sorted(wh.snapshot().view_rows("ol")) == sorted(wh.view("ol").rows())
-    wh.check_consistency()
     wh.close()
 
 

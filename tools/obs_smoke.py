@@ -32,7 +32,7 @@ from typing import List
 
 from repro.errors import FanOutError
 from repro.obs import Telemetry, validate_openmetrics
-from repro.runtime import FAILPOINTS, RetryPolicy
+from repro.runtime import FAILPOINTS
 from repro.tpch import TPCHGenerator, oj_view, v3
 from repro.warehouse import Warehouse
 
@@ -110,7 +110,6 @@ def main(argv: "List[str] | None" = None) -> int:
     warehouse = Warehouse(
         generator.build(),
         telemetry=telemetry,
-        retry=RetryPolicy(max_attempts=1, base_delay_seconds=0.0),
         obs_http_port=args.port,
     )
     warehouse.create_view("v3", v3())

@@ -14,6 +14,7 @@ which is what lets deltas be applied with point inserts/deletes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..algebra.evaluate import evaluate, infer_schema
@@ -29,52 +30,52 @@ from ..errors import MaintenanceError, UnsupportedViewError
 
 class SubkeyIndex:
     """A secondary view index (the paper's ``V4_idx``) over a column
-    subset: for each all-non-null value combination, the set of view keys
+    subset: for each value combination, the number of view rows
     carrying it.
 
-    Storing keys (not just counts) lets :meth:`MaterializedView.lookup`
-    answer subset-equality probes by point lookups into the view's key
-    hash instead of scanning every row; the maintainer's orphan probes
-    read :attr:`groups`.  Column positions are resolved once at
-    construction, not per indexed row.
+    The Section 5.2 orphan probe only asks whether any view row still
+    carries a term key (``sub in groups``), so a count is all the index
+    keeps.  Combinations holding a NULL are counted too; the probe never
+    asks for them, and counting every row keeps an insert or delete at
+    one dict read and one write per row.
     """
 
     __slots__ = ("columns", "positions", "project", "groups")
 
-    def __init__(self, columns: Tuple[str, ...], positions: Tuple[int, ...]):
+    def __init__(
+        self,
+        columns: Tuple[str, ...],
+        positions: Tuple[int, ...],
+        rows: Iterable[Row] = (),
+    ):
         self.columns = columns
         self.positions = positions
         self.project = projector(positions)
-        # value tuple -> {view key: None} (an insertion-ordered set)
-        self.groups: Dict[Row, Dict[Row, None]] = {}
+        # value tuple -> view rows carrying it, built in one C-level
+        # pass; a plain dict, as 3.11 specialises subscripts only on
+        # exact dicts
+        self.groups: Dict[Row, int] = dict(Counter(map(self.project, rows)))
 
-    def add_many(self, rows: Iterable[Row], keys: Iterable[Row]) -> None:
-        """Register view *rows* stored under view *keys*, pairwise."""
+    def add_many(self, rows: Iterable[Row]) -> None:
+        """Count view *rows* that were just stored."""
         groups = self.groups
-        for sub, key in zip(map(self.project, rows), keys):
-            if sub in groups:
-                groups[sub][key] = None
-            elif None not in sub:
-                groups[sub] = {key: None}
+        get = groups.get
+        for sub in map(self.project, rows):
+            groups[sub] = get(sub, 0) + 1
 
-    def discard_many(self, rows: Iterable[Row], keys: Iterable[Row]) -> None:
-        """Forget view *rows* that were stored under view *keys*."""
+    def discard_many(self, rows: Iterable[Row]) -> None:
+        """Uncount view *rows* that were just removed."""
         groups = self.groups
-        for sub, key in zip(map(self.project, rows), keys):
-            if sub in groups:
-                group = groups[sub]
-                del group[key]
-                if not group:
-                    del groups[sub]
-
-    def keys_for(self, sub: Row) -> List[Row]:
-        """View keys of the rows carrying *sub*."""
-        group = self.groups.get(sub)
-        return list(group) if group is not None else []
+        for sub in map(self.project, rows):
+            count = groups[sub]
+            if count == 1:
+                del groups[sub]
+            else:
+                groups[sub] = count - 1
 
     def copy(self) -> "SubkeyIndex":
         twin = SubkeyIndex(self.columns, self.positions)
-        twin.groups = {sub: dict(g) for sub, g in self.groups.items()}
+        twin.groups = self.groups.copy()
         return twin
 
     def __len__(self) -> int:
@@ -194,8 +195,7 @@ class MaterializedView:
         self.key_of = projector(self.schema.positions(self.key_cols))
         self._rows: Dict[Row, Row] = {}
         # Secondary view indexes (the paper's V4_idx), lazily built per
-        # column tuple.  Used by the maintainer's orphan probes and by
-        # lookup(); see SubkeyIndex.
+        # column tuple for the maintainer's orphan probes; see SubkeyIndex.
         self._subkey_indexes: Dict[Tuple[str, ...], SubkeyIndex] = {}
         # Mutation-clock tick: advanced by every delta application and
         # by wholesale ``_rows`` replacement (bump_version at those
@@ -269,15 +269,16 @@ class MaterializedView:
     # secondary view indexes
     # ------------------------------------------------------------------
     def subkey_index(self, columns: Tuple[str, ...]) -> SubkeyIndex:
-        """A (lazily built, then maintained) :class:`SubkeyIndex` over
-        *columns*.  This is the paper's secondary view index (``V4_idx``)
-        in spirit — it turns the Section 5.2 orphan anti-joins and
-        :meth:`lookup` equality probes into point seeks."""
+        """The :class:`SubkeyIndex` over *columns*, built from the rows
+        on the first call, then maintained by every delta.  This is the
+        paper's secondary view index (``V4_idx``): it turns the Section
+        5.2 orphan anti-joins into point probes."""
         columns = tuple(columns)
         index = self._subkey_indexes.get(columns)
         if index is None:
-            index = SubkeyIndex(columns, self.schema.positions(columns))
-            index.add_many(self._rows.values(), self._rows)
+            index = SubkeyIndex(
+                columns, self.schema.positions(columns), self._rows.values()
+            )
             self._subkey_indexes[columns] = index
         return index
 
@@ -285,29 +286,19 @@ class MaterializedView:
     # point queries (what the view is *for*)
     # ------------------------------------------------------------------
     def lookup(self, **equalities) -> List[Row]:
-        """Rows matching column=value equalities, served from indexes.
+        """Rows matching column=value equalities (all rows for none).
 
         Column names use underscores for dots in keyword form, or pass a
-        dict via ``view.lookup(**{"part.p_partkey": 5})``.  A lookup on a
-        column subset builds (once) and then reuses a sub-key index and is
-        answered entirely by index seeks; a full view-key lookup is a
-        plain hash probe.  Only NULL-valued probes scan (the sub-key
-        indexes store non-null combinations only).
+        dict via ``view.lookup(**{"part.p_partkey": 5})``.  A full
+        view-key lookup is a plain hash probe; any other lookup filters
+        the rows (the sub-key indexes count rows, they do not hold them).
         """
         columns = tuple(sorted(equalities))
-        values = tuple(equalities[c] for c in columns)
-        for col in columns:
-            self.schema.index_of(col)
-        if set(columns) == set(self.key_cols):
-            ordered = tuple(
-                equalities[c] for c in self.key_cols
-            )
-            row = self._rows.get(ordered)
-            return [row] if row is not None else []
-        if None not in values:
-            index = self.subkey_index(columns)
-            return [self._rows[k] for k in index.keys_for(values)]
         positions = self.schema.positions(columns)
+        if set(columns) == set(self.key_cols):
+            row = self._rows.get(tuple(equalities[c] for c in self.key_cols))
+            return [row] if row is not None else []
+        values = tuple(equalities[c] for c in columns)
         return [
             row
             for row in self._rows.values()
@@ -338,7 +329,7 @@ class MaterializedView:
                 seen.add(key)
         held.update(fresh)
         for index in self._subkey_indexes.values():
-            index.add_many(rows, keys)
+            index.add_many(rows)
         if self.journal is not None:
             self.journal.changes.update(fresh)
         self.bump_version()
@@ -362,7 +353,7 @@ class MaterializedView:
                 seen.add(key)
         stored = list(map(held.pop, keys))
         for index in self._subkey_indexes.values():
-            index.discard_many(stored, keys)
+            index.discard_many(stored)
         if self.journal is not None:
             self.journal.changes.update(doomed)
         self.bump_version()

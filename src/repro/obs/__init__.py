@@ -22,10 +22,12 @@ occurrence is ``(kind, attrs)`` data, and what it does — which metric
 families it writes, whether it is also a flight-recorder event — is
 declared once in :mod:`repro.obs.events`.  Each number has one store:
 the dashboard and the SLO tracker read the registry and the retained
-spans when they are read.  State that already has a home — a
-maintainer's plan-cache counts, its view's size — is not reported at
-all: :meth:`Telemetry.watch` reads it into the registry whenever the
-registry is read.
+spans when they are read.  The tracer's ring of the newest 1,024
+finished root spans (``telemetry.spans``) is the only span store; the
+flight recorder's dumps serialize its newest roots.  State that already
+has a home — a maintainer's plan-cache counts, its view's size — is not
+reported at all: :meth:`Telemetry.watch` reads it into the registry
+whenever the registry is read.
 
 The default everywhere is :meth:`Telemetry.disabled` — a shared no-op
 singleton whose tracer hands out a null span and whose ``emit`` returns
@@ -72,12 +74,9 @@ from .recorder import FlightRecorder
 from .slo import DEFAULT_OBJECTIVE, SLOTracker
 from .tracing import (
     NULL_SPAN,
-    InMemorySink,
-    JsonLinesSink,
     NullTracer,
     Span,
     Tracer,
-    TreeSink,
     current_span,
     load_jsonl,
 )
@@ -87,9 +86,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "Span",
-    "InMemorySink",
-    "JsonLinesSink",
-    "TreeSink",
     "current_span",
     "load_jsonl",
     "NULL_SPAN",
@@ -138,14 +134,8 @@ class Telemetry:
 
     def __init__(self, trace_path: Optional[str] = None, dump_dir: Optional[str] = None):
         self.enabled = True
-        self.memory = InMemorySink()
-        self._jsonl: Optional[JsonLinesSink] = None
-        self.recorder = FlightRecorder(dump_dir=dump_dir)
-        sinks: List = [self.memory, self.recorder]
-        if trace_path:
-            self._jsonl = JsonLinesSink(trace_path)
-            sinks.append(self._jsonl)
-        self.tracer = Tracer(sinks)
+        self.tracer = Tracer(trace_path)
+        self.recorder = FlightRecorder(self.tracer.spans, dump_dir)
         self._wire()
 
     def _wire(self) -> None:
@@ -156,7 +146,7 @@ class Telemetry:
         for family in FAMILIES:
             extra = {"buckets": family.buckets} if family.buckets else {}
             getattr(self.metrics, family.type)(family.name, family.help, family.labels, **extra)
-        self.health = Dashboard(self.metrics, self.memory)
+        self.health = Dashboard(self.metrics, self.tracer.spans)
         self.slo = SLOTracker(self.metrics)
         self._watched: Dict[weakref.ref, tuple] = {}  # maintainer -> (view, plan cache)
         self._retired = collections.Counter()  # (view, outcome) -> count
@@ -176,10 +166,8 @@ class Telemetry:
         if cls._disabled_singleton is None:
             instance = cls.__new__(cls)
             instance.enabled = False
-            instance.memory = InMemorySink(0)
-            instance._jsonl = None
             instance.tracer = NullTracer()
-            instance.recorder = FlightRecorder(span_capacity=0, event_capacity=0)
+            instance.recorder = FlightRecorder()
             instance._wire()
             cls._disabled_singleton = instance
         return cls._disabled_singleton
@@ -188,14 +176,13 @@ class Telemetry:
     def from_env(cls, environ=None) -> "Telemetry":
         """Enabled telemetry configured from ``REPRO_TRACE_FILE`` (the
         JSON-lines destination) and ``REPRO_FLIGHT_DIR`` (flight-recorder
-        dumps); returns the disabled singleton when both are unset, so
-        opt-in stays an environment decision."""
+        dumps), and enabled too when only ``REPRO_METRICS_FILE`` (read by
+        :meth:`flush`) is set; returns the disabled singleton when all
+        three are unset, so opt-in stays an environment decision."""
         env = os.environ if environ is None else environ
-        trace_path = env.get(TRACE_FILE_ENV)
-        dump_dir = env.get(FLIGHT_DIR_ENV)
-        if not trace_path and not dump_dir:
+        if not any(env.get(name) for name in (TRACE_FILE_ENV, FLIGHT_DIR_ENV, METRICS_FILE_ENV)):
             return cls.disabled()
-        return cls(trace_path=trace_path, dump_dir=dump_dir)
+        return cls(trace_path=env.get(TRACE_FILE_ENV), dump_dir=env.get(FLIGHT_DIR_ENV))
 
     # ------------------------------------------------------------------
     # reporting
@@ -309,9 +296,9 @@ class Telemetry:
     # ------------------------------------------------------------------
     @property
     def spans(self) -> List[Span]:
-        """Finished root spans retained by the in-memory sink, oldest
-        first (a copy: the sink keeps appending)."""
-        return list(self.memory.spans)
+        """The tracer's ring of finished root spans, oldest first (a
+        copy: the tracer keeps appending)."""
+        return list(self.tracer.spans)
 
     def dashboard(self) -> str:
         if not self.enabled:
@@ -345,10 +332,10 @@ class Telemetry:
             handle.write(self.metrics_text())
 
     def flush(self, environ=None) -> None:
-        """Close the JSON-lines sink and honour ``REPRO_METRICS_FILE``."""
-        if self._jsonl is not None:
-            self._jsonl.close()
-        env = os.environ if environ is None else environ
-        metrics_path = env.get(METRICS_FILE_ENV)
-        if self.enabled and metrics_path:
+        """Close the trace file and honour ``REPRO_METRICS_FILE``."""
+        if not self.enabled:
+            return
+        self.tracer.close()
+        metrics_path = (os.environ if environ is None else environ).get(METRICS_FILE_ENV)
+        if metrics_path:
             self.write_metrics(metrics_path)

@@ -5,9 +5,9 @@ maintenance latency, rows touched, the secondary-strategy mix, the
 foreign-key shortcut hit rate, per-phase costs and the slowest secondary
 terms.  Counts and latency quantiles come from the metrics registry;
 phase and term costs are folded, when read, from the ``maintain`` spans
-the in-memory sink retains.  The dashboard itself keeps only what
-neither can hold: current quarantine reasons and quarantined segment
-names.
+in the tracer's ring of finished root spans.  The dashboard itself keeps
+only what neither can hold: current quarantine reasons and quarantined
+segment names.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ class Dashboard:
 
     Every count and latency is read from the metrics *registry* (the one
     store the occurrence table writes), every phase and term cost from
-    the root spans *memory* retains; the dashboard itself keeps only the
+    the tracer's ring of root *spans*; the dashboard itself keeps only the
     current quarantine reasons and the quarantined segment names.
     """
 
-    def __init__(self, registry, memory):
+    def __init__(self, registry, spans):
         self._registry = registry
-        self._memory = memory
+        self._spans = spans
         self._lock = threading.Lock()  # the dispatcher folds; HTTP reads
         self._quarantined: Dict[str, str] = {}
         self._segments_quarantined: List[str] = []
@@ -150,10 +150,10 @@ class Dashboard:
     def pass_costs(self) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
         """view -> ``{"phases": ..., "terms": ...}``, each name -> count,
         avg and max seconds: the ``phases`` and ``terms`` of every
-        finished ``maintain`` span the in-memory sink retains (a term's
+        finished ``maintain`` span the tracer's ring retains (a term's
         seconds also count towards the ``secondary`` phase)."""
         seconds: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
-        for span in _maintain_spans(list(self._memory.spans)):
+        for span in _maintain_spans(list(self._spans)):
             if span.status != STATUS_OK:
                 continue
             view = seconds.setdefault(span.attributes["view"], {"phases": {}, "terms": {}})

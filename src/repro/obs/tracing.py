@@ -7,17 +7,17 @@ module-global (thread-local), so deep code like the physical operators
 can report into whatever span is currently open without threading a
 handle through every call::
 
-    tracer = Tracer([InMemorySink()])
+    tracer = Tracer()
     with tracer.span("change", table="lineitem") as root:
         with tracer.span("maintain", view="v3") as s:
             ...                     # operators report into ``s``
             s.record_rows(128)
+    print(tracer.spans[-1].tree())
 
-When the *root* span closes it is emitted to every sink:
-
-* :class:`InMemorySink` — keeps finished root spans in a bounded list;
-* :class:`JsonLinesSink` — one JSON object (the whole tree) per line;
-* :class:`TreeSink` — prints a human-readable tree to a stream.
+When the *root* span closes, the tracer appends it to ``spans``, the one
+bounded ring of finished root spans (the newest :data:`SPAN_CAPACITY`)
+that the dashboard, ``repro.explain`` and the flight recorder all read,
+and — given a *trace_path* — writes it to that file as one JSON line.
 
 The disabled path costs nothing: :data:`NULL_SPAN` is a shared no-op
 context manager that never touches the stack, so :func:`current_span`
@@ -27,7 +27,6 @@ stays ``None`` and every instrumentation site takes its fast path.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from collections import deque
@@ -39,14 +38,15 @@ __all__ = [
     "NullTracer",
     "NULL_SPAN",
     "current_span",
-    "InMemorySink",
-    "JsonLinesSink",
-    "TreeSink",
     "load_jsonl",
+    "SPAN_CAPACITY",
 ]
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
+
+#: Finished root spans a :class:`Tracer` keeps; a warehouse change is one.
+SPAN_CAPACITY = 1024
 
 _ACTIVE = threading.local()
 
@@ -225,76 +225,47 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Creates spans and fans finished root spans out to sinks."""
+    """Creates spans and keeps the newest :data:`SPAN_CAPACITY` finished
+    root spans in ``spans``, oldest first; given *trace_path*, also
+    appends each one to that file as a JSON line (read back with
+    :func:`load_jsonl`)."""
 
-    def __init__(self, sinks: Optional[List] = None):
-        self.sinks = list(sinks or [])
+    def __init__(self, trace_path: Optional[str] = None):
+        self.spans: Deque[Span] = deque(maxlen=SPAN_CAPACITY)
+        self.trace_path = trace_path
+        # open eagerly: an unwritable path must fail here, at
+        # construction, not inside some later maintenance pass
+        self._handle = open(trace_path, "a") if trace_path else None
 
     def span(self, name: str, **attributes) -> Span:
         return Span(self, name, attributes)
 
-    def add_sink(self, sink) -> None:
-        self.sinks.append(sink)
-
     def _emit(self, root: Span) -> None:
-        for sink in self.sinks:
-            sink.emit(root)
-
-
-class NullTracer:
-    """Tracer of the disabled path: every span is :data:`NULL_SPAN`."""
-
-    def span(self, name: str, **attributes) -> _NullSpan:
-        return NULL_SPAN
-
-
-# ---------------------------------------------------------------------------
-# sinks
-# ---------------------------------------------------------------------------
-class InMemorySink:
-    """Keeps the last *capacity* finished root spans."""
-
-    def __init__(self, capacity: int = 1024):
-        self.capacity = capacity
-        self.spans: Deque[Span] = deque(maxlen=capacity)
-
-    def emit(self, span: Span) -> None:
-        self.spans.append(span)
-
-
-class JsonLinesSink:
-    """Appends one JSON object per finished root span to *path*."""
-
-    def __init__(self, path: str):
-        self.path = path
-        # open eagerly: an unwritable path must fail here, at
-        # construction, not inside some later maintenance pass
-        self._handle = open(path, "a")
-
-    def emit(self, span: Span) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a")
-        self._handle.write(json.dumps(span.to_dict()) + "\n")
-        self._handle.flush()
+        self.spans.append(root)
+        if self.trace_path:
+            if self._handle is None:
+                self._handle = open(self.trace_path, "a")
+            self._handle.write(json.dumps(root.to_dict()) + "\n")
+            self._handle.flush()
 
     def close(self) -> None:
+        """Close the trace file; a later root span reopens it."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
 
 
-class TreeSink:
-    """Prints every finished root span as an indented tree."""
+class NullTracer:
+    """Tracer of the disabled path: every span is :data:`NULL_SPAN`."""
 
-    def __init__(self, stream=None):
-        self.stream = stream
+    spans = ()
 
-    def emit(self, span: Span) -> None:
-        print(span.tree(), file=self.stream or sys.stdout)
+    def span(self, name: str, **attributes) -> _NullSpan:
+        return NULL_SPAN
 
 
 def load_jsonl(path: str) -> List[Dict]:
-    """Read the span dicts a :class:`JsonLinesSink` wrote."""
+    """Read the span dicts a :class:`Tracer` wrote to its *trace_path*."""
     out = []
     with open(path) as handle:
         for line in handle:

@@ -150,39 +150,18 @@ class ShardingSpec:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_database(
-        cls,
-        db: Database,
-        shards: int,
-        root: Optional[str] = None,
-        ranges: Optional[Sequence] = None,
-    ) -> "ShardingSpec":
-        """Derive a valid spec automatically: partition *root* (default:
-        the largest table nobody references through a foreign key) on
-        its full key, replicate everything else.  Falls back to an
-        all-replicated spec when no table qualifies — the machinery
-        still runs, the merge barrier just degenerates.
+    def for_database(cls, db: Database, shards: int) -> "ShardingSpec":
+        """Derive a valid spec automatically: partition the largest table
+        nobody references through a foreign key on its full key,
+        replicate everything else.  Falls back to an all-replicated spec
+        when no table qualifies — the machinery still runs, the merge
+        barrier just degenerates.
         """
-        candidates = [
-            name
-            for name in db.tables
-            if not db.foreign_keys_to(name)
-        ]
-        if root is not None:
-            if root not in db.tables:
-                raise ShardingError(f"unknown root table {root!r}")
-            if db.foreign_keys_to(root):
-                raise ShardingError(
-                    f"root table {root!r} is a foreign-key target; its "
-                    f"referencing tables would need co-partitioning"
-                )
-            chosen: Optional[str] = root
-        else:
-            chosen = max(
-                candidates,
-                key=lambda name: len(db.tables[name].rows),
-                default=None,
-            )
+        chosen = max(
+            (name for name in db.tables if not db.foreign_keys_to(name)),
+            key=lambda name: len(db.tables[name].rows),
+            default=None,
+        )
         routing: Dict[str, Sequence[str]] = {}
         if chosen is not None:
             table = db.tables[chosen]
@@ -192,7 +171,7 @@ class ShardingSpec:
             ]
             if not routing[chosen]:
                 routing = {}
-        spec = cls(shards, routing, ranges=ranges)
+        spec = cls(shards, routing)
         spec.validate(db)
         return spec
 
@@ -244,18 +223,6 @@ class ShardingSpec:
                     return shard
             return self.shards - 1
         return shard_hash(values) % self.shards
-
-    def to_blob(self) -> Dict:
-        """Plain-data form (crosses the worker pipe inside init blobs)."""
-        return {
-            "shards": self.shards,
-            "routing": {t: list(c) for t, c in self.routing.items()},
-            "ranges": list(self.ranges) if self.ranges is not None else None,
-        }
-
-    @classmethod
-    def from_blob(cls, blob: Dict) -> "ShardingSpec":
-        return cls(blob["shards"], blob["routing"], ranges=blob["ranges"])
 
 
 class ShardRouter:
@@ -328,21 +295,6 @@ class ViewShardPlan:
     @property
     def replicated_only(self) -> bool:
         return not self.partitioned_tables
-
-    def to_blob(self) -> Dict:
-        return {
-            "view": self.view,
-            "partitioned_tables": list(self.partitioned_tables),
-            "witness_positions": list(self.witness_positions),
-        }
-
-    @classmethod
-    def from_blob(cls, blob: Dict) -> "ViewShardPlan":
-        return cls(
-            blob["view"],
-            tuple(blob["partitioned_tables"]),
-            tuple(blob["witness_positions"]),
-        )
 
 
 def _equality_pairs(expr: RelExpr) -> List[Tuple[str, str]]:

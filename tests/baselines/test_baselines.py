@@ -140,15 +140,12 @@ class TestGriffinKumar:
         import time
 
         from repro.obs import Telemetry
-        from repro.obs.tracing import InMemorySink
 
         db = make_v1_db(seed=0)
         gk = GriffinKumarMaintainer(db, MaterializedView.materialize(make_v1_defn(), db))
         gk.telemetry = Telemetry()
-        sink = InMemorySink()
-        gk.telemetry.tracer.add_sink(sink)
         monkeypatch.setattr(gk, "_evaluate_all_term_deltas", lambda *a: time.sleep(0.05))
         report = gk.insert("r", [(900, 1)])
         assert report.elapsed_seconds >= 0.05
-        (root,) = [span for span in sink.spans if span.name == "maintain"]
+        (root,) = [span for span in gk.telemetry.spans if span.name == "maintain"]
         assert root.duration_seconds >= 0.05

@@ -102,14 +102,11 @@ TRACE_CONTRACT = {
 
 def traced_passes(definition):
     from repro.obs import Telemetry
-    from repro.obs.tracing import InMemorySink
 
     db = TPCHGenerator(scale_factor=0.001, seed=20070415).build()
     batches = TPCHGenerator(scale_factor=0.001, seed=20070415)
     batches.build()
-    sink = InMemorySink()
     telemetry = Telemetry()
-    telemetry.tracer.add_sink(sink)
     maintainer = ViewMaintainer(
         db, MaterializedView.materialize(definition, db), telemetry=telemetry
     )
@@ -117,7 +114,7 @@ def traced_passes(definition):
     out = {}
     for change in (db.insert, db.delete):
         maintainer.maintain("lineitem", change("lineitem", rows), change.__name__)
-        root = [span for span in sink.spans if span.name == "maintain"][-1]
+        root = [span for span in telemetry.spans if span.name == "maintain"][-1]
         assert {span.name for span in root.children} <= {"compile_plan"}
         out[change.__name__] = [(kind, agg[0], agg[1]) for kind, agg in root.operators.items()]
     maintainer.check_consistency()

@@ -14,6 +14,8 @@ from repro.core import ViewDefinition
 from repro.engine import Database
 from repro.errors import FanOutError
 from repro.obs import Telemetry, validate_openmetrics
+from repro.obs.recorder import DUMP_SPANS
+from repro.obs.tracing import SPAN_CAPACITY
 from repro.runtime import FAILPOINTS
 from repro.warehouse import Warehouse
 
@@ -104,6 +106,45 @@ def test_forced_quarantine_dumps_flight_recorder(tmp_path, workers):
         )
     finally:
         FAILPOINTS.reset()
+        wh.scheduler.shutdown()
+
+
+def test_one_span_store_feeds_dumps_and_the_dashboard(tmp_path):
+    """The tracer's ring is the only span store: past its capacity, a
+    quarantine's dump holds the ring's newest roots — the failing
+    ``maintain`` span among them — and the dashboard's phase costs fold
+    the same retained spans, not every pass the registry counted."""
+    telemetry = Telemetry(dump_dir=str(tmp_path / "flight"))
+    wh = make_warehouse(telemetry)
+    try:
+        for _ in range(SPAN_CAPACITY // 2 + 3):  # > SPAN_CAPACITY changes
+            wh.insert("r", [(100, 1)])
+            wh.delete("r", [(100, 1)])
+        with FAILPOINTS.armed("maintain.pass", view="frail"):
+            with pytest.raises(FanOutError):
+                wh.insert("r", [(101, 2)])
+        roots = telemetry.spans
+        assert len(roots) == SPAN_CAPACITY
+
+        dump = json.loads(open(telemetry.recorder.last_dump_path).read())
+        assert dump["reason"] == "view.quarantined"
+        newest = [span.to_dict() for span in roots[-DUMP_SPANS:]]
+        assert dump["spans"] == json.loads(json.dumps(newest))
+        (failing,) = [s for s in spans_with_errors(dump["spans"][-1]) if s["name"] == "maintain"]
+        assert failing["attributes"]["view"] == "frail"
+
+        costs, totals = telemetry.health.pass_costs(), telemetry.totals()
+        for view in ("frail", "steady"):
+            classify = [
+                span.attributes["phases"]["classify"]
+                for root in roots
+                for span in root.children
+                if span.attributes["view"] == view and span.status == "ok"
+            ]
+            assert costs[view]["phases"]["classify"]["count"] == len(classify)
+            assert costs[view]["phases"]["classify"]["max"] == max(classify)
+            assert len(classify) < totals[view]["passes"]
+    finally:
         wh.scheduler.shutdown()
 
 

@@ -31,6 +31,7 @@ telemetry was built, not a retained window.
 import ast
 import gc
 import json
+import os
 import pathlib
 import re
 import sys
@@ -352,6 +353,22 @@ class TestDisabledEmit:
     def test_enabled_unknown_kind_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown occurrence kind"):
             Telemetry().emit("view.quarantine", view="v3")
+
+
+@pytest.mark.parametrize("variable", ["REPRO_TRACE_FILE", "REPRO_FLIGHT_DIR", "REPRO_METRICS_FILE"])
+def test_from_env_enables_on_any_of_its_variables(tmp_path, variable):
+    """Each variable alone turns telemetry on and gets its output: the
+    trace file, a quarantine's dump directory, or the metrics at flush."""
+    target = str(tmp_path / "out")
+    env = {variable: target}
+    telemetry = Telemetry.from_env(env)
+    assert telemetry.enabled
+    with telemetry.tracer.span("change"):
+        pass
+    telemetry.emit("view.quarantined", view="v", reason="r")
+    telemetry.flush(env)
+    assert os.path.exists(target)
+    assert Telemetry.from_env({}) is Telemetry.disabled()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ retained spans, rendering.
 
 The dashboard holds no counts of its own: every case drives a
 ``Telemetry`` through ``emit`` (and, for phase and term costs, finished
-``maintain`` spans into its in-memory sink) and reads
+``maintain`` spans into its tracer's ring) and reads
 ``telemetry.health``.
 """
 
@@ -37,8 +37,8 @@ def make_report(
 
 
 def traced(telemetry, view="v3", phases=None, terms=None, status="ok"):
-    """One finished ``maintain`` span in *telemetry*'s in-memory
-    sink, carrying ``phases`` (phase -> seconds) and ``terms`` (here
+    """One finished ``maintain`` span in *telemetry*'s tracer ring,
+    carrying ``phases`` (phase -> seconds) and ``terms`` (here
     term -> seconds) as a maintenance pass leaves them."""
     terms = {
         term: {"strategy": "view", "seconds": seconds, "rows": 0}

@@ -1,11 +1,22 @@
-"""Flight recorder: ring bounds, adaptive sampling, triggered dumps."""
+"""Flight recorder: the event ring, dumps of the newest roots of the
+tracer's span ring, dump numbering, rate limit and pruning."""
 
 import json
 import os
+import sys
+import threading
 import types
+from collections import deque
 
 from repro.obs.events import Event
-from repro.obs.recorder import FlightRecorder, span_has_error
+from repro.obs.recorder import (
+    DUMP_MIN_INTERVAL_SECONDS,
+    DUMP_SPANS,
+    EVENT_CAPACITY,
+    MAX_DUMPS,
+    FlightRecorder,
+)
+from repro.obs.tracing import SPAN_CAPACITY, Tracer
 
 
 def make_span(name="maintain", status="ok", children=(), **attrs):
@@ -36,85 +47,26 @@ class FakeClock:
 
 class TestRingBounds:
     def test_spans_bounded(self):
-        rec = FlightRecorder(span_capacity=4, sample_target_hz=0)
-        for i in range(10):
-            rec.emit(make_span(name=f"s{i}"))
-        kept = rec.spans
-        assert len(kept) == 4
-        assert kept[-1].name == "s9"
+        ring = deque(make_span(name=f"s{i}") for i in range(DUMP_SPANS + 10))
+        rec = FlightRecorder(ring)
+        names = [span["name"] for span in rec.dump()["spans"]]
+        assert len(names) == DUMP_SPANS
+        assert names[0] == "s10" and names[-1] == f"s{DUMP_SPANS + 9}"
+        ring.append(make_span(name="late"))  # a reference, not a copy
+        assert rec.dump()["spans"][-1]["name"] == "late"
 
     def test_events_bounded(self):
-        rec = FlightRecorder(event_capacity=3)
-        for i in range(7):
+        rec = FlightRecorder()
+        for i in range(EVENT_CAPACITY + 3):
             rec.record_event(Event("maintenance.error", attrs={"i": i}))
         events = rec.events
-        assert len(events) == 3
-        assert events[-1].attrs["i"] == 6
-
-    def test_zero_span_capacity_disables_span_buffer(self):
-        rec = FlightRecorder(span_capacity=0)
-        rec.emit(make_span())
-        assert rec.spans == []
-        assert rec.spans_seen == 0
-
-
-class TestSpanHasError:
-    def test_root_error(self):
-        assert span_has_error(make_span(status="error"))
-
-    def test_nested_error(self):
-        inner = make_span(name="primary_delta", status="error")
-        root = make_span(name="maintain", children=[inner])
-        assert span_has_error(root)
-
-    def test_clean_tree(self):
-        root = make_span(children=[make_span(name="classify")])
-        assert not span_has_error(root)
-
-
-class TestAdaptiveSampling:
-    def test_stride_rises_above_target_rate(self):
-        clock = FakeClock()
-        rec = FlightRecorder(sample_target_hz=10.0, clock=clock)
-        # 100 spans in ~1s => 100 Hz, 10x over target -> stride ~10
-        for _ in range(100):
-            clock.advance(0.01)
-            rec.emit(make_span())
-        assert rec.sample_stride >= 5
-        before = rec.spans_sampled
-        for _ in range(100):
-            clock.advance(0.01)
-            rec.emit(make_span())
-        # decimated: far fewer than 100 retained in the second burst
-        assert rec.spans_sampled - before <= 30
-
-    def test_error_spans_always_retained(self):
-        clock = FakeClock()
-        rec = FlightRecorder(
-            span_capacity=512, sample_target_hz=10.0, clock=clock
-        )
-        errors = 0
-        for i in range(300):
-            clock.advance(0.01)
-            status = "error" if i % 50 == 0 else "ok"
-            errors += status == "error"
-            rec.emit(make_span(status=status))
-        kept_errors = [s for s in rec.spans if s.status == "error"]
-        assert len(kept_errors) == errors
-
-    def test_slow_arrival_keeps_everything(self):
-        clock = FakeClock()
-        rec = FlightRecorder(sample_target_hz=10.0, clock=clock)
-        for _ in range(20):
-            clock.advance(0.5)  # 2 Hz, well under target
-            rec.emit(make_span())
-        assert rec.spans_sampled == 20
+        assert len(events) == EVENT_CAPACITY
+        assert events[-1].attrs["i"] == EVENT_CAPACITY + 2
 
 
 class TestDumps:
     def test_trigger_event_dumps_to_file(self, tmp_path):
-        rec = FlightRecorder(dump_dir=str(tmp_path))
-        rec.emit(make_span(name="maintain", status="error"))
+        rec = FlightRecorder([make_span(name="maintain", status="error")], str(tmp_path))
         path = rec.record_event(
             Event("view.quarantined", "boom", {"view": "v3"})
         )
@@ -137,40 +89,71 @@ class TestDumps:
 
     def test_rate_limit_suppresses_bursts(self, tmp_path):
         clock = FakeClock()
-        rec = FlightRecorder(
-            dump_dir=str(tmp_path),
-            dump_min_interval_seconds=1.0,
-            clock=clock,
-        )
+        rec = FlightRecorder(dump_dir=str(tmp_path), clock=clock)
         first = rec.record_event(Event("view.quarantined"))
         second = rec.record_event(Event("view.quarantined"))
         assert first is not None
         assert second is None  # same instant: suppressed
-        clock.advance(2.0)
+        clock.advance(DUMP_MIN_INTERVAL_SECONDS * 2)
         third = rec.record_event(Event("view.quarantined"))
         assert third is not None
 
     def test_max_dumps_prunes_oldest(self, tmp_path):
         clock = FakeClock()
-        rec = FlightRecorder(
-            dump_dir=str(tmp_path), max_dumps=2, clock=clock
-        )
-        for _ in range(5):
-            clock.advance(10.0)
+        rec = FlightRecorder(dump_dir=str(tmp_path), clock=clock)
+        for _ in range(MAX_DUMPS + 3):
+            clock.advance(DUMP_MIN_INTERVAL_SECONDS * 10)
             rec.record_event(Event("view.quarantined"))
         paths = rec.dump_paths()
-        assert len(paths) == 2
+        assert len(paths) == MAX_DUMPS
         assert paths[-1] == rec.last_dump_path
+        assert os.path.basename(paths[0]).startswith("flight-00004-")
 
     def test_manual_dump_ignores_rate_limit(self, tmp_path):
         rec = FlightRecorder(dump_dir=str(tmp_path))
         assert rec.dump_to_file() is not None
         assert rec.dump_to_file() is not None
 
-    def test_dump_contains_sampling_counters(self):
-        rec = FlightRecorder(sample_target_hz=0)
-        rec.emit(make_span())
-        dump = rec.dump(reason="manual")
-        assert dump["spans_seen"] == 1
-        assert dump["spans_sampled"] == 1
-        assert dump["reason"] == "manual"
+    def test_second_recorder_numbers_on_from_the_first(self, tmp_path):
+        """A restarted process dumping into the same directory keeps the
+        earlier process's dumps, and the newest dump sorts last."""
+        for view in ("first", "second"):
+            rec = FlightRecorder(dump_dir=str(tmp_path))
+            rec.record_event(Event("view.quarantined", attrs={"view": view}))
+        paths = FlightRecorder(dump_dir=str(tmp_path)).dump_paths()
+        assert [os.path.basename(p)[:12] for p in paths] == ["flight-00001", "flight-00002"]
+        views = [json.loads(open(p).read())["trigger"]["attrs"]["view"] for p in paths]
+        assert views == ["first", "second"]
+
+
+def test_dumps_read_the_ring_while_workers_trace():
+    """A dump reads the tracer's ring, unlocked, while worker threads
+    append to it; it never fails and never holds more than DUMP_SPANS."""
+    tracer = Tracer()
+    rec = FlightRecorder(tracer.spans)
+    errors = []
+
+    def work(n):
+        try:
+            for _ in range(2000):
+                with tracer.span(f"w{n}"):
+                    pass
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        while any(thread.is_alive() for thread in threads):
+            assert len(rec.dump()["spans"]) <= DUMP_SPANS
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert len(tracer.spans) == SPAN_CAPACITY
+    assert len(rec.dump()["spans"]) == DUMP_SPANS

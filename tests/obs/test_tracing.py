@@ -1,4 +1,5 @@
-"""Tracing spans: nesting, ordering, sinks, and the disabled fast path."""
+"""Tracing spans: nesting, ordering, the ring of finished roots, the
+JSON-lines file, and the disabled fast path."""
 
 import json
 
@@ -6,29 +7,22 @@ import pytest
 
 from repro.engine.operators import select
 from repro.obs.tracing import (
-    InMemorySink,
-    JsonLinesSink,
     NULL_SPAN,
+    SPAN_CAPACITY,
     NullTracer,
     Tracer,
-    TreeSink,
     current_span,
     load_jsonl,
 )
 
 
 @pytest.fixture
-def memory():
-    return InMemorySink()
-
-
-@pytest.fixture
-def tracer(memory):
-    return Tracer([memory])
+def tracer():
+    return Tracer()
 
 
 class TestNesting:
-    def test_children_nest_and_keep_order(self, tracer, memory):
+    def test_children_nest_and_keep_order(self, tracer):
         with tracer.span("root") as root:
             with tracer.span("first"):
                 pass
@@ -40,7 +34,7 @@ class TestNesting:
         assert [c.name for c in root.children] == ["first", "second", "third"]
         assert [c.name for c in second.children] == ["second.child"]
         # only the finished root is emitted
-        assert list(memory.spans) == [root]
+        assert list(tracer.spans) == [root]
 
     def test_current_span_tracks_stack(self, tracer):
         assert current_span() is None
@@ -59,12 +53,12 @@ class TestNesting:
         child_total = sum(c.duration_seconds for c in root.children)
         assert 0 < child_total <= root.duration_seconds
 
-    def test_error_marks_span_and_still_emits(self, tracer, memory):
+    def test_error_marks_span_and_still_emits(self, tracer):
         with pytest.raises(ValueError):
             with tracer.span("root"):
                 with tracer.span("inner"):
                     raise ValueError("boom")
-        root = memory.spans[0]
+        root = tracer.spans[0]
         assert root.status == "error"
         assert root.children[0].status == "error"
         assert "boom" in root.children[0].error
@@ -116,26 +110,30 @@ class TestDisabledPath:
 
 
 class TestSinks:
-    def test_in_memory_capacity(self):
-        sink = InMemorySink(capacity=2)
-        tracer = Tracer([sink])
-        for i in range(5):
+    """Where finished roots go: the tracer's ring, and the trace file."""
+
+    def test_in_memory_capacity(self, tracer):
+        for i in range(SPAN_CAPACITY + 2):
             with tracer.span(f"s{i}"):
                 pass
-        assert [s.name for s in sink.spans] == ["s3", "s4"]
+        assert len(tracer.spans) == SPAN_CAPACITY
+        assert tracer.spans[0].name == "s2"
+        assert tracer.spans[-1].name == f"s{SPAN_CAPACITY + 1}"
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        tracer = Tracer([JsonLinesSink(path)])
+        tracer = Tracer(path)
         with tracer.span("root", view="v3") as root:
             root.record_rows(2)
             with tracer.span("primary_delta") as child:
                 child.record_operator("join:inner", 7, 0.001)
+        tracer.close()  # the next root reopens the file
         with tracer.span("second_root"):
             pass
 
         loaded = load_jsonl(path)
         assert [d["name"] for d in loaded] == ["root", "second_root"]
+        assert [s.name for s in tracer.spans] == ["root", "second_root"]
         tree = loaded[0]
         assert tree["rows"] == 2
         assert tree["attributes"] == {"view": "v3"}
@@ -146,14 +144,3 @@ class TestSinks:
         with open(path) as handle:
             for line in handle:
                 json.loads(line)
-
-    def test_tree_printer(self, capsys):
-        tracer = Tracer([TreeSink()])
-        with tracer.span("maintain", view="v") as root:
-            root.record_rows(5)
-            with tracer.span("classify"):
-                pass
-        out = capsys.readouterr().out
-        assert "maintain" in out
-        assert "rows=5" in out
-        assert "\n  classify" in out  # indented child

@@ -123,9 +123,9 @@ def test_a_warm_change_is_one_trace_of_few_occurrences():
             return emit(kind, **attrs)
 
         telemetry.emit = counting
-        roots = len(telemetry.memory.spans)
+        roots = len(telemetry.spans)
         wh.insert("lineitem", rows)
-        (change,) = list(telemetry.memory.spans)[roots:]
+        (change,) = telemetry.spans[roots:]
         assert change.name == "change"
         assert [span.name for span in change.children] == ["maintain"] * 16
         assert not any(span.children for span in change.children)

@@ -96,14 +96,6 @@ def test_for_database_partitions_the_fk_free_giant():
     assert spec.shards == 4
 
 
-def test_spec_blob_round_trip():
-    spec = ShardingSpec(3, {"lineitem": ("l_orderkey",)})
-    clone = ShardingSpec.from_blob(spec.to_blob())
-    assert clone.shards == 3
-    assert clone.routing == spec.routing
-    assert clone.ranges is None
-
-
 # ---------------------------------------------------------------------------
 # routing
 # ---------------------------------------------------------------------------
@@ -200,11 +192,3 @@ def test_merge_replicated_only_takes_one_copy():
     plan = ViewShardPlan("v", (), ())
     fragments = [[(1, "a")], [(1, "a")], [(1, "a")]]
     assert merge_view_rows(plan, fragments) == [(1, "a")]
-
-
-def test_plan_blob_round_trip():
-    plan = ViewShardPlan("v", ("lineitem",), (0, 1))
-    clone = ViewShardPlan.from_blob(plan.to_blob())
-    assert clone.view == "v"
-    assert clone.partitioned_tables == ("lineitem",)
-    assert clone.witness_positions == (0, 1)

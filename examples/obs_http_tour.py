@@ -24,6 +24,7 @@ The same flow works from a shell against any warehouse built with
 """
 
 import json
+import shutil
 import tempfile
 import urllib.error
 import urllib.request
@@ -50,7 +51,13 @@ def main():
     db = generator.build()
 
     dump_dir = tempfile.mkdtemp(prefix="repro-flight-")
-    telemetry = Telemetry(dump_dir=dump_dir)
+    try:
+        tour(generator, db, Telemetry(dump_dir=dump_dir))
+    finally:
+        shutil.rmtree(dump_dir, ignore_errors=True)
+
+
+def tour(generator, db, telemetry):
     warehouse = Warehouse(
         db,
         telemetry=telemetry,

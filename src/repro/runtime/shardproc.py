@@ -33,8 +33,8 @@ which for a ``FanOutError`` also carries ``reports``, ``failures`` and
     checkpoint / recover                   rows, join, prepare, fk_allowed,
     snapshot_pin / snapshot_release        check} / txn_prepare {txn_id} /
     query {view, equalities, seq}          txn_commit / txn_abort {txn_id} /
-    dump / stats / check                   txn_resolve {commits, keep}
-    repair_view {view}                   ping / close
+    dump {tables, views}                 txn_resolve {commits, keep}
+    stats / check / repair_view {view}   ping / close
 
 Partial-failure plumbing (see ``docs/SHARDING.md``, "Partial failure
 runbook"): ``ping`` is the supervisor's liveness probe; a worker holds
@@ -301,16 +301,15 @@ class ShardServer:
             snapshot = self.wh.snapshot()
         return {"rows": snapshot.query(view, **(equalities or {}))}
 
-    def cmd_dump(self):
-        self.wh.scheduler.drain()
+    def cmd_dump(self, tables=None, views=None):
+        """Drain, then the named tables' and views' rows (``None``: all)."""
+        wh = self.wh
+        wh.scheduler.drain()
+        tables = wh.db.tables if tables is None else tables
+        views = wh.view_names if views is None else views
         return {
-            "tables": {
-                name: table.rows for name, table in self.wh.db.tables.items()
-            },
-            "views": {
-                name: self.wh.maintainer(name).view.rows()
-                for name in self.wh.view_names
-            },
+            "tables": {name: wh.db.table(name).rows for name in tables},
+            "views": {name: wh.maintainer(name).view.rows() for name in views},
         }
 
     # -- health ---------------------------------------------------------

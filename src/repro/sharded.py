@@ -816,22 +816,20 @@ class ShardedWarehouse(Warehouse):
         return ShardedSnapshot(self, self._broadcast("snapshot_pin"))
 
     # ------------------------------------------------------------------
-    # merged state (settled reads: every worker drains before it dumps)
+    # merged state (settled reads: a worker drains, then ships what is named)
     # ------------------------------------------------------------------
-    def _dump_all(self) -> Dict[int, Dict]:
+    def _dump(self, tables: Dict[int, List[str]], views: Iterable[str] = ()) -> Dict[int, Dict]:
+        """Each shard in *tables* ships its named tables and *views*."""
         self._require_open()
-        return self._broadcast("dump")
+        return self._wait_all({
+            s: self._handles[s].submit("dump", tables=names, views=list(views))
+            for s, names in tables.items()
+        })
 
     def _table_rows(self, table: str, dumps: Dict[int, Dict]) -> List[Row]:
         """Partitions concatenated; a replicated table from shard 0."""
-        if table not in self.db.tables:
-            raise CatalogError(f"no table named {table!r}")
         shards = sorted(dumps) if self.spec.is_partitioned(table) else [0]
         return [row for shard in shards for row in dumps[shard]["tables"][table]]
-
-    def _view_rows(self, name: str, dumps: Dict[int, Dict]) -> List[Row]:
-        plan = self._plan_of(name)
-        return self._merge(plan, [dumps[s]["views"][name] for s in sorted(dumps)])
 
     def _merge(self, plan: ViewShardPlan, fragments: List[List[Row]]) -> List[Row]:
         """One view's per-shard fragments recombined, the merge metered."""
@@ -842,16 +840,22 @@ class ShardedWarehouse(Warehouse):
 
     def table_rows(self, table: str) -> List[Row]:
         """Merged rows of one base table across all shards."""
-        return self._table_rows(table, self._dump_all())
+        if table not in self.db.tables:
+            raise CatalogError(f"no table named {table!r}")
+        shards = range(self.shards) if self.spec.is_partitioned(table) else [0]
+        return self._table_rows(table, self._dump({s: [table] for s in shards}))
 
     def view_rows(self, name: str) -> List[Row]:
         """One view's merged global contents."""
-        return self._view_rows(name, self._dump_all())
+        plan = self._plan_of(name)
+        dumps = self._dump({s: [] for s in range(self.shards)}, [name])
+        return self._merge(plan, [dumps[s]["views"][name] for s in sorted(dumps)])
 
     def merged_database(self) -> Database:
         """A standalone database holding the merged base tables
         (replicated tables from shard 0)."""
-        dumps = self._dump_all()
+        every, partitioned = list(self.db.tables), list(self.spec.partitioned)
+        dumps = self._dump({s: partitioned if s else every for s in range(self.shards)})
         return wire.build_database(
             wire.encode_schema(self.db),
             {t: self._table_rows(t, dumps) for t in self.db.tables},
@@ -1025,37 +1029,32 @@ class ShardedWarehouse(Warehouse):
         }
 
     def check_consistency(self) -> None:
-        """Three layers: every shard's views equal its local recompute;
-        replicated tables are byte-identical on every shard; and every
-        merged view equals a recompute over the merged database."""
+        """Three layers, in order: every shard's views equal its local
+        recompute; replicated tables agree on every shard; each merged
+        view, fetched and checked one at a time, equals a recompute over
+        the merged database.  A settled read: run no change concurrently."""
         self._broadcast("check")
-        dumps = self._dump_all()
-        tables = {t: self._table_rows(t, dumps) for t in self.db.tables}
-        for table, rows in tables.items():
-            if self.spec.is_partitioned(table):
-                continue
-            reference = frozenset(rows)
-            for shard in sorted(dumps):
-                got = frozenset(dumps[shard]["tables"][table])
-                if got != reference:
-                    raise MaintenanceError(
-                        f"replicated table {table!r} diverged on shard "
-                        f"{shard}: {len(got ^ reference)} row(s) differ"
-                    )
-        merged_db = wire.build_database(wire.encode_schema(self.db), tables)
-        for name, definition in sorted(self._definitions.items()):
-            merged = self._view_rows(name, dumps)
-            expected = MaterializedView.materialize(
-                definition, merged_db
-            ).rows()
-            # multiset compare: rows carry SQL NULLs, so sorting would
-            # die on None < int
-            if Counter(merged) != Counter(map(tuple, expected)):
+        merged_db = self.merged_database()
+        replicated = [t for t in self.db.tables if not self.spec.is_partitioned(t)]
+        replicas = self._dump({s: replicated for s in range(1, self.shards)})
+        for shard, replica in sorted(replicas.items()):
+            for table, rows in replica["tables"].items():
+                differ = frozenset(rows) ^ frozenset(merged_db.table(table).rows)
+                if differ:
+                    raise MaintenanceError(f"replicated table {table!r} diverged "
+                                           f"on shard {shard}: {len(differ)} row(s) differ")
+        del replicas  # only shard 0's copies stay, in the merged database
+        for name in sorted(self._definitions):
+            merged = self.view_rows(name)
+            expected = MaterializedView.materialize(self._definitions[name], merged_db).rows()
+            # a multiset compare (rows carry SQL NULLs, so sorting would die
+            # on None < int) of plain dicts: Counter's == loops in Python
+            if dict(Counter(merged)) != dict(Counter(map(tuple, expected))):
                 raise MaintenanceError(
-                    f"sharded view {name!r} diverged from its recompute "
-                    f"over the merged database: {len(merged)} merged "
-                    f"row(s) vs {len(expected)} recomputed"
+                    f"sharded view {name!r} diverged from its recompute over the merged "
+                    f"database: {len(merged)} merged row(s) vs {len(expected)} recomputed"
                 )
+            del merged, expected  # one view at a time: freed before the next is fetched
 
     # ------------------------------------------------------------------
     def close(self) -> None:

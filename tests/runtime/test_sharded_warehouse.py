@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro import Database, Q, eq
+from repro import sharded as sharded_module
 from repro.core import ViewDefinition
 from repro.errors import (
     CatalogError,
@@ -215,6 +216,74 @@ def test_statement_message_shape(monkeypatch):
                 for cmd in ("txn_stmt", "txn_commit")
             )
         wh.check_consistency()
+    finally:
+        wh.close()
+
+
+def test_merged_reads_ship_only_what_they_read(monkeypatch):
+    """A merged read asks each shard for the tables and views it reads:
+    one view, one table (a replicated one from shard 0 only), or the
+    tables alone; an unknown name fails before any shard is asked."""
+    sent = []
+    submit = ShardHandle.submit
+
+    def spying_submit(handle, cmd, **payload):
+        sent.append((handle.shard_id, cmd, payload))
+        return submit(handle, cmd, **payload)
+
+    def dumps_of(read):
+        del sent[:]
+        read()
+        assert {cmd for _, cmd, _ in sent} <= {"dump"}
+        return sorted((shard, p["tables"], p["views"]) for shard, _, p in sent)
+
+    wh = make_sharded(shards=2)
+    try:
+        monkeypatch.setattr(ShardHandle, "submit", spying_submit)
+        assert dumps_of(lambda: wh.view_rows("order_lines")) == [
+            (0, [], ["order_lines"]),
+            (1, [], ["order_lines"]),
+        ]
+        assert dumps_of(lambda: wh.table_rows("lineitem")) == [
+            (0, ["lineitem"], []),
+            (1, ["lineitem"], []),
+        ]
+        assert dumps_of(lambda: wh.table_rows("orders")) == [(0, ["orders"], [])]
+        assert dumps_of(wh.merged_database) == [
+            (0, list(wh.db.tables), []),
+            (1, ["lineitem"], []),
+        ]
+        del sent[:]
+        with pytest.raises(CatalogError):
+            wh.view_rows("nope")
+        with pytest.raises(CatalogError):
+            wh.table_rows("nope")
+        assert sent == []
+    finally:
+        wh.close()
+
+
+def test_merged_view_check_names_the_view_whose_merge_diverged(monkeypatch):
+    """The third layer of ``check_consistency``: every shard's own check
+    passes and the replicated tables agree, but one view's merge loses a
+    row.  The merged-view check names that view, and it merged every
+    view on the way (the broken one sorts last)."""
+    wh = make_sharded(shards=2)
+    try:
+        wh.create_view("order_lines_b", order_lines_defn("order_lines_b"))
+        broken = "order_lines_b"
+        merge = sharded_module.merge_view_rows
+        merged = []
+
+        def lossy_merge(plan, fragments):
+            merged.append(plan.view)
+            rows = merge(plan, fragments)
+            return rows[1:] if plan.view == broken else rows
+
+        monkeypatch.setattr(sharded_module, "merge_view_rows", lossy_merge)
+        with pytest.raises(MaintenanceError, match=f"sharded view {broken!r} diverged"):
+            wh.check_consistency()
+        assert merged == sorted(wh.view_names) == ["order_lines", broken]
     finally:
         wh.close()
 

@@ -156,10 +156,10 @@ class AggregatedView(MaintenancePlans):
         """Advance the mutation clock after a content change."""
         self.version = next_version()
 
-    def rebuild(self) -> None:
+    def rebuild(self, pool=None) -> None:
         """Recompute the group state from the current base tables, in
-        place (aggregates are derived: restore and repair re-fold them
-        instead of persisting them)."""
+        place (aggregates are derived: recovery and repair re-fold them
+        instead of persisting them; groups share no rows through *pool*)."""
         self.groups = {}
         self._populate()
         self.bump_version()

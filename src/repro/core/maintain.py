@@ -52,7 +52,7 @@ from .leftdeep import to_left_deep
 from .maintgraph import MaintenanceGraph
 from .primary import primary_delta_expression
 from .secondary import DELETE, INSERT, CompiledBaseSecondary, CompiledViewSecondary
-from .view import MaterializedView, ViewDefinition
+from .view import MaterializedView, RowPool, ViewDefinition
 
 SECONDARY_FROM_VIEW = "view"
 SECONDARY_FROM_BASE = "base"
@@ -584,8 +584,8 @@ class ViewMaintainer(MaintenancePlans):
     def rows(self) -> List[Row]:
         return self.view.rows()
 
-    def rebuild(self) -> None:
+    def rebuild(self, pool: Optional[RowPool] = None) -> None:
         """Recompute the view from the current base tables, in place."""
         self.view.reset_to(
-            MaterializedView.materialize(self.definition, self.db)
+            MaterializedView.materialize(self.definition, self.db, pool)
         )

@@ -27,6 +27,9 @@ from ..engine.schema import Schema
 from ..engine.table import ChangeJournal, Row, Table, next_version
 from ..errors import MaintenanceError, UnsupportedViewError
 
+#: (output columns, key columns) -> view key -> the (key, row) pair stored first
+RowPool = Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], Dict[Row, Tuple[Row, Row]]]
+
 
 class SubkeyIndex:
     """A secondary view index (the paper's ``V4_idx``) over a column
@@ -211,11 +214,19 @@ class MaterializedView:
 
     # ------------------------------------------------------------------
     @classmethod
-    def materialize(cls, definition: ViewDefinition, db: Database) -> "MaterializedView":
-        """Create and populate from a full evaluation."""
+    def materialize(
+        cls, definition: ViewDefinition, db: Database, pool: Optional[RowPool] = None
+    ) -> "MaterializedView":
+        """Create and populate from a full evaluation.  With a *pool*, a
+        row equal to one an earlier view of the same columns stored under
+        the same key is stored as that view's (immutable) key and row."""
         view = cls(definition, db)
         rows = definition.evaluate(db).rows
-        view._rows = dict(zip(map(view.key_of, rows), rows))
+        pairs = zip(map(view.key_of, rows), rows)
+        if pool is not None:  # found by key; an equal pair stored before wins
+            pooled = pool.setdefault((view.schema.columns, view.key_cols), {}).setdefault
+            pairs = [p if (p := pooled(kr[0], kr))[1] == kr[1] else kr for kr in pairs]
+        view._rows = dict(pairs)
         return view
 
     # ------------------------------------------------------------------

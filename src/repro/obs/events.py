@@ -476,7 +476,7 @@ OCCURRENCES: Dict[str, Occurrence] = {
         "Warehouse.recover() finished with an intact log", severity=SEVERITY_INFO
     ),
     "recovery.degraded": Occurrence(
-        "recovery detected corruption and fell back to per-view recompute", severity=SEVERITY_ERROR
+        "recovery detected corruption and built the views over what survived", severity=SEVERITY_ERROR
     ),
     # -- sharding ------------------------------------------------------------
     "shard.rows": Occurrence(

@@ -63,6 +63,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from ..algebra.expr import Join, NullIf, RelExpr, Select
 from ..algebra.predicates import And, Comparison, Predicate
 from ..engine.catalog import Database
+from ..engine.index import projector
 from ..engine.schema import qualify
 from ..engine.table import Row
 from ..errors import ShardingError
@@ -399,11 +400,12 @@ def merge_view_rows(
         return [tuple(row) for row in (fragments[0] if fragments else [])]
     merged: List[Row] = []
     residue_counts: Dict[Row, int] = {}
-    positions = plan.witness_positions
+    witnesses = projector(plan.witness_positions)
+    residue = (None,) * len(plan.witness_positions)
     for fragment in fragments:
         for row in fragment:
             row = tuple(row)
-            if all(row[p] is None for p in positions):
+            if witnesses(row) == residue:
                 residue_counts[row] = residue_counts.get(row, 0) + 1
             else:
                 merged.append(row)

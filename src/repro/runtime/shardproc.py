@@ -44,9 +44,9 @@ back with the transaction *in doubt*; ``txn_resolve`` lands in-doubt
 transactions on the side the coordinator's decision log
 (:mod:`repro.runtime.txnlog`) recorded; ``recover`` reopens the worker's
 warehouse over its initial partition rows and applies the one recovery
-rule (newest checkpoint, else those rows at LSN 0, then every WAL entry
-past it) — the path both ``ShardedWarehouse.recover()`` and a
-reincarnated worker take.
+rule (newest checkpoint, else those rows at LSN 0, every WAL entry past
+it into the tables, then each view built once) — the path both
+``ShardedWarehouse.recover()`` and a reincarnated worker take.
 The serve loop holds three chaos failpoints — ``shard.worker.kill``
 (abrupt death before the command runs), ``shard.worker.stall``
 (``action="call"`` sleep before the command runs) and
@@ -128,7 +128,7 @@ class ShardServer:
     # ------------------------------------------------------------------
     def _open(self, views: List[Tuple]) -> None:
         """Build the warehouse over the initial partition rows and the
-        shard's directories, then create *views* on it."""
+        shard's directories, then create *views* on it (sharing rows)."""
         init = self._init
         db = build_database(init["schema"], init.get("rows") or {})
         self.wh = self._Warehouse(db, **init["settings"])
@@ -257,10 +257,10 @@ class ShardServer:
     def cmd_recover(self):
         """Crash and recover: drop every open transaction and the
         warehouse, reopen over the initial partition rows and the same
-        WAL and checkpoint directories with every view re-created, and
-        recover — holding the prepared transactions the replay reopened
-        in doubt until a commit, abort or ``txn_resolve`` lands them.
-        Without a WAL nothing is touched: there is no history to replay."""
+        directories with every view registered (built once, by the
+        recover) and recover — holding the prepared transactions the replay
+        reopened in doubt until a commit, abort or ``txn_resolve`` lands
+        them.  Without a WAL nothing is touched: there is nothing to replay."""
         if self.wh.wal is None:
             raise MaintenanceError("recover() requires a wal_path")
         self._txns.clear()

@@ -67,7 +67,7 @@ record by record against its CRCs:
   none of its records are ingested, :attr:`corruption_detected` is set
   and the segment path is appended to :attr:`quarantined_segments`.
   Opening never raises for disk rot — the caller
-  (:meth:`Warehouse.recover`) degrades to per-view recompute instead.
+  (:meth:`Warehouse.recover`) rebuilds the views over what survived.
 
 *path* must be a directory (or not exist yet); a regular file there
 raises :class:`~repro.errors.WalError`.  See ``docs/DURABILITY.md`` for

@@ -50,7 +50,7 @@ from .core.aggregate import Aggregate, AggregatedView
 from .core.batch import NetDelta
 from .core.maintain import MaintenanceOptions, MaintenanceReport, SharedResults, ViewMaintainer
 from .core.secondary import DELETE, INSERT
-from .core.view import MaterializedView, ViewDefinition
+from .core.view import MaterializedView, RowPool, ViewDefinition
 from .engine.catalog import Database
 from .engine.table import Row, Table
 from .errors import (
@@ -119,10 +119,9 @@ class Warehouse:
     checkpoint_dir:
         When given, :meth:`checkpoint` writes durable checkpoints of base
         tables + last-applied LSN here (a base file, then deltas of what
-        changed since), and :meth:`recover` restores the newest one,
-        rebuilds the views from it and replays only the WAL suffix past
-        it (bounded recovery).  Each checkpoint compacts the WAL behind
-        the oldest restore point still kept.
+        changed since), and :meth:`recover` restores the newest one and
+        replays only the WAL suffix past it (bounded recovery).  Each
+        checkpoint compacts the WAL behind the oldest restore point kept.
     checkpoint_interval:
         Auto-checkpoint every N changes that changed a table (counted as
         each applies, taken on the caller's thread at the next synchronous
@@ -224,14 +223,18 @@ class Warehouse:
                     "checkpoint_interval requires a checkpoint_dir"
                 )
             self.checkpoint_interval = max(1, int(checkpoint_interval))
+        # opened over a log that has assigned an LSN, the warehouse owes a
+        # recover(): view name -> the build deferred to it (_build_owed)
+        self._owed: Optional[Dict[str, Callable]] = {} if self.wal and self.wal.last_lsn else None
+        # views built before the first change share rows; None once a
+        # change reached the tables (they are no restore point then)
+        self._pool: Optional[RowPool] = {}
         self._changes_since_checkpoint = 0
         self._checkpointing = False
         # open transactions: a checkpoint must not cover their effects
         self._open_txns: set = set()
         # prepared transactions the last recover() reopened, by id
         self._in_doubt: Dict[str, "Transaction"] = {}
-        # once a change reaches the tables they are no restore point
-        self._tables_changed = False
         self.scheduler = MaintenanceScheduler(
             workers=workers,
             telemetry=self.telemetry,
@@ -251,9 +254,9 @@ class Warehouse:
         self,
         name: str,
         view: Union[RelExpr, ViewDefinition],
-        build: Callable[[ViewDefinition], Maintained],
-    ) -> Maintained:
-        if name in self._views:
+        build: Callable[[ViewDefinition, Optional[RowPool]], Maintained],
+    ) -> Optional[Maintained]:
+        if name in self._views or name in (self._owed or ()):
             raise CatalogError(f"view {name!r} already exists")
         self.scheduler.drain()  # materialize against a settled database
         definition = (
@@ -261,28 +264,44 @@ class Warehouse:
             if isinstance(view, ViewDefinition)
             else ViewDefinition(name, view)
         )
-        target = self._views[name] = build(definition)
+        if self._owed is not None:
+            definition.validate(self.db)  # refuse a bad view now, not at its build
+            self._owed[name] = partial(build, definition)
+            return None
+        target = self._views[name] = build(definition, self._pool)
+        self._publish()  # queue is drained: a consistent point
         return target
+
+    def _build_owed(self) -> None:
+        """Build the views deferred to a recover() over the tables as they
+        stand: every read and change calls this first (recover() builds them)."""
+        if self._owed is None or self._recovering:
+            return
+        owed, self._owed = self._owed, None
+        for name, build in owed.items():
+            self._views[name] = build(self._pool)
+        self._publish()
 
     def create_view(
         self,
         name: str,
         view: Union[RelExpr, ViewDefinition],
         options: Optional[MaintenanceOptions] = None,
-    ) -> MaterializedView:
-        """Define, materialize and register an SPOJ view."""
+    ) -> Optional[MaterializedView]:
+        """Define, materialize and register an SPOJ view (register only,
+        returning None, on a warehouse that owes a recover(); see
+        ``docs/DURABILITY.md``)."""
         maintainer = self._register(
             name,
             view,
-            lambda definition: ViewMaintainer(
+            lambda definition, pool: ViewMaintainer(
                 self.db,
-                MaterializedView.materialize(definition, self.db),
+                MaterializedView.materialize(definition, self.db, pool),
                 options,
                 telemetry=self.telemetry,
             ),
         )
-        self._publish()  # queue is drained: a consistent point
-        return maintainer.view
+        return None if maintainer is None else maintainer.view
 
     def create_aggregated_view(
         self,
@@ -290,19 +309,19 @@ class Warehouse:
         view: Union[RelExpr, ViewDefinition],
         group_by: Sequence[str],
         aggregates: Sequence[Aggregate],
-    ) -> AggregatedView:
-        """Define and register a Section 3.3 aggregated view."""
-        aggregated = self._register(
+    ) -> Optional[AggregatedView]:
+        """Define and register a Section 3.3 aggregated view (as
+        :meth:`create_view` while a recover() is owed)."""
+        return self._register(
             name,
             view,
-            lambda definition: AggregatedView(
+            lambda definition, pool: AggregatedView(
                 definition, group_by, aggregates, self.db, self.telemetry
             ),
         )
-        self._publish()
-        return aggregated
 
     def drop_view(self, name: str) -> None:
+        self._build_owed()
         self.scheduler.drain()
         target = self._views.pop(name, None)
         if target is None:
@@ -317,6 +336,7 @@ class Warehouse:
     @property
     def view_names(self) -> List[str]:
         """Plain views first, then aggregated ones, each sorted."""
+        self._build_owed()
         return sorted(
             self._views,
             key=lambda n: (isinstance(self._views[n], AggregatedView), n),
@@ -327,6 +347,7 @@ class Warehouse:
     ) -> Maintained:
         """The registry entry for *name*; *aggregated* narrows the
         lookup to one kind of view."""
+        self._build_owed()
         target = self._views.get(name)
         if target is None or aggregated not in (
             None,
@@ -381,6 +402,7 @@ class Warehouse:
         changes up to its ``lsn`` and nothing of any later change —
         reads from it can never observe a torn batch.
         """
+        self._build_owed()
         snapshot = self.snapshots.latest()
         assert snapshot is not None  # one is published at construction
         return snapshot
@@ -578,7 +600,6 @@ class Warehouse:
         rows: List[Row],
         fk_allowed: bool = True,
         check: bool = True,
-        replay_lsn: Optional[int] = None,
     ) -> ChangeTicket:
         """Queue (prepare → fan out → ack) for one base-table change.
 
@@ -589,16 +610,9 @@ class Warehouse:
 
         A change whose delta is empty changed nothing: it is not logged,
         maintained, published or counted towards ``checkpoint_interval``.
-
-        :meth:`recover` re-submits logged history with *replay_lsn* set:
-        the entry is already in the log, so nothing is appended.  When
-        the log lost records (``wal.corruption_detected``) a replayed
-        insert first evicts rows holding its keys — it is newer than
-        anything the gap could have removed, so it wins — and per-entry
-        maintenance is skipped, since every view is recomputed afterwards.
         """
+        self._build_owed()
         logged = DELETE if operation == DELETE_BY_KEY else operation
-        degraded = replay_lsn is not None and self.wal.corruption_detected
         changed = False
 
         def prepare():
@@ -608,15 +622,13 @@ class Warehouse:
             elif operation == DELETE:
                 delta = self.db.delete(table, rows, check=check)
             else:
-                if degraded:
-                    self._evict_key_conflicts(table, rows)
                 delta = self.db.insert(table, rows, check=check)
-            if not len(delta) and replay_lsn is None:
+            if not len(delta):
                 return [], None
-            changed = self._tables_changed = True
+            changed, self._pool = True, None
             self._changes_since_checkpoint += 1
-            lsn = replay_lsn
-            if lsn is None and self.wal is not None:
+            lsn = None
+            if self.wal is not None:
                 try:
                     lsn = self.wal.append(
                         table, logged, delta.rows, fk_allowed
@@ -627,8 +639,6 @@ class Warehouse:
                     # what a failed constraint check leaves — nothing
                     self._apply_inverse(table, logged, delta.rows)
                     raise
-            if degraded:
-                return [], lsn
             return self._tasks(table, delta, logged, fk_allowed), lsn
 
         def complete(result: FanOutResult) -> None:
@@ -643,13 +653,6 @@ class Warehouse:
         if operation == INSERT:
             return DELETE, self.db.delete(table, rows, check=False)
         return INSERT, self.db.insert(table, rows, check=False)
-
-    def _evict_key_conflicts(self, table: str, rows: List[Row]) -> None:
-        target = self.db.tables.get(table)
-        if target is None or target.key is None:
-            return
-        incoming = [target.key_of(tuple(r)) for r in rows]
-        self.db.delete_by_key(table, incoming, check=False)
 
     def _tasks(
         self, table: str, delta: Table, operation: str, fk_allowed: bool
@@ -696,7 +699,7 @@ class Warehouse:
     def _ack(self, result: FanOutResult) -> None:
         """Completion hook (dispatcher thread): the change reached every
         non-quarantined view.  The ack is advisory: recovery replays every
-        entry past its restore point, and failed views are re-materialized.
+        entry past its restore point into the tables, then builds the views.
 
         This is also the MVCC publish point: the fan-out is complete and
         the next change's prepare has not started (the dispatcher is
@@ -718,12 +721,9 @@ class Warehouse:
         try:
             if lsn is None and self.wal is not None:
                 lsn = self.wal.last_lsn  # 0 before any append
-            plain, aggregated = {}, {}
-            for name, target in self._views.items():
-                if isinstance(target, AggregatedView):
-                    aggregated[name] = target
-                else:
-                    plain[name] = target.view
+            views = self._views.items()
+            plain = {n: t.view for n, t in views if not isinstance(t, AggregatedView)}
+            aggregated = {n: t for n, t in views if isinstance(t, AggregatedView)}
             snapshot = self.snapshots.publish(
                 self.db.tables,
                 plain,
@@ -814,34 +814,33 @@ class Warehouse:
         self.checkpoint()
 
     def recover(self) -> List[FanOutResult]:
-        """Restart from a restore point and replay every WAL entry past it.
+        """Restart from a restore point, replay every WAL entry past it
+        into the tables, then build each view once.
 
         The restore point is the newest verifiable checkpoint (when a
         ``checkpoint_dir`` is configured: a base rolled forward through
-        its deltas), restored in place with every view rebuilt from it;
-        with none, it is the tables this warehouse was opened with, at
-        LSN 0.  Every entry past it replays, acknowledged or not: the
-        restored state predates their effects.  A cold restart therefore
-        reopens over the database it first opened with.  Two cases are
-        refused before any state is touched: a warehouse that has applied
-        a change since it opened, with no checkpoint to restore
+        its deltas), restored into the tables in place; with none, it is
+        the tables this warehouse was opened with, at LSN 0.  Every entry
+        past it replays, acknowledged or not: the restored state predates
+        their effects.  A cold restart therefore reopens over the
+        database it first opened with.  Two cases are refused before any
+        state is touched: a warehouse that has applied a change since it
+        opened, with no checkpoint to restore
         (:class:`~repro.errors.MaintenanceError` — its tables are no
         longer a restore point), and a replay that would have to start
         inside the WAL's compacted prefix
         (:class:`~repro.errors.CheckpointError`).
-        Each replayed entry goes back through :meth:`_submit`
-        (``check=False`` — it already passed integrity checks when
-        first logged): re-applied to the database, fanned out and
-        re-acknowledged — except a prepared transaction's
-        entries, which reopen it instead.
-
-        Corruption never aborts recovery: segments that fail CRC
-        verification were quarantined by the WAL on open, so after the
-        intact suffix replays, every registered view is recomputed from
-        base tables (:meth:`repair_view`) — degraded, but consistent
-        with whatever history survived.  :attr:`last_recovery` records
-        what happened (checkpoint used, entries replayed, segments
-        quarantined, views recomputed).
+        Replay touches the tables only (``check=False``: each entry
+        passed its checks when first logged) and re-acks each entry; a
+        prepared transaction's entries reopen it in doubt instead (an
+        abort maintains their inverses like any change).  Then the views
+        deferred to this call are built, and the other non-quarantined
+        ones rebuilt if the tables moved, all sharing one row pool.
+        Corruption never aborts recovery: CRC-failed segments were
+        quarantined by the WAL on open, and a replayed insert evicts the
+        rows holding its keys (it is newer than any lost record).
+        :attr:`last_recovery` says what happened (checkpoint, entries
+        replayed, segments quarantined, views built over a lossy log).
         """
         if self.wal is None:
             raise MaintenanceError("recover() requires a wal_path")
@@ -850,7 +849,7 @@ class Warehouse:
             if self.checkpoints is not None
             else None
         )
-        if checkpoint is None and self._tables_changed:
+        if checkpoint is None and self._pool is None:
             raise MaintenanceError(
                 "cannot recover: no checkpoint to restore, and the tables "
                 "have changed since this warehouse opened — reopen it over "
@@ -868,84 +867,70 @@ class Warehouse:
             )
         # Snapshots published before the crash may include changes whose
         # acknowledgements never became durable — after recovery they no
-        # longer correspond to any applied LSN.  Flag them invalid for
-        # any reader still holding one, and suppress publishes until the
-        # replay settles on a consistent state.
+        # longer correspond to any applied LSN.  Flag them invalid for any
+        # reader still holding one; publish and build nothing till the end.
         self.snapshots.invalidate("recovery")
         self._recovering = True
         if checkpoint is not None:
-            self._restore_checkpoint(checkpoint)
+            # swap table contents in place: registered maintainers keep their
+            # Database reference (and compiled plans read tables live)
+            fresh = checkpoint.build_database()
+            self.db.tables, self.db.foreign_keys = fresh.tables, fresh.foreign_keys
         entries = self.wal.entries_after(restore_lsn)
-        # A quarantined segment means records are *missing* from the
-        # middle of history: the surviving suffix may conflict with the
-        # restored state (e.g. an insert whose key a lost delete should
-        # have freed) — _submit reconciles that per entry.  A prepared
-        # transaction's entries replay in their log position too, through
-        # the transaction they reopen — in doubt until a commit, an abort
-        # or a resolution lands it — so later changes see its rows.
+        lost = self.wal.corruption_detected
         doubt = self.wal.in_doubt()
         self._in_doubt = {}
         results = []
         for entry in entries:
-            txn_id = doubt.get(entry.lsn)
+            table, txn_id = self.db.tables[entry.table], doubt.get(entry.lsn)
+            if entry.operation == DELETE:
+                delta = self.db.delete(entry.table, entry.rows, check=False)
+            else:
+                if lost and txn_id is None and table.key is not None:
+                    keys = list(map(table.key_of, entry.rows))
+                    self.db.delete_by_key(entry.table, keys, check=False)
+                delta = self.db.insert(entry.table, entry.rows, check=False)
             if txn_id is None:
-                results.append(self._submit(
-                    entry.table,
-                    entry.operation,
-                    entry.rows,
-                    entry.fk_allowed,
-                    check=False,
-                    replay_lsn=entry.lsn,
-                ).wait())
+                self.wal.ack(entry.lsn)
+                results.append(FanOutResult(entry.table, entry.operation, lsn=entry.lsn))
                 continue
             txn = self._in_doubt.get(txn_id)
             if txn is None:
                 txn = self._in_doubt[txn_id] = Transaction(self)
                 txn.txn_id = txn_id
-            txn._statement(
-                entry.table, entry.operation, entry.rows,
-                fk_allowed=entry.fk_allowed, check=False,
-            )
+            statement = (entry.table, entry.operation, delta.rows, entry.fk_allowed, False)
+            txn._statements.append(statement)
             txn._lsns.append(entry.lsn)
         self.wal.sync()
-        recomputed: List[str] = []
-        if self.wal.corruption_detected:
-            # records were lost somewhere in the log: the replayed
-            # suffix alone cannot be trusted to have reproduced every
-            # view, so degrade to per-view recompute from base tables
-            for name in self.view_names:
-                self.repair_view(name)
-                recomputed.append(name)
+        owed, self._owed = self._owed or {}, None
+        pool, built = {}, []  # one row pool for the whole build
+        if checkpoint is not None or entries:
+            self._pool = None  # the tables moved
+            for name, target in self._views.items():
+                if not self.scheduler.is_quarantined(name):
+                    target.rebuild(pool)
+                    built.append(name)
+        for name, build in owed.items():
+            self._views[name] = build(pool)
+            built.append(name)
         self._changes_since_checkpoint = 0
-        # replay settled: resume publishing and issue the post-recovery
-        # epoch.  (If recovery itself raised above, the flag stays set
-        # and readers keep seeing only invalidated snapshots — state is
-        # uncertain, so that is the honest answer.)
+        # resume publishing and issue the post-recovery epoch.  (If
+        # recovery itself raised above, the flag stays set and readers
+        # keep seeing only invalidated snapshots — state is uncertain,
+        # so that is the honest answer.)
         self._recovering = False
         self._publish(lsn=self.wal.last_lsn)
         self.last_recovery = {
             "checkpoint_lsn": checkpoint.lsn if checkpoint else None,
             "checkpoint_path": checkpoint.path if checkpoint else None,
             "replayed": len(entries),
-            "corruption_detected": self.wal.corruption_detected,
+            "corruption_detected": lost,
             "torn_tail_dropped": self.wal.torn_tail_dropped,
             "quarantined_segments": list(self.wal.quarantined_segments),
-            "recomputed_views": recomputed,
+            "recomputed_views": built if lost else [],
         }
         self.telemetry.emit("recovery", summary=self.last_recovery)
         return results
-
-    def _restore_checkpoint(self, data: CheckpointData) -> None:
-        """Reset the base tables to a checkpoint, in place, and rebuild
-        every view from them (a checkpoint holds no view)."""
-        fresh = data.build_database()
-        # swap table contents in place so registered maintainers keep
-        # their Database reference (and compiled plans, which read tables
-        # and indexes live)
-        self.db.tables = fresh.tables
-        self.db.foreign_keys = fresh.foreign_keys
-        for target in self._views.values():
-            target.rebuild()
 
     def repair_view(self, name: str) -> None:
         """Rebuild a (typically quarantined) view from the current base
@@ -1028,6 +1013,7 @@ class Warehouse:
     def _txn_begin(self, txn: "Transaction") -> None:
         """Settle the queue, so no concurrent change interleaves with
         the statements (or their inverses on rollback)."""
+        self._build_owed()
         self.scheduler.drain()
         txn._quarantined_at_entry = frozenset(self.scheduler.quarantined)
         self._open_txns.add(txn)
@@ -1047,7 +1033,7 @@ class Warehouse:
         else:
             delta = self.db.delete(table, rows, check=check)
         if len(delta):
-            self._tables_changed = True
+            self._pool = None
             txn._statements.append((table, operation, delta.rows, fk_allowed, check))
         return self._maintain_now(table, delta, operation, fk_allowed)
 
@@ -1132,6 +1118,7 @@ class Warehouse:
     def check_consistency(self) -> None:
         """Every registered non-quarantined view must equal its
         recompute (quarantined views are stale by contract)."""
+        self._build_owed()
         self.scheduler.drain()
         for name, target in self._views.items():
             if not self.scheduler.is_quarantined(name):

@@ -228,3 +228,41 @@ class TestViewLookup:
         orphans = mv.lookup(**{"lineitem.l_linenumber": None})
         assert all(r[lk] is None for r in orphans)
         assert orphans  # V3 always has C/P orphan rows
+
+
+def test_equal_views_share_rows():
+    """Views built before a warehouse's first change share equal rows:
+    two identical views hold the same row and key objects.  A maintained
+    delete on one leaves the other's rows as they were, and a view
+    created after the first change shares nothing."""
+    from repro.core.secondary import DELETE
+    from repro.warehouse import Warehouse
+
+    wh = Warehouse(TPCHGenerator(scale_factor=0.001, seed=5).build())
+    wh.create_view("a", v3())
+    wh.create_view("b", v3())
+    a, b = wh.view("a"), wh.view("b")
+    assert len(a) and a._rows == b._rows
+    assert all(b._rows[key] is row for key, row in a._rows.items())
+    assert {id(key) for key in a._rows} == {id(key) for key in b._rows}
+
+    held = dict(b._rows)
+    lines = a.schema.positions(("lineitem.l_orderkey", "lineitem.l_linenumber"))
+    shown = {tuple(row[p] for p in lines) for row in a.rows()}
+    doomed = [r for r in wh.db.table("lineitem").rows if r[:2] in shown][:5]
+    delta = wh.db.delete("lineitem", doomed)
+    wh.maintainer("a").maintain("lineitem", delta, DELETE)
+    assert a._rows != held
+    assert b._rows == held
+    assert all(b._rows[key] is row for key, row in held.items())
+    wh.maintainer("a").check_consistency()
+    wh.maintainer("b").maintain("lineitem", delta, DELETE)
+    wh.check_consistency()
+
+    wh.insert("lineitem", doomed)  # the first change drops the pool
+    wh.create_view("c", v3())
+    c = wh.view("c")
+    assert c._rows == a._rows
+    assert not any(a._rows[key] is row for key, row in c._rows.items())
+    wh.check_consistency()
+    wh.close()

@@ -1,4 +1,4 @@
-"""Crash recovery: WAL replay re-drives lost maintenance work.
+"""Crash recovery: WAL replay re-drives lost changes, then the views are built.
 
 The durability contract (docs/DURABILITY.md): recover() restores the
 newest verifiable checkpoint or, with none, takes the tables the
@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import MaintenanceError
+from repro.algebra.expr import Project
+from repro.core import ViewDefinition, count_star
+from repro.errors import FanOutError, MaintenanceError, UnsupportedViewError
 from repro.obs import Telemetry
 from repro.runtime import FAILPOINTS, InjectedFault, WriteAheadLog
 from repro.tpch import TPCHGenerator, oj_view, v3
@@ -168,10 +170,16 @@ def test_failed_log_append_leaves_no_trace(tmp_path, site, workers):
 
 
 def test_recovery_skips_quarantined_views(tmp_path):
-    """A view that keeps failing during replay is quarantined; the
-    others still recover to the recomputed state."""
-    wal_path = str(tmp_path / "changes.wal")
-    wh = Warehouse(build_db(), wal_path=wal_path)
+    """recover() runs no maintenance pass: it replays into the tables,
+    then builds the views.  A view whose passes fail therefore recovers
+    like any other, and is quarantined only by the next change.  A view
+    already quarantined when a live recover() runs is skipped: it stays
+    quarantined, stale by contract, until repair_view."""
+    settings = {
+        "wal_path": str(tmp_path / "changes.wal"),
+        "checkpoint_dir": str(tmp_path / "ckpt"),
+    }
+    wh = Warehouse(build_db(), **settings)
     wh.create_view("ol_a", order_lines_expr())
     wh.insert("orders", [(1, 100)])
     wh.flush()
@@ -181,19 +189,32 @@ def test_recovery_skips_quarantined_views(tmp_path):
     wh.scheduler.shutdown()
     wal.close()
 
-    # over the original database
-    wh2 = Warehouse(build_db(), telemetry=Telemetry(), wal_path=wal_path)
+    # over the original database, with a view whose every pass fails
+    wh2 = Warehouse(build_db(), telemetry=Telemetry(), **settings)
     wh2.create_view("ol_a", order_lines_expr())
     wh2.create_view("ol_b", order_lines_expr())
-    make_broken(wh2, "ol_b")
     results = wh2.recover()
     assert [r.lsn for r in results] == [lost - 1, lost]
-    assert results[0].quarantined == ["ol_b"]
-    assert wh2.wal.pending() == []  # acked anyway: repair, don't replay
-    # the healthy view recovered fully
+    assert all(r.ok for r in results)
+    assert wh2.wal.pending() == []  # replayed changes are acked
+    broken = make_broken(wh2, "ol_b")
+    wh2.check_consistency()  # no pass ran, so the broken view recovered
+    assert wh2.quarantined_views == []
+    with pytest.raises(FanOutError):
+        wh2.insert("orders", [(3, 300)])
+    assert wh2.quarantined_views == ["ol_b"]
+
+    # a live recover() from a checkpoint leaves the quarantined view be
+    wh2.checkpoint()
+    wh2.insert("lineitem", [(1, 0, 5)])
+    stale = sorted(wh2.view_rows("ol_b"))
+    wh2.recover()
+    assert wh2.last_recovery["replayed"] == 1
+    assert wh2.quarantined_views == ["ol_b"]
+    assert sorted(wh2.view_rows("ol_b")) == stale
     wh2.maintainer("ol_a").check_consistency()
     # and repair brings the quarantined one back
-    wh2.maintainer("ol_b").broken = False
+    broken.broken = False
     wh2.repair_view("ol_b")
     wh2.check_consistency()
     wh2.close()
@@ -248,3 +269,127 @@ def test_no_write_path_rebuilds_an_index(tmp_path, no_index_rebuild):
     rows, degraded = replay()
     assert degraded
     assert (1, 0, 9) in rows and (1, 0, 5) not in rows
+
+
+def register_views(wh):
+    """Two identical plain views and an aggregated one over them."""
+    wh.create_view("ol_a", order_lines_expr())
+    wh.create_view("ol_b", order_lines_expr())
+    wh.create_aggregated_view(
+        "per_cust", order_lines_expr(), ["orders.o_custkey"], [count_star("n")]
+    )
+
+
+def test_recover_builds_each_view_once(tmp_path, monkeypatch):
+    """A warehouse reopened over a WAL that has logged a change owes a
+    recover(): create_view only registers, and recover() restores the
+    checkpoint, replays the suffix into the tables and evaluates each
+    view once — after a CRC loss too, when it names them recomputed."""
+    settings = {
+        "wal_path": str(tmp_path / "changes.wal"),
+        "checkpoint_dir": str(tmp_path / "ckpt"),
+        "segment_bytes": 64,  # one record per segment
+    }
+    wh = Warehouse(build_db(), **settings)
+    register_views(wh)
+    wh.insert("orders", [(1, 100), (2, 100)])
+    wh.checkpoint()
+    wh.insert("lineitem", [(1, 0, 5), (2, 0, 6)])
+    wh.delete("lineitem", [(1, 0, 5)])
+    wh.insert("lineitem", [(1, 0, 7)])
+    wh.close()
+    names = ["ol_a", "ol_b", "per_cust"]
+    builds = []
+    evaluate = ViewDefinition.evaluate
+    monkeypatch.setattr(
+        ViewDefinition,
+        "evaluate",
+        lambda self, db: builds.append(self.name) or evaluate(self, db),
+    )
+
+    def recover():
+        builds.clear()
+        reopened = Warehouse(build_db(), **settings)
+        register_views(reopened)
+        assert builds == []
+        with pytest.raises(UnsupportedViewError, match="key column"):
+            bad = Project(order_lines_expr(), ["orders.o_orderkey"])
+            reopened.create_view("bad", bad)  # refused at once all the same
+        reopened.recover()
+        assert sorted(builds) == names
+        reopened.check_consistency()
+        return reopened
+
+    reopened = recover()
+    assert reopened.last_recovery["checkpoint_lsn"] is not None
+    assert reopened.last_recovery["replayed"] == 3
+    assert reopened.last_recovery["recomputed_views"] == []
+    reopened.close()
+
+    corrupt_segment(settings["wal_path"], b'"op":"delete"')
+    reopened = recover()
+    assert reopened.last_recovery["corruption_detected"]
+    assert sorted(reopened.last_recovery["recomputed_views"]) == names
+    assert (1, 0, 7) in reopened.db.table("lineitem").rows
+    reopened.close()
+
+
+def test_an_in_doubt_transaction_aborted_after_recovery(tmp_path):
+    """recover() applies a prepared transaction's statements to the
+    tables only, builds the views over them, and holds the transaction
+    in doubt; its abort then runs the inverses through maintenance, and
+    every view ends equal to its recompute."""
+    wal_path = str(tmp_path / "changes.wal")
+    wh = Warehouse(build_db(), wal_path=wal_path)
+    register_views(wh)
+    wh.insert("orders", [(1, 100), (2, 200)])
+    wh.insert("lineitem", [(1, 0, 5), (2, 0, 6)])
+    before = {name: sorted(t.rows) for name, t in wh.db.tables.items()}
+    txn = wh.transaction()
+    txn.txn_id = "t1-ab"
+    txn.delete("lineitem", [(1, 0, 5)])
+    txn.insert("orders", [(3, 300)])
+    txn.insert("lineitem", [(3, 0, 7)])
+    txn.prepare()  # durable, and in doubt from here
+    wh.insert("lineitem", [(2, 1, 8)])  # a later change, after it in the log
+    wh.scheduler.shutdown()
+    wh.wal.close()
+
+    reopened = Warehouse(build_db(), wal_path=wal_path)
+    register_views(reopened)
+    reopened.recover()
+    assert list(reopened._in_doubt) == ["t1-ab"]
+    assert (3, 0, 7) in reopened.db.table("lineitem").rows
+    reopened.check_consistency()
+    reopened._in_doubt.pop("t1-ab").rollback()
+    before["lineitem"] = sorted(before["lineitem"] + [(2, 1, 8)])
+    assert {n: sorted(t.rows) for n, t in reopened.db.tables.items()} == before
+    reopened.check_consistency()
+    assert reopened.quarantined_views == []
+    reopened.close()
+
+
+@pytest.mark.parametrize("read", ["view_rows", "snapshot", "change"])
+def test_a_read_before_recover_builds_the_registered_views(tmp_path, read):
+    """No caller sees an unbuilt view: on a warehouse that owes a
+    recover(), the first read or change builds every registered view
+    over the tables as they stand; recover() then rebuilds them."""
+    wal_path = str(tmp_path / "changes.wal")
+    wh = Warehouse(build_db(), wal_path=wal_path)
+    wh.insert("orders", [(1, 100)])
+    wh.close()
+    reopened = Warehouse(build_db(), wal_path=wal_path)
+    assert reopened.create_view("ol", order_lines_expr()) is None
+    if read == "view_rows":
+        assert reopened.view_rows("ol") == []
+    elif read == "snapshot":
+        assert reopened.query("ol") == []
+    else:
+        reopened.insert("orders", [(2, 200)])
+        assert len(reopened.view_rows("ol")) == 1
+    reopened.check_consistency()
+    if read != "change":  # a change makes the tables no restore point
+        reopened.recover()
+        assert len(reopened.view_rows("ol")) == 1
+        reopened.check_consistency()
+    reopened.close()

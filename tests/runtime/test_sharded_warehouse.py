@@ -130,6 +130,57 @@ def test_empty_shard_participates_in_merge_and_accepts_late_rows():
         wh.close()
 
 
+def test_merged_view_rows_equal_the_unsharded_views():
+    """Each merged view holds exactly the unsharded view's rows, residue
+    rows (a replicated customer with no order anywhere) included, for a
+    view with one witness column (``o_orderkey``) and for one with three."""
+    from collections import Counter
+
+    db = Database()
+    db.create_table("customer", ["c_custkey", "c_name"], key=["c_custkey"])
+    db.create_table("orders", ["o_orderkey", "o_custkey"], key=["o_orderkey"])
+    db.create_table(
+        "lineitem", ["l_orderkey", "l_linenumber"], key=["l_orderkey", "l_linenumber"]
+    )
+    db.insert("customer", [(c, f"c{c}") for c in range(6)])
+    db.insert("orders", [(o, o % 4) for o in range(8)])
+    db.insert("lineitem", [(o, 0) for o in range(0, 8, 2)])
+    customer_orders = Q.table("customer").left_outer_join(
+        "orders", on=eq("orders.o_custkey", "customer.c_custkey")
+    )
+    views = {
+        "customer_orders": customer_orders.build(),
+        "customer_lines": customer_orders.left_outer_join(
+            "lineitem", on=eq("lineitem.l_orderkey", "orders.o_orderkey")
+        ).build(),
+    }
+    ops = [
+        ("insert", "customer", [(9, "c9")]),
+        ("delete", "lineitem", [(0, 0), (4, 0)]),
+        ("delete", "orders", [(0, 0), (4, 0)]),  # customer 0 has none left
+    ]
+    plain = Warehouse(db.copy())
+    wh = Warehouse(
+        db.copy(), shards=2, shard_backend="thread",
+        sharding=ShardingSpec(2, {"orders": ("o_orderkey",), "lineitem": ("l_orderkey",)}),
+    )
+    try:
+        for target in (plain, wh):
+            for name, expr in views.items():
+                target.create_view(name, ViewDefinition(name, expr))
+        for step in [None, *ops]:
+            if step is not None:
+                for target in (plain, wh):
+                    getattr(target, step[0])(step[1], step[2])
+            for name in views:
+                expected = Counter(plain.view_rows(name))
+                assert Counter(map(tuple, wh.view_rows(name))) == expected
+                assert any(row[-1] is None for row in expected)  # residue kept
+    finally:
+        wh.close()
+        plain.close()
+
+
 def test_max_skew_reports_rebalance_advisory():
     # all rows hash... I mean, range to shard 0 of 4 -> skew 4.0
     db = build_db(orders=8)

@@ -188,6 +188,18 @@ def test_merge_unions_witnessed_rows_and_intersects_residue():
     assert (None, "r") in merged
 
 
+@pytest.mark.parametrize("positions", [(0,), (0, 2)])
+def test_merge_calls_a_row_residue_only_when_every_witness_is_null(positions):
+    # one witness column or several: (None, "x", 2) is witnessed by
+    # position 2 only when that position is a witness
+    plan = ViewShardPlan("v", ("t",), positions)
+    rows = [(a, "x", b) for a in (1, None) for b in (2, None)]
+    witnessed = [r for r in rows if any(r[p] is not None for p in positions)]
+    residue = [r for r in rows if all(r[p] is None for p in positions)]
+    assert merge_view_rows(plan, [rows, rows]) == witnessed * 2 + residue
+    assert merge_view_rows(plan, [rows, witnessed]) == witnessed * 2
+
+
 def test_merge_replicated_only_takes_one_copy():
     plan = ViewShardPlan("v", (), ())
     fragments = [[(1, "a")], [(1, "a")], [(1, "a")]]

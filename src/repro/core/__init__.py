@@ -15,7 +15,6 @@ Public entry points:
   separately for study and testing.
 """
 
-from .batch import UpdateBatch
 from .aggregate import (
     Aggregate,
     AggregatedView,
@@ -81,7 +80,6 @@ __all__ = [
     "INSERT",
     "DELETE",
     "AggregatedView",
-    "UpdateBatch",
     "Aggregate",
     "count_star",
     "count_col",

@@ -43,7 +43,7 @@ from ..algebra.subsumption import SubsumptionGraph
 from ..engine import operators as ops
 from ..engine.catalog import Database
 from ..engine.table import Row, Table
-from ..errors import MaintenanceError, UndoError, UnsupportedViewError
+from ..errors import MaintenanceError, ReproError, UndoError, UnsupportedViewError
 from ..obs import Telemetry
 from ..planner import PlanCache, SharedResults, compile_plan, provision_indexes
 from ..runtime.failpoints import FAILPOINTS
@@ -268,20 +268,20 @@ class MaintenancePlans:
         return self.maintain(table, delta, DELETE, fk_allowed=True)
 
     def update(
-        self,
-        table: str,
-        old_rows: Iterable[Row],
-        new_rows: Iterable[Row],
+        self, table: str, old_rows: Iterable[Row], new_rows: Iterable[Row]
     ) -> Tuple[MaintenanceReport, MaintenanceReport]:
-        """An UPDATE modelled as delete + insert.  Foreign-key
-        optimizations are disabled for both halves (the paper's caveat 1:
-        the constraint argument breaks when the "deleted" key is about to
-        be re-inserted)."""
-        delete_delta = self.db.delete(table, old_rows, check=False)
-        delete_report = self.maintain(table, delete_delta, DELETE, fk_allowed=False)
-        insert_delta = self.db.insert(table, new_rows, check=False)
-        insert_report = self.maintain(table, insert_delta, INSERT, fk_allowed=False)
-        return delete_report, insert_report
+        """An UPDATE modelled as delete + insert, foreign-key optimizations
+        off for both halves (the paper's caveat 1: the constraint argument
+        breaks when the "deleted" key is about to be re-inserted).  An absent
+        old row is skipped; a new row failing its checks puts the delete back."""
+        deleted = self.db.delete(table, old_rows, check=False)
+        delete_report = self.maintain(table, deleted, DELETE, fk_allowed=False)
+        try:
+            inserted = self.db.insert(table, new_rows)
+        except ReproError:
+            self.maintain(table, self.db.insert(table, deleted.rows, check=False), INSERT, False)
+            raise
+        return delete_report, self.maintain(table, inserted, INSERT, fk_allowed=False)
 
     # ------------------------------------------------------------------
     # compiled plans

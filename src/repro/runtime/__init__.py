@@ -4,7 +4,7 @@ Four pieces sit between the warehouse facade and the per-view
 maintainers:
 
 * :class:`WriteAheadLog` — a segmented, CRC-checksummed change log that
-  records every netted base-table delta *before* any view is touched,
+  records every base-table delta *before* any view is touched,
   so a crash mid-fan-out is recoverable by replaying every entry past
   the restore point (:meth:`~repro.warehouse.Warehouse.recover`).
   Segments whose records fail verification are quarantined to a

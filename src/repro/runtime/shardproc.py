@@ -27,14 +27,14 @@ Protocol sketch (``{"cmd": ..., **payload} -> {"ok": True, ...}`` or
 which for a ``FanOutError`` also carries ``reports``, ``failures`` and
 ``quarantined``)::
 
-    create_view {view, options}          change {table, operation, rows,
-    drop_view {view}                             fk_allowed, check}
-    flush                                txn_stmt {txn_id, table, operation,
-    checkpoint / recover                   rows, join, prepare, fk_allowed,
-    snapshot_pin / snapshot_release        check} / txn_prepare {txn_id} /
-    query {view, equalities, seq}          txn_commit / txn_abort {txn_id} /
-    dump {tables, views}                 txn_resolve {commits, keep}
-    stats / check / repair_view {view}   ping / close
+    create_view {view, options}          change {table, operation, rows}
+    drop_view {view}                     txn_stmt {txn_id, table, operation,
+    flush                                  rows, join, prepare, fk_allowed,
+    checkpoint / recover                   check} / txn_prepare {txn_id} /
+    snapshot_pin / snapshot_release      txn_commit / txn_abort {txn_id} /
+    query {view, equalities, seq}        txn_resolve {commits, keep}
+    dump {tables, views}                 ping / close
+    stats / check / repair_view {view}
 
 Partial-failure plumbing (see ``docs/SHARDING.md``, "Partial failure
 runbook"): ``ping`` is the supervisor's liveness probe; a worker holds
@@ -161,18 +161,8 @@ class ShardServer:
         self.wh.repair_view(view)
 
     # -- DML ------------------------------------------------------------
-    def cmd_change(
-        self,
-        table: str,
-        operation: str,
-        rows: List,
-        fk_allowed: bool = True,
-        check: bool = True,
-    ):
-        reports = self.wh._change(
-            table, operation, rows, fk_allowed=fk_allowed, check=check
-        )
-        return {"reports": reports}
+    def cmd_change(self, table: str, operation: str, rows: List):
+        return {"reports": self.wh._change(table, operation, rows)}
 
     def cmd_flush(self):
         self.wh.flush()
@@ -260,13 +250,19 @@ class ShardServer:
         directories with every view registered (built once, by the
         recover) and recover — holding the prepared transactions the replay
         reopened in doubt until a commit, abort or ``txn_resolve`` lands
-        them.  Without a WAL nothing is touched: there is nothing to replay."""
-        if self.wh.wal is None:
+        them.  Without a WAL nothing is touched: there is nothing to replay.
+        The reopen no longer sees the segments the first open moved to
+        ``corrupt/``, so it carries that open's loss over: the replay
+        must still evict the keys a lost record may have freed."""
+        wal = self.wh.wal
+        if wal is None:
             raise MaintenanceError("recover() requires a wal_path")
         self._txns.clear()
         self._pinned.clear()
         self.wh._shutdown()
         self._open(list(self._views.values()))
+        self.wh.wal.corruption_detected |= wal.corruption_detected
+        self.wh.wal.quarantined_segments[:0] = wal.quarantined_segments
         self.wh.recover()
         self._txns.update(self.wh._in_doubt)
         return {"summary": self.wh.last_recovery}

@@ -1,6 +1,6 @@
 """Write-ahead change log for durable warehouse maintenance.
 
-:class:`WriteAheadLog` durably records every (netted) base-table delta a
+:class:`WriteAheadLog` durably records every base-table delta a
 warehouse applies **before any view is touched**, so that a crash in the
 middle of a multi-view fan-out loses no maintenance work: on restart,
 :meth:`~repro.warehouse.Warehouse.recover` re-drives every entry past
@@ -103,7 +103,7 @@ _KINDS = ("change", "txn", "ack", "resolve", "compact")
 
 @dataclass(frozen=True)
 class WalEntry:
-    """One logged base-table change (a netted delta)."""
+    """One logged base-table change (its delta as applied)."""
 
     lsn: int
     table: str

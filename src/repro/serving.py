@@ -72,11 +72,7 @@ class AsyncWarehouse:
     # writes
     # ------------------------------------------------------------------
     async def apply(
-        self,
-        table: str,
-        operation: str,
-        rows: Iterable[Row],
-        fk_allowed: bool = True,
+        self, table: str, operation: str, rows: Iterable[Row]
     ) -> FanOutResult:
         """Submit one change and await its fan-out result.
 
@@ -91,9 +87,7 @@ class AsyncWarehouse:
         materialized = [tuple(r) for r in rows]
         ticket = await loop.run_in_executor(
             None,
-            lambda: self.warehouse.apply_async(
-                table, operation, materialized, fk_allowed
-            ),
+            lambda: self.warehouse.apply_async(table, operation, materialized),
         )
         future: "asyncio.Future[FanOutResult]" = loop.create_future()
 

@@ -561,14 +561,7 @@ class ShardedWarehouse(Warehouse):
     # ------------------------------------------------------------------
     # the change transport (the base class owns insert ... flush)
     # ------------------------------------------------------------------
-    def _submit(
-        self,
-        table: str,
-        operation: str,
-        rows: List[Row],
-        fk_allowed: bool = True,
-        check: bool = True,
-    ) -> ChangeTicket:
+    def _submit(self, table: str, operation: str, rows: List[Row]) -> ChangeTicket:
         """Route one statement and return the ticket that merges its
         replies (see :class:`_ShardedTicket`): one owning shard gets a
         plain ``change``; several get a one-statement transaction whose
@@ -576,10 +569,7 @@ class ShardedWarehouse(Warehouse):
         self._require_open()
         parts = self._route(table, rows, keys=operation == DELETE_BY_KEY)
         txn = Transaction(self) if len(parts) > 1 else None
-        replies = self._send(
-            txn, table, operation, parts, prepare=True,
-            fk_allowed=fk_allowed, check=check,
-        )
+        replies = self._send(txn, table, operation, parts, prepare=True)
         if operation == DELETE_BY_KEY:
             operation = DELETE
         return _ShardedTicket(self, table, operation, replies, txn)
@@ -590,7 +580,8 @@ class ShardedWarehouse(Warehouse):
     ) -> Dict:
         """Submit one statement's rows to their owning shards: a plain
         ``change``, or a ``txn_stmt`` of *txn* that joins each shard on
-        its first statement (and, with *prepare*, also prepares it)."""
+        its first statement (and, with *prepare*, also prepares it);
+        *flags* are an update's (see :meth:`Transaction._statement`)."""
         replies = {}
         for shard in sorted(parts):
             extra = {}

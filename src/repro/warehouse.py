@@ -47,7 +47,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from .algebra.expr import RelExpr
 from .core.aggregate import Aggregate, AggregatedView
-from .core.batch import NetDelta
 from .core.maintain import MaintenanceOptions, MaintenanceReport, SharedResults, ViewMaintainer
 from .core.secondary import DELETE, INSERT
 from .core.view import MaterializedView, RowPool, ViewDefinition
@@ -98,7 +97,7 @@ class Warehouse:
     Runtime parameters
     ------------------
     wal_path:
-        When given, every netted base-table delta is durably appended to
+        When given, every base-table delta is durably appended to
         this write-ahead log *before* any view is maintained, and after
         a restart :meth:`recover` replays it over a restore point.
     workers:
@@ -477,23 +476,20 @@ class Warehouse:
         old_rows: Iterable[Row],
         new_rows: Iterable[Row],
     ) -> List[Reports]:
-        """UPDATE as delete + insert across every view, with foreign-key
-        shortcuts disabled (the paper's Section 6 caveat 1)."""
-        return [
-            self._change(
-                table, DELETE, old_rows, fk_allowed=False, check=False
-            ),
-            self._change(
-                table, INSERT, new_rows, fk_allowed=False, check=False
-            ),
-        ]
+        """UPDATE as one transaction of a delete and an insert across
+        every view, with foreign-key shortcuts disabled (the paper's
+        Section 6 caveat 1): one journal record, one publish, and a
+        failure leaves nothing behind.  The insert is checked like any
+        insert; the delete is not, so an absent old row is skipped and
+        the new row is still inserted."""
+        with self.transaction() as txn:
+            return [
+                txn._statement(table, DELETE, old_rows, fk_allowed=False, check=False),
+                txn._statement(table, INSERT, new_rows, fk_allowed=False),
+            ]
 
     def apply_async(
-        self,
-        table: str,
-        operation: str,
-        rows: Iterable[Row],
-        fk_allowed: bool = True,
+        self, table: str, operation: str, rows: Iterable[Row]
     ) -> ChangeTicket:
         """Queue one change and return without waiting for the fan-out.
 
@@ -513,9 +509,7 @@ class Warehouse:
                 f"unknown operation {operation!r} (expected "
                 f"{INSERT!r} or {DELETE!r})"
             )
-        ticket = self._submit(
-            table, operation, [tuple(r) for r in rows], fk_allowed
-        )
+        ticket = self._submit(table, operation, [tuple(r) for r in rows])
         self._pending_tickets.append(ticket)
         return ticket
 
@@ -554,19 +548,10 @@ class Warehouse:
         self._maybe_checkpoint()
         return results
 
-    def _change(
-        self,
-        table: str,
-        operation: str,
-        rows: Iterable[Row],
-        fk_allowed: bool = True,
-        check: bool = True,
-    ) -> Reports:
+    def _change(self, table: str, operation: str, rows: Iterable[Row]) -> Reports:
         """One synchronous change: submit, wait, raise what failed."""
         started = time.perf_counter()
-        ticket = self._submit(
-            table, operation, [tuple(r) for r in rows], fk_allowed, check
-        )
+        ticket = self._submit(table, operation, [tuple(r) for r in rows])
         reports = self._finalize(ticket.wait())
         self.telemetry.emit(
             "warehouse.apply", seconds=time.perf_counter() - started
@@ -593,14 +578,7 @@ class Warehouse:
     # ------------------------------------------------------------------
     # the local transport
     # ------------------------------------------------------------------
-    def _submit(
-        self,
-        table: str,
-        operation: str,
-        rows: List[Row],
-        fk_allowed: bool = True,
-        check: bool = True,
-    ) -> ChangeTicket:
+    def _submit(self, table: str, operation: str, rows: List[Row]) -> ChangeTicket:
         """Queue (prepare → fan out → ack) for one base-table change.
 
         ``prepare`` runs serialized (dispatcher thread, or inline when
@@ -620,9 +598,9 @@ class Warehouse:
             if operation == DELETE_BY_KEY:
                 delta = self.db.delete_by_key(table, rows)
             elif operation == DELETE:
-                delta = self.db.delete(table, rows, check=check)
+                delta = self.db.delete(table, rows)
             else:
-                delta = self.db.insert(table, rows, check=check)
+                delta = self.db.insert(table, rows)
             if not len(delta):
                 return [], None
             changed, self._pool = True, None
@@ -630,16 +608,14 @@ class Warehouse:
             lsn = None
             if self.wal is not None:
                 try:
-                    lsn = self.wal.append(
-                        table, logged, delta.rows, fk_allowed
-                    )
+                    lsn = self.wal.append(table, logged, delta.rows)
                 except BaseException:
                     # the log withdrew the entry and no view has seen the
                     # delta: take it back out, so a failed append leaves
                     # what a failed constraint check leaves — nothing
                     self._apply_inverse(table, logged, delta.rows)
                     raise
-            return self._tasks(table, delta, logged, fk_allowed), lsn
+            return self._tasks(table, delta, logged, True), lsn
 
         def complete(result: FanOutResult) -> None:
             if changed:
@@ -971,29 +947,6 @@ class Warehouse:
         return False
 
     # ------------------------------------------------------------------
-    # batching
-    # ------------------------------------------------------------------
-    def batch(self) -> "UpdateBatch":
-        """An :class:`~repro.core.batch.UpdateBatch` netting updates for
-        every registered view (see that module for the semantics).  Each
-        netted per-table pass flows through :meth:`_change` like any
-        other change."""
-        from .core.batch import UpdateBatch
-
-        return UpdateBatch(self.db, self._apply_net_delta)
-
-    def _apply_net_delta(self, net: NetDelta) -> List[MaintenanceReport]:
-        check = net.operation == INSERT  # flush() deletes skip presence checks
-        reports = self._change(
-            net.table,
-            net.operation,
-            net.rows,
-            fk_allowed=net.fk_allowed,
-            check=check,
-        )
-        return list(reports.values())
-
-    # ------------------------------------------------------------------
     # transactions: one state machine (Transaction), the local seam here
     # ------------------------------------------------------------------
     def transaction(self) -> "Transaction":
@@ -1023,7 +976,7 @@ class Warehouse:
         fk_allowed: bool = True, check: bool = True,
     ) -> Reports:
         """Apply one statement now, DEFERRABLE foreign keys unchecked
-        (*check* ``False``: nothing checked, as for a plain change);
+        (*check* ``False``: nothing checked, as for an update's delete);
         record a non-empty delta (for the journal and the undo) *before*
         the fan-out, which may fail after the table has changed."""
         if operation == DELETE_BY_KEY:
@@ -1184,8 +1137,8 @@ class Transaction:
     def _statement(
         self, table: str, operation: str, rows: Iterable[Row], **flags
     ) -> Reports:
-        """One statement; *flags* (``fk_allowed``, ``check``) carry a
-        plain change's options when the statement stands for one."""
+        """One statement; *flags* (``fk_allowed``, ``check``) are
+        :meth:`Warehouse.update`'s: no other statement sets them."""
         self._require_active()
         self._prepared = False  # a new statement may defer a new check
         return self.warehouse._txn_apply(

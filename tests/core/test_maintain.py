@@ -15,7 +15,7 @@ from repro.core import (
 from repro.engine import Database
 from repro.algebra import Q, eq
 from repro.core.view import ViewDefinition
-from repro.errors import MaintenanceError
+from repro.errors import ConstraintError, MaintenanceError, SchemaError
 
 from ..conftest import (
     make_example1_db,
@@ -88,6 +88,29 @@ class TestInsertDelete:
         part = db.table("part").rows[0]
         new = (part[0], part[1], part[2] + 1.0)
         m.update("part", [part], [new])
+        m.check_consistency()
+
+    @pytest.mark.parametrize(
+        "new, error",
+        [
+            ((0, 0, 3), SchemaError),  # a 4-column table
+            ((99, 0, 3, 1), ConstraintError),  # no order 99
+            ((0, 0, None, 1), ConstraintError),  # NULL l_partkey
+        ],
+        ids=["arity", "foreign-key", "not-null"],
+    )
+    def test_update_checks_its_insert_and_undoes_its_delete(self, new, error):
+        """The new row is checked like any insert; when it fails, the
+        delete already applied is put back, in the table and the view."""
+        db = make_example1_db()
+        m = ViewMaintainer(db, MaterializedView.materialize(make_oj_view_defn(), db))
+        old = next(r for r in db.table("lineitem").rows if r[:2] == (0, 0))
+        tables = {name: set(t.rows) for name, t in db.tables.items()}
+        view = set(m.rows())
+        with pytest.raises(error):
+            m.update("lineitem", [old], [new])
+        assert {name: set(t.rows) for name, t in db.tables.items()} == tables
+        assert set(m.rows()) == view
         m.check_consistency()
 
 

@@ -3,7 +3,7 @@ warehouse, a 1-shard and a 2-shard sharded one must produce the same
 result types, report keys, error types and final contents.
 
 ``Warehouse`` owns the change surface (insert / delete / delete_by_key /
-update / apply_async / flush / batch / close); ``ShardedWarehouse`` only
+update / apply_async / flush / transaction / close); ``ShardedWarehouse`` only
 swaps the transport behind it (docs/ARCHITECTURE.md, "Facade contract").
 Each script returns a *trace* — plain data describing what every call
 returned or raised — and the sharded traces must equal the local one.
@@ -112,13 +112,6 @@ def surface_script(wh):
     note("ticket.wait", shape(tickets[0].wait()))
     note("flush-empty", shape(wh.flush()))
 
-    batch = wh.batch()
-    batch.insert("orders", [(200, 1)])
-    batch.insert("lineitem", [(200, 0, 1), (200, 1, 2)])
-    batch.delete("lineitem", [(200, 1, 2)])  # nets away inside the batch
-    batch.delete("lineitem", [(3, 0, 30)])
-    note("batch", shape(batch.flush()))
-
     with wh.transaction() as txn:
         # the line precedes its order: the FK is deferred to commit
         lines = txn.insert("lineitem", [(300, 0, 1), (301, 0, 2)])
@@ -141,6 +134,9 @@ def surface_script(wh):
 
     note("txn-rollback", raised(rolled_back))
     note("txn-deferred-fk", raised(deferred_fk_violation))
+    # an update is one transaction: a bad new row undoes its delete too
+    note("update-arity", raised(wh.update, "lineitem", [(3, 0, 30)], [(3, 0)]))
+    note("update-fk", raised(wh.update, "lineitem", [(3, 0, 30)], [(99, 0, 21)]))
     assert contents(wh) == before
 
     # a constraint failure: raised synchronously, carried in result.error
@@ -262,7 +258,8 @@ def test_surface_trace_is_what_the_contract_says(local_traces):
         VIEW: ("report", VIEW, "lineitem", "insert")
     }
     assert trace["txn-rollback"] == "RuntimeError"
-    assert trace["txn-deferred-fk"] == "ConstraintError"
+    assert trace["txn-deferred-fk"] == trace["update-fk"] == "ConstraintError"
+    assert trace["update-arity"] == "SchemaError"
     assert trace["dup-sync"] == trace["dup-flush"] == "ConstraintError"
     assert trace["dup-ticket"] == (
         "fan-out", "lineitem", "insert", False, [], "ConstraintError"
@@ -274,6 +271,32 @@ def test_surface_trace_is_what_the_contract_says(local_traces):
     assert flushed == [] and len(probe) == 3
     assert trace["drop_view"] == ([], "CatalogError", "CatalogError")
     assert trace["final"]["quarantined"] == []
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_an_update_is_one_journal_record_per_shard(flavour, tmp_path):
+    """A same-key update of a referenced order commits as one
+    transaction: one WAL record per participating shard (a prepare,
+    when sharded), and locally one published snapshot."""
+    with Warehouse(build_db(deferrable=True), wal_path=str(tmp_path / "wal"),
+                   **FLAVOURS[flavour]) as wh:
+        wh.create_view(VIEW, order_lines_defn())
+        local = flavour == "local"
+        published = wh.snapshots.published_count if local else None
+        wh.update("orders", [(1, 1)], [(1, 2)])
+        if local:
+            assert wh.snapshots.published_count == published + 1
+        assert (1, 2) in wh.table_rows("orders")
+        wh.check_consistency()
+    logs = {}
+    for segment in tmp_path.glob("wal/**/seg-*.wal"):
+        for line in segment.read_bytes().splitlines():
+            record = json.loads(line.split(b" ", 1)[1])
+            if record["kind"] in ("change", "txn"):
+                logs.setdefault(segment.parent.name, []).append(record)
+    assert len(logs) == (2 if flavour == "2-shards" else 1)
+    for records in logs.values():
+        assert [len(r["changes"]) for r in records] == [2]
 
 
 def shard_threads():

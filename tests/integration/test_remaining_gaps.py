@@ -1,17 +1,16 @@
 """Coverage for the remaining public-surface corners: the scaling bench,
-warehouse batching, transactional aggregates, and the explain report
-under non-default strategies."""
+transactional aggregates, and the explain report under non-default
+strategies."""
 
 import pytest
 
-from repro.algebra import Q, eq
+from repro.algebra import Q
 from repro.core import (
     MaintenanceOptions,
     MaterializedView,
     SECONDARY_AUTO,
     ViewDefinition,
     ViewMaintainer,
-    agg_sum,
     count_star,
 )
 from repro.engine import Database
@@ -41,32 +40,6 @@ class TestScalingBench:
         # database quadrupled → recompute cost must grow, by more than
         # the jitter of a millisecond-scale timing
         assert rows[1]["recompute"]["seconds"] > rows[0]["recompute"]["seconds"] * 1.2
-
-
-class TestWarehouseBatch:
-    def test_batch_covers_all_views(self):
-        gen = TPCHGenerator(scale_factor=0.0008)
-        wh = Warehouse(gen.build())
-        wh.create_view("v3", v3())
-        wh.create_aggregated_view(
-            "rev",
-            ViewDefinition(
-                "rev_base",
-                Q.table("orders")
-                .left_outer_join(
-                    "lineitem",
-                    on=eq("lineitem.l_orderkey", "orders.o_orderkey"),
-                )
-                .build(),
-            ),
-            group_by=["orders.o_clerk"],
-            aggregates=[count_star("n"), agg_sum("lineitem.l_quantity", "q")],
-        )
-        batch = wh.batch()
-        batch.insert("lineitem", gen.lineitem_insert_batch(15, seed=3))
-        reports = batch.flush()
-        assert len(reports["lineitem"]) == 2  # one per registered view
-        wh.check_consistency()
 
 
 class TestTransactionalAggregates:

@@ -99,7 +99,7 @@ def _delta(db, table, rows):
 
 
 def test_warehouse_soak():
-    """Direct DML, batches and transactions against a multi-view
+    """Direct DML and transactions against a multi-view
     warehouse, twenty rounds, oracle-checked."""
     rng = random.Random(77)
     db = random_database(rng, n_tables=3, rows_per_table=10)
@@ -137,13 +137,12 @@ def test_warehouse_soak():
             if rows:
                 wh.delete(table, rows)
         elif roll < 0.85:
-            batch = wh.batch()
-            ins = random_insert_rows(rng, db, table, 2)
-            if ins:
-                batch.insert(table, ins)
-                if rng.random() < 0.5:
-                    batch.delete(table, [ins[0]])  # net out one row
-            batch.flush()
+            with wh.transaction() as txn:
+                ins = random_insert_rows(rng, db, table, 2)
+                if ins:
+                    txn.insert(table, ins)
+                    if rng.random() < 0.5:
+                        txn.delete(table, [ins[0]])  # take one row back out
         else:
             try:
                 with wh.transaction() as txn:

@@ -771,14 +771,6 @@ class TestDeltasComeFromTheWal:
                     txn.delete("lineitem", [(5, 0, 5)])
                     raise RuntimeError("abort")
 
-        def batched():
-            batch = wh.batch()
-            batch.insert("lineitem", [(6, 1, 9)])
-            batch.delete("lineitem", [(6, 0, 6)])
-            batch.insert("lineitem", [(8, 1, 8)])
-            batch.delete("lineitem", [(8, 1, 8)])
-            batch.flush()
-
         intervals = [
             # insert then delete of one row: nets to nothing
             lambda: (wh.insert("lineitem", [(1, 1, 1)]), wh.delete("lineitem", [(1, 1, 1)])),
@@ -790,7 +782,6 @@ class TestDeltasComeFromTheWal:
             rolled_back,
             lambda: wh.update("lineitem", [(4, 0, 4)], [(4, 0, 44)]),
             lambda: wh.delete_by_key("lineitem", [(7, 0)]),
-            batched,
         ]
         for interval in intervals:
             interval()

@@ -15,10 +15,12 @@ import pytest
 
 from repro.core.maintain import MaintenanceOptions
 from repro.errors import MaintenanceError, ShardingError, ShardUnavailableError
+from repro.runtime import ShardingSpec
 from repro.runtime.failpoints import FAILPOINTS
 from repro.runtime.shardproc import WORKER_GC_THRESHOLD, ShardHandle
 from repro.warehouse import Warehouse
 
+from .test_checkpoint import flip_byte
 from .test_sharded_warehouse import build_db, order_lines_defn
 
 
@@ -109,6 +111,41 @@ def test_reincarnation_replays_wal_lineage(tmp_path):
         # pre-kill durable work survived the worker's death
         assert 520 in {r[0] for r in merged.tables["orders"].rows}
         assert (520, 0) in {r[:2] for r in merged.tables["lineitem"].rows}
+        wh.check_consistency()
+    finally:
+        FAILPOINTS.disarm("shard.worker.kill")
+        wh.close()
+
+
+def test_reincarnation_keeps_the_loss_its_first_open_found(tmp_path):
+    """A reincarnated worker opens its WAL twice: at start-up, which
+    moves a CRC-failed segment to ``corrupt/``, and in ``recover``.  The
+    second open must still know records were lost, so the replay of a
+    re-insert evicts the row the lost delete would have removed."""
+    wh = make_supervised(
+        tmp_path, segment_bytes=64,
+        sharding=ShardingSpec(2, {"lineitem": ("l_orderkey",)}),
+    )
+    try:
+        wh.insert("lineitem", [(1, 7, 5)])
+        wh.delete("lineitem", [(1, 7, 5)])
+        wh.insert("lineitem", [(1, 7, 9)])
+        wh.flush()
+        deletes = [
+            segment for segment in (tmp_path / "wal").glob("shard-*/seg-*.wal")
+            if b'"op":"delete"' in segment.read_bytes()
+        ]
+        assert len(deletes) == 1
+        flip_byte(deletes[0], offset=12)
+        kill_worker(wh, shard=int(deletes[0].parent.name.split("-")[1]))
+        with pytest.raises(ShardUnavailableError):
+            wh.insert("orders", [(531, 1)])  # replicated: reaches the victim
+        assert wait_all_up(wh), wh.supervisor.status()
+        assert sum(s["restarts"] for s in wh.supervisor.status().values()) == 1
+        assert wh.last_recovery["degraded"]
+        assert wh.last_recovery["summary"]["quarantined_segments"]
+        lines = {row[:2]: row for row in wh.table_rows("lineitem")}
+        assert lines[(1, 7)] == (1, 7, 9)
         wh.check_consistency()
     finally:
         FAILPOINTS.disarm("shard.worker.kill")

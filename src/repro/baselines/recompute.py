@@ -39,7 +39,7 @@ class RecomputeMaintainer:
     ) -> MaintenanceReport:
         started = time.perf_counter()
         fresh = MaterializedView.materialize(self.definition, self.db)
-        self.view._rows = fresh._rows
+        self.view.reset_to(fresh)
         return MaintenanceReport(
             view=self.definition.name,
             table=table,

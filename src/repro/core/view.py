@@ -24,7 +24,7 @@ from ..algebra.subsumption import SubsumptionGraph
 from ..engine.catalog import Database
 from ..engine.index import projector
 from ..engine.schema import Schema
-from ..engine.table import ChangeJournal, Row, Table, next_version
+from ..engine.table import Row, Table, UndoLog, next_version
 from ..errors import MaintenanceError, UnsupportedViewError
 
 #: (output columns, key columns) -> view key -> the (key, row) pair stored first
@@ -204,9 +204,10 @@ class MaterializedView:
         # by wholesale ``_rows`` replacement (bump_version at those
         # sites).
         self.version: int = next_version()
-        # Set by a snapshot store: insert_rows/delete_rows record into
-        # it, reset_to breaks it.  A bare view records nothing.
-        self.journal: Optional[ChangeJournal] = None
+        # The head of a snapshot store's undo chain, if one subscribed:
+        # insert_rows/delete_rows record into it before editing _rows,
+        # reset_to detaches it.  A bare view records nothing.
+        self.journal: Optional[UndoLog] = None
 
     def bump_version(self) -> None:
         """Advance the mutation clock after a content change."""
@@ -269,11 +270,12 @@ class MaterializedView:
         """Replace the whole contents in place, keeping this object's
         identity for the maintainers that hold it: adopt *source*'s rows
         and subkey indexes (the caller hands *source* over and must not
-        use it afterwards)."""
+        use it afterwards).  The old row dict is never edited again, so
+        the snapshots reading it keep their chain; the next publish starts
+        a new one."""
         self._rows = source._rows
         self._subkey_indexes = source._subkey_indexes
-        if self.journal is not None:
-            self.journal.broken = True
+        self.journal = None
         self.bump_version()
 
     # ------------------------------------------------------------------
@@ -338,11 +340,11 @@ class MaterializedView:
                         "on insert — maintenance produced an inconsistent delta"
                     )
                 seen.add(key)
+        if self.journal is not None:
+            self.journal.record(dict.fromkeys(fresh))
         held.update(fresh)
         for index in self._subkey_indexes.values():
             index.add_many(rows)
-        if self.journal is not None:
-            self.journal.changes.update(fresh)
         self.bump_version()
         return len(fresh)
 
@@ -362,10 +364,10 @@ class MaterializedView:
                         "delete — maintenance produced an inconsistent delta"
                     )
                 seen.add(key)
+        if self.journal is not None:
+            self.journal.record(dict(zip(doomed, map(held.__getitem__, doomed))))
         stored = list(map(held.pop, keys))
         for index in self._subkey_indexes.values():
             index.discard_many(stored)
-        if self.journal is not None:
-            self.journal.changes.update(doomed)
         self.bump_version()
         return len(doomed)

@@ -168,12 +168,12 @@ class Database:
         start = len(table.rows)
         key_index, *others = table.indexes  # create_table registers it first
         key_index.extend(new_rows, start)  # raises on a held key
+        if new_rows and table.journal is not None:
+            table.journal.record(dict.fromkeys(map(key_index.project, new_rows)))
         table.rows.extend(new_rows)
         for index in others:
             index.extend(new_rows, start)
         if new_rows:
-            if table.journal is not None:
-                table.journal.changes.update(zip(map(key_index.project, new_rows), new_rows))
             table.bump_version()
         return self._delta(table, new_rows)
 
@@ -207,10 +207,10 @@ class Database:
         delta = self._delta(table, list(found.values()))
         if check:
             self._check_incoming_fks(name, delta)
+        if found and table.journal is not None:
+            table.journal.record(dict(zip(map(key_of, found.values()), found.values())))
         table.swap_remove(found)
         if found:
-            if table.journal is not None:
-                table.journal.changes.update(dict.fromkeys(map(key_of, found.values())))
             table.bump_version()
         return delta
 

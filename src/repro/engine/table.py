@@ -18,9 +18,10 @@ Row = Tuple[object, ...]
 
 #: Global monotonic mutation clock shared by tables and materialized
 #: views.  Every mutation (and every fresh container) draws the next
-#: tick, so a ``version`` value is never reused — a snapshot slice that
-#: carries its source's version is current exactly while the two agree,
-#: even across object replacement.  ``next()`` on a C-level iterator is atomic under the
+#: tick, so a ``version`` value is never reused — a copy that carries
+#: its source's version (the snapshot store's rows of an aggregated
+#: view) is current exactly while the two agree, even across object
+#: replacement.  ``next()`` on a C-level iterator is atomic under the
 #: GIL, which is all the hot path needs.
 _MUTATION_CLOCK = count(1)
 
@@ -30,29 +31,34 @@ def next_version() -> int:
     return next(_MUTATION_CLOCK)
 
 
-class ChangeJournal:
-    """Net ±rows of one table or view since its subscriber last took them.
+class UndoLog:
+    """One epoch of a table's or view's history, kept for the snapshots
+    published before it.
 
-    A snapshot store (:mod:`repro.runtime.snapshots`) attaches one to
-    every container it publishes; a container nobody subscribed to has
-    ``journal = None`` and records nothing.  ``changes`` maps the
-    container's key to the row now stored under it, or ``None`` once the
-    key is gone.  ``broken`` means exactly one thing: the journal no
-    longer accounts for every edit (the contents were replaced wholesale,
-    or a capture was lost), so the subscriber's next capture must copy
-    the container in full.
+    A snapshot store (:mod:`repro.runtime.snapshots`) sets a container's
+    ``journal`` to the head of a chain of these; a container nobody
+    subscribed to has ``journal = None`` and records nothing.  Before each
+    live edit the container passes :meth:`record` the keys it is about
+    to change with their current values (``None`` for a key about to be
+    inserted).  The first value recorded for a key wins, so ``old`` maps
+    every key the epoch touched to its value at the epoch's start.  A
+    publish seals the head by linking a fresh log as its ``next``.
     """
 
-    __slots__ = ("changes", "broken")
+    __slots__ = ("old", "next")
 
     def __init__(self):
-        self.changes: Dict[Row, Optional[Row]] = {}
-        self.broken = True  # nothing captured yet
+        self.old: Dict[Row, Optional[Row]] = {}
+        self.next: Optional["UndoLog"] = None
 
-    def take(self) -> Dict[Row, Optional[Row]]:
-        """Hand over the recorded changes and start an empty record."""
-        changes, self.changes = self.changes, {}
-        return changes
+    def record(self, before: Dict[Row, Optional[Row]]) -> None:
+        """Note *before* (key -> current value) ahead of the edit."""
+        old = self.old
+        if old.keys().isdisjoint(before):
+            old.update(before)
+        else:
+            for key, value in before.items():
+                old.setdefault(key, value)
 
 
 class Table:
@@ -110,8 +116,9 @@ class Table:
         self.indexes: list = []
         # Mutation-clock tick, advanced by the catalog's DML.
         self.version: int = next_version()
-        # Set by a snapshot store; Database.insert/delete record into it.
-        self.journal: Optional[ChangeJournal] = None
+        # The head of a snapshot store's undo chain, if one subscribed:
+        # Database.insert/delete record into it before editing ``rows``.
+        self.journal: Optional[UndoLog] = None
 
     def bump_version(self) -> None:
         """Advance the mutation clock after an in-place row change."""
@@ -182,16 +189,18 @@ class Table:
         ``rows`` list, each by moving the current last row into the hole:
         positions stay dense in ``[0, len)`` and every index is edited,
         never rebuilt — but row order is no longer insertion order.
-        Highest position first, so the row that moves is never doomed."""
+        Highest position first, so the row that moves is never doomed.
+        The moving row is written into the hole before the list shrinks,
+        so a concurrent copy of ``rows`` may hold it twice but never
+        misses it."""
         rows = self.rows
         for position in sorted(positions, reverse=True):
-            row = rows[position]
-            last_row = rows.pop()
-            last = len(rows)
+            row, last_row = rows[position], rows[-1]
+            last = len(rows) - 1
             for index in self.indexes:
                 index.swap_remove(position, row, last, last_row)
-            if position != last:
-                rows[position] = last_row
+            rows[position] = last_row
+            rows.pop()
 
     def copy(self) -> "Table":
         """Return an independent copy (rows are immutable tuples, shared)

@@ -98,7 +98,7 @@ class CaseResult:
     configs_run: List[str] = field(default_factory=list)
     #: config -> how often the run went through a mechanism worth
     #: knowing was exercised: ``delta_checkpoints``, ``compactions``,
-    #: ``overlay_folds``, and each fault row (by name) that fired
+    #: ``lagged_reads``, and each fault row (by name) that fired
     exercised: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def count(self, config: str, what: str, times: int = 1) -> None:
@@ -401,22 +401,19 @@ def _check_step(
 
 
 def _check_snapshot(
-    wh: Warehouse,
-    config: OracleConfig,
-    step: str,
-    expected_state: Dict[str, frozenset],
-    result: CaseResult,
-) -> None:
+    wh: Warehouse, config: OracleConfig, step: str,
+    expected_state: Dict[str, frozenset], result: CaseResult, held: Optional[Tuple] = None,
+) -> Optional[Tuple]:
     """The serving oracle: the latest published snapshot is judged like
     a warehouse of its own — base tables equal to the reference state at
     this step, every non-stale view equal to a recompute over the
     snapshot's *own* tables: each published epoch is internally
-    consistent at its LSN, never a torn batch.
-
-    The caller has already drained (``_check_step``), so the newest
-    snapshot corresponds to the just-applied op — or, when the op
-    failed, to the unchanged/rolled-back state, which the reference
-    reached the same way.
+    consistent at its LSN, never a torn batch.  The caller has already
+    drained (``_check_step``), so the newest snapshot corresponds to the
+    just-applied op — or, when the op failed, to the unchanged/rolled-back
+    state, which the reference reached the same way.  *held* is the
+    previous step's ``(snapshot, state)``, judged again now that this step
+    sealed undo logs behind it; returns this step's pair, to be held.
     """
     snapshot = wh.snapshot()
     if not snapshot.valid:
@@ -425,18 +422,20 @@ def _check_snapshot(
             f"latest snapshot invalid ({snapshot.invalid_reason}) "
             "outside recovery",
         )
-        return
-    published = SimpleNamespace(
-        merged_database=snapshot.build_database,
-        quarantined_views=sorted(snapshot.stale_views),
-        view_names=snapshot.view_names,
-        view_rows=snapshot.view_rows,
-        definition=wh.definition,
-    )
-    step = f"{step} snapshot@{snapshot.lsn}"
-    _check_step(
-        published, config, step, expected_state, result, "snapshot-divergence"
-    )
+        return None
+    judged = [(snapshot, expected_state)]
+    if held is not None and held[0].valid and held[0] is not snapshot:
+        judged.append(held)
+    for snap, state in judged:
+        published = SimpleNamespace(
+            merged_database=snap.build_database, quarantined_views=sorted(snap.stale_views),
+            view_names=snap.view_names, view_rows=snap.view_rows, definition=wh.definition,
+        )
+        _check_step(
+            published, config, f"{step} snapshot@{snap.lsn}", state, result,
+            "snapshot-divergence",
+        )
+    return snapshot, expected_state
 
 
 def _restart(
@@ -449,8 +448,8 @@ def _restart(
     forward through every WAL entry past it.  Local and sharded alike."""
     wh.flush()  # a sharded close() would swallow what this raises
     if not config.shards:
-        # what ``serving`` reads had to survive: folded snapshot overlays
-        result.count(config.name, "overlay_folds", wh.snapshots.overlay_folds)
+        # what ``serving`` reads had to survive: epochs behind the head
+        result.count(config.name, "lagged_reads", wh.snapshots.lagged_reads)
     wh.close()
     fresh = _open(scenario.build_database(), scenario, config, tmp)
     fresh.recover()
@@ -626,6 +625,7 @@ def _run_config(
     plan = _fault_plan(scenario, config)
     wh = _open(scenario.build_database(), scenario, config, tmp)
     parted = False  # a survivors fault fired: the reference is void
+    held = None  # the serving oracle's snapshot from the step before
     try:
         for i, op in enumerate(scenario.ops):
             step = f"op[{i}]"
@@ -672,8 +672,8 @@ def _run_config(
                 )
                 _check_step(wh, config, step, reference.states[i], result, kind)
                 if config.scheduling == "serving":
-                    _check_snapshot(
-                        wh, config, step, reference.states[i], result
+                    held = _check_snapshot(
+                        wh, config, step, reference.states[i], result, held
                     )
             if config.checkpoints and op["kind"] != "crash":
                 try:
@@ -719,7 +719,7 @@ def _check_settled(
                 f"WAL still pending after flush ({pending})",
             )
     if not config.shards:
-        result.count(config.name, "overlay_folds", wh.snapshots.overlay_folds)
+        result.count(config.name, "lagged_reads", wh.snapshots.lagged_reads)
         return
     undecided = wh.txnlog.pending()
     if undecided:

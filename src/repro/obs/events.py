@@ -195,14 +195,6 @@ SNAPSHOT_LAG = _gauge(
 SNAPSHOTS_PUBLISHED = _counter(
     "repro_snapshots_published_total", "Consistent read snapshots published by the warehouse"
 )
-SNAPSHOT_CAPTURED_ROWS = _counter(
-    "repro_snapshot_captured_rows_total",
-    "Rows copied by snapshot publication (overlays, folds, full copies)",
-)
-SNAPSHOT_FULL_CAPTURES = _counter(
-    "repro_snapshot_full_captures_total",
-    "Tables and views a publication copied whole (broken journal)",
-)
 SNAPSHOTS_RETAINED = _gauge(
     "repro_snapshots_retained", "Read snapshots currently retained by the store"
 )
@@ -431,8 +423,6 @@ OCCURRENCES: Dict[str, Occurrence] = {
     "snapshot.published": Occurrence(
         "the warehouse published a consistent read snapshot (lsn: None without a WAL)",
         inc(SNAPSHOTS_PUBLISHED),
-        inc(SNAPSHOT_CAPTURED_ROWS, "captured_rows"),
-        inc(SNAPSHOT_FULL_CAPTURES, "full_captures"),
         set_to(SNAPSHOTS_RETAINED, "retained"),
         set_to(SNAPSHOT_LSN, "lsn"),
         set_to(SNAPSHOT_STALE_VIEWS, "stale_views"),

@@ -20,9 +20,9 @@ maintainers:
   is quarantined (stale, excluded from fan-out) rather than poisoning
   the change, and a bounded admission queue blocks or sheds on overflow;
 * :class:`SnapshotStore` — MVCC-style published snapshots of base
-  tables + views at consistent LSNs, captured at delta cost from
-  per-object change journals, giving readers torn-read-free,
-  non-blocking access (see ``docs/SERVING.md``).
+  tables + views at consistent LSNs, read from the live containers
+  through per-epoch undo logs (a publish copies nothing), giving
+  readers torn-read-free, non-blocking access (see ``docs/SERVING.md``).
 
 Both keep their files in the one durable record format of
 :mod:`repro.runtime.records` (CRC-framed JSON, atomic file writes,

@@ -252,8 +252,8 @@ class ShardServer:
         reopened in doubt until a commit, abort or ``txn_resolve`` lands
         them.  Without a WAL nothing is touched: there is nothing to replay.
         The reopen no longer sees the segments the first open moved to
-        ``corrupt/``, so it carries that open's loss over: the replay
-        must still evict the keys a lost record may have freed."""
+        ``corrupt/``; it reads the loss from the ``lost`` marker that open
+        wrote, and carries over the names of the segments it moved."""
         wal = self.wh.wal
         if wal is None:
             raise MaintenanceError("recover() requires a wal_path")
@@ -261,7 +261,6 @@ class ShardServer:
         self._pinned.clear()
         self.wh._shutdown()
         self._open(list(self._views.values()))
-        self.wh.wal.corruption_detected |= wal.corruption_detected
         self.wh.wal.quarantined_segments[:0] = wal.quarantined_segments
         self.wh.recover()
         self._txns.update(self.wh._in_doubt)
@@ -447,10 +446,9 @@ class ShardHandle:
     orderly :meth:`close` and a hard :meth:`terminate`.  *backend*
     (``"process"`` or ``"thread"``) chooses what runs :func:`_serve` at
     the far end and how :meth:`terminate` stops it.  The constructor
-    returns once the worker has built its warehouse; a start-up failure
-    raises under the worker's error class, with no worker left alive."""
+    only starts the worker; :meth:`start` hands out started handles."""
 
-    def __init__(self, shard_id: int, init: Dict, backend: str = "process"):
+    def __init__(self, shard_id: int, backend: str = "process"):
         if backend not in ("process", "thread"):
             raise ShardingError(
                 f"unknown shard backend {backend!r} (expected 'process' or 'thread')"
@@ -483,20 +481,35 @@ class ShardHandle:
         self.worker.start()
         if backend == "process":
             far.close()  # the child holds its own copy
-        handshake = _Reply()
-        self._pending.append(handshake)
+        self._handshake = _Reply()
+        self._pending.append(self._handshake)
         threading.Thread(
             target=self._read, name=f"{name}-reader", daemon=True
         ).start()
-        with self._lock:
-            self._post(init)  # a worker already gone fails the handshake
+
+    @classmethod
+    def start(cls, inits: Dict[int, Dict], backend: str = "process") -> List["ShardHandle"]:
+        """One handle per ``shard -> init``, the workers starting side by
+        side: all are started before the first init is sent (a send
+        blocks until its worker reads it), and every handshake awaited
+        after the last.  Returns once each worker has built its
+        warehouse; a failure raises under the worker's error class, with
+        every worker started terminated."""
+        handles: List[ShardHandle] = []
         try:
-            raise_shard_error(handshake.wait(120.0))
+            handles.extend(cls(shard, backend) for shard in inits)
+            for handle, init in zip(handles, inits.values()):
+                with handle._lock:
+                    handle._post(init)  # a worker already gone fails the handshake
+            for handle in handles:
+                raise_shard_error(handle._handshake.wait(120.0))
         except BaseException:
             # the caller has no handle to clean a failed worker up with
-            self.terminate()
-            self.worker.join(10.0)
+            for handle in handles:
+                handle.terminate()
+                handle.worker.join(10.0)
             raise
+        return handles
 
     # ------------------------------------------------------------------
     def _post(self, message) -> bool:

@@ -5,7 +5,8 @@ stream, but that alone does not make them *servable*: a query reading
 ``view._rows`` while a fan-out is mid-flight can observe half of a batch
 (torn reads), and blocking reads behind the change queue would couple
 read latency to maintenance latency.  This module decouples the two with
-the classic MVCC move — readers never touch live state at all:
+the classic MVCC move — a reader sees the live state as it stood at one
+epoch, by undoing what was written since:
 
 * At every **consistent point** — a completed change (dispatcher's
   completion hook), a transaction commit/rollback, view DDL, repair,
@@ -16,18 +17,26 @@ the classic MVCC move — readers never touch live state at all:
   point lookups and predicate scans from it.  Readers therefore never
   block on maintenance and never observe a partially-applied batch —
   every read is consistent with *some* applied LSN.
-* Capture costs the **delta**, not the database.  The store subscribes a
-  :class:`~repro.engine.table.ChangeJournal` to every table and plain
-  view it publishes; the paths that edit a live container
+* **Publishing copies nothing.**  The store hangs a chain of
+  :class:`~repro.engine.table.UndoLog` epochs on every table and plain
+  view it publishes.  The paths that edit a live container
   (``Database.insert/delete``, ``MaterializedView.insert_rows/
-  delete_rows``) record their ±rows there, and a publish turns the
-  journal into one more *overlay* (``key -> row | gone``) on top of the
-  previous slice.  A slice is an immutable base dict plus a short chain
-  of such overlays, so retained snapshots share everything but their
-  deltas.  Only a *broken* journal — first capture, wholesale
-  replacement (``reset_to``: rebuild, checkpoint restore, a rollback's
-  rebuild of a view quarantined inside it), a failed publish — costs a
-  full copy.
+  delete_rows``) record each key's current value into the chain's head
+  *before* the edit.  A publish seals the head by linking a fresh log
+  and hands the snapshot the live container with that log.  A key probe
+  reads the container first, then the logs oldest first: the first log
+  naming the key holds its value at the epoch.  A scan copies the
+  container once (one C-level call), then applies the logs newest
+  first, so the oldest value wins.
+* **Wholesale replacement** (``reset_to``: rebuild, repair, a rollback's
+  rebuild of a view quarantined inside it; the table swap of a
+  checkpoint restore) rebinds the container and drops its chain.  The
+  snapshots over the old container keep reading it — nothing edits it
+  again — and the next publish starts a new chain.
+* **A held snapshot pins only the logs written after its epoch.**  Once
+  those hold more entries than the live container has rows, the next
+  publish freezes that one slice: it reads its epoch's rows once, keeps
+  the copy, and lets the logs go.
 
 Retention is bounded two ways: the store keeps at most :data:`RETAIN`
 snapshots (a deque), and :meth:`Warehouse.checkpoint` prunes snapshots
@@ -47,7 +56,6 @@ healthy state.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 import weakref
@@ -55,19 +63,10 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..engine.catalog import Database
-from ..engine.table import ChangeJournal, Row, Table
+from ..engine.table import Row, Table, UndoLog
 from ..errors import CatalogError
 
 __all__ = ["Snapshot", "SnapshotStore", "ViewSlice", "TableSlice"]
-
-#: One overlay: key -> the row stored under it, or None once it is gone.
-Overlay = Dict[object, Optional[Row]]
-
-#: A slice's overlays are folded into a fresh base dict once together
-#: they hold more than one entry per this many base entries.  Below that
-#: a fold would copy more than it saves; above it probes and scans pay
-#: for a chain that describes a large part of the data.
-_FOLD_DIVISOR = 4
 
 #: How many published snapshots the store keeps.
 RETAIN = 8
@@ -80,116 +79,120 @@ def _bare(qualified: str) -> str:
     return qualified.split(".", 1)[1] if "." in qualified else qualified
 
 
-def _push(overlays: Tuple[Overlay, ...], top: Overlay) -> Tuple[Overlay, ...]:
-    """*overlays* (oldest first) with *top* stacked on as the newest.
+class _Tally:
+    """How many reads went through at least one sealed log: served by a
+    snapshot an epoch behind its container's head (fuzz coverage)."""
 
-    Neighbours merge (into a new dict — published ones are never edited)
-    until each overlay is at least twice the size of the one above it, so
-    the chain stays logarithmic in its total size and a publish copies
-    O(|top|) entries amortised."""
-    chain = list(overlays)
-    while chain and len(chain[-1]) < 2 * len(top):
-        top = {**chain.pop(), **top}
-    chain.append(top)
-    return tuple(chain)
+    __slots__ = ("lagged",)
+
+    def __init__(self):
+        self.lagged = 0
 
 
 class _Slice:
-    """Frozen contents of one table or view: ``base`` plus ``overlays``
-    (oldest first).  Shared between snapshots — never mutate one."""
+    """One table's or view's contents at one epoch.  ``_state`` is
+    ``(container, log)``: the live container and the first undo log
+    written after the epoch — or, once frozen, the epoch's rows and
+    ``None``.  A reader loads the pair once, so a freeze never tears its
+    read.  Shared between snapshots — never mutate one."""
 
-    __slots__ = ("name", "columns", "version", "_base", "_overlays", "_len")
+    __slots__ = ("name", "columns", "_len", "_state", "_tally", "__weakref__")
 
-    def __init__(self, name: str, columns: Tuple[str, ...], base: Dict, version: int):
+    def __init__(self, name: str, columns: Tuple[str, ...], container, log, tally: _Tally):
         self.name = name
         self.columns = columns
-        self.version = version
-        self._base = base
-        self._overlays: Tuple[Overlay, ...] = ()
-        self._len = len(base)
+        self._len = len(container)
+        self._state: Tuple[object, Optional[UndoLog]] = (container, log)
+        self._tally = tally
 
     def __len__(self) -> int:
         return self._len
 
-    def get(self, key) -> Optional[Row]:
-        """The row stored under *key*, newest overlay first."""
-        for overlay in reversed(self._overlays):
-            row = overlay.get(key, _ABSENT)
-            if row is not _ABSENT:
-                return row
-        return self._base.get(key)
+    def _undone(self, by_key: Dict, log: UndoLog) -> Dict:
+        """*by_key*, a copy of the container taken before this call, with
+        every key logged since set back to its value at this epoch.  Each
+        log is read by one C-level ``update``, newest first, so the oldest
+        value wins."""
+        logs = []
+        while log is not None:
+            logs.append(log.old)
+            log = log.next
+        if len(logs) > 1:
+            self._tally.lagged += 1
+        undo: Dict = {}
+        for old in reversed(logs):
+            undo.update(old)
+        for key, row in undo.items():
+            if row is None:
+                by_key.pop(key, None)
+            else:
+                by_key[key] = row
+        return by_key
 
-    def _merged(self) -> Dict:
-        """``key -> row`` with every overlay applied.  This is the base
-        dict itself when there is no overlay, so callers only read it."""
-        if not self._overlays:
-            return self._base
-        merged = dict(self._base)
-        for overlay in self._overlays:
-            for key, row in overlay.items():
-                if row is None:
-                    merged.pop(key, None)
-                else:
-                    merged[key] = row
-        return merged
-
-    def _successor(self, changes: Overlay, length: int, version: int):
-        """The slice one publish later; returns ``(slice, folded)``."""
-        twin = copy.copy(self)
-        twin.version = version
-        twin._overlays = _push(self._overlays, changes)
-        twin._len = length
-        folded = _FOLD_DIVISOR * sum(map(len, twin._overlays)) > len(self._base)
-        if folded:
-            twin._base = twin._merged()
-            twin._overlays = ()
-        return twin, folded
+    def _freeze(self) -> None:
+        """Keep this epoch's rows and let the logs go."""
+        self._state = (self._scan(), None)
 
 
 class ViewSlice(_Slice):
-    """One view's frozen contents inside a snapshot, keyed by the view
+    """One view's contents at its snapshot's epoch, keyed by the view
     key: a key-equality query is a few hash probes (:meth:`get`),
     everything else scans :meth:`rows`."""
 
     __slots__ = ("key_cols",)
 
-    def __init__(
-        self,
-        name: str,
-        columns: Tuple[str, ...],
-        key_cols: Tuple[str, ...],
-        rows_by_key: Dict[Row, Row],
-        version: int,
-    ):
-        super().__init__(name, columns, rows_by_key, version)
+    def __init__(self, name, columns, key_cols: Tuple[str, ...], rows_by_key: Dict, log, tally):
+        super().__init__(name, columns, rows_by_key, log, tally)
         self.key_cols = key_cols
 
+    def get(self, key) -> Optional[Row]:
+        """The row under *key*: the container first, then the first log
+        since the epoch that names the key."""
+        rows_by_key, log = self._state
+        row = rows_by_key.get(key)
+        if log is not None and log.next is not None:
+            self._tally.lagged += 1
+        while log is not None:
+            old = log.old.get(key, _ABSENT)
+            if old is not _ABSENT:
+                return old
+            log = log.next
+        return row
+
+    def _scan(self) -> Dict[Row, Row]:
+        """``key -> row`` at this epoch (a frozen slice's own dict:
+        callers only read it)."""
+        rows_by_key, log = self._state
+        return rows_by_key if log is None else self._undone(rows_by_key.copy(), log)
+
     def rows(self) -> List[Row]:
-        return list(self._merged().values())
+        return list(self._scan().values())
 
 
 class TableSlice(_Slice):
-    """One base table's frozen contents inside a snapshot, keyed by the
-    primary key."""
+    """One base table's rows at its snapshot's epoch.  Tables serve
+    scans only (:attr:`rows`, ``len``): rows are keyed by the primary key
+    only while a scan undoes logs."""
 
-    __slots__ = ("key", "not_null")
+    __slots__ = ("key", "not_null", "_key_of")
 
-    def __init__(
-        self,
-        name: str,
-        columns: Tuple[str, ...],
-        key: Tuple[str, ...],
-        not_null: Tuple[str, ...],
-        rows_by_key: Dict[object, Row],
-        version: int,
-    ):
-        super().__init__(name, columns, rows_by_key, version)
+    def __init__(self, name, columns, key, not_null, key_of: Callable, rows: List[Row], log, tally):
+        super().__init__(name, columns, rows, log, tally)
         self.key = key
         self.not_null = not_null
+        self._key_of = key_of
+
+    def _scan(self) -> Tuple[Row, ...]:
+        rows, log = self._state
+        rows = tuple(rows)  # before the logs: an edit the copy holds was logged first
+        if log is None or (log.next is None and not log.old):
+            return rows
+        # keyed, so a row a concurrent swap_remove held twice counts once
+        return tuple(self._undone(dict(zip(map(self._key_of, rows), rows)), log).values())
 
     @property
     def rows(self) -> Tuple[Row, ...]:
-        return tuple(self._merged().values())
+        return self._scan()
 
 
 class Snapshot:
@@ -198,8 +201,7 @@ class Snapshot:
     ``lsn`` is the applied LSN the snapshot corresponds to: the WAL LSN
     of the last change it includes (WAL-backed warehouses) or the
     publish sequence number (undurable ones).  ``seq`` is the publish
-    sequence, strictly monotonic either way.  ``captured_rows`` and
-    ``full_captures`` say what publishing it copied.
+    sequence, strictly monotonic either way.
     """
 
     __slots__ = (
@@ -209,8 +211,6 @@ class Snapshot:
         "views",
         "tables",
         "stale_views",
-        "captured_rows",
-        "full_captures",
         "_valid",
         "_invalid_reason",
         "__weakref__",
@@ -224,8 +224,6 @@ class Snapshot:
         views: Dict[str, ViewSlice],
         tables: Dict[str, TableSlice],
         stale_views: frozenset,
-        captured_rows: int = 0,
-        full_captures: int = 0,
     ):
         self.lsn = lsn
         self.seq = seq
@@ -233,8 +231,6 @@ class Snapshot:
         self.views = views
         self.tables = tables
         self.stale_views = stale_views
-        self.captured_rows = captured_rows
-        self.full_captures = full_captures
         self._valid = True
         self._invalid_reason: Optional[str] = None
 
@@ -325,11 +321,11 @@ class Snapshot:
                 return list(rows[:limit] if limit is not None else rows)
             rows = (
                 row
-                for row in slice_._merged().values()
+                for row in slice_._scan().values()
                 if all(row[p] == v for p, v in zip(positions, values))
             )
         else:
-            rows = slice_._merged().values()
+            rows = slice_._scan().values()
         if predicate is not None:
             columns = slice_.columns
             rows = (
@@ -374,18 +370,21 @@ class Snapshot:
 
 
 class _Tracked:
-    """What the store keeps about one live table or plain view between
-    publishes: the journal it subscribed and its newest slice."""
+    """One live table's or plain view's chain: its head, the newest
+    slice, the entries sealed so far, and the slices still reading it
+    (oldest first, each with that count at its epoch, held weakly)."""
 
-    __slots__ = ("journal", "slice")
+    __slots__ = ("head", "slice", "logged", "pinned")
 
-    def __init__(self, journal: ChangeJournal):
-        self.journal = journal
+    def __init__(self):
+        self.head: Optional[UndoLog] = None
         self.slice: Optional[_Slice] = None
+        self.logged = 0
+        self.pinned: deque = deque()
 
 
 class SnapshotStore:
-    """Bounded ring of published snapshots with journal-driven capture.
+    """Bounded ring of published snapshots over undo-logged containers.
 
     ``publish`` must only be called from consistent points (the caller
     guarantees no fan-out is mutating views concurrently — the warehouse
@@ -396,8 +395,8 @@ class SnapshotStore:
 
     def __init__(self):
         # _lock guards the published ring and is only ever held for
-        # O(1) work, so readers never wait on a capture in progress;
-        # _publish_lock serializes publishers (and owns the capture state)
+        # O(1) work; _publish_lock serializes publishers (and owns the
+        # chain state)
         self._lock = threading.Lock()
         self._publish_lock = threading.Lock()
         self._snapshots: "deque[Snapshot]" = deque(maxlen=RETAIN)
@@ -407,14 +406,20 @@ class SnapshotStore:
         self._issued: "weakref.WeakSet[Snapshot]" = weakref.WeakSet()
         self._tables: Dict[str, _Tracked] = {}
         self._views: Dict[str, _Tracked] = {}
-        # aggregated views keep no journal (their rows are derived per
-        # publish): name -> slice, reused while the version stands
-        self._aggregates: Dict[str, ViewSlice] = {}
+        # aggregated views keep no chain (their rows are derived per
+        # publish): name -> (version, slice), reused while it stands
+        self._aggregates: Dict[str, Tuple[int, ViewSlice]] = {}
+        self._tally = _Tally()
         self.published_count = 0
         self.invalidated_count = 0
-        self.captured_rows = 0
-        self.full_captures = 0
-        self.overlay_folds = 0
+        #: slices frozen because the logs behind them outgrew their container
+        self.freezes = 0
+
+    @property
+    def lagged_reads(self) -> int:
+        """Reads served by a snapshot at least one epoch behind its
+        container's head, through at least one sealed log."""
+        return self._tally.lagged
 
     # ------------------------------------------------------------------
     # publishing (consistent points only)
@@ -427,41 +432,32 @@ class SnapshotStore:
         stale: Iterable[str] = (),
         lsn: Optional[int] = None,
     ) -> Snapshot:
-        """Capture the current state as a new snapshot and retain it.
+        """Publish the current state as a new snapshot and retain it.
 
         *views* maps name -> :class:`~repro.core.view.MaterializedView`;
         *aggregates* maps name -> :class:`~repro.core.aggregate.AggregatedView`.
-        *stale* names quarantined views: their previous capture is
-        reused (a quarantined view reads as it was last published) and
-        they are listed in ``Snapshot.stale_views``.
+        *stale* names quarantined views: their previous slice is reused
+        (a quarantined view reads as it was last published) and they are
+        listed in ``Snapshot.stale_views``.
         *lsn* defaults to the publish sequence number.
         """
         stale = frozenset(stale)
         with self._publish_lock:
-            captured, full = self.captured_rows, self.full_captures
-            # capture happens OUTSIDE the ring lock: a reader calling
-            # latest() mid-capture must not wait out the copies
-            try:
-                view_slices: Dict[str, ViewSlice] = {}
-                for name, view in views.items():
-                    tracked = self._views.get(name)
-                    if name in stale and tracked and tracked.slice:
-                        view_slices[name] = tracked.slice
-                    else:
-                        view_slices[name] = self._capture(self._views, name, view)
-                for name, aggregated in aggregates.items():
-                    view_slices[name] = self._capture_aggregate(
-                        name, aggregated, stale
+            view_slices: Dict[str, ViewSlice] = {}
+            for name, view in views.items():
+                tracked = self._views.get(name)
+                if name in stale and tracked is not None and tracked.slice is not None:
+                    view_slices[name] = tracked.slice
+                else:
+                    view_slices[name] = self._capture(
+                        self._views, name, view, view._rows, self._view_slice
                     )
-                table_slices = {
-                    name: self._capture(self._tables, name, table)
-                    for name, table in tables.items()
-                }
-            except BaseException:
-                # some journal may have been taken and not applied
-                for tracked in (*self._views.values(), *self._tables.values()):
-                    tracked.journal.broken = True
-                raise
+            for name, aggregated in aggregates.items():
+                view_slices[name] = self._capture_aggregate(name, aggregated, stale)
+            table_slices = {
+                name: self._capture(self._tables, name, table, table.rows, self._table_slice)
+                for name, table in tables.items()
+            }
             # forget views/tables that no longer exist
             for kept, live in (
                 (self._views, views),
@@ -480,109 +476,70 @@ class SnapshotStore:
                     views=view_slices,
                     tables=table_slices,
                     stale_views=stale & set(view_slices),
-                    captured_rows=self.captured_rows - captured,
-                    full_captures=self.full_captures - full,
                 )
                 self._snapshots.append(snapshot)  # evicts the oldest
                 self._issued.add(snapshot)
                 self.published_count += 1
                 return snapshot
 
-    def _capture(self, kept: Dict[str, _Tracked], name: str, live) -> _Slice:
+    def _capture(self, kept: Dict[str, _Tracked], name: str, live, container, make) -> _Slice:
         """The slice of one live table or view for this publish: the
-        previous one when nothing was journaled, one more overlay when
-        something was, a full copy when the journal is broken."""
+        previous one while nothing was logged, else a new one over the
+        container from a freshly linked log.  O(1): nothing is copied."""
         tracked = kept.get(name)
-        journal = live.journal
-        if tracked is None or journal is None or tracked.journal is not journal:
-            # first sight of this object (or another store took it over)
-            journal = live.journal = ChangeJournal()
-            tracked = kept[name] = _Tracked(journal)
-        previous = tracked.slice
-        if not journal.broken and journal.changes:
-            slice_ = self._advance(tracked, journal.take(), live.version)
-            if len(slice_) == len(live):
-                tracked.slice = slice_
-                return slice_
-            # an edit bypassed the journal: only a full copy is safe
-        elif previous is not None and previous.version == live.version:
-            return previous
-        return self._capture_full(tracked, name, live)
-
-    def _advance(self, tracked: _Tracked, changes: Overlay, version: int) -> _Slice:
-        """Stack *changes* on the tracked slice.  Its length gains the rows
-        *changes* holds and loses the changed keys it held; each layer,
-        newest first, settles the keys no newer one named, by set ops."""
-        previous = tracked.slice
-        unsettled, held = changes.keys(), 0
-        for overlay in reversed(previous._overlays):
-            named = unsettled & overlay.keys()
-            if named:
-                held += len(named) - [overlay[key] for key in named].count(None)
-                unsettled = unsettled - named
-        held += len(unsettled & previous._base.keys())
-        length = len(previous) + len(changes) - list(changes.values()).count(None) - held
-        slice_, folded = previous._successor(changes, length, version)
-        self.captured_rows += len(changes)
-        if folded:
-            self.overlay_folds += 1
-            self.captured_rows += len(slice_)
+        head = live.journal
+        if tracked is None or head is None or head is not tracked.head:
+            # a new container (rebinding drops the chain): a new chain
+            tracked = kept[name] = _Tracked()
+        elif tracked.slice is not None and not head.old:
+            return tracked.slice
+        log = UndoLog()
+        if head is not None:  # seal it: older slices read on through it
+            head.next = log
+            tracked.logged += len(head.old)
+        live.journal = tracked.head = log
+        slice_ = tracked.slice = make(name, live, container, log)
+        tracked.pinned.append((tracked.logged, weakref.ref(slice_)))
+        self._bound(tracked, len(container))
         return slice_
 
-    def _capture_full(self, tracked: _Tracked, name: str, live) -> _Slice:
-        """Copy *live* whole — the base case: a first capture, or a
-        journal that no longer accounts for every edit."""
-        journal = tracked.journal
-        journal.take()
-        full = self._full_table if isinstance(live, Table) else self._full_view
-        tracked.slice = slice_ = full(name, live)
-        journal.broken = False
-        self.full_captures += 1
-        self.captured_rows += len(slice_)
-        return slice_
+    def _bound(self, tracked: _Tracked, size: int) -> None:
+        """Freeze, oldest first, the slices whose logs hold more entries
+        than the container has rows; forget the ones nobody holds."""
+        pinned = tracked.pinned
+        while pinned:
+            logged, ref = pinned[0]
+            slice_ = ref()
+            if slice_ is not None:
+                if tracked.logged - logged <= size:
+                    return
+                slice_._freeze()
+                self.freezes += 1
+            pinned.popleft()
 
-    @staticmethod
-    def _full_view(name: str, view) -> ViewSlice:
-        return ViewSlice(
-            name,
-            tuple(view.schema.columns),
-            tuple(view.key_cols),
-            dict(view._rows),
-            view.version,
-        )
+    def _view_slice(self, name: str, view, rows_by_key: Dict, log: UndoLog) -> ViewSlice:
+        columns, key_cols = tuple(view.schema.columns), tuple(view.key_cols)
+        return ViewSlice(name, columns, key_cols, rows_by_key, log, self._tally)
 
-    @staticmethod
-    def _full_table(name: str, table: Table) -> TableSlice:
-        """The table keyed by its primary key (a database's tables all
-        have one, held exactly once by its key index)."""
-        rows = table.rows
+    def _table_slice(self, name: str, table: Table, rows: List[Row], log: UndoLog) -> TableSlice:
         return TableSlice(
-            name,
-            tuple(table.schema.columns),
-            tuple(table.key),
-            tuple(sorted(table.not_null)),
-            dict(zip(map(table.indexes[0].project, rows), rows)),
-            table.version,
+            name, tuple(table.schema.columns), tuple(table.key), tuple(sorted(table.not_null)),
+            table.indexes[0].project,  # create_table registers the key index first
+            rows, log, self._tally,
         )
 
-    def _capture_aggregate(
-        self, name: str, aggregated, stale: frozenset
-    ) -> ViewSlice:
+    def _capture_aggregate(self, name: str, aggregated, stale: frozenset) -> ViewSlice:
         cached = self._aggregates.get(name)
-        if cached is not None and (
-            cached.version == aggregated.version or name in stale
-        ):
-            return cached
+        if cached is not None and (cached[0] == aggregated.version or name in stale):
+            return cached[1]
         columns = tuple(aggregated.group_by) + tuple(
             f"agg.{a.alias}" for a in aggregated.aggregates
         )
         key_cols = tuple(aggregated.group_by)
         key_len = len(key_cols)
         rows_by_key = {row[:key_len]: row for row in aggregated.rows()}
-        slice_ = self._aggregates[name] = ViewSlice(
-            name, columns, key_cols, rows_by_key, aggregated.version
-        )
-        self.captured_rows += len(slice_)
+        slice_ = ViewSlice(name, columns, key_cols, rows_by_key, None, self._tally)
+        self._aggregates[name] = (aggregated.version, slice_)
         return slice_
 
     # ------------------------------------------------------------------
@@ -636,13 +593,15 @@ class SnapshotStore:
         return dropped
 
     def invalidate(self, reason: str = "recovery") -> int:
-        """Flag every issued snapshot invalid and clear the store.
+        """Flag every issued snapshot invalid and clear the ring.
 
         Called by :meth:`Warehouse.recover`: snapshots published before
         a crash may include changes whose acknowledgements never became
         durable, so post-recovery they no longer correspond to any
-        applied LSN.  Returns the number of snapshots flagged."""
-        with self._publish_lock:  # the capture state belongs to publishers
+        applied LSN.  The chains stay (the flagged snapshots a reader
+        still holds keep their bound), but no pre-crash slice is reused.
+        Returns the number of snapshots flagged."""
+        with self._publish_lock:  # the chain state belongs to publishers
             with self._lock:
                 flagged = 0
                 for snapshot in list(self._issued):
@@ -650,8 +609,8 @@ class SnapshotStore:
                         snapshot._invalidate(reason)
                         flagged += 1
                 self._snapshots.clear()
-                self._views.clear()
-                self._tables.clear()
+                for tracked in (*self._views.values(), *self._tables.values()):
+                    tracked.slice = None  # nor pins its container
                 self._aggregates.clear()
                 self.invalidated_count += flagged
                 return flagged

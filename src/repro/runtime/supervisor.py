@@ -269,7 +269,7 @@ class ShardSupervisor:
         old = wh._handles[shard]
         old.terminate()
         init = wh._shard_init(shard)
-        replacement = ShardHandle(shard, init, wh.backend)
+        replacement = ShardHandle.start({shard: init}, wh.backend)[0]
         summary = None
         degraded = False
         try:

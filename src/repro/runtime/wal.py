@@ -66,6 +66,10 @@ record by record against its CRCs:
   segment: the file is moved to the ``corrupt/`` sidecar directory,
   none of its records are ingested, :attr:`corruption_detected` is set
   and the segment path is appended to :attr:`quarantined_segments`.
+  The open then writes a durable ``lost`` marker: records at or below
+  the highest LSN it read may be missing.  A later open that reads the
+  marker sets :attr:`corruption_detected` again, until compaction has
+  passed that LSN — the segment itself is gone from the log by then.
   Opening never raises for disk rot — the caller
   (:meth:`Warehouse.recover`) rebuilds the views over what survived.
 
@@ -98,7 +102,7 @@ __all__ = ["WalEntry", "WriteAheadLog", "DEFAULT_SEGMENT_BYTES"]
 DEFAULT_SEGMENT_BYTES = 256 * 1024
 
 _SEGMENT = re.compile(r"^seg-(\d+)\.wal$")
-_KINDS = ("change", "txn", "ack", "resolve", "compact")
+_KINDS = ("change", "txn", "ack", "resolve", "compact", "lost")
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,8 @@ class WriteAheadLog:
         self.corruption_detected = False
         self.quarantined_segments: List[str] = []
         self.compacted_through = 0
+        # records at or below this LSN may be lost (``lost`` markers)
+        self._lost_through = 0
         # segment sequence -> highest change LSN it holds (0 if none)
         self._segment_max_lsn: Dict[int, int] = {}
         self._active_seq = 0
@@ -214,6 +220,17 @@ class WriteAheadLog:
         active = self._segment_path(self._active_seq)
         self._handle = open(active, "ab")
         self._active_size = os.path.getsize(active)
+        if self.quarantined_segments:
+            # a later open no longer sees the segments moved aside: say
+            # durably which LSNs a replay may find missing
+            record = {"kind": "lost", "through": self._next_lsn - 1}
+            self._write(json.dumps(record))
+            if self._unsynced:
+                self._fsync()
+            active_max = self._segment_max_lsn[self._active_seq]
+            self._segment_max_lsn[self._active_seq] = max(active_max, self._ingest(record))
+        if self._lost_through > self.compacted_through:
+            self.corruption_detected = True
 
     def _segment_path(self, seq: int) -> str:
         return os.path.join(self.path, f"seg-{seq:08d}.wal")
@@ -271,7 +288,8 @@ class WriteAheadLog:
 
     def _ingest(self, record: Dict) -> int:
         """Load one verified record; returns the highest change LSN it
-        holds (0 for an ack or compact marker)."""
+        holds (0 for an ack or compact marker; a ``lost`` marker's LSN, so
+        its segment stays until compaction passes it)."""
         kind = record["kind"]
         if kind == "txn":
             # a journaled transaction expands to its consecutive changes
@@ -290,6 +308,10 @@ class WriteAheadLog:
                 self._settle(self._doubt[record["lsn"]], drop=False)
         elif kind == "resolve":
             self._settle(record["id"], drop=True)
+        elif kind == "lost":
+            # the segment holding the marker stays until compaction passes it
+            self._lost_through = max(self._lost_through, record["through"])
+            return record["through"]
         else:  # "compact" (the only other kind in _KINDS)
             self.compacted_through = max(
                 self.compacted_through, record["through"]

@@ -302,26 +302,18 @@ class ShardedWarehouse(Warehouse):
             workers=workers, segment_bytes=segment_bytes,
             checkpoint_interval=checkpoint_interval,
         )
-        self._handles: List[ShardHandle] = []
         self._inits: List[Dict] = []  # retained for shard reincarnation
-        try:
-            for shard in range(self.shards):
-                rows = dict(replicated_rows)
-                rows.update(partitioned_rows.get(shard, {}))
-                init = {"schema": schema, "rows": rows, "settings": dict(
-                    settings,
-                    wal_path=wal_path and f"{wal_path}/shard-{shard}",
-                    checkpoint_dir=checkpoint_dir and f"{checkpoint_dir}/shard-{shard}",
-                )}
-                self._inits.append(init)
-                self._handles.append(ShardHandle(shard, init, shard_backend))
-        except Exception:
-            # terminate (not close) the workers that did spawn: close()
-            # waits out a graceful round-trip per shard, and the caller
-            # holds no reference to clean up with after we re-raise
-            for handle in self._handles:
-                handle.terminate()
-            raise
+        for shard in range(self.shards):
+            rows = dict(replicated_rows)
+            rows.update(partitioned_rows.get(shard, {}))
+            self._inits.append({"schema": schema, "rows": rows, "settings": dict(
+                settings,
+                wal_path=wal_path and f"{wal_path}/shard-{shard}",
+                checkpoint_dir=checkpoint_dir and f"{checkpoint_dir}/shard-{shard}",
+            )})
+        # the workers start side by side; a failed start terminates (not
+        # closes) every one started, and the caller holds no reference
+        self._handles = ShardHandle.start(dict(enumerate(self._inits)), shard_backend)
         self.supervisor = ShardSupervisor(
             self,
             probe_timeout=probe_timeout_seconds,

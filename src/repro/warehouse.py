@@ -446,9 +446,6 @@ class Warehouse:
             "snapshots_retained": self.snapshots.retained,
             "snapshots_invalidated": self.snapshots.invalidated_count,
             "publish_errors": self._publish_errors,
-            "captured_rows": self.snapshots.captured_rows,
-            "full_captures": self.snapshots.full_captures,
-            "overlay_folds": self.snapshots.overlay_folds,
             "latest_lsn": latest.lsn if latest is not None else None,
             "latest_age_seconds": (
                 latest.age_seconds() if latest is not None else None
@@ -708,9 +705,9 @@ class Warehouse:
                 lsn=lsn,
             )
         except Exception:
-            # a failed capture must not fail a change whose views are
-            # already maintained; the store broke its journals, so the
-            # next publish copies in full
+            # a failed publish must not fail a change whose views are
+            # already maintained; every chain it sealed stays whole, so
+            # the next publish picks up from there
             self._publish_errors += 1
             return None
         self.telemetry.emit(
@@ -718,8 +715,6 @@ class Warehouse:
             lsn=snapshot.lsn,
             retained=self.snapshots.retained,
             stale_views=len(snapshot.stale_views),
-            captured_rows=snapshot.captured_rows,
-            full_captures=snapshot.full_captures,
         )
         return snapshot
 

@@ -6,8 +6,9 @@
   ``part ⟗ (orders ⟕ lineitem)`` with both foreign keys declared.
 * ``tiny_tpch`` — a small deterministic TPC-H instance.
 * ``no_index_rebuild`` — fails the test if a live index is rebuilt.
-* ``no_full_capture`` — fails the test if a snapshot publish copies a
-  table or view whole that the store had captured before.
+* ``publish_costs_its_delta`` — fails the test if a snapshot publish
+  allocates more than a small allowance per container and per logged
+  entry (tracemalloc): a publish links undo logs, it copies nothing.
 * ``no_undo_copy`` — fails the test if a transaction's begin, commit or
   rollback, or a scheduler's maintenance pass, copies
   the database or a view, resets a view wholesale, or replaces
@@ -17,6 +18,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -148,19 +150,51 @@ def no_index_rebuild(monkeypatch):
         monkeypatch.setattr(cls, "rebuild", rebuild)
 
 
+#: what a publish may allocate: a fixed part, per table or view, per
+#: entry of the undo logs it seals and per aggregated row it derives
+PUBLISH_ALLOWANCE = (8192, 1024, 256)
+
+
 @pytest.fixture
-def no_full_capture(monkeypatch):
-    """Steady-state publishes are journal-driven: with this fixture, a
-    full copy of any table or view the store already holds a slice of
-    (anything but a first capture) fails the test."""
-    capture = SnapshotStore._capture_full
+def publish_costs_its_delta(monkeypatch):
+    """A publish seals undo logs and copies no table or view: with this
+    fixture, a ``SnapshotStore.publish`` whose peak allocation (measured
+    with tracemalloc) exceeds :data:`PUBLISH_ALLOWANCE` for the entries
+    it seals fails the test — at once, and at teardown in case the
+    publish ran on a thread that swallowed it.  Yields the list of
+    violations."""
+    publish = SnapshotStore.publish
+    violations = []
+    fixed, per_object, per_entry = PUBLISH_ALLOWANCE
 
-    def capture_full(store, tracked, name, live):
-        if tracked.slice is not None:
-            pytest.fail(f"publish copied {name!r} in full on a steady-state path")
-        return capture(store, tracked, name, live)
+    def measured(store, tables, views, aggregates, stale=(), lsn=None):
+        live = (*tables.values(), *views.values())
+        logged = sum(len(o.journal.old) for o in live if o.journal is not None)
+        logged += sum(len(a.rows()) for a in aggregates.values())
+        allowance = fixed + per_object * len(live) + per_entry * logged
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        floor = tracemalloc.get_traced_memory()[0]
+        try:
+            snapshot = publish(store, tables, views, aggregates, stale, lsn)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1] - floor
+            if started:
+                tracemalloc.stop()
+        if peak > allowance:
+            violations.append(
+                f"publish allocated {peak} bytes for {logged} logged entries "
+                f"(allowance {allowance})"
+            )
+            pytest.fail(violations[-1])
+        return snapshot
 
-    monkeypatch.setattr(SnapshotStore, "_capture_full", capture_full)
+    monkeypatch.setattr(SnapshotStore, "publish", measured)
+    yield violations
+    if violations:
+        pytest.fail("; ".join(violations))
 
 
 @pytest.fixture

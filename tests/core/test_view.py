@@ -5,7 +5,7 @@ import pytest
 from repro.algebra.expr import Project
 from repro.core.maintain import ViewMaintainer
 from repro.core.view import MaterializedView, ViewDefinition
-from repro.engine.table import ChangeJournal
+from repro.engine.table import UndoLog
 from repro.errors import MaintenanceError, SchemaError, UnsupportedViewError
 from repro.tpch import TPCHGenerator, v3
 
@@ -106,7 +106,7 @@ class TestDeltaAppliesWholeOrNotAtAll:
         rows = v1_defn.evaluate(v1_db).rows
         view = MaterializedView(v1_defn, v1_db)
         view.insert_rows(rows[2:])
-        view.journal = ChangeJournal()
+        view.journal = UndoLog()
         index = view.subkey_index(("r.k",))
         return view, rows[0], rows[1], index
 
@@ -122,7 +122,7 @@ class TestDeltaAppliesWholeOrNotAtAll:
             view.insert_rows([new1, new2, held])
         assert repr(view.key_of(held)) in str(caught.value)
         assert self.state(view, index) == before
-        assert view.journal.changes == {}
+        assert view.journal.old == {}
 
     def test_insert_repeating_a_key_inside_the_batch(self, watched):
         view, new1, new2, index = watched
@@ -131,7 +131,7 @@ class TestDeltaAppliesWholeOrNotAtAll:
             view.insert_rows([new1, new2, new1])
         assert repr(view.key_of(new1)) in str(caught.value)
         assert self.state(view, index) == before
-        assert view.journal.changes == {}
+        assert view.journal.old == {}
 
     def test_failing_delete_touches_nothing(self, watched):
         view, new1, __, index = watched
@@ -141,7 +141,7 @@ class TestDeltaAppliesWholeOrNotAtAll:
             view.delete_rows([held, new1, new1])
         assert repr(view.key_of(new1)) in str(caught.value)
         assert self.state(view, index) == before
-        assert view.journal.changes == {}
+        assert view.journal.old == {}
 
     def test_delete_repeating_a_key_inside_the_batch(self, watched):
         view, __, __, index = watched
@@ -151,21 +151,30 @@ class TestDeltaAppliesWholeOrNotAtAll:
             view.delete_rows([first, second, first])
         assert repr(view.key_of(first)) in str(caught.value)
         assert self.state(view, index) == before
-        assert view.journal.changes == {}
+        assert view.journal.old == {}
 
     def test_whole_delta_is_journalled_indexed_and_versioned(self, watched):
         view, new1, new2, index = watched
         version = view.version
         assert view.insert_rows([new1, new2]) == 2
         key1, key2 = view.key_of(new1), view.key_of(new2)
-        assert view.journal.take() == {key1: new1, key2: new2}
+        # logged before the edit: both keys were absent
+        assert view.journal.old == {key1: None, key2: None}
         assert view.version > version
         rk = view.schema.index_of("r.k")
         carried = sum(row[rk] == new1[rk] for row in view.rows())
         assert index.groups[(new1[rk],)] == carried
         version = view.version
         assert view.delete_rows([new2, new1]) == 2
-        assert view.journal.take() == {key2: None, key1: None}
+        # the first value logged for a key wins: still absent at the start
+        assert view.journal.old == {key1: None, key2: None}
+        view.journal = UndoLog()
+        assert view.insert_rows([new1]) == 1 and view.delete_rows([new1]) == 1
+        assert view.journal.old == {key1: None}
+        view.journal = UndoLog()
+        held = view.rows()[0]
+        assert view.delete_rows([held]) == 1
+        assert view.journal.old == {view.key_of(held): held}
         assert view.version > version
         assert index.groups == view.clone().subkey_index(("r.k",)).groups
 

@@ -139,7 +139,8 @@ LINEAGE_CONFIGS = (
 def test_durability_configs_really_go_through_deltas_and_folds():
     """Every case of the checkpointing configs restores from a lineage
     with delta files and a compaction in it, and the serving config reads
-    slices that were overlaid and folded — not just full copies."""
+    snapshots an epoch behind the head, through sealed undo logs — not
+    just the latest epoch, whose logs are empty."""
     for seed in range(10):
         result = run_case(
             _scenario(seed), configs_by_name(LINEAGE_CONFIGS + ("serving",))
@@ -149,7 +150,7 @@ def test_durability_configs_really_go_through_deltas_and_folds():
             seen = result.exercised[name]
             assert seen["delta_checkpoints"] >= 2, (seed, name, seen)
             assert seen["compactions"] >= 1, (seed, name, seen)
-        assert result.exercised["serving"]["overlay_folds"] >= 1, seed
+        assert result.exercised["serving"]["lagged_reads"] >= 1, seed
 
 
 def test_detects_delta_checkpoint_that_forgets_removed_rows(monkeypatch):
@@ -174,20 +175,23 @@ def test_detects_delta_checkpoint_that_forgets_removed_rows(monkeypatch):
 
 
 def test_detects_overlay_that_forgets_removed_rows(monkeypatch):
-    def lossy(self):
-        merged = dict(self._base)
-        for overlay in self._overlays:
-            merged.update({k: r for k, r in overlay.items() if r is not None})
-        return merged
+    """An undo that forgets the rows deleted after a snapshot's epoch (it
+    drops their old values) must surface as a snapshot divergence: the
+    serving oracle re-reads the previous step's snapshot through them."""
+    undone = snapshotsmod._Slice._undone
 
-    monkeypatch.setattr(snapshotsmod._Slice, "_merged", lossy)
+    def lossy(self, by_key, log):
+        held = set(by_key)
+        return {key: row for key, row in undone(self, by_key, log).items() if key in held}
+
+    monkeypatch.setattr(snapshotsmod._Slice, "_undone", lossy)
     found = [
         result
         for seed in range(6)
         for result in [run_case(_scenario(seed), configs_by_name(["serving"]))]
         if not result.ok
     ]
-    assert found, "a snapshot scan that resurrects deleted rows went undetected"
+    assert found, "a snapshot scan that loses rows deleted after it went undetected"
     assert "snapshot-divergence" in found[0].kinds
 
 

@@ -26,6 +26,10 @@ retried: ``repro_view_retries_total`` (53 families) and ``view.retry``
 ``repro_view_quarantined_total`` no longer speaks of a retry budget, and
 ``repro_slo_latency_seconds`` covers every observation since the
 telemetry was built, not a retained window.
+
+Since a snapshot publish copies nothing (it links an undo log),
+``repro_snapshot_captured_rows_total`` and
+``repro_snapshot_full_captures_total`` left the capture (51 families).
 """
 
 import ast
@@ -138,8 +142,8 @@ SCENARIO = [
     ("recovery", {"summary": CLEAN}),
     ("recovery", {"summary": DEGRADED}),
     ("snapshot.read", {"view": "v3", "seconds": 0.00003, "snapshot_age": 0.5, "lag": 2}),
-    ("snapshot.published", {"lsn": 9, "retained": 2, "stale_views": 1, "captured_rows": 12, "full_captures": 1}),
-    ("snapshot.published", {"lsn": None, "retained": 3, "stale_views": 0, "captured_rows": 0, "full_captures": 0}),
+    ("snapshot.published", {"lsn": 9, "retained": 2, "stale_views": 1}),
+    ("snapshot.published", {"lsn": None, "retained": 3, "stale_views": 0}),
     ("fuzz.shrink", {"steps": 4}),
     ("failpoint.fired", {"name": "wal.fsync", "fires": 2}),
     ("warehouse.apply", {"seconds": 0.001}),
@@ -164,7 +168,7 @@ class TestGoldenExposition:
             }
             for m in telemetry.metrics.metrics()
         ]
-        assert len(exposed) == 53
+        assert len(exposed) == 51
         assert exposed == GOLDEN["families"]
 
     def test_event_kinds_severities_and_dump_triggers(self):
@@ -253,7 +257,7 @@ class TestClosure:
             written.update(effect.family.name for effect in occurrence.effects)
             written.update(family.name for family in occurrence.writes)
         assert {family.name for family in FAMILIES} == written
-        assert len(FAMILIES) == 50
+        assert len(FAMILIES) == 48
         # OpenMetrics exposes a counter's samples as <family>_total
         assert all(f.name.endswith("_total") for f in FAMILIES if f.type == "counter")
 

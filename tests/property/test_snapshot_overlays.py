@@ -1,11 +1,14 @@
-"""Overlay slices answer exactly as a full capture would.
+"""Undo-logged slices answer exactly as a deep copy would.
 
 A seeded random stream — inserts, deletes, ``delete_by_key``, committed
 and rolled-back transactions, quarantine (a pass that failed half-applied
 and undid itself) + ``repair_view``, ``create_view`` + ``drop_view`` — runs
 through a warehouse whose every publish is shadowed by a deep copy of
-the live state.  Afterwards *every* snapshot ever published, including
-those held across several overlay folds, must read exactly like its copy.
+the live state.  Afterwards *every* snapshot ever published — read through
+many sealed logs, frozen once its logs outgrew the container, or left
+on a container a rebuild replaced — must read exactly like its copy.  A
+second stream adds checkpoints and live recoveries: pruned and
+invalidated snapshots must read like their copies too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Shadow:
     with a deep copy of what the warehouse held when it was taken."""
 
     def __init__(self, wh):
-        self.epochs = []  # (snapshot, tables, views, folds so far)
+        self.epochs = []  # (snapshot, tables, views, freezes so far)
         inner = wh.snapshots.publish
 
         def publish(tables, views, aggregates, stale=(), lsn=None):
@@ -53,7 +56,7 @@ class Shadow:
                             for n, a in aggregates.items()
                         },
                     },
-                    wh.snapshots.overlay_folds,
+                    wh.snapshots.freezes,
                 )
             )
             return snapshot
@@ -61,8 +64,10 @@ class Shadow:
         wh.snapshots.publish = publish
 
 
-def drive(wh, rng, steps):
-    """One random stream; returns the number of ops that failed typed."""
+def drive(wh, rng, steps, durable=False):
+    """One random stream; returns the number of ops that failed typed.
+    *durable* (a warehouse with a WAL and checkpoints) adds checkpoints,
+    which prune the store, and live recoveries, which invalidate it."""
     lines = {}  # (orderkey, linenumber) -> row, mirror of live lineitem
     next_order = ORDERS
     failed = 0
@@ -82,6 +87,7 @@ def drive(wh, rng, steps):
         kind = rng.choice(
             ["insert"] * 6 + ["delete"] * 3
             + ["by_key", "order", "commit", "rollback", "quarantine", "ddl"]
+            + (["checkpoint", "recover"] if durable else [])
         )
         try:
             if kind == "insert":
@@ -132,6 +138,11 @@ def drive(wh, rng, steps):
                     wh.drop_view("extra")
                 else:
                     wh.create_view("extra", order_lines_expr())
+            elif kind == "checkpoint":
+                wh.checkpoint()  # compacts the WAL and prunes the store
+            elif kind == "recover":
+                wh.checkpoint()  # the restore point a live recover() needs
+                wh.recover()  # new tables, rebuilt views, every snapshot flagged
         except ReproError:
             failed += 1
     return failed
@@ -199,14 +210,14 @@ def test_every_published_snapshot_reads_like_its_deep_copy(seed):
 
     store = wh.snapshots
     assert failed < STEPS // 4  # the stream mostly applied
-    assert store.overlay_folds >= 2
-    assert store.captured_rows > 0
-    # journal-driven capture is the common case, full copies the exception
-    assert store.full_captures < store.published_count
-    # some snapshot is still being read two or more folds after it was taken
-    assert any(
-        store.overlay_folds - folds >= 2 for _, _, _, folds in shadow.epochs
-    )
+    # held snapshots outgrew their logs, and were frozen, more than once
+    assert store.freezes >= 2
+    # some snapshot is still being read two or more freezes after it was taken
+    assert any(store.freezes - freezes >= 2 for _, _, _, freezes in shadow.epochs)
+    # ... some of them still through logs, some from a frozen copy
+    states = [s.views["ol_a"]._state for s, _, _, _ in shadow.epochs]
+    assert any(log is None for _, log in states)
+    assert any(log is not None and log.next is not None for _, log in states)
     retained = store.retained_snapshots()
     assert len(retained) == 8
     assert retained == [epoch[0] for epoch in shadow.epochs[-8:]]
@@ -214,6 +225,44 @@ def test_every_published_snapshot_reads_like_its_deep_copy(seed):
     for _, _, views, _ in shadow.epochs:
         for name, by_key in views.items():
             ever.setdefault(name, set()).update(by_key)
+    lagged = store.lagged_reads
     for snapshot, tables, views, _ in shadow.epochs:
+        assert_reads_like(snapshot, tables, views, ever)
+    assert store.lagged_reads > lagged  # reads undid sealed logs
+    wh.close()
+
+
+def test_pruned_and_invalidated_snapshots_still_read_their_epoch(tmp_path):
+    """The same stream with checkpoints and live recoveries mixed in: a
+    snapshot the store pruned, or that recovery flagged invalid and left
+    on the tables and views it replaced, still reads exactly its epoch."""
+    rng = random.Random(5)
+    db = build_db()
+    db.insert("orders", [(o, o % 7) for o in range(ORDERS)])
+    wh = Warehouse(
+        db, wal_path=str(tmp_path / "wal"), checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    shadow = Shadow(wh)
+    wh.create_view("ol_a", order_lines_expr())
+    wh.create_view("ol_b", order_lines_expr())
+    wh.create_aggregated_view(
+        "per_customer", order_lines_expr(), ["orders.o_custkey"],
+        [count_star("lines")],
+    )
+    steps = STEPS // 2
+    failed = drive(wh, rng, steps, durable=True)
+    wh.check_consistency()
+    assert failed < steps // 4
+    epochs = shadow.epochs
+    retained = wh.snapshots.retained_snapshots()
+    pruned = [s for s, _, _, _ in epochs if s.valid and s not in retained]
+    invalid = [s for s, _, _, _ in epochs if not s.valid]
+    assert len(pruned) >= 2 and len(invalid) >= 2
+    assert {s.invalid_reason for s in invalid} == {"recovery"}
+    ever = {}
+    for _, _, views, _ in epochs:
+        for name, by_key in views.items():
+            ever.setdefault(name, set()).update(by_key)
+    for snapshot, tables, views, _ in epochs:
         assert_reads_like(snapshot, tables, views, ever)
     wh.close()

@@ -393,3 +393,48 @@ def test_a_read_before_recover_builds_the_registered_views(tmp_path, read):
         assert len(reopened.view_rows("ol")) == 1
         reopened.check_consistency()
     reopened.close()
+
+
+def test_a_second_crash_after_a_degraded_recovery_still_evicts(tmp_path):
+    """A warehouse that crashes again after a degraded recovery, before
+    its next checkpoint, reopens a log whose damaged segment already sits
+    in ``corrupt/``.  The ``lost`` marker the first reopen wrote still
+    says a record may be missing, so the second replay evicts the key the
+    lost delete freed — until a checkpoint past the loss is compacted."""
+    from .test_sharded_warehouse import build_db as seeded_db
+
+    settings = dict(
+        wal_path=str(tmp_path / "changes.wal"),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        segment_bytes=64,
+    )
+
+    def reopen():
+        wh = Warehouse(seeded_db(), **settings)
+        wh.create_view("ol", order_lines_expr())
+        wh.recover()
+        wh.check_consistency()
+        return wh
+
+    wh = Warehouse(seeded_db(), **settings)
+    wh.create_view("ol", order_lines_expr())
+    wh.insert("lineitem", [(1, 7, 5)])
+    wh.delete("lineitem", [(1, 7, 5)])
+    wh.insert("lineitem", [(1, 7, 9)])
+    wh.close()
+    corrupt_segment(settings["wal_path"], b'"op":"delete","fk_allowed":true,"rows":[[1,7,5]]')
+    first = reopen()
+    assert first.last_recovery["corruption_detected"]
+    first.insert("lineitem", [(2, 7, 1)])
+    first.close()  # crashes again before any checkpoint
+    second = reopen()
+    assert second.last_recovery["corruption_detected"]
+    assert second.last_recovery["quarantined_segments"] == []  # moved by the first
+    rows = set(second.db.table("lineitem").rows)
+    assert {(1, 7, 9), (2, 7, 1)} <= rows and (1, 7, 5) not in rows
+    second.checkpoint()  # a base past the loss, and the log compacted to it
+    second.close()
+    third = reopen()
+    assert not third.last_recovery["corruption_detected"]
+    assert set(third.db.table("lineitem").rows) == rows
+    third.close()

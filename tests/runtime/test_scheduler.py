@@ -266,8 +266,8 @@ class TestFailedPassIsUndone:
         primary and its secondary apply: ``maintain`` runs once, the
         change raises, the view is quarantined exactly as it was before
         the change, the other view stays exact, the undo copies nothing
-        (so the next publish takes no full capture), and ``repair_view``
-        restores recompute."""
+        (the next publish reuses the view's last slice, which still reads
+        as before the change), and ``repair_view`` restores recompute."""
         wh = Warehouse(build_db(), workers=workers)
         wh.create_view("ol", order_lines_expr())
         wh.create_aggregated_view(
@@ -292,7 +292,7 @@ class TestFailedPassIsUndone:
             mid_pass.append(read())
             raise InjectedFault(f"{failing} fails half-applied")
 
-        captures = wh.snapshots.full_captures
+        published = wh.snapshot().views[failing]
         try:
             with FAILPOINTS.armed(
                 "maintain.pass", action="call", callback=strike, times=None,
@@ -311,7 +311,9 @@ class TestFailedPassIsUndone:
             assert read() == before  # ... and was undone
             wh.check_consistency()  # the other view is exact
             wh.insert("orders", [(3, 300)])  # published with the view stale
-            assert wh.snapshots.full_captures == captures
+            # ... reusing its last slice, which reads as before the pass
+            assert wh.snapshot().views[failing] is published
+            assert frozenset(published.rows()) == frozenset(before)
             assert wh.snapshot().stale_views == {failing}
             wh.repair_view(failing)
             assert wh.quarantined_views == []

@@ -54,7 +54,7 @@ def backend(request):
 
 @pytest.fixture
 def handle(backend):
-    handle = ShardHandle(0, init_blob(), backend)
+    handle = ShardHandle.start({0: init_blob()}, backend)[0]
     try:
         yield handle
     finally:
@@ -97,7 +97,7 @@ def test_the_pipe_carries_values(handle):
 
 
 def test_terminate_resolves_every_outstanding_reply_at_once(backend):
-    handle = ShardHandle(0, init_blob(orders=4000), backend)
+    handle = ShardHandle.start({0: init_blob(orders=4000)}, backend)[0]
     # materializing and checking a view over 8,000 lines keeps the
     # worker busy, so the ping behind them is still outstanding
     replies = [
@@ -128,5 +128,30 @@ def test_close_returns_promptly_after_the_worker_died(handle):
 def test_startup_failure_raises_typed_with_no_live_worker(backend):
     before = live_workers()
     with pytest.raises(MaintenanceError, match="requires a checkpoint_dir"):
-        ShardHandle(0, init_blob(checkpoint_interval=5), backend)
+        ShardHandle.start({0: init_blob(checkpoint_interval=5)}, backend)
     assert live_workers() == before
+
+
+def test_a_startup_failure_on_shard_1_of_2_leaves_no_worker_alive(backend, tmp_path):
+    """The workers of a sharded warehouse start side by side; when the
+    second one fails to build its warehouse (its WAL path is a regular
+    file), the construction raises and the first one, already up, is
+    terminated with it."""
+    from repro.errors import WalError
+    from repro.warehouse import Warehouse
+
+    def shard_workers():
+        return {t for t in threading.enumerate() if t.name in ("repro-shard-0", "repro-shard-1")} | {
+            p for p in multiprocessing.active_children()
+            if p.name in ("repro-shard-0", "repro-shard-1")
+        }
+
+    before = shard_workers()
+    (tmp_path / "wal").mkdir()
+    (tmp_path / "wal" / "shard-1").write_text("not a segment directory")
+    with pytest.raises(WalError, match="regular file"):
+        Warehouse(build_db(), shards=2, shard_backend=backend, wal_path=str(tmp_path / "wal"))
+    deadline = time.monotonic() + 10.0
+    while shard_workers() != before and time.monotonic() < deadline:
+        time.sleep(0.01)  # an abandoned thread exits at its next message
+    assert shard_workers() == before

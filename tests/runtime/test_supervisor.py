@@ -382,19 +382,18 @@ def test_flapping_shard_is_quarantined_and_health_degrades(tmp_path):
 def test_construction_failure_terminates_spawned_workers(monkeypatch):
     """If the Nth worker fails to spawn, the N-1 already-spawned workers
     must be terminated, not leaked."""
-    import repro.sharded as sharded_mod
+    from repro.runtime.shardproc import ShardHandle
 
     spawned = []
-    real_handle = sharded_mod.ShardHandle
+    real_init = ShardHandle.__init__
 
-    def flaky_handle(shard, init, backend):
+    def flaky_init(handle, shard, backend="process"):
         if shard == 1:
             raise ShardingError("injected spawn failure")
-        handle = real_handle(shard, init, backend)
+        real_init(handle, shard, backend)
         spawned.append(handle)
-        return handle
 
-    monkeypatch.setattr(sharded_mod, "ShardHandle", flaky_handle)
+    monkeypatch.setattr(ShardHandle, "__init__", flaky_init)
     with pytest.raises(ShardingError, match="injected spawn failure"):
         Warehouse(build_db(), shards=2, shard_backend="thread")
     assert spawned, "first worker never spawned"
